@@ -55,14 +55,15 @@ pub const WAIT_BUCKETS_US: &[u64] = &[
     1_000_000,
 ];
 
-/// A fixed-bucket histogram: one atomic per bucket plus sum and count.
+/// A fixed-bucket histogram: one atomic per bucket plus the sum. The
+/// observation count is the buckets' total, so a snapshot's `count` and
+/// `counts` agree by construction however observers race it.
 #[derive(Debug)]
 pub struct Histogram {
     bounds: &'static [u64],
     /// `bounds.len() + 1` buckets; the last is the +Inf overflow.
     buckets: Vec<AtomicU64>,
     sum: AtomicU64,
-    count: AtomicU64,
 }
 
 impl Histogram {
@@ -71,7 +72,6 @@ impl Histogram {
             bounds,
             buckets: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
             sum: AtomicU64::new(0),
-            count: AtomicU64::new(0),
         }
     }
 
@@ -83,15 +83,15 @@ impl Histogram {
             .unwrap_or(self.bounds.len());
         self.buckets[idx].fetch_add(1, Relaxed);
         self.sum.fetch_add(v, Relaxed);
-        self.count.fetch_add(1, Relaxed);
     }
 
     pub fn snapshot(&self) -> HistogramSnapshot {
+        let counts: Vec<u64> = self.buckets.iter().map(|b| b.load(Relaxed)).collect();
         HistogramSnapshot {
             bounds: self.bounds.to_vec(),
-            counts: self.buckets.iter().map(|b| b.load(Relaxed)).collect(),
+            count: counts.iter().sum(),
+            counts,
             sum: self.sum.load(Relaxed),
-            count: self.count.load(Relaxed),
         }
     }
 
@@ -565,12 +565,12 @@ mod tests {
                 })
             })
             .collect();
-        // Read while the writers race: count must only grow. (Bucket sums
-        // may transiently lag `count` — bucket and count are separate
-        // relaxed atomics — but must never exceed it by the end.)
+        // Read while the writers race: count must only grow, and every
+        // snapshot is internally consistent (count is the bucket total).
         let mut last = 0u64;
         for _ in 0..1_000 {
             let s = h.snapshot();
+            assert_eq!(s.counts.iter().sum::<u64>(), s.count);
             assert!(s.count >= last, "count went backwards");
             last = s.count;
             std::thread::yield_now();

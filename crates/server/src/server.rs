@@ -1,7 +1,9 @@
 //! The TCP server: thread-per-connection over a bounded session pool.
 
+use std::fmt;
+use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -10,7 +12,7 @@ use evopt_core::Strategy;
 use evopt_engine::{Database, Session};
 
 use crate::metrics::ServerMetrics;
-use crate::protocol::{read_frame, write_frame, Response};
+use crate::protocol::{read_frame_into, release_excess, write_frame, FrameBuf, Response, Tag};
 use crate::render;
 
 /// Server knobs.
@@ -87,7 +89,6 @@ pub fn serve(db: Arc<Database>, addr: &str, config: ServerConfig) -> Result<Serv
     let accept = std::thread::spawn({
         let shutdown = Arc::clone(&shutdown);
         let metrics = Arc::clone(&metrics);
-        let active = Arc::new(AtomicUsize::new(0));
         move || loop {
             let stream = match listener.accept() {
                 Ok((stream, _)) => stream,
@@ -101,14 +102,14 @@ pub fn serve(db: Arc<Database>, addr: &str, config: ServerConfig) -> Result<Serv
             if shutdown.load(Ordering::SeqCst) {
                 break;
             }
+            // Replies are single small segments the client is blocked on:
+            // never hold one back for Nagle's timer. Unconditional — there
+            // is no workload on a request/response protocol that wants it
+            // off. (Failure leaves a slow connection, not a broken one.)
+            let _ = stream.set_nodelay(true);
             // Claim a session slot, or refuse: a full server answers
             // immediately instead of letting the connection hang.
-            let claimed = active
-                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
-                    (n < max).then_some(n + 1)
-                })
-                .is_ok();
-            if !claimed {
+            if !metrics.claim_slot(max) {
                 metrics.connections_refused.inc();
                 let mut stream = stream;
                 let refuse = Response::Bye(format!("server at capacity ({max} sessions)"));
@@ -116,16 +117,10 @@ pub fn serve(db: Arc<Database>, addr: &str, config: ServerConfig) -> Result<Serv
                 continue;
             }
             metrics.connections.inc();
-            metrics
-                .active_sessions
-                .set(active.load(Ordering::SeqCst) as u64);
+            let slot = Slot(Arc::clone(&metrics));
             let session = db.session();
-            let active = Arc::clone(&active);
-            let metrics = Arc::clone(&metrics);
             std::thread::spawn(move || {
-                serve_conn(&session, stream, &metrics);
-                let remaining = active.fetch_sub(1, Ordering::SeqCst) - 1;
-                metrics.active_sessions.set(remaining as u64);
+                serve_conn(&session, BufReader::new(&stream), &stream, &slot.0);
             });
         }
     });
@@ -137,25 +132,81 @@ pub fn serve(db: Arc<Database>, addr: &str, config: ServerConfig) -> Result<Serv
     })
 }
 
+/// One claimed session slot. Dropping it — when the connection's handler
+/// returns, or unwinds — counts the connection closed and frees the slot.
+struct Slot(Arc<ServerMetrics>);
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        self.0.connections_closed.inc();
+        self.0.release_slot();
+    }
+}
+
 /// One connection's request loop: read a statement frame, execute it on
 /// this connection's session, write the tagged response. Exits on client
 /// disconnect, any write failure, or a `Bye` (quit or protocol error).
-fn serve_conn(session: &Session, mut stream: TcpStream, metrics: &ServerMetrics) {
+///
+/// `reader` and `writer` are the two directions of one stream. Per
+/// statement the loop costs one `read` (a small request's header and
+/// payload arrive together in the reader's buffer) and one `write` (the
+/// reply is rendered into `reply`, behind its header, and leaves whole).
+fn serve_conn(
+    session: &Session,
+    mut reader: impl BufRead,
+    mut writer: impl Write,
+    metrics: &ServerMetrics,
+) {
+    let mut request = Vec::new();
+    let mut reply = FrameBuf::new();
     loop {
-        let payload = match read_frame(&mut stream) {
-            Ok(p) => p,
-            Err(_) => return, // disconnect or protocol violation
-        };
+        // End of stream between frames is a disconnect; inside a frame
+        // (below) it is a truncated frame.
+        match reader.fill_buf() {
+            Ok(buffered) if !buffered.is_empty() => {}
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            _ => return,
+        }
+        reply.begin();
+        if let Err(e) = read_frame_into(&mut reader, &mut request) {
+            metrics.protocol_errors.inc();
+            // A length over the cap came from a peer still connected:
+            // tell it why it is being dropped. After a truncated frame
+            // there is no one to tell.
+            if e.kind() == io::ErrorKind::InvalidData {
+                reply.extend(&Response::Bye(e.to_string()).encode());
+                if let Ok(sent) = reply.send(&mut writer) {
+                    metrics.bytes_out.add(sent as u64);
+                }
+            }
+            return;
+        }
         metrics.frames.inc();
-        metrics.bytes_in.add(payload.len() as u64 + 4);
-        let response = match std::str::from_utf8(&payload) {
-            Ok(text) => respond_on(session, text, Some(metrics)),
-            Err(_) => Response::Error("request is not UTF-8".into()),
+        metrics.bytes_in.add(request.len() as u64 + 4);
+        // The tag goes first on the wire but is known last.
+        reply.extend(&[Tag::Error as u8]);
+        let tag = match std::str::from_utf8(&request) {
+            Ok(text) => match respond_into(session, text, Some(metrics), &mut reply) {
+                Ok(tag) => tag,
+                Err(fmt::Error) => {
+                    reply.truncate(1);
+                    reply.extend(b"response exceeds the frame cap");
+                    Tag::Error
+                }
+            },
+            Err(_) => {
+                metrics.protocol_errors.inc();
+                reply.extend(b"request is not UTF-8");
+                Tag::Error
+            }
         };
-        let bye = matches!(response, Response::Bye(_));
-        let encoded = response.encode();
-        metrics.bytes_out.add(encoded.len() as u64 + 4);
-        if write_frame(&mut stream, &encoded).is_err() || bye {
+        reply.payload_mut()[0] = tag as u8;
+        release_excess(&mut request);
+        match reply.send(&mut writer) {
+            Ok(sent) => metrics.bytes_out.add(sent as u64),
+            Err(_) => return,
+        }
+        if tag == Tag::Bye {
             return;
         }
     }
@@ -164,35 +215,51 @@ fn serve_conn(session: &Session, mut stream: TcpStream, metrics: &ServerMetrics)
 /// Execute one line of input — SQL or a `\` meta command — on a session
 /// and produce the wire response. Shared by the server and the local REPL
 /// so both speak identically. (The REPL has no listener, so its scrapes
-/// carry engine + session families only; see [`respond_on`].)
+/// carry engine + session families only; see [`respond_into`].)
 pub fn respond(session: &Session, line: &str) -> Response {
-    respond_on(session, line, None)
+    let mut text = String::new();
+    match respond_into(session, line, None, &mut text) {
+        Ok(tag) => Response::new(tag, text),
+        Err(fmt::Error) => Response::Error("response could not be rendered".into()),
+    }
 }
 
-/// [`respond`] with an optional listener: when serving a connection the
-/// `METRICS` frame / `\metrics` command prepends the `evopt_server_*`
-/// families to the engine + session scrape.
-fn respond_on(session: &Session, line: &str, server: Option<&ServerMetrics>) -> Response {
+/// [`respond`], with the response text written to `out` — a connection's
+/// outgoing frame, or a `String` — and its tag returned. `out` failing (a
+/// frame at its cap) is the only error. With a listener, the `METRICS`
+/// frame / `\metrics` command prepends the `evopt_server_*` families to
+/// the engine + session scrape.
+fn respond_into(
+    session: &Session,
+    line: &str,
+    server: Option<&ServerMetrics>,
+    out: &mut impl fmt::Write,
+) -> std::result::Result<Tag, fmt::Error> {
     let trimmed = line.trim();
     if trimmed.is_empty() {
-        return Response::Result(String::new());
+        return Ok(Tag::Result);
     }
-    // Bare `METRICS` frame: the scrape entry point for tooling that isn't
-    // a SQL client (a Prometheus exporter sidecar sends exactly this).
-    if trimmed == "METRICS" {
-        return metrics_response(session, server);
-    }
-    // Bare `TOPWAITS` frame: the contention summary for tooling (same
-    // rendering as `\top-waits`).
-    if trimmed == "TOPWAITS" {
-        return top_waits_response(session);
-    }
-    if let Some(meta) = trimmed.strip_prefix('\\') {
-        return meta_command(session, meta, server);
+    let command = if trimmed == "METRICS" {
+        // Bare `METRICS` frame: the scrape entry point for tooling that
+        // isn't a SQL client (a Prometheus exporter sidecar sends exactly
+        // this).
+        Some(metrics_response(session, server))
+    } else if trimmed == "TOPWAITS" {
+        // Bare `TOPWAITS` frame: the contention summary for tooling (same
+        // rendering as `\top-waits`).
+        Some(top_waits_response(session))
+    } else {
+        trimmed
+            .strip_prefix('\\')
+            .map(|meta| meta_command(session, meta, server))
+    };
+    if let Some(response) = command {
+        out.write_str(response.text())?;
+        return Ok(response.tag());
     }
     match session.execute(trimmed) {
-        Ok(result) => Response::Result(render::render(&result)),
-        Err(e) => Response::Error(e.to_string()),
+        Ok(result) => render::render_into(&result, out).map(|()| Tag::Result),
+        Err(e) => write!(out, "{e}").map(|()| Tag::Error),
     }
 }
 
@@ -301,4 +368,129 @@ pub fn parse_strategy(name: &str) -> Option<Strategy> {
         "syntactic" => Strategy::Syntactic,
         _ => return None,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::tests::CountingWriter;
+    use crate::protocol::{read_response, MAX_FRAME};
+
+    fn frames(payloads: &[&[u8]]) -> Vec<u8> {
+        let mut wire = Vec::new();
+        for p in payloads {
+            write_frame(&mut wire, p).unwrap();
+        }
+        wire
+    }
+
+    /// Run `serve_conn` over `wire` as the whole of a connection's input.
+    fn converse(db: &Arc<Database>, wire: &[u8]) -> (CountingWriter, ServerMetrics) {
+        let metrics = ServerMetrics::default();
+        let mut out = CountingWriter::default();
+        serve_conn(&db.session(), wire, &mut out, &metrics);
+        (out, metrics)
+    }
+
+    fn responses(out: &CountingWriter) -> Vec<Response> {
+        let mut wire = out.bytes.as_slice();
+        let mut all = Vec::new();
+        while !wire.is_empty() {
+            all.push(read_response(&mut wire).unwrap());
+        }
+        all
+    }
+
+    #[test]
+    fn every_reply_is_one_write() {
+        let db = Arc::new(Database::with_defaults());
+        let wire = frames(&[
+            b"CREATE TABLE t (id INT NOT NULL, name STRING)",
+            b"INSERT INTO t VALUES (1, 'ada'), (2, 'grace')",
+            b"SELECT * FROM t",
+            b"SELECT * FROM missing",
+            b"\\q",
+            b"SELECT 'never read: the connection ended at the Bye'",
+        ]);
+        let (out, metrics) = converse(&db, &wire);
+        assert_eq!(out.writes, 5, "one write per reply frame");
+        let replies = responses(&out);
+        assert_eq!(
+            replies[2],
+            Response::Result("| t.id | t.name |\n| 1 | 'ada' |\n| 2 | 'grace' |\n2 row(s)".into())
+        );
+        assert!(matches!(&replies[3], Response::Error(e) if e.contains("missing")));
+        assert_eq!(replies[4], Response::Bye("goodbye".into()));
+        assert_eq!(metrics.frames.get(), 5);
+        assert_eq!(metrics.bytes_out.get(), out.bytes.len() as u64);
+        assert_eq!(metrics.protocol_errors.get(), 0);
+    }
+
+    #[test]
+    fn an_oversized_frame_is_answered_with_bye_and_a_truncated_one_with_nothing() {
+        let db = Arc::new(Database::with_defaults());
+        let mut wire = frames(&[b"\\help"]);
+        wire.extend_from_slice(&(MAX_FRAME as u32 + 1).to_le_bytes());
+        wire.extend_from_slice(b"whatever follows is never read");
+        let (out, metrics) = converse(&db, &wire);
+        assert_eq!(out.writes, 2);
+        let replies = responses(&out);
+        assert!(matches!(&replies[0], Response::Result(_)));
+        assert!(matches!(&replies[1], Response::Bye(why) if why.contains("cap")));
+        assert_eq!(metrics.protocol_errors.get(), 1);
+        assert_eq!(metrics.frames.get(), 1);
+        assert_eq!(metrics.bytes_out.get(), out.bytes.len() as u64);
+
+        let whole = frames(&[b"\\help", b"SELECT 1"]);
+        let first = frames(&[b"\\help"]).len();
+        for cut in first + 1..whole.len() {
+            let (out, metrics) = converse(&db, &whole[..cut]);
+            assert_eq!(
+                out.writes, 1,
+                "cut at {cut}: only the whole frame is answered"
+            );
+            assert_eq!(metrics.protocol_errors.get(), 1, "cut at {cut}");
+        }
+        // End of stream between frames is a plain disconnect.
+        let (out, metrics) = converse(&db, &whole[..first]);
+        assert_eq!(out.writes, 1);
+        assert_eq!(metrics.protocol_errors.get(), 0);
+    }
+
+    #[test]
+    fn a_request_that_is_not_utf8_is_an_error_not_a_disconnect() {
+        let db = Arc::new(Database::with_defaults());
+        let wire = frames(&[&[0xff, 0xfe, 0x00], b"\\help"]);
+        let (out, metrics) = converse(&db, &wire);
+        let replies = responses(&out);
+        assert_eq!(replies[0], Response::Error("request is not UTF-8".into()));
+        assert!(matches!(&replies[1], Response::Result(_)));
+        assert_eq!(metrics.protocol_errors.get(), 1);
+        assert_eq!(metrics.frames.get(), 2);
+    }
+
+    #[test]
+    fn a_reply_over_the_cap_is_an_error_not_a_disconnect() {
+        let db = Arc::new(Database::with_defaults());
+        db.execute("CREATE TABLE wide (s STRING)").unwrap();
+        let s = "x".repeat(1100);
+        let values = vec![format!("('{s}')"); 100].join(", ");
+        for _ in 0..10 {
+            db.execute(&format!("INSERT INTO wide VALUES {values}"))
+                .unwrap();
+        }
+        let wire = frames(&[b"SELECT * FROM wide", b"SELECT COUNT(*) FROM wide"]);
+        let (out, _) = converse(&db, &wire);
+        let replies = responses(&out);
+        assert_eq!(
+            replies[0],
+            Response::Error("response exceeds the frame cap".into())
+        );
+        assert!(matches!(&replies[1], Response::Result(t) if t.contains("1000")));
+        // Off the wire the same statement still renders in full.
+        assert!(matches!(
+            respond(&db.session(), "SELECT * FROM wide"),
+            Response::Result(t) if t.len() > MAX_FRAME
+        ));
+    }
 }
