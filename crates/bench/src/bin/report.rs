@@ -8,66 +8,22 @@
 //!
 //! Besides the rendered tables on stdout, every run writes
 //! `BENCH_report.json` to the working directory: one record per
-//! experiment with its wall time and the engine-counter deltas it caused
-//! (queries, plans considered, pool/disk traffic, WAL records), so CI and
-//! tooling can diff runs without scraping the human-readable output.
+//! experiment with its wall time. (Engine counts per statement are the
+//! repo benchmark's job now: `benchmark/`'s per-layer ledger.)
 
 use evopt_bench::*;
-use evopt_obs::MetricsSnapshot;
 
 /// One experiment's machine-readable record.
 struct ExperimentRecord {
     id: &'static str,
     wall_s: f64,
-    queries: u64,
-    statements: u64,
-    plans_considered: u64,
-    plans_pruned: u64,
-    pool_hits: u64,
-    pool_misses: u64,
-    disk_reads: u64,
-    disk_writes: u64,
-    wal_records: u64,
 }
 
 impl ExperimentRecord {
-    fn from_delta(id: &'static str, wall_s: f64, b: &MetricsSnapshot, a: &MetricsSnapshot) -> Self {
-        ExperimentRecord {
-            id,
-            wall_s,
-            queries: a.queries.saturating_sub(b.queries),
-            statements: a.statements.saturating_sub(b.statements),
-            plans_considered: a.plans_considered.saturating_sub(b.plans_considered),
-            plans_pruned: a.plans_pruned.saturating_sub(b.plans_pruned),
-            pool_hits: a.pool_hits.saturating_sub(b.pool_hits),
-            pool_misses: a.pool_misses.saturating_sub(b.pool_misses),
-            disk_reads: a.disk_reads.saturating_sub(b.disk_reads),
-            disk_writes: a.disk_writes.saturating_sub(b.disk_writes),
-            wal_records: a.wal_records_written.saturating_sub(b.wal_records_written),
-        }
-    }
-
-    /// Hand-rolled JSON object — every field is a number or a bare
-    /// identifier string, so no escaping is needed.
+    /// Hand-rolled JSON object — a bare identifier string and a number, so
+    /// no escaping is needed.
     fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"id\":\"{}\",\"wall_s\":{:.3},\"queries\":{},\"statements\":{},",
-                "\"plans_considered\":{},\"plans_pruned\":{},\"pool_hits\":{},",
-                "\"pool_misses\":{},\"disk_reads\":{},\"disk_writes\":{},\"wal_records\":{}}}"
-            ),
-            self.id,
-            self.wall_s,
-            self.queries,
-            self.statements,
-            self.plans_considered,
-            self.plans_pruned,
-            self.pool_hits,
-            self.pool_misses,
-            self.disk_reads,
-            self.disk_writes,
-            self.wal_records,
-        )
+        format!("{{\"id\":\"{}\",\"wall_s\":{:.3}}}", self.id, self.wall_s)
     }
 }
 
@@ -107,18 +63,12 @@ fn main() -> std::process::ExitCode {
                 } else {
                     $module::Params::full()
                 };
-                let before = evopt_obs::global().snapshot();
                 let started = std::time::Instant::now();
                 let report = $module::run(&params);
                 let wall_s = started.elapsed().as_secs_f64();
-                let after = evopt_obs::global().snapshot();
                 println!("{}", report.render());
-                // Process-global engine counters, cumulative across every
-                // database the experiments created so far.
-                println!("== engine metrics after {} (cumulative) ==", $id);
-                println!("{}", after.to_prometheus());
                 println!("({} finished in {:.1}s)\n", $id, wall_s);
-                records.push(ExperimentRecord::from_delta($id, wall_s, &before, &after));
+                records.push(ExperimentRecord { id: $id, wall_s });
             }
         };
     }

@@ -1,0 +1,128 @@
+//! Construction-time and per-session knobs.
+
+use evopt_catalog::AnalyzeConfig;
+use evopt_common::DEFAULT_BATCH_ROWS;
+use evopt_core::OptimizerConfig;
+use evopt_exec::GovernorConfig;
+use evopt_obs::{DEFAULT_QUERY_LOG_CAP, DEFAULT_SLOW_QUERY_US};
+use evopt_storage::{FaultConfig, PolicyKind};
+
+/// Crash-durability mode.
+///
+/// `Off` (the default) is the historical behaviour: the simulated disk
+/// holds whatever the buffer pool flushed, and a crash loses everything
+/// else. `Wal` adds a redo-only write-ahead log: every successful DML/DDL
+/// statement commits durably (page images + commit record, synced), the
+/// pool refuses to flush uncommitted pages (no-steal), and
+/// [`crate::Database::recover`] rebuilds exactly the committed prefix after a
+/// crash.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Durability {
+    #[default]
+    Off,
+    Wal,
+}
+
+/// Construction-time knobs.
+#[derive(Debug, Clone, Copy)]
+pub struct DatabaseConfig {
+    pub buffer_pages: usize,
+    pub policy: PolicyKind,
+    pub optimizer: OptimizerConfig,
+    pub analyze: AnalyzeConfig,
+    /// Fault-injection schedule for the underlying disk. `None` (the
+    /// default) runs on a plain in-memory disk; `Some` wraps it in a
+    /// deterministic [`evopt_storage::FaultInjector`] — the chaos suite's entry point.
+    pub faults: Option<FaultConfig>,
+    /// Session-default resource limits applied to every SELECT run through
+    /// [`crate::Database::execute`]. Unlimited by default.
+    pub governor: GovernorConfig,
+    /// Executor batch size: tuples moved per `next_batch()` call. Defaults
+    /// to [`DEFAULT_BATCH_ROWS`]; 1 degenerates to tuple-at-a-time Volcano.
+    pub batch_rows: usize,
+    /// Engine metrics: counters, optimize/execute histograms, and the query
+    /// log. On (the default) costs a handful of relaxed atomic increments
+    /// per query; off removes even those.
+    pub metrics: bool,
+    /// Ring-buffer capacity of the query log (entries; clamped to ≥ 1).
+    pub query_log_cap: usize,
+    /// Queries whose optimize+execute wall time meets this threshold are
+    /// flagged slow in the query log and counted in `slow_queries`.
+    pub slow_query_us: u64,
+    /// Run the static plan verifier (`evopt_core::verify`) after binding
+    /// and after every optimizer phase. Debug builds verify
+    /// unconditionally; this opts release builds in. A violation surfaces
+    /// as a structured plan error, never a panic.
+    pub verify_plans: bool,
+    /// Use the columnar operators (typed filter kernels, typed join key
+    /// maps, typed aggregation) where available — the default. Off forces
+    /// the original row-at-a-time operators everywhere, kept as the
+    /// differential baseline for the columnar port.
+    pub columnar: bool,
+    /// Record per-statement phase spans (parse → bind → optimize → verify
+    /// → execute → commit): rendered by `EXPLAIN ANALYZE` as a phase
+    /// table and attached to query-log entries. On by default; costs a
+    /// few clock reads and one small `Vec` per statement. Purely
+    /// observational — the span differential suite proves plans and rows
+    /// are identical either way.
+    pub spans: bool,
+    /// Crash durability: [`Durability::Wal`] turns on write-ahead logging
+    /// with statement-granularity commits. Off by default — the
+    /// optimizer-validation experiments measure query I/O, not commit
+    /// overhead (EXPERIMENTS.md W1 measures the overhead itself).
+    pub durability: Durability,
+}
+
+impl Default for DatabaseConfig {
+    fn default() -> Self {
+        DatabaseConfig {
+            buffer_pages: 256,
+            policy: PolicyKind::Lru,
+            optimizer: OptimizerConfig::default(),
+            analyze: AnalyzeConfig::default(),
+            faults: None,
+            governor: GovernorConfig::default(),
+            batch_rows: DEFAULT_BATCH_ROWS,
+            metrics: true,
+            query_log_cap: DEFAULT_QUERY_LOG_CAP,
+            slow_query_us: DEFAULT_SLOW_QUERY_US,
+            verify_plans: false,
+            columnar: true,
+            spans: true,
+            durability: Durability::Off,
+        }
+    }
+}
+
+/// Per-session execution knobs: everything a [`crate::Session`] may retune without
+/// affecting any other session. [`DatabaseConfig`] carries the instance-wide
+/// defaults; a new session starts from a copy of whatever the defaults are
+/// at creation time, and every statement snapshots its session's config
+/// once at entry — a knob flipped mid-statement never changes a statement
+/// already running.
+#[derive(Debug, Clone, Copy)]
+pub struct SessionConfig {
+    pub optimizer: OptimizerConfig,
+    pub analyze: AnalyzeConfig,
+    pub governor: GovernorConfig,
+    pub batch_rows: usize,
+    pub verify_plans: bool,
+    pub columnar: bool,
+    /// Per-statement phase-span recording (see [`DatabaseConfig::spans`]).
+    pub spans: bool,
+}
+
+impl DatabaseConfig {
+    /// The per-session slice of this configuration.
+    pub fn session(&self) -> SessionConfig {
+        SessionConfig {
+            optimizer: self.optimizer,
+            analyze: self.analyze,
+            governor: self.governor,
+            batch_rows: self.batch_rows,
+            verify_plans: self.verify_plans,
+            columnar: self.columnar,
+            spans: self.spans,
+        }
+    }
+}

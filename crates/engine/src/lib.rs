@@ -2,7 +2,10 @@
 //!
 //! The top of the stack: [`Database`] wires the SQL front end, the catalog,
 //! the cost-based optimizer and the executor over one buffer pool and
-//! simulated disk.
+//! simulated disk, and runs every statement — SELECT, DML, DDL, `EXPLAIN`,
+//! from a `Database` or a [`Session`] — through one pipeline:
+//! parse → bind → optimize → execute → commit (DESIGN.md §8.1). The named
+//! methods are views of [`Database::run`] in a [`Mode`].
 //!
 //! ```no_run
 //! use evopt_engine::Database;
@@ -13,7 +16,7 @@
 //! db.execute("CREATE INDEX t_id ON t (id)").unwrap();
 //! db.execute("ANALYZE").unwrap();
 //! let rows = db.query("SELECT name FROM t WHERE id = 2").unwrap();
-//! println!("{}", db.explain("SELECT * FROM t WHERE id < 2").unwrap());
+//! println!("{}", db.explain("UPDATE t SET name = 'c' WHERE id < 2").unwrap());
 //! ```
 //!
 //! The engine exposes the knobs the experiments sweep: the enumeration
@@ -25,11 +28,17 @@
 // outside tests (see clippy.toml: allow-unwrap-in-tests).
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
-pub mod database;
+mod apply;
+mod bind;
+mod config;
+mod database;
+mod pipeline;
+mod render;
+mod result;
+mod session;
 
-pub use database::{
-    Database, DatabaseConfig, Durability, QueryResult, Session, SessionConfig, TracedQuery,
-};
+pub use config::{DatabaseConfig, Durability, SessionConfig};
+pub use database::Database;
 pub use evopt_catalog::{AnalyzeConfig, HistogramKind};
 pub use evopt_core::{CostModel, Strategy};
 pub use evopt_exec::{CancellationToken, GovernorConfig, OperatorMetrics, QueryMetrics};
@@ -41,3 +50,6 @@ pub use evopt_storage::{
     CrashingBackend, DiskBackend, DiskManager, FaultConfig, FaultInjector, FaultReport, IoSnapshot,
     PolicyKind, PoolSnapshot, RecoveryInfo, Wal, WalStats,
 };
+pub use pipeline::Mode;
+pub use result::{Outcome, QueryResult, TracedQuery};
+pub use session::{Session, SessionState};

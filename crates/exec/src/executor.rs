@@ -6,9 +6,11 @@ use std::time::Instant;
 use evopt_catalog::Catalog;
 use evopt_common::{Batch, Result, Schema, Tuple, DEFAULT_BATCH_ROWS};
 use evopt_core::physical::{PhysOp, PhysicalPlan};
+use evopt_storage::Rid;
 
 use crate::governor::{CancellationToken, GovernedExec, GovernorConfig, QueryGovernor};
 use crate::metrics::{InstrumentedExec, MetricsRegistry, QueryMetrics};
+use crate::scan::{IndexScanExec, RidScan, SeqScanExec};
 
 /// Execution environment shared by all operators of one query.
 #[derive(Clone)]
@@ -60,15 +62,11 @@ impl ExecEnv {
         self
     }
 
-    /// Record root-drain output volume, if metrics are attached. Mirrored
-    /// into the process-global registry so fleet-wide tooling sees every
-    /// environment.
+    /// Record root-drain output volume, if metrics are attached.
     pub(crate) fn record_output(&self, batches: u64, rows: u64) {
         if let Some(m) = &self.metrics {
-            for m in [m.as_ref(), evopt_obs::global()] {
-                m.exec_batches.add(batches);
-                m.exec_rows.add(rows);
-            }
+            m.exec_batches.add(batches);
+            m.exec_rows.add(rows);
         }
     }
 
@@ -76,7 +74,6 @@ impl ExecEnv {
     pub(crate) fn record_spill(&self) {
         if let Some(m) = &self.metrics {
             m.exec_spills.inc();
-            evopt_obs::global().exec_spills.inc();
         }
     }
 }
@@ -221,7 +218,7 @@ fn build_node(
         build_node(c, env, instr.map(|(reg, idx)| (reg, idx + offset)), gov)
     };
     let exec: Box<dyn Executor> = match &plan.op {
-        PhysOp::SeqScan { table, filter } => Box::new(crate::scan::SeqScanExec::new(
+        PhysOp::SeqScan { table, filter } => Box::new(SeqScanExec::new(
             env,
             table,
             filter.clone(),
@@ -233,7 +230,7 @@ fn build_node(
             range,
             residual,
             ..
-        } => Box::new(crate::scan::IndexScanExec::new(
+        } => Box::new(IndexScanExec::new(
             env,
             table,
             index,
@@ -417,6 +414,47 @@ pub fn run_collect(plan: &PhysicalPlan, env: &ExecEnv) -> Result<Vec<Tuple>> {
     }
     env.record_output(batches, out.len() as u64);
     Ok(out)
+}
+
+/// Drain a single-table access path into `(Rid, Tuple)` pairs: the
+/// row-finding half of UPDATE/DELETE, run by the same scan operators a
+/// SELECT over that table would use. Draining completely before the caller
+/// changes anything is what keeps an UPDATE of the scanned key from meeting
+/// its own output (the Halloween problem).
+pub fn run_collect_rids(plan: &PhysicalPlan, env: &ExecEnv) -> Result<Vec<(Rid, Tuple)>> {
+    fn drain(mut scan: impl RidScan) -> Result<Vec<(Rid, Tuple)>> {
+        let mut out = Vec::new();
+        while let Some(found) = scan.next_match()? {
+            out.push(found);
+        }
+        Ok(out)
+    }
+    match &plan.op {
+        PhysOp::SeqScan { table, filter } => drain(SeqScanExec::new(
+            env,
+            table,
+            filter.clone(),
+            plan.schema.clone(),
+        )?),
+        PhysOp::IndexScan {
+            table,
+            index,
+            range,
+            residual,
+            ..
+        } => drain(IndexScanExec::new(
+            env,
+            table,
+            index,
+            range.clone(),
+            residual.clone(),
+            plan.schema.clone(),
+        )?),
+        _ => Err(evopt_common::EvoptError::Internal(format!(
+            "row-finding plan is not a base-table scan: {}",
+            plan.op_name()
+        ))),
+    }
 }
 
 /// Build, instrument, and drain a plan; returns the rows plus the full

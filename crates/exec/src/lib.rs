@@ -43,7 +43,7 @@ pub mod sort;
 pub use columnar::{ColumnarFilterExec, ColumnarHashAggregateExec, JoinKeyMap, TypedAcc};
 pub use executor::{
     build_executor, build_instrumented, run_collect, run_collect_governed,
-    run_collect_instrumented, BatchCursor, ExecEnv, Executor,
+    run_collect_instrumented, run_collect_rids, BatchCursor, ExecEnv, Executor,
 };
 pub use governor::{CancellationToken, GovernorConfig, QueryGovernor};
 pub use metrics::{MetricsRegistry, OperatorMetrics, QueryMetrics};

@@ -4,12 +4,32 @@ use std::ops::Bound;
 use std::sync::Arc;
 
 use evopt_catalog::TableInfo;
-use evopt_common::{Batch, EvoptError, Expr, Result, Schema};
+use evopt_common::{Batch, EvoptError, Expr, Result, Schema, Tuple};
 use evopt_core::physical::KeyRange;
 use evopt_storage::btree::BTreeRangeScan;
 use evopt_storage::heap::HeapScan;
+use evopt_storage::Rid;
 
 use crate::executor::{ExecEnv, Executor};
+
+/// A base-table access path: hands back each surviving row together with
+/// its address. `next_batch` keeps the tuple; the row-finding half of
+/// UPDATE/DELETE ([`crate::run_collect_rids`]) keeps both.
+pub(crate) trait RidScan: Executor {
+    fn next_match(&mut self) -> Result<Option<(Rid, Tuple)>>;
+
+    /// One batch of up to `batch_rows` surviving rows.
+    fn fill_batch(&mut self, batch_rows: usize) -> Result<Option<Batch>> {
+        let mut batch = Batch::with_capacity(self.schema().clone(), batch_rows);
+        while batch.len() < batch_rows {
+            match self.next_match()? {
+                Some((_, tuple)) => batch.push(tuple),
+                None => break,
+            }
+        }
+        Ok(if batch.is_empty() { None } else { Some(batch) })
+    }
+}
 
 /// Full heap scan with an optional pushed-down filter; fills one batch of
 /// surviving rows per `next_batch()` call.
@@ -37,26 +57,28 @@ impl SeqScanExec {
     }
 }
 
+impl RidScan for SeqScanExec {
+    fn next_match(&mut self) -> Result<Option<(Rid, Tuple)>> {
+        for item in self.scan.by_ref() {
+            let (rid, tuple) = item?;
+            if let Some(f) = &self.filter {
+                if !f.eval_predicate(&tuple)? {
+                    continue;
+                }
+            }
+            return Ok(Some((rid, tuple)));
+        }
+        Ok(None)
+    }
+}
+
 impl Executor for SeqScanExec {
     fn schema(&self) -> &Schema {
         &self.schema
     }
 
     fn next_batch(&mut self) -> Result<Option<Batch>> {
-        let mut batch = Batch::with_capacity(self.schema.clone(), self.batch_rows);
-        for item in self.scan.by_ref() {
-            let (_, tuple) = item?;
-            if let Some(f) = &self.filter {
-                if !f.eval_predicate(&tuple)? {
-                    continue;
-                }
-            }
-            batch.push(tuple);
-            if batch.len() >= self.batch_rows {
-                break;
-            }
-        }
-        Ok(if batch.is_empty() { None } else { Some(batch) })
+        self.fill_batch(self.batch_rows)
     }
 }
 
@@ -109,13 +131,8 @@ fn bound_ref(b: &Bound<evopt_common::Value>) -> Bound<&evopt_common::Value> {
     }
 }
 
-impl Executor for IndexScanExec {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn next_batch(&mut self) -> Result<Option<Batch>> {
-        let mut batch = Batch::with_capacity(self.schema.clone(), self.batch_rows);
+impl RidScan for IndexScanExec {
+    fn next_match(&mut self) -> Result<Option<(Rid, Tuple)>> {
         for item in self.range_scan.by_ref() {
             let (_, rid) = item?;
             let tuple = self.heap.heap.get(rid)?.ok_or_else(|| {
@@ -126,12 +143,19 @@ impl Executor for IndexScanExec {
                     continue;
                 }
             }
-            batch.push(tuple);
-            if batch.len() >= self.batch_rows {
-                break;
-            }
+            return Ok(Some((rid, tuple)));
         }
-        Ok(if batch.is_empty() { None } else { Some(batch) })
+        Ok(None)
+    }
+}
+
+impl Executor for IndexScanExec {
+    fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    fn next_batch(&mut self) -> Result<Option<Batch>> {
+        self.fill_batch(self.batch_rows)
     }
 }
 

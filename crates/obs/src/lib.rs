@@ -40,13 +40,3 @@ pub use metrics::{
 pub use query_log::{QueryLog, QueryLogEntry, DEFAULT_QUERY_LOG_CAP, DEFAULT_SLOW_QUERY_US};
 pub use span::{Phase, PhaseSpan, StatementSpan};
 pub use trace::{PruneReason, SearchTrace, TraceEvent, TraceSink, DEFAULT_TRACE_EVENTS};
-
-/// The process-wide [`EngineMetrics`] aggregate. Every `Database` records
-/// its engine-level counters (queries, optimizer work, query-path pool
-/// deltas) here *in addition* to its own instance, so long-lived tools —
-/// the bench `report` binary in particular — can dump cumulative counters
-/// across every database the process created.
-pub fn global() -> &'static EngineMetrics {
-    static GLOBAL: std::sync::OnceLock<EngineMetrics> = std::sync::OnceLock::new();
-    GLOBAL.get_or_init(EngineMetrics::default)
-}

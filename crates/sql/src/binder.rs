@@ -145,8 +145,11 @@ fn contains_agg(e: &AstExpr) -> bool {
     }
 }
 
-/// Bind a scalar (non-aggregate) expression against `schema`.
-fn bind_scalar(e: &AstExpr, schema: &Schema) -> Result<Expr> {
+/// Bind a scalar (non-aggregate) expression against `schema`. Also the
+/// whole binder for DML: UPDATE/DELETE predicates and SET expressions bind
+/// against the target table's row schema, INSERT values against the empty
+/// schema (so any column reference fails to resolve).
+pub fn bind_scalar(e: &AstExpr, schema: &Schema) -> Result<Expr> {
     match e {
         AstExpr::Ident { table, name } => {
             let idx = schema.resolve(table.as_deref(), name)?;

@@ -31,5 +31,5 @@ pub mod lexer;
 pub mod parser;
 
 pub use ast::Statement;
-pub use binder::{bind_select, SchemaProvider};
+pub use binder::{bind_scalar, bind_select, SchemaProvider};
 pub use parser::parse;

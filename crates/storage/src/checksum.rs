@@ -6,12 +6,15 @@
 //! instead of propagating garbage tuples into query results.
 //!
 //! This is the standard CRC-32 (IEEE 802.3, reflected, polynomial
-//! 0xEDB88320) implemented table-driven — self-contained so the workspace
+//! 0xEDB88320) implemented table-driven (slicing-by-8) — self-contained so the workspace
 //! stays free of external dependencies.
 
-/// Lazily built 256-entry lookup table for the reflected polynomial.
-const fn build_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Lookup tables for the reflected polynomial, built at compile time.
+/// `TABLES[0]` is the classic byte-at-a-time table; `TABLES[k][b]` is the
+/// CRC of byte `b` followed by `k` zero bytes, which lets [`crc32`] fold
+/// eight input bytes per step ("slicing-by-8") instead of one.
+const fn build_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -24,20 +27,47 @@ const fn build_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = build_table();
+static TABLES: [[u32; 256]; 8] = build_tables();
 
 /// CRC-32 (IEEE) of `data`.
+///
+/// Eight bytes per step: the byte-at-a-time loop is one dependent table
+/// load per byte (≈ 3 ns/byte here, 12 µs a page), and a commit logs three
+/// to five page images — the checksum, not the copy, was most of an
+/// INSERT's commit.
 pub fn crc32(data: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        let idx = ((crc ^ b as u32) & 0xFF) as usize;
-        crc = (crc >> 8) ^ CRC_TABLE[idx];
+    let mut chunks = data.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = TABLES[7][(lo & 0xFF) as usize]
+            ^ TABLES[6][((lo >> 8) & 0xFF) as usize]
+            ^ TABLES[5][((lo >> 16) & 0xFF) as usize]
+            ^ TABLES[4][(lo >> 24) as usize]
+            ^ TABLES[3][(hi & 0xFF) as usize]
+            ^ TABLES[2][((hi >> 8) & 0xFF) as usize]
+            ^ TABLES[1][((hi >> 16) & 0xFF) as usize]
+            ^ TABLES[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -47,6 +77,32 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
+
+    /// The byte-at-a-time definition, kept as the reference.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in data {
+            crc = (crc >> 8) ^ TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
+        }
+        !crc
+    }
+
+    #[test]
+    fn sliced_equals_bytewise_at_every_length_and_alignment() {
+        let data: Vec<u8> = (0..4200u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        for len in (0..70).chain([511, 512, 513, 4095, 4096, 4097]) {
+            for start in 0..9 {
+                let slice = &data[start..start + len];
+                assert_eq!(
+                    crc32(slice),
+                    crc32_bytewise(slice),
+                    "len {len} start {start}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn known_vectors() {

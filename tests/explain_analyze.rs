@@ -112,6 +112,44 @@ fn explain_analyze_renders_phase_table() {
     assert!(text.contains("rows="), "{text}");
 }
 
+/// `wall_us` of one phase out of a rendered `== phases ==` table.
+fn phase_us(text: &str, phase: &str) -> u64 {
+    let table = text.split("== phases ==").nth(1).expect("phase table");
+    let line = table
+        .lines()
+        .find(|l| l.starts_with(phase))
+        .unwrap_or_else(|| panic!("no {phase} phase in:\n{text}"));
+    line.split_whitespace().nth(1).unwrap().parse().unwrap()
+}
+
+#[test]
+fn explain_analyze_update_separates_execute_from_commit() {
+    let db = fixture();
+    // No index on salary: finding the rows is a scan of all of `emp`.
+    let text = db
+        .explain_analyze("UPDATE emp SET salary = salary + 1 WHERE salary < 1500")
+        .unwrap();
+    assert!(text.contains("SeqScan: emp"), "{text}");
+    assert!(text.contains("== measured ==\nrows affected: "), "{text}");
+    for phase in ["parse", "bind", "optimize", "execute", "commit", "total"] {
+        phase_us(&text, phase);
+    }
+    // The scan and the rewrites are `execute`; with durability off,
+    // `commit` is an uncontended lock acquisition and nothing else.
+    assert!(
+        phase_us(&text, "commit") <= phase_us(&text, "execute"),
+        "{text}"
+    );
+    // It really ran: the same statement now finds the rows one higher.
+    let again = db.explain_analyze("DELETE FROM emp WHERE id = 7").unwrap();
+    assert!(again.contains("IndexScan: emp via emp_id"), "{again}");
+    assert!(again.contains("rows affected: 1"), "{again}");
+    assert!(db
+        .query("SELECT * FROM emp WHERE id = 7")
+        .unwrap()
+        .is_empty());
+}
+
 #[test]
 fn explain_analyze_digest_matches_plan_sql() {
     let db = fixture();

@@ -394,12 +394,57 @@ fn write_spans_record_commit_phase() {
         durability: Durability::Wal,
         ..Default::default()
     });
-    db.execute("CREATE TABLE t (x INT NOT NULL)").unwrap();
-    // SHOW QUERY LOG only records SELECTs; inspect the write span via the
-    // EXPLAIN-free route: run the write, then check the commit histograms
-    // moved (the span itself is attached to the statement, not the log).
+    db.execute("CREATE TABLE t (x INT NOT NULL, y INT NOT NULL)")
+        .unwrap();
+    let rows: Vec<Tuple> = (0..20_000)
+        .map(|i| Tuple::new(vec![Value::Int(i), Value::Int(i % 100)]))
+        .collect();
+    db.insert_tuples("t", &rows).unwrap();
+
+    // What finding the rows costs on its own: the equivalent SELECT's
+    // execute phase (no index, so both scan the whole heap).
+    let find = db.run("SELECT * FROM t WHERE y = 7", evopt::engine::Mode::Plain);
+    let find_us = find.span.unwrap().phase_us(Phase::Execute).unwrap();
+
     let before = db.metrics_snapshot();
-    db.execute("INSERT INTO t VALUES (1), (2), (3)").unwrap();
+    let out = db.run(
+        "UPDATE t SET y = y + 1000 WHERE y = 7",
+        evopt::engine::Mode::Plain,
+    );
+    assert_eq!(out.result.unwrap(), QueryResult::Affected(200));
+    let span = out.span.expect("spans are on by default");
+    // A write runs every phase a read does, then commits.
+    for phase in [
+        Phase::Parse,
+        Phase::Bind,
+        Phase::Optimize,
+        Phase::Execute,
+        Phase::Commit,
+    ] {
+        assert!(
+            span.phase_us(phase).is_some(),
+            "missing {} in {span:?}",
+            phase.label()
+        );
+    }
+    assert!(span.phase_sum_us() <= span.total_us, "{span:?}");
+    // Finding (and rewriting) the rows is `execute`'s time; `commit` is
+    // the lock wait, the WAL append and the sync — nothing else.
+    let execute_us = span.phase_us(Phase::Execute).unwrap();
+    let commit_us = span.phase_us(Phase::Commit).unwrap();
+    assert!(
+        execute_us >= find_us / 2,
+        "execute {execute_us}µs does not cover the {find_us}µs scan: {span:?}"
+    );
+    let commit = span
+        .phases
+        .iter()
+        .find(|p| p.phase == Phase::Commit)
+        .unwrap();
+    let counter = |name: &str| commit.counters.iter().find(|(k, _)| *k == name).unwrap().1;
+    assert!(counter("wal_records") >= 2, "{commit:?}");
+    assert!(counter("wal_bytes") > 4096, "{commit:?}");
+    // The commit's own waits are the ones the histograms timed.
     let snap = db.metrics_snapshot();
     assert_eq!(
         snap.commit_lock_wait_us.count - before.commit_lock_wait_us.count,
@@ -409,6 +454,10 @@ fn write_spans_record_commit_phase() {
     assert!(
         snap.wal_sync_wait_us.count > before.wal_sync_wait_us.count,
         "the WAL sync wait was timed"
+    );
+    assert!(
+        commit_us <= span.total_us - execute_us,
+        "commit overlaps execute: {span:?}"
     );
 }
 

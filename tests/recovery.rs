@@ -24,7 +24,9 @@
 
 use std::sync::Arc;
 
-use evopt::{CrashingBackend, Database, DatabaseConfig, DiskBackend, DiskManager, Durability};
+use evopt::{
+    CrashingBackend, Database, DatabaseConfig, DiskBackend, DiskManager, Durability, Tuple, Value,
+};
 
 fn seeds() -> Vec<u64> {
     match std::env::var("RECOVERY_SEED") {
@@ -392,4 +394,57 @@ fn recovered_database_keeps_working() {
         // so the report shape is exercised.
         let _ = info.torn_tail;
     }
+}
+
+#[test]
+fn rejected_multi_row_insert_leaves_nothing_to_recover() {
+    // A multi-row INSERT whose second row is invalid must not leave its
+    // first row behind — not in memory, and not as dirty pages that the
+    // *next* statement's commit record would make durable.
+    let disk: Arc<dyn DiskBackend> = Arc::new(DiskManager::new());
+    let cfg = DatabaseConfig {
+        durability: Durability::Wal,
+        ..Default::default()
+    };
+    let db = Database::create_on(Arc::clone(&disk), cfg).unwrap();
+    db.execute("CREATE TABLE kv (k INT NOT NULL, v INT, s STRING)")
+        .unwrap();
+    db.execute("CREATE UNIQUE INDEX kv_k ON kv (k)").unwrap();
+    db.execute("INSERT INTO kv VALUES (1, 1, 'a'), (2, 2, 'b')")
+        .unwrap();
+    let err = db
+        .execute("INSERT INTO kv VALUES (900001, 1, 'a'), (NULL, 1, 'b')")
+        .unwrap_err();
+    assert!(err.message().contains("NOT NULL"), "{err}");
+    let bad = vec![
+        Tuple::new(vec![
+            Value::Int(900002),
+            Value::Int(1),
+            Value::Str("a".into()),
+        ]),
+        Tuple::new(vec![Value::Int(900003), Value::Str("not an int".into())]),
+    ];
+    assert!(db.insert_tuples("kv", &bad).is_err());
+    // An UPDATE that would break NOT NULL on its second row keeps its
+    // first row too (the old row is not deleted before the new one checks).
+    assert!(db.execute("UPDATE kv SET k = NULL WHERE k >= 1").is_err());
+    let count = |db: &Database, pred: &str| {
+        let rows = db
+            .query(&format!("SELECT COUNT(*) FROM kv WHERE {pred}"))
+            .unwrap();
+        rows[0].value(0).unwrap().as_i64().unwrap()
+    };
+    assert_eq!(count(&db, "k >= 900001"), 0, "half a statement stayed");
+    assert_eq!(count(&db, "k >= 0"), 2);
+    // Someone else's commit must not carry the failed statements' pages.
+    db.execute("INSERT INTO kv VALUES (3, 3, 'c')").unwrap();
+    drop(db);
+    let (db, _) = Database::recover(disk, cfg).unwrap();
+    assert_eq!(
+        count(&db, "k >= 900001"),
+        0,
+        "half a statement was recovered"
+    );
+    assert_eq!(count(&db, "k >= 0"), 3);
+    assert_eq!(db.query("SELECT s FROM kv WHERE k = 2").unwrap().len(), 1);
 }
