@@ -19,9 +19,9 @@
 //!   and dedupe per (function, rank), keeping the lexicographically first
 //!   I/O op as the witness.
 //! * **A4 — instrumented waits.** Every contention-histogram family the
-//!   rank table declares must have a recording site (`.time/.time_if/
-//!   .observe` on a matching field) in a function that — itself or via a
-//!   direct callee — acquires that rank.
+//!   rank table declares must have a recording site (`.time/.observe` on
+//!   a matching field) in a function that — itself or via a direct callee
+//!   — acquires that rank.
 //!
 //! The held-lock model is lexical: a guard is held from its acquisition
 //! to the close of the block it was acquired in, released early by

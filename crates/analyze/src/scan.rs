@@ -39,7 +39,7 @@ pub enum Event {
         depth: u32,
         binding: String,
     },
-    /// `recv.field.time(..) / time_if(..) / observe(..)` — a histogram
+    /// `recv.field.time(..) / observe(..)` — a histogram
     /// recording site (rule A4).
     HistUse { field: String, line: u32 },
     /// `.read_page(..) / .write_page(..) / .sync(..)` — a `DiskBackend`
@@ -79,7 +79,7 @@ pub struct ScanOutput {
 }
 
 /// Methods that time a wait into a histogram.
-const HIST_OPS: &[&str] = &["time", "time_if", "observe"];
+const HIST_OPS: &[&str] = &["time", "observe"];
 /// Methods that acquire a mutex / rwlock.
 const LOCK_OPS: &[&str] = &["lock", "try_lock", "read", "write"];
 /// `DiskBackend` methods that perform physical I/O.
@@ -269,7 +269,6 @@ const CALL_BLOCKLIST: &[&str] = &[
     "read",
     "write",
     "time",
-    "time_if",
     "observe",
 ];
 

@@ -144,11 +144,11 @@ mod tests {
     use super::*;
     use crate::catalog::Catalog;
     use evopt_common::{Column, DataType, Schema, Tuple};
-    use evopt_storage::{BufferPool, DiskManager, PolicyKind};
+    use evopt_storage::{BufferPool, DiskManager};
     use std::sync::Arc;
 
     fn setup(rows: impl IntoIterator<Item = Tuple>) -> (Catalog, Arc<crate::catalog::TableInfo>) {
-        let pool = BufferPool::new(Arc::new(DiskManager::new()), 64, PolicyKind::Lru);
+        let pool = BufferPool::new(Arc::new(DiskManager::new()), 64);
         let cat = Catalog::new(pool);
         let t = cat
             .create_table(

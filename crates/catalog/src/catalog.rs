@@ -439,10 +439,10 @@ impl Catalog {
 mod tests {
     use super::*;
     use evopt_common::{Column, DataType, Tuple, Value};
-    use evopt_storage::{DiskManager, PolicyKind};
+    use evopt_storage::DiskManager;
 
     fn mkcatalog() -> Catalog {
-        let pool = BufferPool::new(Arc::new(DiskManager::new()), 64, PolicyKind::Lru);
+        let pool = BufferPool::new(Arc::new(DiskManager::new()), 64);
         Catalog::new(pool)
     }
 
@@ -678,7 +678,7 @@ mod tests {
 
     #[test]
     fn restore_reopens_existing_storage() {
-        let pool = BufferPool::new(Arc::new(DiskManager::new()), 64, PolicyKind::Lru);
+        let pool = BufferPool::new(Arc::new(DiskManager::new()), 64);
         let cat = Catalog::new(Arc::clone(&pool));
         let t = cat.create_table("t", two_col_schema()).unwrap();
         for i in 0..50 {

@@ -1,12 +1,10 @@
-//! Column-major batches: the typed counterpart of the row [`Batch`].
+//! Typed column vectors: what the executor's typed operators transpose the
+//! columns they need into.
 //!
-//! A [`ColumnarBatch`] holds one [`ColumnVector`] per schema field. Each
-//! vector stores its values in a typed Rust vector (`Vec<i64>`, `Vec<f64>`,
-//! `Vec<bool>`, `Vec<String>`) paired with a validity bitmap (one bit per
-//! slot; a cleared bit means SQL NULL and the slot's payload is a don't-care
-//! default). A batch optionally carries a **selection vector** — sorted row
-//! indices that survived a filter — so predicates can narrow a batch without
-//! copying any column data.
+//! A [`ColumnVector`] stores one column's values in a typed Rust vector
+//! (`Vec<i64>`, `Vec<f64>`, `Vec<bool>`, `Vec<String>`) paired with a
+//! validity bitmap (one bit per slot; a cleared bit means SQL NULL and the
+//! slot's payload is a don't-care default).
 //!
 //! Because [`Value`] is dynamically typed, a column *declared* `FLOAT` can
 //! legally hold `Int` values (insertion widens `INT → FLOAT` at the type
@@ -16,11 +14,9 @@
 //! vector only when every non-null value shares one runtime variant, and
 //! falls back to [`ColumnData::Any`] (a plain `Vec<Value>`) otherwise. Typed
 //! kernels check the representation and take the exact generic path on
-//! `Any`, so columnar execution is bit-for-bit identical to the row path.
+//! `Any`, so they agree bit for bit with row-at-a-time evaluation.
 
-use crate::batch::Batch;
-use crate::error::{EvoptError, Result};
-use crate::schema::Schema;
+use crate::error::Result;
 use crate::tuple::Tuple;
 use crate::value::Value;
 
@@ -324,125 +320,15 @@ impl ColumnVector {
     }
 }
 
-/// A column-major batch: one typed vector per schema field plus an optional
-/// selection vector (sorted row indices that survive upstream filtering).
-#[derive(Debug, Clone)]
-pub struct ColumnarBatch {
-    schema: Schema,
-    columns: Vec<ColumnVector>,
-    len: usize,
-    selection: Option<Vec<u32>>,
-}
-
-impl ColumnarBatch {
-    /// Convert a row batch, transposing every column.
-    pub fn from_batch(batch: &Batch) -> Result<ColumnarBatch> {
-        let width = batch.schema().len();
-        let rows = batch.rows();
-        let columns = (0..width)
-            .map(|c| ColumnVector::from_rows(rows, c))
-            .collect::<Result<Vec<_>>>()?;
-        Ok(ColumnarBatch {
-            schema: batch.schema().clone(),
-            columns,
-            len: rows.len(),
-            selection: None,
-        })
-    }
-
-    pub fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    pub fn columns(&self) -> &[ColumnVector] {
-        &self.columns
-    }
-
-    pub fn column(&self, i: usize) -> Result<&ColumnVector> {
-        self.columns
-            .get(i)
-            .ok_or_else(|| EvoptError::Internal(format!("column ordinal {i} out of range")))
-    }
-
-    /// Physical rows stored (ignoring the selection).
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.selected_len() == 0
-    }
-
-    /// Rows visible through the selection.
-    pub fn selected_len(&self) -> usize {
-        match &self.selection {
-            Some(s) => s.len(),
-            None => self.len,
-        }
-    }
-
-    pub fn selection(&self) -> Option<&[u32]> {
-        self.selection.as_deref()
-    }
-
-    /// Replace the selection (indices must be sorted ascending and within
-    /// range; kernels produce them that way).
-    pub fn with_selection(mut self, selection: Vec<u32>) -> ColumnarBatch {
-        self.selection = Some(selection);
-        self
-    }
-
-    /// The visible row indices, in order.
-    pub fn selected_indices(&self) -> Vec<u32> {
-        match &self.selection {
-            Some(s) => s.clone(),
-            None => (0..self.len as u32).collect(),
-        }
-    }
-
-    /// Materialise back to a row batch, honouring the selection.
-    pub fn to_batch(&self) -> Batch {
-        let mut out = Batch::with_capacity(self.schema.clone(), self.selected_len());
-        let emit = |out: &mut Batch, i: usize| {
-            let values: Vec<Value> = self.columns.iter().map(|c| c.value(i)).collect();
-            out.push(Tuple::new(values));
-        };
-        match &self.selection {
-            Some(sel) => {
-                for &i in sel {
-                    emit(&mut out, i as usize);
-                }
-            }
-            None => {
-                for i in 0..self.len {
-                    emit(&mut out, i);
-                }
-            }
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
-    use crate::schema::Column;
-    use crate::value::DataType;
     use std::cmp::Ordering;
 
-    fn schema() -> Schema {
-        Schema::new(vec![
-            Column::new("i", DataType::Int),
-            Column::new("f", DataType::Float),
-            Column::new("s", DataType::Str),
-            Column::new("b", DataType::Bool),
-        ])
-    }
-
-    fn sample_batch() -> Batch {
-        let rows = vec![
+    fn sample_rows() -> Vec<Tuple> {
+        vec![
             Tuple::new(vec![
                 Value::Int(1),
                 Value::Float(1.5),
@@ -456,32 +342,32 @@ mod tests {
                 Value::Str("".into()),
                 Value::Bool(false),
             ]),
-        ];
-        Batch::new(schema(), rows)
+        ]
     }
 
     #[test]
-    fn round_trip_preserves_rows_and_nulls() {
-        let batch = sample_batch();
-        let cb = ColumnarBatch::from_batch(&batch).unwrap();
-        assert_eq!(cb.len(), 3);
-        assert_eq!(cb.selected_len(), 3);
-        let back = cb.to_batch();
-        assert_eq!(back.rows(), batch.rows());
+    fn round_trip_preserves_values_and_nulls() {
+        let rows = sample_rows();
+        for c in 0..4 {
+            let cv = ColumnVector::from_rows(&rows, c).unwrap();
+            assert_eq!(cv.len(), 3);
+            for (r, t) in rows.iter().enumerate() {
+                assert_eq!(&cv.value(r), t.value(c).unwrap(), "row {r} column {c}");
+            }
+        }
         // -0.0 must survive the round trip bit-exactly.
-        assert_eq!(
-            back.rows()[2].value(1).unwrap().as_f64().unwrap().to_bits(),
-            (-0.0f64).to_bits()
-        );
+        let f = ColumnVector::from_rows(&rows, 1).unwrap();
+        assert_eq!(f.value(2).as_f64().unwrap().to_bits(), (-0.0f64).to_bits());
     }
 
     #[test]
     fn typed_representation_chosen_per_runtime_variant() {
-        let cb = ColumnarBatch::from_batch(&sample_batch()).unwrap();
-        assert!(matches!(cb.column(0).unwrap().data, ColumnData::Int(_)));
-        assert!(matches!(cb.column(1).unwrap().data, ColumnData::Float(_)));
-        assert!(matches!(cb.column(2).unwrap().data, ColumnData::Str(_)));
-        assert!(matches!(cb.column(3).unwrap().data, ColumnData::Bool(_)));
+        let rows = sample_rows();
+        let data = |c| ColumnVector::from_rows(&rows, c).unwrap().data;
+        assert!(matches!(data(0), ColumnData::Int(_)));
+        assert!(matches!(data(1), ColumnData::Float(_)));
+        assert!(matches!(data(2), ColumnData::Str(_)));
+        assert!(matches!(data(3), ColumnData::Bool(_)));
     }
 
     #[test]
@@ -523,18 +409,6 @@ mod tests {
     }
 
     #[test]
-    fn selection_vector_narrows_to_batch() {
-        let cb = ColumnarBatch::from_batch(&sample_batch())
-            .unwrap()
-            .with_selection(vec![0, 2]);
-        assert_eq!(cb.selected_len(), 2);
-        let back = cb.to_batch();
-        assert_eq!(back.len(), 2);
-        assert_eq!(back.rows()[0].value(0).unwrap(), &Value::Int(1));
-        assert_eq!(back.rows()[1].value(0).unwrap(), &Value::Int(-3));
-    }
-
-    #[test]
     fn cell_cmp_mirrors_value_total_order() {
         let vals = [
             Value::Null,
@@ -566,8 +440,6 @@ mod tests {
 
     #[test]
     fn out_of_range_column_errors() {
-        let cb = ColumnarBatch::from_batch(&sample_batch()).unwrap();
-        assert!(cb.column(9).is_err());
-        assert!(ColumnVector::from_rows(sample_batch().rows(), 9).is_err());
+        assert!(ColumnVector::from_rows(&sample_rows(), 9).is_err());
     }
 }

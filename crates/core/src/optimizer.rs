@@ -565,12 +565,12 @@ mod tests {
     use evopt_catalog::{analyze_table, AnalyzeConfig};
     use evopt_common::expr::{col, lit};
     use evopt_common::{Column, DataType, Tuple, Value};
-    use evopt_storage::{BufferPool, DiskManager, PolicyKind};
+    use evopt_storage::{BufferPool, DiskManager};
 
     /// Catalog with customers(1k), orders(10k, fk customer), both analyzed;
     /// index on orders.customer_id and customers.id.
     fn setup() -> Catalog {
-        let pool = BufferPool::new(Arc::new(DiskManager::new()), 256, PolicyKind::Lru);
+        let pool = BufferPool::new(Arc::new(DiskManager::new()), 256);
         let cat = Catalog::new(pool);
         let customers = cat
             .create_table(

@@ -5,7 +5,7 @@ use evopt_common::DEFAULT_BATCH_ROWS;
 use evopt_core::OptimizerConfig;
 use evopt_exec::GovernorConfig;
 use evopt_obs::{DEFAULT_QUERY_LOG_CAP, DEFAULT_SLOW_QUERY_US};
-use evopt_storage::{FaultConfig, PolicyKind};
+use evopt_storage::FaultConfig;
 
 /// Crash-durability mode.
 ///
@@ -27,7 +27,6 @@ pub enum Durability {
 #[derive(Debug, Clone, Copy)]
 pub struct DatabaseConfig {
     pub buffer_pages: usize,
-    pub policy: PolicyKind,
     pub optimizer: OptimizerConfig,
     pub analyze: AnalyzeConfig,
     /// Fault-injection schedule for the underlying disk. `None` (the
@@ -40,10 +39,6 @@ pub struct DatabaseConfig {
     /// Executor batch size: tuples moved per `next_batch()` call. Defaults
     /// to [`DEFAULT_BATCH_ROWS`]; 1 degenerates to tuple-at-a-time Volcano.
     pub batch_rows: usize,
-    /// Engine metrics: counters, optimize/execute histograms, and the query
-    /// log. On (the default) costs a handful of relaxed atomic increments
-    /// per query; off removes even those.
-    pub metrics: bool,
     /// Ring-buffer capacity of the query log (entries; clamped to ≥ 1).
     pub query_log_cap: usize,
     /// Queries whose optimize+execute wall time meets this threshold are
@@ -54,18 +49,6 @@ pub struct DatabaseConfig {
     /// unconditionally; this opts release builds in. A violation surfaces
     /// as a structured plan error, never a panic.
     pub verify_plans: bool,
-    /// Use the columnar operators (typed filter kernels, typed join key
-    /// maps, typed aggregation) where available — the default. Off forces
-    /// the original row-at-a-time operators everywhere, kept as the
-    /// differential baseline for the columnar port.
-    pub columnar: bool,
-    /// Record per-statement phase spans (parse → bind → optimize → verify
-    /// → execute → commit): rendered by `EXPLAIN ANALYZE` as a phase
-    /// table and attached to query-log entries. On by default; costs a
-    /// few clock reads and one small `Vec` per statement. Purely
-    /// observational — the span differential suite proves plans and rows
-    /// are identical either way.
-    pub spans: bool,
     /// Crash durability: [`Durability::Wal`] turns on write-ahead logging
     /// with statement-granularity commits. Off by default — the
     /// optimizer-validation experiments measure query I/O, not commit
@@ -77,18 +60,14 @@ impl Default for DatabaseConfig {
     fn default() -> Self {
         DatabaseConfig {
             buffer_pages: 256,
-            policy: PolicyKind::Lru,
             optimizer: OptimizerConfig::default(),
             analyze: AnalyzeConfig::default(),
             faults: None,
             governor: GovernorConfig::default(),
             batch_rows: DEFAULT_BATCH_ROWS,
-            metrics: true,
             query_log_cap: DEFAULT_QUERY_LOG_CAP,
             slow_query_us: DEFAULT_SLOW_QUERY_US,
             verify_plans: false,
-            columnar: true,
-            spans: true,
             durability: Durability::Off,
         }
     }
@@ -107,9 +86,6 @@ pub struct SessionConfig {
     pub governor: GovernorConfig,
     pub batch_rows: usize,
     pub verify_plans: bool,
-    pub columnar: bool,
-    /// Per-statement phase-span recording (see [`DatabaseConfig::spans`]).
-    pub spans: bool,
 }
 
 impl DatabaseConfig {
@@ -121,8 +97,6 @@ impl DatabaseConfig {
             governor: self.governor,
             batch_rows: self.batch_rows,
             verify_plans: self.verify_plans,
-            columnar: self.columnar,
-            spans: self.spans,
         }
     }
 }

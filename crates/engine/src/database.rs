@@ -57,8 +57,8 @@ pub struct Database {
     /// [`lockorder::SNAPSHOT_CACHE`].
     snapshot_cache: Mutex<Option<(u64, Arc<Catalog>)>>,
     pub(crate) next_session_id: AtomicU64,
-    /// Per-instance metrics registry; `None` when `config.metrics` is off.
-    pub(crate) metrics: Option<Arc<EngineMetrics>>,
+    /// Per-instance metrics registry (shared with session 0).
+    pub(crate) metrics: Arc<EngineMetrics>,
     pub(crate) query_log: QueryLog,
 }
 
@@ -85,8 +85,9 @@ impl Database {
     /// fallible constructor the crash tests use with
     /// [`evopt_storage::CrashingBackend`].
     pub fn create_on(base: Arc<dyn DiskBackend>, config: DatabaseConfig) -> Result<Database> {
+        Self::check_pool_size(&config)?;
         let (disk, injector) = Self::wire_faults(base, &config);
-        let pool = BufferPool::new(Arc::clone(&disk), config.buffer_pages, config.policy);
+        let pool = BufferPool::new(Arc::clone(&disk), config.buffer_pages);
         let catalog = Arc::new(Catalog::new(Arc::clone(&pool)));
         let wal = match config.durability {
             Durability::Off => None,
@@ -113,9 +114,10 @@ impl Database {
                 "recover requires DatabaseConfig.durability = Wal".into(),
             ));
         }
+        Self::check_pool_size(&config)?;
         let (disk, injector) = Self::wire_faults(base, &config);
         let (wal, info) = Self::bootstrap(&injector, || Wal::open(Arc::clone(&disk)))?;
-        let pool = BufferPool::new(Arc::clone(&disk), config.buffer_pages, config.policy);
+        let pool = BufferPool::new(Arc::clone(&disk), config.buffer_pages);
         let catalog = Arc::new(Catalog::new(Arc::clone(&pool)));
         for t in &info.catalog.tables {
             let cols = t
@@ -136,6 +138,17 @@ impl Database {
         }
         let db = Self::assemble(disk, injector, pool, catalog, Some(wal), config);
         Ok((db, info))
+    }
+
+    /// [`BufferPool::new`] asserts a non-empty pool; the fallible doors
+    /// answer a zero-page configuration with an error instead.
+    fn check_pool_size(config: &DatabaseConfig) -> Result<()> {
+        match config.buffer_pages {
+            0 => Err(EvoptError::Storage(
+                "DatabaseConfig.buffer_pages must be at least 1".into(),
+            )),
+            _ => Ok(()),
+        }
     }
 
     fn wire_faults(
@@ -182,15 +195,16 @@ impl Database {
         if let Some(w) = &wal {
             pool.set_flush_gate(Arc::clone(w) as Arc<dyn FlushGate>);
         }
+        let metrics = Arc::new(EngineMetrics::default());
         Database {
             disk,
             injector,
             pool,
             catalog,
             wal,
-            metrics: config.metrics.then(|| Arc::new(EngineMetrics::default())),
+            defaults: SessionState::new(0, config.session(), Arc::clone(&metrics)),
+            metrics,
             query_log: QueryLog::new(config.query_log_cap, config.slow_query_us),
-            defaults: SessionState::new(0, config.session(), None),
             commit_lock: Mutex::new(()),
             snapshot_cache: Mutex::new(None),
             next_session_id: AtomicU64::new(1),
@@ -299,26 +313,21 @@ impl Database {
     /// A frozen catalog snapshot for read statements, cached by catalog
     /// version so steady-state reads don't re-clone the namespace maps.
     /// Acquisition latency (cache hit or rebuild) lands in the
-    /// `snapshot_acquire_us` histogram when metrics are on.
+    /// `snapshot_acquire_us` histogram.
     pub(crate) fn read_snapshot(&self) -> Arc<Catalog> {
-        match &self.metrics {
-            Some(m) => m.snapshot_acquire_us.time(|| self.read_snapshot_inner()),
-            None => self.read_snapshot_inner(),
-        }
-    }
-
-    fn read_snapshot_inner(&self) -> Arc<Catalog> {
-        let version = self.catalog.version();
-        let _r = lockorder::acquire(lockorder::SNAPSHOT_CACHE);
-        let mut cache = self.snapshot_cache.lock();
-        match cache.as_ref() {
-            Some((v, snap)) if *v == version => Arc::clone(snap),
-            _ => {
-                let snap = self.catalog.snapshot();
-                *cache = Some((snap.version(), Arc::clone(&snap)));
-                snap
+        self.metrics.snapshot_acquire_us.time(|| {
+            let version = self.catalog.version();
+            let _r = lockorder::acquire(lockorder::SNAPSHOT_CACHE);
+            let mut cache = self.snapshot_cache.lock();
+            match cache.as_ref() {
+                Some((v, snap)) if *v == version => Arc::clone(snap),
+                _ => {
+                    let snap = self.catalog.snapshot();
+                    *cache = Some((snap.version(), Arc::clone(&snap)));
+                    snap
+                }
             }
-        }
+        })
     }
 
     /// Acquire the commit lock through the timed wrapper: rank witness,
@@ -329,18 +338,20 @@ impl Database {
         session: &SessionState,
     ) -> (lockorder::RankGuard, parking_lot::MutexGuard<'_, ()>) {
         let rank = lockorder::acquire(lockorder::COMMIT);
-        match &self.metrics {
-            Some(m) => {
-                let started = Instant::now();
-                let guard = self.commit_lock.lock();
-                let us = started.elapsed().as_micros() as u64;
-                m.commit_lock_wait_us.observe(us);
-                if let Some(s) = &session.metrics {
-                    s.commit_lock_wait_us.observe(us);
-                }
-                (rank, guard)
-            }
-            None => (rank, self.commit_lock.lock()),
+        let started = Instant::now();
+        let guard = self.commit_lock.lock();
+        let us = started.elapsed().as_micros() as u64;
+        self.record(session, |m| m.commit_lock_wait_us.observe(us));
+        (rank, guard)
+    }
+
+    /// Apply `f` to the instance registry and — for a statement issued
+    /// through a [`Session`] — that session's own (session 0 shares the
+    /// instance's, which must count once).
+    pub(crate) fn record(&self, session: &SessionState, f: impl Fn(&EngineMetrics)) {
+        f(&self.metrics);
+        if !Arc::ptr_eq(&self.metrics, &session.metrics) {
+            f(&session.metrics);
         }
     }
 
@@ -447,12 +458,9 @@ impl Database {
     /// Point-in-time metrics for this instance. Storage counters come from
     /// the live pool/disk/injector (authoritative lifetime totals, DDL and
     /// loads included); optimizer/executor/engine counters from the query
-    /// path. All zeros when `config.metrics` is off.
+    /// path.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        let mut snap = match &self.metrics {
-            Some(m) => m.snapshot(),
-            None => EngineMetrics::default().snapshot(),
-        };
+        let mut snap = self.metrics.snapshot();
         let pool = self.pool.stats();
         snap.pool_hits = pool.hits;
         snap.pool_misses = pool.misses;
@@ -629,5 +637,32 @@ pub(crate) mod tests {
         // recover over a non-durable config is a typed error.
         let disk: Arc<dyn DiskBackend> = Arc::new(DiskManager::new());
         assert!(Database::recover(disk, DatabaseConfig::default()).is_err());
+    }
+
+    #[test]
+    fn zero_page_pool_is_a_typed_error_at_both_doors() {
+        let cfg = DatabaseConfig {
+            buffer_pages: 0,
+            durability: Durability::Wal,
+            ..Default::default()
+        };
+        let disk: Arc<dyn DiskBackend> = Arc::new(DiskManager::new());
+        let Err(e) = Database::create_on(Arc::clone(&disk), cfg) else {
+            panic!("create_on accepted an empty pool");
+        };
+        assert_eq!(e.kind(), "storage");
+        assert!(e.message().contains("buffer_pages"), "{e}");
+        // A disk that really holds a log, so the pool size is all that is
+        // wrong with the reopen.
+        let good = DatabaseConfig {
+            buffer_pages: 8,
+            ..cfg
+        };
+        drop(Database::create_on(Arc::clone(&disk), good).unwrap());
+        let Err(e) = Database::recover(Arc::clone(&disk), cfg) else {
+            panic!("recover accepted an empty pool");
+        };
+        assert_eq!(e.kind(), "storage");
+        assert!(Database::recover(disk, good).is_ok());
     }
 }

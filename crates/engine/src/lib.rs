@@ -48,7 +48,7 @@ pub use evopt_obs::{
 };
 pub use evopt_storage::{
     CrashingBackend, DiskBackend, DiskManager, FaultConfig, FaultInjector, FaultReport, IoSnapshot,
-    PolicyKind, PoolSnapshot, RecoveryInfo, Wal, WalStats,
+    PoolSnapshot, RecoveryInfo, Wal, WalStats,
 };
 pub use pipeline::Mode;
 pub use result::{Outcome, QueryResult, TracedQuery};

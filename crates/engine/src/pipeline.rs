@@ -81,8 +81,6 @@ pub(crate) struct Flight<'a> {
     /// The enclosing clock: stamped before parse, so every phase is a
     /// sub-interval of the statement total.
     started: Instant,
-    /// Present while `cfg.spans` is on.
-    span: Option<StatementSpan>,
     optimize_us: u64,
     verify_report: Option<String>,
     out: Outcome,
@@ -110,7 +108,6 @@ impl Database {
             verify: false,
             trace: matches!(mode, Mode::Traced),
             started: Instant::now(),
-            span: cfg.spans.then(|| StatementSpan::new(session.id())),
             optimize_us: 0,
             verify_report: None,
             out: Outcome {
@@ -118,7 +115,7 @@ impl Database {
                 plans: None,
                 trace: None,
                 metrics: None,
-                span: None,
+                span: StatementSpan::new(session.id()),
             },
         };
         let result = flight.stages(input, mode);
@@ -131,48 +128,35 @@ impl Database {
             });
         }
         flight.out.result = result;
-        flight.out.span = flight.stamped_span().take();
+        flight.out.span.total_us = us_since(flight.started);
         flight.out
     }
 }
 
 impl<'a> Flight<'a> {
-    /// Apply `f` to the instance registry and — for a statement issued
-    /// through a [`crate::Session`] — that session's own. A no-op when
-    /// metrics are disabled.
+    /// Count in the instance registry and the issuing session's.
     pub(crate) fn record(&self, f: impl Fn(&EngineMetrics)) {
-        if let Some(m) = &self.db.metrics {
-            f(m);
-            if let Some(s) = &self.session.metrics {
-                f(s);
-            }
-        }
+        self.db.record(self.session, f);
     }
 
     /// Close a phase that began at `started`.
     pub(crate) fn phase(&mut self, phase: Phase, started: Instant) {
-        if let Some(span) = &mut self.span {
-            span.push(PhaseSpan::new(phase, us_since(started)));
-        }
+        self.out.span.push(PhaseSpan::new(phase, us_since(started)));
     }
 
-    /// The span, with the statement's wall time so far stamped on it.
-    fn stamped_span(&mut self) -> &mut Option<StatementSpan> {
-        if let Some(span) = &mut self.span {
-            span.total_us = us_since(self.started);
-        }
-        &mut self.span
+    /// A copy of the span with the statement's wall time so far stamped on
+    /// it.
+    fn stamped_span(&self) -> StatementSpan {
+        let mut span = self.out.span.clone();
+        span.total_us = us_since(self.started);
+        span
     }
 
     fn exec_env(&self, catalog: &Arc<Catalog>) -> ExecEnv {
         let buffer_pages = self.cfg.optimizer.cost_model.buffer_pages;
-        let env = ExecEnv::new(Arc::clone(catalog), buffer_pages)
+        ExecEnv::new(Arc::clone(catalog), buffer_pages)
             .with_batch_rows(self.cfg.batch_rows)
-            .with_columnar(self.cfg.columnar);
-        match &self.db.metrics {
-            Some(m) => env.with_metrics(Arc::clone(m)),
-            None => env,
-        }
+            .with_metrics(Arc::clone(&self.db.metrics))
     }
 
     fn stages(&mut self, input: Input<'a>, mode: Mode) -> Result<QueryResult> {
@@ -277,9 +261,9 @@ impl<'a> Flight<'a> {
 
     /// Choose the physical plan, recording the optimizer's metrics, the
     /// optimize phase and (when asked) the full search journal; the
-    /// optimizer's own per-phase verifier hooks fire inside. When only
-    /// metrics are on the sink is counts-only: exact considered/pruned
-    /// totals, zero event storage.
+    /// optimizer's own per-phase verifier hooks fire inside. Unless the
+    /// journal was asked for the sink is counts-only: exact
+    /// considered/pruned totals, zero event storage.
     fn optimize_stage(
         &mut self,
         catalog: &Arc<Catalog>,
@@ -288,12 +272,10 @@ impl<'a> Flight<'a> {
         let mut cfg = self.cfg.optimizer;
         cfg.verify = cfg.verify || self.cfg.verify_plans;
         let verifying = cfg.verify || cfg!(debug_assertions);
-        let mut optimizer = Optimizer::new(cfg);
-        if self.trace {
-            optimizer = optimizer.with_trace(TraceSink::bounded(DEFAULT_TRACE_EVENTS));
-        } else if self.db.metrics.is_some() {
-            optimizer = optimizer.with_trace(TraceSink::counts_only());
-        }
+        let mut optimizer = Optimizer::new(cfg).with_trace(match self.trace {
+            true => TraceSink::bounded(DEFAULT_TRACE_EVENTS),
+            false => TraceSink::counts_only(),
+        });
         let started = Instant::now();
         let physical = match optimizer.optimize(logical, catalog) {
             Ok(p) => {
@@ -324,9 +306,7 @@ impl<'a> Flight<'a> {
                 .counter("considered", t.considered)
                 .counter("pruned", t.pruned);
         }
-        if let Some(span) = &mut self.span {
-            span.push(phase);
-        }
+        self.out.span.push(phase);
         if self.trace {
             self.out.trace = trace;
         }
@@ -431,22 +411,17 @@ impl<'a> Flight<'a> {
         };
         let root = self.out.metrics.as_ref().and_then(|m| m.operators.first());
         let batches = root.map(|root| root.next_calls);
-        if let Some(span) = &mut self.span {
-            let mut phase = PhaseSpan::new(Phase::Execute, execute_us).counter("rows", rows);
-            if let Some(batches) = batches {
-                phase = phase.counter("batches", batches);
-            }
-            span.push(
-                phase
-                    .counter("pool_hits", pool.hits)
-                    .counter("pool_misses", pool.misses)
-                    .counter("pages_read", io.reads)
-                    .counter("pages_written", io.writes),
-            );
+        let mut phase = PhaseSpan::new(Phase::Execute, execute_us).counter("rows", rows);
+        if let Some(batches) = batches {
+            phase = phase.counter("batches", batches);
         }
-        if db.metrics.is_none() {
-            return Ok(result);
-        }
+        self.out.span.push(
+            phase
+                .counter("pool_hits", pool.hits)
+                .counter("pool_misses", pool.misses)
+                .counter("pages_read", io.reads)
+                .counter("pages_written", io.writes),
+        );
         self.record(|m| {
             m.pool_hits.add(pool.hits);
             m.pool_misses.add(pool.misses);
@@ -465,7 +440,7 @@ impl<'a> Flight<'a> {
                     m.slow_queries.inc();
                 }
             });
-            let span = self.stamped_span().clone();
+            let span = Some(self.stamped_span());
             let _r = lockorder::acquire(lockorder::OBS);
             db.query_log.record(QueryLogEntry {
                 sql: sql.to_string(),
@@ -501,25 +476,22 @@ impl<'a> Flight<'a> {
         if let (Some(wal), Some(lsn)) = (wal, pending) {
             wal.sync_through(lsn)?;
         }
-        if let Some(span) = &mut self.span {
-            let mut phase = PhaseSpan::new(Phase::Commit, waited_us + us_since(started));
-            if let (Some(before), Some(wal)) = (wal_before, wal) {
-                // Deltas are approximate under concurrency (the WAL
-                // counters are instance-wide), exact when this writer is
-                // alone.
-                let after = wal.stats();
-                phase = phase
-                    .counter(
-                        "wal_records",
-                        after.records_written.saturating_sub(before.records_written),
-                    )
-                    .counter(
-                        "wal_bytes",
-                        after.bytes_written.saturating_sub(before.bytes_written),
-                    );
-            }
-            span.push(phase);
+        let mut phase = PhaseSpan::new(Phase::Commit, waited_us + us_since(started));
+        if let (Some(before), Some(wal)) = (wal_before, wal) {
+            // Deltas are approximate under concurrency (the WAL counters are
+            // instance-wide), exact when this writer is alone.
+            let after = wal.stats();
+            phase = phase
+                .counter(
+                    "wal_records",
+                    after.records_written.saturating_sub(before.records_written),
+                )
+                .counter(
+                    "wal_bytes",
+                    after.bytes_written.saturating_sub(before.bytes_written),
+                );
         }
+        self.out.span.push(phase);
         Ok(())
     }
 
@@ -564,11 +536,10 @@ impl<'a> Flight<'a> {
             physical.digest_hex(),
             self.optimize_us
         ));
-        if let Some(span) = &self.span {
-            let mut span = span.clone();
-            span.total_us = us_since(self.started);
-            text.push_str(&format!("== phases ==\n{}", span.render_table()));
-        }
+        text.push_str(&format!(
+            "== phases ==\n{}",
+            self.stamped_span().render_table()
+        ));
         text
     }
 }

@@ -112,8 +112,8 @@ pub struct Outcome {
     pub trace: Option<SearchTrace>,
     /// Per-operator metrics of an instrumented or governed execution.
     pub metrics: Option<QueryMetrics>,
-    /// The statement's phase span, when the session records spans.
-    pub span: Option<StatementSpan>,
+    /// The statement's phase span.
+    pub span: StatementSpan,
 }
 
 impl Outcome {

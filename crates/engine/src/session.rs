@@ -21,7 +21,7 @@ use crate::pipeline::{Input, Mode};
 use crate::result::{Outcome, QueryResult};
 
 /// What a statement's issuer is: an id, a retunable copy of the execution
-/// knobs, and (on a metrics-enabled instance) a registry of its own.
+/// knobs, and a metrics registry.
 /// [`Database`] owns one as session 0 — the instance defaults, which the
 /// `Database`-level API runs with and new sessions start from — and every
 /// [`Session`] owns one; both deref to it, so each knob has one setter.
@@ -30,17 +30,12 @@ pub struct SessionState {
     /// Rank [`lockorder::CONFIG`].
     config: Mutex<SessionConfig>,
     /// Same schema as the instance registry, scoped to this session's
-    /// statements. `None` for session 0 (the instance registry already is
-    /// its account) and when the instance runs with metrics off.
-    pub(crate) metrics: Option<Arc<EngineMetrics>>,
+    /// statements. Session 0's *is* the instance registry.
+    pub(crate) metrics: Arc<EngineMetrics>,
 }
 
 impl SessionState {
-    pub(crate) fn new(
-        id: u64,
-        config: SessionConfig,
-        metrics: Option<Arc<EngineMetrics>>,
-    ) -> SessionState {
+    pub(crate) fn new(id: u64, config: SessionConfig, metrics: Arc<EngineMetrics>) -> SessionState {
         SessionState {
             id,
             config: Mutex::new(config),
@@ -105,18 +100,6 @@ impl SessionState {
     pub fn set_analyze_config(&self, cfg: AnalyzeConfig) {
         self.update(|c| c.analyze = cfg);
     }
-
-    /// Toggle columnar execution (row-vs-columnar differential testing; on
-    /// by default).
-    pub fn set_columnar(&self, on: bool) {
-        self.update(|c| c.columnar = on);
-    }
-
-    /// Toggle statement-span recording (the span differential suite's
-    /// knob; on by default).
-    pub fn set_spans(&self, on: bool) {
-        self.update(|c| c.spans = on);
-    }
 }
 
 /// A client session: a cheap handle over a shared [`Database`] with its own
@@ -147,9 +130,7 @@ impl Session {
         let state = SessionState::new(
             db.next_session_id.fetch_add(1, Ordering::Relaxed),
             db.config(),
-            db.metrics
-                .is_some()
-                .then(|| Arc::new(EngineMetrics::default())),
+            Arc::new(EngineMetrics::default()),
         );
         Session { db, state }
     }
@@ -185,15 +166,11 @@ impl Session {
             .into_governed()
     }
 
-    /// Point-in-time snapshot of this session's own counters (all zeros
-    /// when the instance runs with metrics off). Storage-level counters
-    /// (pool, disk, WAL) are instance-wide — read them from
-    /// [`Database::metrics_snapshot`].
+    /// Point-in-time snapshot of this session's own counters.
+    /// Storage-level counters (pool, disk, WAL) are instance-wide — read
+    /// them from [`Database::metrics_snapshot`].
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        match &self.state.metrics {
-            Some(m) => m.snapshot(),
-            None => EngineMetrics::default().snapshot(),
-        }
+        self.state.metrics.snapshot()
     }
 
     /// Prometheus text exposition for a scrape arriving through this

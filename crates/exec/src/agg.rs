@@ -1,18 +1,24 @@
-//! Hash aggregation.
+//! Aggregation: hash and streaming.
 //!
-//! Groups by the configured columns into an in-memory table of
-//! accumulators. SQL semantics: aggregates ignore NULL arguments
+//! [`HashAggregateExec`] groups into an in-memory table of typed
+//! accumulators fed from column vectors; [`SortAggregateExec`] streams over
+//! an input sorted by the group columns with row-at-a-time accumulators.
+//! The two share no accumulation code, which is what makes each the other's
+//! differential reference. SQL semantics: aggregates ignore NULL arguments
 //! (`COUNT(*)` counts rows); an ungrouped aggregate over an empty input
 //! emits one row (COUNT = 0, others NULL); a grouped one emits nothing.
+//! GROUP BY uses total-order equality — all NULL keys form one group —
+//! unlike join keys (`Value::sql_key_eq`).
 
 use std::collections::HashMap;
 
-use evopt_common::{AggFunc, Batch, EvoptError, Result, Schema, Tuple, Value};
+use evopt_common::columnar::{cell_cmp, Cell, ColumnData, ColumnVector};
+use evopt_common::{AggFunc, Batch, EvoptError, Expr, Result, Schema, Tuple, Value};
 use evopt_core::physical::PhysAgg;
 
 use crate::executor::{invariant, BatchBuilder, BatchCursor, Executor};
 
-/// One running aggregate.
+/// One running aggregate over `Value`s: [`SortAggregateExec`]'s state.
 #[derive(Debug, Clone)]
 enum Accumulator {
     Count(i64),
@@ -102,9 +108,215 @@ impl Accumulator {
     }
 }
 
-/// Hash-based grouped aggregation.
+/// Running SUM total: stays `I` (exact, overflow-checked) until the first
+/// `Float` input promotes it, mirroring `Value::add` coercion.
+#[derive(Debug, Clone, Copy)]
+enum SumState {
+    I(i64),
+    F(f64),
+}
+
+impl SumState {
+    fn as_value(&self) -> Value {
+        match self {
+            SumState::I(x) => Value::Int(*x),
+            SumState::F(x) => Value::Float(*x),
+        }
+    }
+}
+
+/// Running MIN/MAX champion: typed fast states for the numeric common
+/// case, `V` for the rest (Bool/Str), `Empty` before any non-null input.
+#[derive(Debug, Clone)]
+enum MinMaxState {
+    Empty,
+    I(i64),
+    F(f64),
+    V(Value),
+}
+
+impl MinMaxState {
+    fn as_cell(&self) -> Cell<'_> {
+        match self {
+            MinMaxState::Empty => Cell::Null,
+            MinMaxState::I(x) => Cell::I(*x),
+            MinMaxState::F(x) => Cell::F(*x),
+            MinMaxState::V(v) => Cell::of(v),
+        }
+    }
+
+    fn set(&mut self, cell: Cell<'_>) {
+        *self = match cell {
+            Cell::I(x) => MinMaxState::I(x),
+            Cell::F(x) => MinMaxState::F(x),
+            other => MinMaxState::V(other.to_value()),
+        };
+    }
+
+    fn finish(&self) -> Value {
+        match self {
+            MinMaxState::Empty => Value::Null,
+            MinMaxState::I(x) => Value::Int(*x),
+            MinMaxState::F(x) => Value::Float(*x),
+            MinMaxState::V(v) => v.clone(),
+        }
+    }
+}
+
+/// One running aggregate over cells: the typed mirror of [`Accumulator`],
+/// with native `i64`/`f64` hot paths. Semantics are identical, including
+/// `SUM`'s `Int`-until-a-`Float`-appears result type, integer-overflow
+/// errors, and total-order MIN/MAX.
+#[derive(Debug, Clone)]
+enum TypedAcc {
+    Count(i64),
+    Sum { state: SumState, seen: bool },
+    Min(MinMaxState),
+    Max(MinMaxState),
+    Avg { total: f64, count: i64 },
+}
+
+impl TypedAcc {
+    fn new(func: AggFunc) -> TypedAcc {
+        match func {
+            AggFunc::Count | AggFunc::CountStar => TypedAcc::Count(0),
+            // SUM starts at Int(0) like the row accumulator: the result
+            // stays Int while every input is Int.
+            AggFunc::Sum => TypedAcc::Sum {
+                state: SumState::I(0),
+                seen: false,
+            },
+            AggFunc::Min => TypedAcc::Min(MinMaxState::Empty),
+            AggFunc::Max => TypedAcc::Max(MinMaxState::Empty),
+            AggFunc::Avg => TypedAcc::Avg {
+                total: 0.0,
+                count: 0,
+            },
+        }
+    }
+
+    /// Feed one argument cell. NULLs are ignored (SQL aggregate semantics).
+    fn update(&mut self, cell: Cell<'_>) -> Result<()> {
+        match self {
+            TypedAcc::Count(n) => {
+                if !cell.is_null() {
+                    *n += 1;
+                }
+            }
+            TypedAcc::Sum { state, seen } => match (*state, cell) {
+                (_, Cell::Null) => {}
+                (SumState::I(a), Cell::I(b)) => {
+                    *state =
+                        SumState::I(a.checked_add(b).ok_or_else(|| {
+                            EvoptError::Execution("integer overflow in +".into())
+                        })?);
+                    *seen = true;
+                }
+                (SumState::I(a), Cell::F(b)) => {
+                    *state = SumState::F(a as f64 + b);
+                    *seen = true;
+                }
+                (SumState::F(a), Cell::I(b)) => {
+                    *state = SumState::F(a + b as f64);
+                    *seen = true;
+                }
+                (SumState::F(a), Cell::F(b)) => {
+                    *state = SumState::F(a + b);
+                    *seen = true;
+                }
+                (cur, other) => {
+                    // Same error [`Accumulator`]'s `Value::add` raises.
+                    return Err(EvoptError::Execution(format!(
+                        "cannot apply + to {:?} and {:?}",
+                        cur.as_value(),
+                        other.to_value()
+                    )));
+                }
+            },
+            TypedAcc::Min(cur) => {
+                if !cell.is_null() {
+                    let replace = match cur {
+                        MinMaxState::Empty => true,
+                        _ => cell_cmp(cell, cur.as_cell()) == Some(std::cmp::Ordering::Less),
+                    };
+                    if replace {
+                        cur.set(cell);
+                    }
+                }
+            }
+            TypedAcc::Max(cur) => {
+                if !cell.is_null() {
+                    let replace = match cur {
+                        MinMaxState::Empty => true,
+                        _ => cell_cmp(cell, cur.as_cell()) == Some(std::cmp::Ordering::Greater),
+                    };
+                    if replace {
+                        cur.set(cell);
+                    }
+                }
+            }
+            TypedAcc::Avg { total, count } => match cell {
+                Cell::I(x) => {
+                    *total += x as f64;
+                    *count += 1;
+                }
+                Cell::F(x) => {
+                    *total += x;
+                    *count += 1;
+                }
+                // Non-numeric (and NULL) arguments are skipped, mirroring
+                // the row accumulator's `as_f64` gate.
+                _ => {}
+            },
+        }
+        Ok(())
+    }
+
+    /// Count one row regardless of argument (COUNT(*)).
+    fn count_row(&mut self) {
+        if let TypedAcc::Count(n) = self {
+            *n += 1;
+        }
+    }
+
+    fn finish(&self) -> Value {
+        match self {
+            TypedAcc::Count(n) => Value::Int(*n),
+            TypedAcc::Sum { state, seen } => {
+                if *seen {
+                    state.as_value()
+                } else {
+                    Value::Null
+                }
+            }
+            TypedAcc::Min(s) | TypedAcc::Max(s) => s.finish(),
+            TypedAcc::Avg { total, count } => {
+                if *count == 0 {
+                    Value::Null
+                } else {
+                    Value::Float(*total / *count as f64)
+                }
+            }
+        }
+    }
+}
+
+/// Group-key index. GROUP BY deliberately uses total-order equality —
+/// `Null == Null` groups all NULL keys into one group, which is SQL's
+/// grouping rule (unlike join keys; see `Value::sql_key_eq`). The typed
+/// fast path keys a single `Int` group column as `Option<i64>` (`None` =
+/// the NULL group) and degrades to the generic `Vec<Value>` map when a
+/// batch shows any other variant.
+enum GroupKeys {
+    Int(HashMap<Option<i64>, u32>),
+    Generic(HashMap<Vec<Value>, u32>),
+}
+
+/// Hash aggregation over column vectors with [`TypedAcc`] accumulators. The
+/// differential reference is [`SortAggregateExec`] over the same input
+/// sorted, which accumulates row at a time into [`Accumulator`]s.
 pub struct HashAggregateExec {
-    input: Option<BatchCursor>,
+    input: Option<Box<dyn Executor>>,
     group_by: Vec<usize>,
     aggs: Vec<PhysAgg>,
     schema: Schema,
@@ -121,7 +333,7 @@ impl HashAggregateExec {
         batch_rows: usize,
     ) -> Self {
         HashAggregateExec {
-            input: Some(BatchCursor::new(input)),
+            input: Some(input),
             group_by,
             aggs,
             schema,
@@ -132,47 +344,125 @@ impl HashAggregateExec {
 
     fn compute(&mut self) -> Result<()> {
         let mut input = invariant(self.input.take(), "aggregate computed only once")?;
-        // Semantics audit: the group map's derived `Value` equality (total
-        // order: `Null == Null`, numerics compare across Int/Float) is the
-        // CORRECT choice for GROUP BY — SQL groups all NULL keys into one
-        // group. Join keys are the opposite (`Value::sql_key_eq`).
-        let mut groups: HashMap<Vec<Value>, Vec<Accumulator>> = HashMap::new();
-        // Keep first-seen order for deterministic output.
-        let mut order: Vec<Vec<Value>> = Vec::new();
-        while let Some(t) = input.next_row()? {
-            let key: Vec<Value> = self
-                .group_by
-                .iter()
-                .map(|&g| t.value(g).cloned())
-                .collect::<Result<_>>()?;
-            let accs = groups.entry(key.clone()).or_insert_with(|| {
-                order.push(key);
-                self.aggs.iter().map(|a| Accumulator::new(a.func)).collect()
-            });
-            for (acc, spec) in accs.iter_mut().zip(&self.aggs) {
-                match (&spec.func, &spec.arg) {
-                    (AggFunc::CountStar, _) => acc.count_row(),
-                    (_, Some(arg)) => acc.update(&arg.eval(&t)?)?,
-                    (f, None) => {
-                        return Err(EvoptError::Execution(format!("{f} requires an argument")))
+        let mut keys = if self.group_by.len() == 1 {
+            GroupKeys::Int(HashMap::new())
+        } else {
+            GroupKeys::Generic(HashMap::new())
+        };
+        // First-seen group order; `group_values` doubles as the output key
+        // prefix of each result row.
+        let mut group_values: Vec<Vec<Value>> = Vec::new();
+        let mut accs: Vec<Vec<TypedAcc>> = Vec::new();
+        let fresh = |aggs: &[PhysAgg]| -> Vec<TypedAcc> {
+            aggs.iter().map(|a| TypedAcc::new(a.func)).collect()
+        };
+
+        while let Some(batch) = input.next_batch()? {
+            let rows = batch.into_rows();
+            // Extract the single group column (typed path) and any
+            // plain-column aggregate arguments once per batch.
+            let group_col = match (&keys, self.group_by.first()) {
+                (GroupKeys::Int(_), Some(&g)) => Some(ColumnVector::from_rows(&rows, g)?),
+                _ => None,
+            };
+            // A non-Int variant in the group column ends the typed path:
+            // migrate the accumulated groups to the generic map.
+            let group_col = match group_col {
+                Some(cv) if matches!(cv.data, ColumnData::Int(_)) => Some(cv),
+                Some(_) => {
+                    if let GroupKeys::Int(_) = &keys {
+                        let mut generic: HashMap<Vec<Value>, u32> = HashMap::new();
+                        for (idx, gv) in group_values.iter().enumerate() {
+                            generic.insert(gv.clone(), idx as u32);
+                        }
+                        keys = GroupKeys::Generic(generic);
+                    }
+                    None
+                }
+                None => None,
+            };
+            let mut arg_cols: Vec<Option<ColumnVector>> = Vec::with_capacity(self.aggs.len());
+            for spec in &self.aggs {
+                arg_cols.push(match (&spec.func, &spec.arg) {
+                    (AggFunc::CountStar, _) => None,
+                    (_, Some(Expr::Column(c))) => Some(ColumnVector::from_rows(&rows, *c)?),
+                    _ => None,
+                });
+            }
+
+            for (r, t) in rows.iter().enumerate() {
+                let gidx = match (&mut keys, &group_col) {
+                    (GroupKeys::Int(map), Some(cv)) => {
+                        let k = match cv.cell(r) {
+                            Cell::I(i) => Some(i),
+                            _ => None,
+                        };
+                        match map.get(&k) {
+                            Some(&idx) => idx,
+                            None => {
+                                let idx = group_values.len() as u32;
+                                map.insert(k, idx);
+                                group_values.push(vec![k.map_or(Value::Null, Value::Int)]);
+                                accs.push(fresh(&self.aggs));
+                                idx
+                            }
+                        }
+                    }
+                    // A batch whose group column is not all-`Int` migrated
+                    // the keys to `Generic` above.
+                    (GroupKeys::Int(_), None) => {
+                        return Err(EvoptError::Internal(
+                            "typed group keys without a typed group column".into(),
+                        ))
+                    }
+                    (GroupKeys::Generic(map), _) => {
+                        let key: Vec<Value> = self
+                            .group_by
+                            .iter()
+                            .map(|&g| t.value(g).cloned())
+                            .collect::<Result<_>>()?;
+                        match map.get(&key) {
+                            Some(&idx) => idx,
+                            None => {
+                                let idx = group_values.len() as u32;
+                                map.insert(key.clone(), idx);
+                                group_values.push(key);
+                                accs.push(fresh(&self.aggs));
+                                idx
+                            }
+                        }
+                    }
+                } as usize;
+                let group_accs = &mut accs[gidx];
+                for (ai, spec) in self.aggs.iter().enumerate() {
+                    match (&spec.func, &arg_cols[ai], &spec.arg) {
+                        (AggFunc::CountStar, _, _) => group_accs[ai].count_row(),
+                        (_, Some(cv), _) => group_accs[ai].update(cv.cell(r))?,
+                        (_, None, Some(arg)) => {
+                            let v = arg.eval(t)?;
+                            group_accs[ai].update(Cell::of(&v))?;
+                        }
+                        (f, None, None) => {
+                            return Err(EvoptError::Execution(format!("{f} requires an argument")))
+                        }
                     }
                 }
             }
         }
-        let mut rows = Vec::with_capacity(groups.len().max(1));
-        if groups.is_empty() && self.group_by.is_empty() {
+
+        let mut rows = Vec::with_capacity(group_values.len().max(1));
+        if group_values.is_empty() && self.group_by.is_empty() {
             // Ungrouped aggregate over empty input: one default row.
             let values: Vec<Value> = self
                 .aggs
                 .iter()
-                .map(|a| Accumulator::new(a.func).finish())
+                .map(|a| TypedAcc::new(a.func).finish())
                 .collect();
             rows.push(Tuple::new(values));
         } else {
-            for key in order {
-                let accs = &groups[&key];
-                let mut values = key.clone();
-                values.extend(accs.iter().map(|a| a.finish()));
+            for (key, group_accs) in group_values.into_iter().zip(&accs) {
+                let mut values = key;
+                values.extend(group_accs.iter().map(TypedAcc::finish));
                 rows.push(Tuple::new(values));
             }
         }
@@ -315,5 +605,72 @@ impl Executor for SortAggregateExec {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used)]
+
+    use super::*;
+
+    #[test]
+    fn typed_sum_mirrors_row_accumulator() {
+        let mut acc = TypedAcc::new(AggFunc::Sum);
+        acc.update(Cell::I(2)).unwrap();
+        acc.update(Cell::Null).unwrap();
+        acc.update(Cell::I(3)).unwrap();
+        assert_eq!(acc.finish(), Value::Int(5));
+        // A float input promotes the running total to Float.
+        acc.update(Cell::F(0.5)).unwrap();
+        assert_eq!(acc.finish(), Value::Float(5.5));
+        acc.update(Cell::I(1)).unwrap();
+        assert_eq!(acc.finish(), Value::Float(6.5));
+        // Overflow errors instead of wrapping.
+        let mut acc = TypedAcc::new(AggFunc::Sum);
+        acc.update(Cell::I(i64::MAX)).unwrap();
+        assert!(acc.update(Cell::I(1)).is_err());
+        // Non-numeric input errors like Value::add.
+        let mut acc = TypedAcc::new(AggFunc::Sum);
+        assert!(acc.update(Cell::S("x")).is_err());
+        // No inputs → NULL.
+        assert_eq!(TypedAcc::new(AggFunc::Sum).finish(), Value::Null);
+    }
+
+    #[test]
+    fn typed_min_max_use_total_order() {
+        let mut mn = TypedAcc::new(AggFunc::Min);
+        let mut mx = TypedAcc::new(AggFunc::Max);
+        for c in [Cell::I(3), Cell::F(2.5), Cell::Null, Cell::I(7)] {
+            mn.update(c).unwrap();
+            mx.update(c).unwrap();
+        }
+        assert_eq!(mn.finish(), Value::Float(2.5));
+        assert_eq!(mx.finish(), Value::Int(7));
+        // Ties keep the first-seen value (like [`Accumulator`]'s strict `<`).
+        let mut mn = TypedAcc::new(AggFunc::Min);
+        mn.update(Cell::I(2)).unwrap();
+        mn.update(Cell::F(2.0)).unwrap();
+        assert_eq!(mn.finish(), Value::Int(2));
+        // Strings via the generic state.
+        let mut mx = TypedAcc::new(AggFunc::Max);
+        mx.update(Cell::S("a")).unwrap();
+        mx.update(Cell::S("c")).unwrap();
+        mx.update(Cell::S("b")).unwrap();
+        assert_eq!(mx.finish(), Value::Str("c".into()));
+    }
+
+    #[test]
+    fn typed_count_and_avg() {
+        let mut c = TypedAcc::new(AggFunc::Count);
+        let mut a = TypedAcc::new(AggFunc::Avg);
+        for cell in [Cell::I(1), Cell::Null, Cell::I(3)] {
+            c.update(cell).unwrap();
+            a.update(cell).unwrap();
+        }
+        assert_eq!(c.finish(), Value::Int(2));
+        assert_eq!(a.finish(), Value::Float(2.0));
+        assert_eq!(TypedAcc::new(AggFunc::Avg).finish(), Value::Null);
+        assert_eq!(TypedAcc::new(AggFunc::Count).finish(), Value::Int(0));
     }
 }

@@ -25,11 +25,6 @@ pub struct ExecEnv {
     /// batches/rows and spilling operators count spill events; when
     /// `None`, execution pays zero bookkeeping.
     pub metrics: Option<Arc<evopt_obs::EngineMetrics>>,
-    /// Use the columnar operators (typed filter kernels, typed join key
-    /// maps, typed aggregation) where available. Off = the original
-    /// row-at-a-time operators everywhere — kept alive as the differential
-    /// baseline for the columnar port.
-    pub columnar: bool,
 }
 
 impl ExecEnv {
@@ -39,7 +34,6 @@ impl ExecEnv {
             buffer_pages,
             batch_rows: DEFAULT_BATCH_ROWS,
             metrics: None,
-            columnar: true,
         }
     }
 
@@ -53,12 +47,6 @@ impl ExecEnv {
     /// Attach an engine metrics registry.
     pub fn with_metrics(mut self, metrics: Arc<evopt_obs::EngineMetrics>) -> Self {
         self.metrics = Some(metrics);
-        self
-    }
-
-    /// Select columnar (default) or row-at-a-time operators.
-    pub fn with_columnar(mut self, columnar: bool) -> Self {
-        self.columnar = columnar;
         self
     }
 
@@ -188,20 +176,9 @@ pub fn build_executor(plan: &PhysicalPlan, env: &ExecEnv) -> Result<Box<dyn Exec
     build_node(plan, env, None, None)
 }
 
-/// Instantiate `plan` with every operator wrapped in an
-/// [`InstrumentedExec`]. The returned registry holds one metric slot per
-/// plan node, in the same pre-order as [`PhysicalPlan::pre_order`].
-pub fn build_instrumented(
-    plan: &PhysicalPlan,
-    env: &ExecEnv,
-) -> Result<(Box<dyn Executor>, MetricsRegistry)> {
-    let registry = MetricsRegistry::for_plan(plan);
-    let exec = build_node(plan, env, Some((&registry, 0)), None)?;
-    Ok((exec, registry))
-}
-
-/// Shared builder. When `instr` is set, `idx` is this node's pre-order index
-/// in the registry; children are built at their own pre-order offsets and
+/// Shared builder. When `instr` is set — a registry holding one metric slot
+/// per plan node, in [`PhysicalPlan::pre_order`] — `idx` is this node's
+/// pre-order index in it; children are built at their own pre-order offsets and
 /// every constructed operator is wrapped with its metric slot. When `gov` is
 /// set, every operator is additionally wrapped in a [`GovernedExec`] so a
 /// cancel/timeout/budget kill lands within one `next_batch()` call anywhere
@@ -238,19 +215,10 @@ fn build_node(
             residual.clone(),
             plan.schema.clone(),
         )?),
-        PhysOp::Filter { input, predicate } => {
-            if env.columnar {
-                Box::new(crate::columnar::ColumnarFilterExec::new(
-                    child(input, 1)?,
-                    predicate.clone(),
-                ))
-            } else {
-                Box::new(crate::simple::FilterExec::new(
-                    child(input, 1)?,
-                    predicate.clone(),
-                ))
-            }
-        }
+        PhysOp::Filter { input, predicate } => Box::new(crate::simple::FilterExec::new(
+            child(input, 1)?,
+            predicate.clone(),
+        )),
         PhysOp::Project { input, exprs } => Box::new(crate::simple::ProjectExec::new(
             child(input, 1)?,
             exprs.clone(),
@@ -355,25 +323,13 @@ fn build_node(
             input,
             group_by,
             aggs,
-        } => {
-            if env.columnar {
-                Box::new(crate::columnar::ColumnarHashAggregateExec::new(
-                    child(input, 1)?,
-                    group_by.clone(),
-                    aggs.clone(),
-                    plan.schema.clone(),
-                    env.batch_rows,
-                ))
-            } else {
-                Box::new(crate::agg::HashAggregateExec::new(
-                    child(input, 1)?,
-                    group_by.clone(),
-                    aggs.clone(),
-                    plan.schema.clone(),
-                    env.batch_rows,
-                ))
-            }
-        }
+        } => Box::new(crate::agg::HashAggregateExec::new(
+            child(input, 1)?,
+            group_by.clone(),
+            aggs.clone(),
+            plan.schema.clone(),
+            env.batch_rows,
+        )),
         PhysOp::SortAggregate {
             input,
             group_by,
@@ -403,17 +359,58 @@ fn build_node(
     })
 }
 
-/// Build and drain a plan into a vector.
-pub fn run_collect(plan: &PhysicalPlan, env: &ExecEnv) -> Result<Vec<Tuple>> {
-    let mut exec = build_executor(plan, env)?;
+/// Build `plan` and drain it into a vector: the one loop behind the three
+/// public drains. The root's output volume is recorded whether or not the
+/// drain completes, so a killed query still counts the batches it returned.
+fn drain(
+    plan: &PhysicalPlan,
+    env: &ExecEnv,
+    registry: Option<&MetricsRegistry>,
+    governor: Option<&Arc<QueryGovernor>>,
+) -> Result<Vec<Tuple>> {
     let mut out = Vec::new();
     let mut batches = 0u64;
-    while let Some(batch) = exec.next_batch()? {
-        batches += 1;
-        out.extend(batch.into_rows());
-    }
+    let mut pull = || -> Result<()> {
+        let mut exec = build_node(plan, env, registry.map(|r| (r, 0)), governor)?;
+        while let Some(batch) = exec.next_batch()? {
+            // The row budget is counted at the root drain: rows the query
+            // *returns*, not intermediate tuples.
+            if let Some(governor) = governor {
+                governor.record_rows(batch.len() as u64)?;
+            }
+            batches += 1;
+            out.extend(batch.into_rows());
+        }
+        Ok(())
+    };
+    let pulled = pull();
     env.record_output(batches, out.len() as u64);
-    Ok(out)
+    pulled.map(|()| out)
+}
+
+/// [`drain`] instrumented: the rows (or the error that stopped the drain)
+/// beside the estimate-vs-actual [`QueryMetrics`] of whatever ran.
+fn drain_measured(
+    plan: &PhysicalPlan,
+    env: &ExecEnv,
+    governor: Option<&Arc<QueryGovernor>>,
+) -> (Result<Vec<Tuple>>, QueryMetrics) {
+    let pool = env.catalog.pool();
+    let pool_before = pool.stats();
+    let io_before = pool.disk().snapshot();
+    let start = Instant::now();
+    let registry = MetricsRegistry::for_plan(plan);
+    let result = drain(plan, env, Some(&registry), governor);
+    let elapsed = start.elapsed();
+    let pool_delta = pool.stats().since(&pool_before);
+    let io_delta = pool.disk().snapshot().since(&io_before);
+    let metrics = QueryMetrics::collect(plan, &registry, elapsed, pool_delta, io_delta);
+    (result, metrics)
+}
+
+/// Build and drain a plan into a vector.
+pub fn run_collect(plan: &PhysicalPlan, env: &ExecEnv) -> Result<Vec<Tuple>> {
+    drain(plan, env, None, None)
 }
 
 /// Drain a single-table access path into `(Rid, Tuple)` pairs: the
@@ -463,23 +460,8 @@ pub fn run_collect_instrumented(
     plan: &PhysicalPlan,
     env: &ExecEnv,
 ) -> Result<(Vec<Tuple>, QueryMetrics)> {
-    let pool = Arc::clone(env.catalog.pool());
-    let pool_before = pool.stats();
-    let io_before = pool.disk().snapshot();
-    let start = Instant::now();
-    let (mut exec, registry) = build_instrumented(plan, env)?;
-    let mut out = Vec::new();
-    let mut batches = 0u64;
-    while let Some(batch) = exec.next_batch()? {
-        batches += 1;
-        out.extend(batch.into_rows());
-    }
-    env.record_output(batches, out.len() as u64);
-    let elapsed = start.elapsed();
-    let pool_delta = pool.stats().since(&pool_before);
-    let io_delta = pool.disk().snapshot().since(&io_before);
-    let metrics = QueryMetrics::collect(plan, &registry, elapsed, pool_delta, io_delta);
-    Ok((out, metrics))
+    let (rows, metrics) = drain_measured(plan, env, None);
+    Ok((rows?, metrics))
 }
 
 /// Build, instrument, govern, and drain a plan.
@@ -503,28 +485,6 @@ pub fn run_collect_governed(
         .clone()
         .with_batch_rows(env.batch_rows.min(config.max_batch_rows));
     let pool = Arc::clone(env.catalog.pool());
-    let governor = Arc::new(QueryGovernor::new(config, token, Arc::clone(&pool)));
-    let pool_before = pool.stats();
-    let io_before = pool.disk().snapshot();
-    let start = Instant::now();
-    let registry = MetricsRegistry::for_plan(plan);
-    let result = (|| {
-        let mut exec = build_node(plan, &env, Some((&registry, 0)), Some(&governor))?;
-        let mut out = Vec::new();
-        let mut batches = 0u64;
-        while let Some(batch) = exec.next_batch()? {
-            // The row budget is counted at the root drain: rows the query
-            // *returns*, not intermediate tuples.
-            governor.record_rows(batch.len() as u64)?;
-            batches += 1;
-            out.extend(batch.into_rows());
-        }
-        env.record_output(batches, out.len() as u64);
-        Ok(out)
-    })();
-    let elapsed = start.elapsed();
-    let pool_delta = pool.stats().since(&pool_before);
-    let io_delta = pool.disk().snapshot().since(&io_before);
-    let metrics = QueryMetrics::collect(plan, &registry, elapsed, pool_delta, io_delta);
-    (result, metrics)
+    let governor = Arc::new(QueryGovernor::new(config, token, pool));
+    drain_measured(plan, &env, Some(&governor))
 }

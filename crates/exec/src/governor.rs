@@ -226,10 +226,10 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
-    use evopt_storage::{DiskManager, PolicyKind};
+    use evopt_storage::DiskManager;
 
     fn pool() -> Arc<BufferPool> {
-        BufferPool::new(Arc::new(DiskManager::new()), 4, PolicyKind::Lru)
+        BufferPool::new(Arc::new(DiskManager::new()), 4)
     }
 
     #[test]

@@ -20,17 +20,16 @@
 //!
 //! SQL join semantics: NULL keys never match.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use evopt_catalog::TableInfo;
-use evopt_common::columnar::ColumnVector;
+use evopt_common::columnar::{Cell, ColumnVector};
 use evopt_common::{Batch, EvoptError, Expr, Result, Schema, Tuple, Value};
 use evopt_storage::heap::HeapScan;
 use evopt_storage::HeapFile;
 
-use crate::columnar::JoinKeyMap;
 use crate::executor::{invariant, BatchBuilder, BatchCursor, ExecEnv, Executor};
+use crate::join_key::JoinKeyMap;
 
 /// Usable bytes per page for blocking decisions.
 const USABLE_PAGE_BYTES: usize = 4084;
@@ -466,23 +465,49 @@ impl Executor for SortMergeJoinExec {
 // Hash join (in-memory or Grace)
 // ---------------------------------------------------------------------------
 
+/// Build rows plus their typed key index: the one structure both hash-join
+/// states probe. The [`JoinKeyMap`] owns the NULL-never-matches rule.
+struct BuildSide {
+    rows: Vec<Tuple>,
+    key: usize,
+    keys: JoinKeyMap,
+}
+
+impl BuildSide {
+    fn new(rows: Vec<Tuple>, key: usize) -> Result<BuildSide> {
+        let keys = JoinKeyMap::build(&rows, key)?;
+        Ok(BuildSide { rows, key, keys })
+    }
+
+    /// Push `lt` joined with every build row its key cell matches.
+    fn probe(
+        &mut self,
+        lt: &Tuple,
+        cell: Cell<'_>,
+        residual: &Option<Expr>,
+        out: &mut BatchBuilder,
+    ) -> Result<()> {
+        for &ri in self.keys.lookup(cell, &self.rows, self.key)? {
+            let combined = lt.join(&self.rows[ri as usize]);
+            if passes(residual, &combined)? {
+                out.push(combined);
+            }
+        }
+        Ok(())
+    }
+}
+
 enum HashJoinState {
     /// Not started.
     Init,
-    /// Build side fit in memory (row mode). NULL build keys were filtered
-    /// before insertion, so the map's derived `Value` equality coincides
-    /// with SQL key equality on everything it holds; NULL probe keys are
-    /// rejected in `probe_matches`.
-    InMemory { map: HashMap<Value, Vec<Tuple>> },
-    /// Build side fit in memory (columnar mode): build rows plus a typed
-    /// key index. The [`JoinKeyMap`] owns the NULL-never-matches rule.
-    InMemoryColumnar { rows: Vec<Tuple>, keys: JoinKeyMap },
+    /// Build side fit in memory.
+    InMemory(BuildSide),
     /// Grace: both sides partitioned to temp heaps; joined per partition.
     Grace {
         left_parts: Vec<Arc<HeapFile>>,
         right_parts: Vec<Arc<HeapFile>>,
         part: usize,
-        map: HashMap<Value, Vec<Tuple>>,
+        build: BuildSide,
         probe: Option<HeapScan>,
     },
 }
@@ -540,22 +565,7 @@ impl HashJoinExec {
         }
         let budget = self.env.buffer_pages.max(3) * USABLE_PAGE_BYTES;
         if bytes <= budget {
-            if self.env.columnar {
-                // Typed key index over the build rows; keys are hashed as
-                // native i64/f64-bits/str instead of `Value` enums.
-                let keys = JoinKeyMap::build(&build_rows, self.right_key)?;
-                self.state = HashJoinState::InMemoryColumnar {
-                    rows: build_rows,
-                    keys,
-                };
-                return Ok(());
-            }
-            let mut map: HashMap<Value, Vec<Tuple>> = HashMap::new();
-            for t in build_rows {
-                let k = t.value(self.right_key)?.clone();
-                map.entry(k).or_default().push(t);
-            }
-            self.state = HashJoinState::InMemory { map };
+            self.state = HashJoinState::InMemory(BuildSide::new(build_rows, self.right_key)?);
             return Ok(());
         }
         // Grace: partition both sides so each build partition fits.
@@ -587,31 +597,9 @@ impl HashJoinExec {
             left_parts,
             right_parts,
             part: 0,
-            map: HashMap::new(),
+            build: BuildSide::new(Vec::new(), self.right_key)?,
             probe: None,
         };
-        Ok(())
-    }
-
-    fn probe_matches(
-        map: &HashMap<Value, Vec<Tuple>>,
-        lt: &Tuple,
-        left_key: usize,
-        residual: &Option<Expr>,
-        out: &mut BatchBuilder,
-    ) -> Result<()> {
-        let k = lt.value(left_key)?;
-        if k.is_null() {
-            return Ok(());
-        }
-        if let Some(matches) = map.get(k) {
-            for rt in matches {
-                let combined = lt.join(rt);
-                if passes(residual, &combined)? {
-                    out.push(combined);
-                }
-            }
-        }
         Ok(())
     }
 }
@@ -640,24 +628,7 @@ impl Executor for HashJoinExec {
                 HashJoinState::Init => {
                     return Err(EvoptError::Internal("hash join probed before build".into()))
                 }
-                HashJoinState::InMemory { map } => {
-                    let left = invariant(self.left.as_mut(), "in-memory join keeps probe side")?;
-                    match left.next_batch()? {
-                        Some(batch) => {
-                            for lt in batch.iter() {
-                                Self::probe_matches(
-                                    map,
-                                    lt,
-                                    self.left_key,
-                                    &self.residual,
-                                    &mut self.out,
-                                )?;
-                            }
-                        }
-                        None => return Ok(self.out.flush()),
-                    }
-                }
-                HashJoinState::InMemoryColumnar { rows, keys } => {
+                HashJoinState::InMemory(build) => {
                     let left = invariant(self.left.as_mut(), "in-memory join keeps probe side")?;
                     match left.next_batch()? {
                         Some(batch) => {
@@ -666,13 +637,7 @@ impl Executor for HashJoinExec {
                             let probe_rows = batch.rows();
                             let key_col = ColumnVector::from_rows(probe_rows, self.left_key)?;
                             for (i, lt) in probe_rows.iter().enumerate() {
-                                let matches = keys.lookup(key_col.cell(i), rows, self.right_key)?;
-                                for &ri in matches {
-                                    let combined = lt.join(&rows[ri as usize]);
-                                    if passes(&self.residual, &combined)? {
-                                        self.out.push(combined);
-                                    }
-                                }
+                                build.probe(lt, key_col.cell(i), &self.residual, &mut self.out)?;
                             }
                         }
                         None => return Ok(self.out.flush()),
@@ -682,30 +647,28 @@ impl Executor for HashJoinExec {
                     left_parts,
                     right_parts,
                     part,
-                    map,
+                    build,
                     probe,
                 } => {
                     if probe.is_none() {
                         if *part >= left_parts.len() {
                             return Ok(self.out.flush());
                         }
-                        // Build this partition's map.
-                        map.clear();
-                        for item in right_parts[*part].scan() {
-                            let (_, t) = item?;
-                            let k = t.value(self.right_key)?.clone();
-                            map.entry(k).or_default().push(t);
-                        }
+                        // Build this partition's index.
+                        let rows = right_parts[*part]
+                            .scan()
+                            .map(|item| item.map(|(_, t)| t))
+                            .collect::<Result<Vec<Tuple>>>()?;
+                        *build = BuildSide::new(rows, self.right_key)?;
                         *probe = Some(left_parts[*part].scan());
                         *part += 1;
                     }
                     let scan = invariant(probe.as_mut(), "partition probe scan open")?;
                     match scan.next().transpose()? {
                         Some((_, lt)) => {
-                            Self::probe_matches(
-                                map,
+                            build.probe(
                                 &lt,
-                                self.left_key,
+                                Cell::of(lt.value(self.left_key)?),
                                 &self.residual,
                                 &mut self.out,
                             )?;

@@ -30,20 +30,19 @@
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod agg;
-pub mod columnar;
 pub mod executor;
 pub mod governor;
 pub mod join;
+mod join_key;
 pub mod kernels;
 pub mod metrics;
 pub mod scan;
 pub mod simple;
 pub mod sort;
 
-pub use columnar::{ColumnarFilterExec, ColumnarHashAggregateExec, JoinKeyMap, TypedAcc};
 pub use executor::{
-    build_executor, build_instrumented, run_collect, run_collect_governed,
-    run_collect_instrumented, run_collect_rids, BatchCursor, ExecEnv, Executor,
+    build_executor, run_collect, run_collect_governed, run_collect_instrumented, run_collect_rids,
+    BatchCursor, ExecEnv, Executor,
 };
 pub use governor::{CancellationToken, GovernorConfig, QueryGovernor};
 pub use metrics::{MetricsRegistry, OperatorMetrics, QueryMetrics};

@@ -17,7 +17,7 @@
 //! subtree size.
 //!
 //! Operators and metric slots are correlated by *pre-order index*: the
-//! instrumented builder (`build_instrumented`) walks the plan in the same
+//! instrumented builder (`executor::build_node`) walks the plan in the same
 //! order as [`PhysicalPlan::pre_order`]. A nested-loop join re-opens its
 //! inner subtree once per outer row; every re-open binds to the same metric
 //! slots, so inner-side counters accumulate across re-opens.

@@ -11,7 +11,7 @@ use evopt_common::expr::{col, lit};
 use evopt_common::{AggFunc, Column, DataType, Expr, Schema, Tuple, Value};
 use evopt_core::cost::Cost;
 use evopt_core::physical::{PhysAgg, PhysOp, PhysicalPlan};
-use evopt_storage::{BufferPool, DiskManager, PolicyKind};
+use evopt_storage::{BufferPool, DiskManager};
 
 use crate::executor::{run_collect, ExecEnv};
 
@@ -19,7 +19,7 @@ use crate::executor::{run_collect, ExecEnv};
 /// * `l(a INT, tag STRING)` — `n_left` rows, a = i % key_space
 /// * `r(b INT, payload INT)` — `n_right` rows, b = i % key_space, indexed
 fn join_world(n_left: i64, n_right: i64, key_space: i64, pool_pages: usize) -> ExecEnv {
-    let pool = BufferPool::new(Arc::new(DiskManager::new()), pool_pages, PolicyKind::Lru);
+    let pool = BufferPool::new(Arc::new(DiskManager::new()), pool_pages);
     let cat = Arc::new(Catalog::new(pool));
     let l = cat
         .create_table(
@@ -279,7 +279,7 @@ fn null_keys_never_match() {
 fn hash_join_grace_spills_and_is_correct() {
     // Build side far larger than the 4-page budget → Grace path.
     let env_small_pool = {
-        let pool = BufferPool::new(Arc::new(DiskManager::new()), 64, PolicyKind::Lru);
+        let pool = BufferPool::new(Arc::new(DiskManager::new()), 64);
         let cat = Arc::new(Catalog::new(pool));
         ExecEnv::new(cat, 4)
     };
@@ -383,7 +383,7 @@ fn sort_orders_and_handles_desc_and_ties() {
 #[test]
 fn external_sort_spills_with_tiny_budget_and_stays_sorted() {
     let env = {
-        let pool = BufferPool::new(Arc::new(DiskManager::new()), 64, PolicyKind::Lru);
+        let pool = BufferPool::new(Arc::new(DiskManager::new()), 64);
         let cat = Arc::new(Catalog::new(pool));
         ExecEnv::new(cat, 3) // 3-page sort budget forces many runs
     };

@@ -170,13 +170,13 @@ pub(crate) mod test_support {
     use evopt_common::{Column, DataType, Tuple, Value};
     use evopt_core::cost::Cost;
     use evopt_core::physical::{PhysOp, PhysicalPlan};
-    use evopt_storage::{BufferPool, DiskManager, PolicyKind};
+    use evopt_storage::{BufferPool, DiskManager};
 
     /// Catalog with `nums(k INT, v INT, s STRING)`: k = 0..n unique
     /// (indexed), v = k % 10, s = "row-k".
     pub fn setup(n: i64, pool_pages: usize) -> ExecEnv {
         let disk = Arc::new(DiskManager::new());
-        let pool = BufferPool::new(disk, pool_pages, PolicyKind::Lru);
+        let pool = BufferPool::new(disk, pool_pages);
         let cat = Arc::new(Catalog::new(pool));
         let t = cat
             .create_table(

@@ -104,16 +104,6 @@ impl Histogram {
         self.observe(start.elapsed().as_micros() as u64);
         out
     }
-
-    /// Like [`Histogram::time`], but skips the clock reads entirely when
-    /// `enabled` is false (metrics off must cost nothing).
-    pub fn time_if<T>(&self, enabled: bool, f: impl FnOnce() -> T) -> T {
-        if enabled {
-            self.time(f)
-        } else {
-            f()
-        }
-    }
 }
 
 impl Default for Histogram {

@@ -700,13 +700,12 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
-    use crate::buffer::PolicyKind;
     use crate::disk::{DiskBackend, DiskManager};
     use proptest::prelude::*;
     use rand::prelude::*;
 
     fn mktree(frames: usize) -> BTreeIndex {
-        let pool = BufferPool::new(Arc::new(DiskManager::new()), frames, PolicyKind::Lru);
+        let pool = BufferPool::new(Arc::new(DiskManager::new()), frames);
         BTreeIndex::create(pool).unwrap()
     }
 
@@ -887,7 +886,7 @@ mod tests {
 
     #[test]
     fn reopen_from_meta_page() {
-        let pool = BufferPool::new(Arc::new(DiskManager::new()), 32, PolicyKind::Lru);
+        let pool = BufferPool::new(Arc::new(DiskManager::new()), 32);
         let t = BTreeIndex::create(Arc::clone(&pool)).unwrap();
         for i in 0..100 {
             t.insert(&Value::Int(i), rid(i as u64)).unwrap();
@@ -906,11 +905,7 @@ mod tests {
         // An index probe should touch ~height pages, far fewer than the
         // tree's total pages — the property the optimizer's cost model uses.
         let disk = Arc::new(DiskManager::new());
-        let pool = BufferPool::new(
-            Arc::clone(&disk) as Arc<dyn DiskBackend>,
-            8,
-            PolicyKind::Lru,
-        );
+        let pool = BufferPool::new(Arc::clone(&disk) as Arc<dyn DiskBackend>, 8);
         let t = BTreeIndex::create(Arc::clone(&pool)).unwrap();
         for i in 0..20_000 {
             t.insert(&Value::Int(i), rid(i as u64)).unwrap();
@@ -934,7 +929,7 @@ mod tests {
 
     #[test]
     fn works_with_tiny_pool() {
-        let pool = BufferPool::new(Arc::new(DiskManager::new()), 4, PolicyKind::Clock);
+        let pool = BufferPool::new(Arc::new(DiskManager::new()), 4);
         let t = BTreeIndex::create(pool).unwrap();
         for i in (0..3000).rev() {
             t.insert(&Value::Int(i), rid(i as u64)).unwrap();

@@ -1,4 +1,4 @@
-//! Buffer pool: a pin-counted page cache with pluggable replacement.
+//! Buffer pool: a pin-counted page cache with LRU replacement.
 //!
 //! The pool owns `B` frames. Fetching a cached page is free (a *hit*);
 //! fetching an uncached page costs one physical read, and may evict an
@@ -6,9 +6,6 @@
 //! cost model reasons about exactly this: e.g. block-nested-loop join cost
 //! depends on how many outer pages fit in the pool at once (experiment F4
 //! sweeps the pool size and compares measured vs. predicted I/O).
-//!
-//! Two replacement policies are provided — [`PolicyKind::Lru`] and
-//! [`PolicyKind::Clock`] — behind one trait so benches can compare them.
 //!
 //! **Integrity.** The pool stamps a CRC-32 checksum for every page it
 //! flushes and verifies it on every physical fetch. A mismatch (torn write,
@@ -50,110 +47,43 @@ pub trait FlushGate: Send + Sync {
     fn can_flush(&self, id: PageId) -> bool;
 }
 
-/// Which replacement policy a pool uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PolicyKind {
-    /// Evict the least-recently-used unpinned frame.
-    Lru,
-    /// Second-chance clock sweep.
-    Clock,
-}
-
-/// Replacement policy over frame indices. Only *evictable* frames (pin count
-/// zero) may be returned by [`Policy::evict`].
-trait Policy: Send {
-    /// The frame was accessed (fetched or created).
-    fn on_access(&mut self, frame: usize);
-    /// Mark whether the frame may be evicted.
-    fn set_evictable(&mut self, frame: usize, evictable: bool);
-    /// Choose a victim frame and forget it, or `None` if all are pinned.
-    fn evict(&mut self) -> Option<usize>;
-}
-
-/// LRU via logical timestamps; eviction scans evictable frames for the
-/// oldest. O(frames) per eviction — fine at the pool sizes we simulate.
-struct LruPolicy {
+/// LRU replacement over frame indices via logical timestamps. Only
+/// *evictable* frames (pin count zero) may be returned by [`Lru::evict`];
+/// eviction scans them for the oldest. O(frames) per eviction — fine at the
+/// pool sizes we simulate.
+struct Lru {
     tick: u64,
     last_used: Vec<u64>,
     evictable: Vec<bool>,
 }
 
-impl LruPolicy {
+impl Lru {
     fn new(frames: usize) -> Self {
-        LruPolicy {
+        Lru {
             tick: 0,
             last_used: vec![0; frames],
             evictable: vec![false; frames],
         }
     }
-}
 
-impl Policy for LruPolicy {
+    /// The frame was accessed (fetched or created).
     fn on_access(&mut self, frame: usize) {
         self.tick += 1;
         self.last_used[frame] = self.tick;
     }
 
+    /// Mark whether the frame may be evicted.
     fn set_evictable(&mut self, frame: usize, evictable: bool) {
         self.evictable[frame] = evictable;
     }
 
+    /// Choose a victim frame and forget it, or `None` if all are pinned.
     fn evict(&mut self) -> Option<usize> {
         let victim = (0..self.last_used.len())
             .filter(|&f| self.evictable[f])
             .min_by_key(|&f| self.last_used[f])?;
         self.evictable[victim] = false;
         Some(victim)
-    }
-}
-
-/// Second-chance clock: a hand sweeps frames; a set reference bit buys one
-/// more revolution.
-struct ClockPolicy {
-    hand: usize,
-    ref_bit: Vec<bool>,
-    evictable: Vec<bool>,
-}
-
-impl ClockPolicy {
-    fn new(frames: usize) -> Self {
-        ClockPolicy {
-            hand: 0,
-            ref_bit: vec![false; frames],
-            evictable: vec![false; frames],
-        }
-    }
-}
-
-impl Policy for ClockPolicy {
-    fn on_access(&mut self, frame: usize) {
-        self.ref_bit[frame] = true;
-    }
-
-    fn set_evictable(&mut self, frame: usize, evictable: bool) {
-        self.evictable[frame] = evictable;
-    }
-
-    fn evict(&mut self) -> Option<usize> {
-        let n = self.ref_bit.len();
-        if !self.evictable.iter().any(|&e| e) {
-            return None;
-        }
-        // At most two sweeps: first clears ref bits, second must find a victim.
-        for _ in 0..2 * n + 1 {
-            let f = self.hand;
-            self.hand = (self.hand + 1) % n;
-            if !self.evictable[f] {
-                continue;
-            }
-            if self.ref_bit[f] {
-                self.ref_bit[f] = false;
-            } else {
-                self.evictable[f] = false;
-                return Some(f);
-            }
-        }
-        None
     }
 }
 
@@ -181,7 +111,7 @@ struct Inner {
     frames: Vec<Frame>,
     table: HashMap<PageId, usize>,
     free: Vec<usize>,
-    policy: Box<dyn Policy>,
+    lru: Lru,
     /// Pages some thread is currently reading off-lock (miss in flight).
     /// Claiming an entry grants the exclusive right to load that page;
     /// other fetchers of the same page wait and re-check. This is what
@@ -275,8 +205,8 @@ pub struct BufferPool {
 }
 
 impl BufferPool {
-    /// A pool of `capacity` frames over `disk` using `policy`.
-    pub fn new(disk: Arc<dyn DiskBackend>, capacity: usize, policy: PolicyKind) -> Arc<Self> {
+    /// A pool of `capacity` frames over `disk`.
+    pub fn new(disk: Arc<dyn DiskBackend>, capacity: usize) -> Arc<Self> {
         assert!(capacity > 0, "buffer pool needs at least one frame");
         let frames = (0..capacity)
             .map(|_| Frame {
@@ -286,16 +216,12 @@ impl BufferPool {
                 data: Arc::new(RwLock::new([0u8; PAGE_SIZE])),
             })
             .collect();
-        let policy: Box<dyn Policy> = match policy {
-            PolicyKind::Lru => Box::new(LruPolicy::new(capacity)),
-            PolicyKind::Clock => Box::new(ClockPolicy::new(capacity)),
-        };
         Arc::new(BufferPool {
             inner: Mutex::new(Inner {
                 frames,
                 table: HashMap::new(),
                 free: (0..capacity).rev().collect(),
-                policy,
+                lru: Lru::new(capacity),
                 loading: HashSet::new(),
             }),
             disk,
@@ -449,8 +375,8 @@ impl BufferPool {
                     }
                     self.hits.fetch_add(1, Ordering::Relaxed);
                     inner.frames[frame].pin_count += 1;
-                    inner.policy.set_evictable(frame, false);
-                    inner.policy.on_access(frame);
+                    inner.lru.set_evictable(frame, false);
+                    inner.lru.on_access(frame);
                     let f = &inner.frames[frame];
                     return Ok(PageGuard {
                         pool: Arc::clone(self),
@@ -527,8 +453,8 @@ impl BufferPool {
         // fetches leave the hit/miss counters untouched.
         self.misses.fetch_add(1, Ordering::Relaxed);
         inner.table.insert(page_id, frame);
-        inner.policy.set_evictable(frame, false);
-        inner.policy.on_access(frame);
+        inner.lru.set_evictable(frame, false);
+        inner.lru.on_access(frame);
         let f = &inner.frames[frame];
         Ok(PageGuard {
             pool: Arc::clone(self),
@@ -565,8 +491,8 @@ impl BufferPool {
         // Created dirty: the durability layer must know before any flush.
         self.notify_dirty(page_id);
         inner.table.insert(page_id, frame);
-        inner.policy.set_evictable(frame, false);
-        inner.policy.on_access(frame);
+        inner.lru.set_evictable(frame, false);
+        inner.lru.on_access(frame);
         let f = &inner.frames[frame];
         Ok(PageGuard {
             pool: Arc::clone(self),
@@ -593,7 +519,7 @@ impl BufferPool {
         let gate = self.flush_gate();
         let mut gated = Vec::new();
         let victim = loop {
-            let Some(v) = inner.policy.evict() else {
+            let Some(v) = inner.lru.evict() else {
                 break None;
             };
             let unflushable = match (&gate, inner.frames[v].page_id) {
@@ -610,7 +536,7 @@ impl BufferPool {
         };
         // Passed-over frames stay evictable for after the next commit.
         for v in gated {
-            inner.policy.set_evictable(v, true);
+            inner.lru.set_evictable(v, true);
         }
         let victim = victim.ok_or_else(|| {
             EvoptError::Storage(format!(
@@ -667,7 +593,7 @@ impl BufferPool {
                         f.page_id = Some(old_id);
                         f.dirty.store(true, Ordering::Relaxed);
                         inner.table.insert(old_id, victim);
-                        inner.policy.set_evictable(victim, true);
+                        inner.lru.set_evictable(victim, true);
                         Err(e)
                     }
                 }
@@ -682,7 +608,7 @@ impl BufferPool {
         debug_assert!(f.pin_count > 0, "unpin of unpinned frame");
         f.pin_count -= 1;
         if f.pin_count == 0 {
-            inner.policy.set_evictable(frame, true);
+            inner.lru.set_evictable(frame, true);
         }
     }
 
@@ -709,7 +635,7 @@ impl BufferPool {
             };
             inner.table.remove(&page_id);
             inner.frames[frame].page_id = None;
-            inner.policy.set_evictable(frame, false);
+            inner.lru.set_evictable(frame, false);
             inner.free.push(frame);
         }
         Ok(())
@@ -742,7 +668,7 @@ impl BufferPool {
                 }
                 if inner.frames[frame].dirty.swap(false, Ordering::Relaxed) {
                     inner.frames[frame].pin_count += 1;
-                    inner.policy.set_evictable(frame, false);
+                    inner.lru.set_evictable(frame, false);
                     let f = &inner.frames[frame];
                     work.push((frame, id, Arc::clone(&f.data), Arc::clone(&f.dirty)));
                 }
@@ -771,7 +697,7 @@ impl BufferPool {
             let f = &mut inner.frames[frame];
             f.pin_count -= 1;
             if f.pin_count == 0 {
-                inner.policy.set_evictable(frame, true);
+                inner.lru.set_evictable(frame, true);
             }
         }
         result
@@ -851,13 +777,13 @@ mod tests {
     use crate::disk::{DiskBackend, DiskManager};
     use crate::fault::{FaultConfig, FaultInjector};
 
-    fn pool(frames: usize, policy: PolicyKind) -> Arc<BufferPool> {
-        BufferPool::new(Arc::new(DiskManager::new()), frames, policy)
+    fn pool(frames: usize) -> Arc<BufferPool> {
+        BufferPool::new(Arc::new(DiskManager::new()), frames)
     }
 
     #[test]
     fn new_page_write_read_roundtrip() {
-        let p = pool(4, PolicyKind::Lru);
+        let p = pool(4);
         let g = p.new_page().unwrap();
         g.write()[0] = 0x5A;
         let id = g.id();
@@ -868,7 +794,7 @@ mod tests {
 
     #[test]
     fn eviction_persists_dirty_pages() {
-        let p = pool(2, PolicyKind::Lru);
+        let p = pool(2);
         let mut ids = Vec::new();
         for i in 0..10u8 {
             let g = p.new_page().unwrap();
@@ -884,7 +810,7 @@ mod tests {
 
     #[test]
     fn pool_exhaustion_is_error_not_deadlock() {
-        let p = pool(2, PolicyKind::Lru);
+        let p = pool(2);
         let _a = p.new_page().unwrap();
         let _b = p.new_page().unwrap();
         let err = p.new_page().unwrap_err();
@@ -894,7 +820,7 @@ mod tests {
 
     #[test]
     fn unpinned_frames_become_reusable() {
-        let p = pool(1, PolicyKind::Clock);
+        let p = pool(1);
         let a = p.new_page().unwrap();
         let a_id = a.id();
         drop(a);
@@ -906,7 +832,7 @@ mod tests {
 
     #[test]
     fn hit_miss_accounting() {
-        let p = pool(4, PolicyKind::Lru);
+        let p = pool(4);
         let g = p.new_page().unwrap();
         let id = g.id();
         drop(g);
@@ -923,7 +849,7 @@ mod tests {
         // backwards, and deltas between successive snapshots must be
         // non-negative (PoolSnapshot::since saturates by construction, so
         // check monotonicity on the raw fields).
-        let p = pool(4, PolicyKind::Lru);
+        let p = pool(4);
         let id = p.new_page().unwrap().id();
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let reader = {
@@ -955,11 +881,7 @@ mod tests {
     #[test]
     fn lru_evicts_least_recently_used() {
         let disk = Arc::new(DiskManager::new());
-        let p = BufferPool::new(
-            Arc::clone(&disk) as Arc<dyn DiskBackend>,
-            2,
-            PolicyKind::Lru,
-        );
+        let p = BufferPool::new(Arc::clone(&disk) as Arc<dyn DiskBackend>, 2);
         let a = p.new_page().unwrap();
         let a_id = a.id();
         drop(a);
@@ -985,11 +907,7 @@ mod tests {
         // pool smaller than N misses every time; a big pool misses once.
         let run = |frames: usize| -> u64 {
             let disk = Arc::new(DiskManager::new());
-            let p = BufferPool::new(
-                Arc::clone(&disk) as Arc<dyn DiskBackend>,
-                frames,
-                PolicyKind::Lru,
-            );
+            let p = BufferPool::new(Arc::clone(&disk) as Arc<dyn DiskBackend>, frames);
             let ids: Vec<_> = (0..8)
                 .map(|_| {
                     let g = p.new_page().unwrap();
@@ -1011,31 +929,9 @@ mod tests {
     }
 
     #[test]
-    fn clock_policy_also_caches() {
-        let disk = Arc::new(DiskManager::new());
-        let p = BufferPool::new(
-            Arc::clone(&disk) as Arc<dyn DiskBackend>,
-            8,
-            PolicyKind::Clock,
-        );
-        let g = p.new_page().unwrap();
-        let id = g.id();
-        drop(g);
-        let before = disk.snapshot();
-        for _ in 0..5 {
-            drop(p.fetch(id).unwrap());
-        }
-        assert_eq!(disk.snapshot().since(&before).reads, 0);
-    }
-
-    #[test]
     fn evict_all_leaves_cache_cold_but_data_intact() {
         let disk = Arc::new(DiskManager::new());
-        let p = BufferPool::new(
-            Arc::clone(&disk) as Arc<dyn DiskBackend>,
-            8,
-            PolicyKind::Lru,
-        );
+        let p = BufferPool::new(Arc::clone(&disk) as Arc<dyn DiskBackend>, 8);
         let g = p.new_page().unwrap();
         g.write()[3] = 0x77;
         let id = g.id();
@@ -1058,11 +954,7 @@ mod tests {
     #[test]
     fn flush_all_writes_dirty_pages() {
         let disk = Arc::new(DiskManager::new());
-        let p = BufferPool::new(
-            Arc::clone(&disk) as Arc<dyn DiskBackend>,
-            4,
-            PolicyKind::Lru,
-        );
+        let p = BufferPool::new(Arc::clone(&disk) as Arc<dyn DiskBackend>, 4);
         let g = p.new_page().unwrap();
         g.write()[7] = 9;
         let id = g.id();
@@ -1080,11 +972,7 @@ mod tests {
         // return a clean Storage error, leave hit/miss counters untouched,
         // and leave the pool fully usable once a pin is released.
         let disk = Arc::new(DiskManager::new());
-        let p = BufferPool::new(
-            Arc::clone(&disk) as Arc<dyn DiskBackend>,
-            2,
-            PolicyKind::Lru,
-        );
+        let p = BufferPool::new(Arc::clone(&disk) as Arc<dyn DiskBackend>, 2);
         // A third page living only on disk.
         let evicted_id = {
             let g = p.new_page().unwrap();
@@ -1134,7 +1022,7 @@ mod tests {
             },
         ));
         inj.set_enabled(false);
-        let p = BufferPool::new(Arc::clone(&inj) as Arc<dyn DiskBackend>, 2, PolicyKind::Lru);
+        let p = BufferPool::new(Arc::clone(&inj) as Arc<dyn DiskBackend>, 2);
         let id = {
             let g = p.new_page().unwrap();
             g.id()
@@ -1155,7 +1043,7 @@ mod tests {
             Arc::clone(&disk) as Arc<dyn DiskBackend>,
             FaultConfig::default(),
         ));
-        let p = BufferPool::new(Arc::clone(&inj) as Arc<dyn DiskBackend>, 4, PolicyKind::Lru);
+        let p = BufferPool::new(Arc::clone(&inj) as Arc<dyn DiskBackend>, 4);
         let make_page = |fill: u8| {
             let g = p.new_page().unwrap();
             for b in g.write().iter_mut() {
@@ -1192,7 +1080,7 @@ mod tests {
             },
         ));
         inj.set_enabled(false);
-        let p = BufferPool::new(Arc::clone(&inj) as Arc<dyn DiskBackend>, 2, PolicyKind::Lru);
+        let p = BufferPool::new(Arc::clone(&inj) as Arc<dyn DiskBackend>, 2);
         let id = {
             let g = p.new_page().unwrap();
             g.write()[7] = 0x77;
@@ -1219,7 +1107,7 @@ mod tests {
             Arc::clone(&disk) as Arc<dyn DiskBackend>,
             FaultConfig::default(),
         ));
-        let p = BufferPool::new(Arc::clone(&inj) as Arc<dyn DiskBackend>, 2, PolicyKind::Lru);
+        let p = BufferPool::new(Arc::clone(&inj) as Arc<dyn DiskBackend>, 2);
         let g = p.new_page().unwrap();
         let id = g.id();
         g.write()[0] = 1;
@@ -1254,11 +1142,7 @@ mod tests {
         }
 
         let disk = Arc::new(DiskManager::new());
-        let p = BufferPool::new(
-            Arc::clone(&disk) as Arc<dyn DiskBackend>,
-            2,
-            PolicyKind::Lru,
-        );
+        let p = BufferPool::new(Arc::clone(&disk) as Arc<dyn DiskBackend>, 2);
         let gate = Arc::new(TestGate {
             strict: AtomicBool::new(true),
             dirtied: StdMutex::new(HashSet::new()),
@@ -1310,11 +1194,7 @@ mod tests {
         // The loading set makes a miss single-flight: many threads racing
         // to fetch the same cold page cause exactly one physical read.
         let disk = Arc::new(DiskManager::new());
-        let p = BufferPool::new(
-            Arc::clone(&disk) as Arc<dyn DiskBackend>,
-            8,
-            PolicyKind::Lru,
-        );
+        let p = BufferPool::new(Arc::clone(&disk) as Arc<dyn DiskBackend>, 8);
         let id = {
             let g = p.new_page().unwrap();
             g.write()[0] = 0x5C;
@@ -1348,11 +1228,7 @@ mod tests {
         // pool lock is not held across the physical read. The sleep-based
         // latency overlaps even on one CPU, so the bound is robust.
         let disk = Arc::new(DiskManager::new());
-        let p = BufferPool::new(
-            Arc::clone(&disk) as Arc<dyn DiskBackend>,
-            8,
-            PolicyKind::Lru,
-        );
+        let p = BufferPool::new(Arc::clone(&disk) as Arc<dyn DiskBackend>, 8);
         let ids: Vec<PageId> = (0..4)
             .map(|i| {
                 let g = p.new_page().unwrap();
@@ -1388,7 +1264,7 @@ mod tests {
 
     #[test]
     fn concurrent_fetches_pin_same_page() {
-        let p = pool(2, PolicyKind::Lru);
+        let p = pool(2);
         let g1 = p.new_page().unwrap();
         let id = g1.id();
         let g2 = p.fetch(id).unwrap();

@@ -235,12 +235,11 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
-    use crate::buffer::PolicyKind;
     use crate::disk::{DiskBackend, DiskManager};
     use evopt_common::Value;
 
     fn mkpool(frames: usize) -> Arc<BufferPool> {
-        BufferPool::new(Arc::new(DiskManager::new()), frames, PolicyKind::Lru)
+        BufferPool::new(Arc::new(DiskManager::new()), frames)
     }
 
     fn row(i: i64) -> Tuple {
@@ -277,11 +276,7 @@ mod tests {
     fn scan_page_count_matches_file_page_count() {
         // Sequential scan I/O == page_count when the pool is cold.
         let disk = Arc::new(DiskManager::new());
-        let pool = BufferPool::new(
-            Arc::clone(&disk) as Arc<dyn DiskBackend>,
-            4,
-            PolicyKind::Lru,
-        );
+        let pool = BufferPool::new(Arc::clone(&disk) as Arc<dyn DiskBackend>, 4);
         let heap = HeapFile::create(Arc::clone(&pool)).unwrap();
         for i in 0..1000 {
             heap.insert(&row(i)).unwrap();

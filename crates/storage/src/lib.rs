@@ -13,7 +13,7 @@
 //!   (see DESIGN.md §5).
 //! * [`page`] — 4 KiB slotted pages storing variable-length records.
 //! * [`buffer::BufferPool`] — a pin-counted frame cache over the disk with
-//!   pluggable replacement ([`buffer::PolicyKind`]: LRU or Clock).
+//!   LRU replacement.
 //!   Cache hits cost no physical I/O, so measured I/O depends on pool size —
 //!   exactly the effect experiment F4 studies.
 //! * [`heap::HeapFile`] — unordered tuple storage, the base for every table.
@@ -46,7 +46,7 @@ pub mod page;
 pub mod wal;
 
 pub use btree::BTreeIndex;
-pub use buffer::{BufferPool, FlushGate, PolicyKind, PoolSnapshot};
+pub use buffer::{BufferPool, FlushGate, PoolSnapshot};
 pub use checksum::crc32;
 pub use disk::{DiskBackend, DiskManager, IoSnapshot};
 pub use fault::{CrashingBackend, FaultConfig, FaultInjector, FaultReport};

@@ -1264,7 +1264,6 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
-    use crate::buffer::PolicyKind;
     use crate::disk::DiskManager;
     use crate::page::set_page_lsn;
 
@@ -1272,11 +1271,7 @@ mod tests {
     fn setup(frames: usize) -> (Arc<DiskManager>, Arc<BufferPool>, Arc<Wal>) {
         let disk = Arc::new(DiskManager::new());
         let wal = Wal::create(Arc::clone(&disk) as Arc<dyn DiskBackend>).unwrap();
-        let pool = BufferPool::new(
-            Arc::clone(&disk) as Arc<dyn DiskBackend>,
-            frames,
-            PolicyKind::Lru,
-        );
+        let pool = BufferPool::new(Arc::clone(&disk) as Arc<dyn DiskBackend>, frames);
         pool.set_flush_gate(Arc::clone(&wal) as Arc<dyn FlushGate>);
         (disk, pool, wal)
     }

@@ -61,6 +61,6 @@ pub use evopt_engine::{
     AnalyzeConfig, CancellationToken, CrashingBackend, Database, DatabaseConfig, DiskBackend,
     DiskManager, Durability, EngineMetrics, FaultConfig, FaultInjector, FaultReport,
     GovernorConfig, HistogramKind, IoSnapshot, MetricsSnapshot, OperatorMetrics, Phase, PhaseSpan,
-    PolicyKind, PoolSnapshot, QueryLog, QueryLogEntry, QueryMetrics, QueryResult, RecoveryInfo,
-    SearchTrace, Session, SessionConfig, StatementSpan, TracedQuery, Wal, WalStats,
+    PoolSnapshot, QueryLog, QueryLogEntry, QueryMetrics, QueryResult, RecoveryInfo, SearchTrace,
+    Session, SessionConfig, StatementSpan, TracedQuery, Wal, WalStats,
 };

@@ -8,30 +8,23 @@
 //! family past the optimizer's choices. Edge cases: empty inputs, results
 //! that fit exactly one batch, results straddling batch boundaries, and
 //! LIMITs that cut a batch mid-way.
+//!
+//! The `*_row_vs_columnar` tests are the cross-family differentials: the
+//! operators that run typed column kernels against their row-at-a-time
+//! siblings (see `support::sibling`), at every batch size.
 
-use std::sync::Arc;
+mod support;
 
 use evopt::{Database, Tuple};
-use evopt_catalog::{analyze_table, AnalyzeConfig, Catalog};
-use evopt_common::expr::col;
-use evopt_common::{Column, DataType, Expr, Schema, Value};
-use evopt_core::cost::Cost;
-use evopt_core::physical::{PhysOp, PhysicalPlan};
+use evopt_common::Value;
 use evopt_exec::{run_collect, ExecEnv};
-use evopt_storage::{BufferPool, DiskManager, PolicyKind};
 use evopt_workload::tpch_lite::queries;
 use evopt_workload::{load_tpch_lite, load_wisconsin};
+use support::{count_ops, join_plans, normalized, sibling, sorted_scan, world};
 
 /// 1 is the tuple-at-a-time baseline; 3 forces many ragged partial batches;
 /// 1024 is the default; 4096 puts whole results in one batch.
 const BATCH_SIZES: [usize; 4] = [3, 64, 1024, 4096];
-
-/// Order-insensitive fingerprint of a result set.
-fn normalized(rows: &[Tuple]) -> Vec<String> {
-    let mut keys: Vec<String> = rows.iter().map(|t| format!("{t:?}")).collect();
-    keys.sort();
-    keys
-}
 
 fn fixture() -> Database {
     let db = Database::with_defaults();
@@ -111,31 +104,40 @@ fn sql_battery_identical_across_batch_sizes() {
 
 #[test]
 fn sql_battery_identical_row_vs_columnar() {
-    // The columnar port (typed filter kernels, typed join key maps, typed
-    // aggregation) must be invisible in results: the whole battery, run in
-    // row mode and in columnar mode at several batch sizes, returns
-    // identical rows.
+    // The typed operators (filter kernels, join key maps, typed
+    // accumulators) must be invisible in results: every battery query's
+    // chosen plan, and the same plan with each typed operator swapped for
+    // its row-at-a-time sibling, return identical rows at several batch
+    // sizes.
     let db = fixture();
-    for bs in [1, 64, 1024] {
-        db.set_batch_rows(bs);
-        for sql in query_battery() {
-            db.set_columnar(false);
-            let want = db.query(sql).unwrap();
-            db.set_columnar(true);
+    let (mut hash_joins, mut hash_aggregates) = (0, 0);
+    for sql in query_battery() {
+        let (_, chosen) = db.plan_sql(sql).unwrap();
+        hash_joins += count_ops(&chosen, "HashJoin");
+        hash_aggregates += count_ops(&chosen, "HashAggregate");
+        let reference = sibling(&chosen);
+        for bs in [1, 64, 1024] {
+            db.set_batch_rows(bs);
+            let want = db.run_plan(&reference).unwrap();
             let got = db.query(sql).unwrap();
             assert_eq!(
                 normalized(&got),
                 normalized(&want),
-                "columnar mode changed the result of {sql} at batch_rows={bs}"
+                "the typed operators changed the result of {sql} at batch_rows={bs}"
             );
             if sql.contains("ORDER BY unique1") {
                 assert_eq!(
                     got, want,
-                    "columnar mode changed row order of {sql} at batch_rows={bs}"
+                    "the typed operators changed row order of {sql} at batch_rows={bs}"
                 );
             }
         }
     }
+    assert!(
+        hash_joins > 0 && hash_aggregates > 0,
+        "the battery no longer plans the operators under test \
+         ({hash_joins} hash joins, {hash_aggregates} hash aggregates)"
+    );
 }
 
 #[test]
@@ -161,156 +163,11 @@ fn result_fitting_exactly_one_batch() {
 /// `l(a INT, tag STRING)` and `r(b INT, payload INT)` with `b` indexed;
 /// keys collide so joins fan out, and both sides carry NULL keys.
 fn join_world(n_left: i64, n_right: i64, key_space: i64, pool_pages: usize) -> ExecEnv {
-    let pool = BufferPool::new(Arc::new(DiskManager::new()), pool_pages, PolicyKind::Lru);
-    let cat = Arc::new(Catalog::new(pool));
-    let l = cat
-        .create_table(
-            "l",
-            Schema::new(vec![
-                Column::new("a", DataType::Int),
-                Column::new("tag", DataType::Str),
-            ]),
-        )
-        .unwrap();
-    for i in 0..n_left {
-        let key = if i % 17 == 0 {
-            Value::Null
-        } else {
-            Value::Int(i % key_space)
-        };
-        l.heap
-            .insert(&Tuple::new(vec![key, Value::Str(format!("L{i}"))]))
-            .unwrap();
-    }
-    let r = cat
-        .create_table(
-            "r",
-            Schema::new(vec![
-                Column::new("b", DataType::Int),
-                Column::new("payload", DataType::Int),
-            ]),
-        )
-        .unwrap();
-    for i in 0..n_right {
-        let key = if i % 23 == 0 {
-            Value::Null
-        } else {
-            Value::Int(i % key_space)
-        };
-        r.heap
-            .insert(&Tuple::new(vec![key, Value::Int(i * 100)]))
-            .unwrap();
-    }
-    cat.create_index("r_b", "r", "b", false, false).unwrap();
-    // create_index clone-and-swaps r's TableInfo (CoW catalog): re-fetch
-    // so the stats land on the registered entry, not a stale snapshot.
-    let r = cat.table("r").unwrap();
-    analyze_table(&l, &AnalyzeConfig::default()).unwrap();
-    analyze_table(&r, &AnalyzeConfig::default()).unwrap();
-    ExecEnv::new(cat, pool_pages)
-}
-
-fn plan(op: PhysOp, schema: Schema) -> PhysicalPlan {
-    PhysicalPlan {
-        op,
-        schema,
-        est_rows: 0.0,
-        est_cost: Cost::ZERO,
-        output_order: None,
-    }
-}
-
-fn scan(env: &ExecEnv, t: &str) -> PhysicalPlan {
-    let schema = env.catalog.table(t).unwrap().schema.clone();
-    plan(
-        PhysOp::SeqScan {
-            table: t.into(),
-            filter: None,
-        },
-        schema,
-    )
-}
-
-fn sorted_scan(env: &ExecEnv, t: &str) -> PhysicalPlan {
-    let s = scan(env, t);
-    let schema = s.schema.clone();
-    plan(
-        PhysOp::Sort {
-            input: Box::new(s),
-            keys: vec![(0, true)],
-        },
-        schema,
-    )
-}
-
-/// Every join family over the same inputs.
-fn join_plans(env: &ExecEnv) -> Vec<(&'static str, PhysicalPlan)> {
-    let schema = scan(env, "l").schema.join(&scan(env, "r").schema);
-    let pred = Some(Expr::eq(col(0), col(2)));
-    vec![
-        (
-            "NestedLoopJoin",
-            plan(
-                PhysOp::NestedLoopJoin {
-                    left: Box::new(scan(env, "l")),
-                    right: Box::new(scan(env, "r")),
-                    predicate: pred.clone(),
-                },
-                schema.clone(),
-            ),
-        ),
-        (
-            "BlockNestedLoopJoin",
-            plan(
-                PhysOp::BlockNestedLoopJoin {
-                    left: Box::new(scan(env, "l")),
-                    right: Box::new(scan(env, "r")),
-                    predicate: pred,
-                    block_pages: 4,
-                },
-                schema.clone(),
-            ),
-        ),
-        (
-            "IndexNestedLoopJoin",
-            plan(
-                PhysOp::IndexNestedLoopJoin {
-                    outer: Box::new(scan(env, "l")),
-                    inner_table: "r".into(),
-                    index: "r_b".into(),
-                    outer_key: 0,
-                    residual: None,
-                },
-                schema.clone(),
-            ),
-        ),
-        (
-            "SortMergeJoin",
-            plan(
-                PhysOp::SortMergeJoin {
-                    left: Box::new(sorted_scan(env, "l")),
-                    right: Box::new(sorted_scan(env, "r")),
-                    left_key: 0,
-                    right_key: 0,
-                    residual: None,
-                },
-                schema.clone(),
-            ),
-        ),
-        (
-            "HashJoin",
-            plan(
-                PhysOp::HashJoin {
-                    left: Box::new(scan(env, "l")),
-                    right: Box::new(scan(env, "r")),
-                    left_key: 0,
-                    right_key: 0,
-                    residual: None,
-                },
-                schema,
-            ),
-        ),
-    ]
+    let key = move |i: i64, null_every: i64| match i % null_every {
+        0 => Value::Null,
+        _ => Value::Int(i % key_space),
+    };
+    world(pool_pages, |i| key(i, 17), n_left, |i| key(i, 23), n_right)
 }
 
 #[test]
@@ -332,21 +189,22 @@ fn every_join_family_identical_across_batch_sizes() {
 
 #[test]
 fn every_join_family_identical_row_vs_columnar() {
-    // Same forced-plan battery, row mode vs columnar mode. The fixture's
-    // NULL keys (every 17th left row, every 23rd right row) make this a
-    // NULL-semantics check too: a columnar key map that matched NULLs
-    // would show up as extra rows here.
+    // Same forced-plan battery, every family against the nested-loop join's
+    // row-at-a-time predicate evaluation. The fixture's NULL keys (every
+    // 17th left row, every 23rd right row) make this a NULL-semantics check
+    // too: a key map that matched NULLs would show up as extra rows here.
     let env = join_world(200, 300, 40, 16);
-    for (name, p) in join_plans(&env) {
-        for bs in [1, 64, 1024] {
-            let want =
-                run_collect(&p, &env.clone().with_batch_rows(bs).with_columnar(false)).unwrap();
-            let got =
-                run_collect(&p, &env.clone().with_batch_rows(bs).with_columnar(true)).unwrap();
+    let plans = join_plans(&env);
+    for bs in [1, 64, 1024] {
+        let env = env.clone().with_batch_rows(bs);
+        let want = run_collect(&plans[0].1, &env).unwrap();
+        assert!(!want.is_empty(), "fixture should produce matches");
+        for (name, p) in &plans[1..] {
+            let got = run_collect(p, &env).unwrap();
             assert_eq!(
                 normalized(&got),
                 normalized(&want),
-                "{name} differs between row and columnar mode at batch_rows={bs}"
+                "{name} differs from NestedLoopJoin at batch_rows={bs}"
             );
         }
     }
@@ -385,19 +243,21 @@ fn grace_hash_join_identical_across_batch_sizes() {
 
 #[test]
 fn grace_hash_join_identical_row_vs_columnar() {
-    // The Grace spill path still runs the row shim in columnar mode; the
+    // The Grace path builds a typed key index per partition; the
     // in-memory/spill decision and the per-partition results must agree
-    // with row mode either way.
+    // with the sort-merge join's row-at-a-time key comparison.
     let env = join_world(800, 1200, 60, 3);
-    let p = join_plans(&env).pop().unwrap().1;
-    let want = run_collect(&p, &env.clone().with_batch_rows(1024).with_columnar(false)).unwrap();
+    let plans = join_plans(&env);
+    let (merge, hash) = (&plans[3], &plans[4]);
+    assert_eq!((merge.0, hash.0), ("SortMergeJoin", "HashJoin"));
+    let want = run_collect(&merge.1, &env.clone().with_batch_rows(1024)).unwrap();
     assert!(!want.is_empty());
     for bs in [1, 64, 1024] {
-        let got = run_collect(&p, &env.clone().with_batch_rows(bs).with_columnar(true)).unwrap();
+        let got = run_collect(&hash.1, &env.clone().with_batch_rows(bs)).unwrap();
         assert_eq!(
             normalized(&got),
             normalized(&want),
-            "Grace hash join differs between row and columnar mode at batch_rows={bs}"
+            "Grace hash join differs from SortMergeJoin at batch_rows={bs}"
         );
     }
 }

@@ -4,7 +4,7 @@
 //! The rules under test:
 //!
 //! * **Join keys never match on NULL** — including `NULL = NULL` — in every
-//!   join family, row mode and columnar mode alike.
+//!   join family.
 //! * **GROUP BY groups NULL keys into one group** (total-order equality is
 //!   the *correct* choice there), and DISTINCT — lowered to GROUP BY-all —
 //!   collapses NULL duplicates.
@@ -14,49 +14,48 @@
 //! * **Predicates reject NULL** (`WHERE x = x` drops NULL rows), while
 //!   `IS NULL` / `IS NOT NULL` observe nullness directly.
 //!
-//! Every check runs in row mode and columnar mode at batch sizes 1, 64 and
-//! 1024 and asserts identical results — the columnar kernels must
-//! reproduce the row operators' NULL behaviour exactly.
+//! Every check runs the operators that use typed column kernels and their
+//! row-at-a-time siblings (see `support::sibling`) at batch sizes 1, 64 and
+//! 1024 and asserts identical results — the kernels must reproduce the row
+//! operators' NULL behaviour exactly.
+
+mod support;
 
 use std::sync::Arc;
 
 use evopt::{Database, Tuple};
-use evopt_catalog::{analyze_table, AnalyzeConfig, Catalog};
-use evopt_common::expr::col;
-use evopt_common::{Column, DataType, Expr, Schema, Value};
-use evopt_core::cost::Cost;
-use evopt_core::physical::{PhysOp, PhysicalPlan};
+use evopt_catalog::Catalog;
+use evopt_common::expr::{col, lit};
+use evopt_common::{BinOp, Column, DataType, Expr, Schema, UnOp, Value};
+use evopt_core::physical::PhysOp;
+use evopt_exec::kernels::compile_predicate;
 use evopt_exec::{run_collect, ExecEnv};
-use evopt_storage::{BufferPool, DiskManager, PolicyKind};
+use evopt_obs::EngineMetrics;
+use evopt_storage::{BufferPool, DiskManager};
+use support::{join_plans, normalized, plan, scan, sibling, world};
 
 const BATCH_SIZES: [usize; 3] = [1, 64, 1024];
 
-fn normalized(rows: &[Tuple]) -> Vec<String> {
-    let mut keys: Vec<String> = rows.iter().map(|t| format!("{t:?}")).collect();
-    keys.sort();
-    keys
-}
-
-/// Run `sql` in row mode and columnar mode at each batch size; assert all
-/// six runs agree and return one representative result.
+/// Run `sql` as planned and with every typed operator swapped for its
+/// row-at-a-time sibling, at each batch size; assert all six runs agree and
+/// return one representative result.
 fn query_all_modes(db: &Database, sql: &str) -> Vec<Tuple> {
+    let (_, chosen) = db.plan_sql(sql).unwrap();
+    let row_wise = sibling(&chosen);
     let mut reference: Option<(Vec<Tuple>, Vec<String>)> = None;
     for bs in BATCH_SIZES {
         db.set_batch_rows(bs);
-        for columnar in [false, true] {
-            db.set_columnar(columnar);
-            let got = db.query(sql).unwrap();
+        for (mode, p) in [("row-wise siblings", &row_wise), ("as planned", &chosen)] {
+            let got = db.run_plan(p).unwrap();
             let norm = normalized(&got);
             match &reference {
                 None => reference = Some((got, norm)),
-                Some((_, want)) => assert_eq!(
-                    &norm, want,
-                    "{sql} differs at batch_rows={bs} columnar={columnar}"
-                ),
+                Some((_, want)) => {
+                    assert_eq!(&norm, want, "{sql} differs at batch_rows={bs}, {mode}")
+                }
             }
         }
     }
-    db.set_columnar(true);
     reference.unwrap().0
 }
 
@@ -217,182 +216,26 @@ fn null_join_keys_never_match_sql_level() {
 // Plan level: the NULL = NULL regression in EVERY join family
 // ---------------------------------------------------------------------------
 
-/// `l(a INT, tag STRING)` / `r(b INT, payload INT)` with `b` indexed. Key
-/// columns are produced by the closures (NULLs allowed); rows are inserted
-/// before the index is built so the index stays consistent.
-fn world(
-    pool_pages: usize,
-    left_key: impl Fn(i64) -> Value,
-    n_left: i64,
-    right_key: impl Fn(i64) -> Value,
-    n_right: i64,
-) -> ExecEnv {
-    let pool = BufferPool::new(Arc::new(DiskManager::new()), pool_pages, PolicyKind::Lru);
-    let cat = Arc::new(Catalog::new(pool));
-    let l = cat
-        .create_table(
-            "l",
-            Schema::new(vec![
-                Column::new("a", DataType::Int),
-                Column::new("tag", DataType::Str),
-            ]),
-        )
-        .unwrap();
-    for i in 0..n_left {
-        l.heap
-            .insert(&Tuple::new(vec![left_key(i), Value::Str(format!("L{i}"))]))
-            .unwrap();
-    }
-    let r = cat
-        .create_table(
-            "r",
-            Schema::new(vec![
-                Column::new("b", DataType::Int),
-                Column::new("payload", DataType::Int),
-            ]),
-        )
-        .unwrap();
-    for i in 0..n_right {
-        r.heap
-            .insert(&Tuple::new(vec![right_key(i), Value::Int(i * 100)]))
-            .unwrap();
-    }
-    cat.create_index("r_b", "r", "b", false, false).unwrap();
-    // create_index clone-and-swaps r's TableInfo (CoW catalog): re-fetch
-    // so the stats land on the registered entry, not a stale snapshot.
-    let r = cat.table("r").unwrap();
-    analyze_table(&l, &AnalyzeConfig::default()).unwrap();
-    analyze_table(&r, &AnalyzeConfig::default()).unwrap();
-    ExecEnv::new(cat, pool_pages)
-}
-
 /// Two tables whose join keys are **all NULL** (plus payloads). Any join
 /// family that treats `NULL = NULL` as a match produces rows here.
 fn all_null_world(pool_pages: usize) -> ExecEnv {
     world(pool_pages, |_| Value::Null, 50, |_| Value::Null, 50)
 }
 
-fn plan(op: PhysOp, schema: Schema) -> PhysicalPlan {
-    PhysicalPlan {
-        op,
-        schema,
-        est_rows: 0.0,
-        est_cost: Cost::ZERO,
-        output_order: None,
-    }
-}
-
-fn scan(env: &ExecEnv, t: &str) -> PhysicalPlan {
-    let schema = env.catalog.table(t).unwrap().schema.clone();
-    plan(
-        PhysOp::SeqScan {
-            table: t.into(),
-            filter: None,
-        },
-        schema,
-    )
-}
-
-fn sorted_scan(env: &ExecEnv, t: &str) -> PhysicalPlan {
-    let s = scan(env, t);
-    let schema = s.schema.clone();
-    plan(
-        PhysOp::Sort {
-            input: Box::new(s),
-            keys: vec![(0, true)],
-        },
-        schema,
-    )
-}
-
-fn join_plans(env: &ExecEnv) -> Vec<(&'static str, PhysicalPlan)> {
-    let schema = scan(env, "l").schema.join(&scan(env, "r").schema);
-    let pred = Some(Expr::eq(col(0), col(2)));
-    vec![
-        (
-            "NestedLoopJoin",
-            plan(
-                PhysOp::NestedLoopJoin {
-                    left: Box::new(scan(env, "l")),
-                    right: Box::new(scan(env, "r")),
-                    predicate: pred.clone(),
-                },
-                schema.clone(),
-            ),
-        ),
-        (
-            "BlockNestedLoopJoin",
-            plan(
-                PhysOp::BlockNestedLoopJoin {
-                    left: Box::new(scan(env, "l")),
-                    right: Box::new(scan(env, "r")),
-                    predicate: pred,
-                    block_pages: 4,
-                },
-                schema.clone(),
-            ),
-        ),
-        (
-            "IndexNestedLoopJoin",
-            plan(
-                PhysOp::IndexNestedLoopJoin {
-                    outer: Box::new(scan(env, "l")),
-                    inner_table: "r".into(),
-                    index: "r_b".into(),
-                    outer_key: 0,
-                    residual: None,
-                },
-                schema.clone(),
-            ),
-        ),
-        (
-            "SortMergeJoin",
-            plan(
-                PhysOp::SortMergeJoin {
-                    left: Box::new(sorted_scan(env, "l")),
-                    right: Box::new(sorted_scan(env, "r")),
-                    left_key: 0,
-                    right_key: 0,
-                    residual: None,
-                },
-                schema.clone(),
-            ),
-        ),
-        (
-            "HashJoin",
-            plan(
-                PhysOp::HashJoin {
-                    left: Box::new(scan(env, "l")),
-                    right: Box::new(scan(env, "r")),
-                    left_key: 0,
-                    right_key: 0,
-                    residual: None,
-                },
-                schema,
-            ),
-        ),
-    ]
-}
-
 #[test]
 fn null_eq_null_joins_nothing_in_every_family() {
     // THE regression test: a NULL = NULL join key produces zero matches in
-    // every join family, in row mode and columnar mode, at every batch
-    // size. An equality routed through derived `Eq` (Null == Null) would
-    // emit 50 × 50 rows here.
+    // every join family at every batch size. An equality routed through
+    // derived `Eq` (Null == Null) would emit 50 × 50 rows here.
     let env = all_null_world(16);
     for (name, p) in join_plans(&env) {
         for bs in BATCH_SIZES {
-            for columnar in [false, true] {
-                let got = run_collect(&p, &env.clone().with_batch_rows(bs).with_columnar(columnar))
-                    .unwrap();
-                assert!(
-                    got.is_empty(),
-                    "{name} matched NULL keys (batch_rows={bs}, columnar={columnar}): \
-                     {} rows",
-                    got.len()
-                );
-            }
+            let got = run_collect(&p, &env.clone().with_batch_rows(bs)).unwrap();
+            assert!(
+                got.is_empty(),
+                "{name} matched NULL keys (batch_rows={bs}): {} rows",
+                got.len()
+            );
         }
     }
 }
@@ -411,53 +254,213 @@ fn null_eq_null_joins_nothing_under_grace_spill() {
             .unwrap();
     }
     let p = join_plans(&env).pop().unwrap().1;
-    for columnar in [false, true] {
-        let got =
-            run_collect(&p, &env.clone().with_batch_rows(64).with_columnar(columnar)).unwrap();
-        assert!(
-            got.is_empty(),
-            "Grace hash join matched NULL keys (columnar={columnar})"
-        );
+    let got = run_collect(&p, &env.clone().with_batch_rows(64)).unwrap();
+    assert!(got.is_empty(), "Grace hash join matched NULL keys");
+}
+
+/// NULL keys interleaved with colliding real keys on both sides.
+fn mixed_null_world(pool_pages: usize, n_left: i64, n_right: i64) -> ExecEnv {
+    let key = |i: i64, null_every: i64, space: i64| match i % null_every {
+        0 => Value::Null,
+        _ => Value::Int(i % space),
+    };
+    world(
+        pool_pages,
+        |i| key(i, 4, 9),
+        n_left,
+        |i| key(i, 5, 13),
+        n_right,
+    )
+}
+
+/// Every family returns the nested-loop join's multiset at every batch
+/// size.
+fn assert_families_match_nested_loop(env: &ExecEnv) {
+    let plans = join_plans(env);
+    let want = run_collect(&plans[0].1, &env.clone().with_batch_rows(1)).unwrap();
+    assert!(!want.is_empty(), "fixture should produce matches");
+    let want = normalized(&want);
+    for (name, p) in &plans {
+        for bs in BATCH_SIZES {
+            let got = run_collect(p, &env.clone().with_batch_rows(bs)).unwrap();
+            assert_eq!(
+                normalized(&got),
+                want,
+                "{name} differs from NestedLoopJoin (batch_rows={bs})"
+            );
+        }
     }
 }
 
 #[test]
 fn mixed_null_join_identical_row_vs_columnar() {
-    // NULL keys interleaved with colliding real keys on both sides: the
-    // non-null subset must join the same in every family, row vs columnar,
-    // at every batch size.
-    let env = world(
-        16,
-        |i| {
-            if i % 4 == 0 {
-                Value::Null
-            } else {
-                Value::Int(i % 9)
+    // The non-null subset must join the same in every family — the typed
+    // key index against row-at-a-time key comparison — at every batch size.
+    assert_families_match_nested_loop(&mixed_null_world(16, 170, 170));
+}
+
+#[test]
+fn every_join_family_matches_nested_loop_in_memory_and_under_grace_spill() {
+    // A build side of 1 000 rows: held in memory under a 64-page budget,
+    // Grace-partitioned under a 3-page one. Same rows either way, from
+    // every family.
+    for (pool_pages, spills) in [(64, false), (3, true)] {
+        let counters = Arc::new(EngineMetrics::default());
+        let env = mixed_null_world(pool_pages, 150, 1000).with_metrics(Arc::clone(&counters));
+        assert_families_match_nested_loop(&env);
+        assert_eq!(
+            counters.snapshot().exec_spills > 0,
+            spills,
+            "a {pool_pages}-page budget should {}spill the hash join's build side",
+            if spills { "" } else { "not " }
+        );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Plan level: the typed filter against the predicate pushed into the scan
+// ---------------------------------------------------------------------------
+
+/// `f(i INT, x FLOAT, s STRING, b BOOL)`, 300 rows, NULLs in every column;
+/// every third `x` is an `Int` stored in the `FLOAT` column, so its column
+/// vector takes the mixed-variant path.
+fn filter_world() -> ExecEnv {
+    let pool = BufferPool::new(Arc::new(DiskManager::new()), 32);
+    let cat = Arc::new(Catalog::new(pool));
+    let f = cat
+        .create_table(
+            "f",
+            Schema::new(vec![
+                Column::new("i", DataType::Int),
+                Column::new("x", DataType::Float),
+                Column::new("s", DataType::Str),
+                Column::new("b", DataType::Bool),
+            ]),
+        )
+        .unwrap();
+    let unless = |null: bool, v: Value| if null { Value::Null } else { v };
+    for n in 0..300i64 {
+        let x = match n % 3 {
+            0 => Value::Int(n % 20),
+            _ => Value::Float((n % 20) as f64 / 2.0),
+        };
+        f.heap
+            .insert(&Tuple::new(vec![
+                unless(n % 7 == 0, Value::Int(n % 11)),
+                unless(n % 5 == 0, x),
+                unless(n % 6 == 0, Value::Str(format!("s{}", n % 4))),
+                unless(n % 9 == 0, Value::Bool(n % 2 == 0)),
+            ]))
+            .unwrap();
+    }
+    ExecEnv::new(cat, 32)
+}
+
+#[test]
+fn filter_matches_the_predicate_pushed_into_the_scan() {
+    let (i, x, s, b) = (|| col(0), || col(1), || col(2), || col(3));
+    let cmp = Expr::binary;
+    let unary = |op, input: Expr| Expr::Unary {
+        op,
+        input: Box::new(input),
+    };
+    let between = |negated| Expr::Between {
+        input: Box::new(i()),
+        low: Box::new(lit(3i64)),
+        high: Box::new(lit(7i64)),
+        negated,
+    };
+    let in_list = |list: Vec<Value>, negated| Expr::InList {
+        input: Box::new(i()),
+        list,
+        negated,
+    };
+    // Every shape `compile_predicate` lowers to a kernel …
+    let mut typed = vec![
+        lit(true),
+        lit(false),
+        Expr::Literal(Value::Null),
+        cmp(BinOp::Eq, lit(5i64), i()),
+        cmp(BinOp::Lt, lit(2.5), x()),
+        cmp(BinOp::Lt, i(), x()),
+        cmp(BinOp::Eq, x(), x()),
+        cmp(BinOp::Eq, b(), lit(true)),
+        cmp(BinOp::GtEq, s(), lit("s2")),
+        // Cross-class constant: never TRUE, never an error.
+        cmp(BinOp::Eq, i(), lit("5")),
+        unary(UnOp::IsNull, s()),
+        unary(UnOp::IsNotNull, x()),
+        between(false),
+        between(true),
+        in_list(vec![Value::Int(1), Value::Int(4), Value::Int(9)], false),
+        in_list(vec![Value::Int(1), Value::Null], false),
+        in_list(vec![Value::Int(1), Value::Int(4)], true),
+        in_list(vec![Value::Int(1), Value::Null], true),
+        Expr::and(
+            cmp(BinOp::Gt, i(), lit(2i64)),
+            Expr::or(unary(UnOp::IsNull, x()), cmp(BinOp::LtEq, x(), lit(4i64))),
+        ),
+        Expr::not(Expr::or(
+            cmp(BinOp::Eq, i(), lit(1i64)),
+            Expr::and(unary(UnOp::IsNotNull, s()), between(false)),
+        )),
+    ];
+    for op in [
+        BinOp::Eq,
+        BinOp::NotEq,
+        BinOp::Lt,
+        BinOp::LtEq,
+        BinOp::Gt,
+        BinOp::GtEq,
+    ] {
+        typed.push(cmp(op, i(), lit(5i64)));
+        typed.push(Expr::not(cmp(op, x(), lit(4.5))));
+    }
+    // … and shapes it rejects, which the same operator evaluates row at a
+    // time.
+    let fallback = vec![
+        cmp(
+            BinOp::Gt,
+            Expr::binary(BinOp::Add, i(), lit(1i64)),
+            lit(5i64),
+        ),
+        Expr::and(
+            cmp(BinOp::Lt, i(), lit(9i64)),
+            unary(UnOp::IsNull, Expr::binary(BinOp::Mul, x(), lit(2i64))),
+        ),
+    ];
+    assert!(typed.iter().all(|p| compile_predicate(p).is_some()));
+    assert!(fallback.iter().all(|p| compile_predicate(p).is_none()));
+
+    let env = filter_world();
+    let table = scan(&env, "f");
+    let mut kept_some = 0;
+    for predicate in typed.into_iter().chain(fallback) {
+        let filter = plan(
+            PhysOp::Filter {
+                input: Box::new(table.clone()),
+                predicate: predicate.clone(),
+            },
+            table.schema.clone(),
+        );
+        let pushed = sibling(&filter);
+        assert!(matches!(
+            &pushed.op,
+            PhysOp::SeqScan {
+                filter: Some(_),
+                ..
             }
-        },
-        170,
-        |i| {
-            if i % 5 == 0 {
-                Value::Null
-            } else {
-                Value::Int(i % 13)
-            }
-        },
-        170,
-    );
-    for (name, p) in join_plans(&env) {
-        let want = run_collect(&p, &env.clone().with_batch_rows(1).with_columnar(false)).unwrap();
-        assert!(!want.is_empty(), "{name}: fixture should produce matches");
+        ));
+        let want = run_collect(&pushed, &env).unwrap();
+        kept_some += usize::from(!want.is_empty() && want.len() < 300);
         for bs in BATCH_SIZES {
-            for columnar in [false, true] {
-                let got = run_collect(&p, &env.clone().with_batch_rows(bs).with_columnar(columnar))
-                    .unwrap();
-                assert_eq!(
-                    normalized(&got),
-                    normalized(&want),
-                    "{name} differs (batch_rows={bs}, columnar={columnar})"
-                );
-            }
+            let got = run_collect(&filter, &env.clone().with_batch_rows(bs)).unwrap();
+            // Both keep the scan's order: exact equality, not the multiset.
+            assert_eq!(got, want, "{predicate} at batch_rows={bs}");
         }
     }
+    assert!(
+        kept_some > 20,
+        "most predicates should split the fixture ({kept_some} did)"
+    );
 }

@@ -321,25 +321,6 @@ fn metrics_text_is_prometheus_shaped() {
     }
 }
 
-#[test]
-fn metrics_disabled_is_inert() {
-    let db = Database::new(DatabaseConfig {
-        metrics: false,
-        ..Default::default()
-    });
-    db.execute("CREATE TABLE t (x INT)").unwrap();
-    db.execute("INSERT INTO t VALUES (1), (2)").unwrap();
-    db.query("SELECT * FROM t").unwrap();
-    let snap = db.metrics_snapshot();
-    // Engine counters stay zero; the query log records nothing.
-    assert_eq!(snap.queries, 0);
-    assert_eq!(snap.optimize_calls, 0);
-    assert_eq!(snap.exec_rows, 0);
-    assert!(db.query_log().is_empty());
-    // The storage section still reflects live pool state.
-    assert!(snap.pool_hits + snap.pool_misses > 0);
-}
-
 // -- statement spans --------------------------------------------------------
 
 #[test]
@@ -347,7 +328,10 @@ fn select_spans_record_phases_within_total() {
     let db = fixture();
     db.query(queries::CUSTOMER_ORDERS).unwrap();
     let entry = &db.query_log().entries()[0];
-    let span = entry.span.as_ref().expect("spans are on by default");
+    let span = entry
+        .span
+        .as_ref()
+        .expect("every logged query carries its span");
     assert_eq!(span.session_id, 0, "default session attribution");
     // A SELECT runs parse → bind → optimize → execute (no commit).
     for phase in [Phase::Parse, Phase::Bind, Phase::Optimize, Phase::Execute] {
@@ -404,7 +388,7 @@ fn write_spans_record_commit_phase() {
     // What finding the rows costs on its own: the equivalent SELECT's
     // execute phase (no index, so both scan the whole heap).
     let find = db.run("SELECT * FROM t WHERE y = 7", evopt::engine::Mode::Plain);
-    let find_us = find.span.unwrap().phase_us(Phase::Execute).unwrap();
+    let find_us = find.span.phase_us(Phase::Execute).unwrap();
 
     let before = db.metrics_snapshot();
     let out = db.run(
@@ -412,7 +396,7 @@ fn write_spans_record_commit_phase() {
         evopt::engine::Mode::Plain,
     );
     assert_eq!(out.result.unwrap(), QueryResult::Affected(200));
-    let span = out.span.expect("spans are on by default");
+    let span = out.span;
     // A write runs every phase a read does, then commits.
     for phase in [
         Phase::Parse,
@@ -462,36 +446,12 @@ fn write_spans_record_commit_phase() {
 }
 
 #[test]
-fn spans_never_change_plan_or_result() {
-    // The span differential: across the whole battery, spans on vs off
-    // picks the same plan (by digest) and returns the same rows.
-    let db = fixture();
-    for sql in query_battery() {
-        db.set_spans(true);
-        let rows_on = db.query(sql).unwrap();
-        let digest_on = db.query_log().entries()[0].plan_digest.clone();
-        db.set_spans(false);
-        let rows_off = db.query(sql).unwrap();
-        let entry = &db.query_log().entries()[0];
-        assert_eq!(
-            digest_on, entry.plan_digest,
-            "spans changed the chosen plan for {sql}"
-        );
-        assert!(entry.span.is_none(), "spans off still recorded for {sql}");
-        assert_eq!(
-            normalized(&rows_on),
-            normalized(&rows_off),
-            "spans changed the result of {sql}"
-        );
-    }
-    db.set_spans(true);
-}
-
-#[test]
 fn spans_are_strategy_neutral() {
-    // Same differential across every enumeration strategy on a 5-way
-    // join: the span recorder must not perturb any enumerator.
+    // Every enumeration strategy's statement carries a complete span on a
+    // 5-way join, executes the plan a plan-only run chooses, and returns
+    // the same rows.
     let db = five_way_fixture();
+    let mut first: Option<Vec<String>> = None;
     for strategy in [
         Strategy::SystemR,
         Strategy::BushyDp,
@@ -505,14 +465,26 @@ fn spans_are_strategy_neutral() {
         Strategy::Syntactic,
     ] {
         db.set_strategy(strategy);
-        db.set_spans(true);
-        let rows_on = db.query(FIVE_WAY_SQL).unwrap();
-        let digest_on = db.query_log().entries()[0].plan_digest.clone();
-        db.set_spans(false);
-        let rows_off = db.query(FIVE_WAY_SQL).unwrap();
-        let digest_off = db.query_log().entries()[0].plan_digest.clone();
-        assert_eq!(digest_on, digest_off, "{strategy:?}");
-        assert_eq!(normalized(&rows_on), normalized(&rows_off), "{strategy:?}");
+        let (_, planned) = db.plan_sql(FIVE_WAY_SQL).unwrap();
+        let rows = normalized(&db.query(FIVE_WAY_SQL).unwrap());
+        let entry = &db.query_log().entries()[0];
+        assert_eq!(entry.plan_digest, planned.digest_hex(), "{strategy:?}");
+        let span = entry
+            .span
+            .as_ref()
+            .expect("every logged query carries its span");
+        for phase in [Phase::Parse, Phase::Bind, Phase::Optimize, Phase::Execute] {
+            assert!(span.phase_us(phase).is_some(), "{strategy:?}: {span:?}");
+        }
+        assert!(
+            span.phase_sum_us() <= span.total_us,
+            "{strategy:?}: {span:?}"
+        );
+        assert_eq!(
+            first.get_or_insert_with(|| rows.clone()),
+            &rows,
+            "{strategy:?}"
+        );
     }
 }
 

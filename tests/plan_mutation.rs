@@ -18,7 +18,7 @@ use evopt_common::{BinOp, Column, DataType, Expr, Schema, Tuple, Value};
 use evopt_core::cost::Cost;
 use evopt_core::physical::{KeyRange, PhysAgg, PhysOp, PhysicalPlan};
 use evopt_core::verify::{verify_physical, VerifyPhase};
-use evopt_storage::{BufferPool, DiskManager, PolicyKind};
+use evopt_storage::{BufferPool, DiskManager};
 
 /// A catalog with two analyzed tables and an index — enough to make every
 /// operator family constructible as a *valid* plan.
@@ -26,7 +26,7 @@ use evopt_storage::{BufferPool, DiskManager, PolicyKind};
 /// `t(a INT, b STR)`, `u(c INT, d STR)`, index `u_c` on `u.c`.
 fn world() -> Arc<Catalog> {
     let disk = Arc::new(DiskManager::new());
-    let pool = BufferPool::new(disk, 64, PolicyKind::Lru);
+    let pool = BufferPool::new(disk, 64);
     let cat = Arc::new(Catalog::new(pool));
     let t = cat
         .create_table(

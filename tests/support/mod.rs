@@ -1,0 +1,270 @@
+//! Shared by `batch_equivalence.rs` and `null_semantics.rs`: the forced-plan
+//! join fixture and the sibling-operator rewrite both suites use as their
+//! differential reference.
+//!
+//! The three operators that run typed column kernels (`Filter`,
+//! `HashAggregate`, `HashJoin`) each have a sibling that does the same job
+//! row at a time through code the typed one does not share. "Row vs
+//! columnar" in the suites' test names means exactly that pair.
+
+// Each suite uses its own subset.
+#![allow(dead_code)]
+
+use std::sync::Arc;
+
+use evopt::Tuple;
+use evopt_catalog::{analyze_table, AnalyzeConfig, Catalog};
+use evopt_common::expr::col;
+use evopt_common::{Column, DataType, Expr, Schema, Value};
+use evopt_core::cost::Cost;
+use evopt_core::physical::{PhysOp, PhysicalPlan};
+use evopt_exec::ExecEnv;
+use evopt_storage::{BufferPool, DiskManager};
+
+/// Order-insensitive fingerprint of a result set.
+pub fn normalized(rows: &[Tuple]) -> Vec<String> {
+    let mut keys: Vec<String> = rows.iter().map(|t| format!("{t:?}")).collect();
+    keys.sort();
+    keys
+}
+
+/// `l(a INT, tag STRING)` / `r(b INT, payload INT)` with `b` indexed. Key
+/// columns are produced by the closures (NULLs allowed); rows are inserted
+/// before the index is built so the index stays consistent.
+pub fn world(
+    pool_pages: usize,
+    left_key: impl Fn(i64) -> Value,
+    n_left: i64,
+    right_key: impl Fn(i64) -> Value,
+    n_right: i64,
+) -> ExecEnv {
+    let pool = BufferPool::new(Arc::new(DiskManager::new()), pool_pages);
+    let cat = Arc::new(Catalog::new(pool));
+    let l = cat
+        .create_table(
+            "l",
+            Schema::new(vec![
+                Column::new("a", DataType::Int),
+                Column::new("tag", DataType::Str),
+            ]),
+        )
+        .unwrap();
+    for i in 0..n_left {
+        l.heap
+            .insert(&Tuple::new(vec![left_key(i), Value::Str(format!("L{i}"))]))
+            .unwrap();
+    }
+    let r = cat
+        .create_table(
+            "r",
+            Schema::new(vec![
+                Column::new("b", DataType::Int),
+                Column::new("payload", DataType::Int),
+            ]),
+        )
+        .unwrap();
+    for i in 0..n_right {
+        r.heap
+            .insert(&Tuple::new(vec![right_key(i), Value::Int(i * 100)]))
+            .unwrap();
+    }
+    cat.create_index("r_b", "r", "b", false, false).unwrap();
+    // create_index clone-and-swaps r's TableInfo (CoW catalog): re-fetch
+    // so the stats land on the registered entry, not a stale snapshot.
+    let r = cat.table("r").unwrap();
+    analyze_table(&l, &AnalyzeConfig::default()).unwrap();
+    analyze_table(&r, &AnalyzeConfig::default()).unwrap();
+    ExecEnv::new(cat, pool_pages)
+}
+
+pub fn plan(op: PhysOp, schema: Schema) -> PhysicalPlan {
+    PhysicalPlan {
+        op,
+        schema,
+        est_rows: 0.0,
+        est_cost: Cost::ZERO,
+        output_order: None,
+    }
+}
+
+pub fn scan(env: &ExecEnv, t: &str) -> PhysicalPlan {
+    let schema = env.catalog.table(t).unwrap().schema.clone();
+    plan(
+        PhysOp::SeqScan {
+            table: t.into(),
+            filter: None,
+        },
+        schema,
+    )
+}
+
+fn sorted(input: PhysicalPlan, by: &[usize]) -> PhysicalPlan {
+    let schema = input.schema.clone();
+    plan(
+        PhysOp::Sort {
+            input: Box::new(input),
+            keys: by.iter().map(|&c| (c, true)).collect(),
+        },
+        schema,
+    )
+}
+
+pub fn sorted_scan(env: &ExecEnv, t: &str) -> PhysicalPlan {
+    sorted(scan(env, t), &[0])
+}
+
+/// Every join family over the same inputs, `l.a = r.b`. `NestedLoopJoin`
+/// comes first and `HashJoin` last.
+pub fn join_plans(env: &ExecEnv) -> Vec<(&'static str, PhysicalPlan)> {
+    let schema = scan(env, "l").schema.join(&scan(env, "r").schema);
+    let pred = Some(Expr::eq(col(0), col(2)));
+    vec![
+        (
+            "NestedLoopJoin",
+            plan(
+                PhysOp::NestedLoopJoin {
+                    left: Box::new(scan(env, "l")),
+                    right: Box::new(scan(env, "r")),
+                    predicate: pred.clone(),
+                },
+                schema.clone(),
+            ),
+        ),
+        (
+            "BlockNestedLoopJoin",
+            plan(
+                PhysOp::BlockNestedLoopJoin {
+                    left: Box::new(scan(env, "l")),
+                    right: Box::new(scan(env, "r")),
+                    predicate: pred,
+                    block_pages: 4,
+                },
+                schema.clone(),
+            ),
+        ),
+        (
+            "IndexNestedLoopJoin",
+            plan(
+                PhysOp::IndexNestedLoopJoin {
+                    outer: Box::new(scan(env, "l")),
+                    inner_table: "r".into(),
+                    index: "r_b".into(),
+                    outer_key: 0,
+                    residual: None,
+                },
+                schema.clone(),
+            ),
+        ),
+        (
+            "SortMergeJoin",
+            plan(
+                PhysOp::SortMergeJoin {
+                    left: Box::new(sorted_scan(env, "l")),
+                    right: Box::new(sorted_scan(env, "r")),
+                    left_key: 0,
+                    right_key: 0,
+                    residual: None,
+                },
+                schema.clone(),
+            ),
+        ),
+        (
+            "HashJoin",
+            plan(
+                PhysOp::HashJoin {
+                    left: Box::new(scan(env, "l")),
+                    right: Box::new(scan(env, "r")),
+                    left_key: 0,
+                    right_key: 0,
+                    residual: None,
+                },
+                schema,
+            ),
+        ),
+    ]
+}
+
+/// `p` with every typed operator replaced by its row-at-a-time sibling:
+///
+/// * a `Filter` over a `SeqScan` becomes the scan's pushed filter
+///   (`Expr::eval_predicate` per row);
+/// * `HashAggregate` becomes `Sort → SortAggregate` (the `Value`
+///   accumulator);
+/// * `HashJoin` becomes `NestedLoopJoin` on `left.key = right.key AND
+///   residual` (the predicate evaluator's three-valued equality), which
+///   also emits matches in the hash join's order — probe rows in order,
+///   each with its build matches in build order.
+///
+/// Everything else is kept, so the two plans differ only in those operators.
+pub fn sibling(p: &PhysicalPlan) -> PhysicalPlan {
+    let mut p = p.clone();
+    match &mut p.op {
+        PhysOp::SeqScan { .. } | PhysOp::IndexScan { .. } => {}
+        PhysOp::Filter { input, .. }
+        | PhysOp::Project { input, .. }
+        | PhysOp::Sort { input, .. }
+        | PhysOp::HashAggregate { input, .. }
+        | PhysOp::SortAggregate { input, .. }
+        | PhysOp::Limit { input, .. } => **input = sibling(input),
+        PhysOp::IndexNestedLoopJoin { outer, .. } => **outer = sibling(outer),
+        PhysOp::NestedLoopJoin { left, right, .. }
+        | PhysOp::BlockNestedLoopJoin { left, right, .. }
+        | PhysOp::SortMergeJoin { left, right, .. }
+        | PhysOp::HashJoin { left, right, .. } => {
+            **left = sibling(left);
+            **right = sibling(right);
+        }
+    }
+    let replacement = match &p.op {
+        PhysOp::Filter { input, predicate } => match &input.op {
+            PhysOp::SeqScan { table, filter } => Some(PhysOp::SeqScan {
+                table: table.clone(),
+                filter: Some(Expr::conjunction(
+                    filter.iter().chain([predicate]).cloned().collect(),
+                )),
+            }),
+            _ => None,
+        },
+        PhysOp::HashAggregate {
+            input,
+            group_by,
+            aggs,
+        } => Some(PhysOp::SortAggregate {
+            input: Box::new(match group_by.is_empty() {
+                true => (**input).clone(),
+                false => sorted((**input).clone(), group_by),
+            }),
+            group_by: group_by.clone(),
+            aggs: aggs.clone(),
+        }),
+        PhysOp::HashJoin {
+            left,
+            right,
+            left_key,
+            right_key,
+            residual,
+        } => Some(PhysOp::NestedLoopJoin {
+            predicate: Some(Expr::conjunction(
+                [Expr::eq(col(*left_key), col(left.schema.len() + right_key))]
+                    .into_iter()
+                    .chain(residual.clone())
+                    .collect(),
+            )),
+            left: left.clone(),
+            right: right.clone(),
+        }),
+        _ => None,
+    };
+    if let Some(op) = replacement {
+        p.op = op;
+    }
+    p
+}
+
+/// How many operators of `p` are named `op`.
+pub fn count_ops(p: &PhysicalPlan, op: &str) -> usize {
+    p.pre_order()
+        .iter()
+        .filter(|(_, node)| node.op_name() == op)
+        .count()
+}

@@ -21,7 +21,7 @@ use evopt_core::cost::Cost;
 use evopt_core::physical::{PhysOp, PhysicalPlan};
 use evopt_core::verify::{verify_physical, VerifyPhase};
 use evopt_core::Strategy;
-use evopt_storage::{BufferPool, DiskManager, PolicyKind};
+use evopt_storage::{BufferPool, DiskManager};
 use evopt_workload::tpch_lite::queries;
 use evopt_workload::{load_tpch_lite, load_wisconsin};
 
@@ -186,7 +186,7 @@ fn battery_plans_verify_clean() {
 
 fn join_world() -> (Arc<Catalog>, Schema) {
     let disk = Arc::new(DiskManager::new());
-    let pool = BufferPool::new(disk, 64, PolicyKind::Lru);
+    let pool = BufferPool::new(disk, 64);
     let cat = Arc::new(Catalog::new(pool));
     let l = cat
         .create_table(
