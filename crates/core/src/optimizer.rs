@@ -505,11 +505,12 @@ fn table_meta(info: &Arc<TableInfo>) -> Result<(RelMeta, EstimationContext)> {
     };
     let mut indexes = Vec::new();
     for idx in info.indexes() {
+        let (height, pages) = idx.btree.shape()?;
         indexes.push(IndexMeta {
             name: idx.name.clone(),
             column: idx.column,
-            height: idx.btree.height()? as f64,
-            pages: idx.btree.page_count()? as f64,
+            height: height as f64,
+            pages: pages as f64,
             clustered: idx.clustered,
             unique: idx.unique,
         });

@@ -6,197 +6,291 @@
 //! `height + leaf pages` term in the optimizer's index-scan cost formula is
 //! measurable against this structure (experiment T2).
 //!
-//! Design choices (documented, deliberately classic):
+//! A node is searched and edited where it lies in its page:
+//!
+//! ```text
+//! offset 0   [u8]  node type: 0 = leaf, 1 = internal
+//! offset 1   [u16] entry count
+//! offset 3   [u64] leaf: next leaf's page id (INVALID_PAGE_ID = none)
+//!                  internal: child[0], the subtree below every key
+//! offset 11  slot array, 2 bytes each: [u16 entry offset], in (key, rid) order
+//! ...        free space
+//! frontier.. entries, packed towards USABLE_PAGE_SIZE:
+//!              [key: the single-value tuple encoding][rid: u64 page, u16 slot]
+//!              internal only: [u64 child holding the entries >= (key, rid)]
+//! ```
 //!
 //! * Entries are ordered by the composite `(key, rid)`, which makes every
 //!   entry unique and descent deterministic even with heavy duplication.
-//! * Nodes are (de)serialised whole on access. O(page) per touch, but the
-//!   *I/O pattern* — what the cost model cares about — is identical to an
-//!   in-place layout.
-//! * Inserts split on byte overflow (variable-length string keys); deletes
-//!   are lazy (no rebalancing), the standard trade-off for load-then-query
-//!   workloads.
-//! * A meta page stores the root pointer, height, and entry/page counts.
+//! * An entry stores no length (its key encoding tells) and the header no
+//!   frontier: entries never leave holes, so the frontier is the lowest
+//!   slot offset. A node costs `11 + Σ (2 + entry)` bytes.
+//! * Descent is a binary search over the slots of the pinned page, keys
+//!   compared as stored (`KeyRef::cmp_value`, the order of `Value::cmp`),
+//!   not by `memcmp`: the encoding is little-endian, `Int` and `Float`
+//!   share a class, and a scan must hand back the stored variant.
+//! * Insert writes the entry at the frontier and shifts the slots above
+//!   it; delete closes the hole at once. Each is one `guard.write()`.
+//!   Inserts split on byte overflow at `len / 2`; deletes are lazy (no
+//!   rebalancing), the standard trade-off for load-then-query workloads.
+//! * A meta page stores root, height and page count; only a split writes
+//!   it. [`BTreeIndex::entry_count`] counts along the leaf chain.
+//! * Readers take no tree lock: one landing left of its key while a split
+//!   is half published follows the leaf chain right.
 
+use std::cmp::Ordering;
 use std::ops::Bound;
 use std::sync::Arc;
 
 use evopt_common::{lockorder, EvoptError, Result, Tuple, Value};
 use parking_lot::Mutex;
 
-use crate::buffer::BufferPool;
-use crate::page::{PageData, PageId, Rid, INVALID_PAGE_ID, USABLE_PAGE_SIZE};
+use crate::buffer::{BufferPool, PageGuard};
+use crate::page::{PageData, PageId, Rid, INVALID_PAGE_ID, PAGE_SIZE, USABLE_PAGE_SIZE};
 
 /// Keys larger than this are rejected at insert; guarantees a split always
 /// produces two nodes that fit in a page.
 pub const MAX_KEY_BYTES: usize = 512;
 
-const META_MAGIC: u64 = 0x6276_7472_6565_3031; // "bvtree01"
+const META_MAGIC: u64 = 0x6276_7472_6565_3032; // "bvtree02"
+const META_MAGIC_V1: u64 = 0x6276_7472_6565_3031; // "bvtree01": nodes (de)serialised whole
+const V1_REFUSED: &str = "b-tree meta page is format bvtree01: this build reads only bvtree02 \
+                          and converts nothing (drop the index and create it again)";
 
-/// Composite entry key: column value plus rid tiebreak.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-struct Key {
-    value: Value,
+const HEADER: usize = 11;
+const SLOT: usize = 2;
+const RID_BYTES: usize = 10;
+const CHILD_BYTES: usize = 8;
+
+fn corrupt(what: &str) -> EvoptError {
+    EvoptError::Storage(format!("corrupt b-tree node: {what}"))
+}
+
+/// Split `n` bytes off the front of `bytes`; running out is corruption.
+fn take<'a>(bytes: &mut &'a [u8], n: usize) -> Result<&'a [u8]> {
+    let (head, rest) = bytes
+        .split_at_checked(n)
+        .ok_or_else(|| corrupt("truncated entry"))?;
+    *bytes = rest;
+    Ok(head)
+}
+
+fn take_arr<const N: usize>(bytes: &mut &[u8]) -> Result<[u8; N]> {
+    let head = take(bytes, N)?;
+    head.try_into().map_err(|_| corrupt("short field"))
+}
+
+fn u16_at(page: &PageData, off: usize) -> usize {
+    u16::from_le_bytes([page[off], page[off + 1]]) as usize
+}
+
+fn put_u16(page: &mut PageData, off: usize, v: usize) {
+    page[off..off + 2].copy_from_slice(&(v as u16).to_le_bytes());
+}
+
+/// A key as it lies in the page: a [`Value`] that owns no heap memory, or
+/// a string's bytes, borrowed (and unvalidated: comparing needs no more).
+enum KeyRef<'a> {
+    Scalar(Value),
+    Str(&'a [u8]),
+}
+
+impl KeyRef<'_> {
+    /// The order of `Value::cmp` — `Null` < `Bool` < `Int`/`Float` in one
+    /// numeric class < `Str` bytewise — without materialising the key.
+    fn cmp_value(&self, v: &Value) -> Ordering {
+        match (self, v) {
+            (KeyRef::Str(a), Value::Str(b)) => (*a).cmp(b.as_bytes()),
+            (KeyRef::Str(_), _) => Ordering::Greater, // strings are the top class
+            (KeyRef::Scalar(a), b) => a.cmp(b),
+        }
+    }
+
+    fn to_value(&self) -> Result<Value> {
+        match self {
+            KeyRef::Scalar(v) => Ok(v.clone()),
+            KeyRef::Str(b) => std::str::from_utf8(b)
+                .map(|s| Value::Str(s.to_owned()))
+                .map_err(|_| corrupt("invalid UTF-8 in a string key")),
+        }
+    }
+}
+
+/// One parsed entry, borrowed from the page.
+struct Entry<'a> {
+    /// The whole entry as stored.
+    bytes: &'a [u8],
+    key: KeyRef<'a>,
     rid: Rid,
+    /// Internal nodes only (`INVALID_PAGE_ID` in a leaf).
+    child: PageId,
 }
 
-impl Key {
-    fn min_for(value: &Value) -> Key {
-        Key {
-            value: value.clone(),
-            rid: Rid::new(0, 0),
+impl<'a> Entry<'a> {
+    /// Parse the entry at the front of `bytes`.
+    fn parse(bytes: &'a [u8], internal: bool) -> Result<Entry<'a>> {
+        let mut r = bytes;
+        if take(&mut r, 2)? != [1, 0] {
+            return Err(corrupt("key is not a single value"));
         }
-    }
-}
-
-/// Fixed-size view of `bytes` for `from_le_bytes`; a length mismatch is a
-/// deserialisation failure (truncated/corrupt node), not a panic.
-fn arr<const N: usize>(bytes: &[u8]) -> Result<[u8; N]> {
-    bytes.try_into().map_err(|_| {
-        EvoptError::Storage(format!(
-            "truncated b-tree field: expected {N} bytes, got {}",
-            bytes.len()
-        ))
-    })
-}
-
-fn encode_value(v: &Value) -> Vec<u8> {
-    Tuple::new(vec![v.clone()]).encode()
-}
-
-fn decode_value(bytes: &[u8]) -> Result<Value> {
-    let t = Tuple::decode(bytes)?;
-    t.into_values()
-        .pop()
-        .ok_or_else(|| EvoptError::Storage("empty b-tree key".into()))
-}
-
-#[derive(Debug, Clone)]
-enum Node {
-    Leaf {
-        entries: Vec<(Key, ())>,
-        next: PageId,
-    },
-    Internal {
-        /// `keys[i]` is the smallest composite key in `children[i+1]`.
-        keys: Vec<Key>,
-        children: Vec<PageId>,
-    },
-}
-
-impl Node {
-    fn serialized_size(&self) -> usize {
-        match self {
-            Node::Leaf { entries, .. } => {
-                // type(1) + count(2) + next(8) + per entry: klen(2)+key+rid(10)
-                11 + entries
-                    .iter()
-                    .map(|(k, _)| 12 + encode_value(&k.value).len())
-                    .sum::<usize>()
+        let key = match take(&mut r, 1)?[0] {
+            0 => KeyRef::Scalar(Value::Null),
+            1 => KeyRef::Scalar(Value::Bool(take(&mut r, 1)?[0] != 0)),
+            2 => KeyRef::Scalar(Value::Int(i64::from_le_bytes(take_arr(&mut r)?))),
+            3 => KeyRef::Scalar(Value::Float(f64::from_le_bytes(take_arr(&mut r)?))),
+            4 => {
+                let len = u32::from_le_bytes(take_arr(&mut r)?) as usize;
+                KeyRef::Str(take(&mut r, len)?)
             }
-            Node::Internal { keys, children } => {
-                // type(1) + count(2) + children + per key: klen(2)+key+rid(10)
-                3 + children.len() * 8
-                    + keys
-                        .iter()
-                        .map(|k| 12 + encode_value(&k.value).len())
-                        .sum::<usize>()
-            }
-        }
-    }
-
-    fn store(&self, page: &mut PageData) -> Result<()> {
-        let size = self.serialized_size();
-        if size > USABLE_PAGE_SIZE {
-            return Err(EvoptError::Internal(format!(
-                "b-tree node of {size} bytes stored without split"
-            )));
-        }
-        let mut buf = Vec::with_capacity(size);
-        match self {
-            Node::Leaf { entries, next } => {
-                buf.push(0u8);
-                buf.extend_from_slice(&(entries.len() as u16).to_le_bytes());
-                buf.extend_from_slice(&next.to_le_bytes());
-                for (k, _) in entries {
-                    let kb = encode_value(&k.value);
-                    buf.extend_from_slice(&(kb.len() as u16).to_le_bytes());
-                    buf.extend_from_slice(&kb);
-                    buf.extend_from_slice(&k.rid.page.to_le_bytes());
-                    buf.extend_from_slice(&k.rid.slot.to_le_bytes());
-                }
-            }
-            Node::Internal { keys, children } => {
-                buf.push(1u8);
-                buf.extend_from_slice(&(keys.len() as u16).to_le_bytes());
-                for c in children {
-                    buf.extend_from_slice(&c.to_le_bytes());
-                }
-                for k in keys {
-                    let kb = encode_value(&k.value);
-                    buf.extend_from_slice(&(kb.len() as u16).to_le_bytes());
-                    buf.extend_from_slice(&kb);
-                    buf.extend_from_slice(&k.rid.page.to_le_bytes());
-                    buf.extend_from_slice(&k.rid.slot.to_le_bytes());
-                }
-            }
-        }
-        page[..buf.len()].copy_from_slice(&buf);
-        Ok(())
-    }
-
-    fn load(page: &PageData) -> Result<Node> {
-        let mut pos = 0usize;
-        let take = |pos: &mut usize, n: usize| -> Result<&[u8]> {
-            let end = *pos + n;
-            if end > USABLE_PAGE_SIZE {
-                return Err(EvoptError::Storage("truncated b-tree node".into()));
-            }
-            let s = &page[*pos..end];
-            *pos = end;
-            Ok(s)
+            _ => return Err(corrupt("bad key tag")),
         };
-        let ty = take(&mut pos, 1)?[0];
-        let count = u16::from_le_bytes(arr(take(&mut pos, 2)?)?) as usize;
-        let read_key = |pos: &mut usize| -> Result<Key> {
-            let klen = u16::from_le_bytes(arr(take(pos, 2)?)?) as usize;
-            let value = decode_value(take(pos, klen)?)?;
-            let page_id = u64::from_le_bytes(arr(take(pos, 8)?)?);
-            let slot = u16::from_le_bytes(arr(take(pos, 2)?)?);
-            Ok(Key {
-                value,
-                rid: Rid::new(page_id, slot),
-            })
+        let page = u64::from_le_bytes(take_arr(&mut r)?);
+        let rid = Rid::new(page, u16::from_le_bytes(take_arr(&mut r)?));
+        let child = match internal {
+            true => u64::from_le_bytes(take_arr(&mut r)?),
+            false => INVALID_PAGE_ID,
         };
-        match ty {
-            0 => {
-                let next = u64::from_le_bytes(arr(take(&mut pos, 8)?)?);
-                let mut entries = Vec::with_capacity(count);
-                for _ in 0..count {
-                    entries.push((read_key(&mut pos)?, ()));
-                }
-                Ok(Node::Leaf { entries, next })
-            }
-            1 => {
-                let mut children = Vec::with_capacity(count + 1);
-                for _ in 0..=count {
-                    children.push(u64::from_le_bytes(arr(take(&mut pos, 8)?)?));
-                }
-                let mut keys = Vec::with_capacity(count);
-                for _ in 0..count {
-                    keys.push(read_key(&mut pos)?);
-                }
-                Ok(Node::Internal { keys, children })
-            }
-            t => Err(EvoptError::Storage(format!("bad b-tree node type {t}"))),
+        let bytes = &bytes[..bytes.len() - r.len()];
+        Ok(Entry {
+            bytes,
+            key,
+            rid,
+            child,
+        })
+    }
+
+    fn cmp(&self, key: &Value, rid: Rid) -> Ordering {
+        self.key.cmp_value(key).then(self.rid.cmp(&rid))
+    }
+}
+
+/// `(key, rid)` as a leaf stores it; a separator is the same bytes with
+/// its right child's page id appended.
+fn leaf_entry(key: &Value, rid: Rid) -> Vec<u8> {
+    let mut e = Tuple::new(vec![key.clone()]).encode();
+    e.extend_from_slice(&rid.page.to_le_bytes());
+    e.extend_from_slice(&rid.slot.to_le_bytes());
+    e
+}
+
+/// Read-only view of a node page. `new` checks the header, each entry
+/// access its own bounds: hostile bytes surface as errors.
+struct Node<'a> {
+    page: &'a PageData,
+    internal: bool,
+    count: usize,
+    /// A leaf's next leaf, an internal node's `child[0]`.
+    link: PageId,
+}
+
+impl<'a> Node<'a> {
+    /// `kind`: `Some(true)` = must be internal, `Some(false)` = must be a leaf.
+    fn new(page: &'a PageData, kind: Option<bool>) -> Result<Node<'a>> {
+        let (internal, count) = (page[0] == 1, u16_at(page, 1));
+        let wrong_kind = page[0] > 1 || kind.is_some_and(|k| k != internal);
+        if wrong_kind || HEADER + SLOT * count > USABLE_PAGE_SIZE {
+            return Err(corrupt("wrong node type or slot count"));
+        }
+        let link = u64::from_le_bytes(take_arr(&mut &page[3..])?);
+        Ok(Node {
+            page,
+            internal,
+            count,
+            link,
+        })
+    }
+
+    fn slot(&self, i: usize) -> usize {
+        u16_at(self.page, HEADER + SLOT * i)
+    }
+
+    fn entry(&self, i: usize) -> Result<Entry<'a>> {
+        match self.page.get(self.slot(i)..USABLE_PAGE_SIZE) {
+            Some(bytes) => Entry::parse(bytes, self.internal),
+            None => Err(corrupt("slot offset past the page")),
         }
     }
+
+    /// Where the entry bytes begin: packed, so the lowest slot offset.
+    fn frontier(&self) -> usize {
+        let slots = (0..self.count).map(|i| self.slot(i));
+        slots.fold(USABLE_PAGE_SIZE, usize::min)
+    }
+
+    /// How many leading entries are `below`: a binary search.
+    fn partition(&self, mut below: impl FnMut(&Entry) -> bool) -> Result<usize> {
+        let (mut lo, mut hi) = (0, self.count);
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if below(&self.entry(mid)?) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        Ok(lo)
+    }
+}
+
+/// A node page holding `entries`, which are in order.
+fn pack(internal: bool, link: PageId, entries: &[&[u8]]) -> Result<PageData> {
+    let mut page = [0u8; PAGE_SIZE];
+    page[0] = internal as u8;
+    page[3..HEADER].copy_from_slice(&link.to_le_bytes());
+    for (i, entry) in entries.iter().enumerate() {
+        if !insert_at(&mut page, i, entry)? {
+            return Err(EvoptError::Internal(
+                "half of a split b-tree node does not fit".into(),
+            ));
+        }
+    }
+    Ok(page)
+}
+
+/// Replace the node under `guard` (the LSN trailer is the WAL's).
+fn put_node(guard: &PageGuard, node: &PageData) {
+    guard.write()[..USABLE_PAGE_SIZE].copy_from_slice(&node[..USABLE_PAGE_SIZE]);
+}
+
+/// Make `entry` slot `idx`: its bytes go to the frontier, the slots from
+/// `idx` up move one place. `false` (nothing written) when the node is full.
+fn insert_at(page: &mut PageData, idx: usize, entry: &[u8]) -> Result<bool> {
+    let node = Node::new(page, None)?;
+    let (count, frontier) = (node.count, node.frontier());
+    let (at, slots_end) = (HEADER + SLOT * idx, HEADER + SLOT * count);
+    if idx > count || slots_end + SLOT + entry.len() > frontier {
+        return Ok(false);
+    }
+    let off = frontier - entry.len();
+    page[off..frontier].copy_from_slice(entry);
+    page.copy_within(at..slots_end, at + SLOT);
+    put_u16(page, at, off);
+    put_u16(page, 1, count + 1);
+    Ok(true)
+}
+
+/// Drop slot `idx` and close the hole its bytes leave, so the entries stay
+/// packed and the frontier stays the lowest offset.
+fn remove_at(page: &mut PageData, idx: usize) -> Result<()> {
+    let node = Node::new(page, None)?;
+    let (count, frontier, off) = (node.count, node.frontier(), node.slot(idx));
+    let len = node.entry(idx)?.bytes.len();
+    page.copy_within(frontier..off, frontier + len);
+    for at in (HEADER..HEADER + SLOT * count).step_by(SLOT) {
+        let o = u16_at(page, at);
+        if o < off {
+            put_u16(page, at, o + len);
+        }
+    }
+    let at = HEADER + SLOT * idx;
+    page.copy_within(at + SLOT..HEADER + SLOT * count, at);
+    put_u16(page, 1, count - 1);
+    Ok(())
 }
 
 struct Meta {
     root: PageId,
     height: u32,
-    entry_count: u64,
     page_count: u64,
 }
 
@@ -205,21 +299,61 @@ impl Meta {
         page[0..8].copy_from_slice(&META_MAGIC.to_le_bytes());
         page[8..16].copy_from_slice(&self.root.to_le_bytes());
         page[16..20].copy_from_slice(&self.height.to_le_bytes());
-        page[20..28].copy_from_slice(&self.entry_count.to_le_bytes());
-        page[28..36].copy_from_slice(&self.page_count.to_le_bytes());
+        page[20..28].copy_from_slice(&self.page_count.to_le_bytes());
     }
 
     fn load(page: &PageData) -> Result<Meta> {
-        let magic = u64::from_le_bytes(arr(&page[0..8])?);
-        if magic != META_MAGIC {
-            return Err(EvoptError::Storage("not a b-tree meta page".into()));
+        let mut r = &page[..];
+        match u64::from_le_bytes(take_arr(&mut r)?) {
+            META_MAGIC => {}
+            META_MAGIC_V1 => return Err(EvoptError::Storage(V1_REFUSED.into())),
+            _ => return Err(EvoptError::Storage("not a b-tree meta page".into())),
         }
         Ok(Meta {
-            root: u64::from_le_bytes(arr(&page[8..16])?),
-            height: u32::from_le_bytes(arr(&page[16..20])?),
-            entry_count: u64::from_le_bytes(arr(&page[20..28])?),
-            page_count: u64::from_le_bytes(arr(&page[28..36])?),
+            root: u64::from_le_bytes(take_arr(&mut r)?),
+            height: u32::from_le_bytes(take_arr(&mut r)?),
+            page_count: u64::from_le_bytes(take_arr(&mut r)?),
         })
+    }
+}
+
+/// Whether `key` is before a low `bound` (`side` = `Less`) or past a high one.
+fn outside(key: &KeyRef, bound: Bound<&Value>, side: Ordering) -> bool {
+    match bound {
+        Bound::Unbounded => false,
+        Bound::Included(v) => key.cmp_value(v) == side,
+        Bound::Excluded(v) => key.cmp_value(v) != side.reverse(),
+    }
+}
+
+/// Hand the entries with keys within `(low, high)` to `emit`, in order, from
+/// `leaf` along the chain. `emit` says whether to pause at the end of its
+/// leaf; the result is the leaf to resume on (none: the scan is over).
+fn follow(
+    pool: &Arc<BufferPool>,
+    mut leaf: PageGuard,
+    low: Bound<&Value>,
+    high: Bound<&Value>,
+    mut emit: impl FnMut(&Entry) -> Result<bool>,
+) -> Result<PageId> {
+    loop {
+        let mut pause = false;
+        let next = {
+            let page = leaf.read();
+            let node = Node::new(&page, Some(false))?;
+            for i in node.partition(|e| outside(&e.key, low, Ordering::Less))?..node.count {
+                let e = node.entry(i)?;
+                if outside(&e.key, high, Ordering::Greater) {
+                    return Ok(INVALID_PAGE_ID);
+                }
+                pause = emit(&e)?;
+            }
+            node.link
+        };
+        if pause || next == INVALID_PAGE_ID {
+            return Ok(next);
+        }
+        leaf = pool.fetch(next)?;
     }
 }
 
@@ -236,38 +370,26 @@ pub struct BTreeIndex {
 impl BTreeIndex {
     /// Create an empty tree (allocates a meta page and an empty root leaf).
     pub fn create(pool: Arc<BufferPool>) -> Result<BTreeIndex> {
-        let root_guard = pool.new_page()?;
-        let root_id = root_guard.id();
-        Node::Leaf {
-            entries: Vec::new(),
-            next: INVALID_PAGE_ID,
-        }
-        .store(&mut root_guard.write())?;
-        drop(root_guard);
-
+        let root = pool.new_page()?;
+        put_node(&root, &pack(false, INVALID_PAGE_ID, &[])?);
         let meta_guard = pool.new_page()?;
-        let meta_page = meta_guard.id();
-        Meta {
-            root: root_id,
+        let meta = Meta {
+            root: root.id(),
             height: 1,
-            entry_count: 0,
             page_count: 1,
-        }
-        .store(&mut meta_guard.write());
-        drop(meta_guard);
-
+        };
+        meta.store(&mut meta_guard.write());
         Ok(BTreeIndex {
+            meta_page: meta_guard.id(),
             pool,
-            meta_page,
             write_lock: Mutex::new(()),
         })
     }
 
-    /// Re-open a tree from its meta page.
+    /// Re-open a tree from its meta page. A page of the previous format
+    /// (`bvtree01`) is refused, not converted.
     pub fn open(pool: Arc<BufferPool>, meta_page: PageId) -> Result<BTreeIndex> {
-        let guard = pool.fetch(meta_page)?;
-        Meta::load(&guard.read())?; // validate magic
-        drop(guard);
+        Meta::load(&pool.fetch(meta_page)?.read())?; // validate magic
         Ok(BTreeIndex {
             pool,
             meta_page,
@@ -281,150 +403,106 @@ impl BTreeIndex {
     }
 
     fn read_meta(&self) -> Result<Meta> {
-        let guard = self.pool.fetch(self.meta_page)?;
-        let meta = Meta::load(&guard.read())?;
-        Ok(meta)
+        Meta::load(&self.pool.fetch(self.meta_page)?.read())
     }
 
-    fn write_meta(&self, meta: &Meta) -> Result<()> {
-        let guard = self.pool.fetch(self.meta_page)?;
-        meta.store(&mut guard.write());
-        Ok(())
+    /// `(height, page_count)` from one read of the meta page.
+    pub fn shape(&self) -> Result<(u32, u64)> {
+        self.read_meta().map(|m| (m.height, m.page_count))
     }
 
     /// Root-to-leaf path length in pages (≥ 1). The optimizer charges this
     /// many page fetches per index probe.
     pub fn height(&self) -> Result<u32> {
-        Ok(self.read_meta()?.height)
-    }
-
-    /// Total entries in the tree.
-    pub fn entry_count(&self) -> Result<u64> {
-        Ok(self.read_meta()?.entry_count)
+        Ok(self.shape()?.0)
     }
 
     /// Node pages in the tree (excludes the meta page).
     pub fn page_count(&self) -> Result<u64> {
-        Ok(self.read_meta()?.page_count)
+        Ok(self.shape()?.1)
     }
 
-    fn load_node(&self, id: PageId) -> Result<Node> {
-        let guard = self.pool.fetch(id)?;
-        let node = Node::load(&guard.read())?;
-        Ok(node)
-    }
-
-    fn store_node(&self, id: PageId, node: &Node) -> Result<()> {
-        let guard = self.pool.fetch(id)?;
-        let result = node.store(&mut guard.write());
-        result
+    /// Total entries in the tree, counted along the leaf chain.
+    pub fn entry_count(&self) -> Result<u64> {
+        let (mut total, all) = (0, Bound::Unbounded);
+        follow(&self.pool, self.descend_to(all)?, all, all, |_| {
+            total += 1;
+            Ok(false)
+        })?;
+        Ok(total)
     }
 
     /// Insert `(key, rid)`. Duplicate keys are allowed; the exact duplicate
     /// `(key, rid)` pair is also allowed (and will be returned twice).
     pub fn insert(&self, key: &Value, rid: Rid) -> Result<()> {
-        if encode_value(key).len() > MAX_KEY_BYTES {
-            return Err(EvoptError::Storage(format!(
-                "b-tree key exceeds {MAX_KEY_BYTES} bytes"
-            )));
+        let entry = leaf_entry(key, rid);
+        if entry.len() - RID_BYTES > MAX_KEY_BYTES {
+            let msg = format!("b-tree key exceeds {MAX_KEY_BYTES} bytes");
+            return Err(EvoptError::Storage(msg));
         }
         let _r = lockorder::acquire(lockorder::BTREE_WRITE);
         let _w = self.write_lock.lock();
         let mut meta = self.read_meta()?;
-        let composite = Key {
-            value: key.clone(),
-            rid,
-        };
-        if let Some((sep, right)) = self.insert_rec(meta.root, composite, &mut meta)? {
-            // Root split: grow the tree by one level.
-            let new_root = self.pool.new_page()?;
-            let node = Node::Internal {
-                keys: vec![sep],
-                children: vec![meta.root, right],
-            };
-            node.store(&mut new_root.write())?;
-            meta.root = new_root.id();
-            meta.height += 1;
+        let mut path = Vec::new();
+        let at_or_below = |e: &Entry| e.cmp(key, rid) != Ordering::Greater;
+        let leaf = self.descend(&meta, at_or_below, Some(&mut path))?;
+        let idx = Node::new(&leaf.read(), Some(false))?.partition(at_or_below)?;
+        let mut split = self.add(&leaf, idx, &entry)?;
+        drop(leaf);
+        // A split hands its parent a separator; past the root, the tree grows.
+        let grown = split.is_some();
+        while let Some(sep) = split {
             meta.page_count += 1;
+            split = match path.pop() {
+                Some((parent, idx)) => self.add(&self.pool.fetch(parent)?, idx, &sep)?,
+                None => {
+                    let new_root = self.pool.new_page()?;
+                    put_node(&new_root, &pack(true, meta.root, &[&sep])?);
+                    meta.root = new_root.id();
+                    meta.height += 1;
+                    meta.page_count += 1;
+                    None
+                }
+            };
         }
-        meta.entry_count += 1;
-        self.write_meta(&meta)
+        if grown {
+            meta.store(&mut self.pool.fetch(self.meta_page)?.write());
+        }
+        Ok(())
     }
 
-    /// Recursive insert; returns `Some((separator, new_right_page))` when
-    /// this node split.
-    fn insert_rec(&self, page: PageId, key: Key, meta: &mut Meta) -> Result<Option<(Key, PageId)>> {
-        let mut node = self.load_node(page)?;
-        match &mut node {
-            Node::Leaf { entries, next: _ } => {
-                let idx = entries.partition_point(|(k, _)| k <= &key);
-                entries.insert(idx, (key, ()));
-                if node.serialized_size() <= USABLE_PAGE_SIZE {
-                    self.store_node(page, &node)?;
-                    return Ok(None);
-                }
-                // Split: move the upper half to a fresh right sibling.
-                let (entries, next) = match &mut node {
-                    Node::Leaf { entries, next } => (entries, next),
-                    _ => {
-                        return Err(EvoptError::Internal(
-                            "b-tree leaf changed variant mid-split".into(),
-                        ))
-                    }
-                };
-                let mid = entries.len() / 2;
-                let right_entries = entries.split_off(mid);
-                let sep = right_entries[0].0.clone();
-                let right_guard = self.pool.new_page()?;
-                let right_id = right_guard.id();
-                let right_node = Node::Leaf {
-                    entries: right_entries,
-                    next: *next,
-                };
-                right_node.store(&mut right_guard.write())?;
-                *next = right_id;
-                self.store_node(page, &node)?;
-                meta.page_count += 1;
-                Ok(Some((sep, right_id)))
-            }
-            Node::Internal { keys, children } => {
-                let child_idx = keys.partition_point(|k| k <= &key);
-                let child = children[child_idx];
-                if let Some((sep, right_id)) = self.insert_rec(child, key, meta)? {
-                    keys.insert(child_idx, sep);
-                    children.insert(child_idx + 1, right_id);
-                    if node.serialized_size() <= USABLE_PAGE_SIZE {
-                        self.store_node(page, &node)?;
-                        return Ok(None);
-                    }
-                    let (keys, children) = match &mut node {
-                        Node::Internal { keys, children } => (keys, children),
-                        _ => {
-                            return Err(EvoptError::Internal(
-                                "b-tree internal node changed variant mid-split".into(),
-                            ))
-                        }
-                    };
-                    let mid = keys.len() / 2;
-                    let promoted = keys[mid].clone();
-                    let right_keys = keys.split_off(mid + 1);
-                    keys.pop(); // remove the promoted key from the left
-                    let right_children = children.split_off(mid + 1);
-                    let right_guard = self.pool.new_page()?;
-                    let right_id = right_guard.id();
-                    Node::Internal {
-                        keys: right_keys,
-                        children: right_children,
-                    }
-                    .store(&mut right_guard.write())?;
-                    self.store_node(page, &node)?;
-                    meta.page_count += 1;
-                    Ok(Some((promoted, right_id)))
-                } else {
-                    Ok(None)
-                }
-            }
+    /// Put `entry` at slot `idx` of the node under `guard`. A full node
+    /// splits: the result is then the separator entry for its parent.
+    fn add(&self, guard: &PageGuard, idx: usize, entry: &[u8]) -> Result<Option<Vec<u8>>> {
+        if insert_at(&mut guard.write(), idx, entry)? {
+            return Ok(None);
         }
+        // Cut "this node's entries with `entry` at `idx`" at `len / 2`. The
+        // new right page is written first, the old page replaced last: a
+        // reader sees the whole node or its lower half linked to the upper.
+        let right_guard = self.pool.new_page()?;
+        let (left, right, mut sep) = {
+            let data = guard.read();
+            let node = Node::new(&data, None)?;
+            let list = (0..node.count).map(|i| Ok(node.entry(i)?.bytes));
+            let mut list = list.collect::<Result<Vec<_>>>()?;
+            list.insert(idx.min(list.len()), entry);
+            let (lower, upper) = list.split_at(list.len() / 2);
+            if node.internal {
+                // The middle key moves up; its child is the right half's `child[0]`.
+                let up = Entry::parse(upper[0], true)?;
+                let sep = &up.bytes[..up.bytes.len() - CHILD_BYTES];
+                let left = pack(true, node.link, lower)?;
+                (left, pack(true, up.child, &upper[1..])?, sep.to_vec())
+            } else {
+                let left = pack(false, right_guard.id(), lower)?;
+                (left, pack(false, node.link, upper)?, upper[0].to_vec())
+            }
+        };
+        put_node(&right_guard, &right);
+        put_node(guard, &left);
+        sep.extend_from_slice(&right_guard.id().to_le_bytes());
+        Ok(Some(sep))
     }
 
     /// Remove the exact `(key, rid)` entry. Returns whether it was present.
@@ -432,235 +510,171 @@ impl BTreeIndex {
     pub fn delete(&self, key: &Value, rid: Rid) -> Result<bool> {
         let _r = lockorder::acquire(lockorder::BTREE_WRITE);
         let _w = self.write_lock.lock();
-        let mut meta = self.read_meta()?;
-        let target = Key {
-            value: key.clone(),
-            rid,
+        let at_or_below = |e: &Entry| e.cmp(key, rid) != Ordering::Greater;
+        let leaf = self.descend(&self.read_meta()?, at_or_below, None)?;
+        let idx = {
+            let page = leaf.read();
+            let node = Node::new(&page, Some(false))?;
+            let idx = node.partition(|e| e.cmp(key, rid) == Ordering::Less)?;
+            if idx == node.count || node.entry(idx)?.cmp(key, rid) != Ordering::Equal {
+                return Ok(false);
+            }
+            idx
         };
-        // Descend to the candidate leaf.
-        let mut page = meta.root;
-        loop {
-            match self.load_node(page)? {
-                Node::Internal { keys, children } => {
-                    let idx = keys.partition_point(|k| k <= &target);
-                    page = children[idx];
-                }
-                Node::Leaf { mut entries, next } => {
-                    match entries.binary_search_by(|(k, _)| k.cmp(&target)) {
-                        Ok(idx) => {
-                            entries.remove(idx);
-                            self.store_node(page, &Node::Leaf { entries, next })?;
-                            meta.entry_count -= 1;
-                            self.write_meta(&meta)?;
-                            return Ok(true);
-                        }
-                        Err(_) => return Ok(false),
-                    }
-                }
-            }
-        }
+        remove_at(&mut leaf.write(), idx)?;
+        Ok(true)
     }
 
-    /// Descend to the leaf that may contain the first entry ≥ `target`.
-    fn descend(&self, target: &Key) -> Result<PageId> {
-        let meta = self.read_meta()?;
-        let mut page = meta.root;
-        loop {
-            match self.load_node(page)? {
-                Node::Internal { keys, children } => {
-                    let idx = keys.partition_point(|k| k <= target);
-                    page = children[idx];
+    /// Pin the leaf reached by taking, in each internal node, the child
+    /// after the separators that are `below`, one pin at a time. `path`
+    /// collects each internal page and the slot taken in it.
+    fn descend(
+        &self,
+        meta: &Meta,
+        below: impl Fn(&Entry) -> bool,
+        mut path: Option<&mut Vec<(PageId, usize)>>,
+    ) -> Result<PageGuard> {
+        let mut guard = self.pool.fetch(meta.root)?;
+        for _ in 1..meta.height {
+            let (idx, child) = {
+                let page = guard.read();
+                let node = Node::new(&page, Some(true))?;
+                // `child[0]` lies below every key, the others right of theirs.
+                match node.partition(&below)? {
+                    0 => (0, node.link),
+                    idx => (idx, node.entry(idx - 1)?.child),
                 }
-                Node::Leaf { .. } => return Ok(page),
+            };
+            if let Some(path) = path.as_mut() {
+                path.push((guard.id(), idx));
             }
+            drop(guard);
+            guard = self.pool.fetch(child)?;
         }
+        Ok(guard)
     }
 
-    /// Leftmost leaf (for unbounded scans).
-    fn leftmost_leaf(&self) -> Result<PageId> {
-        let meta = self.read_meta()?;
-        let mut page = meta.root;
-        loop {
-            match self.load_node(page)? {
-                Node::Internal { children, .. } => page = children[0],
-                Node::Leaf { .. } => return Ok(page),
-            }
-        }
+    /// Pin the leaf where a scan from `low` starts. Separators are judged by
+    /// key alone: an excluded bound descends past every duplicate of its key.
+    fn descend_to(&self, low: Bound<&Value>) -> Result<PageGuard> {
+        let before = |e: &Entry| outside(&e.key, low, Ordering::Less);
+        self.descend(&self.read_meta()?, before, None)
     }
 
     /// All rids whose key equals `key`, in rid order.
     pub fn search_eq(&self, key: &Value) -> Result<Vec<Rid>> {
         let mut out = Vec::new();
-        for item in self.range(Bound::Included(key), Bound::Included(key))? {
-            let (_, rid) = item?;
-            out.push(rid);
-        }
+        let bound = Bound::Included(key);
+        follow(&self.pool, self.descend_to(bound)?, bound, bound, |e| {
+            out.push(e.rid);
+            Ok(false)
+        })?;
         Ok(out)
     }
 
     /// Ordered scan of entries with keys within `(low, high)`.
     pub fn range(&self, low: Bound<&Value>, high: Bound<&Value>) -> Result<BTreeRangeScan> {
-        let start_leaf = match &low {
-            Bound::Unbounded => self.leftmost_leaf()?,
-            Bound::Included(v) | Bound::Excluded(v) => self.descend(&Key::min_for(v))?,
-        };
-        Ok(BTreeRangeScan {
+        let mut scan = BTreeRangeScan {
             pool: Arc::clone(&self.pool),
-            next_leaf: start_leaf,
-            buffer: Vec::new(),
-            pos: 0,
-            low: match low {
-                Bound::Unbounded => Bound::Unbounded,
-                Bound::Included(v) => Bound::Included(v.clone()),
-                Bound::Excluded(v) => Bound::Excluded(v.clone()),
-            },
-            high: match high {
-                Bound::Unbounded => Bound::Unbounded,
-                Bound::Included(v) => Bound::Included(v.clone()),
-                Bound::Excluded(v) => Bound::Excluded(v.clone()),
-            },
-            started: false,
-            done: false,
-        })
+            next_leaf: INVALID_PAGE_ID,
+            buffer: Vec::new().into_iter(),
+            low: low.cloned(),
+            high: high.cloned(),
+        };
+        scan.fill(self.descend_to(low)?)?;
+        Ok(scan)
     }
 
-    /// Depth-first structural check: key ordering within nodes, separator
-    /// invariants, and leaf-chain ordering. Test/debug helper.
+    /// Structural check: every node packed and in bounds, every leaf at the
+    /// tree's height, leaf entries and the separators between them sorted
+    /// in order of traversal (every ordering invariant at once), leaf chain
+    /// and meta page agreeing with the tree. Test/debug helper.
     pub fn check_invariants(&self) -> Result<()> {
         let meta = self.read_meta()?;
-        let mut leaf_count = 0u64;
-        self.check_rec(meta.root, None, None, meta.height, 1, &mut leaf_count)?;
-        if leaf_count != meta.entry_count {
+        let (mut seq, mut entries, mut pages) = (Vec::new(), 0u64, 0u64);
+        self.check_rec(meta.root, meta.height, &mut seq, &mut entries, &mut pages)?;
+        let chained = self.entry_count()?;
+        // Non-strict: an exact duplicate (key, rid) pair may straddle a
+        // split, making the separator equal to the left leaf's last entry.
+        if seq.windows(2).any(|w| w[0] > w[1]) || entries != chained || pages != meta.page_count {
             return Err(EvoptError::Internal(format!(
-                "meta entry_count {} != leaves {}",
-                meta.entry_count, leaf_count
+                "b-tree keys out of order, or {entries} entries on {pages} pages against \
+                 {chained} in the leaf chain and {} pages in the meta page",
+                meta.page_count
             )));
         }
         Ok(())
     }
 
+    /// Appends the subtree at `page`, which must have `levels` levels, to `seq`.
     fn check_rec(
         &self,
         page: PageId,
-        low: Option<&Key>,
-        high: Option<&Key>,
-        height: u32,
-        depth: u32,
-        leaf_count: &mut u64,
+        levels: u32,
+        seq: &mut Vec<(Value, Rid)>,
+        entries: &mut u64,
+        pages: &mut u64,
     ) -> Result<()> {
-        let fail = |msg: String| Err(EvoptError::Internal(msg));
-        match self.load_node(page)? {
-            Node::Leaf { entries, .. } => {
-                if depth != height {
-                    return fail(format!("leaf at depth {depth}, height {height}"));
-                }
-                for w in entries.windows(2) {
-                    if w[0].0 > w[1].0 {
-                        return fail("unsorted leaf entries".into());
-                    }
-                }
-                for (k, _) in &entries {
-                    if let Some(lo) = low {
-                        if k < lo {
-                            return fail("leaf key below separator".into());
-                        }
-                    }
-                    if let Some(hi) = high {
-                        // Non-strict: an exact duplicate (key, rid) pair may
-                        // straddle a split, making the separator equal to
-                        // the left leaf's last entry.
-                        if k > hi {
-                            return fail("leaf key above separator".into());
-                        }
-                    }
-                }
-                *leaf_count += entries.len() as u64;
-                Ok(())
+        let mut items = Vec::new(); // each (key, rid), and in an internal node its right child
+        let first = {
+            let guard = self.pool.fetch(page)?;
+            let data = guard.read();
+            let node = Node::new(&data, Some(levels > 1))?;
+            let mut used = 0;
+            for i in 0..node.count {
+                let e = node.entry(i)?;
+                used += e.bytes.len();
+                items.push(((e.key.to_value()?, e.rid), e.child));
             }
-            Node::Internal { keys, children } => {
-                if keys.len() + 1 != children.len() {
-                    return fail("internal arity mismatch".into());
-                }
-                for w in keys.windows(2) {
-                    if w[0] > w[1] {
-                        return fail("unsorted internal keys".into());
-                    }
-                }
-                for (i, &child) in children.iter().enumerate() {
-                    let lo = if i == 0 { low } else { Some(&keys[i - 1]) };
-                    let hi = if i == keys.len() {
-                        high
-                    } else {
-                        Some(&keys[i])
-                    };
-                    self.check_rec(child, lo, hi, height, depth + 1, leaf_count)?;
-                }
-                Ok(())
+            let frontier = node.frontier();
+            if frontier < HEADER + SLOT * node.count || USABLE_PAGE_SIZE - frontier != used {
+                return Err(corrupt("entries overlap the slots or leave holes"));
             }
+            node.link
+        };
+        *pages += 1;
+        if levels == 1 {
+            *entries += items.len() as u64;
+            seq.extend(items.into_iter().map(|(key, _)| key));
+            return Ok(());
         }
+        self.check_rec(first, levels - 1, seq, entries, pages)?;
+        for (sep, child) in items {
+            seq.push(sep);
+            self.check_rec(child, levels - 1, seq, entries, pages)?;
+        }
+        Ok(())
     }
 }
 
 /// Iterator over `(key, rid)` pairs from a [`BTreeIndex::range`] call.
-/// Buffers one leaf at a time (same pin discipline as heap scans).
+/// Buffers one leaf's in-range entries at a time; no pin between calls.
 pub struct BTreeRangeScan {
     pool: Arc<BufferPool>,
+    /// Leaf to read once `buffer` is spent; `INVALID_PAGE_ID` ends the scan.
     next_leaf: PageId,
-    buffer: Vec<(Value, Rid)>,
-    pos: usize,
+    buffer: std::vec::IntoIter<(Value, Rid)>,
     low: Bound<Value>,
     high: Bound<Value>,
-    started: bool,
-    done: bool,
 }
 
 impl BTreeRangeScan {
-    fn refill(&mut self) -> Result<bool> {
-        while self.next_leaf != INVALID_PAGE_ID {
-            let guard = self.pool.fetch(self.next_leaf)?;
-            let node = Node::load(&guard.read())?;
-            drop(guard);
-            let (entries, next) = match node {
-                Node::Leaf { entries, next } => (entries, next),
-                Node::Internal { .. } => {
-                    return Err(EvoptError::Internal(
-                        "range scan reached an internal node".into(),
-                    ))
-                }
-            };
-            self.buffer.clear();
-            for (k, _) in entries {
-                self.buffer.push((k.value, k.rid));
-            }
-            self.pos = 0;
-            self.next_leaf = next;
-            if !self.started {
-                // Skip entries below the low bound in the first leaf.
-                self.pos = match &self.low {
-                    Bound::Unbounded => 0,
-                    Bound::Included(v) => self.buffer.partition_point(|(k, _)| k < v),
-                    Bound::Excluded(v) => self.buffer.partition_point(|(k, _)| k <= v),
-                };
-                // The low bound may fall past this leaf's entries (they were
-                // all smaller); continue to the next leaf still "unstarted".
-                if self.pos >= self.buffer.len() {
-                    continue;
-                }
-                self.started = true;
-            }
-            if self.pos < self.buffer.len() {
-                return Ok(true);
-            }
-        }
-        Ok(false)
-    }
-
-    fn past_high(&self, key: &Value) -> bool {
-        match &self.high {
-            Bound::Unbounded => false,
-            Bound::Included(v) => key > v,
-            Bound::Excluded(v) => key >= v,
-        }
+    /// Buffer the in-range entries of `leaf`, or of the first after it that
+    /// has any (the low bound may lie past a leaf's end).
+    fn fill(&mut self, leaf: PageGuard) -> Result<()> {
+        let mut buffer = Vec::new();
+        self.next_leaf = follow(
+            &self.pool,
+            leaf,
+            self.low.as_ref(),
+            self.high.as_ref(),
+            |e| {
+                buffer.push((e.key.to_value()?, e.rid));
+                Ok(true)
+            },
+        )?;
+        self.buffer = buffer.into_iter();
+        Ok(())
     }
 }
 
@@ -668,30 +682,14 @@ impl Iterator for BTreeRangeScan {
     type Item = Result<(Value, Rid)>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
-        if self.pos >= self.buffer.len() {
-            match self.refill() {
-                Ok(true) => {}
-                Ok(false) => {
-                    self.done = true;
-                    return None;
-                }
-                Err(e) => {
-                    self.done = true;
-                    return Some(Err(e));
-                }
+        if self.buffer.len() == 0 && self.next_leaf != INVALID_PAGE_ID {
+            let leaf = self.pool.fetch(self.next_leaf);
+            if let Err(e) = leaf.and_then(|leaf| self.fill(leaf)) {
+                self.next_leaf = INVALID_PAGE_ID;
+                return Some(Err(e));
             }
         }
-        let (k, rid) = self.buffer[self.pos].clone();
-        if self.past_high(&k) {
-            self.done = true;
-            return None;
-        }
-        self.pos += 1;
-        self.started = true;
-        Some(Ok((k, rid)))
+        self.buffer.next().map(Ok)
     }
 }
 
@@ -939,40 +937,274 @@ mod tests {
         assert_eq!(n, 3000);
     }
 
+    #[test]
+    fn excluded_low_bound_skips_the_duplicates_by_descent() {
+        // `k > 7` over 5 000 copies of 7 must not read the ~30 leaves that
+        // hold them: the descent itself lands past the last copy.
+        let disk = Arc::new(DiskManager::new());
+        let pool = BufferPool::new(Arc::clone(&disk) as Arc<dyn DiskBackend>, 8);
+        let t = BTreeIndex::create(Arc::clone(&pool)).unwrap();
+        for i in 0..5_000u64 {
+            t.insert(&Value::Int(7), rid(i)).unwrap();
+        }
+        for k in [6, 8, 9] {
+            t.insert(&Value::Int(k), rid(0)).unwrap();
+        }
+        assert!(t.page_count().unwrap() > 20);
+        let height = t.height().unwrap() as u64;
+        let before = disk.snapshot();
+        let got: Vec<i64> = t
+            .range(Bound::Excluded(&Value::Int(7)), Bound::Unbounded)
+            .unwrap()
+            .map(|r| r.unwrap().0.as_i64().unwrap())
+            .collect();
+        let delta = disk.snapshot().since(&before);
+        assert_eq!(got, vec![8, 9]);
+        assert!(
+            delta.reads <= height + 3,
+            "scan read {} pages, height {height}",
+            delta.reads
+        );
+    }
+
+    /// Shape pin: the page layout costs exactly the bytes the whole-node
+    /// format (`bvtree01`) did and splits at the same points, so height and
+    /// page count are the values that format produced for the same builds.
+    #[test]
+    fn tree_shapes_match_the_previous_format() {
+        let shape = |t: &BTreeIndex| (t.height().unwrap(), t.page_count().unwrap());
+
+        let t = mktree(256);
+        for i in 0..100_000i64 {
+            t.insert(&Value::Int(i), rid(i as u64)).unwrap();
+        }
+        assert_eq!(shape(&t), (3, 1140));
+
+        let t = mktree(256);
+        let mut order: Vec<i64> = (0..40_000).collect();
+        order.shuffle(&mut StdRng::seed_from_u64(7));
+        for &i in &order {
+            t.insert(&Value::Int(i), rid(i as u64)).unwrap();
+        }
+        assert_eq!(shape(&t), (3, 321));
+
+        let t = mktree(256);
+        for i in 0..20_000u64 {
+            let n = i.wrapping_mul(2_654_435_761) % 1_000_003;
+            let s = format!("{n:0width$}", width = 1 + (i % 97) as usize);
+            t.insert(&Value::Str(s), rid(i)).unwrap();
+        }
+        assert_eq!(shape(&t), (3, 515));
+        t.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn open_refuses_the_previous_format() {
+        let pool = BufferPool::new(Arc::new(DiskManager::new()), 8);
+        let t = BTreeIndex::create(Arc::clone(&pool)).unwrap();
+        let meta = t.meta_page();
+        pool.fetch(meta).unwrap().write()[0..8].copy_from_slice(&META_MAGIC_V1.to_le_bytes());
+        match BTreeIndex::open(pool, meta).map(|_| ()) {
+            Err(EvoptError::Storage(msg)) => {
+                assert!(
+                    msg.contains("bvtree01") && msg.contains("bvtree02"),
+                    "{msg}"
+                )
+            }
+            other => panic!("expected the typed refusal, got {other:?}"),
+        }
+    }
+
+    /// One writer splits its way through 20 000 shuffled keys while two
+    /// readers probe keys it has already published. Readers take no tree
+    /// lock: a half-published split must never hide a published key.
+    #[test]
+    fn readers_find_published_keys_during_splits() {
+        use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+        let t = mktree(512);
+        let mut order: Vec<i64> = (0..20_000).collect();
+        order.shuffle(&mut StdRng::seed_from_u64(11));
+        let published = AtomicUsize::new(0); // order[..published] are in the tree
+        let start = std::sync::Barrier::new(3);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                start.wait();
+                for (i, &k) in order.iter().enumerate() {
+                    t.insert(&Value::Int(k), rid(k as u64)).unwrap();
+                    published.store(i + 1, SeqCst);
+                }
+            });
+            for reader in 0..2u64 {
+                let (t, order, published, start) = (&t, &order, &published, &start);
+                s.spawn(move || {
+                    let mut rng = StdRng::seed_from_u64(reader);
+                    start.wait();
+                    let mut probes = 0u64;
+                    loop {
+                        let n = published.load(SeqCst);
+                        if n > 0 {
+                            let k = order[rng.random_range(0..n)];
+                            assert_eq!(t.search_eq(&Value::Int(k)).unwrap(), vec![rid(k as u64)]);
+                            probes += 1;
+                        }
+                        if n == order.len() {
+                            break;
+                        }
+                    }
+                    assert!(probes > 0);
+                });
+            }
+        });
+        assert!(t.height().unwrap() >= 3);
+        assert_eq!(t.entry_count().unwrap(), 20_000);
+        t.check_invariants().unwrap();
+    }
+
+    /// Every key class, the edges of each, and strings long enough that a
+    /// few hundred entries make a tree of height ≥ 3. They stop at 200
+    /// bytes: with keys near `MAX_KEY_BYTES` beside tiny ones, a `len / 2`
+    /// split can leave a half that does not fit, and the insert is refused.
+    fn arb_key() -> BoxedStrategy<Value> {
+        let long = || {
+            ".{140,190}".prop_map(|mut s: String| {
+                while s.len() > 200 {
+                    s.pop();
+                }
+                Value::Str(s)
+            })
+        };
+        prop_oneof![
+            Just(Value::Null),
+            any::<bool>().prop_map(Value::Bool),
+            (-50i64..50).prop_map(Value::Int),
+            prop_oneof![
+                Just(-0.0),
+                Just(0.0),
+                Just(7.5),
+                Just(f64::NAN),
+                Just(f64::INFINITY)
+            ]
+            .prop_map(Value::Float),
+            ".{0,40}".prop_map(Value::Str),
+            long(),
+            long(),
+            long(),
+            long(),
+            long(),
+            long(),
+        ]
+    }
+
+    /// The comparator's whole domain, including the numeric pairs where
+    /// `Int as f64` rounds (|x| > 2^53) and every special float.
+    fn arb_any_value() -> BoxedStrategy<Value> {
+        let ints = prop_oneof![
+            any::<i64>(),
+            -3i64..3,
+            Just(i64::MIN),
+            Just(i64::MAX),
+            (1i64 << 53) - 2..(1i64 << 53) + 3,
+            -(1i64 << 53) - 2..-(1i64 << 53) + 3,
+        ];
+        let floats = prop_oneof![
+            any::<f64>(),
+            Just(f64::NAN),
+            Just(-0.0),
+            Just(0.0),
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+            Just((1u64 << 53) as f64),
+            (-3i64..3).prop_map(|i| i as f64),
+        ];
+        prop_oneof![
+            Just(Value::Null),
+            any::<bool>().prop_map(Value::Bool),
+            ints.prop_map(Value::Int),
+            floats.prop_map(Value::Float),
+            ".{0,3}".prop_map(Value::Str),
+            ".{0,50}".prop_map(Value::Str), // up to 200 bytes: chars run to 4
+        ]
+    }
+
+    /// Overwrite `page` and check that every operation comes back with `Ok`
+    /// or a storage/internal error — hostile bytes must never panic.
+    fn survives_corruption(t: &BTreeIndex, pool: &Arc<BufferPool>, page: PageId, bytes: &[u8]) {
+        pool.fetch(page).unwrap().write()[..bytes.len()].copy_from_slice(bytes);
+        let graceful = |r: Result<()>| match r {
+            Ok(()) | Err(EvoptError::Storage(_) | EvoptError::Internal(_)) => {}
+            Err(e) => panic!("unexpected error class: {e:?}"),
+        };
+        let all = || t.range(Bound::Unbounded, Bound::Unbounded);
+        for k in [-1, 0, 150, 299, 1_000] {
+            let key = Value::Int(k);
+            graceful(t.search_eq(&key).map(|_| ()));
+            graceful(all().and_then(|scan| scan.collect::<Result<Vec<_>>>().map(|_| ())));
+            let from = t.range(Bound::Excluded(&key), Bound::Included(&Value::Int(k + 40)));
+            graceful(from.and_then(|scan| scan.collect::<Result<Vec<_>>>().map(|_| ())));
+            graceful(t.insert(&key, rid(9)));
+            graceful(t.delete(&key, rid(k as u64)).map(|_| ()));
+            graceful(t.check_invariants());
+        }
+    }
+
+    /// A height-2 tree of 300 `Int` entries: `(tree, pool, root, a leaf)`.
+    fn small_two_level_tree() -> (BTreeIndex, Arc<BufferPool>, PageId, PageId) {
+        let pool = BufferPool::new(Arc::new(DiskManager::new()), 32);
+        let t = BTreeIndex::create(Arc::clone(&pool)).unwrap();
+        for i in 0..300 {
+            t.insert(&Value::Int(i), rid(i as u64)).unwrap();
+        }
+        let meta = t.read_meta().unwrap();
+        assert_eq!(meta.height, 2);
+        let leaf = t
+            .descend_to(Bound::Included(&Value::Int(150)))
+            .unwrap()
+            .id();
+        (t, pool, meta.root, leaf)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
         /// Model-based test: tree contents always match a sorted reference
-        /// vector under random insert/delete interleavings.
+        /// vector under random insert/delete interleavings, over every key
+        /// class, through splits at three levels.
         #[test]
         fn prop_matches_model(ops in prop::collection::vec(
-            (any::<bool>(), -50i64..50, 0u64..20), 1..400)) {
-            let t = mktree(32);
-            let mut model: Vec<(i64, u64)> = Vec::new();
-            for (is_insert, k, r) in ops {
-                if is_insert || model.is_empty() {
-                    t.insert(&Value::Int(k), rid(r)).unwrap();
-                    model.push((k, r));
+            (0u8..4, arb_key(), 0u64..20), 1..1200)) {
+            let t = mktree(64);
+            let mut model: Vec<(Value, Rid)> = Vec::new();
+            for (op, k, r) in ops {
+                let entry = (k, rid(r));
+                if op > 0 || model.is_empty() {
+                    t.insert(&entry.0, entry.1).unwrap();
+                    // Equal entries (`Int(7)` and `Float(7.0)` are equal)
+                    // keep insertion order, in the tree as here.
+                    let at = model.partition_point(|e| e <= &entry);
+                    model.insert(at, entry);
                 } else {
-                    let present = model.iter().position(|&(mk, mr)| mk == k && mr == r);
-                    let deleted = t.delete(&Value::Int(k), rid(r)).unwrap();
-                    prop_assert_eq!(deleted, present.is_some());
-                    if let Some(p) = present {
-                        model.remove(p);
+                    let at = model.partition_point(|e| e < &entry);
+                    let present = model.get(at) == Some(&entry);
+                    prop_assert_eq!(t.delete(&entry.0, entry.1).unwrap(), present);
+                    if present {
+                        model.remove(at);
                     }
                 }
             }
-            model.sort_by_key(|a| (a.0, rid(a.1)));
-            let got: Vec<(i64, Rid)> = t
+            let got: Vec<(Value, Rid)> = t
                 .range(Bound::Unbounded, Bound::Unbounded).unwrap()
-                .map(|x| { let (v, r) = x.unwrap(); (v.as_i64().unwrap(), r) })
+                .map(|x| x.unwrap())
                 .collect();
-            let want: Vec<(i64, Rid)> = model.iter().map(|&(k, r)| (k, rid(r))).collect();
-            prop_assert_eq!(got, want);
+            // `Debug` tells the stored variant apart where `==` does not.
+            prop_assert_eq!(format!("{got:?}"), format!("{model:?}"));
+            prop_assert_eq!(t.entry_count().unwrap(), model.len() as u64);
+            // Most cases get there: the splits above run at three levels.
+            prop_assert!(model.len() < 600 || t.height().unwrap() >= 3);
             t.check_invariants().unwrap();
         }
 
-        /// Range scans agree with filtering a full scan.
+        /// Range scans agree with filtering a full scan, for an included
+        /// and an excluded low bound.
         #[test]
         fn prop_range_equals_filtered_full_scan(
             keys in prop::collection::vec(-100i64..100, 0..300),
@@ -982,14 +1214,58 @@ mod tests {
                 t.insert(&Value::Int(k), rid(i as u64)).unwrap();
             }
             let (vlo, vhi) = (Value::Int(lo), Value::Int(hi));
-            let got: Vec<i64> = t
-                .range(Bound::Included(&vlo), Bound::Excluded(&vhi)).unwrap()
-                .map(|x| x.unwrap().0.as_i64().unwrap())
-                .collect();
-            let mut want: Vec<i64> = keys.iter().copied()
-                .filter(|&k| k >= lo && k < hi).collect();
-            want.sort_unstable();
-            prop_assert_eq!(got, want);
+            for (low, first) in [(Bound::Included(&vlo), lo), (Bound::Excluded(&vlo), lo + 1)] {
+                let got: Vec<i64> = t
+                    .range(low, Bound::Excluded(&vhi)).unwrap()
+                    .map(|x| x.unwrap().0.as_i64().unwrap())
+                    .collect();
+                let mut want: Vec<i64> = keys.iter().copied()
+                    .filter(|&k| k >= first && k < hi).collect();
+                want.sort_unstable();
+                prop_assert_eq!(got, want);
+            }
+        }
+
+        /// Hostile node bytes: a leaf and an internal page overwritten with
+        /// arbitrary bytes, then with a plausible header over slots and
+        /// counts that point anywhere.
+        #[test]
+        fn prop_hostile_node_bytes_never_panic(
+            junk in prop::collection::vec(any::<u8>(), USABLE_PAGE_SIZE),
+            count in prop_oneof![0usize..400, Just(2038usize), any::<u16>().prop_map(usize::from)],
+            slots in prop::collection::vec(any::<u16>(), 0..400),
+            hit_leaf in any::<bool>()) {
+            let (t, pool, root, leaf) = small_two_level_tree();
+            let page = if hit_leaf { leaf } else { root };
+            survives_corruption(&t, &pool, page, &junk);
+
+            let (t, pool, root, leaf) = small_two_level_tree();
+            let page = if hit_leaf { leaf } else { root };
+            let mut header = vec![u8::from(!hit_leaf)];
+            header.extend_from_slice(&(count as u16).to_le_bytes());
+            header.extend_from_slice(&pool.fetch(page).unwrap().read()[3..HEADER]);
+            header.extend(slots.iter().flat_map(|s| s.to_le_bytes()));
+            survives_corruption(&t, &pool, page, &header);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// The in-page comparator is `Value::cmp`, then `Rid::cmp`.
+        #[test]
+        fn prop_comparator_equals_value_cmp(
+            a in arb_any_value(), b in arb_any_value(),
+            ra in (0u64..3, 0u16..3), rb in (0u64..3, 0u16..3)) {
+            let (ra, rb) = (Rid::new(ra.0, ra.1), Rid::new(rb.0, rb.1));
+            let mut stored = leaf_entry(&a, ra);
+            let want = a.cmp(&b).then(ra.cmp(&rb));
+            prop_assert_eq!(Entry::parse(&stored, false).unwrap().cmp(&b, rb), want);
+            // The same key as a separator: the child bytes change nothing.
+            stored.extend_from_slice(&77u64.to_le_bytes());
+            let entry = Entry::parse(&stored, true).unwrap();
+            prop_assert_eq!((entry.cmp(&b, rb), entry.child), (want, 77));
+            prop_assert_eq!(format!("{:?}", entry.key.to_value().unwrap()), format!("{a:?}"));
         }
     }
 }
