@@ -12,9 +12,9 @@
 //! `Vec<f64>` would change observable results (`SUM` over all-`Int` inputs
 //! must stay `Int`), so conversion is value-driven: a column gets a typed
 //! vector only when every non-null value shares one runtime variant, and
-//! falls back to [`ColumnData::Any`] (a plain `Vec<Value>`) otherwise. Typed
-//! kernels check the representation and take the exact generic path on
-//! `Any`, so they agree bit for bit with row-at-a-time evaluation.
+//! falls back to [`ColumnData::Any`] (a plain `Vec<Value>`) otherwise. The
+//! typed operators check the representation and take the exact generic path
+//! on `Any`, so they agree bit for bit with row-at-a-time evaluation.
 
 use crate::error::Result;
 use crate::tuple::Tuple;
@@ -25,7 +25,6 @@ use crate::value::Value;
 pub struct Validity {
     words: Vec<u64>,
     len: usize,
-    valid: usize,
 }
 
 impl Validity {
@@ -33,7 +32,6 @@ impl Validity {
         Validity {
             words: Vec::with_capacity(capacity.div_ceil(64)),
             len: 0,
-            valid: 0,
         }
     }
 
@@ -45,7 +43,6 @@ impl Validity {
         }
         if is_valid {
             self.words[word] |= 1u64 << bit;
-            self.valid += 1;
         }
         self.len += 1;
     }
@@ -56,24 +53,6 @@ impl Validity {
             return false;
         }
         self.words[i / 64] & (1u64 << (i % 64)) != 0
-    }
-
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Number of non-NULL slots.
-    pub fn count_valid(&self) -> usize {
-        self.valid
-    }
-
-    /// True when no slot is NULL — kernels skip per-row validity tests.
-    pub fn all_valid(&self) -> bool {
-        self.valid == self.len
     }
 }
 
@@ -90,23 +69,7 @@ pub enum ColumnData {
     Any(Vec<Value>),
 }
 
-impl ColumnData {
-    pub fn len(&self) -> usize {
-        match self {
-            ColumnData::Int(v) => v.len(),
-            ColumnData::Float(v) => v.len(),
-            ColumnData::Bool(v) => v.len(),
-            ColumnData::Str(v) => v.len(),
-            ColumnData::Any(v) => v.len(),
-        }
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// A borrowed, non-owning view of one slot — lets kernels compare and
+/// A borrowed, non-owning view of one slot — lets operators compare and
 /// accumulate without materialising a [`Value`] (no `String` clones).
 #[derive(Debug, Clone, Copy)]
 pub enum Cell<'a> {
@@ -183,7 +146,7 @@ pub fn cell_cmp(a: Cell<'_>, b: Cell<'_>) -> Option<std::cmp::Ordering> {
 #[derive(Debug, Clone)]
 pub struct ColumnVector {
     pub data: ColumnData,
-    pub validity: Validity,
+    validity: Validity,
 }
 
 impl ColumnVector {
@@ -292,14 +255,6 @@ impl ColumnVector {
         Ok(ColumnVector { data, validity })
     }
 
-    pub fn len(&self) -> usize {
-        self.validity.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Borrowed view of slot `i` (NULL for invalid or out-of-range slots).
     pub fn cell(&self, i: usize) -> Cell<'_> {
         if !self.validity.is_valid(i) {
@@ -312,11 +267,6 @@ impl ColumnVector {
             ColumnData::Str(v) => Cell::S(&v[i]),
             ColumnData::Any(v) => Cell::of(&v[i]),
         }
-    }
-
-    /// Owned value of slot `i` (clones strings).
-    pub fn value(&self, i: usize) -> Value {
-        self.cell(i).to_value()
     }
 }
 
@@ -350,14 +300,18 @@ mod tests {
         let rows = sample_rows();
         for c in 0..4 {
             let cv = ColumnVector::from_rows(&rows, c).unwrap();
-            assert_eq!(cv.len(), 3);
             for (r, t) in rows.iter().enumerate() {
-                assert_eq!(&cv.value(r), t.value(c).unwrap(), "row {r} column {c}");
+                assert_eq!(
+                    &cv.cell(r).to_value(),
+                    t.value(c).unwrap(),
+                    "row {r} column {c}"
+                );
             }
+            assert!(cv.cell(rows.len()).is_null(), "past the end reads NULL");
         }
         // -0.0 must survive the round trip bit-exactly.
         let f = ColumnVector::from_rows(&rows, 1).unwrap();
-        assert_eq!(f.value(2).as_f64().unwrap().to_bits(), (-0.0f64).to_bits());
+        assert!(matches!(f.cell(2), Cell::F(x) if x.to_bits() == (-0.0f64).to_bits()));
     }
 
     #[test]
@@ -380,8 +334,8 @@ mod tests {
         ];
         let cv = ColumnVector::from_rows(&rows, 0).unwrap();
         assert!(matches!(cv.data, ColumnData::Any(_)));
-        assert_eq!(cv.value(0), Value::Int(1));
-        assert_eq!(cv.value(1), Value::Float(2.5));
+        assert_eq!(cv.cell(0).to_value(), Value::Int(1));
+        assert_eq!(cv.cell(1).to_value(), Value::Float(2.5));
     }
 
     #[test]
@@ -390,22 +344,20 @@ mod tests {
         for i in 0..130 {
             v.push(i % 3 != 0);
         }
-        assert_eq!(v.len(), 130);
         for i in 0..130 {
             assert_eq!(v.is_valid(i), i % 3 != 0, "slot {i}");
         }
+        assert!(!v.is_valid(130));
         assert!(!v.is_valid(500));
-        assert!(!v.all_valid());
-        assert_eq!(v.count_valid(), (0..130).filter(|i| i % 3 != 0).count());
     }
 
     #[test]
     fn all_null_column_is_typed_with_empty_validity() {
         let rows = vec![Tuple::new(vec![Value::Null]), Tuple::new(vec![Value::Null])];
         let cv = ColumnVector::from_rows(&rows, 0).unwrap();
-        assert_eq!(cv.validity.count_valid(), 0);
+        assert!(matches!(cv.data, ColumnData::Int(_)));
         assert!(cv.cell(0).is_null());
-        assert_eq!(cv.value(1), Value::Null);
+        assert_eq!(cv.cell(1).to_value(), Value::Null);
     }
 
     #[test]

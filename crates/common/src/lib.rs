@@ -11,8 +11,8 @@
 //! * [`Batch`] — a schema plus an ordered run of tuples: the unit of data
 //!   flow between executor operators.
 //! * [`ColumnVector`] — one column of a batch transposed into a typed
-//!   vector with a validity bitmap, feeding the type-specialized kernels in
-//!   `evopt-exec`.
+//!   vector with a validity bitmap, feeding the typed aggregation and
+//!   join-key index in `evopt-exec`.
 //! * [`Expr`] — bound scalar expression trees (column ordinals, literals,
 //!   comparisons, boolean connectives, arithmetic, `LIKE`, `IN`, `BETWEEN`)
 //!   with an evaluator and a constant folder.
@@ -35,7 +35,7 @@ pub mod tuple;
 pub mod value;
 
 pub use batch::{Batch, DEFAULT_BATCH_ROWS};
-pub use columnar::{Cell, ColumnData, ColumnVector, Validity};
+pub use columnar::{Cell, ColumnData, ColumnVector};
 pub use error::{EvoptError, Result};
 pub use expr::{AggFunc, BinOp, Expr, UnOp};
 pub use schema::{Column, Schema};

@@ -16,7 +16,7 @@ use evopt_catalog::{Catalog, TableInfo};
 use evopt_common::{EvoptError, Expr, Result, Schema};
 use evopt_obs::TraceSink;
 use evopt_plan::join_graph::JoinGraph;
-use evopt_plan::{fold_constants, push_down_filters, LogicalPlan, SortKey};
+use evopt_plan::{rewrite_all, LogicalPlan, SortKey};
 
 use crate::access_path::{self, IndexMeta, RelMeta};
 use crate::cost::CostModel;
@@ -111,7 +111,7 @@ impl Optimizer {
     /// Optimize a bound logical plan against `catalog`.
     pub fn optimize(&self, plan: &LogicalPlan, catalog: &Catalog) -> Result<PhysicalPlan> {
         let prepared = if self.config.enable_rewrites {
-            push_down_filters(fold_constants(plan.clone())?)?
+            rewrite_all(plan.clone())?
         } else {
             plan.clone()
         };

@@ -153,10 +153,14 @@ impl<'a> Flight<'a> {
     }
 
     fn exec_env(&self, catalog: &Arc<Catalog>) -> ExecEnv {
-        let buffer_pages = self.cfg.optimizer.cost_model.buffer_pages;
-        ExecEnv::new(Arc::clone(catalog), buffer_pages)
-            .with_batch_rows(self.cfg.batch_rows)
-            .with_metrics(Arc::clone(&self.db.metrics))
+        // Spelled out, not `ExecEnv::new(..).with_metrics(..)`: `new` builds a
+        // registry of its own, which every statement would make and drop.
+        ExecEnv {
+            catalog: Arc::clone(catalog),
+            buffer_pages: self.cfg.optimizer.cost_model.buffer_pages,
+            batch_rows: self.cfg.batch_rows.max(1),
+            metrics: Arc::clone(&self.db.metrics),
+        }
     }
 
     fn stages(&mut self, input: Input<'a>, mode: Mode) -> Result<QueryResult> {

@@ -21,10 +21,11 @@ pub struct ExecEnv {
     pub buffer_pages: usize,
     /// Target rows per [`Batch`] produced by every operator. Always ≥ 1.
     pub batch_rows: usize,
-    /// Optional engine metrics registry. When present, root drains count
-    /// batches/rows and spilling operators count spill events; when
-    /// `None`, execution pays zero bookkeeping.
-    pub metrics: Option<Arc<evopt_obs::EngineMetrics>>,
+    /// Engine metrics registry: root drains count batches/rows into it and
+    /// spilling operators count spill events. [`ExecEnv::new`] makes a
+    /// private one; whoever reads the counts (the engine, a test) supplies
+    /// the registry it reads.
+    pub metrics: Arc<evopt_obs::EngineMetrics>,
 }
 
 impl ExecEnv {
@@ -33,7 +34,7 @@ impl ExecEnv {
             catalog,
             buffer_pages,
             batch_rows: DEFAULT_BATCH_ROWS,
-            metrics: None,
+            metrics: Arc::default(),
         }
     }
 
@@ -44,25 +45,21 @@ impl ExecEnv {
         self
     }
 
-    /// Attach an engine metrics registry.
+    /// Count into `metrics` instead of the private registry.
     pub fn with_metrics(mut self, metrics: Arc<evopt_obs::EngineMetrics>) -> Self {
-        self.metrics = Some(metrics);
+        self.metrics = metrics;
         self
     }
 
-    /// Record root-drain output volume, if metrics are attached.
+    /// Record root-drain output volume.
     pub(crate) fn record_output(&self, batches: u64, rows: u64) {
-        if let Some(m) = &self.metrics {
-            m.exec_batches.add(batches);
-            m.exec_rows.add(rows);
-        }
+        self.metrics.exec_batches.add(batches);
+        self.metrics.exec_rows.add(rows);
     }
 
-    /// Record one operator spilling to disk, if metrics are attached.
+    /// Record one operator spilling to disk.
     pub(crate) fn record_spill(&self) {
-        if let Some(m) = &self.metrics {
-            m.exec_spills.inc();
-        }
+        self.metrics.exec_spills.inc();
     }
 }
 

@@ -1,42 +1,26 @@
 //! Filter, projection and limit.
 //!
 //! All three are batch transformers: one input batch in, at most one
-//! output batch out, with the expression evaluated across the whole batch
-//! per `next_batch()` call. The filter runs its predicate as a typed kernel
-//! over the columns it references (see [`crate::kernels`]).
+//! output batch out, with the expression evaluated row by row across the
+//! whole batch per `next_batch()` call.
 
-use evopt_common::columnar::ColumnVector;
 use evopt_common::{Batch, Expr, Result, Schema, Tuple};
 
 use crate::executor::Executor;
-use crate::kernels::{compile_predicate, Kernel};
 
-/// Filter over typed column vectors: transposes only the columns the
-/// predicate references, evaluates the compiled kernel to a selection
-/// vector, and gathers the surviving rows. A predicate shape
-/// [`compile_predicate`] rejects is evaluated row at a time instead. The
-/// differential reference is the same predicate pushed into a `SeqScan`,
-/// which always evaluates it row at a time.
+/// Keeps the rows on which the predicate is `TRUE`, through the same
+/// `Expr::eval_predicate` a scan's pushed filter and a join's residual use.
+/// The optimizer leaves a predicate here only above an aggregate (`HAVING`
+/// on an aggregate value) or an opaque join leaf; every other conjunct is
+/// evaluated at the access path or as a join residual.
 pub struct FilterExec {
     input: Box<dyn Executor>,
     predicate: Expr,
-    kernel: Option<Kernel>,
-    referenced: Vec<usize>,
 }
 
 impl FilterExec {
     pub fn new(input: Box<dyn Executor>, predicate: Expr) -> Self {
-        let kernel = compile_predicate(&predicate);
-        let referenced = kernel
-            .as_ref()
-            .map(Kernel::referenced_columns)
-            .unwrap_or_default();
-        FilterExec {
-            input,
-            predicate,
-            kernel,
-            referenced,
-        }
+        FilterExec { input, predicate }
     }
 }
 
@@ -46,62 +30,22 @@ impl Executor for FilterExec {
     }
 
     fn next_batch(&mut self) -> Result<Option<Batch>> {
-        let width = self.input.schema().len();
         // A batch may filter down to nothing; keep pulling so an emitted
         // batch is never empty.
         while let Some(batch) = self.input.next_batch()? {
             let (schema, rows) = batch.into_parts();
-            let kept = match &self.kernel {
-                Some(kernel) => {
-                    let mut cols: Vec<Option<ColumnVector>> = Vec::new();
-                    cols.resize_with(width, || None);
-                    for &c in &self.referenced {
-                        if c < width {
-                            cols[c] = Some(ColumnVector::from_rows(&rows, c)?);
-                        }
-                    }
-                    let all: Vec<u32> = (0..rows.len() as u32).collect();
-                    let sel = kernel.eval(&cols, &all)?;
-                    if sel.len() == rows.len() {
-                        rows
-                    } else {
-                        gather(rows, &sel)
-                    }
+            let mut kept = Vec::with_capacity(rows.len());
+            for t in rows {
+                if self.predicate.eval_predicate(&t)? {
+                    kept.push(t);
                 }
-                None => {
-                    let mut kept = Vec::with_capacity(rows.len());
-                    for t in rows {
-                        if self.predicate.eval_predicate(&t)? {
-                            kept.push(t);
-                        }
-                    }
-                    kept
-                }
-            };
+            }
             if !kept.is_empty() {
                 return Ok(Some(Batch::new(schema, kept)));
             }
         }
         Ok(None)
     }
-}
-
-/// Keep the rows at the (sorted ascending) selected indices, in order.
-fn gather(rows: Vec<Tuple>, sel: &[u32]) -> Vec<Tuple> {
-    let mut out = Vec::with_capacity(sel.len());
-    let mut next = sel.iter().copied();
-    let mut want = next.next();
-    for (i, t) in rows.into_iter().enumerate() {
-        match want {
-            Some(w) if w as usize == i => {
-                out.push(t);
-                want = next.next();
-            }
-            Some(_) => {}
-            None => break,
-        }
-    }
-    out
 }
 
 /// Expression projection: maps the expression list over a whole batch per

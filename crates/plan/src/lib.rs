@@ -5,8 +5,8 @@
 //! * [`logical::LogicalPlan`] — scan / filter / project / join / aggregate /
 //!   sort / limit nodes with derived schemas and an EXPLAIN-style display.
 //! * [`rules`] — the algebraic rewrites every optimizer runs before join
-//!   enumeration: constant folding, predicate pushdown (through projections
-//!   and to the correct side of joins), and column pruning.
+//!   enumeration: constant folding and predicate pushdown (through
+//!   projections and to the correct side of joins).
 //! * [`join_graph`] — flattens a join tree into relations + predicates with
 //!   relation-set masks, the input the cost-based enumerator works on.
 //!
@@ -23,4 +23,4 @@ pub mod rules;
 
 pub use join_graph::{GraphPredicate, JoinGraph, RelMask};
 pub use logical::{AggExpr, LogicalPlan, SortKey};
-pub use rules::{fold_constants, prune_columns, push_down_filters, rewrite_all};
+pub use rules::rewrite_all;

@@ -1,6 +1,6 @@
 //! Algebraic rewrite rules.
 //!
-//! Three rules every cost-based optimizer runs *before* join enumeration,
+//! Two rules every cost-based optimizer runs *before* join enumeration,
 //! because they are always-wins (no costing needed):
 //!
 //! 1. [`fold_constants`] — evaluate constant sub-expressions; drop
@@ -9,23 +9,18 @@
 //!    data as possible: through projections (by substitution), sorts, and
 //!    into the correct side of joins. Mixed-relation conjuncts become join
 //!    predicates.
-//! 3. [`prune_columns`] — drop columns nobody upstream reads, shrinking
-//!    intermediate tuples (and therefore join/sort footprints).
 //!
-//! [`rewrite_all`] runs them in that order.
-
-use std::collections::BTreeSet;
+//! [`rewrite_all`] runs them in that order: it is the pre-pass
+//! `Optimizer::optimize` applies to every statement.
 
 use evopt_common::expr::lit;
 use evopt_common::{EvoptError, Expr, Result};
 
 use crate::logical::LogicalPlan;
 
-/// Run all rewrites in canonical order.
+/// The optimizer's pre-pass: fold, then push down.
 pub fn rewrite_all(plan: LogicalPlan) -> Result<LogicalPlan> {
-    let plan = fold_constants(plan)?;
-    let plan = push_down_filters(plan)?;
-    prune_columns(plan)
+    push_down_filters(fold_constants(plan)?)
 }
 
 // ---------------------------------------------------------------------------
@@ -276,278 +271,6 @@ fn push(plan: LogicalPlan, mut pending: Vec<Expr>) -> Result<LogicalPlan> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Column pruning
-// ---------------------------------------------------------------------------
-
-/// Drop columns nobody reads. The root's output schema is preserved exactly;
-/// pruning happens beneath projections and aggregates inside the tree.
-pub fn prune_columns(plan: LogicalPlan) -> Result<LogicalPlan> {
-    let all: BTreeSet<usize> = (0..plan.schema().len()).collect();
-    let (pruned, map) = prune_into(plan, &all)?;
-    debug_assert!(
-        map.iter().enumerate().all(|(i, m)| *m == Some(i)),
-        "root pruning must be identity"
-    );
-    Ok(pruned)
-}
-
-/// Returns a plan producing exactly the `required` columns of the original
-/// output (ascending original-ordinal order) and the old→new ordinal map.
-fn prune_into(
-    plan: LogicalPlan,
-    required: &BTreeSet<usize>,
-) -> Result<(LogicalPlan, Vec<Option<usize>>)> {
-    let width = plan.schema().len();
-    let identity_map = |keep: &BTreeSet<usize>| -> Vec<Option<usize>> {
-        let mut map = vec![None; width];
-        for (new, &old) in keep.iter().enumerate() {
-            map[old] = Some(new);
-        }
-        map
-    };
-    match plan {
-        LogicalPlan::Scan { table, schema } => {
-            if required.len() == schema.len() {
-                let map = (0..schema.len()).map(Some).collect();
-                return Ok((LogicalPlan::Scan { table, schema }, map));
-            }
-            let keep: Vec<usize> = required.iter().copied().collect();
-            let map = identity_map(required);
-            let scan = LogicalPlan::Scan {
-                table,
-                schema: schema.clone(),
-            };
-            let project = LogicalPlan::Project {
-                exprs: keep.iter().map(|&i| Expr::Column(i)).collect(),
-                schema: schema.project(&keep)?,
-                input: Box::new(scan),
-            };
-            Ok((project, map))
-        }
-        LogicalPlan::Filter { input, predicate } => {
-            let mut need = required.clone();
-            need.extend(predicate.referenced_columns());
-            let (child, cmap) = prune_into(*input, &need)?;
-            let predicate = remap_expr(&predicate, &cmap)?;
-            let filtered = LogicalPlan::Filter {
-                input: Box::new(child),
-                predicate,
-            };
-            // Child produced `need`; shrink to `required` if they differ.
-            shrink(filtered, &need, required)
-        }
-        LogicalPlan::Project {
-            input,
-            exprs,
-            schema,
-        } => {
-            let keep: Vec<usize> = required.iter().copied().collect();
-            let mut child_need = BTreeSet::new();
-            for &i in &keep {
-                child_need.extend(exprs[i].referenced_columns());
-            }
-            // A projection must read at least one column to know... actually
-            // constant-only projections need no inputs, but our leaves always
-            // produce rows; empty requirement is fine (scan keeps 1 col).
-            if child_need.is_empty() {
-                if let Some(first) = (0..(*input).schema().len()).next() {
-                    child_need.insert(first);
-                }
-            }
-            let (child, cmap) = prune_into(*input, &child_need)?;
-            let new_exprs: Result<Vec<Expr>> =
-                keep.iter().map(|&i| remap_expr(&exprs[i], &cmap)).collect();
-            let new_schema = schema.project(&keep)?;
-            let map = identity_map(required);
-            Ok((
-                LogicalPlan::Project {
-                    input: Box::new(child),
-                    exprs: new_exprs?,
-                    schema: new_schema,
-                },
-                map,
-            ))
-        }
-        LogicalPlan::Join {
-            left,
-            right,
-            predicate,
-        } => {
-            let lwidth = left.schema().len();
-            let mut lneed = BTreeSet::new();
-            let mut rneed = BTreeSet::new();
-            for &i in required {
-                if i < lwidth {
-                    lneed.insert(i);
-                } else {
-                    rneed.insert(i - lwidth);
-                }
-            }
-            if let Some(p) = &predicate {
-                for i in p.referenced_columns() {
-                    if i < lwidth {
-                        lneed.insert(i);
-                    } else {
-                        rneed.insert(i - lwidth);
-                    }
-                }
-            }
-            // Keep at least one column per side so the join produces rows.
-            if lneed.is_empty() {
-                lneed.insert(0);
-            }
-            if rneed.is_empty() {
-                rneed.insert(0);
-            }
-            let (lchild, lmap) = prune_into(*left, &lneed)?;
-            let lnew_width = lchild.schema().len();
-            let (rchild, rmap) = prune_into(*right, &rneed)?;
-            // Combined old→new map over the join output.
-            let mut cmap = vec![None; width];
-            for (old, new) in lmap.iter().enumerate() {
-                cmap[old] = *new;
-            }
-            for (old, new) in rmap.iter().enumerate() {
-                cmap[lwidth + old] = new.map(|n| lnew_width + n);
-            }
-            let predicate = match predicate {
-                Some(p) => Some(remap_expr(&p, &cmap)?),
-                None => None,
-            };
-            let joined = LogicalPlan::Join {
-                left: Box::new(lchild),
-                right: Box::new(rchild),
-                predicate,
-            };
-            // The join now produces lneed ++ rneed; shrink to `required`.
-            let produced: BTreeSet<usize> = lneed
-                .iter()
-                .copied()
-                .chain(rneed.iter().map(|&i| i + lwidth))
-                .collect();
-            shrink(joined, &produced, required)
-        }
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggs,
-            schema,
-        } => {
-            // Keep full aggregate output (groups + aggs); prune beneath.
-            let mut child_need: BTreeSet<usize> = group_by.iter().copied().collect();
-            for a in &aggs {
-                if let Some(arg) = &a.arg {
-                    child_need.extend(arg.referenced_columns());
-                }
-            }
-            if child_need.is_empty() {
-                child_need.insert(0);
-            }
-            let (child, cmap) = prune_into(*input, &child_need)?;
-            let new_groups: Result<Vec<usize>> = group_by
-                .iter()
-                .map(|&g| cmap[g].ok_or_else(|| EvoptError::Internal("group col pruned".into())))
-                .collect();
-            let mut new_aggs = Vec::with_capacity(aggs.len());
-            for a in aggs {
-                let arg = match a.arg {
-                    Some(e) => Some(remap_expr(&e, &cmap)?),
-                    None => None,
-                };
-                new_aggs.push(crate::logical::AggExpr { arg, ..a });
-            }
-            let agg = LogicalPlan::Aggregate {
-                input: Box::new(child),
-                group_by: new_groups?,
-                aggs: new_aggs,
-                schema,
-            };
-            let produced: BTreeSet<usize> = (0..width).collect();
-            shrink(agg, &produced, required)
-        }
-        LogicalPlan::Sort { input, keys } => {
-            let mut need = required.clone();
-            need.extend(keys.iter().map(|k| k.column));
-            let (child, cmap) = prune_into(*input, &need)?;
-            let keys = keys
-                .iter()
-                .map(|k| {
-                    Ok(crate::logical::SortKey {
-                        column: cmap[k.column]
-                            .ok_or_else(|| EvoptError::Internal("sort col pruned".into()))?,
-                        ascending: k.ascending,
-                    })
-                })
-                .collect::<Result<Vec<_>>>()?;
-            let sorted = LogicalPlan::Sort {
-                input: Box::new(child),
-                keys,
-            };
-            shrink(sorted, &need, required)
-        }
-        LogicalPlan::Limit { input, limit } => {
-            let (child, map) = prune_into(*input, required)?;
-            Ok((
-                LogicalPlan::Limit {
-                    input: Box::new(child),
-                    limit,
-                },
-                map,
-            ))
-        }
-    }
-}
-
-/// `plan` currently outputs the `produced` original columns (ascending);
-/// add a projection shrinking it to `required` if they differ. Returns the
-/// final old→new map.
-fn shrink(
-    plan: LogicalPlan,
-    produced: &BTreeSet<usize>,
-    required: &BTreeSet<usize>,
-) -> Result<(LogicalPlan, Vec<Option<usize>>)> {
-    let max_old = produced.iter().max().map_or(0, |m| m + 1);
-    if produced == required {
-        let mut map = vec![None; max_old];
-        for (new, &old) in produced.iter().enumerate() {
-            map[old] = Some(new);
-        }
-        return Ok((plan, map));
-    }
-    // Position of each produced column in the current output.
-    let pos_of = |old: usize| produced.iter().position(|&p| p == old);
-    let schema = plan.schema();
-    let mut exprs = Vec::with_capacity(required.len());
-    let mut keep_positions = Vec::with_capacity(required.len());
-    for &old in required {
-        let p = pos_of(old)
-            .ok_or_else(|| EvoptError::Internal(format!("required col {old} not produced")))?;
-        exprs.push(Expr::Column(p));
-        keep_positions.push(p);
-    }
-    let projected = LogicalPlan::Project {
-        schema: schema.project(&keep_positions)?,
-        exprs,
-        input: Box::new(plan),
-    };
-    let mut map = vec![None; max_old];
-    for (new, &old) in required.iter().enumerate() {
-        map[old] = Some(new);
-    }
-    Ok((projected, map))
-}
-
-/// Rewrite `e`'s column ordinals through the (possibly-dropping) map.
-fn remap_expr(e: &Expr, map: &[Option<usize>]) -> Result<Expr> {
-    e.try_remap_columns(&|i| map.get(i).copied().flatten())
-        .map_err(|_| {
-            EvoptError::Internal(format!(
-                "expression {e} references a pruned column (map {map:?})"
-            ))
-        })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -745,97 +468,6 @@ mod tests {
             }
             other => panic!("expected single merged filter, got {other}"),
         }
-    }
-
-    #[test]
-    fn prune_narrows_scan_under_projection() {
-        // SELECT a FROM t JOIN u ON t.a = u.a — u.b/u.s and t.b/t.s unused.
-        let j = join(scan("t"), scan("u"), Some(Expr::eq(col(0), col(3))));
-        let p = LogicalPlan::project(j, vec![col(0)], vec![None]).unwrap();
-        let before_schema = p.schema();
-        let out = prune_columns(p).unwrap();
-        assert_eq!(out.schema(), before_schema, "root schema preserved");
-        // The join's inputs should now be 1-column projections over scans.
-        fn find_join(p: &LogicalPlan) -> &LogicalPlan {
-            match p {
-                LogicalPlan::Join { .. } => p,
-                _ => find_join(p.children()[0]),
-            }
-        }
-        let j = find_join(&out);
-        match j {
-            LogicalPlan::Join {
-                left,
-                right,
-                predicate,
-            } => {
-                assert_eq!(left.schema().len(), 1, "left pruned to join+output col");
-                assert_eq!(right.schema().len(), 1, "right pruned to join col");
-                assert_eq!(predicate, &Some(Expr::eq(col(0), col(1))));
-            }
-            _ => unreachable!(),
-        }
-    }
-
-    #[test]
-    fn prune_preserves_filter_columns() {
-        // SELECT a FROM t WHERE b = 3 — b needed by filter, dropped after.
-        let f = filter(scan("t"), Expr::eq(col(1), lit(3i64)));
-        let p = LogicalPlan::project(f, vec![col(0)], vec![None]).unwrap();
-        let out = prune_columns(p.clone()).unwrap();
-        assert_eq!(out.schema(), p.schema());
-        // Execution sanity: the filter predicate inside must reference the
-        // remapped `b`.
-        fn has_valid_ordinals(p: &LogicalPlan) -> bool {
-            let ok = match p {
-                LogicalPlan::Filter { input, predicate } => predicate
-                    .referenced_columns()
-                    .iter()
-                    .all(|&i| i < input.schema().len()),
-                LogicalPlan::Project { input, exprs, .. } => exprs.iter().all(|e| {
-                    e.referenced_columns()
-                        .iter()
-                        .all(|&i| i < input.schema().len())
-                }),
-                _ => true,
-            };
-            ok && p.children().iter().all(|c| has_valid_ordinals(c))
-        }
-        assert!(has_valid_ordinals(&out), "plan:\n{out}");
-    }
-
-    #[test]
-    fn prune_keeps_aggregate_semantics() {
-        let agg = LogicalPlan::aggregate(
-            scan("t"),
-            vec![2],
-            vec![AggExpr {
-                func: AggFunc::Sum,
-                arg: Some(col(0)),
-                name: "sum_a".into(),
-            }],
-        )
-        .unwrap();
-        let p = LogicalPlan::project(agg, vec![col(1)], vec![None]).unwrap();
-        let out = prune_columns(p.clone()).unwrap();
-        assert_eq!(out.schema(), p.schema());
-        // Column b (ordinal 1 of t) should be gone underneath.
-        fn min_scan_width(p: &LogicalPlan) -> usize {
-            match p {
-                LogicalPlan::Project { input, exprs, .. }
-                    if matches!(&**input, LogicalPlan::Scan { .. }) =>
-                {
-                    exprs.len()
-                }
-                _ => p
-                    .children()
-                    .iter()
-                    .map(|c| min_scan_width(c))
-                    .min()
-                    .unwrap_or(usize::MAX),
-            }
-        }
-        assert_eq!(min_scan_width(&out), 2, "scan pruned to {{a, s}}:\n{out}");
     }
 
     #[test]

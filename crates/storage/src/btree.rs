@@ -326,12 +326,36 @@ fn outside(key: &KeyRef, bound: Bound<&Value>, side: Ordering) -> bool {
     }
 }
 
+/// Links a scan has followed along the leaf chain, against the node pages
+/// the meta page counts: a chain longer than the tree is a cycle.
+struct Hops {
+    meta_page: PageId,
+    taken: u64,
+    limit: u64,
+}
+
+impl Hops {
+    /// Follow one link. Past the page count the scan started with, judge by
+    /// the count now: the tree may have grown under a live scan.
+    fn step(&mut self, pool: &Arc<BufferPool>, next: PageId) -> Result<PageGuard> {
+        self.taken += 1;
+        if self.taken > self.limit {
+            self.limit = Meta::load(&pool.fetch(self.meta_page)?.read())?.page_count;
+            if self.taken > self.limit {
+                return Err(corrupt("leaf chain longer than the tree"));
+            }
+        }
+        pool.fetch(next)
+    }
+}
+
 /// Hand the entries with keys within `(low, high)` to `emit`, in order, from
 /// `leaf` along the chain. `emit` says whether to pause at the end of its
 /// leaf; the result is the leaf to resume on (none: the scan is over).
 fn follow(
     pool: &Arc<BufferPool>,
     mut leaf: PageGuard,
+    hops: &mut Hops,
     low: Bound<&Value>,
     high: Bound<&Value>,
     mut emit: impl FnMut(&Entry) -> Result<bool>,
@@ -353,7 +377,7 @@ fn follow(
         if pause || next == INVALID_PAGE_ID {
             return Ok(next);
         }
-        leaf = pool.fetch(next)?;
+        leaf = hops.step(pool, next)?;
     }
 }
 
@@ -425,7 +449,8 @@ impl BTreeIndex {
     /// Total entries in the tree, counted along the leaf chain.
     pub fn entry_count(&self) -> Result<u64> {
         let (mut total, all) = (0, Bound::Unbounded);
-        follow(&self.pool, self.descend_to(all)?, all, all, |_| {
+        let (leaf, mut hops) = self.descend_to(all)?;
+        follow(&self.pool, leaf, &mut hops, all, all, |_| {
             total += 1;
             Ok(false)
         })?;
@@ -554,18 +579,26 @@ impl BTreeIndex {
         Ok(guard)
     }
 
-    /// Pin the leaf where a scan from `low` starts. Separators are judged by
-    /// key alone: an excluded bound descends past every duplicate of its key.
-    fn descend_to(&self, low: Bound<&Value>) -> Result<PageGuard> {
+    /// Pin the leaf where a scan from `low` starts, with the scan's hop
+    /// budget. Separators are judged by key alone: an excluded bound
+    /// descends past every duplicate of its key.
+    fn descend_to(&self, low: Bound<&Value>) -> Result<(PageGuard, Hops)> {
         let before = |e: &Entry| outside(&e.key, low, Ordering::Less);
-        self.descend(&self.read_meta()?, before, None)
+        let meta = self.read_meta()?;
+        let hops = Hops {
+            meta_page: self.meta_page,
+            taken: 0,
+            limit: meta.page_count,
+        };
+        Ok((self.descend(&meta, before, None)?, hops))
     }
 
     /// All rids whose key equals `key`, in rid order.
     pub fn search_eq(&self, key: &Value) -> Result<Vec<Rid>> {
         let mut out = Vec::new();
         let bound = Bound::Included(key);
-        follow(&self.pool, self.descend_to(bound)?, bound, bound, |e| {
+        let (leaf, mut hops) = self.descend_to(bound)?;
+        follow(&self.pool, leaf, &mut hops, bound, bound, |e| {
             out.push(e.rid);
             Ok(false)
         })?;
@@ -574,14 +607,16 @@ impl BTreeIndex {
 
     /// Ordered scan of entries with keys within `(low, high)`.
     pub fn range(&self, low: Bound<&Value>, high: Bound<&Value>) -> Result<BTreeRangeScan> {
+        let (leaf, hops) = self.descend_to(low)?;
         let mut scan = BTreeRangeScan {
             pool: Arc::clone(&self.pool),
             next_leaf: INVALID_PAGE_ID,
+            hops,
             buffer: Vec::new().into_iter(),
             low: low.cloned(),
             high: high.cloned(),
         };
-        scan.fill(self.descend_to(low)?)?;
+        scan.fill(leaf)?;
         Ok(scan)
     }
 
@@ -653,6 +688,7 @@ pub struct BTreeRangeScan {
     pool: Arc<BufferPool>,
     /// Leaf to read once `buffer` is spent; `INVALID_PAGE_ID` ends the scan.
     next_leaf: PageId,
+    hops: Hops,
     buffer: std::vec::IntoIter<(Value, Rid)>,
     low: Bound<Value>,
     high: Bound<Value>,
@@ -666,6 +702,7 @@ impl BTreeRangeScan {
         self.next_leaf = follow(
             &self.pool,
             leaf,
+            &mut self.hops,
             self.low.as_ref(),
             self.high.as_ref(),
             |e| {
@@ -683,7 +720,7 @@ impl Iterator for BTreeRangeScan {
 
     fn next(&mut self) -> Option<Self::Item> {
         if self.buffer.len() == 0 && self.next_leaf != INVALID_PAGE_ID {
-            let leaf = self.pool.fetch(self.next_leaf);
+            let leaf = self.hops.step(&self.pool, self.next_leaf);
             if let Err(e) = leaf.and_then(|leaf| self.fill(leaf)) {
                 self.next_leaf = INVALID_PAGE_ID;
                 return Some(Err(e));
@@ -1159,8 +1196,32 @@ mod tests {
         let leaf = t
             .descend_to(Bound::Included(&Value::Int(150)))
             .unwrap()
+            .0
             .id();
         (t, pool, meta.root, leaf)
+    }
+
+    /// A `link` that points back at an earlier leaf. The random hostile
+    /// bytes below never build one (a random `link` misses every live
+    /// page): every walk of the chain must come back with an error, not spin.
+    #[test]
+    fn a_cycle_in_the_leaf_chain_is_an_error() {
+        let (t, pool, _, leaf) = small_two_level_tree();
+        let first = t.descend_to(Bound::Unbounded).unwrap().0.id();
+        pool.fetch(leaf).unwrap().write()[3..HEADER].copy_from_slice(&first.to_le_bytes());
+        let all = t.range(Bound::Unbounded, Bound::Unbounded).unwrap();
+        for result in [
+            t.entry_count().map(|_| ()),
+            all.collect::<Result<Vec<_>>>().map(|_| ()),
+            t.check_invariants(),
+        ] {
+            match result {
+                Err(EvoptError::Storage(msg)) => {
+                    assert_eq!(msg, "corrupt b-tree node: leaf chain longer than the tree")
+                }
+                other => panic!("expected the hop bound to trip, got {other:?}"),
+            }
+        }
     }
 
     proptest! {

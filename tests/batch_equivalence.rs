@@ -10,8 +10,9 @@
 //! LIMITs that cut a batch mid-way.
 //!
 //! The `*_row_vs_columnar` tests are the cross-family differentials: the
-//! operators that run typed column kernels against their row-at-a-time
-//! siblings (see `support::sibling`), at every batch size.
+//! two typed operators (hash aggregation, the hash join's key index)
+//! against their row-at-a-time siblings (see `support::sibling`), at every
+//! batch size.
 
 mod support;
 
@@ -104,11 +105,10 @@ fn sql_battery_identical_across_batch_sizes() {
 
 #[test]
 fn sql_battery_identical_row_vs_columnar() {
-    // The typed operators (filter kernels, join key maps, typed
-    // accumulators) must be invisible in results: every battery query's
-    // chosen plan, and the same plan with each typed operator swapped for
-    // its row-at-a-time sibling, return identical rows at several batch
-    // sizes.
+    // The typed operators (join key maps, typed accumulators) must be
+    // invisible in results: every battery query's chosen plan, and the same
+    // plan with each typed operator swapped for its row-at-a-time sibling,
+    // return identical rows at several batch sizes.
     let db = fixture();
     let (mut hash_joins, mut hash_aggregates) = (0, 0);
     for sql in query_battery() {

@@ -2,7 +2,12 @@
 //! the full stack (parser → binder → rewrites → cost-based optimizer →
 //! Volcano executor → paged storage).
 
+mod support;
+
 use evopt::{Database, DatabaseConfig, Strategy, Tuple, Value};
+use evopt_core::physical::PhysOp;
+use evopt_workload::{load_tpch_lite, load_wisconsin};
+use support::count_ops;
 
 fn northwind() -> Database {
     let db = Database::with_defaults();
@@ -240,4 +245,98 @@ fn dml_visibility_and_index_consistency() {
         .as_i64()
         .unwrap();
     assert_eq!(n, 201);
+}
+
+/// What keeps the executor at one predicate evaluator: no statement shape
+/// the benchmark's five workloads issue plans a `Filter` — every WHERE
+/// conjunct lands in a scan, an index range or residual, or a join
+/// residual — and the one shape that does (`HAVING` on an aggregate value)
+/// filters a handful of groups. If an optimizer change starts leaving
+/// predicates above scans or joins, this fails, and typed predicate
+/// evaluation is worth measuring again, end to end.
+#[test]
+fn no_benchmark_statement_shape_plans_a_filter() {
+    let db = Database::with_defaults();
+    load_wisconsin(&db, "wisc", 2000, 7).unwrap();
+    db.execute("CREATE UNIQUE INDEX wisc_u1 ON wisc (unique1)")
+        .unwrap();
+    db.execute("CREATE CLUSTERED INDEX wisc_u2 ON wisc (unique2)")
+        .unwrap();
+    db.execute("CREATE TABLE kv (k INT NOT NULL, v INT NOT NULL, s STRING NOT NULL)")
+        .unwrap();
+    let kv: Vec<Tuple> = (0..500)
+        .map(|k| {
+            Tuple::new(vec![
+                Value::Int(k),
+                Value::Int(k * 3),
+                Value::Str(format!("s{k}")),
+            ])
+        })
+        .collect();
+    db.insert_tuples("kv", &kv).unwrap();
+    db.execute("CREATE UNIQUE INDEX kv_k ON kv (k)").unwrap();
+    // Creates its indexes and ends with a database-wide ANALYZE.
+    load_tpch_lite(&db, 0.2, 7).unwrap();
+
+    let shapes = [
+        // point_inproc, point_wire, larger_than_pool: point, clustered
+        // range, unclustered ranges of 0.1 %, 1 % and 20 %.
+        "SELECT * FROM wisc WHERE unique1 = 1234",
+        "SELECT * FROM wisc WHERE unique2 >= 300 AND unique2 < 400",
+        "SELECT * FROM wisc WHERE unique1 >= 300 AND unique1 < 302",
+        "SELECT * FROM wisc WHERE unique1 >= 300 AND unique1 < 320",
+        "SELECT * FROM wisc WHERE unique1 >= 300 AND unique1 < 700",
+        // analytic.
+        "SELECT n.n_name, SUM(l.l_price) AS revenue FROM lineitem l \
+         JOIN orders o ON l.l_order = o.o_key \
+         JOIN customer c ON o.o_customer = c.c_key \
+         JOIN nation n ON c.c_nation = n.n_key \
+         JOIN region r ON n.n_region = r.r_key \
+         GROUP BY n.n_name ORDER BY revenue DESC",
+        "SELECT o.o_key, c.c_name FROM orders o \
+         JOIN customer c ON o.o_customer = c.c_key \
+         WHERE o.o_status = 'shipped' AND c.c_balance > 4500",
+        "SELECT o.o_key, l.l_price FROM orders o \
+         JOIN lineitem l ON l.l_order = o.o_key WHERE o.o_customer = 7",
+        "SELECT ten_pct, COUNT(*), SUM(unique2) FROM wisc WHERE odd = 1 GROUP BY ten_pct",
+        "SELECT a.unique1, b.unique1 FROM wisc a \
+         JOIN wisc b ON a.unique1 = b.unique2 WHERE a.one_pct = 42",
+        "SELECT * FROM wisc WHERE ten_pct = 3 ORDER BY stringu1 LIMIT 10",
+        // write_mix: read, UPDATE and DELETE by key.
+        "SELECT * FROM kv WHERE k = 77",
+        "UPDATE kv SET v = v + 1 WHERE k = 77",
+        "DELETE FROM kv WHERE k = 77",
+    ];
+    let having = "SELECT ten_pct, COUNT(*) FROM wisc GROUP BY ten_pct HAVING COUNT(*) > 10";
+    for strategy in [
+        Strategy::SystemR,
+        Strategy::BushyDp,
+        Strategy::DpCcp,
+        Strategy::Greedy,
+        Strategy::Goo,
+        Strategy::QuickPick {
+            samples: 4,
+            seed: 11,
+        },
+        Strategy::Syntactic,
+    ] {
+        db.set_strategy(strategy);
+        for sql in shapes {
+            let (_, plan) = db.plan_sql(sql).unwrap();
+            let filters = count_ops(&plan, "Filter");
+            assert_eq!(filters, 0, "{}: {sql}\n{plan}", strategy.name());
+        }
+        let (_, plan) = db.plan_sql(having).unwrap();
+        let above_aggregate = plan.pre_order().iter().any(|(_, node)| match &node.op {
+            PhysOp::Filter { input, .. } => {
+                matches!(input.op_name(), "HashAggregate" | "SortAggregate")
+            }
+            _ => false,
+        });
+        assert!(
+            count_ops(&plan, "Filter") == 1 && above_aggregate,
+            "{}: {having}\n{plan}",
+            strategy.name()
+        );
+    }
 }

@@ -14,10 +14,11 @@
 //! * **Predicates reject NULL** (`WHERE x = x` drops NULL rows), while
 //!   `IS NULL` / `IS NOT NULL` observe nullness directly.
 //!
-//! Every check runs the operators that use typed column kernels and their
-//! row-at-a-time siblings (see `support::sibling`) at batch sizes 1, 64 and
-//! 1024 and asserts identical results — the kernels must reproduce the row
-//! operators' NULL behaviour exactly.
+//! Every check runs the two typed operators (hash aggregation, the hash
+//! join's key index) and their row-at-a-time siblings (see
+//! `support::sibling`) at batch sizes 1, 64 and 1024 and asserts identical
+//! results — the typed code must reproduce the row operators' NULL behaviour
+//! exactly.
 
 mod support;
 
@@ -28,7 +29,6 @@ use evopt_catalog::Catalog;
 use evopt_common::expr::{col, lit};
 use evopt_common::{BinOp, Column, DataType, Expr, Schema, UnOp, Value};
 use evopt_core::physical::PhysOp;
-use evopt_exec::kernels::compile_predicate;
 use evopt_exec::{run_collect, ExecEnv};
 use evopt_obs::EngineMetrics;
 use evopt_storage::{BufferPool, DiskManager};
@@ -318,12 +318,12 @@ fn every_join_family_matches_nested_loop_in_memory_and_under_grace_spill() {
 }
 
 // ---------------------------------------------------------------------------
-// Plan level: the typed filter against the predicate pushed into the scan
+// Plan level: a Filter node against the predicate pushed into the scan
 // ---------------------------------------------------------------------------
 
 /// `f(i INT, x FLOAT, s STRING, b BOOL)`, 300 rows, NULLs in every column;
-/// every third `x` is an `Int` stored in the `FLOAT` column, so its column
-/// vector takes the mixed-variant path.
+/// every third `x` is an `Int` stored in the `FLOAT` column, so comparisons
+/// on it mix runtime variants.
 fn filter_world() -> ExecEnv {
     let pool = BufferPool::new(Arc::new(DiskManager::new()), 32);
     let cat = Arc::new(Catalog::new(pool));
@@ -375,8 +375,10 @@ fn filter_matches_the_predicate_pushed_into_the_scan() {
         list,
         negated,
     };
-    // Every shape `compile_predicate` lowers to a kernel …
-    let mut typed = vec![
+    // Both sides run `Expr::eval_predicate`: what differs is the plumbing
+    // (a batch re-cut by `FilterExec` against rows dropped as the scan
+    // decodes them), over every predicate shape the binder can produce.
+    let mut predicates = vec![
         lit(true),
         lit(false),
         Expr::Literal(Value::Null),
@@ -404,21 +406,7 @@ fn filter_matches_the_predicate_pushed_into_the_scan() {
             cmp(BinOp::Eq, i(), lit(1i64)),
             Expr::and(unary(UnOp::IsNotNull, s()), between(false)),
         )),
-    ];
-    for op in [
-        BinOp::Eq,
-        BinOp::NotEq,
-        BinOp::Lt,
-        BinOp::LtEq,
-        BinOp::Gt,
-        BinOp::GtEq,
-    ] {
-        typed.push(cmp(op, i(), lit(5i64)));
-        typed.push(Expr::not(cmp(op, x(), lit(4.5))));
-    }
-    // … and shapes it rejects, which the same operator evaluates row at a
-    // time.
-    let fallback = vec![
+        // Arithmetic inside a comparison and under IS NULL.
         cmp(
             BinOp::Gt,
             Expr::binary(BinOp::Add, i(), lit(1i64)),
@@ -429,13 +417,22 @@ fn filter_matches_the_predicate_pushed_into_the_scan() {
             unary(UnOp::IsNull, Expr::binary(BinOp::Mul, x(), lit(2i64))),
         ),
     ];
-    assert!(typed.iter().all(|p| compile_predicate(p).is_some()));
-    assert!(fallback.iter().all(|p| compile_predicate(p).is_none()));
+    for op in [
+        BinOp::Eq,
+        BinOp::NotEq,
+        BinOp::Lt,
+        BinOp::LtEq,
+        BinOp::Gt,
+        BinOp::GtEq,
+    ] {
+        predicates.push(cmp(op, i(), lit(5i64)));
+        predicates.push(Expr::not(cmp(op, x(), lit(4.5))));
+    }
 
     let env = filter_world();
     let table = scan(&env, "f");
     let mut kept_some = 0;
-    for predicate in typed.into_iter().chain(fallback) {
+    for predicate in predicates {
         let filter = plan(
             PhysOp::Filter {
                 input: Box::new(table.clone()),

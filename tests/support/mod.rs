@@ -2,10 +2,12 @@
 //! join fixture and the sibling-operator rewrite both suites use as their
 //! differential reference.
 //!
-//! The three operators that run typed column kernels (`Filter`,
-//! `HashAggregate`, `HashJoin`) each have a sibling that does the same job
-//! row at a time through code the typed one does not share. "Row vs
-//! columnar" in the suites' test names means exactly that pair.
+//! The two operators that work on typed column vectors (`HashAggregate`,
+//! `HashJoin`) each have a sibling that does the same job row at a time
+//! through code the typed one does not share. "Row vs columnar" in the
+//! suites' test names means exactly that pair. A `Filter` evaluates its
+//! predicate like a scan does; folding it into the scan checks its batch
+//! plumbing.
 
 // Each suite uses its own subset.
 #![allow(dead_code)]
@@ -184,10 +186,11 @@ pub fn join_plans(env: &ExecEnv) -> Vec<(&'static str, PhysicalPlan)> {
     ]
 }
 
-/// `p` with every typed operator replaced by its row-at-a-time sibling:
+/// `p` with every typed operator replaced by its row-at-a-time sibling, and
+/// a `Filter` folded into the scan under it:
 ///
 /// * a `Filter` over a `SeqScan` becomes the scan's pushed filter
-///   (`Expr::eval_predicate` per row);
+///   (`Expr::eval_predicate` per row, as in the `Filter`);
 /// * `HashAggregate` becomes `Sort → SortAggregate` (the `Value`
 ///   accumulator);
 /// * `HashJoin` becomes `NestedLoopJoin` on `left.key = right.key AND
