@@ -10,9 +10,6 @@
 //!   by the storage layer.
 //! * [`Batch`] — a schema plus an ordered run of tuples: the unit of data
 //!   flow between executor operators.
-//! * [`ColumnVector`] — one column of a batch transposed into a typed
-//!   vector with a validity bitmap, feeding the typed aggregation and
-//!   join-key index in `evopt-exec`.
 //! * [`Expr`] — bound scalar expression trees (column ordinals, literals,
 //!   comparisons, boolean connectives, arithmetic, `LIKE`, `IN`, `BETWEEN`)
 //!   with an evaluator and a constant folder.
@@ -26,7 +23,6 @@
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod batch;
-pub mod columnar;
 pub mod error;
 pub mod expr;
 pub mod lockorder;
@@ -35,7 +31,6 @@ pub mod tuple;
 pub mod value;
 
 pub use batch::{Batch, DEFAULT_BATCH_ROWS};
-pub use columnar::{Cell, ColumnData, ColumnVector};
 pub use error::{EvoptError, Result};
 pub use expr::{AggFunc, BinOp, Expr, UnOp};
 pub use schema::{Column, Schema};

@@ -1,7 +1,7 @@
 //! Aggregation: hash and streaming.
 //!
 //! [`HashAggregateExec`] groups into an in-memory table of typed
-//! accumulators fed from column vectors; [`SortAggregateExec`] streams over
+//! accumulators fed from each row's values; [`SortAggregateExec`] streams over
 //! an input sorted by the group columns with row-at-a-time accumulators.
 //! The two share no accumulation code, which is what makes each the other's
 //! differential reference. SQL semantics: aggregates ignore NULL arguments
@@ -12,7 +12,6 @@
 
 use std::collections::HashMap;
 
-use evopt_common::columnar::{cell_cmp, Cell, ColumnData, ColumnVector};
 use evopt_common::{AggFunc, Batch, EvoptError, Expr, Result, Schema, Tuple, Value};
 use evopt_core::physical::PhysAgg;
 
@@ -136,20 +135,22 @@ enum MinMaxState {
 }
 
 impl MinMaxState {
-    fn as_cell(&self) -> Cell<'_> {
+    /// Whether non-null `v` replaces the champion: it is the first input,
+    /// or `Value::sql_cmp` puts it on the `wins` side of the champion.
+    fn beaten_by(&self, v: &Value, wins: std::cmp::Ordering) -> bool {
         match self {
-            MinMaxState::Empty => Cell::Null,
-            MinMaxState::I(x) => Cell::I(*x),
-            MinMaxState::F(x) => Cell::F(*x),
-            MinMaxState::V(v) => Cell::of(v),
+            MinMaxState::Empty => true,
+            MinMaxState::I(x) => v.sql_cmp(&Value::Int(*x)) == Some(wins),
+            MinMaxState::F(x) => v.sql_cmp(&Value::Float(*x)) == Some(wins),
+            MinMaxState::V(c) => v.sql_cmp(c) == Some(wins),
         }
     }
 
-    fn set(&mut self, cell: Cell<'_>) {
-        *self = match cell {
-            Cell::I(x) => MinMaxState::I(x),
-            Cell::F(x) => MinMaxState::F(x),
-            other => MinMaxState::V(other.to_value()),
+    fn set(&mut self, v: &Value) {
+        *self = match v {
+            Value::Int(x) => MinMaxState::I(*x),
+            Value::Float(x) => MinMaxState::F(*x),
+            other => MinMaxState::V(other.clone()),
         };
     }
 
@@ -163,7 +164,7 @@ impl MinMaxState {
     }
 }
 
-/// One running aggregate over cells: the typed mirror of [`Accumulator`],
+/// One running aggregate with typed state: the mirror of [`Accumulator`],
 /// with native `i64`/`f64` hot paths. Semantics are identical, including
 /// `SUM`'s `Int`-until-a-`Float`-appears result type, integer-overflow
 /// errors, and total-order MIN/MAX.
@@ -195,79 +196,61 @@ impl TypedAcc {
         }
     }
 
-    /// Feed one argument cell. NULLs are ignored (SQL aggregate semantics).
-    fn update(&mut self, cell: Cell<'_>) -> Result<()> {
+    /// Feed one argument value. NULLs are ignored (SQL aggregate semantics).
+    fn update(&mut self, v: &Value) -> Result<()> {
         match self {
             TypedAcc::Count(n) => {
-                if !cell.is_null() {
+                if !v.is_null() {
                     *n += 1;
                 }
             }
-            TypedAcc::Sum { state, seen } => match (*state, cell) {
-                (_, Cell::Null) => {}
-                (SumState::I(a), Cell::I(b)) => {
+            TypedAcc::Sum { state, seen } => match (*state, v) {
+                (_, Value::Null) => {}
+                (SumState::I(a), Value::Int(b)) => {
                     *state =
-                        SumState::I(a.checked_add(b).ok_or_else(|| {
+                        SumState::I(a.checked_add(*b).ok_or_else(|| {
                             EvoptError::Execution("integer overflow in +".into())
                         })?);
                     *seen = true;
                 }
-                (SumState::I(a), Cell::F(b)) => {
+                (SumState::I(a), Value::Float(b)) => {
                     *state = SumState::F(a as f64 + b);
                     *seen = true;
                 }
-                (SumState::F(a), Cell::I(b)) => {
-                    *state = SumState::F(a + b as f64);
+                (SumState::F(a), Value::Int(b)) => {
+                    *state = SumState::F(a + *b as f64);
                     *seen = true;
                 }
-                (SumState::F(a), Cell::F(b)) => {
+                (SumState::F(a), Value::Float(b)) => {
                     *state = SumState::F(a + b);
                     *seen = true;
                 }
                 (cur, other) => {
                     // Same error [`Accumulator`]'s `Value::add` raises.
                     return Err(EvoptError::Execution(format!(
-                        "cannot apply + to {:?} and {:?}",
+                        "cannot apply + to {:?} and {other:?}",
                         cur.as_value(),
-                        other.to_value()
                     )));
                 }
             },
             TypedAcc::Min(cur) => {
-                if !cell.is_null() {
-                    let replace = match cur {
-                        MinMaxState::Empty => true,
-                        _ => cell_cmp(cell, cur.as_cell()) == Some(std::cmp::Ordering::Less),
-                    };
-                    if replace {
-                        cur.set(cell);
-                    }
+                if !v.is_null() && cur.beaten_by(v, std::cmp::Ordering::Less) {
+                    cur.set(v);
                 }
             }
             TypedAcc::Max(cur) => {
-                if !cell.is_null() {
-                    let replace = match cur {
-                        MinMaxState::Empty => true,
-                        _ => cell_cmp(cell, cur.as_cell()) == Some(std::cmp::Ordering::Greater),
-                    };
-                    if replace {
-                        cur.set(cell);
-                    }
+                if !v.is_null() && cur.beaten_by(v, std::cmp::Ordering::Greater) {
+                    cur.set(v);
                 }
             }
-            TypedAcc::Avg { total, count } => match cell {
-                Cell::I(x) => {
-                    *total += x as f64;
-                    *count += 1;
-                }
-                Cell::F(x) => {
+            // Non-numeric (and NULL) arguments are skipped, like the row
+            // accumulator.
+            TypedAcc::Avg { total, count } => {
+                if let Some(x) = v.as_f64() {
                     *total += x;
                     *count += 1;
                 }
-                // Non-numeric (and NULL) arguments are skipped, mirroring
-                // the row accumulator's `as_f64` gate.
-                _ => {}
-            },
+            }
         }
         Ok(())
     }
@@ -305,14 +288,14 @@ impl TypedAcc {
 /// `Null == Null` groups all NULL keys into one group, which is SQL's
 /// grouping rule (unlike join keys; see `Value::sql_key_eq`). The typed
 /// fast path keys a single `Int` group column as `Option<i64>` (`None` =
-/// the NULL group) and degrades to the generic `Vec<Value>` map when a
-/// batch shows any other variant.
+/// the NULL group) and degrades to the generic `Vec<Value>` map at the
+/// first row whose group value is any other variant.
 enum GroupKeys {
     Int(HashMap<Option<i64>, u32>),
     Generic(HashMap<Vec<Value>, u32>),
 }
 
-/// Hash aggregation over column vectors with [`TypedAcc`] accumulators. The
+/// Hash aggregation into [`TypedAcc`] accumulators, fed from the rows. The
 /// differential reference is [`SortAggregateExec`] over the same input
 /// sorted, which accumulates row at a time into [`Accumulator`]s.
 pub struct HashAggregateExec {
@@ -358,63 +341,30 @@ impl HashAggregateExec {
         };
 
         while let Some(batch) = input.next_batch()? {
-            let rows = batch.into_rows();
-            // Extract the single group column (typed path) and any
-            // plain-column aggregate arguments once per batch.
-            let group_col = match (&keys, self.group_by.first()) {
-                (GroupKeys::Int(_), Some(&g)) => Some(ColumnVector::from_rows(&rows, g)?),
-                _ => None,
-            };
-            // A non-Int variant in the group column ends the typed path:
-            // migrate the accumulated groups to the generic map.
-            let group_col = match group_col {
-                Some(cv) if matches!(cv.data, ColumnData::Int(_)) => Some(cv),
-                Some(_) => {
-                    if let GroupKeys::Int(_) = &keys {
-                        let mut generic: HashMap<Vec<Value>, u32> = HashMap::new();
-                        for (idx, gv) in group_values.iter().enumerate() {
-                            generic.insert(gv.clone(), idx as u32);
-                        }
-                        keys = GroupKeys::Generic(generic);
-                    }
-                    None
-                }
-                None => None,
-            };
-            let mut arg_cols: Vec<Option<ColumnVector>> = Vec::with_capacity(self.aggs.len());
-            for spec in &self.aggs {
-                arg_cols.push(match (&spec.func, &spec.arg) {
-                    (AggFunc::CountStar, _) => None,
-                    (_, Some(Expr::Column(c))) => Some(ColumnVector::from_rows(&rows, *c)?),
+            for t in batch.rows() {
+                // The typed key: `Some(None)` is the NULL group.
+                let typed = match (&keys, self.group_by.first()) {
+                    (GroupKeys::Int(_), Some(&g)) => match t.value(g)? {
+                        Value::Int(i) => Some(Some(*i)),
+                        Value::Null => Some(None),
+                        _ => None,
+                    },
                     _ => None,
-                });
-            }
-
-            for (r, t) in rows.iter().enumerate() {
-                let gidx = match (&mut keys, &group_col) {
-                    (GroupKeys::Int(map), Some(cv)) => {
-                        let k = match cv.cell(r) {
-                            Cell::I(i) => Some(i),
-                            _ => None,
-                        };
-                        match map.get(&k) {
-                            Some(&idx) => idx,
-                            None => {
-                                let idx = group_values.len() as u32;
-                                map.insert(k, idx);
-                                group_values.push(vec![k.map_or(Value::Null, Value::Int)]);
-                                accs.push(fresh(&self.aggs));
-                                idx
-                            }
-                        }
-                    }
-                    // A batch whose group column is not all-`Int` migrated
-                    // the keys to `Generic` above.
-                    (GroupKeys::Int(_), None) => {
-                        return Err(EvoptError::Internal(
-                            "typed group keys without a typed group column".into(),
-                        ))
-                    }
+                };
+                // A group value neither `Int` nor NULL ends the typed path:
+                // the groups so far move to the generic map.
+                if let (GroupKeys::Int(_), None) = (&keys, typed) {
+                    keys = GroupKeys::Generic(group_values.iter().cloned().zip(0..).collect());
+                }
+                let mut new_group = |key: Vec<Value>| {
+                    group_values.push(key);
+                    accs.push(fresh(&self.aggs));
+                    group_values.len() as u32 - 1
+                };
+                let gidx = match (&mut keys, typed) {
+                    (GroupKeys::Int(map), Some(k)) => *map
+                        .entry(k)
+                        .or_insert_with(|| new_group(vec![k.map_or(Value::Null, Value::Int)])),
                     (GroupKeys::Generic(map), _) => {
                         let key: Vec<Value> = self
                             .group_by
@@ -424,25 +374,22 @@ impl HashAggregateExec {
                         match map.get(&key) {
                             Some(&idx) => idx,
                             None => {
-                                let idx = group_values.len() as u32;
-                                map.insert(key.clone(), idx);
-                                group_values.push(key);
-                                accs.push(fresh(&self.aggs));
+                                let idx = new_group(key.clone());
+                                map.insert(key, idx);
                                 idx
                             }
                         }
                     }
+                    (GroupKeys::Int(_), None) => {
+                        return Err(EvoptError::Internal("typed group keys not migrated".into()))
+                    }
                 } as usize;
-                let group_accs = &mut accs[gidx];
-                for (ai, spec) in self.aggs.iter().enumerate() {
-                    match (&spec.func, &arg_cols[ai], &spec.arg) {
-                        (AggFunc::CountStar, _, _) => group_accs[ai].count_row(),
-                        (_, Some(cv), _) => group_accs[ai].update(cv.cell(r))?,
-                        (_, None, Some(arg)) => {
-                            let v = arg.eval(t)?;
-                            group_accs[ai].update(Cell::of(&v))?;
-                        }
-                        (f, None, None) => {
+                for (acc, spec) in accs[gidx].iter_mut().zip(&self.aggs) {
+                    match (&spec.func, &spec.arg) {
+                        (AggFunc::CountStar, _) => acc.count_row(),
+                        (_, Some(Expr::Column(c))) => acc.update(t.value(*c)?)?,
+                        (_, Some(arg)) => acc.update(&arg.eval(t)?)?,
+                        (f, None) => {
                             return Err(EvoptError::Execution(format!("{f} requires an argument")))
                         }
                     }
@@ -617,22 +564,22 @@ mod tests {
     #[test]
     fn typed_sum_mirrors_row_accumulator() {
         let mut acc = TypedAcc::new(AggFunc::Sum);
-        acc.update(Cell::I(2)).unwrap();
-        acc.update(Cell::Null).unwrap();
-        acc.update(Cell::I(3)).unwrap();
+        acc.update(&Value::Int(2)).unwrap();
+        acc.update(&Value::Null).unwrap();
+        acc.update(&Value::Int(3)).unwrap();
         assert_eq!(acc.finish(), Value::Int(5));
         // A float input promotes the running total to Float.
-        acc.update(Cell::F(0.5)).unwrap();
+        acc.update(&Value::Float(0.5)).unwrap();
         assert_eq!(acc.finish(), Value::Float(5.5));
-        acc.update(Cell::I(1)).unwrap();
+        acc.update(&Value::Int(1)).unwrap();
         assert_eq!(acc.finish(), Value::Float(6.5));
         // Overflow errors instead of wrapping.
         let mut acc = TypedAcc::new(AggFunc::Sum);
-        acc.update(Cell::I(i64::MAX)).unwrap();
-        assert!(acc.update(Cell::I(1)).is_err());
+        acc.update(&Value::Int(i64::MAX)).unwrap();
+        assert!(acc.update(&Value::Int(1)).is_err());
         // Non-numeric input errors like Value::add.
         let mut acc = TypedAcc::new(AggFunc::Sum);
-        assert!(acc.update(Cell::S("x")).is_err());
+        assert!(acc.update(&Value::Str("x".into())).is_err());
         // No inputs → NULL.
         assert_eq!(TypedAcc::new(AggFunc::Sum).finish(), Value::Null);
     }
@@ -641,22 +588,22 @@ mod tests {
     fn typed_min_max_use_total_order() {
         let mut mn = TypedAcc::new(AggFunc::Min);
         let mut mx = TypedAcc::new(AggFunc::Max);
-        for c in [Cell::I(3), Cell::F(2.5), Cell::Null, Cell::I(7)] {
-            mn.update(c).unwrap();
-            mx.update(c).unwrap();
+        for v in [Value::Int(3), Value::Float(2.5), Value::Null, Value::Int(7)] {
+            mn.update(&v).unwrap();
+            mx.update(&v).unwrap();
         }
         assert_eq!(mn.finish(), Value::Float(2.5));
         assert_eq!(mx.finish(), Value::Int(7));
         // Ties keep the first-seen value (like [`Accumulator`]'s strict `<`).
         let mut mn = TypedAcc::new(AggFunc::Min);
-        mn.update(Cell::I(2)).unwrap();
-        mn.update(Cell::F(2.0)).unwrap();
+        mn.update(&Value::Int(2)).unwrap();
+        mn.update(&Value::Float(2.0)).unwrap();
         assert_eq!(mn.finish(), Value::Int(2));
         // Strings via the generic state.
         let mut mx = TypedAcc::new(AggFunc::Max);
-        mx.update(Cell::S("a")).unwrap();
-        mx.update(Cell::S("c")).unwrap();
-        mx.update(Cell::S("b")).unwrap();
+        mx.update(&Value::Str("a".into())).unwrap();
+        mx.update(&Value::Str("c".into())).unwrap();
+        mx.update(&Value::Str("b".into())).unwrap();
         assert_eq!(mx.finish(), Value::Str("c".into()));
     }
 
@@ -664,9 +611,9 @@ mod tests {
     fn typed_count_and_avg() {
         let mut c = TypedAcc::new(AggFunc::Count);
         let mut a = TypedAcc::new(AggFunc::Avg);
-        for cell in [Cell::I(1), Cell::Null, Cell::I(3)] {
-            c.update(cell).unwrap();
-            a.update(cell).unwrap();
+        for v in [Value::Int(1), Value::Null, Value::Int(3)] {
+            c.update(&v).unwrap();
+            a.update(&v).unwrap();
         }
         assert_eq!(c.finish(), Value::Int(2));
         assert_eq!(a.finish(), Value::Float(2.0));

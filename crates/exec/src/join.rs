@@ -23,7 +23,6 @@
 use std::sync::Arc;
 
 use evopt_catalog::TableInfo;
-use evopt_common::columnar::{Cell, ColumnVector};
 use evopt_common::{Batch, EvoptError, Expr, Result, Schema, Tuple, Value};
 use evopt_storage::heap::HeapScan;
 use evopt_storage::HeapFile;
@@ -479,15 +478,15 @@ impl BuildSide {
         Ok(BuildSide { rows, key, keys })
     }
 
-    /// Push `lt` joined with every build row its key cell matches.
+    /// Push `lt` joined with every build row its key `probe` matches.
     fn probe(
         &mut self,
         lt: &Tuple,
-        cell: Cell<'_>,
+        probe: &Value,
         residual: &Option<Expr>,
         out: &mut BatchBuilder,
     ) -> Result<()> {
-        for &ri in self.keys.lookup(cell, &self.rows, self.key)? {
+        for &ri in self.keys.lookup(probe, &self.rows, self.key)? {
             let combined = lt.join(&self.rows[ri as usize]);
             if passes(residual, &combined)? {
                 out.push(combined);
@@ -632,12 +631,9 @@ impl Executor for HashJoinExec {
                     let left = invariant(self.left.as_mut(), "in-memory join keeps probe side")?;
                     match left.next_batch()? {
                         Some(batch) => {
-                            // Extract the probe key column once per batch,
-                            // then look each key cell up in the typed index.
-                            let probe_rows = batch.rows();
-                            let key_col = ColumnVector::from_rows(probe_rows, self.left_key)?;
-                            for (i, lt) in probe_rows.iter().enumerate() {
-                                build.probe(lt, key_col.cell(i), &self.residual, &mut self.out)?;
+                            for lt in batch.rows() {
+                                let k = lt.value(self.left_key)?;
+                                build.probe(lt, k, &self.residual, &mut self.out)?;
                             }
                         }
                         None => return Ok(self.out.flush()),
@@ -666,12 +662,8 @@ impl Executor for HashJoinExec {
                     let scan = invariant(probe.as_mut(), "partition probe scan open")?;
                     match scan.next().transpose()? {
                         Some((_, lt)) => {
-                            build.probe(
-                                &lt,
-                                Cell::of(lt.value(self.left_key)?),
-                                &self.residual,
-                                &mut self.out,
-                            )?;
+                            let k = lt.value(self.left_key)?;
+                            build.probe(&lt, k, &self.residual, &mut self.out)?;
                         }
                         None => *probe = None,
                     }

@@ -10,7 +10,6 @@
 
 use std::collections::HashMap;
 
-use evopt_common::columnar::Cell;
 use evopt_common::{EvoptError, Result, Tuple, Value};
 
 const NO_MATCHES: &[u32] = &[];
@@ -100,48 +99,33 @@ impl JoinKeyMap {
         Ok(JoinKeyMap::Val(map))
     }
 
-    /// Build-row indices matching a probe key cell. NULL probes match
+    /// Build-row indices matching a probe key. NULL probes match
     /// nothing. A probe whose variant the typed map cannot answer exactly
     /// (an `Int` probe against a `Float`-keyed map is fine — bit-keys
     /// reproduce `total_cmp` equality — but a `Float` probe against an
     /// `Int`-keyed map is not representable) degrades the map, once, to
     /// the `Value`-keyed form.
-    pub fn lookup(&mut self, cell: Cell<'_>, rows: &[Tuple], key: usize) -> Result<&[u32]> {
-        let degrade = matches!((&*self, &cell), (JoinKeyMap::Int(_), Cell::F(_)));
-        if degrade {
+    pub fn lookup(&mut self, probe: &Value, rows: &[Tuple], key: usize) -> Result<&[u32]> {
+        if let (JoinKeyMap::Int(_), Value::Float(_)) = (&*self, probe) {
             *self = match Self::build_val(rows, key)? {
                 m @ JoinKeyMap::Val(_) => m,
                 _ => return Err(EvoptError::Internal("join key map degrade".into())),
             };
         }
-        Ok(match (&*self, cell) {
-            (_, Cell::Null) => NO_MATCHES,
-            (JoinKeyMap::Int(map), Cell::I(k)) => {
-                map.get(&k).map(Vec::as_slice).unwrap_or(NO_MATCHES)
-            }
-            // Build keys are all Int: a Bool/Str probe is cross-class and
-            // can never compare Equal.
-            (JoinKeyMap::Int(_), _) => NO_MATCHES,
-            (JoinKeyMap::Float(map), Cell::F(k)) => map
-                .get(&k.to_bits())
-                .map(Vec::as_slice)
-                .unwrap_or(NO_MATCHES),
+        let hit = match (&*self, probe) {
+            (_, Value::Null) => None,
+            (JoinKeyMap::Int(map), Value::Int(k)) => map.get(k),
+            (JoinKeyMap::Float(map), Value::Float(k)) => map.get(&k.to_bits()),
             // Int probe vs Float build keys: SQL equality is
             // `(i as f64).total_cmp(k) == Equal`, i.e. identical bits.
-            (JoinKeyMap::Float(map), Cell::I(k)) => map
-                .get(&(k as f64).to_bits())
-                .map(Vec::as_slice)
-                .unwrap_or(NO_MATCHES),
-            (JoinKeyMap::Float(_), _) => NO_MATCHES,
-            (JoinKeyMap::Str(map), Cell::S(k)) => {
-                map.get(k).map(Vec::as_slice).unwrap_or(NO_MATCHES)
-            }
-            (JoinKeyMap::Str(_), _) => NO_MATCHES,
-            (JoinKeyMap::Val(map), cell) => map
-                .get(&cell.to_value())
-                .map(Vec::as_slice)
-                .unwrap_or(NO_MATCHES),
-        })
+            (JoinKeyMap::Float(map), Value::Int(k)) => map.get(&(*k as f64).to_bits()),
+            (JoinKeyMap::Str(map), Value::Str(k)) => map.get(k),
+            (JoinKeyMap::Val(map), v) => map.get(v),
+            // Every other pairing is cross-class (say a Bool or Str probe
+            // against Int keys) and can never compare Equal.
+            _ => None,
+        };
+        Ok(hit.map_or(NO_MATCHES, Vec::as_slice))
     }
 }
 
@@ -165,13 +149,16 @@ mod tests {
         ];
         let mut map = JoinKeyMap::build(&rows, 0).unwrap();
         assert!(matches!(map, JoinKeyMap::Int(_)));
-        assert_eq!(map.lookup(Cell::I(1), &rows, 0).unwrap(), &[0, 2]);
-        assert_eq!(map.lookup(Cell::I(2), &rows, 0).unwrap(), &[3]);
-        assert!(map.lookup(Cell::I(9), &rows, 0).unwrap().is_empty());
+        assert_eq!(map.lookup(&Value::Int(1), &rows, 0).unwrap(), &[0, 2]);
+        assert_eq!(map.lookup(&Value::Int(2), &rows, 0).unwrap(), &[3]);
+        assert!(map.lookup(&Value::Int(9), &rows, 0).unwrap().is_empty());
         // NULL probes never match.
-        assert!(map.lookup(Cell::Null, &rows, 0).unwrap().is_empty());
+        assert!(map.lookup(&Value::Null, &rows, 0).unwrap().is_empty());
         // Cross-class probes never match.
-        assert!(map.lookup(Cell::S("1"), &rows, 0).unwrap().is_empty());
+        assert!(map
+            .lookup(&Value::Str("1".into()), &rows, 0)
+            .unwrap()
+            .is_empty());
     }
 
     #[test]
@@ -180,10 +167,10 @@ mod tests {
         let mut map = JoinKeyMap::build(&rows, 0).unwrap();
         // A Float probe against Int keys must match numerically (SQL:
         // 7 = 7.0), which the degraded Value map provides.
-        assert_eq!(map.lookup(Cell::F(7.0), &rows, 0).unwrap(), &[0]);
+        assert_eq!(map.lookup(&Value::Float(7.0), &rows, 0).unwrap(), &[0]);
         assert!(matches!(map, JoinKeyMap::Val(_)));
-        assert!(map.lookup(Cell::F(7.5), &rows, 0).unwrap().is_empty());
-        assert_eq!(map.lookup(Cell::I(8), &rows, 0).unwrap(), &[1]);
+        assert!(map.lookup(&Value::Float(7.5), &rows, 0).unwrap().is_empty());
+        assert_eq!(map.lookup(&Value::Int(8), &rows, 0).unwrap(), &[1]);
     }
 
     #[test]
@@ -191,11 +178,11 @@ mod tests {
         let rows = vec![t(vec![Value::Float(7.0)]), t(vec![Value::Float(-0.0)])];
         let mut map = JoinKeyMap::build(&rows, 0).unwrap();
         assert!(matches!(map, JoinKeyMap::Float(_)));
-        assert_eq!(map.lookup(Cell::I(7), &rows, 0).unwrap(), &[0]);
+        assert_eq!(map.lookup(&Value::Int(7), &rows, 0).unwrap(), &[0]);
         // Int 0 is +0.0; it must NOT match -0.0 (total_cmp distinguishes),
         // exactly like `Value` equality.
-        assert!(map.lookup(Cell::I(0), &rows, 0).unwrap().is_empty());
-        assert_eq!(map.lookup(Cell::F(-0.0), &rows, 0).unwrap(), &[1]);
+        assert!(map.lookup(&Value::Int(0), &rows, 0).unwrap().is_empty());
+        assert_eq!(map.lookup(&Value::Float(-0.0), &rows, 0).unwrap(), &[1]);
     }
 
     #[test]
@@ -203,8 +190,8 @@ mod tests {
         let rows = vec![t(vec![Value::Int(1)]), t(vec![Value::Float(2.5)])];
         let mut map = JoinKeyMap::build(&rows, 0).unwrap();
         assert!(matches!(map, JoinKeyMap::Val(_)));
-        assert_eq!(map.lookup(Cell::I(1), &rows, 0).unwrap(), &[0]);
-        assert_eq!(map.lookup(Cell::F(1.0), &rows, 0).unwrap(), &[0]);
-        assert_eq!(map.lookup(Cell::F(2.5), &rows, 0).unwrap(), &[1]);
+        assert_eq!(map.lookup(&Value::Int(1), &rows, 0).unwrap(), &[0]);
+        assert_eq!(map.lookup(&Value::Float(1.0), &rows, 0).unwrap(), &[0]);
+        assert_eq!(map.lookup(&Value::Float(2.5), &rows, 0).unwrap(), &[1]);
     }
 }

@@ -16,10 +16,11 @@
 //! A predicate is decided in one place, `Expr::eval_predicate`, called row
 //! by row from the four operators a predicate can sit in: the sequential
 //! scan's pushed filter, the index scan's residual, the joins' residual and
-//! [`simple::FilterExec`]. Typed column vectors are used where they have an
-//! end-to-end record — [`agg::HashAggregateExec`]'s accumulators and group
-//! keys, and the hash join's key index — each checked against a row-wise
-//! sibling operator by the differential suites.
+//! [`simple::FilterExec`]. Operators read `&Value` straight from the rows;
+//! typed *state* is kept where it has an end-to-end record —
+//! [`agg::HashAggregateExec`]'s accumulators and group keys, and the hash
+//! join's key index — each checked against a row-wise sibling operator by
+//! the differential suites.
 //!
 //! All page access still goes through the shared buffer pool, so the
 //! **measured physical I/O of a plan is real** — block nested loops

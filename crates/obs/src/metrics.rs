@@ -228,33 +228,13 @@ pub struct EngineMetrics {
     pub queries: Counter,
     pub slow_queries: Counter,
     pub governor_kills: Counter,
-    pub faults_injected: Counter,
-    pub silent_corruptions: Counter,
     /// Statements executed (all kinds, not just SELECT).
     pub statements: Counter,
     /// Statements that returned an error.
     pub statement_errors: Counter,
-    // -- durability (WAL; zero when durability is off) ----------------------
-    pub wal_records_written: Counter,
-    pub wal_bytes: Counter,
-    pub checkpoints: Counter,
-    pub recoveries: Counter,
-    pub recovery_replayed_records: Counter,
-    /// Syncs a committer skipped because a group-commit peer already
-    /// durably covered its LSN.
-    pub wal_coalesced_syncs: Counter,
     // -- contention (PR 8's wait points, timed at the lockorder sites) ------
     /// Wall time a writer spent waiting to acquire the commit lock.
     pub commit_lock_wait_us: Histogram,
-    /// Wall time `Wal::sync_through` spent making an LSN durable
-    /// (including waits coalesced behind a peer's in-flight fsync).
-    pub wal_sync_wait_us: Histogram,
-    /// Physical read + verify latency on a buffer-pool miss (the
-    /// off-lock single-flight I/O).
-    pub pool_miss_io_us: Histogram,
-    /// Wall time a pool reader spent waiting on another thread's
-    /// in-flight load of the same page (single-flight wait).
-    pub pool_load_wait_us: Histogram,
     /// Wall time to acquire a frozen read snapshot (cache hit or rebuild).
     pub snapshot_acquire_us: Histogram,
 }
@@ -283,21 +263,10 @@ impl Default for EngineMetrics {
             queries: Counter::default(),
             slow_queries: Counter::default(),
             governor_kills: Counter::default(),
-            faults_injected: Counter::default(),
-            silent_corruptions: Counter::default(),
             statements: Counter::default(),
             statement_errors: Counter::default(),
-            wal_records_written: Counter::default(),
-            wal_bytes: Counter::default(),
-            checkpoints: Counter::default(),
-            recoveries: Counter::default(),
-            recovery_replayed_records: Counter::default(),
-            wal_coalesced_syncs: Counter::default(),
             // Contention waits resolve sub-50µs mass: finer bounds.
             commit_lock_wait_us: Histogram::new(WAIT_BUCKETS_US),
-            wal_sync_wait_us: Histogram::new(WAIT_BUCKETS_US),
-            pool_miss_io_us: Histogram::new(WAIT_BUCKETS_US),
-            pool_load_wait_us: Histogram::new(WAIT_BUCKETS_US),
             snapshot_acquire_us: Histogram::new(WAIT_BUCKETS_US),
         }
     }
@@ -327,21 +296,16 @@ impl EngineMetrics {
             queries: self.queries.get(),
             slow_queries: self.slow_queries.get(),
             governor_kills: self.governor_kills.get(),
-            faults_injected: self.faults_injected.get(),
-            silent_corruptions: self.silent_corruptions.get(),
             statements: self.statements.get(),
             statement_errors: self.statement_errors.get(),
-            wal_records_written: self.wal_records_written.get(),
-            wal_bytes: self.wal_bytes.get(),
-            checkpoints: self.checkpoints.get(),
-            recoveries: self.recoveries.get(),
-            recovery_replayed_records: self.recovery_replayed_records.get(),
-            wal_coalesced_syncs: self.wal_coalesced_syncs.get(),
             commit_lock_wait_us: self.commit_lock_wait_us.snapshot(),
-            wal_sync_wait_us: self.wal_sync_wait_us.snapshot(),
-            pool_miss_io_us: self.pool_miss_io_us.snapshot(),
-            pool_load_wait_us: self.pool_load_wait_us.snapshot(),
             snapshot_acquire_us: self.snapshot_acquire_us.snapshot(),
+            // Nothing records these per registry: `Database::metrics_snapshot`
+            // fills them from the pool, the WAL and the fault injector.
+            wal_sync_wait_us: Histogram::new(WAIT_BUCKETS_US).snapshot(),
+            pool_miss_io_us: Histogram::new(WAIT_BUCKETS_US).snapshot(),
+            pool_load_wait_us: Histogram::new(WAIT_BUCKETS_US).snapshot(),
+            ..MetricsSnapshot::default()
         }
     }
 }
@@ -527,13 +491,10 @@ mod tests {
         m.queries.inc();
         m.optimize_time_us.observe(80);
         m.optimize_time_us.observe(9_999_999); // overflow bucket
-        m.wal_records_written.add(7);
-        m.recoveries.inc();
         let text = m.snapshot().to_prometheus();
         assert!(text.contains("evopt_pool_hits_total 3"));
         assert!(text.contains("evopt_queries_total 1"));
-        assert!(text.contains("evopt_wal_records_written_total 7"));
-        assert!(text.contains("evopt_recoveries_total 1"));
+        assert!(text.contains("evopt_recoveries_total 0"));
         assert!(text.contains("evopt_optimize_time_us_bucket{le=\"+Inf\"} 2"));
         assert!(text.contains("evopt_optimize_time_us_count 2"));
         // Buckets are cumulative: the le="100" bucket already holds the 80µs

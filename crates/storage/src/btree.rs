@@ -31,8 +31,9 @@
 //!   share a class, and a scan must hand back the stored variant.
 //! * Insert writes the entry at the frontier and shifts the slots above
 //!   it; delete closes the hole at once. Each is one `guard.write()`.
-//!   Inserts split on byte overflow at `len / 2`; deletes are lazy (no
-//!   rebalancing), the standard trade-off for load-then-query workloads.
+//!   Inserts split on byte overflow at `len / 2` (at the byte midpoint
+//!   when a half would not fit); deletes are lazy (no rebalancing), the
+//!   standard trade-off for load-then-query workloads.
 //! * A meta page stores root, height and page count; only a split writes
 //!   it. [`BTreeIndex::entry_count`] counts along the leaf chain.
 //! * Readers take no tree lock: one landing left of its key while a split
@@ -236,7 +237,7 @@ impl<'a> Node<'a> {
 fn pack(internal: bool, link: PageId, entries: &[&[u8]]) -> Result<PageData> {
     let mut page = [0u8; PAGE_SIZE];
     page[0] = internal as u8;
-    page[3..HEADER].copy_from_slice(&link.to_le_bytes());
+    set_link(&mut page, link);
     for (i, entry) in entries.iter().enumerate() {
         if !insert_at(&mut page, i, entry)? {
             return Err(EvoptError::Internal(
@@ -245,6 +246,10 @@ fn pack(internal: bool, link: PageId, entries: &[&[u8]]) -> Result<PageData> {
         }
     }
     Ok(page)
+}
+
+fn set_link(page: &mut PageData, link: PageId) {
+    page[3..HEADER].copy_from_slice(&link.to_le_bytes());
 }
 
 /// Replace the node under `guard` (the LSN trailer is the WAL's).
@@ -502,28 +507,45 @@ impl BTreeIndex {
         if insert_at(&mut guard.write(), idx, entry)? {
             return Ok(None);
         }
-        // Cut "this node's entries with `entry` at `idx`" at `len / 2`. The
-        // new right page is written first, the old page replaced last: a
-        // reader sees the whole node or its lower half linked to the upper.
-        let right_guard = self.pool.new_page()?;
-        let (left, right, mut sep) = {
+        // Cut "this node's entries with `entry` at `idx`" at `len / 2`, or,
+        // when a half would not fit (long keys beside short ones), where the
+        // lower half's bytes first reach half the total. Both halves pack
+        // before the right page is allocated, so a refusal leaks no page; it
+        // is written first, the old page replaced last: a reader sees the
+        // whole node or its lower half linked to the upper.
+        let (mut left, right, mut sep, internal) = {
             let data = guard.read();
             let node = Node::new(&data, None)?;
             let list = (0..node.count).map(|i| Ok(node.entry(i)?.bytes));
             let mut list = list.collect::<Result<Vec<_>>>()?;
             list.insert(idx.min(list.len()), entry);
-            let (lower, upper) = list.split_at(list.len() / 2);
+            let bytes = |half: &[&[u8]]| half.iter().map(|e| SLOT + e.len()).sum::<usize>();
+            let fits = |half: &[&[u8]]| HEADER + bytes(half) <= USABLE_PAGE_SIZE;
+            let (n, up) = (list.len(), node.internal as usize);
+            let mut cut = n / 2;
+            if !fits(&list[..cut]) || !fits(&list[cut + up..]) {
+                let total = bytes(&list);
+                let reach = (1..n).find(|&k| 2 * bytes(&list[..k]) >= total);
+                cut = reach.unwrap_or(n - 1);
+            }
+            let (lower, upper) = list.split_at(cut);
             if node.internal {
                 // The middle key moves up; its child is the right half's `child[0]`.
                 let up = Entry::parse(upper[0], true)?;
                 let sep = &up.bytes[..up.bytes.len() - CHILD_BYTES];
                 let left = pack(true, node.link, lower)?;
-                (left, pack(true, up.child, &upper[1..])?, sep.to_vec())
+                (left, pack(true, up.child, &upper[1..])?, sep.to_vec(), true)
             } else {
-                let left = pack(false, right_guard.id(), lower)?;
-                (left, pack(false, node.link, upper)?, upper[0].to_vec())
+                let right = pack(false, node.link, upper)?;
+                let left = pack(false, INVALID_PAGE_ID, lower)?;
+                (left, right, upper[0].to_vec(), false)
             }
         };
+        let right_guard = self.pool.new_page()?;
+        if !internal {
+            // The lower leaf links to the page just allocated.
+            set_link(&mut left, right_guard.id());
+        }
         put_node(&right_guard, &right);
         put_node(guard, &left);
         sep.extend_from_slice(&right_guard.id().to_le_bytes());
@@ -893,6 +915,22 @@ mod tests {
         assert!(t.insert(&big, rid(0)).is_err());
     }
 
+    /// Keys just under `MAX_KEY_BYTES` beside tiny ones: cut at `len / 2`,
+    /// the lower half of the leaf would not fit its page.
+    #[test]
+    fn split_of_long_keys_beside_short_ones_fits() {
+        let t = mktree(32);
+        for i in 0..20 {
+            t.insert(&Value::Str(format!("z{i:02}")), rid(i)).unwrap();
+        }
+        for i in 0..12 {
+            let long = format!("a{i:02}{}", "x".repeat(MAX_KEY_BYTES - 20));
+            t.insert(&Value::Str(long), rid(100 + i)).unwrap();
+        }
+        assert_eq!(t.entry_count().unwrap(), 32);
+        t.check_invariants().unwrap();
+    }
+
     #[test]
     fn delete_exact_entry() {
         let t = mktree(32);
@@ -1098,13 +1136,12 @@ mod tests {
     }
 
     /// Every key class, the edges of each, and strings long enough that a
-    /// few hundred entries make a tree of height ≥ 3. They stop at 200
-    /// bytes: with keys near `MAX_KEY_BYTES` beside tiny ones, a `len / 2`
-    /// split can leave a half that does not fit, and the insert is refused.
+    /// few hundred entries make a tree of height ≥ 3, up to `MAX_KEY_BYTES`.
     fn arb_key() -> BoxedStrategy<Value> {
         let long = || {
-            ".{140,190}".prop_map(|mut s: String| {
-                while s.len() > 200 {
+            // The key's encoding adds 7 bytes to the string's.
+            ".{140,505}".prop_map(|mut s: String| {
+                while s.len() > MAX_KEY_BYTES - 7 {
                     s.pop();
                 }
                 Value::Str(s)

@@ -9,8 +9,8 @@
 //! that fit exactly one batch, results straddling batch boundaries, and
 //! LIMITs that cut a batch mid-way.
 //!
-//! The `*_row_vs_columnar` tests are the cross-family differentials: the
-//! two typed operators (hash aggregation, the hash join's key index)
+//! The `*_typed_vs_row` tests are the cross-family differentials: the two
+//! operators with typed state (hash aggregation, the hash join's key index)
 //! against their row-at-a-time siblings (see `support::sibling`), at every
 //! batch size.
 
@@ -36,8 +36,47 @@ fn fixture() -> Database {
     db.execute("CREATE TABLE empty_t (x INT, y STRING)")
         .unwrap();
     load_tpch_lite(&db, 0.2, 23).unwrap();
+    load_mixed(&db);
     db.execute("ANALYZE").unwrap();
     db
+}
+
+/// `mixed(g FLOAT, v FLOAT, k FLOAT)`: `INT` literals (they keep the `Int`
+/// variant), `FLOAT` literals and NULLs in every column. `g` is `Int` or
+/// NULL for the first 100 rows, then `Float` and `Int` alternate, so the
+/// first `Float` group value follows `Int` ones inside one batch (at 1024
+/// rows) and across batches (at 1, 3 and 64): the hash aggregate's `Int`
+/// group keys must move to the generic map without splitting or merging a
+/// group. `k` joins `wisc.one_pct`; its `Float` values are whole (they
+/// match) or end in `.5` (they never do). Fractions are multiples of 0.25,
+/// so `SUM`/`AVG` are exact in any order.
+fn load_mixed(db: &Database) {
+    db.execute("CREATE TABLE mixed (g FLOAT, v FLOAT, k FLOAT)")
+        .unwrap();
+    let cell = |null: bool, float: Option<String>, int: i64| match (null, float) {
+        (true, _) => "NULL".to_string(),
+        (false, Some(f)) => f,
+        (false, None) => int.to_string(),
+    };
+    let rows: Vec<String> = (0..240i64)
+        .map(|i| {
+            let g_float = (i >= 100 && i % 2 == 0).then(|| match i % 4 {
+                0 => format!("{}.0", i % 7),
+                _ => format!("{}.5", i % 7),
+            });
+            let g = cell(i % 11 == 0, g_float, i % 7);
+            let v = cell(i % 5 == 0, (i % 3 == 0).then(|| format!("{}.25", i % 9)), i);
+            let k_float = match i % 4 {
+                1 => Some(format!("{}.0", i % 50)),
+                3 => Some(format!("{}.5", i % 50)),
+                _ => None,
+            };
+            let k = cell(i % 6 == 0, k_float, i % 50);
+            format!("({g}, {v}, {k})")
+        })
+        .collect();
+    db.execute(&format!("INSERT INTO mixed VALUES {}", rows.join(", ")))
+        .unwrap();
 }
 
 /// One query per operator family, plus the edge cases.
@@ -73,6 +112,9 @@ fn query_battery() -> Vec<&'static str> {
         queries::REVENUE_PER_NATION,
         queries::CUSTOMER_ORDERS,
         queries::SHIPPED_BIG_ORDERS,
+        // Mixed runtime variants in declared-FLOAT columns.
+        "SELECT g, COUNT(*), COUNT(v), SUM(v), MIN(v), MAX(v), AVG(v) FROM mixed GROUP BY g",
+        "SELECT m.g, m.k, w.unique1 FROM mixed m JOIN wisc w ON m.k = w.one_pct",
     ]
 }
 
@@ -104,7 +146,7 @@ fn sql_battery_identical_across_batch_sizes() {
 }
 
 #[test]
-fn sql_battery_identical_row_vs_columnar() {
+fn sql_battery_identical_typed_vs_row() {
     // The typed operators (join key maps, typed accumulators) must be
     // invisible in results: every battery query's chosen plan, and the same
     // plan with each typed operator swapped for its row-at-a-time sibling,
@@ -116,7 +158,7 @@ fn sql_battery_identical_row_vs_columnar() {
         hash_joins += count_ops(&chosen, "HashJoin");
         hash_aggregates += count_ops(&chosen, "HashAggregate");
         let reference = sibling(&chosen);
-        for bs in [1, 64, 1024] {
+        for bs in [1, 3, 64, 1024] {
             db.set_batch_rows(bs);
             let want = db.run_plan(&reference).unwrap();
             let got = db.query(sql).unwrap();
@@ -188,7 +230,7 @@ fn every_join_family_identical_across_batch_sizes() {
 }
 
 #[test]
-fn every_join_family_identical_row_vs_columnar() {
+fn every_join_family_identical_typed_vs_row() {
     // Same forced-plan battery, every family against the nested-loop join's
     // row-at-a-time predicate evaluation. The fixture's NULL keys (every
     // 17th left row, every 23rd right row) make this a NULL-semantics check
@@ -242,7 +284,7 @@ fn grace_hash_join_identical_across_batch_sizes() {
 }
 
 #[test]
-fn grace_hash_join_identical_row_vs_columnar() {
+fn grace_hash_join_identical_typed_vs_row() {
     // The Grace path builds a typed key index per partition; the
     // in-memory/spill decision and the per-partition results must agree
     // with the sort-merge join's row-at-a-time key comparison.

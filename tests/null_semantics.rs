@@ -293,7 +293,7 @@ fn assert_families_match_nested_loop(env: &ExecEnv) {
 }
 
 #[test]
-fn mixed_null_join_identical_row_vs_columnar() {
+fn mixed_null_join_identical_typed_vs_row() {
     // The non-null subset must join the same in every family — the typed
     // key index against row-at-a-time key comparison — at every batch size.
     assert_families_match_nested_loop(&mixed_null_world(16, 170, 170));

@@ -680,6 +680,47 @@ fn session_scrape_labels_per_session_series() {
 }
 
 #[test]
+fn session_registry_renders_storage_families_at_zero() {
+    // A session registry records no pool, WAL or fault-injector activity,
+    // yet its text still carries those families: counters at zero, and
+    // histograms empty over the contention buckets, line for line what the
+    // (recorded, here still empty) commit-lock histogram renders.
+    let db = std::sync::Arc::new(Database::with_defaults());
+    let text = db.session().metrics_snapshot().to_prometheus();
+    for counter in [
+        "faults_injected",
+        "silent_corruptions",
+        "wal_records_written",
+        "wal_bytes",
+        "checkpoints",
+        "recoveries",
+        "recovery_replayed_records",
+        "wal_coalesced_syncs",
+    ] {
+        let name = format!("evopt_{counter}_total");
+        let want = format!("# TYPE {name} counter\n{name} 0\n");
+        assert!(text.contains(&want), "missing {want:?} in:\n{text}");
+    }
+    let block = |name: &str| -> String {
+        let lines = text.lines().filter(|l| {
+            l.starts_with(&format!("{name}_")) || *l == format!("# TYPE {name} histogram")
+        });
+        lines
+            .map(|l| l.replacen(name, "H", 1))
+            .collect::<Vec<_>>()
+            .join("\n")
+    };
+    let empty = block("evopt_commit_lock_wait_us");
+    assert!(
+        empty.contains("H_bucket{le=\"+Inf\"} 0\nH_sum 0\nH_count 0"),
+        "{empty}"
+    );
+    for hist in ["wal_sync_wait_us", "pool_miss_io_us", "pool_load_wait_us"] {
+        assert_eq!(block(&format!("evopt_{hist}")), empty, "{hist}");
+    }
+}
+
+#[test]
 fn statement_counters_track_errors() {
     let db = fixture();
     let before = db.metrics_snapshot();

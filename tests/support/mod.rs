@@ -2,10 +2,10 @@
 //! join fixture and the sibling-operator rewrite both suites use as their
 //! differential reference.
 //!
-//! The two operators that work on typed column vectors (`HashAggregate`,
-//! `HashJoin`) each have a sibling that does the same job row at a time
-//! through code the typed one does not share. "Row vs columnar" in the
-//! suites' test names means exactly that pair. A `Filter` evaluates its
+//! The two operators that keep typed state (`HashAggregate`'s accumulators
+//! and group keys, `HashJoin`'s key index) each have a sibling that does the
+//! same job with `Value` state through code the typed one does not share.
+//! "Typed vs row" in the suites' test names means exactly that pair. A `Filter` evaluates its
 //! predicate like a scan does; folding it into the scan checks its batch
 //! plumbing.
 
