@@ -4,14 +4,14 @@
 //! assumes:
 //!
 //! * [`NestedLoopJoinExec`] — re-opens the inner plan per outer row.
-//! * [`BlockNestedLoopJoinExec`] — materialises the inner to a temporary
+//! * [`BlockNestedLoopJoinExec`] — materialises the inner to a scratch
 //!   heap once, then re-reads it once per outer *block*.
 //! * [`IndexNestedLoopJoinExec`] — probes a B+-tree per outer row.
 //! * [`SortMergeJoinExec`] — linear merge of two key-sorted inputs
 //!   (duplicate groups handled; the optimizer inserts any needed sorts).
 //! * [`HashJoinExec`] — in-memory build when the build side fits the
-//!   configured buffer budget, Grace partitioning to temporary heaps when
-//!   it doesn't.
+//!   configured buffer budget, Grace partitioning to scratch heaps when
+//!   it doesn't (each partition pair freed once its probe finishes).
 //!
 //! All five consume and produce [`Batch`]es: inputs arrive through
 //! [`BatchCursor`]s (one virtual call per input batch), matches accumulate
@@ -134,7 +134,7 @@ pub struct BlockNestedLoopJoinExec {
     predicate: Option<Expr>,
     block_bytes: usize,
     schema: Schema,
-    temp: Option<Arc<HeapFile>>,
+    temp: Option<HeapFile>,
     block: Vec<Tuple>,
     left_done: bool,
     inner_scan: Option<HeapScan>,
@@ -167,7 +167,7 @@ impl BlockNestedLoopJoinExec {
     }
 
     fn materialise_inner(&mut self) -> Result<()> {
-        let heap = Arc::new(HeapFile::create(Arc::clone(self.env.catalog.pool()))?);
+        let heap = HeapFile::scratch(Arc::clone(self.env.catalog.pool()))?;
         let mut right = invariant(self.right.take(), "inner materialised only once")?;
         while let Some(batch) = right.next_batch()? {
             for t in batch.iter() {
@@ -501,13 +501,15 @@ enum HashJoinState {
     Init,
     /// Build side fit in memory.
     InMemory(BuildSide),
-    /// Grace: both sides partitioned to temp heaps; joined per partition.
+    /// Grace: both sides partitioned to scratch heaps; joined per
+    /// partition.
     Grace {
-        left_parts: Vec<Arc<HeapFile>>,
-        right_parts: Vec<Arc<HeapFile>>,
-        part: usize,
+        /// (probe side, build side) partition pairs not yet joined.
+        parts: std::vec::IntoIter<(HeapFile, HeapFile)>,
         build: BuildSide,
-        probe: Option<HeapScan>,
+        /// The partition being probed: its probe-side heap, held while the
+        /// scan reads it and freed when the scan ends.
+        probe: Option<(HeapFile, HeapScan)>,
     },
 }
 
@@ -571,9 +573,9 @@ impl HashJoinExec {
         self.env.record_spill();
         let parts = (bytes / budget + 2).max(2);
         let pool = self.env.catalog.pool();
-        let mk_parts = || -> Result<Vec<Arc<HeapFile>>> {
+        let mk_parts = || -> Result<Vec<HeapFile>> {
             (0..parts)
-                .map(|_| Ok(Arc::new(HeapFile::create(Arc::clone(pool))?)))
+                .map(|_| HeapFile::scratch(Arc::clone(pool)))
                 .collect()
         };
         let right_parts = mk_parts()?;
@@ -593,9 +595,11 @@ impl HashJoinExec {
             }
         }
         self.state = HashJoinState::Grace {
-            left_parts,
-            right_parts,
-            part: 0,
+            parts: left_parts
+                .into_iter()
+                .zip(right_parts)
+                .collect::<Vec<_>>()
+                .into_iter(),
             build: BuildSide::new(Vec::new(), self.right_key)?,
             probe: None,
         };
@@ -640,26 +644,25 @@ impl Executor for HashJoinExec {
                     }
                 }
                 HashJoinState::Grace {
-                    left_parts,
-                    right_parts,
-                    part,
+                    parts,
                     build,
                     probe,
                 } => {
                     if probe.is_none() {
-                        if *part >= left_parts.len() {
+                        let Some((left_part, right_part)) = parts.next() else {
                             return Ok(self.out.flush());
-                        }
-                        // Build this partition's index.
-                        let rows = right_parts[*part]
+                        };
+                        // Build this partition's index; its build-side heap is
+                        // freed at the end of this block.
+                        let rows = right_part
                             .scan()
                             .map(|item| item.map(|(_, t)| t))
                             .collect::<Result<Vec<Tuple>>>()?;
                         *build = BuildSide::new(rows, self.right_key)?;
-                        *probe = Some(left_parts[*part].scan());
-                        *part += 1;
+                        let scan = left_part.scan();
+                        *probe = Some((left_part, scan));
                     }
-                    let scan = invariant(probe.as_mut(), "partition probe scan open")?;
+                    let (_, scan) = invariant(probe.as_mut(), "partition probe scan open")?;
                     match scan.next().transpose()? {
                         Some((_, lt)) => {
                             let k = lt.value(self.left_key)?;

@@ -1,12 +1,18 @@
 //! External merge sort.
 //!
 //! Run formation buffers up to `buffer_pages` worth of tuples, sorts them,
-//! and spills each run to a temporary heap file. Merging is fan-in limited
-//! to `buffer_pages - 1` runs per pass, with intermediate passes writing
-//! new runs — so the physical I/O follows the classic
+//! and spills each run to a scratch heap. Merging is fan-in limited to
+//! `buffer_pages - 1` runs per pass, with intermediate passes writing new
+//! runs — so the page traffic follows the classic
 //! `2 · P · (1 + ⌈log_{B−1}(runs)⌉)` shape the cost model charges. Inputs
-//! that fit in the buffer never touch disk. Sorted output is re-batched to
+//! that fit in the buffer never spill. Sorted output is re-batched to
 //! `batch_rows` tuples per `next_batch()` call.
+//!
+//! Runs are freed as soon as nothing reads them: an intermediate pass
+//! drops its input runs, and the final merge's runs live in its
+//! [`MergeState`] (a [`HeapScan`] does not keep its heap alive), so they
+//! go when the operator does — finished, failed or killed. A spill that
+//! fits the pool therefore never reaches the disk.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -55,6 +61,8 @@ pub struct SortExec {
 }
 
 struct MergeState {
+    /// The runs `scans` read; dropping them frees their pages.
+    _runs: Vec<HeapFile>,
     scans: Vec<HeapScan>,
     heap: BinaryHeap<HeapEntry>,
     keys: Keys,
@@ -110,7 +118,7 @@ impl SortExec {
         let mut input = invariant(self.input.take(), "sort prepared only once")?;
         let budget = self.budget();
         // Run formation.
-        let mut runs: Vec<Arc<HeapFile>> = Vec::new();
+        let mut runs: Vec<HeapFile> = Vec::new();
         let mut buffer: Vec<Tuple> = Vec::new();
         let mut bytes = 0usize;
         let mut exhausted = false;
@@ -124,7 +132,7 @@ impl SortExec {
             }
             if bytes > budget || (exhausted && !runs.is_empty() && !buffer.is_empty()) {
                 buffer.sort_by(|a, b| compare(a, b, &self.keys));
-                let run = Arc::new(HeapFile::create(Arc::clone(self.env.catalog.pool()))?);
+                let run = HeapFile::scratch(Arc::clone(self.env.catalog.pool()))?;
                 for t in buffer.drain(..) {
                     run.insert(&t)?;
                 }
@@ -161,6 +169,7 @@ impl SortExec {
             }
         }
         self.merge = Some(MergeState {
+            _runs: runs,
             scans,
             heap,
             keys: self.keys.clone(),
@@ -169,8 +178,8 @@ impl SortExec {
     }
 
     /// Merge a chunk of sorted runs into one new run on disk.
-    fn merge_runs(&self, runs: &[Arc<HeapFile>]) -> Result<Arc<HeapFile>> {
-        let out = Arc::new(HeapFile::create(Arc::clone(self.env.catalog.pool()))?);
+    fn merge_runs(&self, runs: &[HeapFile]) -> Result<HeapFile> {
+        let out = HeapFile::scratch(Arc::clone(self.env.catalog.pool()))?;
         let mut scans: Vec<HeapScan> = runs.iter().map(|r| r.scan()).collect();
         let mut heap = BinaryHeap::new();
         for (i, scan) in scans.iter_mut().enumerate() {

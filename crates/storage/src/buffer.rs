@@ -13,6 +13,12 @@
 //! counted in [`PoolSnapshot::retries`] — and surfaces as a typed
 //! [`EvoptError::Corruption`] once retries exhaust. Transient `Io` errors
 //! from the backend get the same bounded-retry treatment.
+//!
+//! **Scratch pages.** An operator's spill pages come from
+//! [`BufferPool::new_scratch_page`]. They live and die with one statement,
+//! so recovery never needs them: the [`FlushGate`] never hears of them
+//! (the pool remembers which pages are scratch across eviction and
+//! reload), and [`BufferPool::discard`] frees one without writing it back.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -90,6 +96,8 @@ impl Lru {
 struct Frame {
     page_id: Option<PageId>,
     pin_count: u32,
+    /// The resident page is a scratch page (see [`Inner::scratch`]).
+    scratch: bool,
     dirty: Arc<AtomicBool>,
     data: Arc<RwLock<PageData>>, // lockorder: leaf
 }
@@ -118,6 +126,9 @@ struct Inner {
     /// lets physical reads overlap across sessions: the pool lock is
     /// *not* held across the disk read.
     loading: HashSet<PageId>,
+    /// Every live scratch page, resident or not: a scratch page reloaded
+    /// after eviction must stay invisible to the [`FlushGate`].
+    scratch: HashSet<PageId>,
 }
 
 /// Point-in-time copy of the pool's hit/miss counters. Subtract two
@@ -212,6 +223,7 @@ impl BufferPool {
             .map(|_| Frame {
                 page_id: None,
                 pin_count: 0,
+                scratch: false,
                 dirty: Arc::new(AtomicBool::new(false)),
                 data: Arc::new(RwLock::new([0u8; PAGE_SIZE])),
             })
@@ -223,6 +235,7 @@ impl BufferPool {
                 free: (0..capacity).rev().collect(),
                 lru: Lru::new(capacity),
                 loading: HashSet::new(),
+                scratch: HashSet::new(),
             }),
             disk,
             capacity,
@@ -377,14 +390,7 @@ impl BufferPool {
                     inner.frames[frame].pin_count += 1;
                     inner.lru.set_evictable(frame, false);
                     inner.lru.on_access(frame);
-                    let f = &inner.frames[frame];
-                    return Ok(PageGuard {
-                        pool: Arc::clone(self),
-                        frame,
-                        page_id,
-                        dirty: Arc::clone(&f.dirty),
-                        data: Arc::clone(&f.data),
-                    });
+                    return Ok(self.guard(&inner, frame, page_id));
                 }
                 if inner.loading.insert(page_id) {
                     // Claimed: we are this page's loader. Reserve a frame
@@ -409,11 +415,7 @@ impl BufferPool {
                 wait_start = Some(std::time::Instant::now());
             }
             spins += 1;
-            if spins < 16 {
-                std::thread::yield_now();
-            } else {
-                std::thread::sleep(std::time::Duration::from_micros(50));
-            }
+            back_off(spins);
         };
         // If the victim was dirty, its write-back happens here — after the
         // pool lock is released.
@@ -442,11 +444,13 @@ impl BufferPool {
             inner.free.push(frame);
             return Err(e);
         }
+        let scratch = inner.scratch.contains(&page_id);
         {
             let f = &mut inner.frames[frame];
             *f.data.write() = *buf;
             f.page_id = Some(page_id);
             f.pin_count = 1;
+            f.scratch = scratch;
             f.dirty.store(false, Ordering::Relaxed);
         }
         // Count the miss only once the physical read succeeded, so failed
@@ -455,20 +459,38 @@ impl BufferPool {
         inner.table.insert(page_id, frame);
         inner.lru.set_evictable(frame, false);
         inner.lru.on_access(frame);
+        Ok(self.guard(&inner, frame, page_id))
+    }
+
+    /// A guard over `frame`, which the caller has just pinned.
+    fn guard(self: &Arc<Self>, inner: &Inner, frame: usize, page_id: PageId) -> PageGuard {
         let f = &inner.frames[frame];
-        Ok(PageGuard {
+        PageGuard {
             pool: Arc::clone(self),
             frame,
             page_id,
+            scratch: f.scratch,
             dirty: Arc::clone(&f.dirty),
             data: Arc::clone(&f.data),
-        })
+        }
     }
 
     /// Allocate a fresh disk page, pin it, and return a guard over the
     /// zeroed frame. The page is marked dirty so it reaches disk on eviction
     /// or flush.
     pub fn new_page(self: &Arc<Self>) -> Result<PageGuard> {
+        self.allocate(false)
+    }
+
+    /// [`BufferPool::new_page`] for a page that dies with its statement (an
+    /// operator's spill). The [`FlushGate`] never hears of it, here or on
+    /// any later write, and the owner frees it with
+    /// [`BufferPool::discard`].
+    pub fn new_scratch_page(self: &Arc<Self>) -> Result<PageGuard> {
+        self.allocate(true)
+    }
+
+    fn allocate(self: &Arc<Self>, scratch: bool) -> Result<PageGuard> {
         let page_id = self.disk.allocate_page();
         let reserved = {
             let _r = lockorder::acquire(lockorder::POOL);
@@ -486,21 +508,64 @@ impl BufferPool {
             f.data.write().fill(0);
             f.page_id = Some(page_id);
             f.pin_count = 1;
+            f.scratch = scratch;
             f.dirty.store(true, Ordering::Relaxed);
         }
-        // Created dirty: the durability layer must know before any flush.
-        self.notify_dirty(page_id);
+        if scratch {
+            inner.scratch.insert(page_id);
+        } else {
+            // Created dirty: the durability layer must know before any flush.
+            self.notify_dirty(page_id);
+        }
         inner.table.insert(page_id, frame);
         inner.lru.set_evictable(frame, false);
         inner.lru.on_access(frame);
-        let f = &inner.frames[frame];
-        Ok(PageGuard {
-            pool: Arc::clone(self),
-            frame,
-            page_id,
-            dirty: Arc::clone(&f.dirty),
-            data: Arc::clone(&f.data),
-        })
+        Ok(self.guard(&inner, frame, page_id))
+    }
+
+    /// Free a scratch page for good. Its frame, if resident, goes back to
+    /// the free list without a write-back, its checksum is forgotten, and
+    /// the disk releases it — off the pool lock. A pinned or non-scratch
+    /// page is an `Internal` error and stays as it was.
+    pub fn discard(&self, id: PageId) -> Result<()> {
+        let mut spins = 0u32;
+        loop {
+            {
+                let _r = lockorder::acquire(lockorder::POOL);
+                let mut inner = self.inner.lock();
+                // A claim here is an eviction write-back of this page in
+                // flight: wait for it, then free the page it wrote.
+                if !inner.loading.contains(&id) {
+                    if !inner.scratch.contains(&id) {
+                        return Err(EvoptError::Internal(format!(
+                            "discard of page {id}, which is not a scratch page"
+                        )));
+                    }
+                    if let Some(&frame) = inner.table.get(&id) {
+                        if inner.frames[frame].pin_count > 0 {
+                            return Err(EvoptError::Internal(format!(
+                                "discard of pinned page {id}"
+                            )));
+                        }
+                        inner.table.remove(&id);
+                        let f = &mut inner.frames[frame];
+                        f.page_id = None;
+                        f.dirty.store(false, Ordering::Relaxed);
+                        inner.lru.set_evictable(frame, false);
+                        inner.free.push(frame);
+                    }
+                    inner.scratch.remove(&id);
+                    break;
+                }
+            }
+            spins += 1;
+            back_off(spins);
+        }
+        {
+            let _r = lockorder::acquire(lockorder::POOL_CHECKSUM);
+            self.checksums.lock().remove(&id);
+        }
+        self.disk.deallocate_page(id)
     }
 
     /// Find a frame for a new resident page: a free frame, else evict.
@@ -731,6 +796,7 @@ pub struct PageGuard {
     pool: Arc<BufferPool>,
     frame: usize,
     page_id: PageId,
+    scratch: bool,
     dirty: Arc<AtomicBool>,
     data: Arc<RwLock<PageData>>, // lockorder: leaf
 }
@@ -755,10 +821,12 @@ impl PageGuard {
     }
 
     /// Exclusive access; marks the page dirty (and reports it to the
-    /// pool's [`FlushGate`], when one is installed).
+    /// pool's [`FlushGate`], when one is installed, unless it is scratch).
     pub fn write(&self) -> RwLockWriteGuard<'_, PageData> {
         self.dirty.store(true, Ordering::Relaxed);
-        self.pool.notify_dirty(self.page_id);
+        if !self.scratch {
+            self.pool.notify_dirty(self.page_id);
+        }
         self.data.write()
     }
 }
@@ -766,6 +834,15 @@ impl PageGuard {
 impl Drop for PageGuard {
     fn drop(&mut self) {
         self.pool.unpin(self.frame);
+    }
+}
+
+/// Wait out another thread's claim on a page: yield at first, then sleep.
+fn back_off(spins: u32) {
+    if spins < 16 {
+        std::thread::yield_now();
+    } else {
+        std::thread::sleep(std::time::Duration::from_micros(50));
     }
 }
 
@@ -779,6 +856,32 @@ mod tests {
 
     fn pool(frames: usize) -> Arc<BufferPool> {
         BufferPool::new(Arc::new(DiskManager::new()), frames)
+    }
+
+    /// Toy gate: tracks dirtied pages; vetoes flushes while `strict`.
+    struct TestGate {
+        strict: AtomicBool,
+        dirtied: std::sync::Mutex<HashSet<PageId>>,
+    }
+
+    impl TestGate {
+        fn install(p: &BufferPool) -> Arc<TestGate> {
+            let gate = Arc::new(TestGate {
+                strict: AtomicBool::new(true),
+                dirtied: std::sync::Mutex::new(HashSet::new()),
+            });
+            p.set_flush_gate(Arc::clone(&gate) as Arc<dyn FlushGate>);
+            gate
+        }
+    }
+
+    impl FlushGate for TestGate {
+        fn on_dirty(&self, id: PageId) {
+            self.dirtied.lock().unwrap().insert(id);
+        }
+        fn can_flush(&self, id: PageId) -> bool {
+            !self.strict.load(Ordering::Relaxed) || !self.dirtied.lock().unwrap().contains(&id)
+        }
     }
 
     #[test]
@@ -1124,30 +1227,9 @@ mod tests {
 
     #[test]
     fn flush_gate_blocks_unlogged_pages_until_released() {
-        use std::collections::HashSet;
-        use std::sync::Mutex as StdMutex;
-
-        /// Toy gate: tracks dirtied pages; vetoes flushes while `strict`.
-        struct TestGate {
-            strict: AtomicBool,
-            dirtied: StdMutex<HashSet<PageId>>,
-        }
-        impl FlushGate for TestGate {
-            fn on_dirty(&self, id: PageId) {
-                self.dirtied.lock().unwrap().insert(id);
-            }
-            fn can_flush(&self, id: PageId) -> bool {
-                !self.strict.load(Ordering::Relaxed) || !self.dirtied.lock().unwrap().contains(&id)
-            }
-        }
-
         let disk = Arc::new(DiskManager::new());
         let p = BufferPool::new(Arc::clone(&disk) as Arc<dyn DiskBackend>, 2);
-        let gate = Arc::new(TestGate {
-            strict: AtomicBool::new(true),
-            dirtied: StdMutex::new(HashSet::new()),
-        });
-        p.set_flush_gate(Arc::clone(&gate) as Arc<dyn FlushGate>);
+        let gate = TestGate::install(&p);
 
         // Two dirty, unlogged, unpinned pages fill the pool.
         let a = p.new_page().unwrap();
@@ -1187,6 +1269,65 @@ mod tests {
         disk.read_page(a_id, &mut buf).unwrap();
         assert_eq!(buf[0], 1, "released page flushed with its data");
         assert_eq!(crate::page::page_lsn(&buf), 77);
+    }
+
+    #[test]
+    fn scratch_pages_never_reach_the_flush_gate() {
+        // A strict gate vetoes every page it has heard of. Scratch pages,
+        // written, evicted, reloaded and written again through two frames,
+        // are never reported, so they stay evictable throughout.
+        let p = pool(2);
+        let gate = TestGate::install(&p);
+        let ids: Vec<PageId> = (0..4u8)
+            .map(|i| {
+                let g = p.new_scratch_page().unwrap();
+                g.write()[0] = i;
+                g.id()
+            })
+            .collect();
+        for (i, &id) in ids.iter().enumerate() {
+            let g = p.fetch(id).unwrap();
+            assert_eq!(g.read()[0], i as u8, "scratch page {id} round-trips");
+            g.write()[1] = 1;
+        }
+        assert!(p.stats().evictions >= 4, "the pages went through eviction");
+        assert!(gate.dirtied.lock().unwrap().is_empty());
+    }
+
+    #[test]
+    fn discard_frees_a_dirty_page_without_writing_it() {
+        let disk = Arc::new(DiskManager::new());
+        let p = BufferPool::new(Arc::clone(&disk) as Arc<dyn DiskBackend>, 2);
+        let g = p.new_scratch_page().unwrap();
+        g.write()[0] = 0x5A;
+        let id = g.id();
+        drop(g);
+        let before = (disk.snapshot(), p.stats());
+        p.discard(id).unwrap();
+        // The freed frame is reused: two pins fit with nothing evicted.
+        let _a = p.new_page().unwrap();
+        let _b = p.new_page().unwrap();
+        assert_eq!(disk.snapshot().since(&before.0).writes, 0);
+        assert_eq!(p.stats().since(&before.1).evictions, 0);
+        let mut buf = [0u8; PAGE_SIZE];
+        assert!(disk.read_page(id, &mut buf).is_err(), "page {id} released");
+    }
+
+    #[test]
+    fn discard_refuses_pinned_and_table_pages() {
+        let p = pool(2);
+        let g = p.new_scratch_page().unwrap();
+        g.write()[0] = 7;
+        let id = g.id();
+        assert_eq!(p.discard(id).unwrap_err().kind(), "internal");
+        assert_eq!(g.read()[0], 7, "the pinned page is intact");
+        drop(g);
+        assert_eq!(p.fetch(id).unwrap().read()[0], 7);
+        p.discard(id).unwrap();
+
+        let table_page = p.new_page().unwrap().id();
+        assert_eq!(p.discard(table_page).unwrap_err().kind(), "internal");
+        assert!(p.fetch(table_page).is_ok());
     }
 
     #[test]

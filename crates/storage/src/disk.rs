@@ -77,7 +77,11 @@ pub trait DiskBackend: Send + Sync {
     /// Allocate a fresh zeroed page and return its id.
     fn allocate_page(&self) -> PageId;
 
-    /// Release a page. Ids are never reused.
+    /// Release a page: its storage is freed, and a later read or write of
+    /// `id` errors. Ids are never reused. The callers are the WAL, dropping
+    /// its log chain before a checkpoint, and
+    /// [`crate::buffer::BufferPool::discard`], freeing an operator's
+    /// scratch page; neither holds the pool lock across the call.
     fn deallocate_page(&self, id: PageId) -> Result<()>;
 
     /// Physically read a page into `buf`.

@@ -5,7 +5,16 @@
 //! new page when the tuple doesn't fit — so a freshly-loaded table occupies
 //! the minimal number of pages and `page_count` matches the `P(R)` the cost
 //! model reasons about. Deletes are in-place tombstones; space from deleted
-//! tuples is not reclaimed (the engine's workloads are load-then-query).
+//! tuples is not reclaimed.
+//!
+//! A table's heap outlives every handle to it. A *scratch* heap
+//! ([`HeapFile::scratch`]: an operator's sort run, join partition or
+//! materialised inner) lives only as long as its handle: it records its
+//! pages as it grows, they are invisible to the WAL's flush gate, and
+//! dropping the handle discards them — no write-back, and the disk
+//! releases them. Errors, governor kills and cancellations free a spill
+//! the same way, by dropping the operator that owns it. A [`HeapScan`]
+//! does not keep its heap alive: whoever scans a scratch heap holds it.
 
 use std::sync::Arc;
 
@@ -19,6 +28,23 @@ struct HeapMeta {
     last_page: PageId,
     page_count: u64,
     tuple_count: u64,
+    /// A scratch heap's pages, which `Drop` discards; `None` for a table's
+    /// heap.
+    scratch: Option<Vec<PageId>>,
+}
+
+impl HeapMeta {
+    /// A fresh page for the chain, recorded if the heap is scratch.
+    fn new_page(&mut self, pool: &Arc<BufferPool>) -> Result<PageGuard> {
+        match &mut self.scratch {
+            Some(pages) => {
+                let guard = pool.new_scratch_page()?;
+                pages.push(guard.id());
+                Ok(guard)
+            }
+            None => pool.new_page(),
+        }
+    }
 }
 
 /// An unordered collection of tuples backed by a page chain.
@@ -33,18 +59,29 @@ pub struct HeapFile {
 impl HeapFile {
     /// Create an empty heap file (allocates its first page).
     pub fn create(pool: Arc<BufferPool>) -> Result<HeapFile> {
-        let guard = pool.new_page()?;
+        HeapFile::init(pool, None)
+    }
+
+    /// Create an empty scratch heap, whose pages are freed when it drops.
+    pub fn scratch(pool: Arc<BufferPool>) -> Result<HeapFile> {
+        HeapFile::init(pool, Some(Vec::new()))
+    }
+
+    fn init(pool: Arc<BufferPool>, scratch: Option<Vec<PageId>>) -> Result<HeapFile> {
+        let mut meta = HeapMeta {
+            last_page: INVALID_PAGE_ID,
+            page_count: 1,
+            tuple_count: 0,
+            scratch,
+        };
+        let guard = meta.new_page(&pool)?;
         SlottedPage::init(&mut guard.write());
-        let first = guard.id();
+        meta.last_page = guard.id();
         drop(guard);
         Ok(HeapFile {
             pool,
-            first_page: first,
-            meta: Mutex::new(HeapMeta {
-                last_page: first,
-                page_count: 1,
-                tuple_count: 0,
-            }),
+            first_page: meta.last_page,
+            meta: Mutex::new(meta),
         })
     }
 
@@ -71,6 +108,7 @@ impl HeapFile {
                 last_page: last,
                 page_count,
                 tuple_count,
+                scratch: None,
             }),
         })
     }
@@ -108,7 +146,7 @@ impl HeapFile {
             }
         }
         // Tail is full: chain a new page.
-        let fresh = self.pool.new_page()?;
+        let fresh = meta.new_page(&self.pool)?;
         let slot = {
             let mut bytes = fresh.write();
             let mut page = SlottedPage::init(&mut bytes);
@@ -167,6 +205,16 @@ impl HeapFile {
             buffer: Vec::new(),
             pos: 0,
             failed: false,
+        }
+    }
+}
+
+impl Drop for HeapFile {
+    fn drop(&mut self) {
+        for id in self.meta.get_mut().scratch.take().unwrap_or_default() {
+            // A page that cannot be discarded (still pinned, or the disk
+            // refused) is leaked, never freed under a reader.
+            let _ = self.pool.discard(id);
         }
     }
 }
@@ -339,6 +387,42 @@ mod tests {
     fn empty_heap_scans_nothing() {
         let heap = HeapFile::create(mkpool(8)).unwrap();
         assert_eq!(heap.scan().count(), 0);
+    }
+
+    #[test]
+    fn dropped_scratch_heap_releases_every_page() {
+        // Spilled through 3 frames, so most pages were evicted (written
+        // back) and some reloaded; dropping the heap releases all of them.
+        let disk = Arc::new(DiskManager::new());
+        let pool = BufferPool::new(Arc::clone(&disk) as Arc<dyn DiskBackend>, 3);
+        let heap = HeapFile::scratch(Arc::clone(&pool)).unwrap();
+        for i in 0..800 {
+            heap.insert(&row(i)).unwrap();
+        }
+        assert_eq!(heap.scan().count(), 800);
+        let mut chain = vec![heap.first_page()];
+        loop {
+            let next = SlottedPageView::new(&pool.fetch(chain[chain.len() - 1]).unwrap().read())
+                .next_page();
+            if next == INVALID_PAGE_ID {
+                break;
+            }
+            chain.push(next);
+        }
+        assert_eq!(chain.len() as u64, heap.page_count());
+        assert!(pool.stats().evictions > 0, "the heap spilled");
+        drop(heap);
+        let mut buf = [0u8; crate::page::PAGE_SIZE];
+        for id in chain {
+            assert!(
+                disk.read_page(id, &mut buf).is_err(),
+                "page {id} still live"
+            );
+        }
+        // The frames it held are free again: three pins evict nothing.
+        let before = pool.stats();
+        let _pins: Vec<_> = (0..3).map(|_| pool.new_page().unwrap()).collect();
+        assert_eq!(pool.stats().since(&before).evictions, 0);
     }
 
     #[test]

@@ -2,11 +2,24 @@
 //! budget, page budget, explicit cancel) lands as a typed error *with the
 //! partial metrics the query accumulated before dying*, and the session
 //! governor threads through the plain `Database::execute` path.
+//!
+//! The spill tests at the end check that an operator's scratch pages die
+//! with it — after a finished statement, a row-budget kill and a
+//! cancellation mid-spill alike.
 
+mod support;
+
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use evopt::{CancellationToken, Database, DatabaseConfig, GovernorConfig};
+use evopt_common::expr::{col, lit};
+use evopt_common::{BinOp, Expr, Value};
+use evopt_core::physical::{PhysOp, PhysicalPlan};
+use evopt_exec::{run_collect, run_collect_governed, ExecEnv};
+use evopt_storage::PAGE_SIZE;
 use evopt_workload::load_wisconsin;
+use support::{join_plans, plan, scan, sorted_scan, world};
 
 /// A database sized so that real queries do real pool traffic.
 fn wisc_db(rows: usize) -> Database {
@@ -224,4 +237,152 @@ fn session_governor_threads_through_execute() {
     db.set_governor(GovernorConfig::unlimited());
     let rows = db.query("SELECT COUNT(*) FROM wisc").unwrap();
     assert_eq!(rows.len(), 1);
+}
+
+/// `l` (2 000 rows, ~11 pages) and `r` (1 000 rows, ~6 pages) on a
+/// 64-frame pool, with operators told they may use 3 pages (12 KB): every
+/// plan of [`spilling_plans`] spills, and the pool holds the data plus one
+/// statement's spill.
+fn spill_world() -> ExecEnv {
+    let mut env = world(
+        64,
+        |i| Value::Int(i % 500),
+        2000,
+        |i| Value::Int(i % 700),
+        1000,
+    );
+    env.buffer_pages = 3;
+    env
+}
+
+/// A Grace hash join (`r` is the build side), an external sort of `l`
+/// (four runs, merged two at a time) and a block-nested-loop join that
+/// materialises `r`, its outer cut to 80 rows of `l` to keep it quick.
+fn spilling_plans(env: &ExecEnv) -> Vec<(&'static str, PhysicalPlan)> {
+    let grace = join_plans(env).pop().unwrap();
+    assert_eq!(grace.0, "HashJoin");
+    let l = scan(env, "l");
+    let few = PhysOp::SeqScan {
+        table: "l".into(),
+        filter: Some(Expr::binary(BinOp::Lt, col(0), lit(20i64))),
+    };
+    let schema = l.schema.join(&scan(env, "r").schema);
+    let bnlj = PhysOp::BlockNestedLoopJoin {
+        left: Box::new(plan(few, l.schema)),
+        right: Box::new(scan(env, "r")),
+        predicate: Some(Expr::eq(col(0), col(2))),
+        block_pages: 4,
+    };
+    vec![
+        grace,
+        ("Sort", sorted_scan(env, "l")),
+        ("BlockNestedLoopJoin", plan(bnlj, schema)),
+    ]
+}
+
+/// Run `stmt` and check it left the pool and the disk as it found them: no
+/// page evicted or written, and every page it allocated released.
+fn leaves_nothing<T>(env: &ExecEnv, what: &str, stmt: impl FnOnce() -> T) -> T {
+    let pool = env.catalog.pool();
+    let (pool_before, io_before) = (pool.stats(), pool.disk().snapshot());
+    let first_new = pool.disk().page_count();
+    let out = stmt();
+    assert_eq!(pool.stats().since(&pool_before).evictions, 0, "{what}");
+    assert_eq!(pool.disk().snapshot().since(&io_before).writes, 0, "{what}");
+    released_since(env, what, first_new);
+    out
+}
+
+/// Pages from `first_new` on were allocated, and are all released again.
+fn released_since(env: &ExecEnv, what: &str, first_new: u64) {
+    let disk = env.catalog.pool().disk();
+    assert!(disk.page_count() > first_new, "{what}: nothing spilled");
+    let mut buf = [0u8; PAGE_SIZE];
+    for id in first_new..disk.page_count() {
+        assert!(
+            disk.read_page(id, &mut buf).is_err(),
+            "{what}: scratch page {id} outlived its statement"
+        );
+    }
+}
+
+#[test]
+fn spills_are_freed_statement_after_statement() {
+    let env = spill_world();
+    for (name, plan) in spilling_plans(&env) {
+        let want = run_collect(&plan, &env).unwrap().len();
+        for i in 0..30 {
+            let rows = leaves_nothing(&env, &format!("{name} #{i}"), || {
+                run_collect(&plan, &env).unwrap()
+            });
+            assert_eq!(rows.len(), want, "{name} #{i}");
+        }
+    }
+    // The sort and the Grace join count a spill each run; a block nested
+    // loop's materialised inner is not one.
+    assert_eq!(env.metrics.exec_spills.get(), 2 * 31);
+}
+
+#[test]
+fn spills_are_freed_after_a_row_budget_kill() {
+    let env = spill_world();
+    let config = GovernorConfig::unlimited()
+        .with_max_rows(10)
+        .with_max_batch_rows(8);
+    for (name, plan) in spilling_plans(&env) {
+        let (result, _) = leaves_nothing(&env, name, || {
+            run_collect_governed(&plan, &env, config, CancellationToken::new())
+        });
+        assert_eq!(result.unwrap_err().kind(), "resource_exhausted", "{name}");
+    }
+    // The pool is as clean for the next statements as before the kills.
+    for (name, plan) in spilling_plans(&env) {
+        leaves_nothing(&env, name, || run_collect(&plan, &env).unwrap());
+    }
+}
+
+#[test]
+fn spills_are_freed_after_a_cancel_mid_spill() {
+    let env = spill_world();
+    // Sorting l × r (2 M rows) spills within its first few hundred rows and
+    // would run for seconds: cancel once it has written eight pages of runs.
+    // How far it gets before the cancel lands depends on scheduling, so
+    // this one statement may outgrow the pool; what it allocated must still
+    // be released, and the statements after it must find a clean pool.
+    let schema = scan(&env, "l").schema.join(&scan(&env, "r").schema);
+    let cross = plan(
+        PhysOp::NestedLoopJoin {
+            left: Box::new(scan(&env, "l")),
+            right: Box::new(scan(&env, "r")),
+            predicate: None,
+        },
+        schema.clone(),
+    );
+    let sort = plan(
+        PhysOp::Sort {
+            input: Box::new(cross),
+            keys: vec![(1, true)],
+        },
+        schema,
+    );
+    let token = CancellationToken::new();
+    let disk = Arc::clone(env.catalog.pool().disk());
+    let canceler = {
+        let token = token.clone();
+        let start = disk.page_count();
+        std::thread::spawn(move || {
+            while disk.page_count() < start + 8 {
+                std::thread::yield_now();
+            }
+            token.cancel();
+        })
+    };
+    let first_new = env.catalog.pool().disk().page_count();
+    let (result, _) = run_collect_governed(&sort, &env, GovernorConfig::unlimited(), token);
+    canceler.join().unwrap();
+    assert_eq!(result.unwrap_err().kind(), "canceled");
+    released_since(&env, "canceled sort", first_new);
+    for (name, plan) in spilling_plans(&env) {
+        leaves_nothing(&env, name, || run_collect(&plan, &env).unwrap());
+    }
 }

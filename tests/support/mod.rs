@@ -1,6 +1,7 @@
 //! Shared by `batch_equivalence.rs` and `null_semantics.rs`: the forced-plan
 //! join fixture and the sibling-operator rewrite both suites use as their
-//! differential reference.
+//! differential reference. `governor.rs` borrows the fixture to force
+//! spilling plans.
 //!
 //! The two operators that keep typed state (`HashAggregate`'s accumulators
 //! and group keys, `HashJoin`'s key index) each have a sibling that does the
