@@ -1,7 +1,7 @@
 //! **C1 — Multi-session throughput scaling.**
 //!
-//! The multi-session refactor's claim: read statements run on frozen
-//! catalog snapshots with no shared lock held across execution, so
+//! The multi-session refactor's claim: read statements run on pinned
+//! catalog versions with no shared lock held across execution, so
 //! concurrent sessions overlap their I/O stalls; write statements hold the
 //! commit lock end-to-end and serialize. This bench measures both.
 //!

@@ -7,6 +7,8 @@
 //! optimizer believes `rows × ε`), re-plan, execute, and report the
 //! measured-I/O regret against the truthfully-planned query.
 
+use std::sync::Arc;
+
 use evopt_catalog::TableStats;
 use evopt_engine::{Database, DatabaseConfig};
 use evopt_workload::{JoinWorkload, Topology};
@@ -121,13 +123,19 @@ pub fn run(p: &Params) -> Report {
         let io_truth = db.disk().snapshot().since(&before).total();
 
         // The relation whose stats we lie about: the biggest (last).
-        let victim = db.catalog().table(&w.table(n - 1)).unwrap();
-        let true_stats = victim.stats().expect("analyzed");
+        let (catalog, victim) = (db.catalog(), w.table(n - 1));
+        let info = catalog.table(&victim).unwrap();
+        let true_stats = info.stats().expect("analyzed");
 
         for &eps in &p.epsilons {
-            victim.set_stats(distort(&true_stats, eps));
+            // Distort, plan, restore: each install publishes a catalog
+            // version, as ANALYZE does.
+            let lie = Arc::new(distort(true_stats, eps));
+            catalog.install_stats(&victim, lie).unwrap();
             let (_, plan) = db.plan_sql(&sql).unwrap();
-            victim.set_stats((*true_stats).clone());
+            catalog
+                .install_stats(&victim, Arc::clone(true_stats))
+                .unwrap();
             db.pool().evict_all().unwrap();
             let before = db.disk().snapshot();
             let result = db.run_plan(&plan).unwrap();

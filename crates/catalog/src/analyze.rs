@@ -8,10 +8,11 @@
 //! histogram kinds) against skewed data to quantify estimation error.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use evopt_common::{Result, Value};
 
-use crate::catalog::TableInfo;
+use crate::catalog::{Catalog, TableInfo};
 use crate::histogram::Histogram;
 use crate::stats::{ColumnStats, TableStats};
 
@@ -48,20 +49,21 @@ impl Default for AnalyzeConfig {
     }
 }
 
-/// Scan `table`'s heap and install fresh [`TableStats`] on it in place.
-///
-/// Returns the stats that were installed. Convenience for direct catalog
-/// embedders; the engine's ANALYZE uses [`compute_stats`] +
-/// `Catalog::install_stats` so concurrent snapshots keep their stats view.
-pub fn analyze_table(table: &TableInfo, config: &AnalyzeConfig) -> Result<TableStats> {
-    let stats = compute_stats(table, config)?;
-    table.set_stats(stats.clone());
+/// ANALYZE one table: scan its heap, build fresh [`TableStats`] and publish
+/// them through the catalog. Snapshots cut before the call keep planning
+/// with the old ones. Returns the statistics installed.
+pub fn analyze_table(
+    catalog: &Catalog,
+    name: &str,
+    config: &AnalyzeConfig,
+) -> Result<Arc<TableStats>> {
+    let stats = Arc::new(compute_stats(&*catalog.table(name)?, config)?);
+    catalog.install_stats(name, Arc::clone(&stats))?;
     Ok(stats)
 }
 
-/// Scan `table`'s heap and build fresh [`TableStats`] without installing
-/// them anywhere.
-pub fn compute_stats(table: &TableInfo, config: &AnalyzeConfig) -> Result<TableStats> {
+/// Scan `table`'s heap and build fresh [`TableStats`].
+fn compute_stats(table: &TableInfo, config: &AnalyzeConfig) -> Result<TableStats> {
     let ncols = table.schema.len();
     let mut row_count = 0u64;
     let mut total_bytes = 0u64;
@@ -142,12 +144,11 @@ pub fn compute_stats(table: &TableInfo, config: &AnalyzeConfig) -> Result<TableS
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::catalog::Catalog;
     use evopt_common::{Column, DataType, Schema, Tuple};
     use evopt_storage::{BufferPool, DiskManager};
-    use std::sync::Arc;
 
-    fn setup(rows: impl IntoIterator<Item = Tuple>) -> (Catalog, Arc<crate::catalog::TableInfo>) {
+    /// A catalog holding `t(a INT, s STRING)` with `rows` in it.
+    fn setup(rows: impl IntoIterator<Item = Tuple>) -> Catalog {
         let pool = BufferPool::new(Arc::new(DiskManager::new()), 64);
         let cat = Catalog::new(pool);
         let t = cat
@@ -162,7 +163,7 @@ mod tests {
         for r in rows {
             t.heap.insert(&r).unwrap();
         }
-        (cat, t)
+        cat
     }
 
     fn row(a: Value, s: &str) -> Tuple {
@@ -171,8 +172,8 @@ mod tests {
 
     #[test]
     fn basic_counts_min_max_ndv() {
-        let (_cat, t) = setup((0..100).map(|i| row(Value::Int(i % 10), "x")));
-        let stats = analyze_table(&t, &AnalyzeConfig::default()).unwrap();
+        let cat = setup((0..100).map(|i| row(Value::Int(i % 10), "x")));
+        let stats = analyze_table(&cat, "t", &AnalyzeConfig::default()).unwrap();
         assert_eq!(stats.row_count, 100);
         assert!(stats.page_count >= 1);
         assert!(stats.avg_tuple_bytes > 0.0);
@@ -185,17 +186,20 @@ mod tests {
         assert_eq!(s.ndv, 1);
         assert!(s.histogram.is_none(), "strings get no histogram");
         // Stats installed on the table.
-        assert_eq!(t.stats().unwrap().row_count, 100);
+        assert!(Arc::ptr_eq(
+            cat.table("t").unwrap().stats().unwrap(),
+            &stats
+        ));
     }
 
     #[test]
     fn null_counting_excludes_from_ndv_and_minmax() {
-        let (_cat, t) = setup([
+        let cat = setup([
             row(Value::Null, "a"),
             row(Value::Int(5), "b"),
             row(Value::Null, "c"),
         ]);
-        let stats = analyze_table(&t, &AnalyzeConfig::default()).unwrap();
+        let stats = analyze_table(&cat, "t", &AnalyzeConfig::default()).unwrap();
         let a = &stats.columns[0];
         assert_eq!(a.null_count, 2);
         assert_eq!(a.ndv, 1);
@@ -217,13 +221,13 @@ mod tests {
             };
             row(Value::Int(v), "x")
         });
-        let (_cat, t) = setup(rows);
+        let cat = setup(rows);
         let cfg = AnalyzeConfig {
             mcv_count: 2,
             mcv_min_fraction: 0.05,
             ..Default::default()
         };
-        let stats = analyze_table(&t, &cfg).unwrap();
+        let stats = analyze_table(&cat, "t", &cfg).unwrap();
         let mcvs = &stats.columns[0].mcvs;
         assert_eq!(mcvs.len(), 2);
         assert_eq!(mcvs[0].0, Value::Int(1));
@@ -233,19 +237,19 @@ mod tests {
 
     #[test]
     fn mcv_threshold_filters_rare_values() {
-        let (_cat, t) = setup((0..100).map(|i| row(Value::Int(i), "x")));
+        let cat = setup((0..100).map(|i| row(Value::Int(i), "x")));
         let cfg = AnalyzeConfig {
             mcv_count: 8,
             mcv_min_fraction: 0.05, // every value is 1% — below threshold
             ..Default::default()
         };
-        let stats = analyze_table(&t, &cfg).unwrap();
+        let stats = analyze_table(&cat, "t", &cfg).unwrap();
         assert!(stats.columns[0].mcvs.is_empty());
     }
 
     #[test]
     fn histogram_kinds() {
-        let (_cat, t) = setup((0..1000).map(|i| row(Value::Int(i), "x")));
+        let cat = setup((0..1000).map(|i| row(Value::Int(i), "x")));
         for (kind, expect_some) in [
             (HistogramKind::None, false),
             (HistogramKind::EquiWidth, true),
@@ -256,7 +260,7 @@ mod tests {
                 buckets: 16,
                 ..Default::default()
             };
-            let stats = analyze_table(&t, &cfg).unwrap();
+            let stats = analyze_table(&cat, "t", &cfg).unwrap();
             assert_eq!(stats.columns[0].histogram.is_some(), expect_some);
             if let Some(h) = &stats.columns[0].histogram {
                 assert_eq!(h.total(), 1000);
@@ -266,8 +270,8 @@ mod tests {
 
     #[test]
     fn empty_table() {
-        let (_cat, t) = setup([]);
-        let stats = analyze_table(&t, &AnalyzeConfig::default()).unwrap();
+        let cat = setup([]);
+        let stats = analyze_table(&cat, "t", &AnalyzeConfig::default()).unwrap();
         assert_eq!(stats.row_count, 0);
         assert_eq!(stats.avg_tuple_bytes, 0.0);
         assert_eq!(stats.columns[0].ndv, 0);
@@ -276,8 +280,8 @@ mod tests {
 
     #[test]
     fn tuples_per_page_sane() {
-        let (_cat, t) = setup((0..5000).map(|i| row(Value::Int(i), "some name here")));
-        let stats = analyze_table(&t, &AnalyzeConfig::default()).unwrap();
+        let cat = setup((0..5000).map(|i| row(Value::Int(i), "some name here")));
+        let stats = analyze_table(&cat, "t", &AnalyzeConfig::default()).unwrap();
         let tpp = stats.tuples_per_page();
         // ~40-byte tuples in 4 KiB pages: expect on the order of 100/page.
         assert!(tpp > 20.0 && tpp < 400.0, "tuples/page = {tpp}");

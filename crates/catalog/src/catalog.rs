@@ -1,32 +1,26 @@
 //! The catalog: tables, their storage, their indexes, their statistics.
 //!
-//! # Snapshots and copy-on-write
+//! # Versions and snapshots
 //!
-//! The catalog is the root of every statement's view of the database, and
-//! the multi-session engine lets DDL run concurrently with reads. Readers
-//! therefore never plan against the live catalog: they take a
-//! [`Catalog::snapshot`] — a cheap *frozen* clone of the two namespace maps
-//! (table entries are shared `Arc<TableInfo>`s, so a snapshot costs one map
-//! clone, not a data copy). The snapshot stays stable for the life of the
-//! statement no matter what DDL commits after it.
+//! The catalog is a sequence of immutable versions. A version is a pinned
+//! [`Catalog`] holding one namespace (the table and index-name maps), and
+//! nothing in it changes once it is published. The live catalog keeps the
+//! current version behind one lock, so [`Catalog::snapshot`] is one `Arc`
+//! clone: a statement plans and runs against that version whatever DDL
+//! commits after it.
 //!
-//! For that stability to hold, mutators never edit a published
-//! `TableInfo` in place. `create_index`, `restore_index` and
-//! [`Catalog::install_stats`] are **copy-on-write**: they build a fresh
-//! `TableInfo` (sharing the heap `Arc`) with the updated index list or
-//! stats slot and swap the map entry, so older snapshots keep the old
-//! roots. `create_table`/`drop_table` only insert/remove map entries,
-//! which cloned maps are immune to by construction.
-//!
-//! A monotone version counter stamps every successful mutation; snapshots
-//! pin the version they were cut at. Frozen catalogs reject all mutators.
+//! A mutator reads the current version, does its heap and B+-tree I/O with
+//! no lock held, builds the next version aside (a changed table gets a new
+//! [`TableInfo`] sharing the old one's heap and trees) and swaps it in under
+//! the lock. The swap is refused if another writer published first, which
+//! the engine's commit lock rules out. A pinned version refuses every
+//! mutator.
 //!
 //! Heap and index *pages* are shared storage — snapshot isolation here is
 //! catalog-level (schemas, index lists, statistics), while row visibility
 //! is read-committed at page granularity (see DESIGN.md §11.2).
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use evopt_common::{lockorder, EvoptError, Result, Schema};
@@ -53,26 +47,21 @@ pub struct IndexInfo {
     pub btree: Arc<BTreeIndex>,
 }
 
-/// A registered table: schema + heap + indexes + statistics.
-///
-/// Published `TableInfo`s are immutable in spirit: catalog mutators replace
-/// the whole entry (copy-on-write) rather than editing the index list or
-/// stats slot of an `Arc` that snapshots may share. The interior mutexes
-/// remain for the direct-embedding use case (tests and benches that drive a
-/// bare `Catalog` with no snapshots in flight).
+/// A registered table: schema + heap + indexes + statistics. Immutable once
+/// published: index DDL and ANALYZE publish a new `TableInfo` that shares
+/// this one's heap and trees.
+#[derive(Clone)]
 pub struct TableInfo {
-    pub id: u64,
     pub name: String,
     pub schema: Schema,
     pub heap: Arc<HeapFile>,
-    indexes: Mutex<Vec<Arc<IndexInfo>>>,
-    stats: Mutex<Option<Arc<TableStats>>>,
+    indexes: Vec<Arc<IndexInfo>>,
+    stats: Option<Arc<TableStats>>,
 }
 
 impl std::fmt::Debug for TableInfo {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TableInfo")
-            .field("id", &self.id)
             .field("name", &self.name)
             .field("schema", &self.schema)
             .finish()
@@ -80,81 +69,49 @@ impl std::fmt::Debug for TableInfo {
 }
 
 impl TableInfo {
-    /// All indexes on this table.
-    pub fn indexes(&self) -> Vec<Arc<IndexInfo>> {
-        let _r = lockorder::acquire(lockorder::TABLE_META);
-        self.indexes.lock().clone()
-    }
-
-    /// Indexes keyed on `column`.
-    pub fn indexes_on(&self, column: usize) -> Vec<Arc<IndexInfo>> {
-        let _r = lockorder::acquire(lockorder::TABLE_META);
-        self.indexes
-            .lock()
-            .iter()
-            .filter(|i| i.column == column)
-            .cloned()
-            .collect()
+    /// All indexes on this table, in creation order.
+    pub fn indexes(&self) -> &[Arc<IndexInfo>] {
+        &self.indexes
     }
 
     /// Statistics from the last ANALYZE, if any.
-    pub fn stats(&self) -> Option<Arc<TableStats>> {
-        let _r = lockorder::acquire(lockorder::TABLE_META);
-        self.stats.lock().clone()
-    }
-
-    /// Install fresh statistics in place. Direct-embedding convenience; the
-    /// engine's ANALYZE goes through [`Catalog::install_stats`] instead so
-    /// concurrent snapshots keep their stats view.
-    pub fn set_stats(&self, stats: TableStats) {
-        let _r = lockorder::acquire(lockorder::TABLE_META);
-        *self.stats.lock() = Some(Arc::new(stats));
-    }
-
-    fn add_index(&self, index: Arc<IndexInfo>) {
-        let _r = lockorder::acquire(lockorder::TABLE_META);
-        self.indexes.lock().push(index);
-    }
-
-    /// Copy-on-write clone: same identity and storage roots, fresh metadata
-    /// slots so mutating the clone leaves `self` (and any snapshot holding
-    /// it) untouched.
-    fn cow_clone(&self) -> TableInfo {
-        let _r = lockorder::acquire(lockorder::TABLE_META);
-        TableInfo {
-            id: self.id,
-            name: self.name.clone(),
-            schema: self.schema.clone(),
-            heap: Arc::clone(&self.heap),
-            indexes: Mutex::new(self.indexes.lock().clone()),
-            stats: Mutex::new(self.stats.lock().clone()),
-        }
+    pub fn stats(&self) -> Option<&Arc<TableStats>> {
+        self.stats.as_ref()
     }
 }
+
+/// What one version holds: the tables by lower-cased name. Index names
+/// are unique across the catalog and live on their tables.
+type Namespace = HashMap<String, Arc<TableInfo>>;
 
 /// The namespace of tables and indexes. Thread-safe; shared via `Arc`.
 pub struct Catalog {
     pool: Arc<BufferPool>,
-    tables: Mutex<HashMap<String, Arc<TableInfo>>>,
-    index_names: Mutex<HashMap<String, String>>, // index -> table
-    next_id: AtomicU64,
-    /// Bumped on every successful mutation; snapshots pin the version they
-    /// were cut at.
-    version: AtomicU64,
-    /// Frozen catalogs (snapshots) reject every mutator.
-    frozen: bool,
+    role: Role,
+}
+
+enum Role {
+    /// The catalog writers publish to: the current version, behind rank
+    /// [`lockorder::CATALOG`].
+    Live(Mutex<Arc<Catalog>>),
+    /// One published version, read without a lock.
+    Pinned(Arc<Namespace>),
 }
 
 impl Catalog {
     pub fn new(pool: Arc<BufferPool>) -> Catalog {
+        let first = Catalog::pinned(&pool, Arc::default());
         Catalog {
             pool,
-            tables: Mutex::new(HashMap::new()),
-            index_names: Mutex::new(HashMap::new()),
-            next_id: AtomicU64::new(1),
-            version: AtomicU64::new(0),
-            frozen: false,
+            role: Role::Live(Mutex::new(first)),
         }
+    }
+
+    fn pinned(pool: &Arc<BufferPool>, namespace: Arc<Namespace>) -> Arc<Catalog> {
+        Arc::new(Catalog {
+            pool: Arc::clone(pool),
+            role: Role::Pinned(namespace),
+        })
     }
 
     /// The buffer pool tables in this catalog allocate from.
@@ -162,200 +119,43 @@ impl Catalog {
         &self.pool
     }
 
-    /// The mutation counter: bumped once per successful DDL / stats install.
-    pub fn version(&self) -> u64 {
-        self.version.load(Ordering::SeqCst)
-    }
-
-    /// Whether this catalog is a frozen snapshot.
-    pub fn is_frozen(&self) -> bool {
-        self.frozen
-    }
-
-    /// Cut a frozen, immutable view of the namespace as of now. Cheap: the
-    /// two name maps are cloned; every `TableInfo` is shared by `Arc`.
-    /// Copy-on-write mutators guarantee shared entries never change under
-    /// the snapshot. The snapshot answers all read-side queries (`table`,
-    /// `tables`, `pool`) and rejects every mutator.
+    /// The version as of now: the current one, or this one when it is a
+    /// version itself. It answers every read (`table`, `tables`, `pool`)
+    /// and refuses every mutator.
     pub fn snapshot(&self) -> Arc<Catalog> {
-        let _rt = lockorder::acquire(lockorder::CATALOG_MAP);
-        let tables = self.tables.lock();
-        let _rn = lockorder::acquire(lockorder::CATALOG_NAMES);
-        let names = self.index_names.lock();
-        Arc::new(Catalog {
-            pool: Arc::clone(&self.pool),
-            tables: Mutex::new(tables.clone()),
-            index_names: Mutex::new(names.clone()),
-            next_id: AtomicU64::new(self.next_id.load(Ordering::Relaxed)),
-            version: AtomicU64::new(self.version.load(Ordering::SeqCst)),
-            frozen: true,
-        })
+        match &self.role {
+            Role::Live(current) => {
+                let _r = lockorder::acquire(lockorder::CATALOG);
+                Arc::clone(&current.lock())
+            }
+            Role::Pinned(namespace) => Catalog::pinned(&self.pool, Arc::clone(namespace)),
+        }
     }
 
-    fn check_mutable(&self) -> Result<()> {
-        if self.frozen {
-            return Err(EvoptError::Catalog("catalog snapshot is read-only".into()));
+    /// Run `f` on the namespace this catalog reads: its own when pinned,
+    /// the current version's when live.
+    fn read<T>(&self, f: impl FnOnce(&Namespace) -> T) -> T {
+        match &self.role {
+            Role::Live(_) => self.snapshot().read(f),
+            Role::Pinned(namespace) => f(namespace),
         }
-        Ok(())
+    }
+
+    /// Start a mutation on the current version. The one place a pinned
+    /// version refuses a mutator.
+    fn writer(&self) -> Result<Writer<'_>> {
+        match &self.role {
+            Role::Live(slot) => Ok(Writer {
+                slot,
+                base: self.snapshot(),
+            }),
+            Role::Pinned(_) => Err(EvoptError::Catalog("catalog snapshot is read-only".into())),
+        }
     }
 
     /// Create an empty table. Names are case-insensitive.
     pub fn create_table(&self, name: &str, schema: Schema) -> Result<Arc<TableInfo>> {
-        self.check_mutable()?;
-        let key = name.to_ascii_lowercase();
-        let _r = lockorder::acquire(lockorder::CATALOG_MAP);
-        let mut tables = self.tables.lock();
-        if tables.contains_key(&key) {
-            return Err(EvoptError::Catalog(format!(
-                "table '{name}' already exists"
-            )));
-        }
-        let heap = Arc::new(HeapFile::create(Arc::clone(&self.pool))?);
-        let schema = schema.with_qualifier(&key);
-        let info = Arc::new(TableInfo {
-            id: self.next_id.fetch_add(1, Ordering::Relaxed),
-            name: key.clone(),
-            schema,
-            heap,
-            indexes: Mutex::new(Vec::new()),
-            stats: Mutex::new(None),
-        });
-        tables.insert(key, Arc::clone(&info));
-        self.version.fetch_add(1, Ordering::SeqCst);
-        Ok(info)
-    }
-
-    /// Drop a table and its indexes from the namespace. (Pages are not
-    /// reclaimed — the simulated disk is monotonic; see evopt-storage.)
-    /// Snapshots cut earlier keep the table queryable.
-    pub fn drop_table(&self, name: &str) -> Result<()> {
-        self.check_mutable()?;
-        let key = name.to_ascii_lowercase();
-        let _rt = lockorder::acquire(lockorder::CATALOG_MAP);
-        let removed = self.tables.lock().remove(&key);
-        match removed {
-            Some(_) => {
-                let _rn = lockorder::acquire(lockorder::CATALOG_NAMES);
-                self.index_names.lock().retain(|_, t| t != &key);
-                self.version.fetch_add(1, Ordering::SeqCst);
-                Ok(())
-            }
-            None => Err(EvoptError::Catalog(format!("unknown table '{name}'"))),
-        }
-    }
-
-    /// Look up a table by name.
-    pub fn table(&self, name: &str) -> Result<Arc<TableInfo>> {
-        let _r = lockorder::acquire(lockorder::CATALOG_MAP);
-        self.tables
-            .lock()
-            .get(&name.to_ascii_lowercase())
-            .cloned()
-            .ok_or_else(|| EvoptError::Catalog(format!("unknown table '{name}'")))
-    }
-
-    /// All tables, sorted by name (deterministic iteration for EXPLAIN etc).
-    pub fn tables(&self) -> Vec<Arc<TableInfo>> {
-        let _r = lockorder::acquire(lockorder::CATALOG_MAP);
-        let mut v: Vec<_> = self.tables.lock().values().cloned().collect();
-        v.sort_by(|a, b| a.name.cmp(&b.name));
-        v
-    }
-
-    /// Create a B+-tree index on `table_name.column_name` and bulk-build it
-    /// from the current heap contents. Copy-on-write: the table's entry is
-    /// replaced with a clone carrying the extra index, so snapshots cut
-    /// before the call never see it. (Callers racing writers must hold the
-    /// engine commit lock — the bulk build scans the heap unlocked.)
-    pub fn create_index(
-        &self,
-        index_name: &str,
-        table_name: &str,
-        column_name: &str,
-        unique: bool,
-        clustered: bool,
-    ) -> Result<Arc<IndexInfo>> {
-        self.check_mutable()?;
-        let ikey = index_name.to_ascii_lowercase();
-        {
-            let _r = lockorder::acquire(lockorder::CATALOG_NAMES);
-            let names = self.index_names.lock();
-            if names.contains_key(&ikey) {
-                return Err(EvoptError::Catalog(format!(
-                    "index '{index_name}' already exists"
-                )));
-            }
-        }
-        let table = self.table(table_name)?;
-        let column = table.schema.resolve(None, column_name).map_err(|_| {
-            EvoptError::Catalog(format!(
-                "unknown column '{column_name}' on table '{table_name}'"
-            ))
-        })?;
-        let btree = Arc::new(BTreeIndex::create(Arc::clone(&self.pool))?);
-        for item in table.heap.scan() {
-            let (rid, tuple) = item?;
-            let key = tuple.value(column)?;
-            if !key.is_null() {
-                btree.insert(key, rid)?;
-            }
-        }
-        let info = Arc::new(IndexInfo {
-            name: ikey.clone(),
-            table: table.name.clone(),
-            column,
-            clustered,
-            unique,
-            btree,
-        });
-        self.publish_index(&table.name, Arc::clone(&info), ikey)?;
-        Ok(info)
-    }
-
-    /// Swap in a copy-on-write table entry carrying `index` and claim its
-    /// name, atomically with respect to `snapshot`.
-    fn publish_index(&self, table_key: &str, index: Arc<IndexInfo>, ikey: String) -> Result<()> {
-        let _rt = lockorder::acquire(lockorder::CATALOG_MAP);
-        let mut tables = self.tables.lock();
-        let _rn = lockorder::acquire(lockorder::CATALOG_NAMES);
-        let mut names = self.index_names.lock();
-        // Re-check both namespaces: the unlocked bulk build above raced no
-        // writers (commit lock), but cheap defensive checks keep the maps
-        // coherent even for direct embedders.
-        let current = tables
-            .get(table_key)
-            .ok_or_else(|| EvoptError::Catalog(format!("unknown table '{table_key}'")))?;
-        if names.contains_key(&ikey) {
-            return Err(EvoptError::Catalog(format!(
-                "index '{ikey}' already exists"
-            )));
-        }
-        let cow = current.cow_clone();
-        cow.add_index(index);
-        tables.insert(table_key.to_string(), Arc::new(cow));
-        names.insert(ikey, table_key.to_string());
-        self.version.fetch_add(1, Ordering::SeqCst);
-        Ok(())
-    }
-
-    /// Install fresh statistics for `table_name`, copy-on-write: the entry
-    /// is replaced with a clone carrying the new stats, so snapshots cut
-    /// before the call keep planning with the old ones. This is the
-    /// engine's ANALYZE path; [`TableInfo::set_stats`] remains for direct
-    /// embedders with no snapshots in flight.
-    pub fn install_stats(&self, table_name: &str, stats: TableStats) -> Result<()> {
-        self.check_mutable()?;
-        let key = table_name.to_ascii_lowercase();
-        let _r = lockorder::acquire(lockorder::CATALOG_MAP);
-        let mut tables = self.tables.lock();
-        let current = tables
-            .get(&key)
-            .ok_or_else(|| EvoptError::Catalog(format!("unknown table '{table_name}'")))?;
-        let cow = current.cow_clone();
-        cow.set_stats(stats);
-        tables.insert(key, Arc::new(cow));
-        self.version.fetch_add(1, Ordering::SeqCst);
-        Ok(())
+        self.register_table(name, schema, HeapFile::create)
     }
 
     /// Re-register a table whose pages already exist on disk (crash
@@ -367,28 +167,83 @@ impl Catalog {
         schema: Schema,
         first_page: PageId,
     ) -> Result<Arc<TableInfo>> {
-        self.check_mutable()?;
+        self.register_table(name, schema, |pool| HeapFile::open(pool, first_page))
+    }
+
+    fn register_table(
+        &self,
+        name: &str,
+        schema: Schema,
+        heap: impl FnOnce(Arc<BufferPool>) -> Result<HeapFile>,
+    ) -> Result<Arc<TableInfo>> {
+        let w = self.writer()?;
         let key = name.to_ascii_lowercase();
-        let _r = lockorder::acquire(lockorder::CATALOG_MAP);
-        let mut tables = self.tables.lock();
-        if tables.contains_key(&key) {
+        if w.base.read(|ns| ns.contains_key(&key)) {
             return Err(EvoptError::Catalog(format!(
                 "table '{name}' already exists"
             )));
         }
-        let heap = Arc::new(HeapFile::open(Arc::clone(&self.pool), first_page)?);
-        let schema = schema.with_qualifier(&key);
         let info = Arc::new(TableInfo {
-            id: self.next_id.fetch_add(1, Ordering::Relaxed),
-            name: key.clone(),
-            schema,
-            heap,
-            indexes: Mutex::new(Vec::new()),
-            stats: Mutex::new(None),
+            heap: Arc::new(heap(Arc::clone(&self.pool))?),
+            schema: schema.with_qualifier(&key),
+            name: key,
+            indexes: Vec::new(),
+            stats: None,
         });
-        tables.insert(key, Arc::clone(&info));
-        self.version.fetch_add(1, Ordering::SeqCst);
+        w.publish(|ns| ns.insert(info.name.clone(), Arc::clone(&info)))?;
         Ok(info)
+    }
+
+    /// Drop a table and its indexes from the namespace. (Pages are not
+    /// reclaimed — the simulated disk is monotonic; see evopt-storage.)
+    /// Snapshots cut earlier keep the table queryable.
+    pub fn drop_table(&self, name: &str) -> Result<()> {
+        let w = self.writer()?;
+        let key = w.base.table(name)?.name.clone();
+        w.publish(|ns| ns.remove(&key))
+    }
+
+    /// Look up a table by name.
+    pub fn table(&self, name: &str) -> Result<Arc<TableInfo>> {
+        self.read(|ns| ns.get(&name.to_ascii_lowercase()).cloned())
+            .ok_or_else(|| EvoptError::Catalog(format!("unknown table '{name}'")))
+    }
+
+    /// All tables, sorted by name (deterministic iteration for EXPLAIN etc).
+    pub fn tables(&self) -> Vec<Arc<TableInfo>> {
+        let mut v: Vec<_> = self.read(|ns| ns.values().cloned().collect());
+        v.sort_by(|a, b| a.name.cmp(&b.name));
+        v
+    }
+
+    /// Create a B+-tree index on `table_name.column_name` and bulk-build it
+    /// from the current heap contents. Snapshots cut before the call never
+    /// see it. (Callers racing writers must hold the engine commit lock —
+    /// the bulk build scans the heap unlocked.)
+    pub fn create_index(
+        &self,
+        index_name: &str,
+        table_name: &str,
+        column_name: &str,
+        unique: bool,
+        clustered: bool,
+    ) -> Result<Arc<IndexInfo>> {
+        self.register_index(index_name, table_name, unique, clustered, |table, pool| {
+            let column = table.schema.resolve(None, column_name).map_err(|_| {
+                EvoptError::Catalog(format!(
+                    "unknown column '{column_name}' on table '{table_name}'"
+                ))
+            })?;
+            let btree = BTreeIndex::create(pool)?;
+            for item in table.heap.scan() {
+                let (rid, tuple) = item?;
+                let key = tuple.value(column)?;
+                if !key.is_null() {
+                    btree.insert(key, rid)?;
+                }
+            }
+            Ok((column, btree))
+        })
     }
 
     /// Re-register an index whose B+-tree already exists on disk (crash
@@ -403,35 +258,88 @@ impl Catalog {
         clustered: bool,
         meta_page: PageId,
     ) -> Result<Arc<IndexInfo>> {
-        self.check_mutable()?;
-        let ikey = index_name.to_ascii_lowercase();
-        {
-            let _r = lockorder::acquire(lockorder::CATALOG_NAMES);
-            let names = self.index_names.lock();
-            if names.contains_key(&ikey) {
+        self.register_index(index_name, table_name, unique, clustered, |table, pool| {
+            if column >= table.schema.columns().len() {
                 return Err(EvoptError::Catalog(format!(
-                    "index '{index_name}' already exists"
+                    "index '{index_name}' keys on column {column} but table '{table_name}' has {}",
+                    table.schema.columns().len()
                 )));
             }
-        }
-        let table = self.table(table_name)?;
-        if column >= table.schema.columns().len() {
+            Ok((column, BTreeIndex::open(pool, meta_page)?))
+        })
+    }
+
+    /// Register the index `tree` builds or opens on `table_name`, with the
+    /// index name checked first.
+    fn register_index(
+        &self,
+        index_name: &str,
+        table_name: &str,
+        unique: bool,
+        clustered: bool,
+        tree: impl FnOnce(&TableInfo, Arc<BufferPool>) -> Result<(usize, BTreeIndex)>,
+    ) -> Result<Arc<IndexInfo>> {
+        let w = self.writer()?;
+        let name = index_name.to_ascii_lowercase();
+        let taken = |ns: &Namespace| {
+            ns.values()
+                .any(|t| t.indexes.iter().any(|i| i.name == name))
+        };
+        if w.base.read(taken) {
             return Err(EvoptError::Catalog(format!(
-                "index '{index_name}' keys on column {column} but table '{table_name}' has {}",
-                table.schema.columns().len()
+                "index '{index_name}' already exists"
             )));
         }
-        let btree = Arc::new(BTreeIndex::open(Arc::clone(&self.pool), meta_page)?);
-        let info = Arc::new(IndexInfo {
-            name: ikey.clone(),
+        let table = w.base.table(table_name)?;
+        let (column, btree) = tree(&table, Arc::clone(&self.pool))?;
+        let index = Arc::new(IndexInfo {
+            name,
             table: table.name.clone(),
             column,
             clustered,
             unique,
-            btree,
+            btree: Arc::new(btree),
         });
-        self.publish_index(&table.name, Arc::clone(&info), ikey)?;
-        Ok(info)
+        let mut entry = TableInfo::clone(&table);
+        entry.indexes.push(Arc::clone(&index));
+        w.publish(|ns| ns.insert(entry.name.clone(), Arc::new(entry)))?;
+        Ok(index)
+    }
+
+    /// Publish fresh statistics for `table_name`. Snapshots cut before the
+    /// call keep planning with the old ones.
+    pub fn install_stats(&self, table_name: &str, stats: Arc<TableStats>) -> Result<()> {
+        let w = self.writer()?;
+        let mut entry = TableInfo::clone(&*w.base.table(table_name)?);
+        entry.stats = Some(stats);
+        w.publish(|ns| ns.insert(entry.name.clone(), Arc::new(entry)))
+    }
+}
+
+/// A mutation in progress: the version it read, and the live slot its
+/// successor goes into.
+struct Writer<'a> {
+    slot: &'a Mutex<Arc<Catalog>>,
+    base: Arc<Catalog>,
+}
+
+impl Writer<'_> {
+    /// Swap in the base version with `edit` applied. The new version is
+    /// built before the lock is taken; under it happen only the check that
+    /// the base is still current and the pointer swap.
+    fn publish<T>(self, edit: impl FnOnce(&mut Namespace) -> T) -> Result<()> {
+        let mut next = self.base.read(Namespace::clone);
+        edit(&mut next);
+        let next = Catalog::pinned(&self.base.pool, Arc::new(next));
+        let _r = lockorder::acquire(lockorder::CATALOG);
+        let mut current = self.slot.lock();
+        if !Arc::ptr_eq(&current, &self.base) {
+            return Err(EvoptError::Catalog(
+                "the catalog changed during this DDL: catalog writers must serialize".into(),
+            ));
+        }
+        *current = next;
+        Ok(())
     }
 }
 
@@ -453,6 +361,13 @@ mod tests {
         ])
     }
 
+    fn stats(row_count: u64) -> Arc<TableStats> {
+        Arc::new(TableStats {
+            row_count,
+            ..Default::default()
+        })
+    }
+
     #[test]
     fn create_and_lookup_table() {
         let cat = mkcatalog();
@@ -460,7 +375,7 @@ mod tests {
         assert_eq!(t.name, "users");
         // Case-insensitive lookup, schema qualified with table name.
         let got = cat.table("USERS").unwrap();
-        assert_eq!(got.id, t.id);
+        assert!(Arc::ptr_eq(&got, &t));
         assert_eq!(got.schema.resolve(Some("users"), "id").unwrap(), 0);
     }
 
@@ -488,11 +403,18 @@ mod tests {
             .unwrap();
         cat.create_index("idx_t_id", "t", "id", true, false)
             .unwrap();
+        let before = cat.snapshot();
         cat.drop_table("t").unwrap();
         // Index name is reusable after the drop.
         cat.create_table("t", two_col_schema()).unwrap();
         cat.create_index("idx_t_id", "t", "id", true, false)
             .unwrap();
+        // A snapshot cut before the drop still resolves the old table and
+        // scans its index.
+        let old = before.table("t").unwrap();
+        assert!(Arc::ptr_eq(&old.heap, &t.heap));
+        let hits = old.indexes()[0].btree.search_eq(&Value::Int(1)).unwrap();
+        assert_eq!(hits.len(), 1);
     }
 
     #[test]
@@ -544,22 +466,24 @@ mod tests {
     }
 
     #[test]
-    fn indexes_on_filters_by_column() {
+    fn indexes_list_in_creation_order() {
         let cat = mkcatalog();
         cat.create_table("t", two_col_schema()).unwrap();
         cat.create_index("i_id", "t", "id", false, false).unwrap();
         cat.create_index("i_name", "t", "name", false, false)
             .unwrap();
-        // Index DDL is copy-on-write: re-fetch the entry to see the result.
+        // Index DDL publishes a new entry: re-fetch to see the result.
         let t = cat.table("t").unwrap();
-        assert_eq!(t.indexes().len(), 2);
-        assert_eq!(t.indexes_on(0).len(), 1);
-        assert_eq!(t.indexes_on(0)[0].name, "i_id");
-        assert_eq!(t.indexes_on(1)[0].name, "i_name");
+        let keyed: Vec<_> = t
+            .indexes()
+            .iter()
+            .map(|i| (i.name.as_str(), i.column))
+            .collect();
+        assert_eq!(keyed, [("i_id", 0), ("i_name", 1)]);
     }
 
     #[test]
-    fn index_ddl_is_copy_on_write() {
+    fn index_ddl_publishes_a_new_entry() {
         let cat = mkcatalog();
         let before = cat.create_table("t", two_col_schema()).unwrap();
         cat.create_index("i", "t", "id", false, false).unwrap();
@@ -568,27 +492,35 @@ mod tests {
         assert_eq!(before.indexes().len(), 0);
         let after = cat.table("t").unwrap();
         assert_eq!(after.indexes().len(), 1);
-        assert_eq!(after.id, before.id);
+        assert_eq!(after.name, before.name);
         assert!(Arc::ptr_eq(&after.heap, &before.heap));
     }
 
     #[test]
-    fn install_stats_is_copy_on_write() {
+    fn install_stats_publishes_a_new_entry() {
         let cat = mkcatalog();
         let before = cat.create_table("t", two_col_schema()).unwrap();
-        cat.install_stats(
-            "t",
-            TableStats {
-                row_count: 7,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        cat.install_stats("t", stats(7)).unwrap();
         assert!(before.stats().is_none());
         assert_eq!(cat.table("t").unwrap().stats().unwrap().row_count, 7);
-        assert!(cat.install_stats("missing", TableStats::default()).is_err());
+        assert!(cat.install_stats("missing", stats(0)).is_err());
     }
 
+    #[test]
+    fn snapshots_without_mutation_share_one_version() {
+        let cat = mkcatalog();
+        cat.create_table("t", two_col_schema()).unwrap();
+        let a = cat.snapshot();
+        let b = cat.snapshot();
+        assert!(Arc::ptr_eq(&a, &b));
+        // Reads on the live catalog publish nothing.
+        cat.table("t").unwrap();
+        cat.tables();
+        assert!(Arc::ptr_eq(&a, &cat.snapshot()));
+    }
+
+    /// The live catalog's `version()` counter is gone: a snapshot *is* the
+    /// version it pins, so "pinned" and "moved on" are `Arc` identities.
     #[test]
     fn snapshot_is_stable_across_ddl() {
         let cat = mkcatalog();
@@ -597,17 +529,9 @@ mod tests {
             .insert(&Tuple::new(vec![Value::Int(1), Value::Str("a".into())]))
             .unwrap();
         let snap = cat.snapshot();
-        let v = snap.version();
 
         cat.create_index("i", "t", "id", false, false).unwrap();
-        cat.install_stats(
-            "t",
-            TableStats {
-                row_count: 1,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        cat.install_stats("t", stats(1)).unwrap();
         cat.create_table("u", two_col_schema()).unwrap();
         cat.drop_table("t").unwrap();
 
@@ -617,63 +541,92 @@ mod tests {
         assert_eq!(st.indexes().len(), 0);
         assert!(st.stats().is_none());
         assert!(snap.table("u").is_err());
-        assert_eq!(snap.version(), v);
+        assert!(Arc::ptr_eq(&snap.snapshot().table("t").unwrap(), &st));
         assert_eq!(st.heap.scan().count(), 1, "dropped table stays readable");
 
         // The live catalog moved on.
         assert!(cat.table("t").is_err());
         assert!(cat.table("u").is_ok());
-        assert!(cat.version() > v);
+        assert!(!Arc::ptr_eq(&cat.snapshot(), &snap));
     }
 
+    /// A snapshot has no read-only flag left to query: it is a published
+    /// version, identical to a second snapshot cut with no mutation between.
     #[test]
     fn snapshot_rejects_mutation() {
         let cat = mkcatalog();
         cat.create_table("t", two_col_schema()).unwrap();
         let snap = cat.snapshot();
-        assert!(snap.is_frozen());
+        assert!(Arc::ptr_eq(&snap, &cat.snapshot()));
         assert!(snap.create_table("u", two_col_schema()).is_err());
         assert!(snap.drop_table("t").is_err());
         assert!(snap.create_index("i", "t", "id", false, false).is_err());
         assert!(snap.restore_table("u", two_col_schema(), 1).is_err());
         assert!(snap.restore_index("i", "t", 0, false, false, 1).is_err());
-        assert!(snap.install_stats("t", TableStats::default()).is_err());
+        assert!(snap.install_stats("t", stats(0)).is_err());
         // Reads still work.
         assert!(snap.table("t").is_ok());
         assert_eq!(snap.tables().len(), 1);
+        // And the live catalog never saw the attempts.
+        assert!(Arc::ptr_eq(&snap, &cat.snapshot()));
     }
 
     #[test]
-    fn version_bumps_on_every_mutation() {
+    fn every_mutation_publishes_a_new_version() {
         let cat = mkcatalog();
-        let v0 = cat.version();
+        let v0 = cat.snapshot();
         cat.create_table("t", two_col_schema()).unwrap();
-        let v1 = cat.version();
-        assert!(v1 > v0);
+        let v1 = cat.snapshot();
+        assert!(!Arc::ptr_eq(&v1, &v0));
         cat.create_index("i", "t", "id", false, false).unwrap();
-        let v2 = cat.version();
-        assert!(v2 > v1);
-        cat.install_stats("t", TableStats::default()).unwrap();
-        let v3 = cat.version();
-        assert!(v3 > v2);
+        let v2 = cat.snapshot();
+        assert!(!Arc::ptr_eq(&v2, &v1));
+        cat.install_stats("t", stats(0)).unwrap();
+        let v3 = cat.snapshot();
+        assert!(!Arc::ptr_eq(&v3, &v2));
         cat.drop_table("t").unwrap();
-        assert!(cat.version() > v3);
-        // Failed mutations don't bump.
-        let v = cat.version();
-        assert!(cat.drop_table("t").is_err());
-        assert_eq!(cat.version(), v);
+        assert!(!Arc::ptr_eq(&cat.snapshot(), &v3));
     }
 
     #[test]
-    fn stats_roundtrip() {
+    fn failed_ddl_leaves_the_published_version_identical() {
         let cat = mkcatalog();
         let t = cat.create_table("t", two_col_schema()).unwrap();
-        assert!(t.stats().is_none());
-        t.set_stats(TableStats {
-            row_count: 5,
-            ..Default::default()
-        });
-        assert_eq!(t.stats().unwrap().row_count, 5);
+        let idx = cat.create_index("i", "t", "id", false, false).unwrap();
+        let v = cat.snapshot();
+        let failures = [
+            (
+                "duplicate table",
+                cat.create_table("T", two_col_schema()).err(),
+            ),
+            (
+                "duplicate index name",
+                cat.create_index("I", "t", "name", false, false).err(),
+            ),
+            (
+                "unknown column",
+                cat.create_index("j", "t", "nope", false, false).err(),
+            ),
+            (
+                "unknown table",
+                cat.create_index("k", "missing", "id", false, false).err(),
+            ),
+            ("drop unknown table", cat.drop_table("missing").err()),
+            (
+                "restore_index out-of-range column",
+                cat.restore_index("r", "t", 9, false, false, idx.btree.meta_page())
+                    .err(),
+            ),
+            (
+                "restore duplicate table",
+                cat.restore_table("t", two_col_schema(), t.heap.first_page())
+                    .err(),
+            ),
+        ];
+        for (what, err) in failures {
+            assert_eq!(err.map(|e| e.kind()), Some("catalog"), "{what}");
+            assert!(Arc::ptr_eq(&cat.snapshot(), &v), "{what} published");
+        }
     }
 
     #[test]

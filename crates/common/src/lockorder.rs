@@ -25,10 +25,7 @@
 //! |------|------|----------------------|
 //! | 10 `COMMIT`        | engine commit lock (serializes write statements) | `evopt_commit_lock_wait_us` |
 //! | 15 `CONFIG`        | engine session-default config | — |
-//! | 18 `SNAPSHOT_CACHE`| engine cached catalog read snapshot | `evopt_snapshot_acquire_us` |
-//! | 20 `CATALOG_MAP`   | catalog table namespace | — |
-//! | 21 `CATALOG_NAMES` | catalog index namespace | — |
-//! | 25 `TABLE_META`    | per-table index list / stats slots | — |
+//! | 20 `CATALOG`       | catalog current-version slot (snapshot, publish) | `evopt_snapshot_acquire_us` |
 //! | 30 `WAL_STATE`     | WAL append state (tail buffer, LSNs) | `evopt_wal_sync_wait_us` |
 //! | 32 `BTREE_WRITE`   | per-index coarse writer lock (insert/delete) | — |
 //! | 33 `HEAP_META`     | per-heap tail pointer and row/page counts | — |
@@ -61,16 +58,9 @@
 pub const COMMIT: u16 = 10;
 /// Engine configuration defaults.
 pub const CONFIG: u16 = 15;
-/// Engine cached catalog read snapshot (re-snapshots on version change;
-/// ranked below the catalog maps because refreshing it calls
-/// [`Catalog::snapshot`] while the cache slot is held).
-pub const SNAPSHOT_CACHE: u16 = 18;
-/// Catalog table namespace map.
-pub const CATALOG_MAP: u16 = 20;
-/// Catalog index namespace map.
-pub const CATALOG_NAMES: u16 = 21;
-/// Per-table metadata (index list, stats slot).
-pub const TABLE_META: u16 = 25;
+/// Catalog current-version slot: held to clone the version a snapshot
+/// pins, and to swap in the next one. Nothing else happens under it.
+pub const CATALOG: u16 = 20;
 /// WAL append state.
 pub const WAL_STATE: u16 = 30;
 /// Per-index coarse writer lock (B-tree insert/delete serialization).
@@ -100,10 +90,7 @@ pub fn all_ranks() -> &'static [(&'static str, u16)] {
     &[
         ("COMMIT", COMMIT),
         ("CONFIG", CONFIG),
-        ("SNAPSHOT_CACHE", SNAPSHOT_CACHE),
-        ("CATALOG_MAP", CATALOG_MAP),
-        ("CATALOG_NAMES", CATALOG_NAMES),
-        ("TABLE_META", TABLE_META),
+        ("CATALOG", CATALOG),
         ("WAL_STATE", WAL_STATE),
         ("BTREE_WRITE", BTREE_WRITE),
         ("HEAP_META", HEAP_META),
@@ -184,7 +171,7 @@ mod tests {
     #[test]
     fn ascending_acquisition_is_fine() {
         let a = acquire(COMMIT);
-        let b = acquire(CATALOG_MAP);
+        let b = acquire(CATALOG);
         let c = acquire(POOL);
         assert_eq!(
             current_rank(),
@@ -213,7 +200,7 @@ mod tests {
     #[should_panic(expected = "lock-order violation")]
     fn descending_acquisition_panics_in_debug() {
         let _a = acquire(POOL);
-        let _b = acquire(CATALOG_MAP);
+        let _b = acquire(CATALOG);
     }
 
     #[test]

@@ -619,13 +619,8 @@ mod tests {
             .unwrap();
         cat.create_index("orders_cust", "orders", "customer_id", false, false)
             .unwrap();
-        // create_index clone-and-swaps the registered TableInfo (CoW
-        // catalog), so the pre-index handles above are stale snapshots —
-        // re-fetch before installing stats or the optimizer won't see them.
-        let customers = cat.table("customers").unwrap();
-        let orders = cat.table("orders").unwrap();
-        analyze_table(&customers, &AnalyzeConfig::default()).unwrap();
-        analyze_table(&orders, &AnalyzeConfig::default()).unwrap();
+        analyze_table(&cat, "customers", &AnalyzeConfig::default()).unwrap();
+        analyze_table(&cat, "orders", &AnalyzeConfig::default()).unwrap();
         cat
     }
 
@@ -832,7 +827,7 @@ mod tests {
                 ]))
                 .unwrap();
         }
-        analyze_table(&regions, &AnalyzeConfig::default()).unwrap();
+        analyze_table(&cat, "regions", &AnalyzeConfig::default()).unwrap();
         let join = LogicalPlan::Join {
             left: Box::new(LogicalPlan::Join {
                 left: Box::new(scan(&cat, "orders")),

@@ -854,7 +854,7 @@ impl<'a> Verifier<'a> {
                     );
                     return;
                 };
-                let Some(idx) = info.indexes().into_iter().find(|i| &i.name == index) else {
+                let Some(idx) = info.indexes().iter().find(|i| &i.name == index) else {
                     self.issue(
                         "index/exists",
                         id,
@@ -913,7 +913,7 @@ impl<'a> Verifier<'a> {
                     );
                     return;
                 };
-                let Some(idx) = info.indexes().into_iter().find(|i| &i.name == index) else {
+                let Some(idx) = info.indexes().iter().find(|i| &i.name == index) else {
                     self.issue(
                         "index/exists",
                         id,
@@ -1024,14 +1024,14 @@ fn provides_order(plan: &PhysicalPlan, catalog: Option<&Catalog>) -> OrderFact {
             // A clustered index means the heap itself is key-ordered.
             Some(info) => OrderFact::Known(
                 info.indexes()
-                    .into_iter()
+                    .iter()
                     .find(|i| i.clustered)
                     .map(|i| i.column),
             ),
             None => OrderFact::Unknown,
         },
         PhysOp::IndexScan { table, index, .. } => match catalog.and_then(|c| c.table(table).ok()) {
-            Some(info) => match info.indexes().into_iter().find(|i| &i.name == index) {
+            Some(info) => match info.indexes().iter().find(|i| &i.name == index) {
                 Some(idx) => OrderFact::Known(Some(idx.column)),
                 // Nonexistent index: flagged by index/exists, order unknown.
                 None => OrderFact::Unknown,

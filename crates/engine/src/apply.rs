@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use evopt_catalog::{compute_stats, AnalyzeConfig, TableInfo};
+use evopt_catalog::{analyze_table, AnalyzeConfig, TableInfo};
 use evopt_common::{EvoptError, Expr, Result, Schema, Tuple, Value};
 use evopt_storage::Rid;
 
@@ -137,16 +137,15 @@ impl Database {
         Ok(QueryResult::Ok)
     }
 
-    /// Statistics install copy-on-write: readers planning against a
-    /// snapshot keep the estimates they started with.
+    /// Each table's statistics publish a new catalog version: readers
+    /// planning against an older one keep the estimates they started with.
     pub(crate) fn analyze(&self, table: Option<&str>, cfg: &AnalyzeConfig) -> Result<QueryResult> {
         let tables: Vec<Arc<TableInfo>> = match table {
             Some(t) => vec![self.catalog.table(t)?],
             None => self.catalog.tables(),
         };
         for t in tables {
-            let stats = compute_stats(&t, cfg)?;
-            self.catalog.install_stats(&t.name, stats)?;
+            analyze_table(&self.catalog, &t.name, cfg)?;
         }
         Ok(QueryResult::Ok)
     }

@@ -52,10 +52,6 @@ pub struct Database {
     /// *sync* happens after this lock is released, so adjacent sessions'
     /// commits coalesce into shared fsyncs (group commit).
     commit_lock: Mutex<()>,
-    /// Cached frozen catalog snapshot keyed by catalog version: statements
-    /// re-snapshot only after DDL/ANALYZE actually changed something. Rank
-    /// [`lockorder::SNAPSHOT_CACHE`].
-    snapshot_cache: Mutex<Option<(u64, Arc<Catalog>)>>,
     pub(crate) next_session_id: AtomicU64,
     /// Per-instance metrics registry (shared with session 0).
     pub(crate) metrics: Arc<EngineMetrics>,
@@ -206,7 +202,6 @@ impl Database {
             metrics,
             query_log: QueryLog::new(config.query_log_cap, config.slow_query_us),
             commit_lock: Mutex::new(()),
-            snapshot_cache: Mutex::new(None),
             next_session_id: AtomicU64::new(1),
         }
     }
@@ -310,24 +305,12 @@ impl Database {
         Session::new(Arc::clone(self))
     }
 
-    /// A frozen catalog snapshot for read statements, cached by catalog
-    /// version so steady-state reads don't re-clone the namespace maps.
-    /// Acquisition latency (cache hit or rebuild) lands in the
-    /// `snapshot_acquire_us` histogram.
+    /// The catalog version a read statement pins: one `Arc` clone, its
+    /// latency in the `snapshot_acquire_us` histogram.
     pub(crate) fn read_snapshot(&self) -> Arc<Catalog> {
-        self.metrics.snapshot_acquire_us.time(|| {
-            let version = self.catalog.version();
-            let _r = lockorder::acquire(lockorder::SNAPSHOT_CACHE);
-            let mut cache = self.snapshot_cache.lock();
-            match cache.as_ref() {
-                Some((v, snap)) if *v == version => Arc::clone(snap),
-                _ => {
-                    let snap = self.catalog.snapshot();
-                    *cache = Some((snap.version(), Arc::clone(&snap)));
-                    snap
-                }
-            }
-        })
+        self.metrics
+            .snapshot_acquire_us
+            .time(|| self.catalog.snapshot())
     }
 
     /// Acquire the commit lock through the timed wrapper: rank witness,

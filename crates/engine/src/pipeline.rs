@@ -202,7 +202,7 @@ impl<'a> Flight<'a> {
             Parsed::Plan(_) | Parsed::Stmt(Statement::Select(_) | Statement::ShowQueryLog)
         );
 
-        // Reads bind, plan and run on a frozen catalog snapshot and take no
+        // Reads bind, plan and run on a pinned catalog version and take no
         // engine lock: DDL committed by another session mid-statement never
         // changes what they see. A statement that will change the database
         // serializes through the commit lock for bind → optimize → execute

@@ -107,7 +107,7 @@ impl SessionState {
 /// [`Database::session`]; hand each connection (or thread) one.
 ///
 /// Any number of sessions execute concurrently. Each statement pins a
-/// frozen catalog snapshot and a config copy at entry; reads run entirely
+/// catalog version and a config copy at entry; reads run entirely
 /// on the snapshot, writes serialize through the engine commit lock and
 /// group-commit their WAL syncs with adjacent sessions. Knob changes on
 /// one session never affect another — the setters reached through a

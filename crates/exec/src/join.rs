@@ -268,8 +268,9 @@ impl IndexNestedLoopJoinExec {
         let inner = env.catalog.table(inner_table)?;
         let index = inner
             .indexes()
-            .into_iter()
+            .iter()
             .find(|i| i.name == index)
+            .cloned()
             .ok_or_else(|| {
                 EvoptError::Execution(format!("unknown index '{index}' on '{inner_table}'"))
             })?;

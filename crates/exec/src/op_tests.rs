@@ -56,11 +56,8 @@ fn join_world(n_left: i64, n_right: i64, key_space: i64, pool_pages: usize) -> E
             .unwrap();
     }
     cat.create_index("r_b", "r", "b", false, false).unwrap();
-    // create_index clone-and-swaps r's TableInfo (CoW catalog): re-fetch
-    // so the stats land on the registered entry, not a stale snapshot.
-    let r = cat.table("r").unwrap();
-    analyze_table(&l, &AnalyzeConfig::default()).unwrap();
-    analyze_table(&r, &AnalyzeConfig::default()).unwrap();
+    analyze_table(&cat, "l", &AnalyzeConfig::default()).unwrap();
+    analyze_table(&cat, "r", &AnalyzeConfig::default()).unwrap();
     ExecEnv::new(cat, 16)
 }
 

@@ -105,7 +105,7 @@ impl IndexScanExec {
         let info = env.catalog.table(table)?;
         let idx = info
             .indexes()
-            .into_iter()
+            .iter()
             .find(|i| i.name == index)
             .ok_or_else(|| {
                 EvoptError::Execution(format!("unknown index '{index}' on '{table}'"))
@@ -199,10 +199,7 @@ pub(crate) mod test_support {
         }
         cat.create_index("nums_k", "nums", "k", true, false)
             .unwrap();
-        // create_index clone-and-swaps the TableInfo (CoW catalog):
-        // re-fetch so the stats land on the registered entry.
-        let t = cat.table("nums").unwrap();
-        analyze_table(&t, &AnalyzeConfig::default()).unwrap();
+        analyze_table(&cat, "nums", &AnalyzeConfig::default()).unwrap();
         ExecEnv::new(cat, 16)
     }
 

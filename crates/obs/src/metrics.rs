@@ -235,7 +235,7 @@ pub struct EngineMetrics {
     // -- contention (PR 8's wait points, timed at the lockorder sites) ------
     /// Wall time a writer spent waiting to acquire the commit lock.
     pub commit_lock_wait_us: Histogram,
-    /// Wall time to acquire a frozen read snapshot (cache hit or rebuild).
+    /// Wall time to pin the catalog version a read statement runs on.
     pub snapshot_acquire_us: Histogram,
 }
 

@@ -9,7 +9,7 @@
 //! * **Acknowledged means durable.** With WAL durability on, a statement
 //!   that returned `Ok` is recovered after a crash, group commit
 //!   notwithstanding.
-//! * **Snapshot reads.** A SELECT pins a frozen catalog snapshot at
+//! * **Snapshot reads.** A SELECT pins the current catalog version at
 //!   statement start: concurrent DDL and ANALYZE never change what a
 //!   running statement sees, and a table dropped mid-flight never breaks
 //!   an in-progress scan (heap pages are not reused).

@@ -61,11 +61,8 @@ fn world() -> Arc<Catalog> {
             .unwrap();
     }
     cat.create_index("u_c", "u", "c", false, false).unwrap();
-    // create_index clone-and-swaps u's TableInfo (CoW catalog): re-fetch
-    // so the stats land on the registered entry, not a stale snapshot.
-    let u = cat.table("u").unwrap();
-    analyze_table(&t, &AnalyzeConfig::default()).unwrap();
-    analyze_table(&u, &AnalyzeConfig::default()).unwrap();
+    analyze_table(&cat, "t", &AnalyzeConfig::default()).unwrap();
+    analyze_table(&cat, "u", &AnalyzeConfig::default()).unwrap();
     cat
 }
 

@@ -72,11 +72,8 @@ pub fn world(
             .unwrap();
     }
     cat.create_index("r_b", "r", "b", false, false).unwrap();
-    // create_index clone-and-swaps r's TableInfo (CoW catalog): re-fetch
-    // so the stats land on the registered entry, not a stale snapshot.
-    let r = cat.table("r").unwrap();
-    analyze_table(&l, &AnalyzeConfig::default()).unwrap();
-    analyze_table(&r, &AnalyzeConfig::default()).unwrap();
+    analyze_table(&cat, "l", &AnalyzeConfig::default()).unwrap();
+    analyze_table(&cat, "r", &AnalyzeConfig::default()).unwrap();
     ExecEnv::new(cat, pool_pages)
 }
 
