@@ -206,7 +206,7 @@ impl Database {
         }
     }
 
-    /// 256-page LRU pool, System R optimizer, equi-depth ANALYZE.
+    /// 256-page pool, System R optimizer, equi-depth ANALYZE.
     pub fn with_defaults() -> Database {
         Database::new(DatabaseConfig::default())
     }
@@ -531,6 +531,7 @@ pub(crate) mod tests {
             .collect();
         db.insert_tuples("big", &rows).unwrap();
         db.execute("ANALYZE").unwrap();
+        db.pool().evict_all().unwrap();
         let (result, io) = db.measured("SELECT COUNT(*) FROM big").unwrap();
         assert_eq!(result.rows()[0].value(0).unwrap(), &Value::Int(5000));
         let pages = db.catalog().table("big").unwrap().heap.page_count();

@@ -1,4 +1,4 @@
-//! Buffer pool: a pin-counted page cache with LRU replacement.
+//! Buffer pool: a pin-counted page cache with scan-resistant replacement.
 //!
 //! The pool owns `B` frames. Fetching a cached page is free (a *hit*);
 //! fetching an uncached page costs one physical read, and may evict an
@@ -6,6 +6,22 @@
 //! cost model reasons about exactly this: e.g. block-nested-loop join cost
 //! depends on how many outer pages fit in the pool at once (experiment F4
 //! sweeps the pool size and compares measured vs. predicted I/O).
+//!
+//! **Replacement.** Two segments, in the 2Q / LRU-K line (Johnson &
+//! Shasha, VLDB 1994; O'Neil et al., SIGMOD 1993). A page that enters a
+//! frame starts on *probation*; a [`BufferPool::fetch`] hit promotes it to
+//! *protected*, and a hit on a protected page refreshes its recency. The
+//! victim is the oldest evictable probationary frame while probation holds
+//! more than a quarter of the frames, else the oldest evictable protected
+//! one. A page thus earns its frame with a second reference, and a pass
+//! over more pages than the pool (a large scan, an unclustered range)
+//! cycles through probation instead of flushing the pool: the B+-trees'
+//! upper levels stay resident. Under plain LRU each such pass evicted them.
+//! A heap scan fetches with [`BufferPool::fetch_sequential`]: a miss
+//! enters as the *oldest* probationary frame and a hit changes nothing, so
+//! a scan recycles its own frames, and a rescanned loop inner keeps about
+//! `B` pages between passes (the MRU rule Chou & DeWitt's DBMIN gives
+//! loop-sequential access).
 //!
 //! **Integrity.** The pool stamps a CRC-32 checksum for every page it
 //! flushes and verifies it on every physical fetch. A mismatch (torn write,
@@ -53,51 +69,25 @@ pub trait FlushGate: Send + Sync {
     fn can_flush(&self, id: PageId) -> bool;
 }
 
-/// LRU replacement over frame indices via logical timestamps. Only
-/// *evictable* frames (pin count zero) may be returned by [`Lru::evict`];
-/// eviction scans them for the oldest. O(frames) per eviction — fine at the
-/// pool sizes we simulate.
-struct Lru {
-    tick: u64,
-    last_used: Vec<u64>,
-    evictable: Vec<bool>,
-}
-
-impl Lru {
-    fn new(frames: usize) -> Self {
-        Lru {
-            tick: 0,
-            last_used: vec![0; frames],
-            evictable: vec![false; frames],
-        }
-    }
-
-    /// The frame was accessed (fetched or created).
-    fn on_access(&mut self, frame: usize) {
-        self.tick += 1;
-        self.last_used[frame] = self.tick;
-    }
-
-    /// Mark whether the frame may be evicted.
-    fn set_evictable(&mut self, frame: usize, evictable: bool) {
-        self.evictable[frame] = evictable;
-    }
-
-    /// Choose a victim frame and forget it, or `None` if all are pinned.
-    fn evict(&mut self) -> Option<usize> {
-        let victim = (0..self.last_used.len())
-            .filter(|&f| self.evictable[f])
-            .min_by_key(|&f| self.last_used[f])?;
-        self.evictable[victim] = false;
-        Some(victim)
-    }
-}
+/// Victims come from probation first while it holds more than
+/// `1 / PROBATION_SHARE` of the frames: 2Q's `Kin`, which Johnson & Shasha
+/// set to a quarter of the pool. Smaller, and a page must be re-referenced
+/// sooner to be promoted before it is evicted; larger, and fewer frames are
+/// left to the protected pages.
+const PROBATION_SHARE: usize = 4;
 
 struct Frame {
     page_id: Option<PageId>,
     pin_count: u32,
     /// The resident page is a scratch page (see [`Inner::scratch`]).
     scratch: bool,
+    /// The resident page's segment: protected once hit, on probation until
+    /// then. Only resident frames (`page_id` set) are in a segment; every
+    /// load resets this.
+    protected: bool,
+    /// [`Inner::tick`] at the page's last load or promoting hit; 0 for a
+    /// sequential load, which makes it the oldest frame of its segment.
+    last_used: u64,
     dirty: Arc<AtomicBool>,
     data: Arc<RwLock<PageData>>, // lockorder: leaf
 }
@@ -119,7 +109,9 @@ struct Inner {
     frames: Vec<Frame>,
     table: HashMap<PageId, usize>,
     free: Vec<usize>,
-    lru: Lru,
+    /// Logical clock of the replacement policy, bumped by every load and
+    /// promoting hit ([`Frame::last_used`]).
+    tick: u64,
     /// Pages some thread is currently reading off-lock (miss in flight).
     /// Claiming an entry grants the exclusive right to load that page;
     /// other fetchers of the same page wait and re-check. This is what
@@ -129,6 +121,56 @@ struct Inner {
     /// Every live scratch page, resident or not: a scratch page reloaded
     /// after eviction must stay invisible to the [`FlushGate`].
     scratch: HashSet<PageId>,
+}
+
+impl Inner {
+    /// A page was loaded into `frame`: it joins probation as its newest
+    /// frame, or, for a sequential fetch, as its oldest.
+    fn admit(&mut self, frame: usize, sequential: bool) {
+        self.tick += 1;
+        let f = &mut self.frames[frame];
+        f.protected = false;
+        f.last_used = if sequential { 0 } else { self.tick };
+    }
+
+    /// A non-sequential hit: the page is protected, as its newest frame.
+    fn promote(&mut self, frame: usize) {
+        self.tick += 1;
+        let f = &mut self.frames[frame];
+        f.protected = true;
+        f.last_used = self.tick;
+    }
+
+    /// The frame to evict, in one pass: the oldest evictable probationary
+    /// frame while probation holds more than `1 / PROBATION_SHARE` of the
+    /// frames, else the oldest evictable protected one, and the other
+    /// segment's oldest when the chosen segment has none. Evictable means
+    /// resident, unpinned and, if dirty, not vetoed by `gate`. The gate is
+    /// asked only about a frame older than its segment's candidate so far.
+    fn victim(&self, gate: Option<&dyn FlushGate>) -> Option<usize> {
+        let mut probation = 0;
+        // (last_used, frame) of the oldest evictable frame: [probation, protected].
+        let mut oldest: [Option<(u64, usize)>; 2] = [None, None];
+        for (i, f) in self.frames.iter().enumerate() {
+            let Some(id) = f.page_id else { continue };
+            probation += usize::from(!f.protected);
+            let best = &mut oldest[usize::from(f.protected)];
+            if f.pin_count > 0 || best.is_some_and(|(t, _)| t <= f.last_used) {
+                continue;
+            }
+            if gate.is_some_and(|g| f.dirty.load(Ordering::Relaxed) && !g.can_flush(id)) {
+                continue;
+            }
+            *best = Some((f.last_used, i));
+        }
+        let [on_probation, protected] = oldest;
+        let victim = if probation * PROBATION_SHARE > self.frames.len() {
+            on_probation.or(protected)
+        } else {
+            protected.or(on_probation)
+        };
+        victim.map(|(_, i)| i)
+    }
 }
 
 /// Point-in-time copy of the pool's hit/miss counters. Subtract two
@@ -224,6 +266,8 @@ impl BufferPool {
                 page_id: None,
                 pin_count: 0,
                 scratch: false,
+                protected: false,
+                last_used: 0,
                 dirty: Arc::new(AtomicBool::new(false)),
                 data: Arc::new(RwLock::new([0u8; PAGE_SIZE])),
             })
@@ -233,7 +277,7 @@ impl BufferPool {
                 frames,
                 table: HashMap::new(),
                 free: (0..capacity).rev().collect(),
-                lru: Lru::new(capacity),
+                tick: 0,
                 loading: HashSet::new(),
                 scratch: HashSet::new(),
             }),
@@ -374,6 +418,19 @@ impl BufferPool {
     /// across sessions. Concurrent fetchers of the *same* page wait for
     /// the loader and then take the hit path (one physical read total).
     pub fn fetch(self: &Arc<Self>, page_id: PageId) -> Result<PageGuard> {
+        self.fetch_page(page_id, false)
+    }
+
+    /// [`BufferPool::fetch`] for a page read once in a sequential pass (a
+    /// heap scan). A miss loads the page as the oldest probationary frame,
+    /// the next victim; a hit neither promotes it nor refreshes its
+    /// recency. A scan over more pages than the pool thus recycles its own
+    /// frames and leaves everyone else's resident.
+    pub fn fetch_sequential(self: &Arc<Self>, page_id: PageId) -> Result<PageGuard> {
+        self.fetch_page(page_id, true)
+    }
+
+    fn fetch_page(self: &Arc<Self>, page_id: PageId, sequential: bool) -> Result<PageGuard> {
         let mut spins = 0u32;
         // Lazily stamped on the first wait iteration, so the common case
         // (hit, or uncontended miss) never reads the clock here.
@@ -388,8 +445,9 @@ impl BufferPool {
                     }
                     self.hits.fetch_add(1, Ordering::Relaxed);
                     inner.frames[frame].pin_count += 1;
-                    inner.lru.set_evictable(frame, false);
-                    inner.lru.on_access(frame);
+                    if !sequential {
+                        inner.promote(frame);
+                    }
                     return Ok(self.guard(&inner, frame, page_id));
                 }
                 if inner.loading.insert(page_id) {
@@ -457,8 +515,7 @@ impl BufferPool {
         // fetches leave the hit/miss counters untouched.
         self.misses.fetch_add(1, Ordering::Relaxed);
         inner.table.insert(page_id, frame);
-        inner.lru.set_evictable(frame, false);
-        inner.lru.on_access(frame);
+        inner.admit(frame, sequential);
         Ok(self.guard(&inner, frame, page_id))
     }
 
@@ -518,8 +575,7 @@ impl BufferPool {
             self.notify_dirty(page_id);
         }
         inner.table.insert(page_id, frame);
-        inner.lru.set_evictable(frame, false);
-        inner.lru.on_access(frame);
+        inner.admit(frame, false);
         Ok(self.guard(&inner, frame, page_id))
     }
 
@@ -551,7 +607,6 @@ impl BufferPool {
                         let f = &mut inner.frames[frame];
                         f.page_id = None;
                         f.dirty.store(false, Ordering::Relaxed);
-                        inner.lru.set_evictable(frame, false);
                         inner.free.push(frame);
                     }
                     inner.scratch.remove(&id);
@@ -581,29 +636,7 @@ impl BufferPool {
         if let Some(f) = inner.free.pop() {
             return Ok(Reserved::Clean(f));
         }
-        let gate = self.flush_gate();
-        let mut gated = Vec::new();
-        let victim = loop {
-            let Some(v) = inner.lru.evict() else {
-                break None;
-            };
-            let unflushable = match (&gate, inner.frames[v].page_id) {
-                (Some(g), Some(id)) => {
-                    inner.frames[v].dirty.load(Ordering::Relaxed) && !g.can_flush(id)
-                }
-                _ => false,
-            };
-            if unflushable {
-                gated.push(v);
-            } else {
-                break Some(v);
-            }
-        };
-        // Passed-over frames stay evictable for after the next commit.
-        for v in gated {
-            inner.lru.set_evictable(v, true);
-        }
-        let victim = victim.ok_or_else(|| {
+        let victim = inner.victim(self.flush_gate().as_deref()).ok_or_else(|| {
             EvoptError::Storage(format!(
                 "buffer pool exhausted: all {} frames pinned or write-gated",
                 self.capacity
@@ -658,7 +691,6 @@ impl BufferPool {
                         f.page_id = Some(old_id);
                         f.dirty.store(true, Ordering::Relaxed);
                         inner.table.insert(old_id, victim);
-                        inner.lru.set_evictable(victim, true);
                         Err(e)
                     }
                 }
@@ -672,9 +704,6 @@ impl BufferPool {
         let f = &mut inner.frames[frame];
         debug_assert!(f.pin_count > 0, "unpin of unpinned frame");
         f.pin_count -= 1;
-        if f.pin_count == 0 {
-            inner.lru.set_evictable(frame, true);
-        }
     }
 
     /// Evict every unpinned resident page (flushing dirty ones), leaving
@@ -700,7 +729,6 @@ impl BufferPool {
             };
             inner.table.remove(&page_id);
             inner.frames[frame].page_id = None;
-            inner.lru.set_evictable(frame, false);
             inner.free.push(frame);
         }
         Ok(())
@@ -733,7 +761,6 @@ impl BufferPool {
                 }
                 if inner.frames[frame].dirty.swap(false, Ordering::Relaxed) {
                     inner.frames[frame].pin_count += 1;
-                    inner.lru.set_evictable(frame, false);
                     let f = &inner.frames[frame];
                     work.push((frame, id, Arc::clone(&f.data), Arc::clone(&f.dirty)));
                 }
@@ -759,11 +786,7 @@ impl BufferPool {
         let _r = lockorder::acquire(lockorder::POOL);
         let mut inner = self.inner.lock();
         for &(frame, ..) in &work {
-            let f = &mut inner.frames[frame];
-            f.pin_count -= 1;
-            if f.pin_count == 0 {
-                inner.lru.set_evictable(frame, true);
-            }
+            inner.frames[frame].pin_count -= 1;
         }
         result
     }
@@ -1002,6 +1025,150 @@ mod tests {
         drop(p.fetch(b_id).unwrap()); // b was evicted: one read
         let delta = disk.snapshot().since(&before);
         assert_eq!(delta.reads, 1);
+    }
+
+    /// `n` pages that live only on disk.
+    fn cold_pages(p: &Arc<BufferPool>, n: usize) -> Vec<PageId> {
+        let ids = (0..n).map(|_| p.new_page().unwrap().id()).collect();
+        p.evict_all().unwrap();
+        ids
+    }
+
+    /// Whether `id`, which must be resident, is in the protected segment.
+    fn is_protected(p: &BufferPool, id: PageId) -> bool {
+        let _r = lockorder::acquire(lockorder::POOL);
+        let inner = p.inner.lock();
+        inner.frames[inner.table[&id]].protected
+    }
+
+    #[test]
+    fn sequential_sweep_recycles_its_own_frames() {
+        // Four protected pages and three on probation share an 8-frame
+        // pool with a sweep over four times its size. The sweep keeps
+        // reusing one frame: neither segment loses a page.
+        let disk = Arc::new(DiskManager::new());
+        let p = BufferPool::new(Arc::clone(&disk) as Arc<dyn DiskBackend>, 8);
+        let swept = cold_pages(&p, 32);
+        let hot = cold_pages(&p, 4);
+        for _ in 0..2 {
+            for &id in &hot {
+                drop(p.fetch(id).unwrap());
+            }
+        }
+        let warm: Vec<PageId> = (0..3).map(|_| p.new_page().unwrap().id()).collect();
+        for &id in &swept {
+            drop(p.fetch_sequential(id).unwrap());
+        }
+        let before = disk.snapshot();
+        for &id in hot.iter().chain(&warm) {
+            drop(p.fetch(id).unwrap());
+        }
+        assert_eq!(disk.snapshot().since(&before).reads, 0);
+    }
+
+    #[test]
+    fn twice_fetched_page_survives_a_flood_of_once_fetched_pages() {
+        let disk = Arc::new(DiskManager::new());
+        let p = BufferPool::new(Arc::clone(&disk) as Arc<dyn DiskBackend>, 4);
+        let ids = cold_pages(&p, 21);
+        let (hot, flood) = ids.split_first().unwrap();
+        drop(p.fetch(*hot).unwrap());
+        drop(p.fetch(*hot).unwrap());
+        for &id in flood {
+            drop(p.fetch(id).unwrap());
+        }
+        let before = disk.snapshot();
+        drop(p.fetch(*hot).unwrap());
+        assert_eq!(disk.snapshot().since(&before).reads, 0);
+    }
+
+    #[test]
+    fn all_protected_pool_still_admits_and_evicts() {
+        let p = pool(4);
+        let ids = cold_pages(&p, 12);
+        let (old, new) = ids.split_at(4);
+        for &id in old.iter().chain(old) {
+            drop(p.fetch(id).unwrap());
+        }
+        assert!(old.iter().all(|&id| is_protected(&p, id)));
+        let before = p.stats();
+        for &id in new {
+            let g = p.fetch(id).unwrap();
+            assert_eq!(g.id(), id);
+        }
+        let delta = p.stats().since(&before);
+        assert_eq!((delta.misses, delta.evictions), (8, 8));
+    }
+
+    #[test]
+    fn sequential_hit_neither_promotes_nor_refreshes() {
+        // `x` is loaded before `f1`; a sequential hit on `x` leaves it on
+        // probation and older than `f1`, so it is the next victim.
+        let disk = Arc::new(DiskManager::new());
+        let p = BufferPool::new(Arc::clone(&disk) as Arc<dyn DiskBackend>, 4);
+        let ids = cold_pages(&p, 5);
+        let [x, f1, y, f2, f3] = ids[..] else {
+            unreachable!()
+        };
+        drop(p.fetch(x).unwrap());
+        drop(p.fetch(f1).unwrap());
+        drop(p.fetch_sequential(x).unwrap());
+        assert!(!is_protected(&p, x));
+        drop(p.fetch(y).unwrap());
+        drop(p.fetch(y).unwrap());
+        drop(p.fetch(f2).unwrap());
+        drop(p.fetch(f3).unwrap());
+        let reads = |id| {
+            let before = disk.snapshot();
+            drop(p.fetch(id).unwrap());
+            disk.snapshot().since(&before).reads
+        };
+        assert_eq!(reads(f1), 0, "f1 stays resident");
+        assert_eq!(reads(x), 1, "x was evicted");
+    }
+
+    #[test]
+    fn freed_frames_rejoin_on_probation() {
+        // One frame, so each load reuses the frame just freed: by
+        // `evict_all`, by `discard`, and by a failed read.
+        let disk = Arc::new(DiskManager::new());
+        let inj = Arc::new(FaultInjector::new(
+            Arc::clone(&disk) as Arc<dyn DiskBackend>,
+            FaultConfig {
+                seed: 1,
+                permanent_read_error: 1.0,
+                ..Default::default()
+            },
+        ));
+        inj.set_enabled(false);
+        let p = BufferPool::new(Arc::clone(&inj) as Arc<dyn DiskBackend>, 1);
+        let [a, b, c] = cold_pages(&p, 3)[..] else {
+            unreachable!()
+        };
+        let protect = |id| {
+            drop(p.fetch(id).unwrap());
+            drop(p.fetch(id).unwrap());
+            assert!(is_protected(&p, id));
+        };
+        let load_on_probation = |id| {
+            drop(p.fetch(id).unwrap());
+            assert!(!is_protected(&p, id));
+        };
+
+        protect(a);
+        p.evict_all().unwrap();
+        load_on_probation(b);
+
+        let s = p.new_scratch_page().unwrap().id();
+        protect(s);
+        p.discard(s).unwrap();
+        load_on_probation(b);
+
+        protect(b);
+        inj.set_enabled(true);
+        assert_eq!(p.fetch(c).unwrap_err().kind(), "io");
+        inj.set_enabled(false);
+        load_on_probation(c);
     }
 
     #[test]

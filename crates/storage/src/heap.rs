@@ -223,8 +223,9 @@ impl Drop for HeapFile {
 ///
 /// Processes one page at a time: the page is decoded in full, the pin is
 /// released, then buffered tuples are yielded — so a scan never holds more
-/// than one page pinned and the buffer pool sees the classic sequential
-/// access pattern.
+/// than one page pinned. Pages come through
+/// [`BufferPool::fetch_sequential`], so a scan larger than the pool
+/// recycles its own frames rather than flushing everyone else's.
 pub struct HeapScan {
     pool: Arc<BufferPool>,
     next_page: PageId,
@@ -236,7 +237,7 @@ pub struct HeapScan {
 impl HeapScan {
     fn refill(&mut self) -> Result<bool> {
         while self.next_page != INVALID_PAGE_ID {
-            let guard: PageGuard = self.pool.fetch(self.next_page)?;
+            let guard: PageGuard = self.pool.fetch_sequential(self.next_page)?;
             let page_id = guard.id();
             let bytes = guard.read();
             let page = SlottedPageView::new(&bytes);

@@ -13,7 +13,7 @@
 //!   (see DESIGN.md §5).
 //! * [`page`] — 4 KiB slotted pages storing variable-length records.
 //! * [`buffer::BufferPool`] — a pin-counted frame cache over the disk with
-//!   LRU replacement.
+//!   scan-resistant two-segment replacement (probation and protected).
 //!   Cache hits cost no physical I/O, so measured I/O depends on pool size —
 //!   exactly the effect experiment F4 studies.
 //! * [`heap::HeapFile`] — unordered tuple storage, the base for every table.

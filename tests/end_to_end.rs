@@ -247,6 +247,41 @@ fn dml_visibility_and_index_consistency() {
     assert_eq!(n, 201);
 }
 
+/// A sequential scan does not flush the buffer pool. Indexed Wisconsin at
+/// 40 000 rows is 770 heap pages behind a 256-page pool; a 20 % range over
+/// it plans a `SeqScan`. The point lookup after it finds the B+-tree's
+/// meta, root and internal pages still resident and reads at most its leaf
+/// and heap page. Under plain LRU the scan evicted every frame, and the same
+/// lookup read 5 pages.
+#[test]
+fn point_lookup_after_a_large_scan_finds_the_index_resident() {
+    let db = Database::new(DatabaseConfig {
+        buffer_pages: 256,
+        ..Default::default()
+    });
+    load_wisconsin(&db, "wisc", 40_000, 1).unwrap();
+    db.execute("CREATE UNIQUE INDEX wisc_u1 ON wisc (unique1)")
+        .unwrap();
+    db.execute("CREATE CLUSTERED INDEX wisc_u2 ON wisc (unique2)")
+        .unwrap();
+    db.execute("ANALYZE").unwrap();
+    assert_eq!(
+        db.query("SELECT * FROM wisc WHERE unique1 = 1234")
+            .unwrap()
+            .len(),
+        1
+    );
+    let scan = "SELECT * FROM wisc WHERE unique1 >= 10000 AND unique1 < 18000";
+    let (_, plan) = db.plan_sql(scan).unwrap();
+    assert_eq!(count_ops(&plan, "SeqScan"), 1, "{plan}");
+    assert_eq!(db.query(scan).unwrap().len(), 8_000);
+    let (result, io) = db
+        .measured("SELECT * FROM wisc WHERE unique1 = 31337")
+        .unwrap();
+    assert_eq!(result.rows().len(), 1);
+    assert!(io.reads <= 3, "the lookup read {} pages", io.reads);
+}
+
 /// What keeps the executor at one predicate evaluator: no statement shape
 /// the benchmark's five workloads issue plans a `Filter` — every WHERE
 /// conjunct lands in a scan, an index range or residual, or a join
