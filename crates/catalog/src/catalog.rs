@@ -19,12 +19,17 @@
 //! Heap and index *pages* are shared storage — snapshot isolation here is
 //! catalog-level (schemas, index lists, statistics), while row visibility
 //! is read-committed at page granularity (see DESIGN.md §11.2).
+//!
+//! The log records a version as its [`CatalogImage`] (schemas and storage
+//! roots): [`Catalog::image`] writes it, [`Catalog::from_image`] reads it.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use evopt_common::{lockorder, EvoptError, Result, Schema};
-use evopt_storage::{BTreeIndex, BufferPool, HeapFile, PageId};
+use evopt_common::{lockorder, Column, EvoptError, Result, Schema};
+use evopt_storage::{
+    BTreeIndex, BufferPool, CatalogImage, ColumnImage, HeapFile, IndexImage, TableImage,
+};
 use parking_lot::Mutex;
 
 use crate::stats::TableStats;
@@ -100,10 +105,80 @@ enum Role {
 
 impl Catalog {
     pub fn new(pool: Arc<BufferPool>) -> Catalog {
-        let first = Catalog::pinned(&pool, Arc::default());
+        Catalog::live(pool, Namespace::new())
+    }
+
+    fn live(pool: Arc<BufferPool>, first: Namespace) -> Catalog {
         Catalog {
+            role: Role::Live(Mutex::new(Catalog::pinned(&pool, Arc::new(first)))),
             pool,
-            role: Role::Live(Mutex::new(first)),
+        }
+    }
+
+    /// The catalog `image` describes, as its first version, with every heap
+    /// and B+-tree opened at its root and no lock held (crash recovery). No
+    /// statistics. A duplicate name or a missing column is a typed error.
+    pub fn from_image(pool: Arc<BufferPool>, image: &CatalogImage) -> Result<Catalog> {
+        let (mut namespace, mut index_names) = (Namespace::new(), HashSet::new());
+        for t in &image.tables {
+            let name = t.name.to_ascii_lowercase();
+            let columns = t.columns.iter().map(|c| Column {
+                nullable: c.nullable,
+                ..Column::new(&c.name, c.dtype)
+            });
+            let mut info = TableInfo {
+                schema: Schema::new(columns.collect()).with_qualifier(&name),
+                heap: Arc::new(HeapFile::open(Arc::clone(&pool), t.first_page)?),
+                name: name.clone(),
+                indexes: Vec::new(),
+                stats: None,
+            };
+            for i in &t.indexes {
+                info.schema.column(i.column as usize).ok_or_else(|| {
+                    EvoptError::Catalog(format!("index '{}' keys on no column of '{name}'", i.name))
+                })?;
+                if !index_names.insert(i.name.to_ascii_lowercase()) {
+                    return Err(exists("index", &i.name));
+                }
+                info.indexes.push(Arc::new(IndexInfo {
+                    name: i.name.to_ascii_lowercase(),
+                    table: name.clone(),
+                    column: i.column as usize,
+                    clustered: i.clustered,
+                    unique: i.unique,
+                    btree: Arc::new(BTreeIndex::open(Arc::clone(&pool), i.meta_page)?),
+                }));
+            }
+            if namespace.insert(name, Arc::new(info)).is_some() {
+                return Err(exists("table", &t.name));
+            }
+        }
+        Ok(Catalog::live(pool, namespace))
+    }
+
+    /// This catalog's version as the log's image: tables sorted by name,
+    /// each table's indexes in creation order, no statistics.
+    pub fn image(&self) -> CatalogImage {
+        let column = |c: &Column| ColumnImage {
+            name: c.name.clone(),
+            dtype: c.dtype,
+            nullable: c.nullable,
+        };
+        let index = |i: &Arc<IndexInfo>| IndexImage {
+            name: i.name.clone(),
+            column: i.column as u32,
+            unique: i.unique,
+            clustered: i.clustered,
+            meta_page: i.btree.meta_page(),
+        };
+        let table = |t: &Arc<TableInfo>| TableImage {
+            name: t.name.clone(),
+            columns: t.schema.columns().iter().map(column).collect(),
+            first_page: t.heap.first_page(),
+            indexes: t.indexes.iter().map(index).collect(),
+        };
+        CatalogImage {
+            tables: self.tables().iter().map(table).collect(),
         }
     }
 
@@ -155,36 +230,13 @@ impl Catalog {
 
     /// Create an empty table. Names are case-insensitive.
     pub fn create_table(&self, name: &str, schema: Schema) -> Result<Arc<TableInfo>> {
-        self.register_table(name, schema, HeapFile::create)
-    }
-
-    /// Re-register a table whose pages already exist on disk (crash
-    /// recovery): the heap is *opened* at `first_page`, not created.
-    /// Statistics start empty — they are advisory and recovery re-ANALYZEs.
-    pub fn restore_table(
-        &self,
-        name: &str,
-        schema: Schema,
-        first_page: PageId,
-    ) -> Result<Arc<TableInfo>> {
-        self.register_table(name, schema, |pool| HeapFile::open(pool, first_page))
-    }
-
-    fn register_table(
-        &self,
-        name: &str,
-        schema: Schema,
-        heap: impl FnOnce(Arc<BufferPool>) -> Result<HeapFile>,
-    ) -> Result<Arc<TableInfo>> {
         let w = self.writer()?;
         let key = name.to_ascii_lowercase();
         if w.base.read(|ns| ns.contains_key(&key)) {
-            return Err(EvoptError::Catalog(format!(
-                "table '{name}' already exists"
-            )));
+            return Err(exists("table", name));
         }
         let info = Arc::new(TableInfo {
-            heap: Arc::new(heap(Arc::clone(&self.pool))?),
+            heap: Arc::new(HeapFile::create(Arc::clone(&self.pool))?),
             schema: schema.with_qualifier(&key),
             name: key,
             indexes: Vec::new(),
@@ -228,57 +280,6 @@ impl Catalog {
         unique: bool,
         clustered: bool,
     ) -> Result<Arc<IndexInfo>> {
-        self.register_index(index_name, table_name, unique, clustered, |table, pool| {
-            let column = table.schema.resolve(None, column_name).map_err(|_| {
-                EvoptError::Catalog(format!(
-                    "unknown column '{column_name}' on table '{table_name}'"
-                ))
-            })?;
-            let btree = BTreeIndex::create(pool)?;
-            for item in table.heap.scan() {
-                let (rid, tuple) = item?;
-                let key = tuple.value(column)?;
-                if !key.is_null() {
-                    btree.insert(key, rid)?;
-                }
-            }
-            Ok((column, btree))
-        })
-    }
-
-    /// Re-register an index whose B+-tree already exists on disk (crash
-    /// recovery): the tree is *opened* at `meta_page`, not rebuilt, and the
-    /// key column is given by ordinal (the recovered schema's order).
-    pub fn restore_index(
-        &self,
-        index_name: &str,
-        table_name: &str,
-        column: usize,
-        unique: bool,
-        clustered: bool,
-        meta_page: PageId,
-    ) -> Result<Arc<IndexInfo>> {
-        self.register_index(index_name, table_name, unique, clustered, |table, pool| {
-            if column >= table.schema.columns().len() {
-                return Err(EvoptError::Catalog(format!(
-                    "index '{index_name}' keys on column {column} but table '{table_name}' has {}",
-                    table.schema.columns().len()
-                )));
-            }
-            Ok((column, BTreeIndex::open(pool, meta_page)?))
-        })
-    }
-
-    /// Register the index `tree` builds or opens on `table_name`, with the
-    /// index name checked first.
-    fn register_index(
-        &self,
-        index_name: &str,
-        table_name: &str,
-        unique: bool,
-        clustered: bool,
-        tree: impl FnOnce(&TableInfo, Arc<BufferPool>) -> Result<(usize, BTreeIndex)>,
-    ) -> Result<Arc<IndexInfo>> {
         let w = self.writer()?;
         let name = index_name.to_ascii_lowercase();
         let taken = |ns: &Namespace| {
@@ -286,12 +287,22 @@ impl Catalog {
                 .any(|t| t.indexes.iter().any(|i| i.name == name))
         };
         if w.base.read(taken) {
-            return Err(EvoptError::Catalog(format!(
-                "index '{index_name}' already exists"
-            )));
+            return Err(exists("index", index_name));
         }
         let table = w.base.table(table_name)?;
-        let (column, btree) = tree(&table, Arc::clone(&self.pool))?;
+        let column = table.schema.resolve(None, column_name).map_err(|_| {
+            EvoptError::Catalog(format!(
+                "unknown column '{column_name}' on table '{table_name}'"
+            ))
+        })?;
+        let btree = BTreeIndex::create(Arc::clone(&self.pool))?;
+        for item in table.heap.scan() {
+            let (rid, tuple) = item?;
+            let key = tuple.value(column)?;
+            if !key.is_null() {
+                btree.insert(key, rid)?;
+            }
+        }
         let index = Arc::new(IndexInfo {
             name,
             table: table.name.clone(),
@@ -314,6 +325,11 @@ impl Catalog {
         entry.stats = Some(stats);
         w.publish(|ns| ns.insert(entry.name.clone(), Arc::new(entry)))
     }
+}
+
+/// A name the namespace already holds.
+fn exists(what: &str, name: &str) -> EvoptError {
+    EvoptError::Catalog(format!("{what} '{name}' already exists"))
 }
 
 /// A mutation in progress: the version it read, and the live slot its
@@ -561,8 +577,6 @@ mod tests {
         assert!(snap.create_table("u", two_col_schema()).is_err());
         assert!(snap.drop_table("t").is_err());
         assert!(snap.create_index("i", "t", "id", false, false).is_err());
-        assert!(snap.restore_table("u", two_col_schema(), 1).is_err());
-        assert!(snap.restore_index("i", "t", 0, false, false, 1).is_err());
         assert!(snap.install_stats("t", stats(0)).is_err());
         // Reads still work.
         assert!(snap.table("t").is_ok());
@@ -591,8 +605,8 @@ mod tests {
     #[test]
     fn failed_ddl_leaves_the_published_version_identical() {
         let cat = mkcatalog();
-        let t = cat.create_table("t", two_col_schema()).unwrap();
-        let idx = cat.create_index("i", "t", "id", false, false).unwrap();
+        cat.create_table("t", two_col_schema()).unwrap();
+        cat.create_index("i", "t", "id", false, false).unwrap();
         let v = cat.snapshot();
         let failures = [
             (
@@ -612,16 +626,6 @@ mod tests {
                 cat.create_index("k", "missing", "id", false, false).err(),
             ),
             ("drop unknown table", cat.drop_table("missing").err()),
-            (
-                "restore_index out-of-range column",
-                cat.restore_index("r", "t", 9, false, false, idx.btree.meta_page())
-                    .err(),
-            ),
-            (
-                "restore duplicate table",
-                cat.restore_table("t", two_col_schema(), t.heap.first_page())
-                    .err(),
-            ),
         ];
         for (what, err) in failures {
             assert_eq!(err.map(|e| e.kind()), Some("catalog"), "{what}");
@@ -629,45 +633,74 @@ mod tests {
         }
     }
 
-    #[test]
-    fn restore_reopens_existing_storage() {
-        let pool = BufferPool::new(Arc::new(DiskManager::new()), 64);
-        let cat = Catalog::new(Arc::clone(&pool));
-        let t = cat.create_table("t", two_col_schema()).unwrap();
-        for i in 0..50 {
-            t.heap
-                .insert(&Tuple::new(vec![
-                    Value::Int(i),
-                    Value::Str(format!("n{i}")),
-                ]))
+    /// Three tables with two indexes each, one of them dropped, with rows.
+    fn populated(pool: &Arc<BufferPool>) -> Catalog {
+        let cat = Catalog::new(Arc::clone(pool));
+        for name in ["zeta", "alpha", "gone"] {
+            let t = cat.create_table(name, two_col_schema()).unwrap();
+            for i in 0..50 {
+                let row = vec![Value::Int(i), Value::Str(format!("{name}{i}"))];
+                t.heap.insert(&Tuple::new(row)).unwrap();
+            }
+            cat.create_index(&format!("{name}_name"), name, "name", false, false)
+                .unwrap();
+            cat.create_index(&format!("{name}_id"), name, "id", true, true)
                 .unwrap();
         }
-        let idx = cat.create_index("idx", "t", "id", true, false).unwrap();
-        let (first_page, meta_page) = (t.heap.first_page(), idx.btree.meta_page());
-        drop((t, idx));
+        cat.install_stats("alpha", stats(50)).unwrap();
+        cat.drop_table("gone").unwrap();
+        cat
+    }
 
-        // A second catalog over the same pool: restore instead of create.
-        let cat2 = Catalog::new(pool);
-        let rt = cat2
-            .restore_table("t", two_col_schema(), first_page)
+    #[test]
+    fn image_round_trips_through_from_image() {
+        let pool = BufferPool::new(Arc::new(DiskManager::new()), 64);
+        let cat = populated(&pool);
+        let image = cat.image();
+        let names: Vec<_> = image.tables.iter().map(|t| t.name.as_str()).collect();
+        assert_eq!(names, ["alpha", "zeta"], "sorted, the dropped table gone");
+        let indexes: Vec<_> = image.tables[1].indexes.iter().map(|i| &i.name).collect();
+        assert_eq!(indexes, ["zeta_name", "zeta_id"], "in creation order");
+
+        let back = Catalog::from_image(Arc::clone(&pool), &image).unwrap();
+        assert_eq!(back.image(), image);
+        // The recovered catalog reads the same storage, with no statistics,
+        // and resolves qualified columns like a created one.
+        let t = back.table("ALPHA").unwrap();
+        assert!(t.stats().is_none(), "statistics are not in the image");
+        assert_eq!(t.heap.scan().count(), 50);
+        assert_eq!(t.schema.resolve(Some("alpha"), "name").unwrap(), 1);
+        let id = &t.indexes()[1];
+        assert_eq!((id.name.as_str(), id.table.as_str()), ("alpha_id", "alpha"));
+        assert!(id.unique && id.clustered);
+        assert_eq!(id.btree.search_eq(&Value::Int(7)).unwrap().len(), 1);
+        // It is a live catalog: its names are taken, and DDL publishes.
+        assert!(back.create_table("zeta", two_col_schema()).is_err());
+        assert!(back
+            .create_index("ZETA_ID", "alpha", "id", false, false)
+            .is_err());
+        back.create_index("gone_id", "zeta", "id", false, false)
             .unwrap();
-        let ri = cat2
-            .restore_index("idx", "t", 0, true, false, meta_page)
-            .unwrap();
-        assert_eq!(rt.heap.scan().count(), 50);
-        assert_eq!(ri.btree.entry_count().unwrap(), 50);
-        assert!(rt.stats().is_none(), "stats are not carried by restore");
-        // Restored names occupy the namespace like created ones.
-        assert!(cat2
-            .restore_table("T", two_col_schema(), first_page)
-            .is_err());
-        assert!(cat2
-            .restore_index("IDX", "t", 0, true, false, meta_page)
-            .is_err());
-        // Column ordinal out of range is typed.
-        assert!(cat2
-            .restore_index("idx2", "t", 9, false, false, meta_page)
-            .is_err());
+    }
+
+    #[test]
+    fn hostile_images_are_typed_catalog_errors() {
+        let pool = BufferPool::new(Arc::new(DiskManager::new()), 64);
+        let image = populated(&pool).image();
+        let mut bad_column = image.clone();
+        bad_column.tables[0].indexes[0].column = 9;
+        let mut duplicate_table = image.clone();
+        duplicate_table.tables[1].name = "ALPHA".into();
+        let mut duplicate_index = image.clone();
+        duplicate_index.tables[1].indexes[1].name = "Alpha_Id".into();
+        for (what, hostile) in [
+            ("out-of-range column ordinal", bad_column),
+            ("duplicate table", duplicate_table),
+            ("duplicate index name across two tables", duplicate_index),
+        ] {
+            let err = Catalog::from_image(Arc::clone(&pool), &hostile).err();
+            assert_eq!(err.map(|e| e.kind()), Some("catalog"), "{what}");
+        }
     }
 
     #[test]

@@ -109,12 +109,18 @@ fn insert_row(info: &TableInfo, tuple: &Tuple) -> Result<()> {
 }
 
 impl Database {
-    pub(crate) fn create_table(&self, name: &str, schema: Schema) -> Result<QueryResult> {
-        let info = self.catalog.create_table(name, schema)?;
+    /// Log the catalog version the DDL just published. The commit lock is
+    /// held, so no other DDL published after it; statistics are not logged.
+    fn log_catalog(&self) -> Result<QueryResult> {
         if let Some(wal) = &self.wal {
-            wal.log_create_table(&Self::table_image(&info))?;
+            wal.log_ddl(&self.catalog.image())?;
         }
         Ok(QueryResult::Ok)
+    }
+
+    pub(crate) fn create_table(&self, name: &str, schema: Schema) -> Result<QueryResult> {
+        self.catalog.create_table(name, schema)?;
+        self.log_catalog()
     }
 
     pub(crate) fn create_index(
@@ -128,13 +134,9 @@ impl Database {
         if clustered {
             self.verify_heap_sorted(table, column)?;
         }
-        let info = self
-            .catalog
+        self.catalog
             .create_index(name, table, column, unique, clustered)?;
-        if let Some(wal) = &self.wal {
-            wal.log_create_index(&info.table, &Self::index_image(&info))?;
-        }
-        Ok(QueryResult::Ok)
+        self.log_catalog()
     }
 
     /// Each table's statistics publish a new catalog version: readers
@@ -152,10 +154,7 @@ impl Database {
 
     pub(crate) fn drop_table(&self, name: &str) -> Result<QueryResult> {
         self.catalog.drop_table(name)?;
-        if let Some(wal) = &self.wal {
-            wal.log_drop_table(&name.to_ascii_lowercase())?;
-        }
-        Ok(QueryResult::Ok)
+        self.log_catalog()
     }
 
     /// CLUSTERED index invariant: the heap must already be physically

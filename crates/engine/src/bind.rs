@@ -5,7 +5,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use evopt_catalog::{Catalog, TableInfo};
-use evopt_common::{EvoptError, Expr, Result, Schema, Tuple};
+use evopt_common::{Column, EvoptError, Expr, Result, Schema, Tuple};
 use evopt_core::physical::PhysicalPlan;
 use evopt_core::verify::{self, VerifyPhase};
 use evopt_obs::Phase;
@@ -13,7 +13,6 @@ use evopt_plan::LogicalPlan;
 use evopt_sql::ast::{AstExpr, Statement};
 use evopt_sql::{bind_scalar, bind_select};
 
-use crate::database::column;
 use crate::pipeline::Flight;
 
 /// [`crate::pipeline::Input`] after the parse stage. One per statement, on the stack: not
@@ -116,7 +115,10 @@ impl<'a> Flight<'a> {
                 }
             }
             Parsed::Stmt(Statement::CreateTable { name, columns }) => {
-                let columns = columns.iter().map(|c| column(&c.name, c.dtype, c.nullable));
+                let columns = columns.iter().map(|c| Column {
+                    nullable: c.nullable,
+                    ..Column::new(&c.name, c.dtype)
+                });
                 let schema = Schema::new(columns.collect());
                 Action::CreateTable { name, schema }
             }

@@ -6,15 +6,14 @@ use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::time::Instant;
 
-use evopt_catalog::{Catalog, TableInfo};
-use evopt_common::{lockorder, Column, DataType, EvoptError, Result, Schema, Tuple};
+use evopt_catalog::Catalog;
+use evopt_common::{lockorder, EvoptError, Result, Tuple};
 use evopt_core::physical::PhysicalPlan;
 use evopt_exec::{CancellationToken, GovernorConfig, QueryMetrics};
 use evopt_obs::{EngineMetrics, MetricsSnapshot, QueryLog};
 use evopt_plan::LogicalPlan;
 use evopt_storage::{
-    BufferPool, CatalogImage, ColumnImage, DiskBackend, DiskManager, FaultInjector, FlushGate,
-    IndexImage, IoSnapshot, RecoveryInfo, TableImage, Wal,
+    BufferPool, DiskBackend, DiskManager, FaultInjector, FlushGate, IoSnapshot, RecoveryInfo, Wal,
 };
 use parking_lot::Mutex;
 
@@ -22,15 +21,6 @@ use crate::config::{DatabaseConfig, Durability};
 use crate::pipeline::{Input, Mode};
 use crate::result::{Outcome, QueryResult, TracedQuery};
 use crate::session::{Session, SessionState};
-
-/// A column as DDL and the recovered catalog image both describe one.
-pub(crate) fn column(name: &str, dtype: DataType, nullable: bool) -> Column {
-    let column = Column::new(name, dtype);
-    match nullable {
-        true => column,
-        false => column.not_null(),
-    }
-}
 
 /// A complete single-node database instance.
 pub struct Database {
@@ -96,8 +86,9 @@ impl Database {
 
     /// Reopen a database over a disk that already holds a WAL: run crash
     /// recovery (scan, truncate the torn tail, replay the committed
-    /// prefix), rebuild the catalog from the recovered image, and return
-    /// what recovery found. Requires `config.durability == Wal`.
+    /// prefix), publish the last committed catalog image as the first
+    /// catalog version, and return what recovery found. Requires
+    /// `config.durability == Wal`.
     ///
     /// Statistics are not durable — run `ANALYZE` after recovery before
     /// trusting the optimizer's cost estimates.
@@ -114,24 +105,7 @@ impl Database {
         let (disk, injector) = Self::wire_faults(base, &config);
         let (wal, info) = Self::bootstrap(&injector, || Wal::open(Arc::clone(&disk)))?;
         let pool = BufferPool::new(Arc::clone(&disk), config.buffer_pages);
-        let catalog = Arc::new(Catalog::new(Arc::clone(&pool)));
-        for t in &info.catalog.tables {
-            let cols = t
-                .columns
-                .iter()
-                .map(|c| column(&c.name, c.dtype, c.nullable));
-            catalog.restore_table(&t.name, Schema::new(cols.collect()), t.first_page)?;
-            for i in &t.indexes {
-                catalog.restore_index(
-                    &i.name,
-                    &t.name,
-                    i.column as usize,
-                    i.unique,
-                    i.clustered,
-                    i.meta_page,
-                )?;
-            }
-        }
+        let catalog = Arc::new(Catalog::from_image(Arc::clone(&pool), &info.catalog)?);
         let db = Self::assemble(disk, injector, pool, catalog, Some(wal), config);
         Ok((db, info))
     }
@@ -247,53 +221,9 @@ impl Database {
                 // Hold the commit lock so the catalog image and the set of
                 // committed pages are a consistent cut of the log.
                 let (_c, _guard) = self.lock_commit(&self.defaults);
-                wal.checkpoint(&self.pool, &self.catalog_image())
+                wal.checkpoint(&self.pool, &self.catalog.image())
             }
             None => Ok(()),
-        }
-    }
-
-    /// Snapshot the live catalog as the WAL's logical image.
-    fn catalog_image(&self) -> CatalogImage {
-        CatalogImage {
-            tables: self
-                .catalog
-                .tables()
-                .iter()
-                .map(|t| Self::table_image(t))
-                .collect(),
-        }
-    }
-
-    pub(crate) fn table_image(info: &TableInfo) -> TableImage {
-        TableImage {
-            name: info.name.clone(),
-            columns: info
-                .schema
-                .columns()
-                .iter()
-                .map(|c| ColumnImage {
-                    name: c.name.clone(),
-                    dtype: c.dtype,
-                    nullable: c.nullable,
-                })
-                .collect(),
-            first_page: info.heap.first_page(),
-            indexes: info
-                .indexes()
-                .iter()
-                .map(|i| Self::index_image(i))
-                .collect(),
-        }
-    }
-
-    pub(crate) fn index_image(info: &evopt_catalog::IndexInfo) -> IndexImage {
-        IndexImage {
-            name: info.name.clone(),
-            column: info.column as u32,
-            unique: info.unique,
-            clustered: info.clustered,
-            meta_page: info.btree.meta_page(),
         }
     }
 
@@ -557,11 +487,12 @@ pub(crate) mod tests {
         db.execute("CREATE INDEX t_id ON t (id)").unwrap();
         db.execute("DELETE FROM t WHERE id = 2").unwrap();
         let expect = db.query("SELECT id, name FROM t ORDER BY id").unwrap();
+        let image = db.catalog().image();
         // Crash: drop the database (pool and all) without ever flushing.
         drop(db);
         let (db2, info) = Database::recover(disk, cfg).unwrap();
         assert!(info.replayed_records > 0);
-        assert_eq!(info.catalog.tables.len(), 1);
+        assert_eq!(db2.catalog().image(), image);
         assert_eq!(
             db2.query("SELECT id, name FROM t ORDER BY id").unwrap(),
             expect

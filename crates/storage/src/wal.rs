@@ -11,13 +11,16 @@
 //!
 //! ```text
 //! 0   u64 magic            "evoptwal"
-//! 8   u32 format version   (1)
+//! 8   u32 format version   (2)
 //! 12  u32 reserved         (0)
 //! 16  u64 scan_start       first log page of the current chain
-//! 24  u64 checkpoint_lsn   LSN of the last completed checkpoint
+//! 24  u64 checkpoint_lsn   LSN of the last completed checkpoint (not read)
 //! 32  u64 next_lsn hint    (advisory; recovery recomputes from the scan)
 //! 40  u32 crc32            over bytes [0, 40)
 //! ```
+//!
+//! A version-1 log logged each DDL as a delta record; its master is
+//! refused as corruption rather than scanned.
 //!
 //! Log pages form a singly-linked chain: bytes `[0, 8)` hold the next page
 //! id (`0` = none — page 0 is the master, never a log page, so fresh zeroed
@@ -28,6 +31,12 @@
 //! u32 payload_len | u32 crc32(payload) | payload
 //! payload = u8 kind | u64 lsn | body
 //! ```
+//!
+//! Three kinds of record exist: a page image (redo), a commit, and a
+//! *catalog image*. Every DDL statement logs the whole catalog version it
+//! published as one catalog record, and a checkpoint logs the same image
+//! under its own kind, which is also a commit point. Replay keeps the last
+//! committed image it passes.
 //!
 //! `payload_len == 0` marks the clean end of the log (fresh pages are
 //! zeroed). A record whose CRC mismatches, whose LSN does not increase, or
@@ -87,7 +96,7 @@ pub type Lsn = u64;
 pub const WAL_MASTER_PAGE: PageId = 0;
 
 const MASTER_MAGIC: u64 = 0x6576_6f70_7477_616c; // "evoptwal"
-const MASTER_VERSION: u32 = 1;
+const MASTER_VERSION: u32 = 2;
 const MASTER_LEN: usize = 44;
 
 /// "No next log page" sentinel in the chain header (page 0 is the master,
@@ -106,9 +115,8 @@ const WAL_RETRY_LIMIT: u32 = 3;
 
 const KIND_PAGE_IMAGE: u8 = 1;
 const KIND_COMMIT: u8 = 2;
-const KIND_CREATE_TABLE: u8 = 3;
-const KIND_CREATE_INDEX: u8 = 4;
-const KIND_DROP_TABLE: u8 = 5;
+/// The catalog version a DDL statement published.
+const KIND_CATALOG: u8 = 3;
 const KIND_CHECKPOINT: u8 = 6;
 
 /// One column of a logged table schema.
@@ -149,12 +157,6 @@ pub struct CatalogImage {
     pub tables: Vec<TableImage>,
 }
 
-impl CatalogImage {
-    fn table_mut(&mut self, name: &str) -> Option<&mut TableImage> {
-        self.tables.iter_mut().find(|t| t.name == name)
-    }
-}
-
 /// A parsed log record.
 #[derive(Debug, Clone)]
 enum WalRecord {
@@ -166,18 +168,13 @@ enum WalRecord {
     },
     /// Everything logged since the previous commit record is durable.
     Commit { lsn: Lsn },
-    /// DDL: a table was created (indexes always empty at creation).
-    CreateTable { lsn: Lsn, table: TableImage },
-    /// DDL: an index was created on `table`.
-    CreateIndex {
+    /// The full catalog a DDL statement published, or a checkpoint's
+    /// (`checkpoint`: also a commit point).
+    Catalog {
         lsn: Lsn,
-        table: String,
-        index: IndexImage,
+        catalog: CatalogImage,
+        checkpoint: bool,
     },
-    /// DDL: a table (and its indexes) was dropped.
-    DropTable { lsn: Lsn, name: String },
-    /// Full catalog image; also acts as a commit point.
-    Checkpoint { lsn: Lsn, catalog: CatalogImage },
 }
 
 impl WalRecord {
@@ -185,10 +182,7 @@ impl WalRecord {
         match self {
             WalRecord::PageImage { lsn, .. }
             | WalRecord::Commit { lsn }
-            | WalRecord::CreateTable { lsn, .. }
-            | WalRecord::CreateIndex { lsn, .. }
-            | WalRecord::DropTable { lsn, .. }
-            | WalRecord::Checkpoint { lsn, .. } => *lsn,
+            | WalRecord::Catalog { lsn, .. } => *lsn,
         }
     }
 
@@ -196,7 +190,11 @@ impl WalRecord {
     fn is_commit_point(&self) -> bool {
         matches!(
             self,
-            WalRecord::Commit { .. } | WalRecord::Checkpoint { .. }
+            WalRecord::Commit { .. }
+                | WalRecord::Catalog {
+                    checkpoint: true,
+                    ..
+                }
         )
     }
 }
@@ -233,7 +231,6 @@ pub struct WalStats {
 
 struct WalState {
     scan_start: PageId,
-    checkpoint_lsn: Lsn,
     next_lsn: Lsn,
     /// The chain's last page; appends accumulate here in memory and reach
     /// disk on commit (or when the page fills and the chain grows).
@@ -250,6 +247,16 @@ struct WalState {
     /// matches the disk: all further writes fail typed. Recovery (reopen)
     /// is the way back.
     poisoned: Option<String>,
+}
+
+impl WalState {
+    /// Refuse every write once an append has poisoned the log.
+    fn usable(&self) -> Result<()> {
+        match &self.poisoned {
+            Some(msg) => Err(EvoptError::Io(format!("wal unusable after failure: {msg}"))),
+            None => Ok(()),
+        }
+    }
 }
 
 /// The write-ahead log. One per database; shared via `Arc` so it can also
@@ -313,7 +320,6 @@ impl Wal {
             disk,
             state: Mutex::new(WalState {
                 scan_start: first,
-                checkpoint_lsn: 0,
                 next_lsn: 1,
                 tail_page: first,
                 tail_buf: Box::new([0u8; PAGE_SIZE]),
@@ -347,7 +353,7 @@ impl Wal {
     /// committed page images idempotently. Returns the WAL positioned for
     /// new appends plus what recovery found.
     pub fn open(disk: Arc<dyn DiskBackend>) -> Result<(Arc<Wal>, RecoveryInfo)> {
-        let (scan_start, master_checkpoint_lsn) = Self::read_master(&disk)?;
+        let scan_start = Self::read_master(&disk)?;
 
         // Scan: collect CRC-valid, LSN-increasing records and the stream
         // position after each one.
@@ -363,17 +369,7 @@ impl Wal {
             }
             let len = u32::from_le_bytes(len_bytes) as usize;
             if len == 0 {
-                // Clean end-of-log marker.
-                return Self::finish_open(
-                    disk,
-                    records,
-                    last_lsn,
-                    RecoveryMeta {
-                        scan_start,
-                        master_checkpoint_lsn,
-                        torn_tail: false,
-                    },
-                );
+                break; // clean end-of-log marker
             }
             if len > MAX_RECORD_BYTES {
                 torn_tail = true;
@@ -405,26 +401,18 @@ impl Wal {
             last_lsn = record.lsn();
             records.push((record, cursor.pos()));
         }
-        // Reached on break: either damage (torn_tail) or the chain ended
-        // exactly on a frame boundary with no room for an end marker —
-        // which is a clean end too.
-        Self::finish_open(
-            disk,
-            records,
-            last_lsn,
-            RecoveryMeta {
-                scan_start,
-                master_checkpoint_lsn,
-                torn_tail,
-            },
-        )
+        // Reached on damage (torn_tail), on the end-of-log marker, or when
+        // the chain ended exactly on a frame boundary with no room for an
+        // end marker — which is a clean end too.
+        Self::finish_open(disk, records, last_lsn, scan_start, torn_tail)
     }
 
     fn finish_open(
         disk: Arc<dyn DiskBackend>,
-        records: Vec<(WalRecord, (PageId, usize))>,
+        mut records: Vec<(WalRecord, (PageId, usize))>,
         max_lsn: Lsn,
-        meta: RecoveryMeta,
+        scan_start: PageId,
+        torn_tail: bool,
     ) -> Result<(Arc<Wal>, RecoveryInfo)> {
         // The durable prefix ends at the last commit point; everything
         // after it was never acknowledged and is truncated.
@@ -438,14 +426,14 @@ impl Wal {
         let (tail_page, tail_used) = records
             .get(committed_len.checked_sub(1).unwrap_or(usize::MAX))
             .map(|(_, pos)| *pos)
-            .unwrap_or((meta.scan_start, 0));
+            .unwrap_or((scan_start, 0));
 
-        // Rebuild the catalog image and replay committed page images.
+        // Replay committed page images; the catalog is the last committed
+        // image.
         let wal = Wal {
             disk,
             state: Mutex::new(WalState {
-                scan_start: meta.scan_start,
-                checkpoint_lsn: meta.master_checkpoint_lsn,
+                scan_start,
                 next_lsn: max_lsn + 1,
                 tail_page,
                 tail_buf: Box::new([0u8; PAGE_SIZE]),
@@ -470,33 +458,16 @@ impl Wal {
 
         let mut catalog = CatalogImage::default();
         let mut replayed = 0u64;
-        for (record, _) in records.iter().take(committed_len) {
+        records.truncate(committed_len);
+        for (record, _) in records {
             match record {
                 WalRecord::PageImage { lsn, page, image } => {
-                    if wal.replay_page(*page, *lsn, image)? {
+                    if wal.replay_page(page, lsn, &image)? {
                         replayed += 1;
                     }
                 }
                 WalRecord::Commit { .. } => {}
-                WalRecord::CreateTable { table, .. } => {
-                    catalog.tables.retain(|t| t.name != table.name);
-                    catalog.tables.push(table.clone());
-                }
-                WalRecord::CreateIndex { table, index, .. } => {
-                    if let Some(t) = catalog.table_mut(table) {
-                        t.indexes.retain(|i| i.name != index.name);
-                        t.indexes.push(index.clone());
-                    }
-                }
-                WalRecord::DropTable { name, .. } => {
-                    catalog.tables.retain(|t| t.name != *name);
-                }
-                WalRecord::Checkpoint { lsn, catalog: c } => {
-                    catalog = c.clone();
-                    let _rs = lockorder::acquire(lockorder::WAL_STATE);
-                    let mut state = wal.state.lock();
-                    state.checkpoint_lsn = (*lsn).max(state.checkpoint_lsn);
-                }
+                WalRecord::Catalog { catalog: c, .. } => catalog = c,
             }
         }
         wal.replayed_records.store(replayed, Ordering::Relaxed);
@@ -528,7 +499,7 @@ impl Wal {
             scanned_records,
             replayed_records: replayed,
             discarded_records,
-            torn_tail: meta.torn_tail,
+            torn_tail,
         };
         Ok((Arc::new(wal), info))
     }
@@ -582,11 +553,10 @@ impl Wal {
         };
         let _rs = lockorder::acquire(lockorder::WAL_STATE);
         let mut state = self.state.lock();
-        if let Some(msg) = &state.poisoned {
-            let msg = msg.clone();
+        if let Err(e) = state.usable() {
             let _r = lockorder::acquire(lockorder::WAL_GATE);
             self.unlogged.lock().extend(dirty.iter().copied());
-            return Err(EvoptError::Io(format!("wal unusable after failure: {msg}")));
+            return Err(e);
         }
         if dirty.is_empty() && state.pending == 0 {
             // Nothing new — but a sibling's grouped commit may still await
@@ -646,9 +616,7 @@ impl Wal {
             self.coalesced_syncs.fetch_add(1, Ordering::Relaxed);
             return Ok(());
         }
-        if let Some(msg) = &state.poisoned {
-            return Err(EvoptError::Io(format!("wal unusable after failure: {msg}")));
-        }
+        state.usable()?;
         self.flush_tail_and_sync(&mut state)?;
         self.mark_synced(&state);
         Ok(())
@@ -694,43 +662,33 @@ impl Wal {
         Ok(lsn)
     }
 
-    /// Log a CREATE TABLE (call before [`Wal::commit`] for the statement).
-    pub fn log_create_table(&self, table: &TableImage) -> Result<()> {
-        let mut body = Vec::new();
-        put_table_image(&mut body, table);
-        self.log_ddl(KIND_CREATE_TABLE, body)
-    }
-
-    /// Log a CREATE INDEX on `table`.
-    pub fn log_create_index(&self, table: &str, index: &IndexImage) -> Result<()> {
-        let mut body = Vec::new();
-        put_str(&mut body, table);
-        put_index_image(&mut body, index);
-        self.log_ddl(KIND_CREATE_INDEX, body)
-    }
-
-    /// Log a DROP TABLE.
-    pub fn log_drop_table(&self, name: &str) -> Result<()> {
-        let mut body = Vec::new();
-        put_str(&mut body, name);
-        self.log_ddl(KIND_DROP_TABLE, body)
-    }
-
-    fn log_ddl(&self, kind: u8, body: Vec<u8>) -> Result<()> {
+    /// Log the catalog version a DDL statement published (call before
+    /// [`Wal::commit`] for the statement). Recovery keeps the last
+    /// committed image, so this one record is the whole of the DDL's
+    /// logical redo.
+    pub fn log_ddl(&self, catalog: &CatalogImage) -> Result<()> {
         let _rs = lockorder::acquire(lockorder::WAL_STATE);
         let mut state = self.state.lock();
-        if let Some(msg) = &state.poisoned {
-            return Err(EvoptError::Io(format!("wal unusable after failure: {msg}")));
-        }
-        let lsn = state.next_lsn;
-        state.next_lsn += 1;
-        let mut payload = Vec::with_capacity(9 + body.len());
-        payload.push(kind);
-        payload.extend_from_slice(&lsn.to_le_bytes());
-        payload.extend_from_slice(&body);
-        self.append_record(&mut state, &payload)?;
+        state.usable()?;
+        self.append_catalog(&mut state, KIND_CATALOG, catalog)?;
         state.pending += 1;
         Ok(())
+    }
+
+    /// Append `catalog` as one record of `kind`; returns its LSN.
+    fn append_catalog(
+        &self,
+        state: &mut WalState,
+        kind: u8,
+        catalog: &CatalogImage,
+    ) -> Result<Lsn> {
+        let lsn = state.next_lsn;
+        state.next_lsn += 1;
+        let mut payload = vec![kind];
+        payload.extend_from_slice(&lsn.to_le_bytes());
+        put_catalog_image(&mut payload, catalog);
+        self.append_record(state, &payload)?;
+        Ok(lsn)
     }
 
     /// Fuzzy checkpoint: make all committed state durable as data pages,
@@ -741,9 +699,7 @@ impl Wal {
     pub fn checkpoint(&self, pool: &BufferPool, catalog: &CatalogImage) -> Result<()> {
         let _rs = lockorder::acquire(lockorder::WAL_STATE);
         let mut state = self.state.lock();
-        if let Some(msg) = &state.poisoned {
-            return Err(EvoptError::Io(format!("wal unusable after failure: {msg}")));
-        }
+        state.usable()?;
         {
             let _r = lockorder::acquire(lockorder::WAL_GATE);
             if state.pending > 0 || !self.unlogged.lock().is_empty() {
@@ -776,14 +732,7 @@ impl Wal {
         state.tail_used = 0;
 
         // 3. The checkpoint record itself, durably.
-        let lsn = state.next_lsn;
-        state.next_lsn += 1;
-        let mut payload = Vec::new();
-        payload.push(KIND_CHECKPOINT);
-        payload.extend_from_slice(&lsn.to_le_bytes());
-        put_catalog_image(&mut payload, catalog);
-        self.append_record(&mut state, &payload)?;
-        state.last_commit_lsn = lsn;
+        state.last_commit_lsn = self.append_catalog(&mut state, KIND_CHECKPOINT, catalog)?;
         self.flush_tail_and_sync(&mut state)?;
         self.mark_synced(&state);
 
@@ -792,8 +741,7 @@ impl Wal {
         //    which now *ends* at this same checkpoint record, so both
         //    sides of the switch converge.
         state.scan_start = cp_page;
-        state.checkpoint_lsn = lsn;
-        self.write_master(state.scan_start, state.checkpoint_lsn, state.next_lsn)?;
+        self.write_master(cp_page, state.last_commit_lsn, state.next_lsn)?;
         self.sync_retry()?;
 
         // 5. Release the old chain (everything strictly before cp_page).
@@ -961,8 +909,8 @@ impl Wal {
         self.write_page_verified(WAL_MASTER_PAGE, &buf)
     }
 
-    /// Read and validate the master page: `(scan_start, checkpoint_lsn)`.
-    fn read_master(disk: &Arc<dyn DiskBackend>) -> Result<(PageId, Lsn)> {
+    /// Read and validate the master page; returns `scan_start`.
+    fn read_master(disk: &Arc<dyn DiskBackend>) -> Result<PageId> {
         let mut buf = Box::new([0u8; PAGE_SIZE]);
         read_page_retry(disk, WAL_MASTER_PAGE, &mut buf)?;
         let magic = u64::from_le_bytes([
@@ -990,20 +938,10 @@ impl Wal {
                 "wal master page failed checksum verification".into(),
             ));
         }
-        let scan_start = u64::from_le_bytes([
+        Ok(u64::from_le_bytes([
             buf[16], buf[17], buf[18], buf[19], buf[20], buf[21], buf[22], buf[23],
-        ]);
-        let checkpoint_lsn = u64::from_le_bytes([
-            buf[24], buf[25], buf[26], buf[27], buf[28], buf[29], buf[30], buf[31],
-        ]);
-        Ok((scan_start, checkpoint_lsn))
+        ]))
     }
-}
-
-struct RecoveryMeta {
-    scan_start: PageId,
-    master_checkpoint_lsn: Lsn,
-    torn_tail: bool,
 }
 
 /// Forward reader over the log-page chain's payload stream.
@@ -1234,22 +1172,10 @@ fn parse_record(payload: &[u8]) -> Option<WalRecord> {
             WalRecord::PageImage { lsn, page, image }
         }
         KIND_COMMIT => WalRecord::Commit { lsn },
-        KIND_CREATE_TABLE => WalRecord::CreateTable {
-            lsn,
-            table: get_table_image(&mut r)?,
-        },
-        KIND_CREATE_INDEX => WalRecord::CreateIndex {
-            lsn,
-            table: r.string()?,
-            index: get_index_image(&mut r)?,
-        },
-        KIND_DROP_TABLE => WalRecord::DropTable {
-            lsn,
-            name: r.string()?,
-        },
-        KIND_CHECKPOINT => WalRecord::Checkpoint {
+        KIND_CATALOG | KIND_CHECKPOINT => WalRecord::Catalog {
             lsn,
             catalog: get_catalog_image(&mut r)?,
+            checkpoint: kind == KIND_CHECKPOINT,
         },
         _ => return None,
     };
@@ -1282,6 +1208,20 @@ mod tests {
             *b = fill;
         }
         g.id()
+    }
+
+    /// A one-table catalog image, its single column typed `dtype`.
+    fn one_table(name: &str, dtype: DataType, first_page: PageId) -> TableImage {
+        TableImage {
+            name: name.into(),
+            columns: vec![ColumnImage {
+                name: "c".into(),
+                dtype,
+                nullable: true,
+            }],
+            first_page,
+            indexes: vec![],
+        }
     }
 
     #[test]
@@ -1335,7 +1275,10 @@ mod tests {
         let a = fill_page(&pool, 0x44);
         wal.commit(&pool).unwrap();
         // A logged-but-uncommitted statement: DDL record with no commit.
-        wal.log_drop_table("ghost").unwrap();
+        let ghost = CatalogImage {
+            tables: vec![one_table("ghost", DataType::Int, 3)],
+        };
+        wal.log_ddl(&ghost).unwrap();
         // Flush the tail so the aborted record is actually on disk.
         {
             let mut state = wal.state.lock();
@@ -1344,6 +1287,7 @@ mod tests {
         drop(pool);
         let (_w, info) = Wal::open(Arc::clone(&disk) as Arc<dyn DiskBackend>).unwrap();
         assert_eq!(info.discarded_records, 1, "aborted DDL must be discarded");
+        assert!(info.catalog.tables.is_empty(), "aborted DDL's image kept");
         assert_eq!(info.replayed_records, 1);
         let mut buf = [0u8; PAGE_SIZE];
         disk.read_page(a, &mut buf).unwrap();
@@ -1391,74 +1335,53 @@ mod tests {
     }
 
     #[test]
-    fn ddl_records_rebuild_catalog_image() {
+    fn last_committed_catalog_record_wins() {
         let (disk, pool, wal) = setup(8);
-        let t = TableImage {
-            name: "users".into(),
-            columns: vec![
-                ColumnImage {
-                    name: "id".into(),
-                    dtype: DataType::Int,
-                    nullable: false,
-                },
-                ColumnImage {
-                    name: "email".into(),
-                    dtype: DataType::Str,
-                    nullable: true,
-                },
-            ],
-            first_page: 7,
-            indexes: vec![],
+        let mut users = one_table("users", DataType::Int, 7);
+        users.columns.push(ColumnImage {
+            name: "email".into(),
+            dtype: DataType::Str,
+            nullable: false,
+        });
+        let v1 = CatalogImage {
+            tables: vec![users.clone()],
         };
-        wal.log_create_table(&t).unwrap();
+        wal.log_ddl(&v1).unwrap();
         wal.commit(&pool).unwrap();
-        let idx = IndexImage {
+        users.indexes.push(IndexImage {
             name: "users_id".into(),
             column: 0,
             unique: true,
             clustered: false,
             meta_page: 9,
+        });
+        let v2 = CatalogImage {
+            tables: vec![one_table("tmp", DataType::Float, 11), users],
         };
-        wal.log_create_index("users", &idx).unwrap();
+        wal.log_ddl(&v2).unwrap();
         wal.commit(&pool).unwrap();
-        let t2 = TableImage {
-            name: "tmp".into(),
-            columns: vec![ColumnImage {
-                name: "x".into(),
-                dtype: DataType::Float,
-                nullable: true,
-            }],
-            first_page: 11,
-            indexes: vec![],
-        };
-        wal.log_create_table(&t2).unwrap();
-        wal.commit(&pool).unwrap();
-        wal.log_drop_table("tmp").unwrap();
-        wal.commit(&pool).unwrap();
+        // A third image reaches the disk, but its statement never commits.
+        wal.log_ddl(&CatalogImage::default()).unwrap();
+        {
+            let mut state = wal.state.lock();
+            wal.flush_tail_and_sync(&mut state).unwrap();
+        }
+        drop(pool);
 
         let (_w, info) = Wal::open(Arc::clone(&disk) as Arc<dyn DiskBackend>).unwrap();
-        assert_eq!(info.catalog.tables.len(), 1);
-        let rt = &info.catalog.tables[0];
-        assert_eq!(rt.name, "users");
-        assert_eq!(rt.columns, t.columns);
-        assert_eq!(rt.first_page, 7);
-        assert_eq!(rt.indexes, vec![idx]);
+        assert_eq!(info.catalog, v2, "the last committed image, whole");
+        assert_eq!(info.discarded_records, 1, "the uncommitted image");
+        // Truncated in place: the discarded image stays gone.
+        let (_w, info) = Wal::open(Arc::clone(&disk) as Arc<dyn DiskBackend>).unwrap();
+        assert_eq!(info.catalog, v2);
+        assert_eq!(info.discarded_records, 0);
     }
 
     #[test]
     fn checkpoint_bounds_recovery_and_survives_reopen() {
         let (disk, pool, wal) = setup(8);
         let catalog = CatalogImage {
-            tables: vec![TableImage {
-                name: "t".into(),
-                columns: vec![ColumnImage {
-                    name: "c".into(),
-                    dtype: DataType::Int,
-                    nullable: true,
-                }],
-                first_page: 5,
-                indexes: vec![],
-            }],
+            tables: vec![one_table("t", DataType::Int, 5)],
         };
         // A few committed pages, then a checkpoint.
         for fill in 1..=4u8 {
@@ -1593,15 +1516,31 @@ mod tests {
     fn master_page_corruption_is_typed() {
         let (disk, _pool, wal) = setup(4);
         drop(wal);
-        let mut buf = [0u8; PAGE_SIZE];
-        disk.read_page(WAL_MASTER_PAGE, &mut buf).unwrap();
-        buf[20] ^= 0xFF;
-        disk.write_page(WAL_MASTER_PAGE, &buf).unwrap();
-        let err = match Wal::open(Arc::clone(&disk) as Arc<dyn DiskBackend>) {
-            Ok(_) => panic!("open over a corrupt master must fail"),
-            Err(e) => e,
+        let mut good = [0u8; PAGE_SIZE];
+        disk.read_page(WAL_MASTER_PAGE, &mut good).unwrap();
+        let open_err = |buf: &PageData| {
+            disk.write_page(WAL_MASTER_PAGE, buf).unwrap();
+            match Wal::open(Arc::clone(&disk) as Arc<dyn DiskBackend>) {
+                Ok(_) => panic!("open over a bad master must fail"),
+                Err(e) => e,
+            }
         };
+        // A flipped bit fails the checksum.
+        let mut torn = good;
+        torn[20] ^= 0xFF;
+        assert_eq!(open_err(&torn).kind(), "corruption");
+        // A version-1 master (a log with per-DDL records) is refused even
+        // with a valid checksum, rather than scanned as a torn tail.
+        let mut v1 = good;
+        v1[8..12].copy_from_slice(&1u32.to_le_bytes());
+        let crc = crc32(&v1[..MASTER_LEN - 4]);
+        v1[MASTER_LEN - 4..MASTER_LEN].copy_from_slice(&crc.to_le_bytes());
+        let err = open_err(&v1);
         assert_eq!(err.kind(), "corruption");
+        assert!(err.message().contains("version 1"), "{err}");
+        // The current version opens.
+        disk.write_page(WAL_MASTER_PAGE, &good).unwrap();
+        assert!(Wal::open(Arc::clone(&disk) as Arc<dyn DiskBackend>).is_ok());
     }
 
     #[test]

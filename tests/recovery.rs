@@ -52,6 +52,19 @@ enum Op {
     Checkpoint,
 }
 
+/// Where the script takes checkpoints.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Checkpoints {
+    /// None: recovery scans the log from bootstrap.
+    Never,
+    /// After every fourth statement, so the sweep also crashes *inside*
+    /// checkpoints.
+    Interleaved,
+    /// Directly before each DDL statement, so crashes also fall between a
+    /// checkpoint's catalog image and a later DDL's.
+    BeforeDdl,
+}
+
 /// Tiny deterministic PRNG so the script varies by seed without pulling in
 /// a generator dependency.
 fn lcg(state: &mut u64) -> u64 {
@@ -62,10 +75,9 @@ fn lcg(state: &mut u64) -> u64 {
 }
 
 /// A deterministic DML/DDL script: creates, loads, indexes, updates,
-/// deletes, and drops — every statement class the WAL logs. With
-/// `checkpoints`, checkpoint calls are interleaved so the sweep also
-/// crashes *inside* checkpoints.
-fn script(seed: u64, checkpoints: bool) -> Vec<Op> {
+/// deletes, and drops — every statement class the WAL logs — with
+/// checkpoints placed as `checkpoints` says.
+fn script(seed: u64, checkpoints: Checkpoints) -> Vec<Op> {
     let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
     let mut ops = Vec::new();
     ops.push(Op::Sql(
@@ -97,6 +109,9 @@ fn script(seed: u64, checkpoints: bool) -> Vec<Op> {
     )));
     ops.push(Op::Sql("CREATE TABLE scratch (x INT)".into()));
     ops.push(Op::Sql("INSERT INTO scratch VALUES (1), (2), (3)".into()));
+    if checkpoints == Checkpoints::BeforeDdl {
+        ops.push(Op::Sql("CREATE INDEX scratch_x ON scratch (x)".into()));
+    }
     ops.push(Op::Sql("DROP TABLE scratch".into()));
     insert_batch(&mut ops, &mut rng, 15);
     ops.push(Op::Sql(format!(
@@ -107,19 +122,21 @@ fn script(seed: u64, checkpoints: bool) -> Vec<Op> {
         "DELETE FROM t WHERE id = {}",
         lcg(&mut rng) % 60
     )));
-    if checkpoints {
-        // Interleave, rather than append, so post-checkpoint commits and
-        // crashes *during* the checkpoint itself are both swept.
-        let mut with_cp = Vec::new();
-        for (i, op) in ops.into_iter().enumerate() {
-            with_cp.push(op);
-            if i % 4 == 3 {
-                with_cp.push(Op::Checkpoint);
-            }
+    // Interleave, rather than append, so post-checkpoint commits and
+    // crashes *during* the checkpoint itself are both swept.
+    let mut with_cp = Vec::new();
+    for (i, op) in ops.into_iter().enumerate() {
+        let ddl =
+            matches!(&op, Op::Sql(sql) if sql.starts_with("CREATE") || sql.starts_with("DROP"));
+        if checkpoints == Checkpoints::BeforeDdl && ddl {
+            with_cp.push(Op::Checkpoint);
         }
-        ops = with_cp;
+        with_cp.push(op);
+        if checkpoints == Checkpoints::Interleaved && i % 4 == 3 {
+            with_cp.push(Op::Checkpoint);
+        }
     }
-    ops
+    with_cp
 }
 
 fn apply(db: &Database, op: &Op) -> evopt::common::Result<()> {
@@ -137,16 +154,22 @@ const DIGEST_QUERIES: &[&str] = &[
     "SELECT grp, COUNT(*) AS n FROM t GROUP BY grp ORDER BY grp",
     "SELECT val FROM t WHERE id = 17",
     "SELECT COUNT(*) FROM scratch",
+    "SELECT x FROM scratch WHERE x = 2",
 ];
 
 fn digest(db: &Database) -> Vec<String> {
-    DIGEST_QUERIES
-        .iter()
-        .map(|q| match db.query(q) {
-            Ok(rows) => format!("{rows:?}"),
-            Err(e) => format!("ERR:{}", e.kind()),
-        })
-        .collect()
+    // The catalog's shape too: every table with its indexes, by name.
+    let tables = db.catalog().tables();
+    let indexes = tables.iter().map(|t| {
+        let names: Vec<_> = t.indexes().iter().map(|i| i.name.as_str()).collect();
+        format!("{}{names:?}", t.name)
+    });
+    let shape = indexes.collect::<Vec<_>>().join(" ");
+    let rows = DIGEST_QUERIES.iter().map(|q| match db.query(q) {
+        Ok(rows) => format!("{rows:?}"),
+        Err(e) => format!("ERR:{}", e.kind()),
+    });
+    std::iter::once(shape).chain(rows).collect()
 }
 
 /// Ground truth: the digest after each prefix of the script, computed on a
@@ -255,7 +278,7 @@ fn assert_recovers_to_prefix(
 
 /// The headline sweep: crash after every possible mutating-op count,
 /// recover, and demand exactly the committed prefix every time.
-fn torture(seed: u64, checkpoints: bool) {
+fn torture(seed: u64, checkpoints: Checkpoints) {
     let ops = script(seed, checkpoints);
     let twins = twin_digests(&ops);
     let m = crash_free_mutations(&ops);
@@ -266,7 +289,7 @@ fn torture(seed: u64, checkpoints: bool) {
     assert!(m > 40, "workload too small to be interesting: {m} ops");
     let mut bootstrap_crashes = 0u64;
     for budget in 0..=m {
-        let label = format!("seed {seed} cp={checkpoints} budget {budget}/{m}");
+        let label = format!("seed {seed} {checkpoints:?} budget {budget}/{m}");
         match crashed_disk(&ops, budget) {
             Some((disk, acked)) => {
                 assert_recovers_to_prefix(disk, acked, &twins, &label);
@@ -288,14 +311,24 @@ fn torture(seed: u64, checkpoints: bool) {
 #[test]
 fn crash_point_torture_sweep() {
     for seed in seeds() {
-        torture(seed, false);
+        torture(seed, Checkpoints::Never);
     }
 }
 
 #[test]
 fn crash_point_torture_sweep_with_checkpoints() {
     for seed in seeds() {
-        torture(seed, true);
+        torture(seed, Checkpoints::Interleaved);
+    }
+}
+
+/// Every DDL logs the whole catalog it published, and recovery keeps the
+/// last committed image: a crash between a checkpoint's image and a later
+/// DDL's must still recover the later one (or, uncommitted, the earlier).
+#[test]
+fn crash_point_torture_sweep_with_checkpoints_before_ddl() {
+    for seed in seeds() {
+        torture(seed, Checkpoints::BeforeDdl);
     }
 }
 
@@ -306,7 +339,7 @@ fn crash_point_torture_sweep_with_checkpoints() {
 #[test]
 fn crash_during_recovery_then_recover_again() {
     for seed in seeds() {
-        let ops = script(seed, true);
+        let ops = script(seed, Checkpoints::Interleaved);
         let m = crash_free_mutations(&ops);
         // Three representative workload crash points (sweeping both axes
         // exhaustively would square the runtime for no extra coverage —
@@ -366,7 +399,7 @@ fn crash_during_recovery_then_recover_again() {
 #[test]
 fn recovered_database_keeps_working() {
     for seed in seeds() {
-        let ops = script(seed, false);
+        let ops = script(seed, Checkpoints::Never);
         let m = crash_free_mutations(&ops);
         let Some((disk, _)) = crashed_disk(&ops, m * 2 / 3) else {
             continue;
