@@ -151,7 +151,7 @@ pub fn run(p: &Params) -> Report {
             let info = db.catalog().table("data").unwrap();
             let stats = info.stats().unwrap();
             let est = EstimationContext::new(vec![ColumnInfo {
-                stats: stats.column(0).cloned(),
+                stats: stats.column(0),
                 table_rows: stats.row_count,
             }]);
 

@@ -311,9 +311,10 @@ mod tests {
     use crate::selectivity::ColumnInfo;
     use evopt_catalog::{ColumnStats, Histogram};
     use evopt_common::expr::{col, lit};
+    use std::sync::OnceLock;
 
     /// 100k rows over 1000 pages; col 0 uniform 0..100_000 with an index.
-    fn fixture(clustered: bool) -> (RelMeta, EstimationContext) {
+    fn fixture(clustered: bool) -> (RelMeta, EstimationContext<'static>) {
         let rel = RelMeta {
             table: "t".into(),
             rows: 100_000.0,
@@ -327,17 +328,21 @@ mod tests {
                 unique: false,
             }],
         };
-        let vals: Vec<f64> = (0..10_000).map(|i| (i * 10) as f64).collect();
+        static STATS: OnceLock<ColumnStats> = OnceLock::new();
+        let stats = STATS.get_or_init(|| {
+            let vals: Vec<f64> = (0..10_000).map(|i| (i * 10) as f64).collect();
+            ColumnStats {
+                null_count: 0,
+                ndv: 100_000,
+                min: Some(Value::Int(0)),
+                max: Some(Value::Int(99_999)),
+                mcvs: vec![],
+                histogram: Histogram::equi_depth(&vals, 32),
+            }
+        });
         let est = EstimationContext::new(vec![
             ColumnInfo {
-                stats: Some(ColumnStats {
-                    null_count: 0,
-                    ndv: 100_000,
-                    min: Some(Value::Int(0)),
-                    max: Some(Value::Int(99_999)),
-                    mcvs: vec![],
-                    histogram: Histogram::equi_depth(&vals, 32),
-                }),
+                stats: Some(stats),
                 table_rows: 100_000,
             },
             ColumnInfo {

@@ -107,7 +107,7 @@ pub struct BaseRel {
 pub struct JoinContext<'a> {
     pub graph: &'a JoinGraph,
     /// Global-ordinal statistics.
-    pub est: &'a EstimationContext,
+    pub est: EstimationContext<'a>,
     pub model: &'a CostModel,
     pub rels: Vec<BaseRel>,
     /// Global ordinal the final output should be ordered by, if any.
@@ -777,16 +777,26 @@ pub(crate) mod fixtures {
 
     pub struct Fixture {
         pub graph: JoinGraph,
-        pub est: EstimationContext,
+        /// Each global column's statistics and its relation's row count.
+        pub columns: Vec<(ColumnStats, u64)>,
         pub model: CostModel,
         pub rels: Vec<BaseRel>,
+    }
+
+    /// An estimation context borrowing `columns`.
+    fn estimation(columns: &[(ColumnStats, u64)]) -> EstimationContext<'_> {
+        let info = columns.iter().map(|(stats, rows)| ColumnInfo {
+            stats: Some(stats),
+            table_rows: *rows,
+        });
+        EstimationContext::new(info.collect())
     }
 
     impl Fixture {
         pub fn ctx(&self) -> JoinContext<'_> {
             JoinContext {
                 graph: &self.graph,
-                est: &self.est,
+                est: estimation(&self.columns),
                 model: &self.model,
                 rels: self.rels.clone(),
                 required_order: None,
@@ -833,23 +843,20 @@ pub(crate) mod fixtures {
         let graph = JoinGraph::extract(&plan).expect("fixture is a join");
 
         // Stats: uniform ints, no histograms (NDV-only estimation).
-        let mut cols = Vec::new();
+        let mut columns = Vec::new();
         for s in specs {
             for c in 0..2 {
-                cols.push(ColumnInfo {
-                    stats: Some(ColumnStats {
-                        null_count: 0,
-                        ndv: s.ndv[c],
-                        min: Some(Value::Int(0)),
-                        max: Some(Value::Int(s.ndv[c] as i64 - 1)),
-                        mcvs: vec![],
-                        histogram: None,
-                    }),
-                    table_rows: s.rows as u64,
-                });
+                let stats = ColumnStats {
+                    null_count: 0,
+                    ndv: s.ndv[c],
+                    min: Some(Value::Int(0)),
+                    max: Some(Value::Int(s.ndv[c] as i64 - 1)),
+                    mcvs: vec![],
+                    histogram: None,
+                };
+                columns.push((stats, s.rows as u64));
             }
         }
-        let est = EstimationContext::new(cols);
 
         // Base relations: 40-byte tuples, ~100/page.
         let mut rels = Vec::new();
@@ -868,8 +875,7 @@ pub(crate) mod fixtures {
                 vec![]
             };
             // Local estimation context (table-local ordinals).
-            let local_est =
-                EstimationContext::new((0..2).map(|c| est.columns[i * 2 + c].clone()).collect());
+            let local_est = estimation(&columns[i * 2..i * 2 + 2]);
             let rel_meta = crate::access_path::RelMeta {
                 table: s.name.to_string(),
                 rows: s.rows,
@@ -891,7 +897,7 @@ pub(crate) mod fixtures {
         }
         Fixture {
             graph,
-            est,
+            columns,
             model,
             rels,
         }

@@ -10,8 +10,6 @@
 //!    stack the physical operator, exploiting input orders where possible
 //!    (a sort is skipped when the child already delivers the order).
 
-use std::sync::Arc;
-
 use evopt_catalog::{Catalog, TableInfo};
 use evopt_common::{EvoptError, Expr, Result, Schema};
 use evopt_obs::TraceSink;
@@ -323,7 +321,7 @@ impl Optimizer {
         required: Option<usize>,
     ) -> Result<PhysicalPlan> {
         let info = catalog.table(table)?;
-        let (rel_meta, est) = table_meta(&info)?;
+        let (rel_meta, est) = table_meta(&info);
         let model = &self.config.cost_model;
         let paths = access_path::access_paths(&rel_meta, preds, &est, model);
         let schema = info.schema.clone();
@@ -392,10 +390,19 @@ impl Optimizer {
             .ok_or_else(|| EvoptError::Internal("plan_joins called on a non-join".into()))?;
         let model = self.config.cost_model;
 
-        // Build per-relation info + the global estimation context.
+        // Build per-relation info + the global estimation context, which
+        // borrows its statistics from the base tables' catalog entries.
+        let infos = graph
+            .relations
+            .iter()
+            .map(|leaf| match leaf {
+                LogicalPlan::Scan { table, .. } => catalog.table(table).map(Some),
+                _ => Ok(None),
+            })
+            .collect::<Result<Vec<_>>>()?;
         let mut rels = Vec::with_capacity(graph.relations.len());
         let mut global_cols: Vec<ColumnInfo> = Vec::new();
-        for (r, leaf) in graph.relations.iter().enumerate() {
+        for (r, (leaf, info)) in graph.relations.iter().zip(&infos).enumerate() {
             let offset = graph.offsets[r];
             let local_preds_global: Vec<Expr> = graph
                 .local_predicates(r)
@@ -406,10 +413,9 @@ impl Optimizer {
                 .iter()
                 .map(|e| e.remap_columns(&|g| g - offset))
                 .collect();
-            match leaf {
-                LogicalPlan::Scan { table, .. } => {
-                    let info = catalog.table(table)?;
-                    let (rel_meta, local_est) = table_meta(&info)?;
+            match info {
+                Some(info) => {
+                    let (rel_meta, local_est) = table_meta(info);
                     let paths =
                         access_path::access_paths(&rel_meta, &local_preds, &local_est, &model);
                     let local_sel: f64 = local_preds
@@ -420,7 +426,7 @@ impl Optimizer {
                         .stats()
                         .map(|s| s.avg_tuple_bytes.max(8.0))
                         .unwrap_or(DEFAULT_WIDTH);
-                    global_cols.extend(local_est.columns.iter().cloned());
+                    global_cols.extend_from_slice(&local_est.columns);
                     rels.push(BaseRel {
                         table: Some(info.name.clone()),
                         rows_raw: rel_meta.rows,
@@ -433,10 +439,10 @@ impl Optimizer {
                         opaque_plan: None,
                     });
                 }
-                other => {
+                None => {
                     // Opaque leaf: optimize recursively; local predicates
                     // (if any) become a physical filter on top.
-                    let mut inner = self.optimize_rec(other, catalog, None)?;
+                    let mut inner = self.optimize_rec(leaf, catalog, None)?;
                     if !local_preds.is_empty() {
                         let predicate = Expr::conjunction(local_preds.clone());
                         let rows = (inner.est_rows
@@ -473,10 +479,9 @@ impl Optimizer {
                 }
             }
         }
-        let est = EstimationContext::new(global_cols);
         let ctx = JoinContext {
             graph: &graph,
-            est: &est,
+            est: EstimationContext::new(global_cols),
             model: &self.config.cost_model,
             rels,
             required_order: required,
@@ -493,10 +498,11 @@ impl Optimizer {
     }
 }
 
-/// Convert a catalog table into the access-path inputs.
-fn table_meta(info: &Arc<TableInfo>) -> Result<(RelMeta, EstimationContext)> {
+/// Convert a catalog table into the access-path inputs: its statistics
+/// borrowed, each index's shape read from memory. Reads no page.
+fn table_meta(info: &TableInfo) -> (RelMeta, EstimationContext<'_>) {
     let stats = info.stats();
-    let (rows, pages) = match &stats {
+    let (rows, pages) = match stats {
         Some(s) => (s.row_count as f64, s.page_count as f64),
         None => (
             info.heap.tuple_count() as f64,
@@ -505,7 +511,7 @@ fn table_meta(info: &Arc<TableInfo>) -> Result<(RelMeta, EstimationContext)> {
     };
     let mut indexes = Vec::new();
     for idx in info.indexes() {
-        let (height, pages) = idx.btree.shape()?;
+        let (height, pages) = idx.btree.shape();
         indexes.push(IndexMeta {
             name: idx.name.clone(),
             column: idx.column,
@@ -517,11 +523,11 @@ fn table_meta(info: &Arc<TableInfo>) -> Result<(RelMeta, EstimationContext)> {
     }
     let columns = (0..info.schema.len())
         .map(|c| ColumnInfo {
-            stats: stats.as_ref().and_then(|s| s.column(c).cloned()),
+            stats: stats.and_then(|s| s.column(c)),
             table_rows: rows as u64,
         })
         .collect();
-    Ok((
+    (
         RelMeta {
             table: info.name.clone(),
             rows,
@@ -529,7 +535,7 @@ fn table_meta(info: &Arc<TableInfo>) -> Result<(RelMeta, EstimationContext)> {
             indexes,
         },
         EstimationContext::new(columns),
-    ))
+    )
 }
 
 /// Restore syntactic column order on top of an enumerated subplan so the
@@ -567,6 +573,7 @@ mod tests {
     use evopt_common::expr::{col, lit};
     use evopt_common::{Column, DataType, Tuple, Value};
     use evopt_storage::{BufferPool, DiskManager};
+    use std::sync::Arc;
 
     /// Catalog with customers(1k), orders(10k, fk customer), both analyzed;
     /// index on orders.customer_id and customers.id.

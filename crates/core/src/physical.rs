@@ -6,7 +6,9 @@
 //! executor ignores the estimates; the experiment harness compares them
 //! against measured truth.
 
+use std::collections::hash_map::DefaultHasher;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::ops::Bound;
 
 use evopt_common::{AggFunc, Expr, Schema, Value};
@@ -277,13 +279,29 @@ impl PhysicalPlan {
     /// This is the correlation key between the query log, `EXPLAIN ANALYZE`
     /// and `EXPLAIN TRACE` output for one query.
     pub fn digest(&self) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        for (depth, node) in self.pre_order() {
-            depth.hash(&mut h);
-            node.op_detail().hash(&mut h);
-        }
+        let mut h = DefaultHasher::new();
+        self.hash_shape(0, &mut h);
         h.finish()
+    }
+
+    /// Feed `h` what hashing `(depth, op_detail())` of this node and then of
+    /// each child would, without building the strings: a `str` hashes as
+    /// its bytes, in any number of writes, then `0xff`.
+    fn hash_shape(&self, depth: usize, h: &mut DefaultHasher) {
+        struct Bytes<'h>(&'h mut DefaultHasher);
+        impl fmt::Write for Bytes<'_> {
+            fn write_str(&mut self, s: &str) -> fmt::Result {
+                self.0.write(s.as_bytes());
+                Ok(())
+            }
+        }
+        depth.hash(h);
+        // Writing into the hasher cannot fail.
+        let _ = self.write_detail(&mut Bytes(h));
+        h.write_u8(0xff);
+        for c in self.children() {
+            c.hash_shape(depth + 1, h);
+        }
     }
 
     /// [`PhysicalPlan::digest`] as the fixed-width hex string the query log
@@ -294,12 +312,19 @@ impl PhysicalPlan {
 
     /// One-line operator description (the EXPLAIN line minus estimates).
     pub fn op_detail(&self) -> String {
-        let p = self;
-        match &p.op {
-            PhysOp::SeqScan { table, filter } => match filter {
-                Some(f) => format!("SeqScan: {table} filter={f}"),
-                None => format!("SeqScan: {table}"),
-            },
+        let mut s = String::new();
+        // Writing into a `String` cannot fail.
+        let _ = self.write_detail(&mut s);
+        s
+    }
+
+    /// Write [`PhysicalPlan::op_detail`] into `out`.
+    fn write_detail(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        match &self.op {
+            PhysOp::SeqScan { table, filter } => {
+                write!(out, "SeqScan: {table}")?;
+                filter.iter().try_for_each(|f| write!(out, " filter={f}"))
+            }
             PhysOp::IndexScan {
                 table,
                 index,
@@ -308,68 +333,63 @@ impl PhysicalPlan {
                 clustered,
             } => {
                 let c = if *clustered { " clustered" } else { "" };
-                let r = residual
-                    .as_ref()
-                    .map(|e| format!(" residual={e}"))
-                    .unwrap_or_default();
-                format!("IndexScan: {table} via {index}{c} range={range}{r}")
+                write!(out, "IndexScan: {table} via {index}{c} range={range}")?;
+                residual
+                    .iter()
+                    .try_for_each(|e| write!(out, " residual={e}"))
             }
-            PhysOp::Filter { predicate, .. } => format!("Filter: {predicate}"),
+            PhysOp::Filter { predicate, .. } => write!(out, "Filter: {predicate}"),
             PhysOp::Project { exprs, .. } => {
-                let list: Vec<String> = exprs.iter().map(|e| e.to_string()).collect();
-                format!("Project: {}", list.join(", "))
+                out.write_str("Project: ")?;
+                write_list(out, exprs, |out, e| write!(out, "{e}"))
             }
             PhysOp::NestedLoopJoin { predicate, .. } => match predicate {
-                Some(e) => format!("NestedLoopJoin: {e}"),
-                None => "NestedLoopJoin: cross".to_string(),
+                Some(e) => write!(out, "NestedLoopJoin: {e}"),
+                None => out.write_str("NestedLoopJoin: cross"),
             },
             PhysOp::BlockNestedLoopJoin {
                 predicate,
                 block_pages,
                 ..
             } => match predicate {
-                Some(e) => format!("BlockNestedLoopJoin(B={block_pages}): {e}"),
-                None => format!("BlockNestedLoopJoin(B={block_pages}): cross"),
+                Some(e) => write!(out, "BlockNestedLoopJoin(B={block_pages}): {e}"),
+                None => write!(out, "BlockNestedLoopJoin(B={block_pages}): cross"),
             },
             PhysOp::IndexNestedLoopJoin {
                 inner_table,
                 index,
                 outer_key,
                 ..
-            } => format!("IndexNestedLoopJoin: probe {inner_table}.{index} with #{outer_key}"),
+            } => write!(
+                out,
+                "IndexNestedLoopJoin: probe {inner_table}.{index} with #{outer_key}"
+            ),
             PhysOp::SortMergeJoin {
                 left_key,
                 right_key,
                 ..
-            } => format!("SortMergeJoin: #{left_key} = #{right_key}"),
+            } => write!(out, "SortMergeJoin: #{left_key} = #{right_key}"),
             PhysOp::HashJoin {
                 left_key,
                 right_key,
                 ..
-            } => format!("HashJoin: #{left_key} = #{right_key}"),
+            } => write!(out, "HashJoin: #{left_key} = #{right_key}"),
             PhysOp::Sort { keys, .. } => {
-                let list: Vec<String> = keys
-                    .iter()
-                    .map(|(c, asc)| format!("#{c}{}", if *asc { "" } else { " DESC" }))
-                    .collect();
-                format!("Sort: {}", list.join(", "))
+                out.write_str("Sort: ")?;
+                write_list(out, keys, |out, (c, asc)| {
+                    write!(out, "#{c}{}", if *asc { "" } else { " DESC" })
+                })
             }
             PhysOp::HashAggregate { group_by, aggs, .. }
             | PhysOp::SortAggregate { group_by, aggs, .. } => {
-                let alist: Vec<String> = aggs
-                    .iter()
-                    .map(|a| match &a.arg {
-                        Some(e) => format!("{}({e})", a.func),
-                        None => a.func.to_string(),
-                    })
-                    .collect();
-                format!(
-                    "{}: group_by={group_by:?} aggs=[{}]",
-                    p.op_name(),
-                    alist.join(", ")
-                )
+                write!(out, "{}: group_by={group_by:?} aggs=[", self.op_name())?;
+                write_list(out, aggs, |out, a| match &a.arg {
+                    Some(e) => write!(out, "{}({e})", a.func),
+                    None => write!(out, "{}", a.func),
+                })?;
+                out.write_str("]")
             }
-            PhysOp::Limit { limit, .. } => format!("Limit: {limit}"),
+            PhysOp::Limit { limit, .. } => write!(out, "Limit: {limit}"),
         }
     }
 
@@ -395,6 +415,20 @@ impl fmt::Display for PhysicalPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.display_indent())
     }
+}
+
+/// Write each of `items` with `item`, separated by `", "`.
+fn write_list<W: fmt::Write, T>(
+    out: &mut W,
+    items: impl IntoIterator<Item = T>,
+    mut item: impl FnMut(&mut W, T) -> fmt::Result,
+) -> fmt::Result {
+    items.into_iter().enumerate().try_for_each(|(i, x)| {
+        if i > 0 {
+            out.write_str(", ")?;
+        }
+        item(out, x)
+    })
 }
 
 #[cfg(test)]

@@ -27,22 +27,23 @@ pub const DEFAULT_PREFIX_SEL: f64 = 0.05;
 pub const DEFAULT_CONTAINS_SEL: f64 = 0.25;
 
 /// What the estimator knows about one column of the (global) ordinal space.
-#[derive(Debug, Clone, Default)]
-pub struct ColumnInfo {
-    /// ANALYZE output for this column, when available.
-    pub stats: Option<ColumnStats>,
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ColumnInfo<'a> {
+    /// ANALYZE output for this column, when available, borrowed from the
+    /// catalog version the statement pinned.
+    pub stats: Option<&'a ColumnStats>,
     /// Row count of the relation this column belongs to.
     pub table_rows: u64,
 }
 
 /// Column-ordinal-indexed statistics for selectivity estimation.
 #[derive(Debug, Clone, Default)]
-pub struct EstimationContext {
-    pub columns: Vec<ColumnInfo>,
+pub struct EstimationContext<'a> {
+    pub columns: Vec<ColumnInfo<'a>>,
 }
 
-impl EstimationContext {
-    pub fn new(columns: Vec<ColumnInfo>) -> Self {
+impl<'a> EstimationContext<'a> {
+    pub fn new(columns: Vec<ColumnInfo<'a>>) -> Self {
         EstimationContext { columns }
     }
 
@@ -54,12 +55,12 @@ impl EstimationContext {
         }
     }
 
-    fn info(&self, col: usize) -> Option<&ColumnInfo> {
+    fn info(&self, col: usize) -> Option<&ColumnInfo<'a>> {
         self.columns.get(col)
     }
 
-    fn stats(&self, col: usize) -> Option<&ColumnStats> {
-        self.info(col).and_then(|i| i.stats.as_ref())
+    fn stats(&self, col: usize) -> Option<&'a ColumnStats> {
+        self.info(col).and_then(|i| i.stats)
     }
 
     /// Estimate the fraction of rows satisfying `predicate`. Always in
@@ -306,33 +307,37 @@ mod tests {
     use super::*;
     use evopt_catalog::Histogram;
     use evopt_common::expr::{col, lit};
+    use std::sync::OnceLock;
 
     /// 1000-row table, col0 = uniform ints 0..100 (ndv 100), col1 = strings.
-    fn ctx() -> EstimationContext {
-        let vals: Vec<f64> = (0..1000).map(|i| (i % 100) as f64).collect();
-        let c0 = ColumnInfo {
-            stats: Some(ColumnStats {
-                null_count: 0,
-                ndv: 100,
-                min: Some(Value::Int(0)),
-                max: Some(Value::Int(99)),
-                mcvs: vec![],
-                histogram: Histogram::equi_depth(&vals, 16),
-            }),
+    fn ctx() -> EstimationContext<'static> {
+        static STATS: OnceLock<[ColumnStats; 2]> = OnceLock::new();
+        let stats = STATS.get_or_init(|| {
+            let vals: Vec<f64> = (0..1000).map(|i| (i % 100) as f64).collect();
+            [
+                ColumnStats {
+                    null_count: 0,
+                    ndv: 100,
+                    min: Some(Value::Int(0)),
+                    max: Some(Value::Int(99)),
+                    mcvs: vec![],
+                    histogram: Histogram::equi_depth(&vals, 16),
+                },
+                ColumnStats {
+                    null_count: 100,
+                    ndv: 50,
+                    min: Some(Value::Str("a".into())),
+                    max: Some(Value::Str("z".into())),
+                    mcvs: vec![(Value::Str("hot".into()), 0.3)],
+                    histogram: None,
+                },
+            ]
+        });
+        let column = |stats| ColumnInfo {
+            stats: Some(stats),
             table_rows: 1000,
         };
-        let c1 = ColumnInfo {
-            stats: Some(ColumnStats {
-                null_count: 100,
-                ndv: 50,
-                min: Some(Value::Str("a".into())),
-                max: Some(Value::Str("z".into())),
-                mcvs: vec![(Value::Str("hot".into()), 0.3)],
-                histogram: None,
-            }),
-            table_rows: 1000,
-        };
-        EstimationContext::new(vec![c0, c1])
+        EstimationContext::new(stats.iter().map(column).collect())
     }
 
     #[test]

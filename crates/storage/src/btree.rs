@@ -41,6 +41,7 @@
 
 use std::cmp::Ordering;
 use std::ops::Bound;
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
 use evopt_common::{lockorder, EvoptError, Result, Tuple, Value};
@@ -390,6 +391,9 @@ fn follow(
 pub struct BTreeIndex {
     pool: Arc<BufferPool>,
     meta_page: PageId,
+    /// The meta page's height and page count, for [`BTreeIndex::shape`].
+    height: AtomicU32,
+    page_count: AtomicU64,
     /// Rank [`lockorder::BTREE_WRITE`]: serialises writers (held across
     /// page fetches at rank POOL); readers are safe against the
     /// page-level state.
@@ -408,20 +412,18 @@ impl BTreeIndex {
             page_count: 1,
         };
         meta.store(&mut meta_guard.write());
-        Ok(BTreeIndex {
-            meta_page: meta_guard.id(),
-            pool,
-            write_lock: Mutex::new(()),
-        })
+        BTreeIndex::open(pool, meta_guard.id())
     }
 
     /// Re-open a tree from its meta page. A page of the previous format
     /// (`bvtree01`) is refused, not converted.
     pub fn open(pool: Arc<BufferPool>, meta_page: PageId) -> Result<BTreeIndex> {
-        Meta::load(&pool.fetch(meta_page)?.read())?; // validate magic
+        let meta = Meta::load(&pool.fetch(meta_page)?.read())?;
         Ok(BTreeIndex {
             pool,
             meta_page,
+            height: AtomicU32::new(meta.height),
+            page_count: AtomicU64::new(meta.page_count),
             write_lock: Mutex::new(()),
         })
     }
@@ -435,20 +437,9 @@ impl BTreeIndex {
         Meta::load(&self.pool.fetch(self.meta_page)?.read())
     }
 
-    /// `(height, page_count)` from one read of the meta page.
-    pub fn shape(&self) -> Result<(u32, u64)> {
-        self.read_meta().map(|m| (m.height, m.page_count))
-    }
-
-    /// Root-to-leaf path length in pages (≥ 1). The optimizer charges this
-    /// many page fetches per index probe.
-    pub fn height(&self) -> Result<u32> {
-        Ok(self.shape()?.0)
-    }
-
-    /// Node pages in the tree (excludes the meta page).
-    pub fn page_count(&self) -> Result<u64> {
-        Ok(self.shape()?.1)
+    /// `(height, page_count)` as the meta page holds them, read with no I/O.
+    pub fn shape(&self) -> (u32, u64) {
+        (self.height.load(Relaxed), self.page_count.load(Relaxed))
     }
 
     /// Total entries in the tree, counted along the leaf chain.
@@ -497,6 +488,8 @@ impl BTreeIndex {
         }
         if grown {
             meta.store(&mut self.pool.fetch(self.meta_page)?.write());
+            self.height.store(meta.height, Relaxed);
+            self.page_count.store(meta.page_count, Relaxed);
         }
         Ok(())
     }
@@ -645,7 +638,8 @@ impl BTreeIndex {
     /// Structural check: every node packed and in bounds, every leaf at the
     /// tree's height, leaf entries and the separators between them sorted
     /// in order of traversal (every ordering invariant at once), leaf chain
-    /// and meta page agreeing with the tree. Test/debug helper.
+    /// and meta page agreeing with the tree, the shape in memory with the
+    /// meta page. Test/debug helper.
     pub fn check_invariants(&self) -> Result<()> {
         let meta = self.read_meta()?;
         let (mut seq, mut entries, mut pages) = (Vec::new(), 0u64, 0u64);
@@ -659,6 +653,9 @@ impl BTreeIndex {
                  {chained} in the leaf chain and {} pages in the meta page",
                 meta.page_count
             )));
+        }
+        if self.shape() != (meta.height, meta.page_count) {
+            return Err(corrupt("shape in memory is not the meta page's"));
         }
         Ok(())
     }
@@ -773,7 +770,7 @@ mod tests {
     #[test]
     fn empty_tree() {
         let t = mktree(16);
-        assert_eq!(t.height().unwrap(), 1);
+        assert_eq!(t.shape(), (1, 1));
         assert_eq!(t.entry_count().unwrap(), 0);
         assert!(t.search_eq(&Value::Int(1)).unwrap().is_empty());
         assert_eq!(
@@ -805,7 +802,7 @@ mod tests {
         for &i in &order {
             t.insert(&Value::Int(i), rid(i as u64)).unwrap();
         }
-        assert!(t.height().unwrap() >= 3, "height {}", t.height().unwrap());
+        assert!(t.shape().0 >= 3, "shape {:?}", t.shape());
         assert_eq!(t.entry_count().unwrap(), n as u64);
         t.check_invariants().unwrap();
         let scanned: Vec<i64> = t
@@ -973,6 +970,29 @@ mod tests {
         assert!(BTreeIndex::open(pool, 0).is_err());
     }
 
+    /// The shape in memory is the meta page's after every insert while
+    /// splits grow the tree to height 3, and again once the tree is opened
+    /// from that page.
+    #[test]
+    fn shape_in_memory_is_the_meta_page() {
+        let pool = BufferPool::new(Arc::new(DiskManager::new()), 64);
+        let t = BTreeIndex::create(Arc::clone(&pool)).unwrap();
+        let on_page = |t: &BTreeIndex| {
+            let meta = t.read_meta().unwrap();
+            (meta.height, meta.page_count)
+        };
+        let mut order: Vec<i64> = (0..20_000).collect();
+        order.shuffle(&mut StdRng::seed_from_u64(11));
+        for &i in &order {
+            t.insert(&Value::Int(i), rid(i as u64)).unwrap();
+            assert_eq!(t.shape(), on_page(&t), "after inserting {i}");
+        }
+        assert!(t.shape().0 >= 3, "shape {:?}", t.shape());
+        let reopened = BTreeIndex::open(Arc::clone(&pool), t.meta_page()).unwrap();
+        assert_eq!(reopened.shape(), on_page(&t));
+        reopened.check_invariants().unwrap();
+    }
+
     #[test]
     fn probe_io_scales_with_height_not_size() {
         // An index probe should touch ~height pages, far fewer than the
@@ -983,8 +1003,8 @@ mod tests {
         for i in 0..20_000 {
             t.insert(&Value::Int(i), rid(i as u64)).unwrap();
         }
-        let height = t.height().unwrap() as u64;
-        let pages = t.page_count().unwrap();
+        let (height, pages) = t.shape();
+        let height = height as u64;
         assert!(pages > 50);
         // Flush and dirty the pool with a scan of another structure so the
         // probe starts cold-ish; the tiny pool (8 frames) guarantees that.
@@ -1025,8 +1045,9 @@ mod tests {
         for k in [6, 8, 9] {
             t.insert(&Value::Int(k), rid(0)).unwrap();
         }
-        assert!(t.page_count().unwrap() > 20);
-        let height = t.height().unwrap() as u64;
+        let (height, pages) = t.shape();
+        assert!(pages > 20);
+        let height = height as u64;
         let before = disk.snapshot();
         let got: Vec<i64> = t
             .range(Bound::Excluded(&Value::Int(7)), Bound::Unbounded)
@@ -1047,13 +1068,11 @@ mod tests {
     /// page count are the values that format produced for the same builds.
     #[test]
     fn tree_shapes_match_the_previous_format() {
-        let shape = |t: &BTreeIndex| (t.height().unwrap(), t.page_count().unwrap());
-
         let t = mktree(256);
         for i in 0..100_000i64 {
             t.insert(&Value::Int(i), rid(i as u64)).unwrap();
         }
-        assert_eq!(shape(&t), (3, 1140));
+        assert_eq!(t.shape(), (3, 1140));
 
         let t = mktree(256);
         let mut order: Vec<i64> = (0..40_000).collect();
@@ -1061,7 +1080,7 @@ mod tests {
         for &i in &order {
             t.insert(&Value::Int(i), rid(i as u64)).unwrap();
         }
-        assert_eq!(shape(&t), (3, 321));
+        assert_eq!(t.shape(), (3, 321));
 
         let t = mktree(256);
         for i in 0..20_000u64 {
@@ -1069,7 +1088,7 @@ mod tests {
             let s = format!("{n:0width$}", width = 1 + (i % 97) as usize);
             t.insert(&Value::Str(s), rid(i)).unwrap();
         }
-        assert_eq!(shape(&t), (3, 515));
+        assert_eq!(t.shape(), (3, 515));
         t.check_invariants().unwrap();
     }
 
@@ -1130,7 +1149,7 @@ mod tests {
                 });
             }
         });
-        assert!(t.height().unwrap() >= 3);
+        assert!(t.shape().0 >= 3);
         assert_eq!(t.entry_count().unwrap(), 20_000);
         t.check_invariants().unwrap();
     }
@@ -1297,7 +1316,7 @@ mod tests {
             prop_assert_eq!(format!("{got:?}"), format!("{model:?}"));
             prop_assert_eq!(t.entry_count().unwrap(), model.len() as u64);
             // Most cases get there: the splits above run at three levels.
-            prop_assert!(model.len() < 600 || t.height().unwrap() >= 3);
+            prop_assert!(model.len() < 600 || t.shape().0 >= 3);
             t.check_invariants().unwrap();
         }
 
