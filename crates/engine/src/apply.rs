@@ -27,7 +27,10 @@ pub(crate) fn insert(info: &TableInfo, rows: &[Tuple]) -> Result<usize> {
 
 /// DELETE (`sets` absent) or UPDATE of the rows the access path found.
 /// The new rows are built and checked before any old one is removed, for
-/// the same reason [`insert`] checks first.
+/// the same reason [`insert`] checks first. An UPDATE rewrites each row in
+/// its own slot, keeping its `Rid`, and re-keys only the indexes whose key
+/// it changed; a row that no longer fits on its page is deleted and
+/// reinserted, with every index re-pointed.
 pub(crate) fn modify(
     info: &TableInfo,
     found: &[(Rid, Tuple)],
@@ -50,20 +53,45 @@ pub(crate) fn modify(
         None => None,
     };
     for (i, (rid, old)) in found.iter().enumerate() {
-        info.heap.delete(*rid)?;
-        for idx in info.indexes() {
-            let key = old.value(idx.column)?;
-            if !key.is_null() {
-                idx.btree.delete(key, *rid)?;
+        let new = replacements.as_ref().map(|rows| &rows[i]);
+        match new {
+            Some(new) if info.heap.update(*rid, new)? => {
+                for idx in info.indexes() {
+                    let (o, n) = (old.value(idx.column)?, new.value(idx.column)?);
+                    if same_key(o, n) {
+                        continue;
+                    }
+                    if !o.is_null() {
+                        idx.btree.delete(o, *rid)?;
+                    }
+                    if !n.is_null() {
+                        idx.btree.insert(n, *rid)?;
+                    }
+                }
             }
-        }
-        // Delete + reinsert keeps heap and indexes consistent without
-        // in-place size games.
-        if let Some(new_rows) = &replacements {
-            insert_row(info, &new_rows[i])?;
+            // A DELETE, or a row that no longer fits on its page.
+            _ => {
+                info.heap.delete(*rid)?;
+                for idx in info.indexes() {
+                    let key = old.value(idx.column)?;
+                    if !key.is_null() {
+                        idx.btree.delete(key, *rid)?;
+                    }
+                }
+                if let Some(new) = new {
+                    insert_row(info, new)?;
+                }
+            }
         }
     }
     Ok(found.len())
+}
+
+/// Whether an index may keep its entry: equal in type as well as value.
+/// `Value`'s own equality has `Int(2) == Float(2.0)`, and an index that
+/// skipped that change would keep a key of the old type.
+fn same_key(a: &Value, b: &Value) -> bool {
+    std::mem::discriminant(a) == std::mem::discriminant(b) && a == b
 }
 
 /// Arity, type and NOT NULL conformance of one row against its table.

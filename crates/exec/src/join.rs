@@ -307,6 +307,11 @@ impl Executor for IndexNestedLoopJoinExec {
                 let rt = self.inner.heap.get(rid)?.ok_or_else(|| {
                     EvoptError::Execution(format!("index points at deleted rid {rid}"))
                 })?;
+                // Re-keyed in its slot by an UPDATE beside this read (see
+                // `IndexScanExec`): no longer a match.
+                if rt.value(self.index.column)? != key {
+                    continue;
+                }
                 let combined = lt.join(&rt);
                 if passes(&self.residual, &combined)? {
                     self.out.push(combined);

@@ -89,6 +89,8 @@ pub struct IndexScanExec {
     schema: Schema,
     heap: Arc<TableInfo>,
     range_scan: BTreeRangeScan,
+    /// The indexed column's ordinal in a heap row.
+    key_column: usize,
     residual: Option<Expr>,
     batch_rows: usize,
 }
@@ -113,10 +115,12 @@ impl IndexScanExec {
         let low = bound_ref(&range.low);
         let high = bound_ref(&range.high);
         let range_scan = idx.btree.range(low, high)?;
+        let key_column = idx.column;
         Ok(IndexScanExec {
             schema,
             heap: info,
             range_scan,
+            key_column,
             residual,
             batch_rows: env.batch_rows,
         })
@@ -134,10 +138,16 @@ fn bound_ref(b: &Bound<evopt_common::Value>) -> Bound<&evopt_common::Value> {
 impl RidScan for IndexScanExec {
     fn next_match(&mut self) -> Result<Option<(Rid, Tuple)>> {
         for item in self.range_scan.by_ref() {
-            let (_, rid) = item?;
+            let (key, rid) = item?;
             let tuple = self.heap.heap.get(rid)?.ok_or_else(|| {
                 EvoptError::Execution(format!("index points at deleted rid {rid}"))
             })?;
+            // An UPDATE running beside this read rewrites the row in its
+            // slot before it re-keys the index: a row that no longer holds
+            // the entry's key is not a match.
+            if tuple.value(self.key_column)? != &key {
+                continue;
+            }
             if let Some(f) = &self.residual {
                 if !f.eval_predicate(&tuple)? {
                     continue;
@@ -248,7 +258,7 @@ mod tests {
     use super::test_support::*;
     use crate::executor::run_collect;
     use evopt_common::expr::{col, lit};
-    use evopt_common::{BinOp, Expr, Value};
+    use evopt_common::{BinOp, Expr, Tuple, Value};
     use evopt_core::physical::KeyRange;
 
     #[test]
@@ -304,6 +314,28 @@ mod tests {
         let residual = Some(Expr::binary(BinOp::Eq, col(1), lit(7i64)));
         let rows = run_collect(&index_plan(&env, "nums", "nums_k", range, residual), &env).unwrap();
         assert_eq!(rows.len(), 10); // k in 0..100 with k % 10 == 7
+    }
+
+    /// The moment inside an UPDATE of `k` that a concurrent reader can
+    /// meet: the row is rewritten in its slot, the index not yet re-keyed.
+    #[test]
+    fn index_scan_skips_an_entry_whose_row_changed_key() {
+        let env = setup(100, 16);
+        let info = env.catalog.table("nums").unwrap();
+        let rid = info.indexes()[0].btree.search_eq(&Value::Int(42)).unwrap()[0];
+        let rekeyed = Tuple::new(vec![
+            Value::Int(5042),
+            Value::Int(2),
+            Value::Str("row-42".into()),
+        ]);
+        assert!(info.heap.update(rid, &rekeyed).unwrap());
+        let plan = index_plan(&env, "nums", "nums_k", KeyRange::eq(Value::Int(42)), None);
+        assert_eq!(run_collect(&plan, &env).unwrap(), vec![]);
+        let rows = run_collect(
+            &index_plan(&env, "nums", "nums_k", KeyRange::all(), None),
+            &env,
+        );
+        assert_eq!(rows.unwrap().len(), 99);
     }
 
     #[test]

@@ -4,8 +4,11 @@
 //! `next_page` header field). Inserts append to the tail page, allocating a
 //! new page when the tuple doesn't fit — so a freshly-loaded table occupies
 //! the minimal number of pages and `page_count` matches the `P(R)` the cost
-//! model reasons about. Deletes are in-place tombstones; space from deleted
-//! tuples is not reclaimed.
+//! model reasons about. Deletes are in-place tombstones, and an update
+//! rewrites its tuple in the same slot, so a tuple keeps its [`Rid`] and
+//! its place in chain order for as long as it fits on its page; space
+//! from deleted tuples, and from updated tuples that grew, is not
+//! reclaimed.
 //!
 //! A table's heap outlives every handle to it. A *scratch* heap
 //! ([`HeapFile::scratch`]: an operator's sort run, join partition or
@@ -197,6 +200,16 @@ impl HeapFile {
         Ok(was_live)
     }
 
+    /// Rewrite the live tuple at `rid` in its own slot, keeping its `Rid`.
+    /// Returns `false`, with the tuple unchanged, when the new one does not
+    /// fit on that page; the caller then moves it (delete + insert).
+    pub fn update(&self, rid: Rid, tuple: &Tuple) -> Result<bool> {
+        let record = tuple.encode();
+        let guard = self.pool.fetch(rid.page)?;
+        let mut bytes = guard.write();
+        SlottedPage::new(&mut bytes).replace(rid.slot, &record)
+    }
+
     /// Full scan over live tuples, in chain order.
     pub fn scan(&self) -> HeapScan {
         HeapScan {
@@ -354,6 +367,30 @@ mod tests {
         assert_eq!(heap.tuple_count(), 1);
         let scanned: Vec<_> = heap.scan().map(|r| r.unwrap()).collect();
         assert_eq!(scanned, vec![(r1, row(1))]);
+    }
+
+    #[test]
+    fn update_keeps_the_rid_and_the_count() {
+        let heap = HeapFile::create(mkpool(8)).unwrap();
+        let rids: Vec<Rid> = (0..200).map(|i| heap.insert(&row(i)).unwrap()).collect();
+        let (pages, tuples) = (heap.page_count(), heap.tuple_count());
+        // Row 8 shrinks on a full page; row 199 grows on the tail page.
+        let shorter = Tuple::new(vec![Value::Int(8)]);
+        let longer = Tuple::new(vec![Value::Int(199), Value::Str("a longer name".into())]);
+        assert!(heap.update(rids[8], &shorter).unwrap());
+        assert!(heap.update(rids[199], &longer).unwrap());
+        assert_eq!(heap.get(rids[199]).unwrap(), Some(longer.clone()));
+        assert_eq!((heap.page_count(), heap.tuple_count()), (pages, tuples));
+        let scanned: Vec<_> = heap.scan().map(|r| r.unwrap()).collect();
+        assert_eq!(scanned.len(), 200);
+        assert_eq!(scanned[8], (rids[8], shorter));
+        assert_eq!(scanned[199], (rids[199], longer));
+        // A tuple that does not fit on its page is left as it was.
+        let huge = Tuple::new(vec![Value::Str("x".repeat(3000))]);
+        assert!(!heap.update(rids[0], &huge).unwrap());
+        assert_eq!(heap.get(rids[0]).unwrap(), Some(row(0)));
+        heap.delete(rids[1]).unwrap();
+        assert!(heap.update(rids[1], &row(1)).is_err(), "a dead slot");
     }
 
     #[test]

@@ -196,14 +196,37 @@ impl<'a> SlottedPage<'a> {
         Ok(Some(&self.data[off as usize..off as usize + len as usize]))
     }
 
-    /// Mark the record in `slot` deleted. Space is reclaimed only on
-    /// `compact` (not implemented — heap files are append-mostly).
+    /// Mark the record in `slot` deleted. Its bytes are not reclaimed.
     pub fn delete(&mut self, slot: u16) -> Result<()> {
         if slot >= self.slot_count() {
             return Err(EvoptError::Storage(format!("slot {slot} out of range")));
         }
         self.set_slot(slot, DEAD_SLOT, 0);
         Ok(())
+    }
+
+    /// Rewrite the live record in `slot`, keeping the slot. A record no
+    /// longer than the old one overwrites it; a longer one goes into the
+    /// free area and the slot is repointed (the old bytes are not
+    /// reclaimed). Returns `false`, leaving the page untouched, when
+    /// neither fits; a dead or out-of-range slot is an error.
+    pub fn replace(&mut self, slot: u16, record: &[u8]) -> Result<bool> {
+        if self.get(slot)?.is_none() {
+            return Err(EvoptError::Storage(format!("slot {slot} is dead")));
+        }
+        let (off, len) = self.slot(slot);
+        let at = if record.len() <= len as usize {
+            off as usize
+        } else if record.len() <= self.free_space() {
+            let at = self.free_ptr() as usize - record.len();
+            self.set_free_ptr(at as u16);
+            at
+        } else {
+            return Ok(false);
+        };
+        self.data[at..at + record.len()].copy_from_slice(record);
+        self.set_slot(slot, at as u16, record.len() as u16);
+        Ok(true)
     }
 
     /// Iterate live (slot, record) pairs.
@@ -349,6 +372,51 @@ mod tests {
     }
 
     #[test]
+    fn replace_shrinks_in_place_and_grows_into_free_space() {
+        let mut data = fresh();
+        let mut p = SlottedPage::init(&mut data);
+        p.insert(b"first").unwrap();
+        p.insert(b"second").unwrap();
+        let free = p.free_space();
+        assert!(p.replace(0, b"1st").unwrap());
+        assert_eq!(p.get(0).unwrap(), Some(&b"1st"[..]));
+        assert_eq!(p.free_space(), free, "a shorter record stays where it was");
+        assert!(p.replace(0, b"the first record").unwrap());
+        assert_eq!(p.get(0).unwrap(), Some(&b"the first record"[..]));
+        assert_eq!(p.free_space(), free - 16, "a longer one takes free space");
+        assert_eq!(p.get(1).unwrap(), Some(&b"second"[..]));
+        assert_eq!(p.slot_count(), 2);
+    }
+
+    #[test]
+    fn replace_on_a_full_page_returns_false_and_changes_nothing() {
+        let mut data = fresh();
+        let mut p = SlottedPage::init(&mut data);
+        let rec = [7u8; 100];
+        while p.fits(rec.len()) {
+            p.insert(&rec).unwrap();
+        }
+        let before = *p.data;
+        let grown = vec![9u8; 100 + p.free_space() + 1];
+        assert!(!p.replace(3, &grown).unwrap());
+        assert_eq!(&before[..], &p.data[..]);
+        // Shrinking still works on a full page.
+        assert!(p.replace(3, b"small").unwrap());
+        assert_eq!(p.get(3).unwrap(), Some(&b"small"[..]));
+    }
+
+    #[test]
+    fn replace_of_a_dead_or_missing_slot_errors() {
+        let mut data = fresh();
+        let mut p = SlottedPage::init(&mut data);
+        p.insert(b"a").unwrap();
+        p.delete(0).unwrap();
+        assert!(p.replace(0, b"b").is_err());
+        assert!(p.replace(1, b"b").is_err());
+        assert_eq!(p.get(0).unwrap(), None);
+    }
+
+    #[test]
     fn page_fills_up_then_rejects() {
         let mut data = fresh();
         let mut p = SlottedPage::init(&mut data);
@@ -429,18 +497,32 @@ mod tests {
             }
         }
 
-        /// Random interleaving of inserts and deletes preserves the live set.
+        /// Random interleaving of inserts, deletes and replaces preserves
+        /// the live set; a replace that does not fit changes no byte.
         #[test]
         fn prop_insert_delete_model(ops in prop::collection::vec(
-            (any::<bool>(), prop::collection::vec(any::<u8>(), 1..64)), 1..120)) {
+            (0..3u8, prop::collection::vec(any::<u8>(), 1..200)), 1..160)) {
             let mut data = fresh();
             let mut p = SlottedPage::init(&mut data);
             let mut model: Vec<Option<Vec<u8>>> = Vec::new();
-            for (is_delete, bytes) in ops {
-                if is_delete && !model.is_empty() {
-                    let idx = (bytes[0] as usize) % model.len();
+            for (op, bytes) in ops {
+                let idx = (bytes[0] as usize) % model.len().max(1);
+                if op == 1 && !model.is_empty() {
                     p.delete(idx as u16).unwrap();
                     model[idx] = None;
+                } else if op == 2 && !model.is_empty() {
+                    let Some(old) = &model[idx] else {
+                        prop_assert!(p.replace(idx as u16, &bytes).is_err());
+                        continue;
+                    };
+                    let fits = bytes.len() <= old.len() || bytes.len() <= p.free_space();
+                    let before = *p.data;
+                    prop_assert_eq!(p.replace(idx as u16, &bytes).unwrap(), fits);
+                    if fits {
+                        model[idx] = Some(bytes);
+                    } else {
+                        prop_assert_eq!(&before[..], &p.data[..]);
+                    }
                 } else if p.fits(bytes.len()) {
                     let s = p.insert(&bytes).unwrap();
                     prop_assert_eq!(s as usize, model.len());

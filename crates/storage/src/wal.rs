@@ -804,22 +804,20 @@ impl Wal {
 
     // ---- append machinery ----------------------------------------------
 
-    /// Frame `payload` (length + CRC) and append it to the stream. On a
-    /// hard failure mid-append the in-memory stream no longer matches the
-    /// disk, so the WAL poisons itself: every later write fails typed and
-    /// only a reopen (recovery) resumes service.
+    /// Append `payload` behind its header (u32 length, u32 CRC: one LE u64),
+    /// not copied into a frame. A hard failure mid-append leaves the stream
+    /// unlike the disk, so the WAL poisons itself: every later write fails
+    /// typed and only a reopen (recovery) resumes service.
     fn append_record(&self, state: &mut WalState, payload: &[u8]) -> Result<()> {
-        let mut frame = Vec::with_capacity(8 + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(payload).to_le_bytes());
-        frame.extend_from_slice(payload);
-        if let Err(e) = self.write_stream(state, &frame) {
+        let header = (payload.len() as u64 | (u64::from(crc32(payload)) << 32)).to_le_bytes();
+        let framed = self.write_stream(state, &header);
+        if let Err(e) = framed.and_then(|()| self.write_stream(state, payload)) {
             state.poisoned = Some(e.to_string());
             return Err(e);
         }
         self.records_written.fetch_add(1, Ordering::Relaxed);
         self.bytes_written
-            .fetch_add(frame.len() as u64, Ordering::Relaxed);
+            .fetch_add(8 + payload.len() as u64, Ordering::Relaxed);
         Ok(())
     }
 
@@ -1541,6 +1539,39 @@ mod tests {
         // The current version opens.
         disk.write_page(WAL_MASTER_PAGE, &good).unwrap();
         assert!(Wal::open(Arc::clone(&disk) as Arc<dyn DiskBackend>).is_ok());
+    }
+
+    /// Every disk page after a fixed script, and the byte and record
+    /// counters: a change to how records are framed must leave all three
+    /// as they were.
+    #[test]
+    fn log_pages_of_a_fixed_script_are_unchanged() {
+        let (disk, pool, wal) = setup(16);
+        let catalog = CatalogImage {
+            tables: vec![one_table("t", DataType::Int, 1)],
+        };
+        for round in 0..3u8 {
+            for i in 0..3 {
+                fill_page(&pool, round * 16 + i);
+            }
+            wal.commit(&pool).unwrap();
+            wal.log_ddl(&catalog).unwrap();
+            wal.commit(&pool).unwrap();
+        }
+        wal.checkpoint(&pool, &catalog).unwrap();
+        fill_page(&pool, 0xAB);
+        wal.commit(&pool).unwrap();
+        let mut pages = Vec::new();
+        let mut buf = [0u8; PAGE_SIZE];
+        for id in 0..disk.page_count() {
+            if disk.read_page(id, &mut buf).is_ok() {
+                pages.extend_from_slice(&id.to_le_bytes());
+                pages.extend_from_slice(&buf);
+            }
+        }
+        let stats = wal.stats();
+        let got = (crc32(&pages), stats.records_written, stats.bytes_written);
+        assert_eq!(got, (2_857_087_497, 21, 41_525));
     }
 
     #[test]

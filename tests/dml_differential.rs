@@ -14,6 +14,7 @@
 use std::ops::Bound;
 use std::sync::Arc;
 
+use evopt::storage::Rid;
 use evopt::{
     Database, DatabaseConfig, DiskBackend, DiskManager, Durability, QueryResult, Tuple, Value,
 };
@@ -23,6 +24,9 @@ use rand::{RngExt, SeedableRng};
 const STATEMENTS: usize = 2000;
 /// Keys moved by `SET k = k + SHIFT` stay unique: fresh keys never reach it.
 const SHIFT: i64 = 1_000_000;
+/// Bytes of the string an UPDATE grows a row to: a page holds 4 076, so
+/// the row stays in its slot only on a page that is nearly empty.
+const LONG: usize = 3_000;
 
 fn seed() -> u64 {
     std::env::var("RECOVERY_SEED")
@@ -82,10 +86,20 @@ fn assert_indexes_consistent(db: &Database, table: &str, at: &str) {
     }
 }
 
+/// Where row `k` of `table` lies, if it is there.
+fn rid_of(db: &Database, table: &str, k: i64) -> Option<Rid> {
+    let info = db.catalog().table(table).unwrap();
+    let mut rows = info.heap.scan().map(|r| r.unwrap());
+    rows.find(|(_, row)| *row.value(0).unwrap() == Value::Int(k))
+        .map(|(rid, _)| rid)
+}
+
 /// One statement of the stream, with `{t}` where the table name goes.
 struct Gen {
     rng: StdRng,
     next_key: i64,
+    /// The key the last statement grew to `LONG` bytes, if it did.
+    grown: Option<i64>,
 }
 
 impl Gen {
@@ -99,7 +113,8 @@ impl Gen {
         let (a, b) = (self.key(), self.key());
         let (lo, hi) = (a.min(b), a.min(b) + self.rng.random_range(0..40i64));
         let tag = self.rng.random_range(0..7);
-        match self.rng.random_range(0..100u32) {
+        self.grown = None;
+        match self.rng.random_range(0..102u32) {
             0..=34 => {
                 let k = self.next_key;
                 self.next_key += 1;
@@ -125,7 +140,13 @@ impl Gen {
             89..=91 => format!("DELETE FROM {{t}} WHERE v = {tag} AND s = 'tag{tag}'"),
             92..=94 => "DELETE FROM {t} WHERE k = -1".to_string(),
             95 => format!("DELETE FROM {{t}} WHERE k >= {}", self.next_key - 30),
-            _ => "ANALYZE {t}".to_string(),
+            96..=99 => "ANALYZE {t}".to_string(),
+            // A row grown this long usually no longer fits on its page and
+            // is deleted and reinserted elsewhere.
+            _ => {
+                self.grown = Some(a);
+                format!("UPDATE {{t}} SET s = '{}' WHERE k = {a}", "w".repeat(LONG))
+            }
         }
     }
 }
@@ -148,8 +169,9 @@ fn run_stream(durability: Durability) {
     let mut gen = Gen {
         rng: StdRng::seed_from_u64(seed()),
         next_key: 0,
+        grown: None,
     };
-    let (mut via_index, mut via_scan) = (0, 0);
+    let (mut via_index, mut via_scan, mut moved) = (0, 0, 0);
     for n in 1..=STATEMENTS {
         let stmt = gen.next();
         let on = |t: &str| stmt.replace("{t}", t);
@@ -159,7 +181,11 @@ fn run_stream(durability: Durability) {
             via_scan += plan.contains("SeqScan") as usize;
             assert!(db.explain(&on("sc")).unwrap().contains("SeqScan"), "{stmt}");
         }
+        let before = gen.grown.and_then(|k| rid_of(&db, "ix", k));
         let (indexed, scanned) = (db.execute(&on("ix")), db.execute(&on("sc")));
+        if let (Some(k), Some(rid)) = (gen.grown, before) {
+            moved += (rid_of(&db, "ix", k) != Some(rid)) as usize;
+        }
         match (&indexed, &scanned) {
             (Ok(QueryResult::Affected(a)), Ok(QueryResult::Affected(b))) => {
                 assert_eq!(a, b, "statement {n}: {stmt}")
@@ -175,6 +201,8 @@ fn run_stream(durability: Durability) {
     }
     // The stream must have exercised both access paths on the indexed twin.
     assert!(via_index > 100 && via_scan > 20, "{via_index} / {via_scan}");
+    // And the fallback for a row that outgrew its page.
+    assert!(moved > 0, "no grown row left its slot");
     if durability == Durability::Wal {
         let expect = dump(&db, "ix");
         drop(db);

@@ -4,7 +4,11 @@
 
 mod support;
 
-use evopt::{Database, DatabaseConfig, Strategy, Tuple, Value};
+use std::ops::Bound;
+use std::sync::Arc;
+
+use evopt::storage::Rid;
+use evopt::{Database, DatabaseConfig, DiskManager, Durability, Strategy, Tuple, Value};
 use evopt_core::physical::PhysOp;
 use evopt_workload::{load_tpch_lite, load_wisconsin};
 use support::count_ops;
@@ -374,4 +378,140 @@ fn no_benchmark_statement_shape_plans_a_filter() {
             strategy.name()
         );
     }
+}
+
+/// `kv(k, v, s)` under `Durability::Wal`, `rows` rows in key order, with a
+/// unique index on `k`.
+fn durable_kv(rows: i64) -> Database {
+    let cfg = DatabaseConfig {
+        durability: Durability::Wal,
+        ..Default::default()
+    };
+    let db = Database::create_on(Arc::new(DiskManager::new()), cfg).unwrap();
+    db.execute("CREATE TABLE kv (k INT NOT NULL, v INT, s STRING)")
+        .unwrap();
+    let tuples: Vec<Tuple> = (0..rows)
+        .map(|i| {
+            Tuple::new(vec![
+                Value::Int(i),
+                Value::Int(i % 10),
+                Value::Str("s".into()),
+            ])
+        })
+        .collect();
+    db.insert_tuples("kv", &tuples).unwrap();
+    db.execute("CREATE UNIQUE INDEX kv_k ON kv (k)").unwrap();
+    db.execute("ANALYZE").unwrap();
+    db
+}
+
+/// `kv`'s heap rows as `(rid, k)`, in chain order.
+fn heap_keys(db: &Database) -> Vec<(Rid, Value)> {
+    let info = db.catalog().table("kv").unwrap();
+    let rows = info.heap.scan().map(|r| r.unwrap());
+    rows.map(|(rid, t)| (rid, t.value(0).unwrap().clone()))
+        .collect()
+}
+
+fn rid_of(db: &Database, k: i64) -> Rid {
+    let rows = heap_keys(db).into_iter();
+    let mut hits = rows.filter(|(_, key)| *key == Value::Int(k));
+    let (rid, _) = hits.next().expect("the row is in the heap");
+    assert!(hits.next().is_none(), "key {k} is in the heap twice");
+    rid
+}
+
+/// WAL records one statement logged.
+fn records_logged(db: &Database, sql: &str) -> u64 {
+    let before = db.wal().unwrap().stats().records_written;
+    db.execute(sql).unwrap();
+    db.wal().unwrap().stats().records_written - before
+}
+
+/// An UPDATE of a column no index covers rewrites the row in its slot: one
+/// heap page image plus the commit record, no B+-tree page, same `Rid`.
+/// Delete + reinsert also logged the tail page and the `kv_k` leaf.
+#[test]
+fn update_in_place_logs_one_page_image_and_keeps_the_rid() {
+    let db = durable_kv(500);
+    let pages = db.catalog().table("kv").unwrap().heap.page_count();
+    let rid = rid_of(&db, 123);
+    let records = records_logged(&db, "UPDATE kv SET v = v + 1 WHERE k = 123");
+    assert_eq!(records, 2, "one page image and the commit");
+    assert_eq!(rid_of(&db, 123), rid);
+    let row = db.query("SELECT v, s FROM kv WHERE k = 123").unwrap();
+    assert_eq!(
+        row,
+        vec![Tuple::new(vec![Value::Int(4), Value::Str("s".into())])]
+    );
+    assert_eq!(db.catalog().table("kv").unwrap().heap.page_count(), pages);
+}
+
+/// With a second index on `v`, an UPDATE of `k` keeps the row's `Rid` and
+/// re-keys `kv_k` alone: one heap image, one `kv_k` leaf, the commit — no
+/// `kv_v` page.
+#[test]
+fn update_in_place_of_an_indexed_key_repoints_only_that_index() {
+    let db = durable_kv(50);
+    db.execute("CREATE INDEX kv_v ON kv (v)").unwrap();
+    let rid = rid_of(&db, 7);
+    let records = records_logged(&db, "UPDATE kv SET k = k + 1000 WHERE k = 7");
+    assert_eq!(records, 3, "heap page, kv_k leaf and the commit");
+    assert_eq!(rid_of(&db, 1007), rid);
+    let info = db.catalog().table("kv").unwrap();
+    let index = |name: &str| info.indexes().iter().find(|i| i.name == name).unwrap();
+    assert!(index("kv_k")
+        .btree
+        .search_eq(&Value::Int(7))
+        .unwrap()
+        .is_empty());
+    assert_eq!(
+        index("kv_k").btree.search_eq(&Value::Int(1007)).unwrap(),
+        vec![rid]
+    );
+    assert!(index("kv_v")
+        .btree
+        .search_eq(&Value::Int(7))
+        .unwrap()
+        .contains(&rid));
+}
+
+/// A FLOAT column holds an `Int` its INSERT gave it. `SET x = 2.0` leaves
+/// it equal under `Value`'s own comparison, but the index must still carry
+/// the key the heap now holds, as a `Float`.
+#[test]
+fn update_in_place_rekeys_a_value_that_changes_type() {
+    let db = Database::with_defaults();
+    db.execute("CREATE TABLE f (x FLOAT)").unwrap();
+    db.insert_tuples("f", &[Tuple::new(vec![Value::Int(2)])])
+        .unwrap();
+    db.execute("CREATE INDEX f_x ON f (x)").unwrap();
+    db.execute("UPDATE f SET x = 2.0").unwrap();
+    let info = db.catalog().table("f").unwrap();
+    let entries: Vec<Value> = info.indexes()[0]
+        .btree
+        .range(Bound::Unbounded, Bound::Unbounded)
+        .unwrap()
+        .map(|e| e.unwrap().0)
+        .collect();
+    assert_eq!(format!("{entries:?}"), "[Float(2.0)]");
+}
+
+/// Rows updated in place stay where the load put them, so a `CLUSTERED`
+/// table's heap stays in key order: creating another clustered index, which
+/// checks the heap is sorted, still succeeds. Delete + reinsert moved every
+/// updated row to the tail.
+#[test]
+fn update_in_place_keeps_a_clustered_heap_in_key_order() {
+    let db = durable_kv(2000);
+    db.execute("CREATE CLUSTERED INDEX kv_ck ON kv (k)")
+        .unwrap();
+    db.execute("UPDATE kv SET v = v + 1 WHERE k < 1000")
+        .unwrap();
+    db.execute("UPDATE kv SET s = 'x' WHERE k = 1500").unwrap();
+    let keys: Vec<Value> = heap_keys(&db).into_iter().map(|(_, k)| k).collect();
+    assert!(keys.windows(2).all(|w| w[0] <= w[1]), "heap left key order");
+    assert_eq!(keys.len(), 2000);
+    db.execute("CREATE CLUSTERED INDEX kv_ck2 ON kv (k)")
+        .unwrap();
 }

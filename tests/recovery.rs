@@ -74,8 +74,9 @@ fn lcg(state: &mut u64) -> u64 {
     *state >> 33
 }
 
-/// A deterministic DML/DDL script: creates, loads, indexes, updates,
-/// deletes, and drops — every statement class the WAL logs — with
+/// A deterministic DML/DDL script: creates, loads, indexes, updates (a
+/// non-key column and the indexed key), deletes, and drops — every
+/// statement class the WAL logs — with
 /// checkpoints placed as `checkpoints` says.
 fn script(seed: u64, checkpoints: Checkpoints) -> Vec<Op> {
     let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
@@ -101,6 +102,12 @@ fn script(seed: u64, checkpoints: Checkpoints) -> Vec<Op> {
     ops.push(Op::Sql(format!(
         "UPDATE t SET val = val + {} WHERE grp = {}",
         lcg(&mut rng) % 100,
+        lcg(&mut rng) % 5
+    )));
+    // In place, and it changes an indexed key: the row keeps its slot
+    // while `t_id` drops one key and takes another.
+    ops.push(Op::Sql(format!(
+        "UPDATE t SET id = id + 1000 WHERE grp = {}",
         lcg(&mut rng) % 5
     )));
     ops.push(Op::Sql(format!(
