@@ -12,10 +12,11 @@ use evopt_storage::FaultConfig;
 /// `Off` (the default) is the historical behaviour: the simulated disk
 /// holds whatever the buffer pool flushed, and a crash loses everything
 /// else. `Wal` adds a redo-only write-ahead log: every successful DML/DDL
-/// statement commits durably (page images + commit record, synced), the
-/// pool refuses to flush uncommitted pages (no-steal), and
-/// [`crate::Database::recover`] rebuilds exactly the committed prefix after a
-/// crash.
+/// statement commits durably (per dirtied page, the byte ranges it changed,
+/// or a full image on the page's first change after a checkpoint; then a
+/// commit record, synced), the pool refuses to flush uncommitted pages
+/// (no-steal), and [`crate::Database::recover`] rebuilds exactly the
+/// committed prefix after a crash.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Durability {
     #[default]

@@ -63,8 +63,12 @@ const IO_RETRY_LIMIT: u32 = 3;
 /// Implementations must not call back into the pool — `can_flush` runs
 /// under the pool lock.
 pub trait FlushGate: Send + Sync {
-    /// A resident page was dirtied (or created dirty).
-    fn on_dirty(&self, id: PageId);
+    /// A resident page is about to be dirtied (or was created dirty).
+    /// `data` is its frame's latch, not held by the caller: the gate may
+    /// read the bytes as they stand before this write (the WAL keeps a
+    /// before-image), but being a leaf the latch must not be held while
+    /// the gate takes a ranked lock.
+    fn on_dirty(&self, id: PageId, data: &RwLock<PageData>);
     /// Whether the dirty page may be written to disk right now.
     fn can_flush(&self, id: PageId) -> bool;
 }
@@ -307,9 +311,9 @@ impl BufferPool {
         self.gate.lock().clone()
     }
 
-    fn notify_dirty(&self, id: PageId) {
+    fn notify_dirty(&self, id: PageId, data: &RwLock<PageData>) {
         if let Some(g) = self.flush_gate() {
-            g.on_dirty(id);
+            g.on_dirty(id, data);
         }
     }
 
@@ -572,7 +576,7 @@ impl BufferPool {
             inner.scratch.insert(page_id);
         } else {
             // Created dirty: the durability layer must know before any flush.
-            self.notify_dirty(page_id);
+            self.notify_dirty(page_id, &inner.frames[frame].data);
         }
         inner.table.insert(page_id, frame);
         inner.admit(frame, false);
@@ -791,14 +795,20 @@ impl BufferPool {
         result
     }
 
-    /// Stamp `lsn` into a resident page's LSN trailer and return a copy of
-    /// its bytes — the WAL's redo image. The frame is marked dirty
-    /// *without* notifying the [`FlushGate`]: this is the gate's own commit
-    /// path, called after it has taken the page out of its unlogged set.
+    /// Stamp `lsn` into a resident page's LSN trailer and hand the stamped
+    /// bytes, in place, to `read` — the WAL diffs them into its redo
+    /// record. The frame is marked dirty *without* notifying the
+    /// [`FlushGate`]: this is the gate's own commit path. `read` runs under
+    /// the frame's latch and must take no lock.
     ///
     /// Errors if the page is not resident. It always is on the commit
     /// path — gated pages cannot be evicted.
-    pub fn stamp_lsn(&self, id: PageId, lsn: u64) -> Result<Box<PageData>> {
+    pub fn stamp_lsn<R>(
+        &self,
+        id: PageId,
+        lsn: u64,
+        read: impl FnOnce(&PageData) -> R,
+    ) -> Result<R> {
         let _r = lockorder::acquire(lockorder::POOL);
         let inner = self.inner.lock();
         let &frame = inner
@@ -809,7 +819,7 @@ impl BufferPool {
         let mut data = f.data.write();
         set_page_lsn(&mut data, lsn);
         f.dirty.store(true, Ordering::Relaxed);
-        Ok(Box::new(*data))
+        Ok(read(&data))
     }
 }
 
@@ -848,7 +858,7 @@ impl PageGuard {
     pub fn write(&self) -> RwLockWriteGuard<'_, PageData> {
         self.dirty.store(true, Ordering::Relaxed);
         if !self.scratch {
-            self.pool.notify_dirty(self.page_id);
+            self.pool.notify_dirty(self.page_id, &self.data);
         }
         self.data.write()
     }
@@ -899,7 +909,7 @@ mod tests {
     }
 
     impl FlushGate for TestGate {
-        fn on_dirty(&self, id: PageId) {
+        fn on_dirty(&self, id: PageId, _data: &RwLock<PageData>) {
             self.dirtied.lock().unwrap().insert(id);
         }
         fn can_flush(&self, id: PageId) -> bool {
@@ -1423,9 +1433,9 @@ mod tests {
         drop(g);
 
         // stamp_lsn marks dirty without re-entering the gate, and the
-        // returned image carries the trailer.
-        let img = p.stamp_lsn(a_id, 77).unwrap();
-        assert_eq!(crate::page::page_lsn(&img), 77);
+        // bytes it lends carry the trailer.
+        let lsn = p.stamp_lsn(a_id, 77, crate::page::page_lsn).unwrap();
+        assert_eq!(lsn, 77);
 
         // "Commit": release the gate; eviction and flushes work again.
         gate.strict.store(false, Ordering::Relaxed);

@@ -48,9 +48,8 @@ static TABLES: [[u32; 256]; 8] = build_tables();
 /// CRC-32 (IEEE) of `data`.
 ///
 /// Eight bytes per step: the byte-at-a-time loop is one dependent table
-/// load per byte (≈ 3 ns/byte here, 12 µs a page), and a commit logs three
-/// to five page images — the checksum, not the copy, was most of an
-/// INSERT's commit.
+/// load per byte (≈ 3 ns/byte here, 12 µs a page), and the log checksums
+/// every record it writes, a page's full image included.
 pub fn crc32(data: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     let mut chunks = data.chunks_exact(8);

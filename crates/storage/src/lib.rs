@@ -26,8 +26,10 @@
 //!   used by the chaos suite; page CRC-32 checksums ([`checksum`]) stamped
 //!   and verified by the buffer pool turn silent corruption into typed
 //!   `Corruption` errors.
-//! * [`wal::Wal`] — a redo-only write-ahead log (full page images, CRC-32
-//!   per record, torn-tail truncation) with fuzzy checkpoints and
+//! * [`wal::Wal`] — a redo-only write-ahead log (the bytes each commit
+//!   changed per page, a full image on a page's first change after a
+//!   checkpoint; CRC-32 per record, torn-tail truncation) with fuzzy
+//!   checkpoints and
 //!   idempotent crash recovery; it enforces log-before-data through the
 //!   pool's [`buffer::FlushGate`]. [`fault::CrashingBackend`] models
 //!   process death for the crash-point torture suite.

@@ -52,9 +52,105 @@ pub fn page_lsn(data: &PageData) -> u64 {
 }
 
 /// Stamp the page LSN trailer. Called by the WAL at commit, just before the
-/// page image is captured into a redo record.
+/// page's changed bytes are captured into a redo record.
 pub fn set_page_lsn(data: &mut PageData, lsn: u64) {
     data[PAGE_LSN_OFFSET..].copy_from_slice(&lsn.to_le_bytes());
+}
+
+/// Bytes of a logged range's header: `u16 offset | u16 len`.
+const RANGE_HDR: usize = 4;
+
+/// Equal bytes a range spans rather than end there and start another: a
+/// range header costs four bytes, and fewer ranges diff and apply faster.
+const RANGE_MERGE_GAP: usize = 8;
+
+/// The encoded size of a full image: one range covering the page.
+pub(crate) const FULL_IMAGE_LEN: usize = RANGE_HDR + PAGE_SIZE;
+
+fn put_range(out: &mut Vec<u8>, off: usize, bytes: &[u8]) {
+    out.extend_from_slice(&(off as u16).to_le_bytes());
+    out.extend_from_slice(&(bytes.len() as u16).to_le_bytes());
+    out.extend_from_slice(bytes);
+}
+
+/// Append `page` whole, as the one range `[0, PAGE_SIZE)`.
+pub(crate) fn put_full_image(page: &PageData, out: &mut Vec<u8>) {
+    put_range(out, 0, page);
+}
+
+/// Whether encoded `ranges` are a full image (they replace the page).
+pub(crate) fn is_full_image(ranges: &[u8]) -> bool {
+    let [lo, hi] = (PAGE_SIZE as u16).to_le_bytes();
+    ranges.len() == FULL_IMAGE_LEN && ranges[..RANGE_HDR] == [0, 0, lo, hi]
+}
+
+/// Offset of the first byte at or after `from` where `a` and `b` differ,
+/// compared eight bytes at a time.
+fn first_difference(a: &PageData, b: &PageData, from: usize) -> Option<usize> {
+    let mut i = from;
+    while i + 8 <= PAGE_SIZE {
+        let word = |p: &PageData| {
+            let mut w = [0u8; 8];
+            w.copy_from_slice(&p[i..i + 8]);
+            u64::from_le_bytes(w)
+        };
+        let x = word(a) ^ word(b);
+        if x != 0 {
+            return Some(i + x.trailing_zeros() as usize / 8);
+        }
+        i += 8;
+    }
+    (i..PAGE_SIZE).find(|&k| a[k] != b[k])
+}
+
+/// Append the byte ranges where `after` differs from `before` to `out`,
+/// each as `u16 offset | u16 len | bytes`; ranges at most
+/// `RANGE_MERGE_GAP` equal bytes apart are one range. Returns `false`, with
+/// `out` partly written, once the ranges would be no smaller than a full
+/// image.
+pub(crate) fn put_page_delta(before: &PageData, after: &PageData, out: &mut Vec<u8>) -> bool {
+    let limit = out.len() + FULL_IMAGE_LEN;
+    let mut next = first_difference(before, after, 0);
+    while let Some(start) = next {
+        let mut end = start + 1;
+        next = first_difference(before, after, end);
+        while let Some(d) = next.filter(|&d| d - end <= RANGE_MERGE_GAP) {
+            end = d + 1;
+            next = first_difference(before, after, end);
+        }
+        if out.len() + RANGE_HDR + (end - start) >= limit {
+            return false;
+        }
+        put_range(out, start, &after[start..end]);
+    }
+    true
+}
+
+/// Walk encoded `ranges`, calling `f(offset, bytes)` for each. `false` when
+/// they are malformed: a truncated range, or one past the page's end.
+pub(crate) fn for_each_range(ranges: &[u8], mut f: impl FnMut(usize, &[u8])) -> bool {
+    let mut rest = ranges;
+    while !rest.is_empty() {
+        if rest.len() < RANGE_HDR {
+            return false;
+        }
+        let off = usize::from(u16::from_le_bytes([rest[0], rest[1]]));
+        let len = usize::from(u16::from_le_bytes([rest[2], rest[3]]));
+        if off + len > PAGE_SIZE || rest.len() < RANGE_HDR + len {
+            return false;
+        }
+        f(off, &rest[RANGE_HDR..RANGE_HDR + len]);
+        rest = &rest[RANGE_HDR + len..];
+    }
+    true
+}
+
+/// Write encoded `ranges` over `page`. `false`, with `page` partly written,
+/// when they are malformed.
+pub(crate) fn apply_ranges(page: &mut PageData, ranges: &[u8]) -> bool {
+    for_each_range(ranges, |off, bytes| {
+        page[off..off + bytes.len()].copy_from_slice(bytes)
+    })
 }
 
 /// A record id: which page, which slot.
@@ -414,6 +510,84 @@ mod tests {
         assert!(p.replace(0, b"b").is_err());
         assert!(p.replace(1, b"b").is_err());
         assert_eq!(p.get(0).unwrap(), None);
+    }
+
+    #[test]
+    fn delta_covers_changed_bytes_and_merges_small_gaps() {
+        let before = fresh();
+        let mut after = before.clone();
+        after[10] = 1;
+        after[15] = 2; // 4 equal bytes apart: merged into [10, 16)
+        after[100] = 3; // far: its own range
+        set_page_lsn(&mut after, 7);
+        let mut out = Vec::new();
+        assert!(put_page_delta(&before, &after, &mut out));
+        let mut ranges = Vec::new();
+        assert!(for_each_range(&out, |off, b| ranges.push((off, b.len()))));
+        assert_eq!(ranges, vec![(10, 6), (100, 1), (PAGE_LSN_OFFSET, 1)]);
+        assert!(!is_full_image(&out));
+        let mut replayed = before.clone();
+        assert!(apply_ranges(&mut replayed, &out));
+        assert_eq!(&replayed[..], &after[..]);
+        // Nothing changed, nothing logged.
+        let mut empty = Vec::new();
+        assert!(put_page_delta(&after, &after, &mut empty));
+        assert!(empty.is_empty());
+    }
+
+    #[test]
+    fn delta_larger_than_the_page_is_refused_and_a_full_image_replaces() {
+        // Single changed bytes never outgrow the page (at most 5 bytes
+        // logged per 10 of page); a page changed throughout does.
+        let before = fresh();
+        let mut sparse = fresh();
+        for b in sparse.iter_mut().step_by(RANGE_MERGE_GAP + 2) {
+            *b = 1;
+        }
+        let mut out = Vec::new();
+        assert!(put_page_delta(&before, &sparse, &mut out));
+        assert!(out.len() < FULL_IMAGE_LEN);
+        let after = Box::new([1u8; PAGE_SIZE]);
+        out.clear();
+        assert!(!put_page_delta(&before, &after, &mut out));
+        out.clear();
+        put_full_image(&after, &mut out);
+        assert_eq!(out.len(), FULL_IMAGE_LEN);
+        assert!(is_full_image(&out));
+        let mut replayed = Box::new([0xEEu8; PAGE_SIZE]);
+        assert!(apply_ranges(&mut replayed, &out));
+        assert_eq!(&replayed[..], &after[..]);
+    }
+
+    #[test]
+    fn malformed_ranges_are_refused() {
+        let mut page = fresh();
+        assert!(!apply_ranges(&mut page, &[0, 0, 1])); // truncated header
+        assert!(!apply_ranges(&mut page, &[0, 0, 4, 0, 1, 2])); // short bytes
+        let past_end = [0xFF, 0x0F, 2, 0, 1, 2]; // offset 4095, len 2
+        assert!(!apply_ranges(&mut page, &past_end));
+        assert!(apply_ranges(&mut page, &[]));
+    }
+
+    proptest! {
+        #[test]
+        fn prop_delta_replays_to_the_after_image(
+            edits in proptest::collection::vec((0usize..PAGE_SIZE, any::<u8>()), 0..64)
+        ) {
+            let before = fresh();
+            let mut after = before.clone();
+            for (at, b) in edits {
+                after[at] = b;
+            }
+            let mut out = Vec::new();
+            if !put_page_delta(&before, &after, &mut out) {
+                out.clear();
+                put_full_image(&after, &mut out);
+            }
+            let mut replayed = before.clone();
+            prop_assert!(apply_ranges(&mut replayed, &out));
+            prop_assert_eq!(&replayed[..], &after[..]);
+        }
     }
 
     #[test]

@@ -11,15 +11,16 @@
 //!
 //! ```text
 //! 0   u64 magic            "evoptwal"
-//! 8   u32 format version   (2)
+//! 8   u32 format version   (3)
 //! 12  u32 reserved         (0)
 //! 16  u64 scan_start       first log page of the current chain
-//! 24  u64 checkpoint_lsn   LSN of the last completed checkpoint (not read)
+//! 24  u64 checkpoint_lsn   LSN of the checkpoint record heading that chain
 //! 32  u64 next_lsn hint    (advisory; recovery recomputes from the scan)
 //! 40  u32 crc32            over bytes [0, 40)
 //! ```
 //!
-//! A version-1 log logged each DDL as a delta record; its master is
+//! A version-1 log logged each DDL as a delta record, and a version-2 log
+//! a whole image of every page a commit dirtied; their masters are
 //! refused as corruption rather than scanned.
 //!
 //! Log pages form a singly-linked chain: bytes `[0, 8)` hold the next page
@@ -32,8 +33,11 @@
 //! payload = u8 kind | u64 lsn | body
 //! ```
 //!
-//! Three kinds of record exist: a page image (redo), a commit, and a
-//! *catalog image*. Every DDL statement logs the whole catalog version it
+//! Three kinds of record exist: a page record (redo), a commit, and a
+//! *catalog image*. A page record's body is `u64 page | u64 base_lsn |
+//! ranges`, each range `u16 offset | u16 len | bytes`: the bytes a commit
+//! changed on the page as of `base_lsn`, or a *full image*, the one range
+//! `[0, PAGE_SIZE)`. Every DDL statement logs the whole catalog version it
 //! published as one catalog record, and a checkpoint logs the same image
 //! under its own kind, which is also a commit point. Replay keeps the last
 //! committed image it passes.
@@ -46,19 +50,25 @@
 //!
 //! # Redo-only, no-steal
 //!
-//! Commit captures a full image of every page the statement dirtied
-//! (stamping the page LSN trailer), appends the images plus a commit
-//! record, flushes the log tail and syncs. There are no undo records
-//! because uncommitted dirty pages never reach disk: the WAL registers
-//! itself as the pool's [`FlushGate`] and vetoes flushing any page whose
-//! image is not yet on the log (the *unlogged set*). Recovery therefore
-//! only ever redoes committed work, idempotently — a redo record is
-//! skipped when the on-disk page's LSN trailer is already ≥ the record's.
+//! Commit stamps the LSN trailer of every page the statement dirtied and
+//! logs, per page, the bytes that differ from its *before-image* (the copy
+//! the flush gate took when the page was first dirtied since it was last
+//! logged), then a commit record, flushes the log tail and syncs. A page
+//! at or below the last checkpoint's LSN (a fresh page's is 0), or whose
+//! delta would outgrow the page, logs a full image instead: PostgreSQL's
+//! full-page-write rule, so replay repairs a torn data page from the first
+//! record after the checkpoint. There are no undo records because
+//! uncommitted dirty pages never reach disk: the WAL registers itself as
+//! the pool's [`FlushGate`] and vetoes flushing any page whose record is
+//! not yet on the log (the *unlogged set*). Recovery therefore only ever
+//! redoes committed work, idempotently — a record is skipped when the
+//! on-disk page's LSN trailer is already ≥ the record's, and a delta
+//! applies only over a page at its `base_lsn` (any other is corruption).
 //!
 //! # Group commit
 //!
 //! Under the multi-session engine, commits split in two:
-//! [`Wal::commit_grouped`] appends the statement's page images plus a
+//! [`Wal::commit_grouped`] appends the statement's page records plus a
 //! commit record to the in-memory log tail (moving the pages from the
 //! *unlogged* gate to a second *unsynced* gate — no-steal holds throughout)
 //! and returns the commit LSN; [`Wal::sync_through`] makes the log durable
@@ -76,17 +86,17 @@
 //! leaves the master naming either the old or the new chain — both scans
 //! converge, because replay is idempotent.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use evopt_common::{lockorder, DataType, EvoptError, Result};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 
 use crate::buffer::{BufferPool, FlushGate};
 use crate::checksum::crc32;
 use crate::disk::DiskBackend;
-use crate::page::{page_lsn, PageData, PageId, PAGE_SIZE};
+use crate::page::{self, page_lsn, PageData, PageId, FULL_IMAGE_LEN, PAGE_SIZE};
 
 /// WAL sequence number. Strictly increasing across records; 0 = "never
 /// logged" in page trailers.
@@ -96,7 +106,7 @@ pub type Lsn = u64;
 pub const WAL_MASTER_PAGE: PageId = 0;
 
 const MASTER_MAGIC: u64 = 0x6576_6f70_7477_616c; // "evoptwal"
-const MASTER_VERSION: u32 = 2;
+const MASTER_VERSION: u32 = 3;
 const MASTER_LEN: usize = 44;
 
 /// "No next log page" sentinel in the chain header (page 0 is the master,
@@ -113,7 +123,7 @@ const MAX_RECORD_BYTES: usize = 16 << 20;
 /// (mirrors the buffer pool's bounded retry).
 const WAL_RETRY_LIMIT: u32 = 3;
 
-const KIND_PAGE_IMAGE: u8 = 1;
+const KIND_PAGE: u8 = 1;
 const KIND_COMMIT: u8 = 2;
 /// The catalog version a DDL statement published.
 const KIND_CATALOG: u8 = 3;
@@ -160,12 +170,10 @@ pub struct CatalogImage {
 /// A parsed log record.
 #[derive(Debug, Clone)]
 enum WalRecord {
-    /// Full after-image of a data page, applied during redo.
-    PageImage {
-        lsn: Lsn,
-        page: PageId,
-        image: Box<PageData>,
-    },
+    /// `(lsn, page, base_lsn, ranges)`: the bytes a commit changed on a
+    /// data page, as encoded ranges over the page at `base_lsn` (or a full
+    /// image), applied during redo.
+    Page(Lsn, PageId, Lsn, Vec<u8>),
     /// Everything logged since the previous commit record is durable.
     Commit { lsn: Lsn },
     /// The full catalog a DDL statement published, or a checkpoint's
@@ -180,7 +188,7 @@ enum WalRecord {
 impl WalRecord {
     fn lsn(&self) -> Lsn {
         match self {
-            WalRecord::PageImage { lsn, .. }
+            WalRecord::Page(lsn, ..)
             | WalRecord::Commit { lsn }
             | WalRecord::Catalog { lsn, .. } => *lsn,
         }
@@ -206,7 +214,7 @@ pub struct RecoveryInfo {
     pub catalog: CatalogImage,
     /// Records scanned with a valid CRC (committed or not).
     pub scanned_records: u64,
-    /// Page images actually written back (LSN test passed).
+    /// Page records actually written back (LSN test passed).
     pub replayed_records: u64,
     /// CRC-valid records discarded because no commit record followed.
     pub discarded_records: u64,
@@ -238,6 +246,8 @@ struct WalState {
     tail_buf: Box<PageData>,
     /// Payload bytes used in `tail_buf`.
     tail_used: usize,
+    /// Where a written log page is read back to be verified.
+    readback: Box<PageData>,
     /// Records appended since the last commit record (forces the next
     /// commit to write even if no pages are dirty — DDL).
     pending: u64,
@@ -264,11 +274,15 @@ impl WalState {
 pub struct Wal {
     disk: Arc<dyn DiskBackend>,
     state: Mutex<WalState>,
-    /// Dirty pages whose redo image is not yet on the log. The flush gate:
-    /// these may not reach disk (no-steal).
-    unlogged: Mutex<HashSet<PageId>>,
-    /// Dirty pages whose redo image is appended but not yet durably synced
-    /// (keyed by image LSN). The second half of the gate: grouped commits
+    /// Dirty pages whose redo record is not yet on the log, each with its
+    /// before-image when its commit will log a delta. The flush gate: these
+    /// may not reach disk (no-steal).
+    unlogged: Mutex<HashMap<PageId, Option<Box<PageData>>>>,
+    /// LSN of the checkpoint record heading the chain recovery scans (0
+    /// before the first): a page at or below it logs a full image.
+    checkpoint_lsn: AtomicU64,
+    /// Dirty pages whose redo record is appended but not yet durably synced
+    /// (keyed by record LSN). The second half of the gate: grouped commits
     /// park pages here until some session's sync covers them.
     unsynced: Mutex<HashMap<PageId, Lsn>>,
     /// Highest LSN known durable on disk.
@@ -288,15 +302,27 @@ pub struct Wal {
 }
 
 impl FlushGate for Wal {
-    fn on_dirty(&self, id: PageId) {
+    fn on_dirty(&self, id: PageId, data: &RwLock<PageData>) {
+        {
+            let _r = lockorder::acquire(lockorder::WAL_GATE);
+            if self.unlogged.lock().contains_key(&id) {
+                return;
+            }
+        }
+        // The page's first dirtying since it was last logged: keep its
+        // bytes, unless its commit logs it whole anyway.
+        let before = {
+            let page = data.read();
+            (page_lsn(&page) > self.checkpoint_lsn.load(Ordering::Relaxed)).then(|| Box::new(*page))
+        };
         let _r = lockorder::acquire(lockorder::WAL_GATE);
-        self.unlogged.lock().insert(id);
+        self.unlogged.lock().entry(id).or_insert(before);
     }
 
     fn can_flush(&self, id: PageId) -> bool {
         {
             let _r = lockorder::acquire(lockorder::WAL_GATE);
-            if self.unlogged.lock().contains(&id) {
+            if self.unlogged.lock().contains_key(&id) {
                 return false;
             }
         }
@@ -306,6 +332,44 @@ impl FlushGate for Wal {
 }
 
 impl Wal {
+    /// A WAL whose chain starts at `scan_start` and whose appends resume at
+    /// `tail` (page, payload bytes used), everything through `last_lsn`
+    /// durable.
+    fn new(
+        disk: Arc<dyn DiskBackend>,
+        scan_start: PageId,
+        (tail_page, tail_used): (PageId, usize),
+        last_lsn: Lsn,
+        checkpoint_lsn: Lsn,
+    ) -> Wal {
+        Wal {
+            disk,
+            state: Mutex::new(WalState {
+                scan_start,
+                next_lsn: last_lsn + 1,
+                tail_page,
+                tail_buf: Box::new([0u8; PAGE_SIZE]),
+                tail_used,
+                readback: Box::new([0u8; PAGE_SIZE]),
+                pending: 0,
+                last_commit_lsn: last_lsn,
+                poisoned: None,
+            }),
+            unlogged: Mutex::default(),
+            checkpoint_lsn: AtomicU64::new(checkpoint_lsn),
+            unsynced: Mutex::default(),
+            synced_lsn: AtomicU64::new(last_lsn),
+            coalesced_syncs: AtomicU64::default(),
+            sync_wait_us: evopt_obs::Histogram::new(evopt_obs::WAIT_BUCKETS_US),
+            records_written: AtomicU64::default(),
+            bytes_written: AtomicU64::default(),
+            commits: AtomicU64::default(),
+            checkpoints: AtomicU64::default(),
+            recoveries: AtomicU64::default(),
+            replayed_records: AtomicU64::default(),
+        }
+    }
+
     /// Initialise a WAL on a **fresh** disk (page 0 must be free — the
     /// master page's location is fixed).
     pub fn create(disk: Arc<dyn DiskBackend>) -> Result<Arc<Wal>> {
@@ -316,33 +380,10 @@ impl Wal {
             )));
         }
         let first = disk.allocate_page();
-        let wal = Wal {
-            disk,
-            state: Mutex::new(WalState {
-                scan_start: first,
-                next_lsn: 1,
-                tail_page: first,
-                tail_buf: Box::new([0u8; PAGE_SIZE]),
-                tail_used: 0,
-                pending: 0,
-                last_commit_lsn: 0,
-                poisoned: None,
-            }),
-            unlogged: Mutex::new(HashSet::new()),
-            unsynced: Mutex::new(HashMap::new()),
-            synced_lsn: AtomicU64::new(0),
-            coalesced_syncs: AtomicU64::new(0),
-            sync_wait_us: evopt_obs::Histogram::new(evopt_obs::WAIT_BUCKETS_US),
-            records_written: AtomicU64::new(0),
-            bytes_written: AtomicU64::new(0),
-            commits: AtomicU64::new(0),
-            checkpoints: AtomicU64::new(0),
-            recoveries: AtomicU64::new(0),
-            replayed_records: AtomicU64::new(0),
-        };
+        let wal = Wal::new(disk, first, (first, 0), 0, 0);
         // `wal` is exclusively owned here — no lock needed; the initial
         // master mirrors the state constructed above.
-        wal.write_page_verified(first, &[0u8; PAGE_SIZE])?;
+        write_page_verified(&wal.disk, first, &[0u8; PAGE_SIZE], &mut [0u8; PAGE_SIZE])?;
         wal.write_master(first, 0, 1)?;
         wal.sync_retry()?;
         Ok(Arc::new(wal))
@@ -350,148 +391,84 @@ impl Wal {
 
     /// Open an existing WAL and run crash recovery: scan the log from the
     /// master's chain, truncate the torn/uncommitted tail, and replay the
-    /// committed page images idempotently. Returns the WAL positioned for
+    /// committed page records idempotently. Returns the WAL positioned for
     /// new appends plus what recovery found.
     pub fn open(disk: Arc<dyn DiskBackend>) -> Result<(Arc<Wal>, RecoveryInfo)> {
-        let scan_start = Self::read_master(&disk)?;
+        let (scan_start, checkpoint_lsn) = Self::read_master(&disk)?;
 
         // Scan: collect CRC-valid, LSN-increasing records and the stream
-        // position after each one.
+        // position after each one, up to the end-of-log marker, a chain
+        // that ends exactly on a frame boundary (a clean end too), or
+        // damage: a torn tail.
         let mut records: Vec<(WalRecord, (PageId, usize))> = Vec::new();
-        let mut torn_tail = false;
         let mut cursor = LogCursor::load(&disk, scan_start)?;
         let mut last_lsn: Lsn = 0;
-        loop {
-            let mut len_bytes = [0u8; 4];
-            match cursor.read_exact(&mut len_bytes)? {
-                Some(()) => {}
-                None => break, // chain ended mid-frame: torn
+        let torn_tail = loop {
+            let mut len = [0u8; 4];
+            if cursor.read_exact(&mut len)?.is_none() || len == [0; 4] {
+                break false;
             }
-            let len = u32::from_le_bytes(len_bytes) as usize;
-            if len == 0 {
-                break; // clean end-of-log marker
+            let len = u32::from_le_bytes(len) as usize;
+            let fits = len <= MAX_RECORD_BYTES;
+            let (mut crc, mut payload) = ([0u8; 4], vec![0u8; if fits { len } else { 0 }]);
+            let framed = fits
+                && cursor.read_exact(&mut crc)?.is_some()
+                && cursor.read_exact(&mut payload)?.is_some()
+                && crc32(&payload) == u32::from_le_bytes(crc);
+            // An LSN that does not increase is stale bytes from an earlier
+            // chain incarnation.
+            let record = framed.then(|| parse_record(&payload)).flatten();
+            match record.filter(|r| r.lsn() > last_lsn) {
+                Some(record) => {
+                    last_lsn = record.lsn();
+                    records.push((record, cursor.pos()));
+                }
+                None => break true,
             }
-            if len > MAX_RECORD_BYTES {
-                torn_tail = true;
-                break;
-            }
-            let mut crc_bytes = [0u8; 4];
-            if cursor.read_exact(&mut crc_bytes)?.is_none() {
-                torn_tail = true;
-                break;
-            }
-            let mut payload = vec![0u8; len];
-            if cursor.read_exact(&mut payload)?.is_none() {
-                torn_tail = true;
-                break;
-            }
-            if crc32(&payload) != u32::from_le_bytes(crc_bytes) {
-                torn_tail = true;
-                break;
-            }
-            let Some(record) = parse_record(&payload) else {
-                torn_tail = true;
-                break;
-            };
-            if record.lsn() <= last_lsn {
-                // Stale bytes from an earlier chain incarnation.
-                torn_tail = true;
-                break;
-            }
-            last_lsn = record.lsn();
-            records.push((record, cursor.pos()));
-        }
-        // Reached on damage (torn_tail), on the end-of-log marker, or when
-        // the chain ended exactly on a frame boundary with no room for an
-        // end marker — which is a clean end too.
-        Self::finish_open(disk, records, last_lsn, scan_start, torn_tail)
-    }
+        };
 
-    fn finish_open(
-        disk: Arc<dyn DiskBackend>,
-        mut records: Vec<(WalRecord, (PageId, usize))>,
-        max_lsn: Lsn,
-        scan_start: PageId,
-        torn_tail: bool,
-    ) -> Result<(Arc<Wal>, RecoveryInfo)> {
         // The durable prefix ends at the last commit point; everything
         // after it was never acknowledged and is truncated.
         let committed_len = records
             .iter()
             .rposition(|(r, _)| r.is_commit_point())
-            .map(|i| i + 1)
-            .unwrap_or(0);
+            .map_or(0, |i| i + 1);
         let scanned_records = records.len() as u64;
         let discarded_records = (records.len() - committed_len) as u64;
-        let (tail_page, tail_used) = records
-            .get(committed_len.checked_sub(1).unwrap_or(usize::MAX))
-            .map(|(_, pos)| *pos)
-            .unwrap_or((scan_start, 0));
+        let tail = committed_len
+            .checked_sub(1)
+            .map_or((scan_start, 0), |i| records[i].1);
+        records.truncate(committed_len);
 
-        // Replay committed page images; the catalog is the last committed
-        // image.
-        let wal = Wal {
-            disk,
-            state: Mutex::new(WalState {
-                scan_start,
-                next_lsn: max_lsn + 1,
-                tail_page,
-                tail_buf: Box::new([0u8; PAGE_SIZE]),
-                tail_used,
-                pending: 0,
-                // Everything recovery kept is durable on disk already.
-                last_commit_lsn: max_lsn,
-                poisoned: None,
-            }),
-            unlogged: Mutex::new(HashSet::new()),
-            unsynced: Mutex::new(HashMap::new()),
-            synced_lsn: AtomicU64::new(max_lsn),
-            coalesced_syncs: AtomicU64::new(0),
-            sync_wait_us: evopt_obs::Histogram::new(evopt_obs::WAIT_BUCKETS_US),
-            records_written: AtomicU64::new(0),
-            bytes_written: AtomicU64::new(0),
-            commits: AtomicU64::new(0),
-            checkpoints: AtomicU64::new(0),
-            recoveries: AtomicU64::new(1),
-            replayed_records: AtomicU64::new(0),
-        };
-
+        // Replay committed page records; the catalog is the last committed
+        // image. One page and one read-back buffer serve every record.
+        let mut wal = Wal::new(disk, scan_start, tail, last_lsn, checkpoint_lsn);
         let mut catalog = CatalogImage::default();
         let mut replayed = 0u64;
-        records.truncate(committed_len);
+        let (mut buf, mut back) = (Box::new([0u8; PAGE_SIZE]), Box::new([0u8; PAGE_SIZE]));
         for (record, _) in records {
             match record {
-                WalRecord::PageImage { lsn, page, image } => {
-                    if wal.replay_page(page, lsn, &image)? {
-                        replayed += 1;
-                    }
+                WalRecord::Page(lsn, page, base_lsn, ranges) => {
+                    let at = (page, lsn, base_lsn);
+                    replayed += u64::from(wal.replay_page(at, &ranges, &mut buf, &mut back)?);
                 }
                 WalRecord::Commit { .. } => {}
                 WalRecord::Catalog { catalog: c, .. } => catalog = c,
             }
         }
         wal.replayed_records.store(replayed, Ordering::Relaxed);
+        wal.recoveries.store(1, Ordering::Relaxed);
 
         // Truncate the tail in place: reload the page holding the end of
         // the committed prefix, zero the stream after it, and cut the
         // chain so stale continuation pages are orphaned rather than
         // rescanned. Idempotent — a crash here just repeats the work.
-        let (tail, used) = {
-            let _rs = lockorder::acquire(lockorder::WAL_STATE);
-            let state = wal.state.lock();
-            (state.tail_page, state.tail_used)
-        };
-        // Recovery is single-threaded: the truncation I/O runs off the
-        // state lock, which is retaken only to install the rebuilt tail.
-        let mut buf = Box::new([0u8; PAGE_SIZE]);
-        read_page_retry(&wal.disk, tail, &mut buf)?;
-        buf[..LOG_PAGE_HDR].copy_from_slice(&NO_NEXT.to_le_bytes());
-        buf[LOG_PAGE_HDR + used..].fill(0);
-        wal.write_page_verified(tail, &buf)?;
-        {
-            let _rs = lockorder::acquire(lockorder::WAL_STATE);
-            wal.state.lock().tail_buf = buf;
-        }
+        // Recovery owns the WAL alone, so its state takes no lock yet.
+        let state = wal.state.get_mut();
+        read_page_retry(&wal.disk, tail.0, &mut state.tail_buf)?;
+        state.tail_buf[..LOG_PAGE_HDR].copy_from_slice(&NO_NEXT.to_le_bytes());
+        state.tail_buf[LOG_PAGE_HDR + tail.1..].fill(0);
+        write_page_verified(&wal.disk, tail.0, &state.tail_buf, &mut state.readback)?;
         wal.sync_retry()?;
 
         let info = RecoveryInfo {
@@ -504,22 +481,32 @@ impl Wal {
         Ok((Arc::new(wal), info))
     }
 
-    /// Apply one redo record if the on-disk page is older. Returns whether
-    /// the image was written.
-    fn replay_page(&self, page: PageId, lsn: Lsn, image: &PageData) -> Result<bool> {
-        let mut current = Box::new([0u8; PAGE_SIZE]);
-        match read_page_retry(&self.disk, page, &mut current) {
-            Ok(()) => {
-                if page_lsn(&current) >= lsn {
-                    return Ok(false); // already there: idempotent skip
-                }
-            }
+    /// Apply one page record if the on-disk page is older, reading the
+    /// page into `current`. Returns whether the page was written. A delta
+    /// over a page not at its `base_lsn` is corruption, never applied.
+    fn replay_page(
+        &self,
+        (page, lsn, base_lsn): (PageId, Lsn, Lsn),
+        ranges: &[u8],
+        current: &mut PageData,
+        back: &mut PageData,
+    ) -> Result<bool> {
+        match read_page_retry(&self.disk, page, current) {
+            Ok(()) if page_lsn(current) >= lsn => return Ok(false), // idempotent skip
+            Ok(()) => {}
             // The page was deallocated after this record was logged (a
             // later committed DROP TABLE): nothing to redo.
             Err(EvoptError::Storage(_)) => return Ok(false),
             Err(e) => return Err(e),
         }
-        self.write_page_verified(page, image)?;
+        let on_disk = page_lsn(current);
+        if on_disk != base_lsn && !page::is_full_image(ranges) {
+            return Err(EvoptError::Corruption(format!(
+                "wal record {lsn} changes page {page} as of lsn {base_lsn}, but the page is at lsn {on_disk}"
+            )));
+        }
+        page::apply_ranges(current, ranges);
+        write_page_verified(&self.disk, page, current, back)?;
         Ok(true)
     }
 
@@ -533,7 +520,7 @@ impl Wal {
         }
     }
 
-    /// First half of group commit: append the statement's page images plus
+    /// First half of group commit: append the statement's page records plus
     /// a commit record to the in-memory log tail and return the commit
     /// record's LSN — **without** making it durable. The pages move from
     /// the unlogged gate to the unsynced gate, so no-steal holds until a
@@ -543,21 +530,20 @@ impl Wal {
     /// earlier grouped commit is still awaiting durability; otherwise a
     /// pending LSN is always handed back for the caller to sync.
     pub fn commit_grouped(&self, pool: &BufferPool) -> Result<Option<Lsn>> {
-        let dirty: Vec<PageId> = {
-            let _r = lockorder::acquire(lockorder::WAL_GATE);
-            let mut unlogged = self.unlogged.lock();
-            let mut v: Vec<PageId> = unlogged.iter().copied().collect();
-            unlogged.clear();
-            v.sort_unstable();
-            v
-        };
         let _rs = lockorder::acquire(lockorder::WAL_STATE);
         let mut state = self.state.lock();
-        if let Err(e) = state.usable() {
+        state.usable()?;
+        // The pages stay in the unlogged gate, their before-images taken,
+        // until the unsynced gate holds them: no window lets one be evicted.
+        let mut dirty: Vec<(PageId, Option<Box<PageData>>)> = {
             let _r = lockorder::acquire(lockorder::WAL_GATE);
-            self.unlogged.lock().extend(dirty.iter().copied());
-            return Err(e);
-        }
+            let mut unlogged = self.unlogged.lock();
+            unlogged
+                .iter_mut()
+                .map(|(&id, before)| (id, before.take()))
+                .collect()
+        };
+        dirty.sort_unstable_by_key(|&(id, _)| id);
         if dirty.is_empty() && state.pending == 0 {
             // Nothing new — but a sibling's grouped commit may still await
             // its sync; report its LSN so `commit` callers stay durable.
@@ -572,18 +558,26 @@ impl Wal {
                 {
                     let _r = lockorder::acquire(lockorder::WAL_UNSYNCED);
                     let mut unsynced = self.unsynced.lock();
-                    for &p in &dirty {
+                    for &(p, _) in &dirty {
                         unsynced.insert(p, lsn);
                     }
+                }
+                let _r = lockorder::acquire(lockorder::WAL_GATE);
+                let mut unlogged = self.unlogged.lock();
+                for (p, _) in &dirty {
+                    unlogged.remove(p);
                 }
                 self.commits.fetch_add(1, Ordering::Relaxed);
                 Ok(Some(lsn))
             }
             Err(e) => {
-                // The statement's pages are not durably logged: re-gate
-                // them so the no-steal invariant holds for a retry/crash.
+                // Records of a partial statement may sit in the stream,
+                // where a later commit record would make them durable:
+                // refuse further writes. The pages stay gated (no-steal)
+                // with their before-images back.
+                state.poisoned.get_or_insert_with(|| e.to_string());
                 let _r = lockorder::acquire(lockorder::WAL_GATE);
-                self.unlogged.lock().extend(dirty.iter().copied());
+                self.unlogged.lock().extend(dirty);
                 Err(e)
             }
         }
@@ -632,23 +626,31 @@ impl Wal {
         self.unsynced.lock().retain(|_, l| *l > durable);
     }
 
-    /// Append `dirty`'s images plus a commit record; returns the commit
-    /// record's LSN. Does not sync.
+    /// Append a record per dirty page (a delta against its before-image, or
+    /// a full image) plus a commit record; returns the commit LSN. No sync.
     fn commit_locked(
         &self,
         state: &mut WalState,
         pool: &BufferPool,
-        dirty: &[PageId],
+        dirty: &[(PageId, Option<Box<PageData>>)],
     ) -> Result<Lsn> {
-        for &page in dirty {
+        let mut payload = Vec::with_capacity(1 + 3 * 8 + FULL_IMAGE_LEN);
+        for (page, before) in dirty {
             let lsn = state.next_lsn;
             state.next_lsn += 1;
-            let image = pool.stamp_lsn(page, lsn)?;
-            let mut payload = Vec::with_capacity(1 + 8 + 8 + PAGE_SIZE);
-            payload.push(KIND_PAGE_IMAGE);
+            payload.clear();
+            payload.push(KIND_PAGE);
             payload.extend_from_slice(&lsn.to_le_bytes());
             payload.extend_from_slice(&page.to_le_bytes());
-            payload.extend_from_slice(&image[..]);
+            let before = before.as_deref();
+            payload.extend_from_slice(&before.map_or(0, page_lsn).to_le_bytes());
+            let head = payload.len();
+            pool.stamp_lsn(*page, lsn, |after| {
+                if !before.is_some_and(|b| page::put_page_delta(b, after, &mut payload)) {
+                    payload.truncate(head);
+                    page::put_full_image(after, &mut payload);
+                }
+            })?;
             self.append_record(state, &payload)?;
         }
         let lsn = state.next_lsn;
@@ -725,14 +727,17 @@ impl Wal {
         //    the old tail, then move appends to the fresh page.
         let cp_page = self.disk.allocate_page();
         state.tail_buf[..LOG_PAGE_HDR].copy_from_slice(&cp_page.to_le_bytes());
-        self.write_page_verified(state.tail_page, &state.tail_buf)?;
+        self.flush_tail(&mut state)?;
         let old_start = state.scan_start;
         state.tail_page = cp_page;
         state.tail_buf.fill(0);
         state.tail_used = 0;
 
-        // 3. The checkpoint record itself, durably.
+        // 3. The checkpoint record itself, durably. A page's next change
+        //    logs a full image (safe even if the master switch fails).
         state.last_commit_lsn = self.append_catalog(&mut state, KIND_CHECKPOINT, catalog)?;
+        self.checkpoint_lsn
+            .store(state.last_commit_lsn, Ordering::Relaxed);
         self.flush_tail_and_sync(&mut state)?;
         self.mark_synced(&state);
 
@@ -754,9 +759,7 @@ impl Wal {
             if read_page_retry(&self.disk, id, &mut buf).is_err() {
                 break; // unreadable old chain: leak it, stay correct
             }
-            let next = PageId::from_le_bytes([
-                buf[0], buf[1], buf[2], buf[3], buf[4], buf[5], buf[6], buf[7],
-            ]);
+            let next = le_u64(&buf[..]);
             self.disk.deallocate_page(id)?;
             id = next;
         }
@@ -831,7 +834,7 @@ impl Wal {
             if room == 0 {
                 let next = self.disk.allocate_page();
                 state.tail_buf[..LOG_PAGE_HDR].copy_from_slice(&next.to_le_bytes());
-                self.write_page_verified(state.tail_page, &state.tail_buf)?;
+                self.flush_tail(state)?;
                 state.tail_page = next;
                 state.tail_buf.fill(0);
                 state.tail_used = 0;
@@ -846,36 +849,18 @@ impl Wal {
         Ok(())
     }
 
-    fn flush_tail_and_sync(&self, state: &mut WalState) -> Result<()> {
-        self.write_page_verified(state.tail_page, &state.tail_buf)?;
-        self.sync_retry()
+    fn flush_tail(&self, state: &mut WalState) -> Result<()> {
+        write_page_verified(
+            &self.disk,
+            state.tail_page,
+            &state.tail_buf,
+            &mut state.readback,
+        )
     }
 
-    /// Write a page directly (bypassing the pool) and read it back to
-    /// verify — bounded retry heals the injector's transient errors, torn
-    /// writes and bit flips on the log path, which carries no page
-    /// checksums of its own.
-    fn write_page_verified(&self, id: PageId, buf: &PageData) -> Result<()> {
-        let mut last_err = EvoptError::Io(format!("write of wal page {id} never attempted"));
-        for _ in 0..=WAL_RETRY_LIMIT {
-            match self.disk.write_page(id, buf) {
-                Ok(()) => {
-                    let mut back = Box::new([0u8; PAGE_SIZE]);
-                    match self.disk.read_page(id, &mut back) {
-                        Ok(()) if *back == *buf => return Ok(()),
-                        Ok(()) => {
-                            last_err = EvoptError::Io(format!(
-                                "wal page {id} read back different bytes (torn write)"
-                            ));
-                        }
-                        Err(e) => last_err = e,
-                    }
-                }
-                Err(e @ EvoptError::Io(_)) => last_err = e,
-                Err(e) => return Err(e),
-            }
-        }
-        Err(last_err)
+    fn flush_tail_and_sync(&self, state: &mut WalState) -> Result<()> {
+        self.flush_tail(state)?;
+        self.sync_retry()
     }
 
     /// `sync` with bounded retry (the injector's sync faults are
@@ -904,41 +889,26 @@ impl Wal {
         buf[32..40].copy_from_slice(&next_lsn.to_le_bytes());
         let crc = crc32(&buf[..MASTER_LEN - 4]);
         buf[MASTER_LEN - 4..MASTER_LEN].copy_from_slice(&crc.to_le_bytes());
-        self.write_page_verified(WAL_MASTER_PAGE, &buf)
+        write_page_verified(&self.disk, WAL_MASTER_PAGE, &buf, &mut [0u8; PAGE_SIZE])
     }
 
-    /// Read and validate the master page; returns `scan_start`.
-    fn read_master(disk: &Arc<dyn DiskBackend>) -> Result<PageId> {
+    /// Read and validate the master page; returns `scan_start` and
+    /// `checkpoint_lsn`.
+    fn read_master(disk: &Arc<dyn DiskBackend>) -> Result<(PageId, Lsn)> {
         let mut buf = Box::new([0u8; PAGE_SIZE]);
         read_page_retry(disk, WAL_MASTER_PAGE, &mut buf)?;
-        let magic = u64::from_le_bytes([
-            buf[0], buf[1], buf[2], buf[3], buf[4], buf[5], buf[6], buf[7],
-        ]);
-        if magic != MASTER_MAGIC {
-            return Err(EvoptError::Corruption(format!(
-                "wal master page has bad magic {magic:#018x}"
-            )));
-        }
-        let version = u32::from_le_bytes([buf[8], buf[9], buf[10], buf[11]]);
-        if version != MASTER_VERSION {
-            return Err(EvoptError::Corruption(format!(
-                "wal master page has unsupported version {version}"
-            )));
-        }
-        let stored_crc = u32::from_le_bytes([
-            buf[MASTER_LEN - 4],
-            buf[MASTER_LEN - 3],
-            buf[MASTER_LEN - 2],
-            buf[MASTER_LEN - 1],
-        ]);
-        if crc32(&buf[..MASTER_LEN - 4]) != stored_crc {
-            return Err(EvoptError::Corruption(
-                "wal master page failed checksum verification".into(),
-            ));
-        }
-        Ok(u64::from_le_bytes([
-            buf[16], buf[17], buf[18], buf[19], buf[20], buf[21], buf[22], buf[23],
-        ]))
+        let word = |at: usize| u32::from_le_bytes([buf[at], buf[at + 1], buf[at + 2], buf[at + 3]]);
+        let (magic, version) = (le_u64(&buf[..]), word(8));
+        let fault = if magic != MASTER_MAGIC {
+            format!("has bad magic {magic:#018x}")
+        } else if version != MASTER_VERSION {
+            format!("has unsupported version {version}")
+        } else if crc32(&buf[..MASTER_LEN - 4]) != word(MASTER_LEN - 4) {
+            "failed checksum verification".into()
+        } else {
+            return Ok((le_u64(&buf[16..]), le_u64(&buf[24..])));
+        };
+        Err(EvoptError::Corruption(format!("wal master page {fault}")))
     }
 }
 
@@ -974,16 +944,7 @@ impl<'a> LogCursor<'a> {
         let mut done = 0;
         while done < out.len() {
             if self.off == LOG_PAGE_PAYLOAD {
-                let next = PageId::from_le_bytes([
-                    self.buf[0],
-                    self.buf[1],
-                    self.buf[2],
-                    self.buf[3],
-                    self.buf[4],
-                    self.buf[5],
-                    self.buf[6],
-                    self.buf[7],
-                ]);
+                let next = le_u64(&self.buf[..]);
                 if next == NO_NEXT {
                     return Ok(None);
                 }
@@ -1000,6 +961,42 @@ impl<'a> LogCursor<'a> {
         }
         Ok(Some(()))
     }
+}
+
+/// The little-endian `u64` in the first eight bytes of `b`.
+fn le_u64(b: &[u8]) -> u64 {
+    let mut w = [0u8; 8];
+    w.copy_from_slice(&b[..8]);
+    u64::from_le_bytes(w)
+}
+
+/// Write a page directly (bypassing the pool) and read it back into
+/// `back` to verify — bounded retry heals the injector's transient
+/// errors, torn writes and bit flips on the log path, which carries no
+/// page checksums of its own.
+fn write_page_verified(
+    disk: &Arc<dyn DiskBackend>,
+    id: PageId,
+    buf: &PageData,
+    back: &mut PageData,
+) -> Result<()> {
+    let mut last_err = EvoptError::Io(format!("write of wal page {id} never attempted"));
+    for _ in 0..=WAL_RETRY_LIMIT {
+        match disk.write_page(id, buf) {
+            Ok(()) => match disk.read_page(id, back) {
+                Ok(()) if *back == *buf => return Ok(()),
+                Ok(()) => {
+                    last_err = EvoptError::Io(format!(
+                        "wal page {id} read back different bytes (torn write)"
+                    ));
+                }
+                Err(e) => last_err = e,
+            },
+            Err(e @ EvoptError::Io(_)) => last_err = e,
+            Err(e) => return Err(e),
+        }
+    }
+    Err(last_err)
 }
 
 fn read_page_retry(disk: &Arc<dyn DiskBackend>, id: PageId, buf: &mut PageData) -> Result<()> {
@@ -1087,8 +1084,7 @@ impl<'a> BodyReader<'a> {
     }
 
     fn u64(&mut self) -> Option<u64> {
-        self.take(8)
-            .map(|s| u64::from_le_bytes([s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]]))
+        self.take(8).map(le_u64)
     }
 
     fn string(&mut self) -> Option<String> {
@@ -1162,12 +1158,11 @@ fn parse_record(payload: &[u8]) -> Option<WalRecord> {
     let kind = r.u8()?;
     let lsn = r.u64()?;
     let rec = match kind {
-        KIND_PAGE_IMAGE => {
-            let page = r.u64()?;
-            let bytes = r.take(PAGE_SIZE)?;
-            let mut image = Box::new([0u8; PAGE_SIZE]);
-            image.copy_from_slice(bytes);
-            WalRecord::PageImage { lsn, page, image }
+        KIND_PAGE => {
+            let (page, base_lsn) = (r.u64()?, r.u64()?);
+            let ranges = r.take(payload.len() - r.pos)?;
+            page::for_each_range(ranges, |_, _| ()).then_some(())?;
+            WalRecord::Page(lsn, page, base_lsn, ranges.to_vec())
         }
         KIND_COMMIT => WalRecord::Commit { lsn },
         KIND_CATALOG | KIND_CHECKPOINT => WalRecord::Catalog {
@@ -1527,23 +1522,28 @@ mod tests {
         let mut torn = good;
         torn[20] ^= 0xFF;
         assert_eq!(open_err(&torn).kind(), "corruption");
-        // A version-1 master (a log with per-DDL records) is refused even
-        // with a valid checksum, rather than scanned as a torn tail.
-        let mut v1 = good;
-        v1[8..12].copy_from_slice(&1u32.to_le_bytes());
-        let crc = crc32(&v1[..MASTER_LEN - 4]);
-        v1[MASTER_LEN - 4..MASTER_LEN].copy_from_slice(&crc.to_le_bytes());
-        let err = open_err(&v1);
-        assert_eq!(err.kind(), "corruption");
-        assert!(err.message().contains("version 1"), "{err}");
+        // A version-1 master (a log with per-DDL records) and a version-2
+        // one (a whole image per dirtied page) are refused even with a
+        // valid checksum, rather than scanned as a torn tail.
+        for old in [1u32, 2] {
+            let mut master = good;
+            master[8..12].copy_from_slice(&old.to_le_bytes());
+            let crc = crc32(&master[..MASTER_LEN - 4]);
+            master[MASTER_LEN - 4..MASTER_LEN].copy_from_slice(&crc.to_le_bytes());
+            let err = open_err(&master);
+            assert_eq!(err.kind(), "corruption");
+            assert!(err.message().contains(&format!("version {old}")), "{err}");
+        }
         // The current version opens.
         disk.write_page(WAL_MASTER_PAGE, &good).unwrap();
         assert!(Wal::open(Arc::clone(&disk) as Arc<dyn DiskBackend>).is_ok());
     }
 
     /// Every disk page after a fixed script, and the byte and record
-    /// counters: a change to how records are framed must leave all three
-    /// as they were.
+    /// counters: a change to how records are framed or encoded must leave
+    /// all three as they were. The script's last commit edits part of a
+    /// page first logged after the checkpoint, so it pins the delta
+    /// encoding as well as the full image.
     #[test]
     fn log_pages_of_a_fixed_script_are_unchanged() {
         let (disk, pool, wal) = setup(16);
@@ -1559,7 +1559,9 @@ mod tests {
             wal.commit(&pool).unwrap();
         }
         wal.checkpoint(&pool, &catalog).unwrap();
-        fill_page(&pool, 0xAB);
+        let edited = fill_page(&pool, 0xAB);
+        wal.commit(&pool).unwrap();
+        pool.fetch(edited).unwrap().write()[100..140].fill(0xCD);
         wal.commit(&pool).unwrap();
         let mut pages = Vec::new();
         let mut buf = [0u8; PAGE_SIZE];
@@ -1571,13 +1573,13 @@ mod tests {
         }
         let stats = wal.stats();
         let got = (crc32(&pages), stats.records_written, stats.bytes_written);
-        assert_eq!(got, (2_857_087_497, 21, 41_525));
+        assert_eq!(got, (2_863_634_162, 23, 41_744));
     }
 
     #[test]
     fn records_straddle_log_pages() {
-        // Each page image record is > one log page of payload, so every
-        // commit exercises the chain-growing path.
+        // Fresh pages log full images, each record > one log page of
+        // payload, so every commit exercises the chain-growing path.
         let (disk, pool, wal) = setup(16);
         let ids: Vec<PageId> = (0..10u8).map(|i| fill_page(&pool, i + 1)).collect();
         wal.commit(&pool).unwrap();
@@ -1608,6 +1610,162 @@ mod tests {
         assert_eq!(info.replayed_records, 0);
         disk.read_page(a, &mut buf).unwrap();
         assert_eq!(buf[0], 0x99, "newer page must not be overwritten");
+    }
+
+    /// Bytes a one-page commit logs besides its page record's payload: two
+    /// 8-byte frame headers and the 9-byte commit record.
+    const FRAMING: u64 = 8 + 8 + 9;
+    /// A page record's payload before its ranges: kind, lsn, page, base.
+    const PAGE_RECORD_HEAD: u64 = 1 + 3 * 8;
+
+    fn row(i: i64) -> evopt_common::Tuple {
+        evopt_common::Tuple::new(vec![
+            evopt_common::Value::Int(i),
+            evopt_common::Value::Str(format!("row-{i}")),
+        ])
+    }
+
+    /// Commit, returning `(records, bytes)` the commit logged.
+    fn logged(wal: &Wal, pool: &BufferPool) -> (u64, u64) {
+        let before = wal.stats();
+        wal.commit(pool).unwrap();
+        let after = wal.stats();
+        (
+            after.records_written - before.records_written,
+            after.bytes_written - before.bytes_written,
+        )
+    }
+
+    #[test]
+    fn a_page_logs_whole_on_first_touch_after_a_checkpoint_then_deltas() {
+        let (disk, pool, wal) = setup(16);
+        let heap = crate::heap::HeapFile::create(Arc::clone(&pool)).unwrap();
+        heap.insert(&row(0)).unwrap();
+        let full = FRAMING + PAGE_RECORD_HEAD + FULL_IMAGE_LEN as u64;
+        assert_eq!(logged(&wal, &pool), (2, full), "a fresh page logs whole");
+        heap.insert(&row(1)).unwrap();
+        let (records, bytes) = logged(&wal, &pool);
+        assert_eq!(records, 2, "one record per dirtied page plus the commit");
+        assert!(
+            bytes - FRAMING < 256,
+            "a one-row insert logged {bytes} bytes"
+        );
+
+        wal.checkpoint(&pool, &CatalogImage::default()).unwrap();
+        heap.insert(&row(2)).unwrap();
+        let after_checkpoint = logged(&wal, &pool);
+        assert_eq!(
+            after_checkpoint,
+            (2, full),
+            "first touch after a checkpoint"
+        );
+        heap.insert(&row(3)).unwrap();
+        let (records, bytes) = logged(&wal, &pool);
+        assert_eq!(records, 2);
+        let payload = bytes - FRAMING;
+        assert!(
+            payload < 256,
+            "a one-row insert's page record is {payload} bytes"
+        );
+
+        // A page allocated inside the statement logs whole beside the
+        // existing page's delta: still one record per page.
+        heap.insert(&row(4)).unwrap();
+        let fresh = fill_page(&pool, 0x3C);
+        let (records, bytes) = logged(&wal, &pool);
+        assert_eq!(records, 3);
+        let delta = bytes - full - 8;
+        assert!(delta < 256, "delta beside a full image: {delta}");
+        drop(pool);
+        let (_w, info) = Wal::open(Arc::clone(&disk) as Arc<dyn DiskBackend>).unwrap();
+        assert_eq!(
+            info.replayed_records, 4,
+            "a full image, two deltas, a full image"
+        );
+        let mut buf = [0u8; PAGE_SIZE];
+        disk.read_page(fresh, &mut buf).unwrap();
+        assert_eq!(buf[17], 0x3C);
+    }
+
+    #[test]
+    fn torn_data_page_is_repaired_by_the_delta_chain_from_its_old_trailer() {
+        use crate::fault::{FaultConfig, FaultInjector};
+        let injector = Arc::new(FaultInjector::new(
+            Arc::new(DiskManager::new()),
+            FaultConfig {
+                seed: 7,
+                torn_write: 1.0,
+                ..FaultConfig::default()
+            },
+        ));
+        injector.set_enabled(false);
+        let disk = Arc::clone(&injector) as Arc<dyn DiskBackend>;
+        let wal = Wal::create(Arc::clone(&disk)).unwrap();
+        let pool = BufferPool::new(Arc::clone(&disk), 16);
+        pool.set_flush_gate(Arc::clone(&wal) as Arc<dyn FlushGate>);
+        let heap = crate::heap::HeapFile::create(Arc::clone(&pool)).unwrap();
+        heap.insert(&row(0)).unwrap();
+        wal.commit(&pool).unwrap();
+        wal.checkpoint(&pool, &CatalogImage::default()).unwrap();
+        let page = heap.first_page();
+
+        // A full image (first touch after the checkpoint), flushed clean;
+        // then two deltas, their page flushed torn.
+        heap.insert(&row(1)).unwrap();
+        let full = logged(&wal, &pool).1;
+        assert_eq!(full, FRAMING + PAGE_RECORD_HEAD + FULL_IMAGE_LEN as u64);
+        pool.flush_all().unwrap();
+        let mut clean = [0u8; PAGE_SIZE];
+        injector.inner().read_page(page, &mut clean).unwrap();
+        for i in 2..4 {
+            heap.insert(&row(i)).unwrap();
+            assert!(logged(&wal, &pool).1 < full / 8, "row {i} logs a delta");
+        }
+        let committed = *pool.fetch(page).unwrap().read();
+        injector.set_enabled(true);
+        pool.flush_all().unwrap();
+        injector.set_enabled(false);
+        let mut torn = [0u8; PAGE_SIZE];
+        injector.inner().read_page(page, &mut torn).unwrap();
+        assert_eq!(injector.report().torn_writes, 1);
+        assert_ne!(torn, committed, "the flush tore");
+        assert_ne!(torn, clean, "the tear kept a new prefix");
+        assert_eq!(page_lsn(&torn), page_lsn(&clean), "the trailer is old");
+
+        drop((heap, pool, wal));
+        let (_w, info) = Wal::open(Arc::clone(injector.inner())).unwrap();
+        assert_eq!(info.replayed_records, 2, "both deltas, over the torn page");
+        let mut recovered = [0u8; PAGE_SIZE];
+        injector.inner().read_page(page, &mut recovered).unwrap();
+        assert_eq!(recovered, committed);
+    }
+
+    #[test]
+    fn a_delta_over_a_page_at_another_lsn_is_corruption() {
+        let (disk, pool, wal) = setup(8);
+        let a = fill_page(&pool, 0x21);
+        wal.commit(&pool).unwrap();
+        pool.flush_all().unwrap();
+        let mut on_disk = [0u8; PAGE_SIZE];
+        disk.read_page(a, &mut on_disk).unwrap();
+        let base = page_lsn(&on_disk);
+        pool.fetch(a).unwrap().write()[300] = 0x22;
+        wal.commit(&pool).unwrap();
+        let lsn = page_lsn(&pool.fetch(a).unwrap().read());
+        assert!(lsn > base + 1, "room for an LSN between");
+        // The page on disk claims an LSN no record left it at.
+        set_page_lsn(&mut on_disk, base + 1);
+        disk.write_page(a, &on_disk).unwrap();
+        drop(pool);
+        let err = match Wal::open(Arc::clone(&disk) as Arc<dyn DiskBackend>) {
+            Ok(_) => panic!("a delta applied over the wrong page"),
+            Err(e) => e,
+        };
+        assert_eq!(err.kind(), "corruption", "{err}");
+        // The on-disk page was left as it was.
+        let mut after = [0u8; PAGE_SIZE];
+        disk.read_page(a, &mut after).unwrap();
+        assert_eq!(after, on_disk);
     }
 
     #[test]

@@ -429,7 +429,7 @@ fn records_logged(db: &Database, sql: &str) -> u64 {
 }
 
 /// An UPDATE of a column no index covers rewrites the row in its slot: one
-/// heap page image plus the commit record, no B+-tree page, same `Rid`.
+/// heap page record plus the commit record, no B+-tree page, same `Rid`.
 /// Delete + reinsert also logged the tail page and the `kv_k` leaf.
 #[test]
 fn update_in_place_logs_one_page_image_and_keeps_the_rid() {
@@ -437,7 +437,7 @@ fn update_in_place_logs_one_page_image_and_keeps_the_rid() {
     let pages = db.catalog().table("kv").unwrap().heap.page_count();
     let rid = rid_of(&db, 123);
     let records = records_logged(&db, "UPDATE kv SET v = v + 1 WHERE k = 123");
-    assert_eq!(records, 2, "one page image and the commit");
+    assert_eq!(records, 2, "one page record and the commit");
     assert_eq!(rid_of(&db, 123), rid);
     let row = db.query("SELECT v, s FROM kv WHERE k = 123").unwrap();
     assert_eq!(

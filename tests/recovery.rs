@@ -76,7 +76,7 @@ fn lcg(state: &mut u64) -> u64 {
 
 /// A deterministic DML/DDL script: creates, loads, indexes, updates (a
 /// non-key column and the indexed key), deletes, and drops — every
-/// statement class the WAL logs — with
+/// statement class the WAL logs — then one-row inserts and updates, with
 /// checkpoints placed as `checkpoints` says.
 fn script(seed: u64, checkpoints: Checkpoints) -> Vec<Op> {
     let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
@@ -129,6 +129,16 @@ fn script(seed: u64, checkpoints: Checkpoints) -> Vec<Op> {
         "DELETE FROM t WHERE id = {}",
         lcg(&mut rng) % 60
     )));
+    // One-row statements: each commit logs only the few bytes it changed
+    // on pages already logged since the last checkpoint.
+    for _ in 0..3 {
+        insert_batch(&mut ops, &mut rng, 1);
+        ops.push(Op::Sql(format!(
+            "UPDATE t SET val = {} WHERE id = {}",
+            lcg(&mut rng) % 1000,
+            lcg(&mut rng) % 60
+        )));
+    }
     // Interleave, rather than append, so post-checkpoint commits and
     // crashes *during* the checkpoint itself are both swept.
     let mut with_cp = Vec::new();
