@@ -31,21 +31,25 @@
 //! | 33 `HEAP_META`     | per-heap tail pointer and row/page counts | — |
 //! | 40 `POOL`          | buffer-pool frame table | `evopt_pool_miss_io_us`, `evopt_pool_load_wait_us` |
 //! | 41 `POOL_CHECKSUM` | buffer-pool page-checksum map | — |
-//! | 42 `POOL_GATE`     | buffer-pool flush-gate slot | — |
-//! | 50 `WAL_GATE`      | WAL unlogged-page set (no-steal gate) | — |
-//! | 51 `WAL_UNSYNCED`  | WAL appended-but-unsynced page set | — |
+//! | 50 `WAL_GATE`      | WAL held-page map (no-steal flush gate) | — |
 //! | 60 `OBS`           | observability (query log ring) | — |
 //!
 //! Note the perhaps surprising `WAL_STATE < POOL`: the WAL's commit path
 //! holds its append state while stamping LSNs into resident pages
 //! (`BufferPool::stamp_lsn`), while the pool's flush paths consult only the
-//! WAL's *gate* sets (rank 50/51), never its append state — so the order is
-//! acyclic even though the two layers call into each other.
+//! WAL's *gate* map (rank 50), never its append state — so the order is
+//! acyclic even though the two layers call into each other. The pool's
+//! own gate slot takes no lock: it is set once, at database construction.
 //!
 //! Page latches (the per-frame `RwLock<PageData>`) are leaf locks: nothing
 //! *ranked* is acquired while one is held, so they are exempt from
 //! ranking. (Disk I/O under a page latch is fine and deliberate — the
-//! flush paths read a latched frame while writing it back.) A leaf lock's
+//! flush paths read a latched frame while writing it back.) One exception:
+//! a flush (eviction write-back, `flush_all`) stamps the page's checksum
+//! under `POOL_CHECKSUM` while it still holds the page's read latch, so
+//! the checksum map records a page's writes to disk in the order they
+//! happened. Nothing takes a page latch while holding `POOL_CHECKSUM`, so
+//! the exception cannot close a cycle. A leaf lock's
 //! field declaration carries a `// lockorder: leaf` annotation, which
 //! `evopt-analyze` both honours (no unranked-acquisition finding) and
 //! polices (a `lockorder::acquire` inside a leaf's hold region is a
@@ -71,12 +75,9 @@ pub const HEAP_META: u16 = 33;
 pub const POOL: u16 = 40;
 /// Buffer-pool checksum map.
 pub const POOL_CHECKSUM: u16 = 41;
-/// Buffer-pool flush-gate slot.
-pub const POOL_GATE: u16 = 42;
-/// WAL unlogged-page set (the no-steal flush gate).
+/// WAL held-page map: pages not yet logged, or logged but not yet
+/// durable (the no-steal flush gate).
 pub const WAL_GATE: u16 = 50;
-/// WAL appended-but-unsynced page set (the group-commit flush gate).
-pub const WAL_UNSYNCED: u16 = 51;
 /// Observability structures (query log ring).
 pub const OBS: u16 = 60;
 
@@ -96,9 +97,7 @@ pub fn all_ranks() -> &'static [(&'static str, u16)] {
         ("HEAP_META", HEAP_META),
         ("POOL", POOL),
         ("POOL_CHECKSUM", POOL_CHECKSUM),
-        ("POOL_GATE", POOL_GATE),
         ("WAL_GATE", WAL_GATE),
-        ("WAL_UNSYNCED", WAL_UNSYNCED),
         ("OBS", OBS),
     ]
 }

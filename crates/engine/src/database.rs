@@ -81,7 +81,7 @@ impl Database {
                 Wal::create(Arc::clone(&disk))
             })?),
         };
-        Ok(Self::assemble(disk, injector, pool, catalog, wal, config))
+        Self::assemble(disk, injector, pool, catalog, wal, config)
     }
 
     /// Reopen a database over a disk that already holds a WAL: run crash
@@ -106,7 +106,7 @@ impl Database {
         let (wal, info) = Self::bootstrap(&injector, || Wal::open(Arc::clone(&disk)))?;
         let pool = BufferPool::new(Arc::clone(&disk), config.buffer_pages);
         let catalog = Arc::new(Catalog::from_image(Arc::clone(&pool), &info.catalog)?);
-        let db = Self::assemble(disk, injector, pool, catalog, Some(wal), config);
+        let db = Self::assemble(disk, injector, pool, catalog, Some(wal), config)?;
         Ok((db, info))
     }
 
@@ -161,12 +161,12 @@ impl Database {
         catalog: Arc<Catalog>,
         wal: Option<Arc<Wal>>,
         config: DatabaseConfig,
-    ) -> Database {
+    ) -> Result<Database> {
         if let Some(w) = &wal {
-            pool.set_flush_gate(Arc::clone(w) as Arc<dyn FlushGate>);
+            pool.set_flush_gate(Arc::clone(w) as Arc<dyn FlushGate>)?;
         }
         let metrics = Arc::new(EngineMetrics::default());
-        Database {
+        Ok(Database {
             disk,
             injector,
             pool,
@@ -177,7 +177,7 @@ impl Database {
             query_log: QueryLog::new(config.query_log_cap, config.slow_query_us),
             commit_lock: Mutex::new(()),
             next_session_id: AtomicU64::new(1),
-        }
+        })
     }
 
     /// 256-page pool, System R optimizer, equi-depth ANALYZE.

@@ -38,27 +38,24 @@
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use evopt_common::{lockorder, EvoptError, Result};
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::checksum::crc32;
-use crate::disk::DiskBackend;
+use crate::disk::{retry_io, DiskBackend};
 use crate::page::{set_page_lsn, PageData, PageId, PAGE_SIZE};
-
-/// Attempts per physical page op before a transient fault is declared
-/// permanent: the initial try plus `IO_RETRY_LIMIT` retries.
-const IO_RETRY_LIMIT: u32 = 3;
 
 /// Write-ahead gate: the durability layer's veto over dirty-page flushes.
 ///
-/// When installed ([`BufferPool::set_flush_gate`]), the pool reports every
-/// page dirtying via `on_dirty` and consults `can_flush` before any dirty
-/// page reaches the disk (eviction, `flush_all`, `evict_all`). The WAL
-/// implements this with its not-yet-logged set, enforcing log-before-data:
-/// a dirty page whose redo record is not on the log may not be flushed, so
-/// no uncommitted bytes ever overwrite committed on-disk state (no-steal).
+/// When installed ([`BufferPool::set_flush_gate`], once per pool), the
+/// pool reports every page dirtying via `on_dirty` and consults
+/// `can_flush` before any dirty page reaches the disk (eviction,
+/// `flush_all`, `evict_all`). The WAL implements this with one map of the
+/// pages it holds back, enforcing log-before-data: a page may reach disk
+/// only once its last change is on durable log, so no uncommitted bytes
+/// ever overwrite committed on-disk state (no-steal).
 ///
 /// Implementations must not call back into the pool — `can_flush` runs
 /// under the pool lock.
@@ -249,8 +246,9 @@ pub struct BufferPool {
     /// Absent entries (pages never flushed through this pool) skip
     /// verification.
     checksums: Mutex<HashMap<PageId, u32>>,
-    /// Durability veto over dirty-page flushes (see [`FlushGate`]).
-    gate: Mutex<Option<Arc<dyn FlushGate>>>,
+    /// Durability veto over dirty-page flushes (see [`FlushGate`]). Set
+    /// at most once, so reading it takes no lock.
+    gate: OnceLock<Arc<dyn FlushGate>>,
     /// Physical read + verify latency on a miss (the off-lock I/O).
     /// Recorded unconditionally, like the hit/miss counters: a miss
     /// already pays a disk read, so two clock reads are noise. The hit
@@ -293,22 +291,23 @@ impl BufferPool {
             retries: AtomicU64::new(0),
             corruptions: AtomicU64::new(0),
             checksums: Mutex::new(HashMap::new()),
-            gate: Mutex::new(None),
+            gate: OnceLock::new(),
             miss_io_us: evopt_obs::Histogram::new(evopt_obs::WAIT_BUCKETS_US),
             load_wait_us: evopt_obs::Histogram::new(evopt_obs::WAIT_BUCKETS_US),
         })
     }
 
     /// Install a [`FlushGate`]. Done once at database construction, before
-    /// any write traffic, when durability is enabled.
-    pub fn set_flush_gate(&self, gate: Arc<dyn FlushGate>) {
-        let _r = lockorder::acquire(lockorder::POOL_GATE);
-        *self.gate.lock() = Some(gate);
+    /// any write traffic, when durability is enabled. A second install is
+    /// an `Internal` error and leaves the first gate in place.
+    pub fn set_flush_gate(&self, gate: Arc<dyn FlushGate>) -> Result<()> {
+        self.gate
+            .set(gate)
+            .map_err(|_| EvoptError::Internal("buffer pool already has a flush gate".into()))
     }
 
-    fn flush_gate(&self) -> Option<Arc<dyn FlushGate>> {
-        let _r = lockorder::acquire(lockorder::POOL_GATE);
-        self.gate.lock().clone()
+    fn flush_gate(&self) -> Option<&dyn FlushGate> {
+        self.gate.get().map(|g| &**g)
     }
 
     fn notify_dirty(&self, id: PageId, data: &RwLock<PageData>) {
@@ -364,53 +363,44 @@ impl BufferPool {
             let _r = lockorder::acquire(lockorder::POOL_CHECKSUM);
             self.checksums.lock().get(&id).copied()
         };
-        let mut last_err = EvoptError::Io(format!("read of page {id} never attempted"));
-        for attempt in 0..=IO_RETRY_LIMIT {
-            if attempt > 0 {
-                self.retries.fetch_add(1, Ordering::Relaxed);
+        let mut attempts = 0;
+        let read = retry_io(|| {
+            attempts += 1;
+            self.disk.read_page(id, buf)?;
+            match expected {
+                Some(crc) if crc32(buf) != crc => Err(EvoptError::Corruption(format!(
+                    "page {id} failed checksum verification \
+                     (expected {crc:#010x}, got {:#010x})",
+                    crc32(buf)
+                ))),
+                _ => Ok(()),
             }
-            match self.disk.read_page(id, buf) {
-                Ok(()) => match expected {
-                    Some(crc) if crc32(buf) != crc => {
-                        last_err = EvoptError::Corruption(format!(
-                            "page {id} failed checksum verification \
-                             (expected {crc:#010x}, got {:#010x})",
-                            crc32(buf)
-                        ));
-                    }
-                    _ => return Ok(()),
-                },
-                // Io failures may be transient: retry. Anything else
-                // (invalid page id, ...) is a logic error: surface it.
-                Err(e @ EvoptError::Io(_)) => last_err = e,
-                Err(e) => return Err(e),
-            }
-        }
-        if matches!(last_err, EvoptError::Corruption(_)) {
+        });
+        self.retries.fetch_add(attempts - 1, Ordering::Relaxed);
+        if let Err(EvoptError::Corruption(_)) = read {
             self.corruptions.fetch_add(1, Ordering::Relaxed);
         }
-        Err(last_err)
+        read
     }
 
     /// Write a page with bounded retry, stamping its checksum on success.
     fn write_page_checksummed(&self, id: PageId, buf: &PageData) -> Result<()> {
         let crc = crc32(buf);
-        let mut last_err = EvoptError::Io(format!("write of page {id} never attempted"));
-        for attempt in 0..=IO_RETRY_LIMIT {
-            if attempt > 0 {
-                self.retries.fetch_add(1, Ordering::Relaxed);
-            }
-            match self.disk.write_page(id, buf) {
-                Ok(()) => {
-                    let _r = lockorder::acquire(lockorder::POOL_CHECKSUM);
-                    self.checksums.lock().insert(id, crc);
-                    return Ok(());
-                }
-                Err(e @ EvoptError::Io(_)) => last_err = e,
-                Err(e) => return Err(e),
-            }
-        }
-        Err(last_err)
+        let mut attempts = 0;
+        let written = retry_io(|| {
+            attempts += 1;
+            self.disk.write_page(id, buf)
+        });
+        self.retries.fetch_add(attempts - 1, Ordering::Relaxed);
+        written?;
+        // The flush paths call this holding the page's read latch: the one
+        // ranked lock taken under a latch (lockorder.rs, DESIGN.md §11.4).
+        // Stamping before the latch drops keeps the checksum map in the
+        // order of the page's writes to disk: an older flush cannot stamp
+        // its checksum after a newer flush of the same page stamped its own.
+        let _r = lockorder::acquire(lockorder::POOL_CHECKSUM);
+        self.checksums.lock().insert(id, crc);
+        Ok(())
     }
 
     /// Fetch a page, pinning it for the guard's lifetime.
@@ -640,7 +630,7 @@ impl BufferPool {
         if let Some(f) = inner.free.pop() {
             return Ok(Reserved::Clean(f));
         }
-        let victim = inner.victim(self.flush_gate().as_deref()).ok_or_else(|| {
+        let victim = inner.victim(self.flush_gate()).ok_or_else(|| {
             EvoptError::Storage(format!(
                 "buffer pool exhausted: all {} frames pinned or write-gated",
                 self.capacity
@@ -760,7 +750,7 @@ impl BufferPool {
                 let Some(id) = inner.frames[frame].page_id else {
                     continue;
                 };
-                if gate.as_ref().is_some_and(|g| !g.can_flush(id)) {
+                if gate.is_some_and(|g| !g.can_flush(id)) {
                     continue;
                 }
                 if inner.frames[frame].dirty.swap(false, Ordering::Relaxed) {
@@ -884,7 +874,7 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
-    use crate::disk::{DiskBackend, DiskManager};
+    use crate::disk::{DiskBackend, DiskManager, IO_RETRY_LIMIT};
     use crate::fault::{FaultConfig, FaultInjector};
 
     fn pool(frames: usize) -> Arc<BufferPool> {
@@ -903,7 +893,8 @@ mod tests {
                 strict: AtomicBool::new(true),
                 dirtied: std::sync::Mutex::new(HashSet::new()),
             });
-            p.set_flush_gate(Arc::clone(&gate) as Arc<dyn FlushGate>);
+            p.set_flush_gate(Arc::clone(&gate) as Arc<dyn FlushGate>)
+                .unwrap();
             gate
         }
     }
@@ -1446,6 +1437,31 @@ mod tests {
         disk.read_page(a_id, &mut buf).unwrap();
         assert_eq!(buf[0], 1, "released page flushed with its data");
         assert_eq!(crate::page::page_lsn(&buf), 77);
+    }
+
+    #[test]
+    fn a_second_flush_gate_is_refused_and_the_first_stays() {
+        let p = pool(4);
+        let first = TestGate::install(&p);
+        let second = Arc::new(TestGate {
+            strict: AtomicBool::new(false),
+            dirtied: std::sync::Mutex::new(HashSet::new()),
+        });
+        let err = p
+            .set_flush_gate(Arc::clone(&second) as Arc<dyn FlushGate>)
+            .unwrap_err();
+        assert_eq!(err.kind(), "internal", "{err}");
+
+        // The first gate still hears of writes and still vetoes flushes.
+        let g = p.new_page().unwrap();
+        g.write()[0] = 0x3D;
+        let id = g.id();
+        drop(g);
+        assert!(first.dirtied.lock().unwrap().contains(&id));
+        assert!(second.dirtied.lock().unwrap().is_empty());
+        let writes = p.disk().snapshot().writes;
+        p.flush_all().unwrap();
+        assert_eq!(p.disk().snapshot().writes, writes, "the first gate vetoes");
     }
 
     #[test]

@@ -106,6 +106,27 @@ pub trait DiskBackend: Send + Sync {
     fn reset_stats(&self);
 }
 
+/// Re-attempts a physical page op gets after its first try before a fault
+/// is declared permanent, in the buffer pool and the WAL alike.
+pub(crate) const IO_RETRY_LIMIT: u32 = 3;
+
+/// Run `op` until it succeeds, fails with an error that is not transient,
+/// or has been re-attempted `IO_RETRY_LIMIT` times; returns its last
+/// result. Transient means `Io` (the injector's faults heal on the next
+/// attempt) or `Corruption` (a check the op made on the bytes, which a
+/// re-read may pass).
+pub(crate) fn retry_io<T>(mut op: impl FnMut() -> Result<T>) -> Result<T> {
+    let mut retries = 0;
+    loop {
+        match op() {
+            Err(EvoptError::Io(_) | EvoptError::Corruption(_)) if retries < IO_RETRY_LIMIT => {
+                retries += 1;
+            }
+            done => return done,
+        }
+    }
+}
+
 /// In-memory simulated disk.
 ///
 /// Thread-safe; the page store sits behind a mutex (coarse, but the engine

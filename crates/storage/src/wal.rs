@@ -60,22 +60,26 @@
 //! record after the checkpoint. There are no undo records because
 //! uncommitted dirty pages never reach disk: the WAL registers itself as
 //! the pool's [`FlushGate`] and vetoes flushing any page whose record is
-//! not yet on the log (the *unlogged set*). Recovery therefore only ever
-//! redoes committed work, idempotently — a record is skipped when the
-//! on-disk page's LSN trailer is already ≥ the record's, and a delta
-//! applies only over a page at its `base_lsn` (any other is corruption).
+//! not yet on durable log. One map holds each such page: `Unlogged` from
+//! its first dirtying, `Logged` at its record's LSN once its commit
+//! appends it, and released when a sync covers that LSN. A page dirtied
+//! again while `Logged` goes back to `Unlogged`: its next record gets a
+//! larger LSN. Recovery therefore only ever redoes committed work,
+//! idempotently — a record is skipped when the on-disk page's LSN trailer
+//! is already ≥ the record's, and a delta applies only over a page at its
+//! `base_lsn` (any other is corruption).
 //!
 //! # Group commit
 //!
 //! Under the multi-session engine, commits split in two:
 //! [`Wal::commit_grouped`] appends the statement's page records plus a
-//! commit record to the in-memory log tail (moving the pages from the
-//! *unlogged* gate to a second *unsynced* gate — no-steal holds throughout)
-//! and returns the commit LSN; [`Wal::sync_through`] makes the log durable
-//! through that LSN. The sync early-returns when a sibling session's sync
-//! already covered the LSN — adjacent commits share one physical sync,
-//! which is the group-commit win. [`Wal::commit`] composes the two for the
-//! single-caller case.
+//! commit record to the in-memory log tail (turning its pages from
+//! `Unlogged` to `Logged` in one step — no-steal holds throughout) and
+//! returns the commit LSN; [`Wal::sync_through`] makes the log durable
+//! through that LSN and releases the pages it covers. The sync
+//! early-returns when a sibling session's sync already covered the LSN —
+//! adjacent commits share one physical sync, which is the group-commit
+//! win. [`Wal::commit`] composes the two for the single-caller case.
 //!
 //! # Checkpoints
 //!
@@ -95,7 +99,7 @@ use parking_lot::{Mutex, RwLock};
 
 use crate::buffer::{BufferPool, FlushGate};
 use crate::checksum::crc32;
-use crate::disk::DiskBackend;
+use crate::disk::{retry_io, DiskBackend};
 use crate::page::{self, page_lsn, PageData, PageId, FULL_IMAGE_LEN, PAGE_SIZE};
 
 /// WAL sequence number. Strictly increasing across records; 0 = "never
@@ -118,10 +122,6 @@ const LOG_PAGE_PAYLOAD: usize = PAGE_SIZE - LOG_PAGE_HDR;
 /// Upper bound on a record payload; a scanned length beyond this is
 /// garbage (torn tail), not a record.
 const MAX_RECORD_BYTES: usize = 16 << 20;
-
-/// Attempts per physical WAL page op before a fault is declared permanent
-/// (mirrors the buffer pool's bounded retry).
-const WAL_RETRY_LIMIT: u32 = 3;
 
 const KIND_PAGE: u8 = 1;
 const KIND_COMMIT: u8 = 2;
@@ -269,22 +269,26 @@ impl WalState {
     }
 }
 
+/// Why the WAL holds a dirty page back from disk.
+enum Held {
+    /// Dirtied since its record was last appended, with its before-image
+    /// when its commit will log a delta.
+    Unlogged(Option<Box<PageData>>),
+    /// Its last change is appended at this LSN, not yet durable.
+    Logged(Lsn),
+}
+
 /// The write-ahead log. One per database; shared via `Arc` so it can also
 /// serve as the pool's [`FlushGate`].
 pub struct Wal {
     disk: Arc<dyn DiskBackend>,
     state: Mutex<WalState>,
-    /// Dirty pages whose redo record is not yet on the log, each with its
-    /// before-image when its commit will log a delta. The flush gate: these
-    /// may not reach disk (no-steal).
-    unlogged: Mutex<HashMap<PageId, Option<Box<PageData>>>>,
+    /// Every dirty page whose last change is not yet on durable log. The
+    /// flush gate: these may not reach disk (no-steal).
+    held: Mutex<HashMap<PageId, Held>>,
     /// LSN of the checkpoint record heading the chain recovery scans (0
     /// before the first): a page at or below it logs a full image.
     checkpoint_lsn: AtomicU64,
-    /// Dirty pages whose redo record is appended but not yet durably synced
-    /// (keyed by record LSN). The second half of the gate: grouped commits
-    /// park pages here until some session's sync covers them.
-    unsynced: Mutex<HashMap<PageId, Lsn>>,
     /// Highest LSN known durable on disk.
     synced_lsn: AtomicU64,
     coalesced_syncs: AtomicU64,
@@ -303,31 +307,30 @@ pub struct Wal {
 
 impl FlushGate for Wal {
     fn on_dirty(&self, id: PageId, data: &RwLock<PageData>) {
+        let unlogged = |h: Option<&Held>| matches!(h, Some(Held::Unlogged(_)));
         {
             let _r = lockorder::acquire(lockorder::WAL_GATE);
-            if self.unlogged.lock().contains_key(&id) {
+            if unlogged(self.held.lock().get(&id)) {
                 return;
             }
         }
         // The page's first dirtying since it was last logged: keep its
-        // bytes, unless its commit logs it whole anyway.
+        // bytes, unless its commit logs it whole anyway. A `Logged` LSN is
+        // dropped: the page's next record has a larger one.
         let before = {
             let page = data.read();
             (page_lsn(&page) > self.checkpoint_lsn.load(Ordering::Relaxed)).then(|| Box::new(*page))
         };
         let _r = lockorder::acquire(lockorder::WAL_GATE);
-        self.unlogged.lock().entry(id).or_insert(before);
+        let mut held = self.held.lock();
+        if !unlogged(held.get(&id)) {
+            held.insert(id, Held::Unlogged(before));
+        }
     }
 
     fn can_flush(&self, id: PageId) -> bool {
-        {
-            let _r = lockorder::acquire(lockorder::WAL_GATE);
-            if self.unlogged.lock().contains_key(&id) {
-                return false;
-            }
-        }
-        let _r = lockorder::acquire(lockorder::WAL_UNSYNCED);
-        !self.unsynced.lock().contains_key(&id)
+        let _r = lockorder::acquire(lockorder::WAL_GATE);
+        !self.held.lock().contains_key(&id)
     }
 }
 
@@ -355,9 +358,8 @@ impl Wal {
                 last_commit_lsn: last_lsn,
                 poisoned: None,
             }),
-            unlogged: Mutex::default(),
+            held: Mutex::default(),
             checkpoint_lsn: AtomicU64::new(checkpoint_lsn),
-            unsynced: Mutex::default(),
             synced_lsn: AtomicU64::new(last_lsn),
             coalesced_syncs: AtomicU64::default(),
             sync_wait_us: evopt_obs::Histogram::new(evopt_obs::WAIT_BUCKETS_US),
@@ -385,7 +387,7 @@ impl Wal {
         // master mirrors the state constructed above.
         write_page_verified(&wal.disk, first, &[0u8; PAGE_SIZE], &mut [0u8; PAGE_SIZE])?;
         wal.write_master(first, 0, 1)?;
-        wal.sync_retry()?;
+        retry_io(|| wal.disk.sync())?;
         Ok(Arc::new(wal))
     }
 
@@ -465,11 +467,11 @@ impl Wal {
         // rescanned. Idempotent — a crash here just repeats the work.
         // Recovery owns the WAL alone, so its state takes no lock yet.
         let state = wal.state.get_mut();
-        read_page_retry(&wal.disk, tail.0, &mut state.tail_buf)?;
+        retry_io(|| wal.disk.read_page(tail.0, &mut state.tail_buf))?;
         state.tail_buf[..LOG_PAGE_HDR].copy_from_slice(&NO_NEXT.to_le_bytes());
         state.tail_buf[LOG_PAGE_HDR + tail.1..].fill(0);
         write_page_verified(&wal.disk, tail.0, &state.tail_buf, &mut state.readback)?;
-        wal.sync_retry()?;
+        retry_io(|| wal.disk.sync())?;
 
         let info = RecoveryInfo {
             catalog,
@@ -491,7 +493,7 @@ impl Wal {
         current: &mut PageData,
         back: &mut PageData,
     ) -> Result<bool> {
-        match read_page_retry(&self.disk, page, current) {
+        match retry_io(|| self.disk.read_page(page, current)) {
             Ok(()) if page_lsn(current) >= lsn => return Ok(false), // idempotent skip
             Ok(()) => {}
             // The page was deallocated after this record was logged (a
@@ -522,9 +524,9 @@ impl Wal {
 
     /// First half of group commit: append the statement's page records plus
     /// a commit record to the in-memory log tail and return the commit
-    /// record's LSN — **without** making it durable. The pages move from
-    /// the unlogged gate to the unsynced gate, so no-steal holds until a
-    /// [`Wal::sync_through`] covering the returned LSN lands.
+    /// record's LSN — **without** making it durable. The pages turn from
+    /// `Unlogged` to `Logged`, held until a [`Wal::sync_through`] covering
+    /// the returned LSN lands.
     ///
     /// Returns `Ok(None)` only when there is nothing to commit *and* no
     /// earlier grouped commit is still awaiting durability; otherwise a
@@ -533,14 +535,16 @@ impl Wal {
         let _rs = lockorder::acquire(lockorder::WAL_STATE);
         let mut state = self.state.lock();
         state.usable()?;
-        // The pages stay in the unlogged gate, their before-images taken,
-        // until the unsynced gate holds them: no window lets one be evicted.
+        // The pages stay held as `Unlogged`, their before-images taken,
+        // until they turn `Logged`: no window lets one be evicted.
         let mut dirty: Vec<(PageId, Option<Box<PageData>>)> = {
             let _r = lockorder::acquire(lockorder::WAL_GATE);
-            let mut unlogged = self.unlogged.lock();
-            unlogged
-                .iter_mut()
-                .map(|(&id, before)| (id, before.take()))
+            let mut held = self.held.lock();
+            held.iter_mut()
+                .filter_map(|(&id, h)| match h {
+                    Held::Unlogged(before) => Some((id, before.take())),
+                    Held::Logged(_) => None,
+                })
                 .collect()
         };
         dirty.sort_unstable_by_key(|&(id, _)| id);
@@ -553,19 +557,13 @@ impl Wal {
             }
             return Ok(None);
         }
-        match self.commit_locked(&mut state, pool, &dirty) {
+        let committed = self.commit_locked(&mut state, pool, &dirty);
+        let _r = lockorder::acquire(lockorder::WAL_GATE);
+        let mut held = self.held.lock();
+        match committed {
             Ok(lsn) => {
-                {
-                    let _r = lockorder::acquire(lockorder::WAL_UNSYNCED);
-                    let mut unsynced = self.unsynced.lock();
-                    for &(p, _) in &dirty {
-                        unsynced.insert(p, lsn);
-                    }
-                }
-                let _r = lockorder::acquire(lockorder::WAL_GATE);
-                let mut unlogged = self.unlogged.lock();
-                for (p, _) in &dirty {
-                    unlogged.remove(p);
+                for &(p, _) in &dirty {
+                    held.insert(p, Held::Logged(lsn));
                 }
                 self.commits.fetch_add(1, Ordering::Relaxed);
                 Ok(Some(lsn))
@@ -573,11 +571,10 @@ impl Wal {
             Err(e) => {
                 // Records of a partial statement may sit in the stream,
                 // where a later commit record would make them durable:
-                // refuse further writes. The pages stay gated (no-steal)
-                // with their before-images back.
+                // refuse further writes. The pages stay `Unlogged`
+                // (no-steal) with their before-images back.
                 state.poisoned.get_or_insert_with(|| e.to_string());
-                let _r = lockorder::acquire(lockorder::WAL_GATE);
-                self.unlogged.lock().extend(dirty);
+                held.extend(dirty.into_iter().map(|(p, b)| (p, Held::Unlogged(b))));
                 Err(e)
             }
         }
@@ -586,7 +583,7 @@ impl Wal {
     /// Second half of group commit: make the log durable through `lsn`.
     /// Early-returns when a sibling session's physical sync already covered
     /// `lsn` — that coalescing is the group-commit win. On success every
-    /// page parked behind a covered commit leaves the unsynced gate.
+    /// page `Logged` at a covered LSN is released.
     ///
     /// On failure the affected pages stay gated (no-steal holds) and the
     /// commit is *uncertain*: not acknowledged, but recovery may still
@@ -617,13 +614,15 @@ impl Wal {
     }
 
     /// Everything appended so far just became durable: advance the synced
-    /// horizon and release covered pages from the unsynced gate. Call with
-    /// the state lock held, after a successful tail flush + sync.
+    /// horizon and release the pages `Logged` at or below it. Call with the
+    /// state lock held, after a successful tail flush + sync.
     fn mark_synced(&self, state: &WalState) {
         let durable = state.next_lsn.saturating_sub(1);
         self.synced_lsn.store(durable, Ordering::SeqCst);
-        let _r = lockorder::acquire(lockorder::WAL_UNSYNCED);
-        self.unsynced.lock().retain(|_, l| *l > durable);
+        let _r = lockorder::acquire(lockorder::WAL_GATE);
+        self.held
+            .lock()
+            .retain(|_, h| !matches!(h, Held::Logged(l) if *l <= durable));
     }
 
     /// Append a record per dirty page (a delta against its before-image, or
@@ -702,26 +701,23 @@ impl Wal {
         let _rs = lockorder::acquire(lockorder::WAL_STATE);
         let mut state = self.state.lock();
         state.usable()?;
-        {
-            let _r = lockorder::acquire(lockorder::WAL_GATE);
-            if state.pending > 0 || !self.unlogged.lock().is_empty() {
-                return Err(EvoptError::Internal(
-                    "checkpoint with uncommitted changes pending".into(),
-                ));
-            }
+        if state.pending > 0 || self.unlogged_pages() > 0 {
+            return Err(EvoptError::Internal(
+                "checkpoint with uncommitted changes pending".into(),
+            ));
         }
 
-        // 0. Drain any grouped commits still awaiting durability, emptying
-        //    the unsynced gate so flush_all below can pass every page.
+        // 0. Drain any grouped commits still awaiting durability, releasing
+        //    every `Logged` page so flush_all below can pass them all.
         if state.last_commit_lsn > self.synced_lsn.load(Ordering::SeqCst) {
             self.flush_tail_and_sync(&mut state)?;
             self.mark_synced(&state);
         }
 
-        // 1. All committed dirty pages reach disk (the gates pass them —
-        //    both gate sets are empty) and become durable.
+        // 1. All committed dirty pages reach disk (the gate holds none
+        //    of them now) and become durable.
         pool.flush_all()?;
-        self.sync_retry()?;
+        retry_io(|| self.disk.sync())?;
 
         // 2. Seal the current chain: link it to a fresh page and persist
         //    the old tail, then move appends to the fresh page.
@@ -747,7 +743,7 @@ impl Wal {
         //    sides of the switch converge.
         state.scan_start = cp_page;
         self.write_master(cp_page, state.last_commit_lsn, state.next_lsn)?;
-        self.sync_retry()?;
+        retry_io(|| self.disk.sync())?;
 
         // 5. Release the old chain (everything strictly before cp_page).
         let mut id = old_start;
@@ -756,7 +752,7 @@ impl Wal {
         while id != cp_page && id != NO_NEXT && hops <= bound {
             hops += 1;
             let mut buf = Box::new([0u8; PAGE_SIZE]);
-            if read_page_retry(&self.disk, id, &mut buf).is_err() {
+            if retry_io(|| self.disk.read_page(id, &mut buf)).is_err() {
                 break; // unreadable old chain: leak it, stay correct
             }
             let next = le_u64(&buf[..]);
@@ -790,14 +786,23 @@ impl Wal {
     /// Number of dirty pages currently gated (not yet logged). Zero
     /// between statements.
     pub fn unlogged_pages(&self) -> usize {
-        let _r = lockorder::acquire(lockorder::WAL_GATE);
-        self.unlogged.lock().len()
+        self.held_pages().0
     }
 
     /// Number of pages appended to the log but still awaiting a sync.
     pub fn unsynced_pages(&self) -> usize {
-        let _r = lockorder::acquire(lockorder::WAL_UNSYNCED);
-        self.unsynced.lock().len()
+        self.held_pages().1
+    }
+
+    /// Pages held `Unlogged` and `Logged`.
+    fn held_pages(&self) -> (usize, usize) {
+        let _r = lockorder::acquire(lockorder::WAL_GATE);
+        let held = self.held.lock();
+        let unlogged = held
+            .values()
+            .filter(|h| matches!(h, Held::Unlogged(_)))
+            .count();
+        (unlogged, held.len() - unlogged)
     }
 
     /// Highest LSN known durable on disk.
@@ -860,21 +865,7 @@ impl Wal {
 
     fn flush_tail_and_sync(&self, state: &mut WalState) -> Result<()> {
         self.flush_tail(state)?;
-        self.sync_retry()
-    }
-
-    /// `sync` with bounded retry (the injector's sync faults are
-    /// transient and heal on the next attempt).
-    fn sync_retry(&self) -> Result<()> {
-        let mut last_err = EvoptError::Io("sync never attempted".into());
-        for _ in 0..=WAL_RETRY_LIMIT {
-            match self.disk.sync() {
-                Ok(()) => return Ok(()),
-                Err(e @ EvoptError::Io(_)) => last_err = e,
-                Err(e) => return Err(e),
-            }
-        }
-        Err(last_err)
+        retry_io(|| self.disk.sync())
     }
 
     // ---- master page ----------------------------------------------------
@@ -896,7 +887,7 @@ impl Wal {
     /// `checkpoint_lsn`.
     fn read_master(disk: &Arc<dyn DiskBackend>) -> Result<(PageId, Lsn)> {
         let mut buf = Box::new([0u8; PAGE_SIZE]);
-        read_page_retry(disk, WAL_MASTER_PAGE, &mut buf)?;
+        retry_io(|| disk.read_page(WAL_MASTER_PAGE, &mut buf))?;
         let word = |at: usize| u32::from_le_bytes([buf[at], buf[at + 1], buf[at + 2], buf[at + 3]]);
         let (magic, version) = (le_u64(&buf[..]), word(8));
         let fault = if magic != MASTER_MAGIC {
@@ -924,7 +915,7 @@ struct LogCursor<'a> {
 impl<'a> LogCursor<'a> {
     fn load(disk: &'a Arc<dyn DiskBackend>, page: PageId) -> Result<Self> {
         let mut buf = Box::new([0u8; PAGE_SIZE]);
-        read_page_retry(disk, page, &mut buf)?;
+        retry_io(|| disk.read_page(page, &mut buf))?;
         Ok(LogCursor {
             disk,
             page,
@@ -948,7 +939,7 @@ impl<'a> LogCursor<'a> {
                 if next == NO_NEXT {
                     return Ok(None);
                 }
-                read_page_retry(self.disk, next, &mut self.buf)?;
+                retry_io(|| self.disk.read_page(next, &mut self.buf))?;
                 self.page = next;
                 self.off = 0;
             }
@@ -980,35 +971,17 @@ fn write_page_verified(
     buf: &PageData,
     back: &mut PageData,
 ) -> Result<()> {
-    let mut last_err = EvoptError::Io(format!("write of wal page {id} never attempted"));
-    for _ in 0..=WAL_RETRY_LIMIT {
-        match disk.write_page(id, buf) {
-            Ok(()) => match disk.read_page(id, back) {
-                Ok(()) if *back == *buf => return Ok(()),
-                Ok(()) => {
-                    last_err = EvoptError::Io(format!(
-                        "wal page {id} read back different bytes (torn write)"
-                    ));
-                }
-                Err(e) => last_err = e,
-            },
-            Err(e @ EvoptError::Io(_)) => last_err = e,
-            Err(e) => return Err(e),
+    retry_io(|| {
+        disk.write_page(id, buf)?;
+        disk.read_page(id, back)?;
+        if *back == *buf {
+            Ok(())
+        } else {
+            Err(EvoptError::Io(format!(
+                "wal page {id} read back different bytes (torn write)"
+            )))
         }
-    }
-    Err(last_err)
-}
-
-fn read_page_retry(disk: &Arc<dyn DiskBackend>, id: PageId, buf: &mut PageData) -> Result<()> {
-    let mut last_err = EvoptError::Io(format!("read of wal page {id} never attempted"));
-    for _ in 0..=WAL_RETRY_LIMIT {
-        match disk.read_page(id, buf) {
-            Ok(()) => return Ok(()),
-            Err(e @ EvoptError::Io(_)) => last_err = e,
-            Err(e) => return Err(e),
-        }
-    }
-    Err(last_err)
+    })
 }
 
 // ---- record body (de)serialisation --------------------------------------
@@ -1191,7 +1164,8 @@ mod tests {
         let disk = Arc::new(DiskManager::new());
         let wal = Wal::create(Arc::clone(&disk) as Arc<dyn DiskBackend>).unwrap();
         let pool = BufferPool::new(Arc::clone(&disk) as Arc<dyn DiskBackend>, frames);
-        pool.set_flush_gate(Arc::clone(&wal) as Arc<dyn FlushGate>);
+        pool.set_flush_gate(Arc::clone(&wal) as Arc<dyn FlushGate>)
+            .unwrap();
         (disk, pool, wal)
     }
 
@@ -1505,6 +1479,41 @@ mod tests {
         assert_eq!(wal.unsynced_pages(), 0);
     }
 
+    /// A page dirtied again while its last commit is appended but not yet
+    /// durable stays gated through a sync that covers only that commit, and
+    /// its next commit's bytes are what recovery replays.
+    #[test]
+    fn a_page_dirtied_again_before_its_sync_stays_gated_until_logged_again() {
+        let (disk, pool, wal) = setup(8);
+        let p = fill_page(&pool, 0x41);
+        let l1 = wal.commit_grouped(&pool).unwrap().unwrap();
+        assert!(wal.synced_lsn() < l1);
+        pool.fetch(p).unwrap().write()[200..260].fill(0x42);
+        assert_eq!(wal.unlogged_pages(), 1);
+
+        let mut on_disk = [0u8; PAGE_SIZE];
+        disk.read_page(p, &mut on_disk).unwrap();
+        wal.sync_through(l1).unwrap();
+        assert!(wal.synced_lsn() >= l1);
+        pool.flush_all().unwrap();
+        let mut after = [0u8; PAGE_SIZE];
+        disk.read_page(p, &mut after).unwrap();
+        assert_eq!(
+            after, on_disk,
+            "a page with an unlogged change reached disk"
+        );
+
+        wal.commit(&pool).unwrap();
+        let second = *pool.fetch(p).unwrap().read();
+        assert_eq!(second[230], 0x42);
+        // Crash: the dirty frame is lost, only the log survives.
+        drop(pool);
+        let (_w, info) = Wal::open(Arc::clone(&disk) as Arc<dyn DiskBackend>).unwrap();
+        assert_eq!(info.replayed_records, 2, "the full image, then the delta");
+        disk.read_page(p, &mut after).unwrap();
+        assert_eq!(after, second);
+    }
+
     #[test]
     fn master_page_corruption_is_typed() {
         let (disk, _pool, wal) = setup(4);
@@ -1702,7 +1711,8 @@ mod tests {
         let disk = Arc::clone(&injector) as Arc<dyn DiskBackend>;
         let wal = Wal::create(Arc::clone(&disk)).unwrap();
         let pool = BufferPool::new(Arc::clone(&disk), 16);
-        pool.set_flush_gate(Arc::clone(&wal) as Arc<dyn FlushGate>);
+        pool.set_flush_gate(Arc::clone(&wal) as Arc<dyn FlushGate>)
+            .unwrap();
         let heap = crate::heap::HeapFile::create(Arc::clone(&pool)).unwrap();
         heap.insert(&row(0)).unwrap();
         wal.commit(&pool).unwrap();
