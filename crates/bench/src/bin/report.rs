@@ -83,11 +83,10 @@ fn main() -> std::process::ExitCode {
     experiment!("f3", f3);
     experiment!("f4", f4);
     experiment!("f5", f5);
-    experiment!("a1", a1);
     experiment!("c1", c1);
 
     if records.is_empty() {
-        eprintln!("unknown experiment id(s) {wanted:?}; expected t1..t5, f1..f5, a1, or all");
+        eprintln!("unknown experiment id(s) {wanted:?}; expected t1..t5, f1..f5, c1, or all");
         return std::process::ExitCode::from(2);
     }
     write_json(&records, quick);

@@ -17,7 +17,6 @@
 // to. The workspace unwrap ban deliberately does not apply here.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-pub mod a1;
 pub mod c1;
 pub mod f1;
 pub mod f2;

@@ -105,7 +105,7 @@ pub struct BaseRel {
 
 /// Shared state for one enumeration run.
 pub struct JoinContext<'a> {
-    pub graph: &'a JoinGraph,
+    pub graph: &'a JoinGraph<'a>,
     /// Global-ordinal statistics.
     pub est: EstimationContext<'a>,
     pub model: &'a CostModel,
@@ -776,7 +776,7 @@ pub(crate) mod fixtures {
     }
 
     pub struct Fixture {
-        pub graph: JoinGraph,
+        pub graph: JoinGraph<'static>,
         /// Each global column's statistics and its relation's row count.
         pub columns: Vec<(ColumnStats, u64)>,
         pub model: CostModel,
@@ -840,7 +840,9 @@ pub(crate) mod fixtures {
                 predicate: Expr::conjunction(conjuncts),
             };
         }
-        let graph = JoinGraph::extract(&plan).expect("fixture is a join");
+        // The graph borrows its leaves; the fixture lives for the test.
+        let plan: &'static LogicalPlan = Box::leak(Box::new(plan));
+        let graph = JoinGraph::extract(plan).expect("fixture is a join");
 
         // Stats: uniform ints, no histograms (NDV-only estimation).
         let mut columns = Vec::new();

@@ -1,12 +1,12 @@
 //! The optimizer facade.
 //!
 //! [`Optimizer::optimize`] turns a bound [`LogicalPlan`] into an annotated
-//! [`PhysicalPlan`]:
+//! [`PhysicalPlan`], planning the plan it is handed as it is: the binder has
+//! already run the rewrites (`evopt_plan::rewrite_all`).
 //!
-//! 1. run the always-win rewrites (constant folding, predicate pushdown);
-//! 2. for join subtrees: extract the join graph, build per-relation access
+//! 1. for join subtrees: extract the join graph, build per-relation access
 //!    paths and statistics, run the configured enumeration [`Strategy`];
-//! 3. for everything else (aggregate, sort, limit, projection): recurse and
+//! 2. for everything else (aggregate, sort, limit, projection): recurse and
 //!    stack the physical operator, exploiting input orders where possible
 //!    (a sort is skipped when the child already delivers the order).
 
@@ -14,7 +14,7 @@ use evopt_catalog::{Catalog, TableInfo};
 use evopt_common::{EvoptError, Expr, Result, Schema};
 use evopt_obs::TraceSink;
 use evopt_plan::join_graph::JoinGraph;
-use evopt_plan::{rewrite_all, LogicalPlan, SortKey};
+use evopt_plan::{LogicalPlan, SortKey};
 
 use crate::access_path::{self, IndexMeta, RelMeta};
 use crate::cost::CostModel;
@@ -35,16 +35,11 @@ pub struct OptimizerConfig {
     pub cost_model: CostModel,
     /// Track interesting orders during enumeration (ablation for F3).
     pub track_interesting_orders: bool,
-    /// Run the algebraic rewrites (constant folding, predicate pushdown)
-    /// before enumeration. Turning this off is an ablation: plans stay
-    /// correct (the join-graph extraction still routes predicates), but
-    /// single-table pushdown into access paths is lost.
-    pub enable_rewrites: bool,
     /// Run the static plan verifier ([`crate::verify`]) after every phase
-    /// (post-rewrite, post-enumeration, post-physical). Always on in debug
-    /// builds; this flag opts release builds in (`DatabaseConfig::
-    /// verify_plans` at the engine level). A violation aborts optimization
-    /// with a structured [`EvoptError::Plan`] — never a panic.
+    /// (post-enumeration, post-physical). Always on in debug builds; this
+    /// flag opts release builds in (`DatabaseConfig::verify_plans` at the
+    /// engine level). A violation aborts optimization with a structured
+    /// [`EvoptError::Plan`] — never a panic.
     pub verify: bool,
 }
 
@@ -54,7 +49,6 @@ impl Default for OptimizerConfig {
             strategy: Strategy::SystemR,
             cost_model: CostModel::default(),
             track_interesting_orders: true,
-            enable_rewrites: true,
             verify: false,
         }
     }
@@ -108,15 +102,7 @@ impl Optimizer {
 
     /// Optimize a bound logical plan against `catalog`.
     pub fn optimize(&self, plan: &LogicalPlan, catalog: &Catalog) -> Result<PhysicalPlan> {
-        let prepared = if self.config.enable_rewrites {
-            rewrite_all(plan.clone())?
-        } else {
-            plan.clone()
-        };
-        if self.verifying() {
-            verify::verify_logical(&prepared, verify::VerifyPhase::PostRewrite).into_result()?;
-        }
-        let phys = self.optimize_rec(&prepared, catalog, None)?;
+        let phys = self.optimize_rec(plan, catalog, None)?;
         if self.verifying() {
             verify::verify_physical(&phys, Some(catalog), verify::VerifyPhase::PostPhysical)
                 .into_result()?;

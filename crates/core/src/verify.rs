@@ -51,10 +51,9 @@ const ABS_EPS: f64 = 1e-3;
 /// Which optimizer phase produced the plan being checked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VerifyPhase {
-    /// The bound logical plan, straight out of the binder.
+    /// The bound logical plan, straight out of the binder (its rewrites
+    /// included): the plan the optimizer plans.
     PostBind,
-    /// After the algebraic rewrites (constant folding, predicate pushdown).
-    PostRewrite,
     /// A physical subplan as join enumeration finalised it.
     PostEnumeration,
     /// The complete physical plan the optimizer returns.
@@ -65,7 +64,6 @@ impl VerifyPhase {
     pub fn name(self) -> &'static str {
         match self {
             VerifyPhase::PostBind => "post-bind",
-            VerifyPhase::PostRewrite => "post-rewrite",
             VerifyPhase::PostEnumeration => "post-enumeration",
             VerifyPhase::PostPhysical => "post-physical",
         }

@@ -9,7 +9,7 @@ use evopt_common::{Column, EvoptError, Expr, Result, Schema, Tuple};
 use evopt_core::physical::PhysicalPlan;
 use evopt_core::verify::{self, VerifyPhase};
 use evopt_obs::Phase;
-use evopt_plan::LogicalPlan;
+use evopt_plan::{rewrite_all, LogicalPlan};
 use evopt_sql::ast::{AstExpr, Statement};
 use evopt_sql::{bind_scalar, bind_select};
 
@@ -161,17 +161,17 @@ impl<'a> Flight<'a> {
 
 /// The row-finding half of UPDATE/DELETE as the optimizer sees it:
 /// `SELECT * FROM t [WHERE p]`, so the access path is chosen by cost like
-/// any other single-table query's.
+/// any other single-table query's, after the same constant folding.
 fn bind_row_finder(info: &TableInfo, predicate: Option<&AstExpr>) -> Result<LogicalPlan> {
     let scan = LogicalPlan::Scan {
         table: info.name.clone(),
         schema: info.schema.clone(),
     };
-    Ok(match predicate {
-        Some(p) => LogicalPlan::Filter {
+    match predicate {
+        Some(p) => rewrite_all(LogicalPlan::Filter {
             input: Box::new(scan),
             predicate: bind_scalar(p, &info.schema)?,
-        },
-        None => scan,
-    })
+        }),
+        None => Ok(scan),
+    }
 }

@@ -91,11 +91,6 @@ impl SessionState {
         self.update(|c| c.optimizer.track_interesting_orders = on);
     }
 
-    /// Toggle the algebraic rewrites (pushdown/folding ablation).
-    pub fn set_rewrites(&self, on: bool) {
-        self.update(|c| c.optimizer.enable_rewrites = on);
-    }
-
     /// Swap the ANALYZE configuration (T3 sweeps).
     pub fn set_analyze_config(&self, cfg: AnalyzeConfig) {
         self.update(|c| c.analyze = cfg);

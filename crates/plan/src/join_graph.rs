@@ -59,12 +59,12 @@ impl GraphPredicate {
     }
 }
 
-/// A flattened join query.
+/// A flattened join query, borrowing its leaves from the plan it came from.
 #[derive(Debug, Clone)]
-pub struct JoinGraph {
-    /// Leaf plans in syntactic order. Usually `Scan`s (possibly wrapped by
-    /// pruning projections); any non-join node becomes an opaque leaf.
-    pub relations: Vec<LogicalPlan>,
+pub struct JoinGraph<'p> {
+    /// Leaf plans in syntactic order: bare `Scan`s, or any other non-join
+    /// node as an opaque leaf.
+    pub relations: Vec<&'p LogicalPlan>,
     /// Cached schema of each relation.
     pub schemas: Vec<Schema>,
     /// Global column offset of each relation.
@@ -73,13 +73,13 @@ pub struct JoinGraph {
     pub predicates: Vec<GraphPredicate>,
 }
 
-impl JoinGraph {
+impl<'p> JoinGraph<'p> {
     /// Flatten `plan`. Returns `None` if the root is not a join (single
     /// relation queries don't need enumeration).
     ///
     /// The walk descends through `Join` nodes and absorbs `Filter`s sitting
     /// on them; anything else becomes a leaf relation.
-    pub fn extract(plan: &LogicalPlan) -> Option<JoinGraph> {
+    pub fn extract(plan: &'p LogicalPlan) -> Option<JoinGraph<'p>> {
         if !matches!(plan, LogicalPlan::Join { .. } | LogicalPlan::Filter { .. }) {
             return None;
         }
@@ -210,10 +210,10 @@ impl JoinGraph {
 
 /// Recursive worker: appends leaves and predicates (rebased to global
 /// ordinals via `offset`). Returns the subtree's column width.
-fn collect(
-    plan: &LogicalPlan,
+fn collect<'p>(
+    plan: &'p LogicalPlan,
     offset: usize,
-    relations: &mut Vec<LogicalPlan>,
+    relations: &mut Vec<&'p LogicalPlan>,
     preds: &mut Vec<(Expr, usize)>,
 ) -> Option<usize> {
     match plan {
@@ -240,7 +240,7 @@ fn collect(
         }
         leaf => {
             let w = leaf.schema().len();
-            relations.push(leaf.clone());
+            relations.push(leaf);
             Some(w)
         }
     }
@@ -268,7 +268,8 @@ mod tests {
 
     #[test]
     fn extract_chain() {
-        let g = JoinGraph::extract(&chain3()).unwrap();
+        let plan = chain3();
+        let g = JoinGraph::extract(&plan).unwrap();
         assert_eq!(g.relations.len(), 3);
         assert_eq!(g.offsets, vec![0, 3, 6]);
         assert_eq!(g.predicates.len(), 2);
@@ -280,7 +281,7 @@ mod tests {
 
     #[test]
     fn extract_absorbs_filters() {
-        // WHERE t.a = 1 sits above the join after a partial pushdown.
+        // WHERE t.a = 1 sits above the join, as the binder puts it.
         let p = LogicalPlan::Filter {
             input: Box::new(chain3()),
             predicate: Expr::eq(col(0), lit(1i64)),
@@ -326,7 +327,8 @@ mod tests {
 
     #[test]
     fn cross_join_has_no_predicates() {
-        let g = JoinGraph::extract(&join(scan("t"), scan("u"), None)).unwrap();
+        let plan = join(scan("t"), scan("u"), None);
+        let g = JoinGraph::extract(&plan).unwrap();
         assert!(g.predicates.is_empty());
         assert!(!g.connected(0b01, 0b10));
         assert_eq!(g.neighbours(0b01), 0);
@@ -334,7 +336,8 @@ mod tests {
 
     #[test]
     fn connectivity_and_neighbours() {
-        let g = JoinGraph::extract(&chain3()).unwrap();
+        let plan = chain3();
+        let g = JoinGraph::extract(&plan).unwrap();
         assert!(g.connected(0b001, 0b010)); // t-u
         assert!(g.connected(0b010, 0b100)); // u-v
         assert!(!g.connected(0b001, 0b100)); // t-v not directly
@@ -346,7 +349,8 @@ mod tests {
 
     #[test]
     fn join_predicates_for_subset_pair() {
-        let g = JoinGraph::extract(&chain3()).unwrap();
+        let plan = chain3();
+        let g = JoinGraph::extract(&plan).unwrap();
         let ps = g.join_predicates(0b001, 0b010);
         assert_eq!(ps.len(), 1);
         assert_eq!(ps[0].as_equi_join(), Some((0, 3)));
@@ -363,7 +367,7 @@ mod tests {
         let j = join(agg.clone(), scan("u"), Some(Expr::eq(col(0), col(1))));
         let g = JoinGraph::extract(&j).unwrap();
         assert_eq!(g.relations.len(), 2);
-        assert_eq!(g.relations[0], agg);
+        assert_eq!(g.relations[0], &agg);
         assert_eq!(g.schemas[0].len(), 1);
         assert_eq!(g.offsets, vec![0, 1]);
     }

@@ -4,9 +4,8 @@
 //!
 //! * [`logical::LogicalPlan`] — scan / filter / project / join / aggregate /
 //!   sort / limit nodes with derived schemas and an EXPLAIN-style display.
-//! * [`rules`] — the algebraic rewrites every optimizer runs before join
-//!   enumeration: constant folding and predicate pushdown (through
-//!   projections and to the correct side of joins).
+//! * [`rules`] — the rewrite pass the binder runs once on every plan it
+//!   emits: constant folding and the HAVING-to-WHERE move.
 //! * [`join_graph`] — flattens a join tree into relations + predicates with
 //!   relation-set masks, the input the cost-based enumerator works on.
 //!

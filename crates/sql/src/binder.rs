@@ -3,10 +3,12 @@
 //! Binding a `SELECT` proceeds in SQL's logical order: FROM (scans and
 //! joins) → WHERE → GROUP BY / aggregates → HAVING → SELECT list → ORDER BY
 //! → LIMIT. Aggregate queries are restricted to the classic shape: select
-//! items must be group columns or aggregate calls.
+//! items must be group columns or aggregate calls. The finished plan goes
+//! through [`rewrite_all`] once, so what the binder returns is the logical
+//! plan the optimizer plans.
 
 use evopt_common::{EvoptError, Expr, Result, Schema};
-use evopt_plan::{AggExpr, LogicalPlan, SortKey};
+use evopt_plan::{rewrite_all, AggExpr, LogicalPlan, SortKey};
 
 use crate::ast::*;
 
@@ -115,7 +117,7 @@ pub fn bind_select(stmt: &SelectStmt, provider: &dyn SchemaProvider) -> Result<L
             limit: n,
         };
     }
-    Ok(plan)
+    rewrite_all(plan)
 }
 
 fn bind_table(t: &TableRef, provider: &dyn SchemaProvider) -> Result<LogicalPlan> {

@@ -38,7 +38,7 @@
 //! | [`storage`] | `evopt-storage` | pages, buffer pool, heaps, B+-trees |
 //! | [`catalog`] | `evopt-catalog` | metadata, histograms, ANALYZE |
 //! | [`sql`] | `evopt-sql` | lexer, parser, binder |
-//! | [`plan`] | `evopt-plan` | logical algebra, rewrites, join graphs |
+//! | [`plan`] | `evopt-plan` | logical algebra, the binder's rewrite pass, join graphs |
 //! | [`core`] | `evopt-core` | **the optimizer**: selectivity, cost, access paths, enumeration |
 //! | [`exec`] | `evopt-exec` | Volcano operators |
 //! | [`engine`] | `evopt-engine` | the [`Database`] facade |

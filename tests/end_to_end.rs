@@ -172,6 +172,25 @@ fn having_and_arithmetic_projection() {
     }
 }
 
+/// A HAVING conjunct that names no column stays above a scalar aggregate:
+/// it removes the aggregate's one row, where moved below it would only
+/// empty the input and leave `COUNT(*) = 0`. Over groups, either place
+/// gives no row.
+#[test]
+fn having_without_columns_filters_the_groups() {
+    let db = Database::with_defaults();
+    load_wisconsin(&db, "wa", 400, 3).unwrap();
+    db.execute("ANALYZE").unwrap();
+    for sql in [
+        "SELECT COUNT(*) FROM wa HAVING 1 = 0",
+        "SELECT ten_pct, COUNT(*) FROM wa GROUP BY ten_pct HAVING 1 = 0",
+    ] {
+        assert_eq!(db.query(sql).unwrap(), vec![], "{sql}");
+    }
+    let rows = db.query("SELECT COUNT(*) FROM wa HAVING 1 = 1").unwrap();
+    assert_eq!(rows, vec![Tuple::new(vec![Value::Int(400)])]);
+}
+
 #[test]
 fn small_buffer_pool_gives_same_answers() {
     // The whole stack must be correct under memory pressure: 6-frame pool

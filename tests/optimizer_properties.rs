@@ -1,8 +1,13 @@
 //! Cross-crate optimizer property tests: invariants that must hold for any
 //! query the engine accepts, checked on randomized workloads.
 
-use evopt::workload::{JoinWorkload, Topology};
+mod support;
+
+use evopt::plan::rewrite_all;
+use evopt::sql::{bind_select, parse, Statement};
+use evopt::workload::{load_wisconsin, JoinWorkload, Topology};
 use evopt::{Database, Strategy};
+use support::{battery, count_ops, normalized, seeded};
 
 /// DP strategies explore a superset of every heuristic's plan space, so
 /// their estimated cost can never be worse.
@@ -51,41 +56,68 @@ fn dp_dominates_heuristics_on_random_topologies() {
     }
 }
 
-/// The algebraic rewrites (pushdown, folding) change plans, never results.
+/// Rewrites run once, in the binder: the plan `bind_select` returns is
+/// final (the pass changes nothing the second time), and moving a HAVING
+/// conjunct on a group column below the aggregate plans it exactly as the
+/// same condition written in WHERE: an index range under the aggregate.
 #[test]
-fn rewrites_preserve_results_and_never_hurt_cost() {
-    let db = Database::with_defaults();
-    let w = JoinWorkload::new(Topology::Chain, 4, 80, 13);
-    w.load(&db, true).unwrap();
-    let queries = [
-        w.count_query(),
-        w.filtered_query(150),
-        format!(
-            "SELECT {t0}.pk FROM {t0}, {t1} WHERE {t0}.fk = {t1}.pk \
-             AND {t0}.payload < 500 AND 1 + 1 = 2",
-            t0 = w.table(0),
-            t1 = w.table(1)
-        ),
-    ];
-    let model = db.optimizer_config().cost_model;
-    for sql in &queries {
-        db.set_rewrites(true);
-        let with = db.query(sql).unwrap();
-        let (_, plan_with) = db.plan_sql(sql).unwrap();
-        db.set_rewrites(false);
-        let without = db.query(sql).unwrap();
-        let (_, plan_without) = db.plan_sql(sql).unwrap();
-        db.set_rewrites(true);
-        let (mut a, mut b) = (with, without);
-        a.sort();
-        b.sort();
-        assert_eq!(a, b, "rewrites changed results for {sql}");
+fn rewrites_run_once_in_the_binder() {
+    let db = seeded(false);
+    load_wisconsin(&db, "wa", 4000, 3).unwrap();
+    load_wisconsin(&db, "wb", 4000, 4).unwrap();
+    db.execute("CREATE INDEX wa_u1 ON wa (unique1)").unwrap();
+    db.execute("CREATE INDEX wb_u1 ON wb (unique1)").unwrap();
+    let chain = JoinWorkload::new(Topology::Chain, 4, 80, 13);
+    chain.load(&db, true).unwrap();
+    db.execute("ANALYZE").unwrap();
+
+    let having = "SELECT unique1, COUNT(*) AS n FROM wa GROUP BY unique1 HAVING unique1 < 40";
+    let where_ = "SELECT unique1, COUNT(*) AS n FROM wa WHERE unique1 < 40 GROUP BY unique1";
+    for strategy in [
+        Strategy::SystemR,
+        Strategy::BushyDp,
+        Strategy::DpCcp,
+        Strategy::Greedy,
+        Strategy::Goo,
+        Strategy::QuickPick {
+            samples: 4,
+            seed: 9,
+        },
+        Strategy::Syntactic,
+    ] {
+        db.set_strategy(strategy);
+        let (_, h) = db.plan_sql(having).unwrap();
+        let (_, w) = db.plan_sql(where_).unwrap();
+        assert_eq!(h.digest(), w.digest(), "{}:\n{h}\n{w}", strategy.name());
         assert!(
-            model.total(plan_with.est_cost) <= model.total(plan_without.est_cost) + 1e-6,
-            "rewrites made {sql} costlier: {} vs {}",
-            model.total(plan_with.est_cost),
-            model.total(plan_without.est_cost)
+            count_ops(&h, "IndexScan") == 1 && count_ops(&h, "Filter") == 0,
+            "{}: no index range under the aggregate\n{h}",
+            strategy.name()
         );
+        let rows = db.query(having).unwrap();
+        assert_eq!(rows.len(), 40);
+        assert_eq!(normalized(&rows), normalized(&db.query(where_).unwrap()));
+    }
+
+    let catalog = db.catalog();
+    let provider = |t: &str| Ok(catalog.table(t)?.schema.clone());
+    let a1 = [
+        having,
+        "SELECT COUNT(*) FROM wa WHERE 1 + 1 = 2 AND unique1 < 40",
+        "SELECT COUNT(*) FROM wa a, wb b WHERE a.unique1 = b.unique1 \
+         AND a.unique2 < 200 AND b.one_pct = 3",
+    ];
+    let chain_queries = [chain.count_query(), chain.filtered_query(150)];
+    let queries = battery()
+        .into_iter()
+        .chain(a1)
+        .chain(chain_queries.iter().map(String::as_str));
+    for sql in queries {
+        let Statement::Select(select) = parse(sql).unwrap() else {
+            panic!("not a SELECT: {sql}");
+        };
+        let bound = bind_select(&select, &provider).unwrap();
+        assert_eq!(rewrite_all(bound.clone()).unwrap(), bound, "{sql}");
     }
 }
 

@@ -1,7 +1,8 @@
 //! Shared by `batch_equivalence.rs` and `null_semantics.rs`: the forced-plan
 //! join fixture and the sibling-operator rewrite both suites use as their
 //! differential reference. `governor.rs` borrows the fixture to force
-//! spilling plans.
+//! spilling plans. `verify_differential.rs` and `optimizer_properties.rs`
+//! share a query battery and the database it runs on.
 //!
 //! The two operators that keep typed state (`HashAggregate`'s accumulators
 //! and group keys, `HashJoin`'s key index) each have a sibling that does the
@@ -15,7 +16,7 @@
 
 use std::sync::Arc;
 
-use evopt::Tuple;
+use evopt::{Database, DatabaseConfig, Tuple};
 use evopt_catalog::{analyze_table, AnalyzeConfig, Catalog};
 use evopt_common::expr::col;
 use evopt_common::{Column, DataType, Expr, Schema, Value};
@@ -23,6 +24,8 @@ use evopt_core::cost::Cost;
 use evopt_core::physical::{PhysOp, PhysicalPlan};
 use evopt_exec::ExecEnv;
 use evopt_storage::{BufferPool, DiskManager};
+use evopt_workload::tpch_lite::queries;
+use evopt_workload::{load_tpch_lite, load_wisconsin};
 
 /// Order-insensitive fingerprint of a result set.
 pub fn normalized(rows: &[Tuple]) -> Vec<String> {
@@ -268,4 +271,43 @@ pub fn count_ops(p: &PhysicalPlan, op: &str) -> usize {
         .iter()
         .filter(|(_, node)| node.op_name() == op)
         .count()
+}
+
+/// `wisc` (1 200 rows, unique index on `unique1`), an empty table and
+/// TPC-H-lite at SF 0.1, analyzed: the world [`battery`] runs in.
+pub fn seeded(verify_plans: bool) -> Database {
+    let db = Database::new(DatabaseConfig {
+        verify_plans,
+        ..DatabaseConfig::default()
+    });
+    load_wisconsin(&db, "wisc", 1200, 11).unwrap();
+    db.execute("CREATE UNIQUE INDEX wisc_u1 ON wisc (unique1)")
+        .unwrap();
+    db.execute("CREATE TABLE empty_t (x INT, y STRING)")
+        .unwrap();
+    load_tpch_lite(&db, 0.1, 23).unwrap();
+    db.execute("ANALYZE").unwrap();
+    db
+}
+
+/// The battery: one query per operator family plus multi-join pipelines —
+/// the same shapes the batch-equivalence suite pins.
+pub fn battery() -> Vec<&'static str> {
+    vec![
+        "SELECT unique1, stringu1 FROM wisc",
+        "SELECT unique1 * 2, ten_pct FROM wisc WHERE one_pct < 7",
+        "SELECT * FROM wisc WHERE odd = 1 AND ten_pct BETWEEN 2 AND 5",
+        "SELECT * FROM wisc WHERE unique1 < 0",
+        "SELECT COUNT(*), SUM(x) FROM empty_t",
+        "SELECT y, COUNT(*) FROM empty_t GROUP BY y",
+        "SELECT stringu1 FROM wisc WHERE unique1 = 234",
+        "SELECT unique1 FROM wisc WHERE unique1 BETWEEN 100 AND 300",
+        "SELECT unique2 FROM wisc LIMIT 7",
+        "SELECT unique1, stringu1 FROM wisc ORDER BY unique1",
+        "SELECT ten_pct, COUNT(*) AS n, SUM(unique2) FROM wisc GROUP BY ten_pct ORDER BY ten_pct",
+        "SELECT DISTINCT twenty_pct FROM wisc ORDER BY twenty_pct",
+        queries::REVENUE_PER_NATION,
+        queries::CUSTOMER_ORDERS,
+        queries::SHIPPED_BIG_ORDERS,
+    ]
 }

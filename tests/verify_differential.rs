@@ -11,9 +11,11 @@
 //! `debug_assert`-style); in release builds — CI runs this suite both
 //! ways — the pair is a genuine on/off differential.
 
+mod support;
+
 use std::sync::Arc;
 
-use evopt::{Database, DatabaseConfig, Tuple};
+use evopt::{Database, Tuple};
 use evopt_catalog::{analyze_table, AnalyzeConfig, Catalog};
 use evopt_common::expr::col;
 use evopt_common::{Column, DataType, Expr, Schema, Value};
@@ -22,45 +24,7 @@ use evopt_core::physical::{PhysOp, PhysicalPlan};
 use evopt_core::verify::{verify_physical, VerifyPhase};
 use evopt_core::Strategy;
 use evopt_storage::{BufferPool, DiskManager};
-use evopt_workload::tpch_lite::queries;
-use evopt_workload::{load_tpch_lite, load_wisconsin};
-
-fn seeded(verify_plans: bool) -> Database {
-    let db = Database::new(DatabaseConfig {
-        verify_plans,
-        ..DatabaseConfig::default()
-    });
-    load_wisconsin(&db, "wisc", 1200, 11).unwrap();
-    db.execute("CREATE UNIQUE INDEX wisc_u1 ON wisc (unique1)")
-        .unwrap();
-    db.execute("CREATE TABLE empty_t (x INT, y STRING)")
-        .unwrap();
-    load_tpch_lite(&db, 0.1, 23).unwrap();
-    db.execute("ANALYZE").unwrap();
-    db
-}
-
-/// The battery: one query per operator family plus multi-join pipelines —
-/// the same shapes the batch-equivalence suite pins.
-fn battery() -> Vec<&'static str> {
-    vec![
-        "SELECT unique1, stringu1 FROM wisc",
-        "SELECT unique1 * 2, ten_pct FROM wisc WHERE one_pct < 7",
-        "SELECT * FROM wisc WHERE odd = 1 AND ten_pct BETWEEN 2 AND 5",
-        "SELECT * FROM wisc WHERE unique1 < 0",
-        "SELECT COUNT(*), SUM(x) FROM empty_t",
-        "SELECT y, COUNT(*) FROM empty_t GROUP BY y",
-        "SELECT stringu1 FROM wisc WHERE unique1 = 234",
-        "SELECT unique1 FROM wisc WHERE unique1 BETWEEN 100 AND 300",
-        "SELECT unique2 FROM wisc LIMIT 7",
-        "SELECT unique1, stringu1 FROM wisc ORDER BY unique1",
-        "SELECT ten_pct, COUNT(*) AS n, SUM(unique2) FROM wisc GROUP BY ten_pct ORDER BY ten_pct",
-        "SELECT DISTINCT twenty_pct FROM wisc ORDER BY twenty_pct",
-        queries::REVENUE_PER_NATION,
-        queries::CUSTOMER_ORDERS,
-        queries::SHIPPED_BIG_ORDERS,
-    ]
-}
+use support::{battery, normalized, seeded};
 
 /// Run an EXPLAIN-family statement and return its text.
 fn explain(db: &Database, sql: &str) -> String {
@@ -68,12 +32,6 @@ fn explain(db: &Database, sql: &str) -> String {
         evopt::QueryResult::Explained(text) => text,
         other => panic!("{sql}: expected Explained, got {other:?}"),
     }
-}
-
-fn normalized(rows: &[Tuple]) -> Vec<String> {
-    let mut keys: Vec<String> = rows.iter().map(|t| format!("{t:?}")).collect();
-    keys.sort();
-    keys
 }
 
 /// The headline differential: same digests, same rows, verification on or
