@@ -121,6 +121,7 @@ fn scan_plan(db: &Database, cutoff: i64, column: &str) -> PhysicalPlan {
         output_order: None,
         op: PhysOp::SeqScan {
             table: "wisc".into(),
+            cols: None,
             filter: Some(Expr::binary(BinOp::Lt, col(colidx), lit(cutoff))),
         },
     }
@@ -140,6 +141,7 @@ fn index_plan(db: &Database, cutoff: i64, index: &str) -> PhysicalPlan {
                 low: std::ops::Bound::Unbounded,
                 high: std::ops::Bound::Excluded(Value::Int(cutoff)),
             },
+            cols: None,
             residual: None,
             clustered: false,
         },

@@ -155,6 +155,7 @@ fn scan(db: &Database, table: &str) -> PhysicalPlan {
         output_order: None,
         op: PhysOp::SeqScan {
             table: table.into(),
+            cols: None,
             filter: None,
         },
     }

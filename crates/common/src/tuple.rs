@@ -120,27 +120,31 @@ impl Tuple {
         let count = r.u16()? as usize;
         let mut values = Vec::with_capacity(count);
         for _ in 0..count {
-            let tag = r.u8()?;
-            let v = match tag {
-                0 => Value::Null,
-                1 => Value::Bool(r.u8()? != 0),
-                2 => Value::Int(i64::from_le_bytes(r.array::<8>()?)),
-                3 => Value::Float(f64::from_bits(u64::from_le_bytes(r.array::<8>()?))),
-                4 => {
-                    let len = u32::from_le_bytes(r.array::<4>()?) as usize;
-                    let raw = r.bytes(len)?;
-                    let s = std::str::from_utf8(raw).map_err(|_| {
-                        EvoptError::Storage("invalid UTF-8 in stored string".into())
-                    })?;
-                    Value::Str(s.to_owned())
-                }
-                t => {
-                    return Err(EvoptError::Storage(format!(
-                        "invalid value tag {t} in stored tuple"
-                    )))
-                }
-            };
-            values.push(v);
+            values.push(r.value()?);
+        }
+        Ok(Tuple::new(values))
+    }
+
+    /// Deserialise only the fields at `cols`, which must be strictly
+    /// increasing: equal to `decode(bytes)?.project(cols)`. The other fields
+    /// are skipped without allocating, but every one is still checked as
+    /// `decode` checks it (truncation, tag, UTF-8), so a projection never
+    /// hides a corrupt row.
+    pub fn decode_projected(bytes: &[u8], cols: &[usize]) -> Result<Tuple> {
+        let mut r = Reader::new(bytes);
+        let count = r.u16()? as usize;
+        let mut values = Vec::with_capacity(cols.len());
+        let mut want = cols.iter().peekable();
+        for i in 0..count {
+            match want.next_if_eq(&&i) {
+                Some(_) => values.push(r.value()?),
+                None => r.skip()?,
+            }
+        }
+        if values.len() != cols.len() {
+            return Err(EvoptError::Execution(format!(
+                "projection {cols:?} is not strictly increasing within the stored row"
+            )));
         }
         Ok(Tuple::new(values))
     }
@@ -165,6 +169,10 @@ impl fmt::Display for Tuple {
     }
 }
 
+fn bad_tag(t: u8) -> EvoptError {
+    EvoptError::Storage(format!("invalid value tag {t} in stored tuple"))
+}
+
 /// Bounds-checked little-endian reader over a byte slice.
 struct Reader<'a> {
     buf: &'a [u8],
@@ -185,6 +193,43 @@ impl<'a> Reader<'a> {
         let s = &self.buf[self.pos..end];
         self.pos = end;
         Ok(s)
+    }
+
+    /// One field.
+    fn value(&mut self) -> Result<Value> {
+        Ok(match self.u8()? {
+            0 => Value::Null,
+            1 => Value::Bool(self.u8()? != 0),
+            2 => Value::Int(i64::from_le_bytes(self.array::<8>()?)),
+            3 => Value::Float(f64::from_bits(u64::from_le_bytes(self.array::<8>()?))),
+            4 => Value::Str(self.str()?.to_owned()),
+            t => return Err(bad_tag(t)),
+        })
+    }
+
+    /// One field checked as [`Reader::value`] checks it, but not built.
+    fn skip(&mut self) -> Result<()> {
+        match self.u8()? {
+            0 => {}
+            1 => {
+                self.u8()?;
+            }
+            2 | 3 => {
+                self.array::<8>()?;
+            }
+            4 => {
+                self.str()?;
+            }
+            t => return Err(bad_tag(t)),
+        }
+        Ok(())
+    }
+
+    /// A length-prefixed UTF-8 string, borrowed.
+    fn str(&mut self) -> Result<&'a str> {
+        let len = u32::from_le_bytes(self.array::<4>()?) as usize;
+        std::str::from_utf8(self.bytes(len)?)
+            .map_err(|_| EvoptError::Storage("invalid UTF-8 in stored string".into()))
     }
 
     fn u8(&mut self) -> Result<u8> {
@@ -274,6 +319,11 @@ mod tests {
         ]
     }
 
+    /// The strictly increasing projection a mask selects.
+    fn chosen(mask: &[bool]) -> Vec<usize> {
+        (0..mask.len()).filter(|&i| mask[i]).collect()
+    }
+
     proptest! {
         #[test]
         fn prop_encode_decode_roundtrip(values in prop::collection::vec(arb_value(), 0..20)) {
@@ -289,5 +339,68 @@ mod tests {
         fn prop_decode_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
             let _ = Tuple::decode(&bytes); // must not panic, may error
         }
+
+        #[test]
+        fn prop_projected_decode_is_decode_then_project(
+            values in prop::collection::vec(arb_value(), 0..20),
+            mask in prop::collection::vec(any::<bool>(), 0..24),
+        ) {
+            let bytes = Tuple::new(values).encode();
+            let cols = chosen(&mask);
+            let want = Tuple::decode(&bytes).and_then(|t| t.project(&cols));
+            prop_assert_eq!(Tuple::decode_projected(&bytes, &cols).ok(), want.ok());
+        }
+
+        /// Skipping a field never skips its check: on any bytes, with any
+        /// strictly increasing projection (in range or not), the projected
+        /// decode fails exactly when decode-then-project does, and never
+        /// panics.
+        #[test]
+        fn prop_projected_decode_checks_every_field(
+            bytes in prop::collection::vec(any::<u8>(), 0..256),
+            mask in prop::collection::vec(any::<bool>(), 0..8),
+        ) {
+            let cols = chosen(&mask);
+            let want = Tuple::decode(&bytes).and_then(|t| t.project(&cols));
+            prop_assert_eq!(Tuple::decode_projected(&bytes, &cols).ok(), want.ok());
+        }
+
+        /// The same, over rows that are well formed except for one flipped
+        /// byte: a bad tag, a torn length or broken UTF-8 in a skipped
+        /// string, which random bytes rarely reach.
+        #[test]
+        fn prop_projected_decode_rejects_a_damaged_skipped_field(
+            values in prop::collection::vec(arb_value(), 1..12),
+            at in any::<usize>(),
+            byte in any::<u8>(),
+            mask in prop::collection::vec(any::<bool>(), 0..12),
+        ) {
+            let mut bytes = Tuple::new(values).encode();
+            let i = at % bytes.len();
+            bytes[i] = byte;
+            let cols = chosen(&mask);
+            let want = Tuple::decode(&bytes).and_then(|t| t.project(&cols));
+            prop_assert_eq!(Tuple::decode_projected(&bytes, &cols).ok(), want.ok());
+        }
+    }
+
+    #[test]
+    fn projected_decode_checks_a_skipped_string() {
+        let mut bytes = Tuple::new(vec![Value::Int(1), Value::Str("ok".into())]).encode();
+        let last = bytes.len() - 1;
+        bytes[last] = 0xff; // invalid UTF-8 in column 1
+        assert!(Tuple::decode(&bytes).is_err());
+        let e = Tuple::decode_projected(&bytes, &[0]).unwrap_err();
+        assert_eq!(e.kind(), "storage");
+        assert!(
+            Tuple::decode_projected(&[1, 0, 2], &[]).is_err(),
+            "truncated"
+        );
+        let good = Tuple::new(vec![Value::Int(1), Value::Null]).encode();
+        assert!(Tuple::decode_projected(&good, &[1, 0]).is_err(), "unsorted");
+        assert!(
+            Tuple::decode_projected(&good, &[2]).is_err(),
+            "out of range"
+        );
     }
 }

@@ -186,6 +186,7 @@ impl<'a> JoinContext<'a> {
                 let op = match &p.kind {
                     PathKind::SeqScan { filter } => PhysOp::SeqScan {
                         table: table.clone(),
+                        cols: None,
                         filter: filter.clone(),
                     },
                     PathKind::IndexScan {
@@ -197,15 +198,13 @@ impl<'a> JoinContext<'a> {
                         table: table.clone(),
                         index: index.clone(),
                         range: range.clone(),
+                        cols: None,
                         residual: residual.clone(),
                         clustered: *clustered,
                     },
                 };
-                let order = if self.track_orders {
-                    p.order.map(|c| c + offset)
-                } else {
-                    None
-                };
+                let local_order = p.order.filter(|_| self.track_orders);
+                let order = local_order.map(|c| c + offset);
                 SubPlan {
                     mask: Self::bit(r),
                     plan: PhysicalPlan {
@@ -213,7 +212,7 @@ impl<'a> JoinContext<'a> {
                         schema: schema.clone(),
                         est_rows: p.rows,
                         est_cost: p.cost,
-                        output_order: order,
+                        output_order: local_order,
                     },
                     rows: p.rows,
                     width: rel.width,
@@ -331,20 +330,23 @@ impl<'a> JoinContext<'a> {
         };
 
         let mut out = Vec::new();
-        let mk = |op: PhysOp, cost: Cost, order: Option<usize>| SubPlan {
-            mask,
-            plan: PhysicalPlan {
-                op,
-                schema: schema.clone(),
-                est_rows: out_rows,
-                est_cost: cost,
-                output_order: if self.track_orders { order } else { None },
-            },
-            rows: out_rows,
-            width: out_width,
-            cost,
-            col_map: col_map.clone(),
-            order: if self.track_orders { order } else { None },
+        let mk = |op: PhysOp, cost: Cost, order: Option<usize>| {
+            let order = order.filter(|_| self.track_orders);
+            SubPlan {
+                mask,
+                plan: PhysicalPlan {
+                    op,
+                    schema: schema.clone(),
+                    est_rows: out_rows,
+                    est_cost: cost,
+                    output_order: order.and_then(|g| col_map.get(g).copied().flatten()),
+                },
+                rows: out_rows,
+                width: out_width,
+                cost,
+                col_map: col_map.clone(),
+                order,
+            }
         };
 
         // Block nested loops: always applicable. Does NOT preserve the
@@ -504,7 +506,7 @@ impl<'a> JoinContext<'a> {
             schema: sp.plan.schema.clone(),
             est_rows: sp.rows,
             est_cost: sp.cost + sort_cost,
-            output_order: Some(g),
+            output_order: Some(local),
             op: PhysOp::Sort {
                 input: Box::new(sp.plan.clone()),
                 keys: vec![(local, true)],
@@ -521,7 +523,7 @@ impl<'a> JoinContext<'a> {
             schema: sp.plan.schema.clone(),
             est_rows: sp.rows,
             est_cost: sp.cost + sort_cost,
-            output_order: Some(g),
+            output_order: Some(local),
             op: PhysOp::Sort {
                 input: Box::new(sp.plan.clone()),
                 keys: vec![(local, true)],

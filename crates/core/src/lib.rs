@@ -17,7 +17,8 @@
 //!    interesting orders (the default), bushy DP, two greedy heuristics,
 //!    random sampling (QuickPick), and the unoptimized syntactic baseline.
 //! 5. [`optimizer`] — the facade tying it together and handling the
-//!    non-join operators (aggregate, sort, limit, projection).
+//!    non-join operators (aggregate, sort, limit, projection); its last
+//!    step narrows every scan to the columns the plan reads.
 //!
 //! The output is a [`physical::PhysicalPlan`] annotated with estimated rows
 //! and cost; `evopt-exec` interprets it, and the experiments compare the
@@ -30,6 +31,7 @@
 pub mod access_path;
 pub mod cost;
 pub mod enumerate;
+mod narrow;
 pub mod optimizer;
 pub mod physical;
 pub mod selectivity;

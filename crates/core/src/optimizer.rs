@@ -8,7 +8,9 @@
 //!    paths and statistics, run the configured enumeration [`Strategy`];
 //! 2. for everything else (aggregate, sort, limit, projection): recurse and
 //!    stack the physical operator, exploiting input orders where possible
-//!    (a sort is skipped when the child already delivers the order).
+//!    (a sort is skipped when the child already delivers the order);
+//! 3. narrow every scan to the columns the chosen plan reads
+//!    (`crate::narrow`), which changes no choice and no estimate.
 
 use evopt_catalog::{Catalog, TableInfo};
 use evopt_common::{EvoptError, Expr, Result, Schema};
@@ -19,6 +21,7 @@ use evopt_plan::{LogicalPlan, SortKey};
 use crate::access_path::{self, IndexMeta, RelMeta};
 use crate::cost::CostModel;
 use crate::enumerate::{enumerate, BaseRel, JoinContext, Strategy, SubPlan};
+use crate::narrow;
 use crate::physical::{PhysAgg, PhysOp, PhysicalPlan};
 use crate::selectivity::{ColumnInfo, EstimationContext};
 use crate::verify;
@@ -100,14 +103,23 @@ impl Optimizer {
         cfg!(debug_assertions) || self.config.verify
     }
 
-    /// Optimize a bound logical plan against `catalog`.
+    /// Optimize a bound logical plan against `catalog`: the plan
+    /// [`Optimizer::choose`] picks, each scan narrowed to the columns the
+    /// plan reads.
     pub fn optimize(&self, plan: &LogicalPlan, catalog: &Catalog) -> Result<PhysicalPlan> {
-        let phys = self.optimize_rec(plan, catalog, None)?;
+        let phys = narrow::narrow_scans(self.choose(plan, catalog)?, catalog)?;
         if self.verifying() {
             verify::verify_physical(&phys, Some(catalog), verify::VerifyPhase::PostPhysical)
                 .into_result()?;
         }
         Ok(phys)
+    }
+
+    /// The plan the cost model chose, with every scan still decoding whole
+    /// rows. Narrowing changes no choice and no estimate, so this is
+    /// [`Optimizer::optimize`]'s plan before its scans narrow.
+    pub fn choose(&self, plan: &LogicalPlan, catalog: &Catalog) -> Result<PhysicalPlan> {
+        self.optimize_rec(plan, catalog, None)
     }
 
     /// `required`: output-ordinal column the parent would like ascending.
@@ -128,20 +140,11 @@ impl Optimizer {
                 LogicalPlan::Join { .. } => self.plan_joins(plan, catalog, required),
                 _ => {
                     let child = self.optimize_rec(input, catalog, required)?;
-                    let rows = (child.est_rows
-                        * EstimationContext::unknown(child.schema.len()).selectivity(predicate))
-                    .max(1e-6);
-                    let cost = child.est_cost + self.config.cost_model.per_tuple(child.est_rows);
-                    Ok(PhysicalPlan {
-                        schema: child.schema.clone(),
-                        est_rows: rows,
-                        est_cost: cost,
-                        output_order: child.output_order,
-                        op: PhysOp::Filter {
-                            input: Box::new(child),
-                            predicate: predicate.clone(),
-                        },
-                    })
+                    Ok(filter_over(
+                        &self.config.cost_model,
+                        child,
+                        predicate.clone(),
+                    ))
                 }
             },
             LogicalPlan::Join { .. } => self.plan_joins(plan, catalog, required),
@@ -317,6 +320,7 @@ impl Optimizer {
                 let op = match p.kind {
                     access_path::PathKind::SeqScan { filter } => PhysOp::SeqScan {
                         table: info.name.clone(),
+                        cols: None,
                         filter,
                     },
                     access_path::PathKind::IndexScan {
@@ -328,6 +332,7 @@ impl Optimizer {
                         table: info.name.clone(),
                         index,
                         range,
+                        cols: None,
                         residual,
                         clustered,
                     },
@@ -431,20 +436,7 @@ impl Optimizer {
                     let mut inner = self.optimize_rec(leaf, catalog, None)?;
                     if !local_preds.is_empty() {
                         let predicate = Expr::conjunction(local_preds.clone());
-                        let rows = (inner.est_rows
-                            * EstimationContext::unknown(inner.schema.len())
-                                .selectivity(&predicate))
-                        .max(1e-6);
-                        inner = PhysicalPlan {
-                            schema: inner.schema.clone(),
-                            est_rows: rows,
-                            est_cost: inner.est_cost + model.per_tuple(inner.est_rows),
-                            output_order: None,
-                            op: PhysOp::Filter {
-                                input: Box::new(inner),
-                                predicate,
-                            },
-                        };
+                        inner = filter_over(&model, inner, predicate);
                     }
                     let ncols = graph.schemas[r].len();
                     global_cols.extend((0..ncols).map(|_| ColumnInfo {
@@ -475,12 +467,38 @@ impl Optimizer {
             trace: self.trace.as_ref(),
         };
         let sub = enumerate(&ctx, self.config.strategy)?;
-        let phys = finalize(&ctx, sub, plan.schema())?;
+        let mut phys = finalize(&ctx, sub, plan.schema())?;
+        // A conjunct that names no relation (a folded constant) is in no
+        // join's or relation's predicate set: it filters the whole join.
+        let constant: Vec<Expr> = graph
+            .predicates
+            .iter()
+            .filter(|p| p.relations == 0)
+            .map(|p| p.expr.clone())
+            .collect();
+        if !constant.is_empty() {
+            phys = filter_over(&model, phys, Expr::conjunction(constant));
+        }
         if self.verifying() {
             verify::verify_physical(&phys, Some(catalog), verify::VerifyPhase::PostEnumeration)
                 .into_result()?;
         }
         Ok(phys)
+    }
+}
+
+/// `predicate` as a filter over `input`, estimated without statistics.
+fn filter_over(model: &CostModel, input: PhysicalPlan, predicate: Expr) -> PhysicalPlan {
+    let sel = EstimationContext::unknown(input.schema.len()).selectivity(&predicate);
+    PhysicalPlan {
+        schema: input.schema.clone(),
+        est_rows: (input.est_rows * sel).max(1e-6),
+        est_cost: input.est_cost + model.per_tuple(input.est_rows),
+        output_order: input.output_order,
+        op: PhysOp::Filter {
+            input: Box::new(input),
+            predicate,
+        },
     }
 }
 

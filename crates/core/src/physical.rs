@@ -66,13 +66,22 @@ pub struct PhysAgg {
 #[derive(Debug, Clone, PartialEq)]
 pub enum PhysOp {
     /// Full heap scan with an optional pushed-down filter.
-    SeqScan { table: String, filter: Option<Expr> },
+    SeqScan {
+        table: String,
+        /// The table columns each row is decoded to, strictly increasing
+        /// (the scan's output ordinals, which `filter` reads); `None` for
+        /// every column.
+        cols: Option<Vec<usize>>,
+        filter: Option<Expr>,
+    },
     /// B+-tree driven scan: fetch rids in `range`, then heap lookups, then
     /// the residual filter.
     IndexScan {
         table: String,
         index: String,
         range: KeyRange,
+        /// As for `SeqScan`; always includes the indexed column.
+        cols: Option<Vec<usize>>,
         residual: Option<Expr>,
         clustered: bool,
     },
@@ -159,9 +168,10 @@ pub struct PhysicalPlan {
     pub est_rows: f64,
     /// Optimizer's cumulative cost estimate (this operator and below).
     pub est_cost: Cost,
-    /// Global-ordinal column (see `enumerate`) whose ascending order the
-    /// output satisfies, when known. Used for interesting-order reasoning;
-    /// `None` after ordinal spaces change (e.g. projections).
+    /// Output column whose ascending order the output satisfies, when
+    /// known. Used for interesting-order reasoning while planning (the
+    /// enumerator tracks orders by global ordinal in its `SubPlan`s); the
+    /// verifier derives order from structure instead of trusting it.
     pub output_order: Option<usize>,
 }
 
@@ -321,19 +331,26 @@ impl PhysicalPlan {
     /// Write [`PhysicalPlan::op_detail`] into `out`.
     fn write_detail(&self, out: &mut impl fmt::Write) -> fmt::Result {
         match &self.op {
-            PhysOp::SeqScan { table, filter } => {
+            PhysOp::SeqScan {
+                table,
+                cols,
+                filter,
+            } => {
                 write!(out, "SeqScan: {table}")?;
+                write_cols(out, cols)?;
                 filter.iter().try_for_each(|f| write!(out, " filter={f}"))
             }
             PhysOp::IndexScan {
                 table,
                 index,
                 range,
+                cols,
                 residual,
                 clustered,
             } => {
                 let c = if *clustered { " clustered" } else { "" };
                 write!(out, "IndexScan: {table} via {index}{c} range={range}")?;
+                write_cols(out, cols)?;
                 residual
                     .iter()
                     .try_for_each(|e| write!(out, " residual={e}"))
@@ -417,6 +434,24 @@ impl fmt::Display for PhysicalPlan {
     }
 }
 
+/// Where table column `column` sits in the output of a scan decoding
+/// `cols` (`None`: every column); `None` when the scan does not decode it.
+pub fn scan_ordinal(cols: Option<&[usize]>, column: usize) -> Option<usize> {
+    match cols {
+        Some(cols) => cols.iter().position(|&c| c == column),
+        None => Some(column),
+    }
+}
+
+/// A narrowed scan's ` cols=[..]`; nothing for one that decodes every
+/// column, so its detail line and digest stay as they were.
+fn write_cols(out: &mut impl fmt::Write, cols: &Option<Vec<usize>>) -> fmt::Result {
+    match cols {
+        Some(cols) => write!(out, " cols={cols:?}"),
+        None => Ok(()),
+    }
+}
+
 /// Write each of `items` with `item`, separated by `", "`.
 fn write_list<W: fmt::Write, T>(
     out: &mut W,
@@ -440,6 +475,7 @@ mod tests {
         PhysicalPlan {
             op: PhysOp::SeqScan {
                 table: table.into(),
+                cols: None,
                 filter: None,
             },
             schema: Schema::new(vec![Column::new("a", DataType::Int).with_table(table)]),

@@ -38,7 +38,7 @@ use evopt_common::{DataType, EvoptError, Expr, Result, Schema, Value};
 use evopt_plan::join_graph::JoinGraph;
 use evopt_plan::LogicalPlan;
 
-use crate::physical::{PhysAgg, PhysOp, PhysicalPlan};
+use crate::physical::{scan_ordinal, PhysAgg, PhysOp, PhysicalPlan};
 
 /// Relative slack for row-count monotonicity checks (estimates are floats
 /// built from products of selectivities; exact comparisons would flag
@@ -551,35 +551,27 @@ impl<'a> Verifier<'a> {
     /// Rule group 1: schema propagation + expression typing, per operator.
     fn check_physical_schema(&mut self, plan: &PhysicalPlan, id: usize, op: &str) {
         match &plan.op {
-            PhysOp::SeqScan { table, filter } => {
+            PhysOp::SeqScan {
+                table,
+                cols,
+                filter,
+            } => {
                 if let Some(f) = filter {
                     self.check_expr(f, &plan.schema, Some(DataType::Bool), "scan filter", id, op);
                 }
-                if let Some(info) = self.catalog.and_then(|c| c.table(table).ok()) {
-                    self.check_types(
-                        &plan.schema,
-                        &info.schema.types(),
-                        "catalog table types",
-                        id,
-                        op,
-                    );
-                }
+                self.check_scan_columns(plan, table, cols.as_deref(), None, id, op);
             }
             PhysOp::IndexScan {
-                table, residual, ..
+                table,
+                index,
+                cols,
+                residual,
+                ..
             } => {
                 if let Some(r) = residual {
                     self.check_expr(r, &plan.schema, Some(DataType::Bool), "residual", id, op);
                 }
-                if let Some(info) = self.catalog.and_then(|c| c.table(table).ok()) {
-                    self.check_types(
-                        &plan.schema,
-                        &info.schema.types(),
-                        "catalog table types",
-                        id,
-                        op,
-                    );
-                }
+                self.check_scan_columns(plan, table, cols.as_deref(), Some(index), id, op);
             }
             PhysOp::Filter { input, predicate } => {
                 self.check_types(&plan.schema, &input.schema.types(), "input types", id, op);
@@ -758,6 +750,81 @@ impl<'a> Verifier<'a> {
             PhysOp::Limit { input, .. } => {
                 self.check_types(&plan.schema, &input.schema.types(), "input types", id, op);
             }
+        }
+    }
+
+    /// A scan's output is the catalog's columns at `cols` (every column for
+    /// `None`), by name and type. `cols` is strictly increasing and in
+    /// range, and an index scan's includes the indexed column, which the
+    /// scan re-checks each fetched row against.
+    fn check_scan_columns(
+        &mut self,
+        plan: &PhysicalPlan,
+        table: &str,
+        cols: Option<&[usize]>,
+        index: Option<&str>,
+        id: usize,
+        op: &str,
+    ) {
+        if let Some(cols) = cols {
+            if cols.windows(2).any(|w| w[0] >= w[1]) {
+                self.issue(
+                    "scan/cols",
+                    id,
+                    op,
+                    format!("projection {cols:?} is not strictly increasing"),
+                );
+                return;
+            }
+        }
+        let Some(info) = self.catalog.and_then(|c| c.table(table).ok()) else {
+            return;
+        };
+        let width = info.schema.len();
+        let all: Vec<usize>;
+        let cols = match cols {
+            Some(cols) => cols,
+            None => {
+                all = (0..width).collect();
+                &all
+            }
+        };
+        if let Some(&c) = cols.iter().find(|&&c| c >= width) {
+            self.issue(
+                "scan/cols",
+                id,
+                op,
+                format!("projection names column #{c}, but '{table}' has {width}"),
+            );
+            return;
+        }
+        let key = index.and_then(|name| info.indexes().iter().find(|i| i.name == name));
+        if let Some(key) = key.filter(|k| !cols.contains(&k.column)) {
+            self.issue(
+                "scan/cols",
+                id,
+                op,
+                format!(
+                    "projection {cols:?} lacks column #{}, the key of index '{}'",
+                    key.column, key.name
+                ),
+            );
+        }
+        let want: Vec<_> = cols
+            .iter()
+            .filter_map(|&c| info.schema.column(c))
+            .map(|c| (c.name.as_str(), c.dtype))
+            .collect();
+        let have: Vec<_> = (plan.schema.columns().iter())
+            .map(|c| (c.name.as_str(), c.dtype))
+            .collect();
+        if have != want {
+            self.issue(
+                "schema/propagation",
+                id,
+                op,
+                format!("declared schema {have:?} != the catalog's columns at {cols:?} {want:?}"),
+            );
         }
     }
 
@@ -1018,19 +1085,21 @@ enum OrderFact {
 /// trusting it would make the merge-input rule vacuous).
 fn provides_order(plan: &PhysicalPlan, catalog: Option<&Catalog>) -> OrderFact {
     match &plan.op {
-        PhysOp::SeqScan { table, .. } => match catalog.and_then(|c| c.table(table).ok()) {
+        PhysOp::SeqScan { table, cols, .. } => match catalog.and_then(|c| c.table(table).ok()) {
             // A clustered index means the heap itself is key-ordered.
             Some(info) => OrderFact::Known(
                 info.indexes()
                     .iter()
                     .find(|i| i.clustered)
-                    .map(|i| i.column),
+                    .and_then(|i| scan_ordinal(cols.as_deref(), i.column)),
             ),
             None => OrderFact::Unknown,
         },
-        PhysOp::IndexScan { table, index, .. } => match catalog.and_then(|c| c.table(table).ok()) {
+        PhysOp::IndexScan {
+            table, index, cols, ..
+        } => match catalog.and_then(|c| c.table(table).ok()) {
             Some(info) => match info.indexes().iter().find(|i| &i.name == index) {
-                Some(idx) => OrderFact::Known(Some(idx.column)),
+                Some(idx) => OrderFact::Known(scan_ordinal(cols.as_deref(), idx.column)),
                 // Nonexistent index: flagged by index/exists, order unknown.
                 None => OrderFact::Unknown,
             },
@@ -1424,6 +1493,7 @@ mod tests {
         PhysicalPlan {
             op: PhysOp::SeqScan {
                 table: table.into(),
+                cols: None,
                 filter: None,
             },
             schema: int_schema(cols),

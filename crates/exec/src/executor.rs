@@ -192,9 +192,14 @@ fn build_node(
         build_node(c, env, instr.map(|(reg, idx)| (reg, idx + offset)), gov)
     };
     let exec: Box<dyn Executor> = match &plan.op {
-        PhysOp::SeqScan { table, filter } => Box::new(SeqScanExec::new(
+        PhysOp::SeqScan {
+            table,
+            cols,
+            filter,
+        } => Box::new(SeqScanExec::new(
             env,
             table,
+            cols.clone(),
             filter.clone(),
             plan.schema.clone(),
         )?),
@@ -202,6 +207,7 @@ fn build_node(
             table,
             index,
             range,
+            cols,
             residual,
             ..
         } => Box::new(IndexScanExec::new(
@@ -209,6 +215,7 @@ fn build_node(
             table,
             index,
             range.clone(),
+            cols.clone(),
             residual.clone(),
             plan.schema.clone(),
         )?),
@@ -414,7 +421,8 @@ pub fn run_collect(plan: &PhysicalPlan, env: &ExecEnv) -> Result<Vec<Tuple>> {
 /// row-finding half of UPDATE/DELETE, run by the same scan operators a
 /// SELECT over that table would use. Draining completely before the caller
 /// changes anything is what keeps an UPDATE of the scanned key from meeting
-/// its own output (the Halloween problem).
+/// its own output (the Halloween problem). The scan is the plan's root, so
+/// it decodes whole rows.
 pub fn run_collect_rids(plan: &PhysicalPlan, env: &ExecEnv) -> Result<Vec<(Rid, Tuple)>> {
     fn drain(mut scan: impl RidScan) -> Result<Vec<(Rid, Tuple)>> {
         let mut out = Vec::new();
@@ -424,9 +432,14 @@ pub fn run_collect_rids(plan: &PhysicalPlan, env: &ExecEnv) -> Result<Vec<(Rid, 
         Ok(out)
     }
     match &plan.op {
-        PhysOp::SeqScan { table, filter } => drain(SeqScanExec::new(
+        PhysOp::SeqScan {
+            table,
+            cols,
+            filter,
+        } => drain(SeqScanExec::new(
             env,
             table,
+            cols.clone(),
             filter.clone(),
             plan.schema.clone(),
         )?),
@@ -434,6 +447,7 @@ pub fn run_collect_rids(plan: &PhysicalPlan, env: &ExecEnv) -> Result<Vec<(Rid, 
             table,
             index,
             range,
+            cols,
             residual,
             ..
         } => drain(IndexScanExec::new(
@@ -441,6 +455,7 @@ pub fn run_collect_rids(plan: &PhysicalPlan, env: &ExecEnv) -> Result<Vec<(Rid, 
             table,
             index,
             range.clone(),
+            cols.clone(),
             residual.clone(),
             plan.schema.clone(),
         )?),

@@ -69,6 +69,7 @@ fn scan(env: &ExecEnv, t: &str) -> PhysicalPlan {
         output_order: None,
         op: PhysOp::SeqScan {
             table: t.into(),
+            cols: None,
             filter: None,
         },
     }

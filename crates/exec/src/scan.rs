@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use evopt_catalog::TableInfo;
 use evopt_common::{Batch, EvoptError, Expr, Result, Schema, Tuple};
-use evopt_core::physical::KeyRange;
+use evopt_core::physical::{scan_ordinal, KeyRange};
 use evopt_storage::btree::BTreeRangeScan;
 use evopt_storage::heap::HeapScan;
 use evopt_storage::Rid;
@@ -32,7 +32,8 @@ pub(crate) trait RidScan: Executor {
 }
 
 /// Full heap scan with an optional pushed-down filter; fills one batch of
-/// surviving rows per `next_batch()` call.
+/// surviving rows per `next_batch()` call. Rows are decoded to the plan's
+/// `cols` only, which the filter and `schema` are stated over.
 pub struct SeqScanExec {
     schema: Schema,
     scan: HeapScan,
@@ -44,13 +45,14 @@ impl SeqScanExec {
     pub fn new(
         env: &ExecEnv,
         table: &str,
+        cols: Option<Vec<usize>>,
         filter: Option<Expr>,
         schema: Schema,
     ) -> Result<SeqScanExec> {
         let info = env.catalog.table(table)?;
         Ok(SeqScanExec {
             schema,
-            scan: info.heap.scan(),
+            scan: info.heap.scan_columns(cols),
             filter,
             batch_rows: env.batch_rows,
         })
@@ -89,7 +91,9 @@ pub struct IndexScanExec {
     schema: Schema,
     heap: Arc<TableInfo>,
     range_scan: BTreeRangeScan,
-    /// The indexed column's ordinal in a heap row.
+    /// The columns each fetched row is decoded to (`None`: all).
+    cols: Option<Vec<usize>>,
+    /// The indexed column's ordinal in a decoded row.
     key_column: usize,
     residual: Option<Expr>,
     batch_rows: usize,
@@ -101,6 +105,7 @@ impl IndexScanExec {
         table: &str,
         index: &str,
         range: KeyRange,
+        cols: Option<Vec<usize>>,
         residual: Option<Expr>,
         schema: Schema,
     ) -> Result<IndexScanExec> {
@@ -114,12 +119,15 @@ impl IndexScanExec {
             })?;
         let low = bound_ref(&range.low);
         let high = bound_ref(&range.high);
+        let key_column = scan_ordinal(cols.as_deref(), idx.column).ok_or_else(|| {
+            EvoptError::Execution(format!("index scan on '{table}' does not decode its key"))
+        })?;
         let range_scan = idx.btree.range(low, high)?;
-        let key_column = idx.column;
         Ok(IndexScanExec {
             schema,
             heap: info,
             range_scan,
+            cols,
             key_column,
             residual,
             batch_rows: env.batch_rows,
@@ -139,7 +147,8 @@ impl RidScan for IndexScanExec {
     fn next_match(&mut self) -> Result<Option<(Rid, Tuple)>> {
         for item in self.range_scan.by_ref() {
             let (key, rid) = item?;
-            let tuple = self.heap.heap.get(rid)?.ok_or_else(|| {
+            let tuple = self.heap.heap.get_columns(rid, self.cols.as_deref())?;
+            let tuple = tuple.ok_or_else(|| {
                 EvoptError::Execution(format!("index points at deleted rid {rid}"))
             })?;
             // An UPDATE running beside this read rewrites the row in its
@@ -218,6 +227,7 @@ pub(crate) mod test_support {
         PhysicalPlan {
             op: PhysOp::SeqScan {
                 table: table.into(),
+                cols: None,
                 filter,
             },
             schema,
@@ -240,6 +250,7 @@ pub(crate) mod test_support {
                 table: table.into(),
                 index: index.into(),
                 range,
+                cols: None,
                 residual,
                 clustered: false,
             },
@@ -259,7 +270,7 @@ mod tests {
     use crate::executor::run_collect;
     use evopt_common::expr::{col, lit};
     use evopt_common::{BinOp, Expr, Tuple, Value};
-    use evopt_core::physical::KeyRange;
+    use evopt_core::physical::{KeyRange, PhysOp, PhysicalPlan};
 
     #[test]
     fn seq_scan_returns_all_rows() {
@@ -336,6 +347,48 @@ mod tests {
             &env,
         );
         assert_eq!(rows.unwrap().len(), 99);
+    }
+
+    /// A narrowed scan hands out only its `cols`, and its filter reads
+    /// them by output ordinal; an index scan also finds its key among them.
+    #[test]
+    fn narrowed_scans_decode_only_their_columns() {
+        let env = setup(200, 16);
+        let narrow = |mut plan: PhysicalPlan, keep: Vec<usize>| {
+            plan.schema = plan.schema.project(&keep).unwrap();
+            match &mut plan.op {
+                PhysOp::SeqScan { cols, .. } | PhysOp::IndexScan { cols, .. } => *cols = Some(keep),
+                _ => unreachable!(),
+            }
+            plan
+        };
+        // v = 3, decoded as (v, s).
+        let seq = seq_plan(&env, "nums", Some(Expr::eq(col(0), lit(3i64))));
+        let rows = run_collect(&narrow(seq, vec![1, 2]), &env).unwrap();
+        assert_eq!(rows.len(), 20);
+        assert_eq!(
+            rows[0],
+            Tuple::new(vec![Value::Int(3), Value::Str("row-3".into())])
+        );
+        // k in [10, 20) with s = 'row-12', decoded as (k, s).
+        let range = KeyRange {
+            low: std::ops::Bound::Included(Value::Int(10)),
+            high: std::ops::Bound::Excluded(Value::Int(20)),
+        };
+        let residual = Some(Expr::eq(col(1), lit("row-12")));
+        let idx = index_plan(&env, "nums", "nums_k", range.clone(), residual);
+        let rows = run_collect(&narrow(idx, vec![0, 2]), &env).unwrap();
+        assert_eq!(
+            rows,
+            vec![Tuple::new(vec![
+                Value::Int(12),
+                Value::Str("row-12".into())
+            ])]
+        );
+        // An index scan that would not decode its key cannot re-check it.
+        let idx = index_plan(&env, "nums", "nums_k", range, None);
+        let err = run_collect(&narrow(idx, vec![1]), &env).unwrap_err();
+        assert_eq!(err.kind(), "execution");
     }
 
     #[test]

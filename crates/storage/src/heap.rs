@@ -172,11 +172,17 @@ impl HeapFile {
 
     /// Read the tuple at `rid`; `None` if it was deleted.
     pub fn get(&self, rid: Rid) -> Result<Option<Tuple>> {
+        self.get_columns(rid, None)
+    }
+
+    /// [`HeapFile::get`] decoding only `cols` (strictly increasing), or
+    /// every column for `None`.
+    pub fn get_columns(&self, rid: Rid, cols: Option<&[usize]>) -> Result<Option<Tuple>> {
         let guard = self.pool.fetch(rid.page)?;
         let bytes = guard.read();
         let page = SlottedPageView::new(&bytes);
         match page.get(rid.slot)? {
-            Some(record) => Ok(Some(Tuple::decode(record)?)),
+            Some(record) => Ok(Some(decode(record, cols)?)),
             None => Ok(None),
         }
     }
@@ -212,13 +218,28 @@ impl HeapFile {
 
     /// Full scan over live tuples, in chain order.
     pub fn scan(&self) -> HeapScan {
+        self.scan_columns(None)
+    }
+
+    /// [`HeapFile::scan`] decoding only `cols` (strictly increasing) of
+    /// each tuple, or every column for `None`.
+    pub fn scan_columns(&self, cols: Option<Vec<usize>>) -> HeapScan {
         HeapScan {
             pool: Arc::clone(&self.pool),
             next_page: self.first_page,
+            cols,
             buffer: Vec::new(),
             pos: 0,
             failed: false,
         }
+    }
+}
+
+/// A stored record as a tuple of the columns `cols` names, or all of them.
+fn decode(record: &[u8], cols: Option<&[usize]>) -> Result<Tuple> {
+    match cols {
+        Some(cols) => Tuple::decode_projected(record, cols),
+        None => Tuple::decode(record),
     }
 }
 
@@ -235,13 +256,16 @@ impl Drop for HeapFile {
 /// Iterator over `(Rid, Tuple)` pairs of a heap file.
 ///
 /// Processes one page at a time: the page is decoded in full, the pin is
-/// released, then buffered tuples are yielded — so a scan never holds more
-/// than one page pinned. Pages come through
+/// released, then buffered tuples are moved out one by one — so a scan
+/// never holds more than one page pinned, and decodes each tuple once.
+/// Pages come through
 /// [`BufferPool::fetch_sequential`], so a scan larger than the pool
 /// recycles its own frames rather than flushing everyone else's.
 pub struct HeapScan {
     pool: Arc<BufferPool>,
     next_page: PageId,
+    /// The columns each tuple is decoded to; `None` keeps them all.
+    cols: Option<Vec<usize>>,
     buffer: Vec<(Rid, Tuple)>,
     pos: usize,
     failed: bool,
@@ -256,8 +280,10 @@ impl HeapScan {
             let page = SlottedPageView::new(&bytes);
             self.buffer.clear();
             for (slot, record) in page.records() {
-                self.buffer
-                    .push((Rid::new(page_id, slot), Tuple::decode(record)?));
+                self.buffer.push((
+                    Rid::new(page_id, slot),
+                    decode(record, self.cols.as_deref())?,
+                ));
             }
             self.pos = 0;
             self.next_page = page.next_page();
@@ -286,9 +312,9 @@ impl Iterator for HeapScan {
                 }
             }
         }
-        let item = self.buffer[self.pos].clone();
+        let (rid, tuple) = &mut self.buffer[self.pos];
         self.pos += 1;
-        Some(Ok(item))
+        Some(Ok((*rid, std::mem::take(tuple))))
     }
 }
 
@@ -354,6 +380,31 @@ mod tests {
         let delta = disk.snapshot().since(&before);
         assert_eq!(count, 1000);
         assert_eq!(delta.reads, heap.page_count());
+    }
+
+    #[test]
+    fn projected_scan_and_get_decode_only_their_columns() {
+        let heap = HeapFile::create(mkpool(8)).unwrap();
+        let rids: Vec<Rid> = (0..300).map(|i| heap.insert(&row(i)).unwrap()).collect();
+        let names: Vec<_> = heap
+            .scan_columns(Some(vec![1]))
+            .map(|r| r.unwrap())
+            .collect();
+        assert_eq!(names.len(), 300);
+        assert_eq!(
+            names[7],
+            (rids[7], Tuple::new(vec![Value::Str("name-7".into())]))
+        );
+        let none: Vec<_> = heap
+            .scan_columns(Some(vec![]))
+            .map(|r| r.unwrap().1)
+            .collect();
+        assert!(none.iter().all(Tuple::is_empty));
+        assert_eq!(
+            heap.get_columns(rids[9], Some(&[0])).unwrap(),
+            Some(Tuple::new(vec![Value::Int(9)]))
+        );
+        assert!(heap.scan_columns(Some(vec![2])).next().unwrap().is_err());
     }
 
     #[test]

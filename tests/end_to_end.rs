@@ -191,6 +191,28 @@ fn having_without_columns_filters_the_groups() {
     assert_eq!(rows, vec![Tuple::new(vec![Value::Int(400)])]);
 }
 
+/// A WHERE conjunct that names no relation filters the whole join: the
+/// join graph gives the folded `false` no relation, so it sits in no join's
+/// or scan's predicate set, and the optimizer puts it on top of the join.
+#[test]
+fn a_constant_false_where_empties_a_join() {
+    let db = Database::with_defaults();
+    load_wisconsin(&db, "wisc", 1000, 5).unwrap();
+    db.execute("ANALYZE").unwrap();
+    let join = "FROM wisc a JOIN wisc b ON a.unique1 = b.unique2";
+    for (select, no_rows) in [
+        ("SELECT a.unique1", vec![]),
+        ("SELECT COUNT(*)", vec![Tuple::new(vec![Value::Int(0)])]),
+    ] {
+        let sql = format!("{select} {join} WHERE 1 = 0");
+        assert_eq!(db.query(&sql).unwrap(), no_rows, "{sql}");
+        let (_, plan) = db.plan_sql(&sql).unwrap();
+        assert_eq!(count_ops(&plan, "Filter"), 1, "{sql}\n{plan}");
+        let sql = format!("{select} {join} WHERE 1 = 1");
+        assert_ne!(db.query(&sql).unwrap(), no_rows, "{sql}");
+    }
+}
+
 #[test]
 fn small_buffer_pool_gives_same_answers() {
     // The whole stack must be correct under memory pressure: 6-frame pool

@@ -264,6 +264,7 @@ fn spilling_plans(env: &ExecEnv) -> Vec<(&'static str, PhysicalPlan)> {
     let l = scan(env, "l");
     let few = PhysOp::SeqScan {
         table: "l".into(),
+        cols: None,
         filter: Some(Expr::binary(BinOp::Lt, col(0), lit(20i64))),
     };
     let schema = l.schema.join(&scan(env, "r").schema);

@@ -3,11 +3,26 @@
 
 mod support;
 
+use evopt::core::physical::PhysicalPlan;
 use evopt::plan::rewrite_all;
 use evopt::sql::{bind_select, parse, Statement};
+use evopt::workload::tpch_lite::queries::{CUSTOMER_ORDERS, REVENUE_PER_NATION};
 use evopt::workload::{load_wisconsin, JoinWorkload, Topology};
-use evopt::{Database, Strategy};
+use evopt::{Database, Optimizer, Strategy};
 use support::{battery, count_ops, normalized, seeded};
+
+const STRATEGIES: [Strategy; 7] = [
+    Strategy::SystemR,
+    Strategy::BushyDp,
+    Strategy::DpCcp,
+    Strategy::Greedy,
+    Strategy::Goo,
+    Strategy::QuickPick {
+        samples: 4,
+        seed: 9,
+    },
+    Strategy::Syntactic,
+];
 
 /// DP strategies explore a superset of every heuristic's plan space, so
 /// their estimated cost can never be worse.
@@ -73,18 +88,7 @@ fn rewrites_run_once_in_the_binder() {
 
     let having = "SELECT unique1, COUNT(*) AS n FROM wa GROUP BY unique1 HAVING unique1 < 40";
     let where_ = "SELECT unique1, COUNT(*) AS n FROM wa WHERE unique1 < 40 GROUP BY unique1";
-    for strategy in [
-        Strategy::SystemR,
-        Strategy::BushyDp,
-        Strategy::DpCcp,
-        Strategy::Greedy,
-        Strategy::Goo,
-        Strategy::QuickPick {
-            samples: 4,
-            seed: 9,
-        },
-        Strategy::Syntactic,
-    ] {
+    for strategy in STRATEGIES {
         db.set_strategy(strategy);
         let (_, h) = db.plan_sql(having).unwrap();
         let (_, w) = db.plan_sql(where_).unwrap();
@@ -119,6 +123,84 @@ fn rewrites_run_once_in_the_binder() {
         let bound = bind_select(&select, &provider).unwrap();
         assert_eq!(rewrite_all(bound.clone()).unwrap(), bound, "{sql}");
     }
+}
+
+/// Narrowing scans changes no plan choice: over the verify battery and the
+/// `analytic` workload's 11 statement shapes, under every strategy, the
+/// plan before the pass and after it scan the same tables in the same
+/// order with the same join methods, node for node with the same
+/// estimates. A scan that
+/// reads every column is left as it was: `SELECT *` and the row-finders of
+/// UPDATE and DELETE show no `cols=`.
+#[test]
+fn narrowing_scans_changes_no_plan_choice() {
+    let db = seeded(false);
+    // The `analytic` workload's 11 statement shapes.
+    let mut analytic: Vec<String> = vec![REVENUE_PER_NATION.into(), CUSTOMER_ORDERS.into()];
+    for (status, balance) in [("open", 4500), ("shipped", 5000), ("done", 5500)] {
+        analytic.push(format!(
+            "SELECT o.o_key, c.c_name FROM orders o JOIN customer c \
+             ON o.o_customer = c.c_key WHERE o.o_status = '{status}' AND c.c_balance > {balance}"
+        ));
+    }
+    for k in [0, 1] {
+        analytic.push(format!(
+            "SELECT ten_pct, COUNT(*), SUM(unique2) FROM wisc WHERE odd = {k} GROUP BY ten_pct"
+        ));
+    }
+    for k in [7, 42] {
+        analytic.push(format!(
+            "SELECT a.unique1, b.unique1 FROM wisc a \
+             JOIN wisc b ON a.unique1 = b.unique2 WHERE a.one_pct = {k}"
+        ));
+    }
+    for k in [3, 8] {
+        analytic.push(format!(
+            "SELECT * FROM wisc WHERE ten_pct = {k} ORDER BY stringu1 LIMIT 10"
+        ));
+    }
+    let whole_rows = [
+        "SELECT * FROM wisc WHERE ten_pct = 3 ORDER BY stringu1 LIMIT 10",
+        "SELECT * FROM wisc WHERE unique1 = 5",
+        "SELECT * FROM wisc a JOIN wisc b ON a.unique1 = b.unique2",
+        "UPDATE wisc SET odd = odd WHERE unique1 = 5",
+        "DELETE FROM wisc WHERE unique1 = -1",
+        "UPDATE empty_t SET x = 1 WHERE y = 'q'",
+    ];
+    let queries: Vec<String> = battery()
+        .into_iter()
+        .map(String::from)
+        .chain(analytic)
+        .collect();
+    let mut narrowed = 0;
+    for strategy in STRATEGIES {
+        db.set_strategy(strategy);
+        let optimizer = Optimizer::new(db.optimizer_config());
+        for sql in &queries {
+            let (logical, plan) = db.plan_sql(sql).unwrap();
+            let chosen = optimizer.choose(&logical, db.catalog()).unwrap();
+            let at = format!("{}: {sql}\n{chosen}\n{plan}", strategy.name());
+            assert_eq!(plan.scan_order(), chosen.scan_order(), "{at}");
+            assert_eq!(plan.join_methods(), chosen.join_methods(), "{at}");
+            assert_eq!(plan.est_cost, chosen.est_cost, "{at}");
+            let shape = |p: &PhysicalPlan| -> Vec<_> {
+                p.pre_order()
+                    .iter()
+                    .map(|(d, n)| (*d, n.op_name(), n.est_rows, n.est_cost))
+                    .collect()
+            };
+            assert_eq!(shape(&plan), shape(&chosen), "{at}");
+            narrowed += usize::from(plan.to_string().contains("cols="));
+        }
+        for sql in whole_rows {
+            let (_, plan) = db.plan_sql(sql).unwrap();
+            assert!(!plan.to_string().contains("cols="), "{sql}\n{plan}");
+        }
+    }
+    assert!(
+        narrowed > queries.len(),
+        "too few plans narrowed: {narrowed}"
+    );
 }
 
 /// Planning is deterministic: same catalog, same query, same plan.

@@ -81,6 +81,7 @@ fn scan(cat: &Catalog, table: &str, rows: f64) -> PhysicalPlan {
     node(
         PhysOp::SeqScan {
             table: table.into(),
+            cols: None,
             filter: None,
         },
         schema,
@@ -168,6 +169,7 @@ fn index_scan(cat: &Catalog) -> PhysicalPlan {
                 low: std::ops::Bound::Included(Value::Int(2)),
                 high: std::ops::Bound::Included(Value::Int(7)),
             },
+            cols: None,
             residual: None,
             clustered: false,
         },
@@ -175,6 +177,46 @@ fn index_scan(cat: &Catalog) -> PhysicalPlan {
         25.0,
         Cost::new(5.0, 25.0),
     )
+}
+
+/// Valid scan of `table` decoding only `cols`.
+fn narrowed_scan(cat: &Catalog, table: &str, cols: Vec<usize>) -> PhysicalPlan {
+    let mut p = scan(cat, table, 50.0);
+    p.schema = p.schema.project(&cols).unwrap();
+    if let PhysOp::SeqScan { cols: c, .. } = &mut p.op {
+        *c = Some(cols);
+    }
+    p
+}
+
+/// Valid hash join `t ⋈ u ON t.a = u.c` over scans that decode only the
+/// key columns.
+fn narrowed_join(cat: &Catalog) -> PhysicalPlan {
+    let l = narrowed_scan(cat, "t", vec![0]);
+    let r = narrowed_scan(cat, "u", vec![0]);
+    let schema = l.schema.join(&r.schema);
+    node(
+        PhysOp::HashJoin {
+            left: Box::new(l),
+            right: Box::new(r),
+            left_key: 0,
+            right_key: 0,
+            residual: None,
+        },
+        schema,
+        250.0,
+        Cost::new(4.0, 400.0),
+    )
+}
+
+/// Valid index scan over `u_c` that decodes only the key column.
+fn narrowed_index_scan(cat: &Catalog) -> PhysicalPlan {
+    let mut p = index_scan(cat);
+    p.schema = p.schema.project(&[0]).unwrap();
+    if let PhysOp::IndexScan { cols, .. } = &mut p.op {
+        *cols = Some(vec![0]);
+    }
+    p
 }
 
 /// Valid streaming aggregate: sorted input, grouped on the sort column.
@@ -416,6 +458,48 @@ fn mutations() -> Vec<Mutation> {
             },
         },
         Mutation {
+            name: "unsorted scan projection",
+            expect_rule: "scan/cols",
+            build: |cat| {
+                let mut p = narrowed_scan(cat, "t", vec![1, 0]);
+                p.schema = cat.table("t").unwrap().schema.project(&[1, 0]).unwrap();
+                p
+            },
+        },
+        Mutation {
+            name: "scan projection missing a column a join reads",
+            expect_rule: "schema/column-ref",
+            build: |cat| {
+                let mut p = narrowed_join(cat);
+                if let PhysOp::HashJoin { right, .. } = &mut p.op {
+                    **right = narrowed_scan(cat, "u", vec![]);
+                }
+                p.schema = p.schema.project(&[0]).unwrap();
+                p
+            },
+        },
+        Mutation {
+            name: "scan schema that is not the catalog's columns at its projection",
+            expect_rule: "schema/propagation",
+            build: |cat| {
+                let mut p = narrowed_scan(cat, "u", vec![1]);
+                p.schema = cat.table("u").unwrap().schema.project(&[0]).unwrap();
+                p
+            },
+        },
+        Mutation {
+            name: "index scan projection without its key column",
+            expect_rule: "scan/cols",
+            build: |cat| {
+                let mut p = narrowed_index_scan(cat);
+                p.schema = cat.table("u").unwrap().schema.project(&[1]).unwrap();
+                if let PhysOp::IndexScan { cols, .. } = &mut p.op {
+                    *cols = Some(vec![1]);
+                }
+                p
+            },
+        },
+        Mutation {
             name: "cumulative cost below a summed input",
             expect_rule: "est/cost-monotone",
             build: |cat| {
@@ -441,6 +525,8 @@ fn base_plans_verify_clean() {
         ("project", project(&cat)),
         ("limit", limit(&cat)),
         ("bnl", bnl(&cat)),
+        ("narrowed_join", narrowed_join(&cat)),
+        ("narrowed_index_scan", narrowed_index_scan(&cat)),
     ];
     for (name, p) in bases {
         let report = verify_physical(&p, Some(&cat), VerifyPhase::PostPhysical);

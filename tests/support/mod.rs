@@ -95,6 +95,7 @@ pub fn scan(env: &ExecEnv, t: &str) -> PhysicalPlan {
     plan(
         PhysOp::SeqScan {
             table: t.into(),
+            cols: None,
             filter: None,
         },
         schema,
@@ -221,8 +222,13 @@ pub fn sibling(p: &PhysicalPlan) -> PhysicalPlan {
     }
     let replacement = match &p.op {
         PhysOp::Filter { input, predicate } => match &input.op {
-            PhysOp::SeqScan { table, filter } => Some(PhysOp::SeqScan {
+            PhysOp::SeqScan {
+                table,
+                cols,
+                filter,
+            } => Some(PhysOp::SeqScan {
                 table: table.clone(),
+                cols: cols.clone(),
                 filter: Some(Expr::conjunction(
                     filter.iter().chain([predicate]).cloned().collect(),
                 )),

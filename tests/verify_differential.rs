@@ -197,6 +197,7 @@ fn scan(cat: &Catalog, t: &str) -> PhysicalPlan {
     mk(
         PhysOp::SeqScan {
             table: t.into(),
+            cols: None,
             filter: None,
         },
         schema,
