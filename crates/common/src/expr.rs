@@ -44,13 +44,6 @@ impl BinOp {
         matches!(self, BinOp::And | BinOp::Or)
     }
 
-    pub fn is_arithmetic(self) -> bool {
-        matches!(
-            self,
-            BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod
-        )
-    }
-
     /// The mirrored comparison (`a < b` ⇔ `b > a`); identity for symmetric
     /// operators. Used to normalise predicates to `col OP const` form.
     pub fn flip(self) -> BinOp {

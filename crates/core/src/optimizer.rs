@@ -39,10 +39,11 @@ pub struct OptimizerConfig {
     /// Track interesting orders during enumeration (ablation for F3).
     pub track_interesting_orders: bool,
     /// Run the static plan verifier ([`crate::verify`]) after every phase
-    /// (post-enumeration, post-physical). Always on in debug builds; this
-    /// flag opts release builds in (`DatabaseConfig::verify_plans` at the
-    /// engine level). A violation aborts optimization with a structured
-    /// [`EvoptError::Plan`] — never a panic.
+    /// (post-enumeration, post-physical); the engine's binder reads the
+    /// same flag for its post-bind check. Always on in debug builds; this
+    /// flag opts release builds in, and it is the only switch. A violation
+    /// aborts the statement with a structured [`EvoptError::Plan`] — never
+    /// a panic.
     pub verify: bool,
 }
 

@@ -26,9 +26,9 @@
 //! Verification never panics: every violation becomes a [`VerifyIssue`] and
 //! [`VerifyReport::into_result`] folds them into one [`EvoptError::Plan`].
 //! The optimizer runs these checks after every phase in debug builds and
-//! when [`crate::OptimizerConfig::verify`] is set (see `DatabaseConfig::
-//! verify_plans` at the engine level); `EXPLAIN VERIFY` surfaces the same
-//! reports — plus the lints — to SQL users.
+//! when [`crate::OptimizerConfig::verify`] is set (the engine's post-bind
+//! check reads the same flag); `EXPLAIN VERIFY` surfaces the same reports —
+//! plus the lints — to SQL users.
 
 use std::fmt;
 use std::ops::Bound;

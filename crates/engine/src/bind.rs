@@ -145,7 +145,7 @@ impl<'a> Flight<'a> {
             }
         };
         self.phase(Phase::Bind, started);
-        let verifying = cfg!(debug_assertions) || self.cfg.verify_plans;
+        let verifying = cfg!(debug_assertions) || self.cfg.optimizer.verify;
         if let (Some(logical), true) = (&logical, verifying) {
             let started = Instant::now();
             let verdict = verify::verify_logical(logical, VerifyPhase::PostBind).into_result();

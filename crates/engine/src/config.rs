@@ -1,9 +1,7 @@
 //! Construction-time and per-session knobs.
 
 use evopt_catalog::AnalyzeConfig;
-use evopt_common::DEFAULT_BATCH_ROWS;
 use evopt_core::OptimizerConfig;
-use evopt_exec::GovernorConfig;
 use evopt_obs::{DEFAULT_QUERY_LOG_CAP, DEFAULT_SLOW_QUERY_US};
 use evopt_storage::FaultConfig;
 
@@ -34,22 +32,12 @@ pub struct DatabaseConfig {
     /// default) runs on a plain in-memory disk; `Some` wraps it in a
     /// deterministic [`evopt_storage::FaultInjector`] — the chaos suite's entry point.
     pub faults: Option<FaultConfig>,
-    /// Session-default resource limits applied to every SELECT run through
-    /// [`crate::Database::execute`]. Unlimited by default.
-    pub governor: GovernorConfig,
-    /// Executor batch size: tuples moved per `next_batch()` call. Defaults
-    /// to [`DEFAULT_BATCH_ROWS`]; 1 degenerates to tuple-at-a-time Volcano.
-    pub batch_rows: usize,
     /// Ring-buffer capacity of the query log (entries; clamped to ≥ 1).
     pub query_log_cap: usize,
     /// Queries whose optimize+execute wall time meets this threshold are
-    /// flagged slow in the query log and counted in `slow_queries`.
+    /// flagged slow in the query log and counted in `slow_queries`. Fixed
+    /// for the life of the instance.
     pub slow_query_us: u64,
-    /// Run the static plan verifier (`evopt_core::verify`) after binding
-    /// and after every optimizer phase. Debug builds verify
-    /// unconditionally; this opts release builds in. A violation surfaces
-    /// as a structured plan error, never a panic.
-    pub verify_plans: bool,
     /// Crash durability: [`Durability::Wal`] turns on write-ahead logging
     /// with statement-granularity commits. Off by default — the
     /// optimizer-validation experiments measure query I/O, not commit
@@ -64,29 +52,25 @@ impl Default for DatabaseConfig {
             optimizer: OptimizerConfig::default(),
             analyze: AnalyzeConfig::default(),
             faults: None,
-            governor: GovernorConfig::default(),
-            batch_rows: DEFAULT_BATCH_ROWS,
             query_log_cap: DEFAULT_QUERY_LOG_CAP,
             slow_query_us: DEFAULT_SLOW_QUERY_US,
-            verify_plans: false,
             durability: Durability::Off,
         }
     }
 }
 
-/// Per-session execution knobs: everything a [`crate::Session`] may retune without
-/// affecting any other session. [`DatabaseConfig`] carries the instance-wide
-/// defaults; a new session starts from a copy of whatever the defaults are
-/// at creation time, and every statement snapshots its session's config
-/// once at entry — a knob flipped mid-statement never changes a statement
-/// already running.
+/// Per-session knobs: the optimizer and ANALYZE configurations, which a
+/// [`crate::Session`] may retune without affecting any other session.
+/// Resource limits are not among them: a governed query passes its
+/// [`evopt_exec::GovernorConfig`] per call. [`DatabaseConfig`] carries the
+/// instance-wide defaults; a new session starts from a copy of whatever the
+/// defaults are at creation time, and every statement snapshots its
+/// session's config once at entry — a knob flipped mid-statement never
+/// changes a statement already running.
 #[derive(Debug, Clone, Copy)]
 pub struct SessionConfig {
     pub optimizer: OptimizerConfig,
     pub analyze: AnalyzeConfig,
-    pub governor: GovernorConfig,
-    pub batch_rows: usize,
-    pub verify_plans: bool,
 }
 
 impl DatabaseConfig {
@@ -95,9 +79,6 @@ impl DatabaseConfig {
         SessionConfig {
             optimizer: self.optimizer,
             analyze: self.analyze,
-            governor: self.governor,
-            batch_rows: self.batch_rows,
-            verify_plans: self.verify_plans,
         }
     }
 }

@@ -412,11 +412,6 @@ impl Database {
     pub fn query_log(&self) -> &QueryLog {
         &self.query_log
     }
-
-    /// Change the slow-query threshold for subsequent queries.
-    pub fn set_slow_query_threshold_us(&self, us: u64) {
-        self.query_log.set_slow_threshold_us(us);
-    }
 }
 
 #[cfg(test)]

@@ -11,12 +11,11 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use evopt_catalog::Catalog;
-use evopt_common::{lockorder, EvoptError, Result, Tuple};
+use evopt_common::{lockorder, EvoptError, Result, Tuple, DEFAULT_BATCH_ROWS};
 use evopt_core::physical::PhysicalPlan;
 use evopt_core::Optimizer;
 use evopt_exec::{
-    run_collect, run_collect_governed, run_collect_instrumented, run_collect_rids,
-    CancellationToken, ExecEnv, GovernorConfig,
+    run_collect, run_collect_measured, run_collect_rids, CancellationToken, ExecEnv, GovernorConfig,
 };
 use evopt_obs::{
     EngineMetrics, Phase, PhaseSpan, QueryLogEntry, StatementSpan, TraceSink, DEFAULT_TRACE_EVENTS,
@@ -37,8 +36,7 @@ use crate::{apply, render};
 /// for all of them; the mode says where to stop and what to keep.
 #[derive(Debug)]
 pub enum Mode {
-    /// Run the statement as written (`EXPLAIN …` prefixes included). A
-    /// SELECT runs under the session's governor when one is set.
+    /// Run the statement as written (`EXPLAIN …` prefixes included).
     Plain,
     /// Stop after optimize: nothing executes, nothing is counted.
     PlanOnly,
@@ -48,7 +46,8 @@ pub enum Mode {
     Instrumented,
     /// Execute a SELECT keeping the optimizer's full search journal.
     Traced,
-    /// Execute a SELECT under these limits and this cancellation token.
+    /// Execute a SELECT under these limits and this cancellation token,
+    /// instrumented like [`Mode::Instrumented`].
     Governed(GovernorConfig, CancellationToken),
 }
 
@@ -158,7 +157,7 @@ impl<'a> Flight<'a> {
         ExecEnv {
             catalog: Arc::clone(catalog),
             buffer_pages: self.cfg.optimizer.cost_model.buffer_pages,
-            batch_rows: self.cfg.batch_rows.max(1),
+            batch_rows: DEFAULT_BATCH_ROWS,
             metrics: Arc::clone(&self.db.metrics),
         }
     }
@@ -273,8 +272,7 @@ impl<'a> Flight<'a> {
         catalog: &Arc<Catalog>,
         logical: &LogicalPlan,
     ) -> Result<PhysicalPlan> {
-        let mut cfg = self.cfg.optimizer;
-        cfg.verify = cfg.verify || self.cfg.verify_plans;
+        let cfg = self.cfg.optimizer;
         let verifying = cfg.verify || cfg!(debug_assertions);
         let mut optimizer = Optimizer::new(cfg).with_trace(match self.trace {
             true => TraceSink::bounded(DEFAULT_TRACE_EVENTS),
@@ -351,30 +349,26 @@ impl<'a> Flight<'a> {
         let result = match action {
             Action::Query(_) => {
                 let (plan, env) = (planned()?, self.exec_env(catalog));
-                let instrumented = matches!(mode, Mode::Instrumented);
-                let governed = match mode {
-                    Mode::Governed(governor, token) => Some((governor, token)),
-                    Mode::Plain if !self.cfg.governor.is_unlimited() => {
-                        Some((self.cfg.governor, CancellationToken::new()))
-                    }
+                // Instrumented and governed runs take the measured drain; a
+                // governed one hands it its limits.
+                let measured = match mode {
+                    Mode::Instrumented => Some(None),
+                    Mode::Governed(governor, token) => Some(Some((governor, token))),
                     _ => None,
                 };
-                let rows = if let Some((governor, token)) = governed {
-                    let (rows, metrics) = run_collect_governed(plan, &env, governor, token);
-                    self.out.metrics = Some(metrics);
-                    if matches!(
-                        &rows,
-                        Err(EvoptError::Canceled(_) | EvoptError::ResourceExhausted(_))
-                    ) {
-                        self.record(|m| m.governor_kills.inc());
+                let rows = match measured {
+                    Some(governed) => {
+                        let (rows, metrics) = run_collect_measured(plan, &env, governed);
+                        self.out.metrics = Some(metrics);
+                        if matches!(
+                            &rows,
+                            Err(EvoptError::Canceled(_) | EvoptError::ResourceExhausted(_))
+                        ) {
+                            self.record(|m| m.governor_kills.inc());
+                        }
+                        rows?
                     }
-                    rows?
-                } else if instrumented {
-                    let (rows, metrics) = run_collect_instrumented(plan, &env)?;
-                    self.out.metrics = Some(metrics);
-                    rows
-                } else {
-                    run_collect(plan, &env)?
+                    None => run_collect(plan, &env)?,
                 };
                 QueryResult::Rows {
                     schema: plan.schema.clone(),
@@ -436,28 +430,29 @@ impl<'a> Flight<'a> {
             m.disk_writes.add(io.writes);
         });
         if let (true, Some(sql), Some(plan)) = (is_query, self.counted, plan) {
-            let slow = self.optimize_us + execute_us >= db.query_log.slow_threshold_us();
+            let span = Some(self.stamped_span());
+            let slow = {
+                let _r = lockorder::acquire(lockorder::OBS);
+                db.query_log.record(QueryLogEntry {
+                    sql: sql.to_string(),
+                    session_id: self.session.id(),
+                    plan_digest: plan.digest_hex(),
+                    est_rows: plan.est_rows,
+                    actual_rows: rows,
+                    optimize_us: self.optimize_us,
+                    execute_us,
+                    pages_read: io.reads,
+                    pages_written: io.writes,
+                    slow: false, // stamped by QueryLog::record, which returns it
+                    span,
+                })
+            };
             self.record(|m| {
                 m.queries.inc();
                 m.execute_time_us.observe(execute_us);
                 if slow {
                     m.slow_queries.inc();
                 }
-            });
-            let span = Some(self.stamped_span());
-            let _r = lockorder::acquire(lockorder::OBS);
-            db.query_log.record(QueryLogEntry {
-                sql: sql.to_string(),
-                session_id: self.session.id(),
-                plan_digest: plan.digest_hex(),
-                est_rows: plan.est_rows,
-                actual_rows: rows,
-                optimize_us: self.optimize_us,
-                execute_us,
-                pages_read: io.reads,
-                pages_written: io.writes,
-                slow: false, // stamped by QueryLog::record against its threshold
-                span,
             });
         }
         Ok(result)

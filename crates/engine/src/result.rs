@@ -11,8 +11,8 @@ use evopt_plan::LogicalPlan;
 #[derive(Debug, Clone)]
 pub enum QueryResult {
     /// A SELECT's output. `metrics` is populated when the statement ran
-    /// through an instrumented path (a session governor,
-    /// [`crate::Database::execute_analyzed`]).
+    /// through the measured drain ([`crate::Database::execute_analyzed`],
+    /// [`crate::Mode::Instrumented`] or [`crate::Mode::Governed`]).
     Rows {
         schema: Schema,
         rows: Vec<Tuple>,

@@ -65,17 +65,6 @@ impl SessionState {
         self.config().optimizer
     }
 
-    /// Resource limits for subsequent SELECTs.
-    pub fn set_governor(&self, governor: GovernorConfig) {
-        self.update(|c| c.governor = governor);
-    }
-
-    /// Executor batch size (batch-size sweeps; 1 degenerates to
-    /// tuple-at-a-time).
-    pub fn set_batch_rows(&self, batch_rows: usize) {
-        self.update(|c| c.batch_rows = batch_rows.max(1));
-    }
-
     /// Swap the join-enumeration strategy (T1/F1/F2 sweeps).
     pub fn set_strategy(&self, strategy: Strategy) {
         self.update(|c| c.optimizer.strategy = strategy);
@@ -150,14 +139,15 @@ impl Session {
         self.execute(sql)?.into_rows()
     }
 
-    /// Run a SELECT under this session's governor with an external
-    /// cancellation token (kill-from-another-thread).
+    /// Run a SELECT as this session under explicit resource governance;
+    /// see [`Database::query_governed`].
     pub fn query_governed(
         &self,
         sql: &str,
+        governor: GovernorConfig,
         token: CancellationToken,
     ) -> (Result<Vec<Tuple>>, Option<QueryMetrics>) {
-        self.run(sql, Mode::Governed(self.config().governor, token))
+        self.run(sql, Mode::Governed(governor, token))
             .into_governed()
     }
 

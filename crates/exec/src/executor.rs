@@ -8,7 +8,7 @@ use evopt_common::{Batch, Result, Schema, Tuple, DEFAULT_BATCH_ROWS};
 use evopt_core::physical::{PhysOp, PhysicalPlan};
 use evopt_storage::Rid;
 
-use crate::governor::{CancellationToken, GovernedExec, GovernorConfig, QueryGovernor};
+use crate::governor::{CancellationToken, GovernorConfig, QueryGovernor};
 use crate::metrics::{InstrumentedExec, MetricsRegistry, QueryMetrics};
 use crate::scan::{IndexScanExec, RidScan, SeqScanExec};
 
@@ -170,26 +170,32 @@ impl BatchBuilder {
 
 /// Instantiate the operator tree for `plan`.
 pub fn build_executor(plan: &PhysicalPlan, env: &ExecEnv) -> Result<Box<dyn Executor>> {
-    build_node(plan, env, None, None)
+    build_node(plan, env, None)
 }
 
-/// Shared builder. When `instr` is set — a registry holding one metric slot
-/// per plan node, in [`PhysicalPlan::pre_order`] — `idx` is this node's
-/// pre-order index in it; children are built at their own pre-order offsets and
-/// every constructed operator is wrapped with its metric slot. When `gov` is
-/// set, every operator is additionally wrapped in a [`GovernedExec`] so a
-/// cancel/timeout/budget kill lands within one `next_batch()` call anywhere
-/// in the tree.
+/// What a measured drain attaches to every operator it builds: one metric
+/// slot per plan node, in [`PhysicalPlan::pre_order`], and the governor
+/// when the run is governed.
+#[derive(Clone)]
+struct Meter {
+    registry: MetricsRegistry,
+    governor: Option<Arc<QueryGovernor>>,
+}
+
+/// Shared builder. When `meter` is set, `idx` is this node's pre-order
+/// index in its registry; children are built at their own pre-order offsets
+/// and every constructed operator is wrapped in an [`InstrumentedExec`]
+/// holding its metric slot and the governor, so a cancel/timeout/budget
+/// kill lands within one `next_batch()` call anywhere in the tree.
 fn build_node(
     plan: &PhysicalPlan,
     env: &ExecEnv,
-    instr: Option<(&MetricsRegistry, usize)>,
-    gov: Option<&Arc<QueryGovernor>>,
+    meter: Option<(&Meter, usize)>,
 ) -> Result<Box<dyn Executor>> {
     // Build the `offset`-th pre-order successor of this node (1 = first
     // child; 1 + first_child.node_count() = second child).
     let child = |c: &PhysicalPlan, offset: usize| -> Result<Box<dyn Executor>> {
-        build_node(c, env, instr.map(|(reg, idx)| (reg, idx + offset)), gov)
+        build_node(c, env, meter.map(|(m, idx)| (m, idx + offset)))
     };
     let exec: Box<dyn Executor> = match &plan.op {
         PhysOp::SeqScan {
@@ -242,14 +248,12 @@ fn build_node(
             let left_exec = child(left, 1)?;
             let right_plan = (**right).clone();
             let right_env = env.clone();
-            let right_instr = instr.map(|(reg, idx)| (reg.clone(), idx + 1 + left.node_count()));
-            let right_gov = gov.cloned();
+            let right_meter = meter.map(|(m, idx)| (m.clone(), idx + 1 + left.node_count()));
             let right_builder = move || {
                 build_node(
                     &right_plan,
                     &right_env,
-                    right_instr.as_ref().map(|(reg, idx)| (reg, *idx)),
-                    right_gov.as_ref(),
+                    right_meter.as_ref().map(|(m, idx)| (m, *idx)),
                 )
             };
             Box::new(crate::join::NestedLoopJoinExec::new(
@@ -346,36 +350,26 @@ fn build_node(
             env.batch_rows,
         )),
     };
-    // Governor check innermost, instrumentation outermost: the
-    // `next_batch()` call that trips the governor is still metered, so
-    // killed queries report accurate partial metrics.
-    let exec: Box<dyn Executor> = match gov {
-        Some(governor) => Box::new(GovernedExec::new(exec, Arc::clone(governor))),
-        None => exec,
-    };
-    Ok(match instr {
-        Some((registry, idx)) => Box::new(InstrumentedExec::new(
+    Ok(match meter {
+        Some((m, idx)) => Box::new(InstrumentedExec::new(
             exec,
-            registry.node(idx),
+            m.registry.node(idx),
             Arc::clone(env.catalog.pool()),
+            m.governor.clone(),
         )),
         None => exec,
     })
 }
 
-/// Build `plan` and drain it into a vector: the one loop behind the three
-/// public drains. The root's output volume is recorded whether or not the
-/// drain completes, so a killed query still counts the batches it returned.
-fn drain(
-    plan: &PhysicalPlan,
-    env: &ExecEnv,
-    registry: Option<&MetricsRegistry>,
-    governor: Option<&Arc<QueryGovernor>>,
-) -> Result<Vec<Tuple>> {
+/// Build `plan` and drain it into a vector: the one loop behind the public
+/// drains. The root's output volume is recorded whether or not the drain
+/// completes, so a killed query still counts the batches it returned.
+fn drain(plan: &PhysicalPlan, env: &ExecEnv, meter: Option<&Meter>) -> Result<Vec<Tuple>> {
+    let governor = meter.and_then(|m| m.governor.as_ref());
     let mut out = Vec::new();
     let mut batches = 0u64;
     let mut pull = || -> Result<()> {
-        let mut exec = build_node(plan, env, registry.map(|r| (r, 0)), governor)?;
+        let mut exec = build_node(plan, env, meter.map(|m| (m, 0)))?;
         while let Some(batch) = exec.next_batch()? {
             // The row budget is counted at the root drain: rows the query
             // *returns*, not intermediate tuples.
@@ -392,29 +386,47 @@ fn drain(
     pulled.map(|()| out)
 }
 
-/// [`drain`] instrumented: the rows (or the error that stopped the drain)
-/// beside the estimate-vs-actual [`QueryMetrics`] of whatever ran.
-fn drain_measured(
+/// Build and drain a plan into a vector.
+pub fn run_collect(plan: &PhysicalPlan, env: &ExecEnv) -> Result<Vec<Tuple>> {
+    drain(plan, env, None)
+}
+
+/// Build, instrument and drain a plan; with `governed`, under a
+/// [`QueryGovernor`] holding those limits and that cancellation token.
+///
+/// The estimate-vs-actual [`QueryMetrics`] of whatever ran come back beside
+/// the rows, or beside the error that stopped the drain — canceled, timed
+/// out, over budget, or an I/O fault — so a killed query still reports what
+/// it did up to the kill.
+///
+/// A governed run clamps the batch capacity to the config's
+/// `max_batch_rows`, bounding how much work can happen between two
+/// governor checks (the kill latency is at most one batch anywhere in the
+/// tree).
+pub fn run_collect_measured(
     plan: &PhysicalPlan,
     env: &ExecEnv,
-    governor: Option<&Arc<QueryGovernor>>,
+    governed: Option<(GovernorConfig, CancellationToken)>,
 ) -> (Result<Vec<Tuple>>, QueryMetrics) {
-    let pool = env.catalog.pool();
+    let mut env = env.clone();
+    let pool = Arc::clone(env.catalog.pool());
+    let governor = governed.map(|(config, token)| {
+        env.batch_rows = env.batch_rows.min(config.max_batch_rows).max(1);
+        Arc::new(QueryGovernor::new(config, token, Arc::clone(&pool)))
+    });
     let pool_before = pool.stats();
     let io_before = pool.disk().snapshot();
     let start = Instant::now();
-    let registry = MetricsRegistry::for_plan(plan);
-    let result = drain(plan, env, Some(&registry), governor);
+    let meter = Meter {
+        registry: MetricsRegistry::for_plan(plan),
+        governor,
+    };
+    let result = drain(plan, &env, Some(&meter));
     let elapsed = start.elapsed();
     let pool_delta = pool.stats().since(&pool_before);
     let io_delta = pool.disk().snapshot().since(&io_before);
-    let metrics = QueryMetrics::collect(plan, &registry, elapsed, pool_delta, io_delta);
+    let metrics = QueryMetrics::collect(plan, &meter.registry, elapsed, pool_delta, io_delta);
     (result, metrics)
-}
-
-/// Build and drain a plan into a vector.
-pub fn run_collect(plan: &PhysicalPlan, env: &ExecEnv) -> Result<Vec<Tuple>> {
-    drain(plan, env, None, None)
 }
 
 /// Drain a single-table access path into `(Rid, Tuple)` pairs: the
@@ -464,39 +476,4 @@ pub fn run_collect_rids(plan: &PhysicalPlan, env: &ExecEnv) -> Result<Vec<(Rid, 
             plan.op_name()
         ))),
     }
-}
-
-/// Build, instrument, and drain a plan; returns the rows plus the full
-/// estimate-vs-actual [`QueryMetrics`] for the run.
-pub fn run_collect_instrumented(
-    plan: &PhysicalPlan,
-    env: &ExecEnv,
-) -> Result<(Vec<Tuple>, QueryMetrics)> {
-    let (rows, metrics) = drain_measured(plan, env, None);
-    Ok((rows?, metrics))
-}
-
-/// Build, instrument, govern, and drain a plan.
-///
-/// Unlike [`run_collect_instrumented`], the [`QueryMetrics`] come back even
-/// when the query dies — canceled, timed out, over budget, or killed by an
-/// I/O fault — so a killed query still reports what it did up to the kill.
-/// The error (if any) and the metrics are returned side by side.
-///
-/// Governed runs clamp the batch capacity to the config's
-/// `max_batch_rows`, bounding how much work can happen between two
-/// governor checks (the kill latency is at most one batch anywhere in the
-/// tree).
-pub fn run_collect_governed(
-    plan: &PhysicalPlan,
-    env: &ExecEnv,
-    config: GovernorConfig,
-    token: CancellationToken,
-) -> (Result<Vec<Tuple>>, QueryMetrics) {
-    let env = env
-        .clone()
-        .with_batch_rows(env.batch_rows.min(config.max_batch_rows));
-    let pool = Arc::clone(env.catalog.pool());
-    let governor = Arc::new(QueryGovernor::new(config, token, pool));
-    drain_measured(plan, &env, Some(&governor))
 }

@@ -2,7 +2,8 @@
 //!
 //! A long-running or runaway query must be stoppable without killing the
 //! process, and it must stop *promptly*: the governor is consulted on every
-//! operator `next_batch()` call (via [`GovernedExec`]), so a kill takes
+//! operator `next_batch()` call (inside the per-operator
+//! [`InstrumentedExec`](crate::metrics::InstrumentedExec)), so a kill takes
 //! effect within one batch step of any operator — including deep inside a
 //! blocking sort or hash build, whose input operators are each governed
 //! too. Kill latency is therefore bounded by the batch size;
@@ -29,10 +30,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use evopt_common::{Batch, EvoptError, Result, Schema, DEFAULT_BATCH_ROWS};
+use evopt_common::{EvoptError, Result, DEFAULT_BATCH_ROWS};
 use evopt_storage::BufferPool;
-
-use crate::executor::Executor;
 
 /// Shared cancel flag. Clone it out of the engine and flip it from another
 /// thread (a Ctrl-C handler, an admission controller) to stop a query.
@@ -110,18 +109,13 @@ impl GovernorConfig {
         self.max_batch_rows = rows.max(1);
         self
     }
-
-    /// Whether any limit is set (an ungoverned build can skip the wrapper;
-    /// the batch-size cap alone does not make a query governed).
-    pub fn is_unlimited(&self) -> bool {
-        self.timeout.is_none() && self.max_rows.is_none() && self.max_pages.is_none()
-    }
 }
 
 /// Runtime enforcement of one query's [`GovernorConfig`].
 ///
-/// Created per query execution; shared (`Arc`) by every [`GovernedExec`]
-/// wrapper in the operator tree plus the root drain loop.
+/// Created per query execution; shared (`Arc`) by every
+/// [`InstrumentedExec`](crate::metrics::InstrumentedExec) in the operator
+/// tree plus the root drain loop.
 pub struct QueryGovernor {
     config: GovernorConfig,
     token: CancellationToken,
@@ -194,30 +188,6 @@ impl QueryGovernor {
             }
         }
         Ok(())
-    }
-}
-
-/// Decorator that consults the governor before every `next_batch()` of the
-/// wrapped operator, so a kill lands within one batch step.
-pub struct GovernedExec {
-    inner: Box<dyn Executor>,
-    governor: Arc<QueryGovernor>,
-}
-
-impl GovernedExec {
-    pub fn new(inner: Box<dyn Executor>, governor: Arc<QueryGovernor>) -> Self {
-        GovernedExec { inner, governor }
-    }
-}
-
-impl Executor for GovernedExec {
-    fn schema(&self) -> &Schema {
-        self.inner.schema()
-    }
-
-    fn next_batch(&mut self) -> Result<Option<Batch>> {
-        self.governor.check()?;
-        self.inner.next_batch()
     }
 }
 
@@ -314,10 +284,6 @@ mod tests {
                 .max_batch_rows,
             1
         );
-        // The cap alone does not make a query "governed".
-        assert!(GovernorConfig::unlimited()
-            .with_max_batch_rows(8)
-            .is_unlimited());
     }
 
     #[test]

@@ -30,9 +30,10 @@
 //! predictions (T5, F4).
 //!
 //! Entry points: [`build_executor`] to instantiate a plan, [`run_collect`]
-//! to drain it into a vector, [`run_collect_governed`] to drain it under a
-//! [`governor::QueryGovernor`] (cancellation, timeout, row/page budgets)
-//! while still collecting partial metrics if the query is killed.
+//! to drain it into a vector, [`run_collect_measured`] to drain it with
+//! per-operator metrics, optionally under a [`governor::QueryGovernor`]
+//! (cancellation, timeout, row/page budgets), still collecting partial
+//! metrics if the query is killed.
 
 // Library code must not panic on fault paths: unwrap/expect are banned
 // outside tests (each test module opts back in locally).
@@ -49,8 +50,8 @@ pub mod simple;
 pub mod sort;
 
 pub use executor::{
-    build_executor, run_collect, run_collect_governed, run_collect_instrumented, run_collect_rids,
-    BatchCursor, ExecEnv, Executor,
+    build_executor, run_collect, run_collect_measured, run_collect_rids, BatchCursor, ExecEnv,
+    Executor,
 };
 pub use governor::{CancellationToken, GovernorConfig, QueryGovernor};
 pub use metrics::{MetricsRegistry, OperatorMetrics, QueryMetrics};

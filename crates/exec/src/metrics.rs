@@ -31,6 +31,7 @@ use evopt_core::physical::PhysicalPlan;
 use evopt_storage::{BufferPool, IoSnapshot, PoolSnapshot};
 
 use crate::executor::Executor;
+use crate::governor::QueryGovernor;
 
 /// Shared, thread-safe accumulator for one operator's runtime counters.
 #[derive(Debug, Default)]
@@ -88,19 +89,28 @@ impl MetricsRegistry {
     }
 }
 
-/// Decorator that meters every `next_batch()` of the wrapped operator.
+/// Decorator that meters every `next_batch()` of the wrapped operator and,
+/// in a governed run, consults the governor before it, so a kill lands
+/// within one batch step anywhere in the tree.
 pub struct InstrumentedExec {
     inner: Box<dyn Executor>,
     metrics: Arc<OpMetrics>,
     pool: Arc<BufferPool>,
+    governor: Option<Arc<QueryGovernor>>,
 }
 
 impl InstrumentedExec {
-    pub fn new(inner: Box<dyn Executor>, metrics: Arc<OpMetrics>, pool: Arc<BufferPool>) -> Self {
+    pub fn new(
+        inner: Box<dyn Executor>,
+        metrics: Arc<OpMetrics>,
+        pool: Arc<BufferPool>,
+        governor: Option<Arc<QueryGovernor>>,
+    ) -> Self {
         InstrumentedExec {
             inner,
             metrics,
             pool,
+            governor,
         }
     }
 }
@@ -114,7 +124,13 @@ impl Executor for InstrumentedExec {
         let pool_before = self.pool.stats();
         let io_before = self.pool.disk().snapshot();
         let start = Instant::now();
-        let out = self.inner.next_batch();
+        // The governor is checked inside the metered call: the call that
+        // trips a limit is still counted, so a killed query reports
+        // accurate partial metrics.
+        let out = match &self.governor {
+            Some(governor) => governor.check().and_then(|()| self.inner.next_batch()),
+            None => self.inner.next_batch(),
+        };
         let elapsed = start.elapsed();
         let pool_delta = self.pool.stats().since(&pool_before);
         let io_delta = self.pool.disk().snapshot().since(&io_before);

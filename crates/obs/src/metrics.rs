@@ -191,15 +191,15 @@ impl HistogramSnapshot {
     }
 }
 
-/// The engine-wide registry: every counter the engine records, one field
-/// per metric. `Database` holds one per instance and mirrors its
-/// engine-level recordings into [`crate::global`].
+/// The engine's registry: every counter the engine records, one field per
+/// metric. `Database` holds one per instance, and every `Session` one more
+/// with the same schema, counting only its own statements.
 ///
 /// The `pool_*`/`disk_*` fields accumulate *query-path deltas* (pages
-/// touched by queries the engine measured). A per-database
+/// touched by statements the engine measured). A per-database
 /// `metrics_snapshot()` overwrites those with live buffer-pool totals —
-/// authoritative, and inclusive of DDL/ANALYZE traffic — while the global
-/// aggregate reports the accumulated deltas across every database.
+/// authoritative, and inclusive of DDL/ANALYZE traffic — while a session's
+/// snapshot reports the deltas of its own statements.
 #[derive(Debug)]
 pub struct EngineMetrics {
     // -- storage (query-path deltas; see type docs) -------------------------

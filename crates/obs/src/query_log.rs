@@ -6,7 +6,6 @@
 //! the virtual statement `SHOW QUERY LOG` (newest first).
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 use parking_lot::Mutex;
 
@@ -35,7 +34,7 @@ pub struct QueryLogEntry {
     pub execute_us: u64,
     pub pages_read: u64,
     pub pages_written: u64,
-    /// Set by [`QueryLog::record`] against the configured threshold.
+    /// Set by [`QueryLog::record`] against the log's threshold.
     pub slow: bool,
     /// Phase breakdown, when span recording was on for the statement.
     pub span: Option<StatementSpan>,
@@ -60,7 +59,8 @@ impl QueryLogEntry {
 pub struct QueryLog {
     entries: Mutex<VecDeque<QueryLogEntry>>,
     cap: usize,
-    slow_us: AtomicU64,
+    /// Slow-query threshold, fixed at construction.
+    slow_us: u64,
 }
 
 impl QueryLog {
@@ -68,18 +68,22 @@ impl QueryLog {
         QueryLog {
             entries: Mutex::new(VecDeque::with_capacity(cap.min(1024))),
             cap: cap.max(1),
-            slow_us: AtomicU64::new(slow_us),
+            slow_us,
         }
     }
 
     /// Stamp `slow` and append, evicting the oldest entry at capacity.
-    pub fn record(&self, mut entry: QueryLogEntry) {
-        entry.slow = entry.total_us() >= self.slow_us.load(Relaxed);
+    /// Returns the flag it stamped: the one definition of a slow query,
+    /// which the engine's `slow_queries` counter counts.
+    pub fn record(&self, mut entry: QueryLogEntry) -> bool {
+        let slow = entry.total_us() >= self.slow_us;
+        entry.slow = slow;
         let mut entries = self.entries.lock();
         if entries.len() == self.cap {
             entries.pop_front();
         }
         entries.push_back(entry);
+        slow
     }
 
     /// All retained entries, newest first.
@@ -97,15 +101,6 @@ impl QueryLog {
 
     pub fn clear(&self) {
         self.entries.lock().clear();
-    }
-
-    pub fn slow_threshold_us(&self) -> u64 {
-        self.slow_us.load(Relaxed)
-    }
-
-    /// Adjust the slow threshold; applies to subsequent records only.
-    pub fn set_slow_threshold_us(&self, us: u64) {
-        self.slow_us.store(us, Relaxed);
     }
 }
 
@@ -150,13 +145,13 @@ mod tests {
     #[test]
     fn slow_flag_follows_threshold() {
         let log = QueryLog::new(8, 100);
-        log.record(entry("fast", 10));
-        log.record(entry("slow", 200));
+        assert!(!log.record(entry("fast", 10)));
+        assert!(log.record(entry("slow", 200)));
         let got = log.entries();
         assert!(got[0].slow, "200µs over a 100µs threshold");
         assert!(!got[1].slow);
-        log.set_slow_threshold_us(5);
-        log.record(entry("now-slow", 10));
+        // The threshold is inclusive: optimize 5µs + execute 95µs is slow.
+        assert!(log.record(entry("at-threshold", 95)));
         assert!(log.entries()[0].slow);
     }
 

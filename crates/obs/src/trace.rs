@@ -180,14 +180,6 @@ impl TraceSink {
         self.total_micros.set(micros);
     }
 
-    pub fn considered_count(&self) -> u64 {
-        self.considered.get()
-    }
-
-    pub fn pruned_count(&self) -> u64 {
-        self.pruned.get()
-    }
-
     /// Freeze into the immutable result.
     pub fn into_trace(self) -> SearchTrace {
         SearchTrace {

@@ -25,11 +25,6 @@ pub fn mask_len(m: RelMask) -> u32 {
     m.count_ones()
 }
 
-/// Iterate the relation indices in a mask, ascending.
-pub fn mask_iter(m: RelMask) -> impl Iterator<Item = usize> {
-    (0..64).filter(move |i| m & (1u64 << i) != 0)
-}
-
 /// A predicate over the global ordinal space plus the set of relations it
 /// references.
 #[derive(Debug, Clone, PartialEq)]

@@ -16,12 +16,12 @@
 
 mod support;
 
-use evopt::{Database, Tuple};
+use evopt::Database;
 use evopt_common::Value;
 use evopt_exec::{run_collect, ExecEnv};
 use evopt_workload::tpch_lite::queries;
 use evopt_workload::{load_tpch_lite, load_wisconsin};
-use support::{count_ops, join_plans, normalized, sibling, sorted_scan, world};
+use support::{count_ops, join_plans, normalized, run_at, sibling, sorted_scan, world};
 
 /// 1 is the tuple-at-a-time baseline; 3 forces many ragged partial batches;
 /// 1024 is the default; 4096 puts whole results in one batch.
@@ -121,27 +121,28 @@ fn query_battery() -> Vec<&'static str> {
 #[test]
 fn sql_battery_identical_across_batch_sizes() {
     let db = fixture();
-    // Baseline: degenerate tuple-at-a-time execution.
-    db.set_batch_rows(1);
-    let baseline: Vec<Vec<Tuple>> = query_battery()
-        .iter()
-        .map(|sql| db.query(sql).unwrap())
-        .collect();
-    for bs in BATCH_SIZES {
-        db.set_batch_rows(bs);
-        for (sql, want) in query_battery().iter().zip(&baseline) {
-            let got = db.query(sql).unwrap();
+    for sql in query_battery() {
+        let (_, p) = db.plan_sql(sql).unwrap();
+        // Baseline: degenerate tuple-at-a-time execution.
+        let want = run_at(&db, &p, 1);
+        for bs in BATCH_SIZES {
+            let got = run_at(&db, &p, bs);
             assert_eq!(
                 normalized(&got),
-                normalized(want),
+                normalized(&want),
                 "batch_rows={bs} changed the result of {sql}"
             );
             // ORDER BY on a unique key pins the exact order, not just the
             // multiset.
             if sql.contains("ORDER BY unique1") {
-                assert_eq!(&got, want, "batch_rows={bs} changed row order of {sql}");
+                assert_eq!(got, want, "batch_rows={bs} changed row order of {sql}");
             }
         }
+        assert_eq!(
+            normalized(&db.query(sql).unwrap()),
+            normalized(&want),
+            "the engine's own run changed the result of {sql}"
+        );
     }
 }
 
@@ -159,9 +160,8 @@ fn sql_battery_identical_typed_vs_row() {
         hash_aggregates += count_ops(&chosen, "HashAggregate");
         let reference = sibling(&chosen);
         for bs in [1, 3, 64, 1024] {
-            db.set_batch_rows(bs);
-            let want = db.run_plan(&reference).unwrap();
-            let got = db.query(sql).unwrap();
+            let want = run_at(&db, &reference, bs);
+            let got = run_at(&db, &chosen, bs);
             assert_eq!(
                 normalized(&got),
                 normalized(&want),
@@ -187,13 +187,12 @@ fn result_fitting_exactly_one_batch() {
     let db = Database::with_defaults();
     load_wisconsin(&db, "exact", 50, 3).unwrap();
     db.execute("ANALYZE").unwrap();
-    db.set_batch_rows(1);
-    let want = db.query("SELECT * FROM exact").unwrap();
+    let (_, p) = db.plan_sql("SELECT * FROM exact").unwrap();
+    let want = run_at(&db, &p, 1);
     assert_eq!(want.len(), 50);
     // One-under, exact, and one-over the result size.
     for bs in [49, 50, 51] {
-        db.set_batch_rows(bs);
-        let got = db.query("SELECT * FROM exact").unwrap();
+        let got = run_at(&db, &p, bs);
         assert_eq!(normalized(&got), normalized(&want), "batch_rows={bs}");
     }
 }

@@ -325,13 +325,16 @@ fn governor_kills_stay_scoped_to_their_session() {
                 let session = db.session();
                 if t % 2 == 0 {
                     // Strangled session: a 1-row budget kills every scan.
-                    session.set_governor(GovernorConfig {
+                    let strangled = GovernorConfig {
                         max_rows: Some(1),
                         ..Default::default()
-                    });
+                    };
                     for _ in 0..20 {
-                        let (rows, _) =
-                            session.query_governed("SELECT * FROM big", CancellationToken::new());
+                        let (rows, _) = session.query_governed(
+                            "SELECT * FROM big",
+                            strangled,
+                            CancellationToken::new(),
+                        );
                         match rows {
                             Err(EvoptError::ResourceExhausted(_)) => {}
                             other => panic!("expected a kill, got {other:?}"),
@@ -371,11 +374,13 @@ fn session_config_is_isolated() {
     let a = db.session();
     let b = db.session();
     a.set_strategy(Strategy::Greedy);
-    a.set_batch_rows(1);
+    a.set_track_orders(false);
     // b and the database defaults are untouched.
     assert_eq!(b.config().optimizer.strategy.name(), "system-r");
     assert_eq!(db.optimizer_config().strategy.name(), "system-r");
     assert_eq!(a.config().optimizer.strategy.name(), "greedy");
+    assert!(b.config().optimizer.track_interesting_orders);
+    assert!(!a.config().optimizer.track_interesting_orders);
     // Both sessions still answer correctly.
     assert_eq!(a.query("SELECT COUNT(*) FROM t").unwrap().len(), 1);
     assert_eq!(b.query("SELECT COUNT(*) FROM t").unwrap().len(), 1);

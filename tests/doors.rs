@@ -122,7 +122,12 @@ fn every_door_runs_the_same_pipeline() {
             ),
             (
                 "Session::query_governed",
-                Box::new(|| (session.query_governed(sql, token()).0.unwrap(), None)),
+                Box::new(|| {
+                    (
+                        session.query_governed(sql, unlimited(), token()).0.unwrap(),
+                        None,
+                    )
+                }),
             ),
             (
                 "Session::run",

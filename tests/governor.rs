@@ -1,7 +1,8 @@
 //! Resource-governor integration tests: every kill path (timeout, row
 //! budget, page budget, explicit cancel) lands as a typed error *with the
-//! partial metrics the query accumulated before dying*, and the session
-//! governor threads through the plain `Database::execute` path.
+//! partial metrics the query accumulated before dying*. A query is
+//! governed per call: `query_governed` on a `Database` or a `Session`, or
+//! `run_collect_measured` on a plan.
 //!
 //! The spill tests at the end check that an operator's scratch pages die
 //! with it — after a finished statement, a row-budget kill and a
@@ -16,7 +17,7 @@ use evopt::{CancellationToken, Database, DatabaseConfig, GovernorConfig};
 use evopt_common::expr::{col, lit};
 use evopt_common::{BinOp, Expr, Value};
 use evopt_core::physical::{PhysOp, PhysicalPlan};
-use evopt_exec::{run_collect, run_collect_governed, ExecEnv};
+use evopt_exec::{run_collect, run_collect_measured, ExecEnv};
 use evopt_storage::PAGE_SIZE;
 use evopt_workload::load_wisconsin;
 use support::{join_plans, plan, scan, sorted_scan, world};
@@ -210,35 +211,6 @@ fn want_len(rows: &[evopt::Tuple]) -> u64 {
     rows.len() as u64
 }
 
-#[test]
-fn session_governor_threads_through_execute() {
-    let db = wisc_db(500);
-
-    // Within budget: execute succeeds and attaches metrics (the governed
-    // path is instrumented).
-    db.set_governor(GovernorConfig::unlimited().with_max_rows(1000));
-    let result = db
-        .execute("SELECT unique1 FROM wisc WHERE unique1 < 20")
-        .unwrap();
-    assert!(
-        result.metrics().is_some(),
-        "governed SELECTs report metrics on success"
-    );
-    assert_eq!(result.rows().len(), 20);
-
-    // Over budget: the same plain execute path now fails typed.
-    db.set_governor(GovernorConfig::unlimited().with_max_rows(5));
-    let err = db
-        .execute("SELECT unique1 FROM wisc ORDER BY unique1")
-        .expect_err("500 rows > 5-row session budget");
-    assert_eq!(err.kind(), "resource_exhausted");
-
-    // Lifting the governor restores the ungoverned path.
-    db.set_governor(GovernorConfig::unlimited());
-    let rows = db.query("SELECT COUNT(*) FROM wisc").unwrap();
-    assert_eq!(rows.len(), 1);
-}
-
 /// `l` (2 000 rows, ~11 pages) and `r` (1 000 rows, ~6 pages) on a
 /// 64-frame pool, with operators told they may use 3 pages (12 KB): every
 /// plan of [`spilling_plans`] spills, and the pool holds the data plus one
@@ -332,7 +304,7 @@ fn spills_are_freed_after_a_row_budget_kill() {
         .with_max_batch_rows(8);
     for (name, plan) in spilling_plans(&env) {
         let (result, _) = leaves_nothing(&env, name, || {
-            run_collect_governed(&plan, &env, config, CancellationToken::new())
+            run_collect_measured(&plan, &env, Some((config, CancellationToken::new())))
         });
         assert_eq!(result.unwrap_err().kind(), "resource_exhausted", "{name}");
     }
@@ -379,7 +351,7 @@ fn spills_are_freed_after_a_cancel_mid_spill() {
         })
     };
     let first_new = env.catalog.pool().disk().page_count();
-    let (result, _) = run_collect_governed(&sort, &env, GovernorConfig::unlimited(), token);
+    let (result, _) = run_collect_measured(&sort, &env, Some((GovernorConfig::unlimited(), token)));
     canceler.join().unwrap();
     assert_eq!(result.unwrap_err().kind(), "canceled");
     released_since(&env, "canceled sort", first_new);

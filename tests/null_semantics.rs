@@ -32,7 +32,7 @@ use evopt_core::physical::PhysOp;
 use evopt_exec::{run_collect, ExecEnv};
 use evopt_obs::EngineMetrics;
 use evopt_storage::{BufferPool, DiskManager};
-use support::{join_plans, normalized, plan, scan, sibling, world};
+use support::{join_plans, normalized, plan, run_at, scan, sibling, world};
 
 const BATCH_SIZES: [usize; 3] = [1, 64, 1024];
 
@@ -44,9 +44,8 @@ fn query_all_modes(db: &Database, sql: &str) -> Vec<Tuple> {
     let row_wise = sibling(&chosen);
     let mut reference: Option<(Vec<Tuple>, Vec<String>)> = None;
     for bs in BATCH_SIZES {
-        db.set_batch_rows(bs);
         for (mode, p) in [("row-wise siblings", &row_wise), ("as planned", &chosen)] {
-            let got = db.run_plan(p).unwrap();
+            let got = run_at(db, p, bs);
             let norm = normalized(&got);
             match &reference {
                 None => reference = Some((got, norm)),

@@ -250,12 +250,21 @@ fn slow_query_flagging_respects_threshold() {
     db.query("SELECT COUNT(*) FROM wisc").unwrap();
     let log = db.query_log().entries();
     assert!(!log[0].slow, "default 250ms threshold flagged a tiny query");
-    // Threshold 0: everything is slow.
-    db.set_slow_query_threshold_us(0);
-    db.query("SELECT COUNT(*) FROM wisc").unwrap();
+    assert_eq!(db.metrics_snapshot().slow_queries, 0);
+    // Threshold 0: everything is slow, and the counter counts exactly the
+    // entries the log flagged.
+    let db = Database::new(DatabaseConfig {
+        slow_query_us: 0,
+        ..Default::default()
+    });
+    load_wisconsin(&db, "wisc", 200, 11).unwrap();
+    for _ in 0..3 {
+        db.query("SELECT COUNT(*) FROM wisc").unwrap();
+    }
     let log = db.query_log().entries();
-    assert!(log[0].slow);
-    assert!(db.metrics_snapshot().slow_queries >= 1);
+    assert_eq!(log.len(), 3);
+    assert!(log.iter().all(|e| e.slow));
+    assert_eq!(db.metrics_snapshot().slow_queries, 3);
 }
 
 #[test]

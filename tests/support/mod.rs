@@ -1,8 +1,9 @@
 //! Shared by `batch_equivalence.rs` and `null_semantics.rs`: the forced-plan
-//! join fixture and the sibling-operator rewrite both suites use as their
-//! differential reference. `governor.rs` borrows the fixture to force
-//! spilling plans. `verify_differential.rs` and `optimizer_properties.rs`
-//! share a query battery and the database it runs on.
+//! join fixture, the sibling-operator rewrite both suites use as their
+//! differential reference, and [`run_at`], through which they sweep batch
+//! sizes. `governor.rs` borrows the fixture to force spilling plans.
+//! `verify_differential.rs` and `optimizer_properties.rs` share a query
+//! battery and the database it runs on.
 //!
 //! The two operators that keep typed state (`HashAggregate`'s accumulators
 //! and group keys, `HashJoin`'s key index) each have a sibling that does the
@@ -16,16 +17,26 @@
 
 use std::sync::Arc;
 
-use evopt::{Database, DatabaseConfig, Tuple};
+use evopt::{Database, DatabaseConfig, OptimizerConfig, Tuple};
 use evopt_catalog::{analyze_table, AnalyzeConfig, Catalog};
 use evopt_common::expr::col;
 use evopt_common::{Column, DataType, Expr, Schema, Value};
 use evopt_core::cost::Cost;
 use evopt_core::physical::{PhysOp, PhysicalPlan};
-use evopt_exec::ExecEnv;
+use evopt_exec::{run_collect, ExecEnv};
 use evopt_storage::{BufferPool, DiskManager};
 use evopt_workload::tpch_lite::queries;
 use evopt_workload::{load_tpch_lite, load_wisconsin};
+
+/// `plan` drained at `batch_rows` rows per batch against `db`'s current
+/// catalog version, as the engine would run it. The engine's own batch size
+/// is the constant `DEFAULT_BATCH_ROWS`; the batch-size sweeps reach the
+/// executor through here.
+pub fn run_at(db: &Database, plan: &PhysicalPlan, batch_rows: usize) -> Vec<Tuple> {
+    let buffer_pages = db.optimizer_config().cost_model.buffer_pages;
+    let env = ExecEnv::new(db.catalog().snapshot(), buffer_pages).with_batch_rows(batch_rows);
+    run_collect(plan, &env).unwrap()
+}
 
 /// Order-insensitive fingerprint of a result set.
 pub fn normalized(rows: &[Tuple]) -> Vec<String> {
@@ -280,10 +291,14 @@ pub fn count_ops(p: &PhysicalPlan, op: &str) -> usize {
 }
 
 /// `wisc` (1 200 rows, unique index on `unique1`), an empty table and
-/// TPC-H-lite at SF 0.1, analyzed: the world [`battery`] runs in.
-pub fn seeded(verify_plans: bool) -> Database {
+/// TPC-H-lite at SF 0.1, analyzed: the world [`battery`] runs in. `verify`
+/// is [`OptimizerConfig::verify`], the plan verifier's one switch.
+pub fn seeded(verify: bool) -> Database {
     let db = Database::new(DatabaseConfig {
-        verify_plans,
+        optimizer: OptimizerConfig {
+            verify,
+            ..OptimizerConfig::default()
+        },
         ..DatabaseConfig::default()
     });
     load_wisconsin(&db, "wisc", 1200, 11).unwrap();

@@ -1,7 +1,7 @@
 //! Differential suite for static plan verification.
 //!
-//! Verification must be a pure observer: turning `verify_plans` on may
-//! reject a malformed plan, but for every *well-formed* query it must
+//! Verification must be a pure observer: turning
+//! `OptimizerConfig::verify` on may reject a malformed plan, but for every *well-formed* query it must
 //! change neither the chosen plan (digest) nor the result rows. Two
 //! identically seeded databases — one verifying, one not — run the same
 //! battery; any divergence is a verifier bug. The five forced join
@@ -15,7 +15,8 @@ mod support;
 
 use std::sync::Arc;
 
-use evopt::{Database, Tuple};
+use evopt::engine::Mode;
+use evopt::{Database, DatabaseConfig, OptimizerConfig, Phase, Tuple};
 use evopt_catalog::{analyze_table, AnalyzeConfig, Catalog};
 use evopt_common::expr::col;
 use evopt_common::{Column, DataType, Expr, Schema, Value};
@@ -49,7 +50,7 @@ fn verification_changes_no_digest_and_no_result() {
             assert_eq!(
                 plan_on.digest_hex(),
                 plan_off.digest_hex(),
-                "{:?}: verify_plans changed the plan for {sql}",
+                "{:?}: verifying changed the plan for {sql}",
                 strategy
             );
             let rows_on = on.query(sql).unwrap();
@@ -57,11 +58,46 @@ fn verification_changes_no_digest_and_no_result() {
             assert_eq!(
                 normalized(&rows_on),
                 normalized(&rows_off),
-                "{:?}: verify_plans changed the result of {sql}",
+                "{:?}: verifying changed the result of {sql}",
                 strategy
             );
         }
     }
+}
+
+/// `OptimizerConfig::verify` is the one switch: it turns on the post-bind
+/// check as well as the optimizer's per-phase ones, so a SELECT's span has
+/// a verify phase. Without it, a release build verifies nothing.
+#[test]
+fn optimizer_verify_alone_verifies_after_bind() {
+    let build = |verify: bool| {
+        let db = Database::new(DatabaseConfig {
+            optimizer: OptimizerConfig {
+                verify,
+                ..OptimizerConfig::default()
+            },
+            ..DatabaseConfig::default()
+        });
+        db.execute("CREATE TABLE t (a INT NOT NULL, b INT)")
+            .unwrap();
+        db.execute("INSERT INTO t VALUES (1, 10), (2, 20)").unwrap();
+        db
+    };
+    let sql = "SELECT b FROM t WHERE a = 2";
+    let on = build(true).run(sql, Mode::Plain);
+    assert!(
+        on.span.phase_us(Phase::Verify).is_some(),
+        "no verify phase with OptimizerConfig::verify on: {}",
+        on.span.compact()
+    );
+    assert_eq!(on.into_result().unwrap().rows().len(), 1);
+    let off = build(false).run(sql, Mode::Plain);
+    assert_eq!(
+        off.span.phase_us(Phase::Verify).is_some(),
+        cfg!(debug_assertions),
+        "debug builds verify unconditionally, release builds only when asked: {}",
+        off.span.compact()
+    );
 }
 
 /// `EXPLAIN VERIFY` reports, composes with ANALYZE/TRACE, and leaves the
