@@ -116,37 +116,68 @@ impl Tuple {
 
     /// Deserialise from the storage format; errors on truncation or bad tags.
     pub fn decode(bytes: &[u8]) -> Result<Tuple> {
-        let mut r = Reader::new(bytes);
-        let count = r.u16()? as usize;
-        let mut values = Vec::with_capacity(count);
-        for _ in 0..count {
-            values.push(r.value()?);
-        }
-        Ok(Tuple::new(values))
+        let mut t = Tuple::default();
+        Tuple::decode_into(bytes, None, &mut t)?;
+        Ok(t)
     }
 
     /// Deserialise only the fields at `cols`, which must be strictly
-    /// increasing: equal to `decode(bytes)?.project(cols)`. The other fields
-    /// are skipped without allocating, but every one is still checked as
-    /// `decode` checks it (truncation, tag, UTF-8), so a projection never
-    /// hides a corrupt row.
+    /// increasing: equal to `decode(bytes)?.project(cols)`.
     pub fn decode_projected(bytes: &[u8], cols: &[usize]) -> Result<Tuple> {
-        let mut r = Reader::new(bytes);
-        let count = r.u16()? as usize;
-        let mut values = Vec::with_capacity(cols.len());
-        let mut want = cols.iter().peekable();
+        let mut t = Tuple::default();
+        Tuple::decode_into(bytes, Some(cols), &mut t)?;
+        Ok(t)
+    }
+
+    /// Deserialise the fields at `cols` (strictly increasing), or all of
+    /// them for `None`, into `out`, reusing its allocation; on error `out`
+    /// holds some prefix. Each field is walked once, and only a kept one
+    /// is stored: a skipped one allocates nothing but is still checked
+    /// (truncation, tag, UTF-8), so a projection never hides a corrupt row.
+    pub fn decode_into(bytes: &[u8], cols: Option<&[usize]>, out: &mut Tuple) -> Result<()> {
+        let values = &mut out.values;
+        values.clear();
+        let (count, mut rest) = bytes.split_first_chunk().ok_or_else(truncated)?;
+        let count = u16::from_le_bytes(*count) as usize;
+        values.reserve(cols.map_or(count, <[usize]>::len));
         for i in 0..count {
-            match want.next_if_eq(&&i) {
-                Some(_) => values.push(r.value()?),
-                None => r.skip()?,
+            // The next wanted column is the one after those kept so far.
+            let keep = cols.is_none_or(|c| c.get(values.len()) == Some(&i));
+            let (&tag, tail) = rest.split_first().ok_or_else(truncated)?;
+            let (value, tail) = match tag {
+                0 => (Value::Null, tail),
+                1 => {
+                    let (b, tail) = tail.split_first().ok_or_else(truncated)?;
+                    (Value::Bool(*b != 0), tail)
+                }
+                2 => {
+                    let (b, tail) = tail.split_first_chunk().ok_or_else(truncated)?;
+                    (Value::Int(i64::from_le_bytes(*b)), tail)
+                }
+                3 => {
+                    let (b, tail) = tail.split_first_chunk().ok_or_else(truncated)?;
+                    (Value::Float(f64::from_bits(u64::from_le_bytes(*b))), tail)
+                }
+                4 => {
+                    let (len, tail) = tail.split_first_chunk().ok_or_else(truncated)?;
+                    let len = u32::from_le_bytes(*len) as usize;
+                    let (s, tail) = tail.split_at_checked(len).ok_or_else(truncated)?;
+                    let s = std::str::from_utf8(s).map_err(|_| bad_utf8())?;
+                    // A skipped string is checked, not copied.
+                    let s = if keep { s.to_owned() } else { String::new() };
+                    (Value::Str(s), tail)
+                }
+                t => return Err(bad_tag(t)),
+            };
+            if keep {
+                values.push(value);
             }
+            rest = tail;
         }
-        if values.len() != cols.len() {
-            return Err(EvoptError::Execution(format!(
-                "projection {cols:?} is not strictly increasing within the stored row"
-            )));
+        match cols {
+            Some(cols) if values.len() != cols.len() => Err(not_increasing(cols)),
+            _ => Ok(()),
         }
-        Ok(Tuple::new(values))
     }
 }
 
@@ -169,83 +200,26 @@ impl fmt::Display for Tuple {
     }
 }
 
+#[cold]
+fn truncated() -> EvoptError {
+    EvoptError::Storage("truncated tuple".into())
+}
+
+#[cold]
 fn bad_tag(t: u8) -> EvoptError {
     EvoptError::Storage(format!("invalid value tag {t} in stored tuple"))
 }
 
-/// Bounds-checked little-endian reader over a byte slice.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+#[cold]
+fn bad_utf8() -> EvoptError {
+    EvoptError::Storage("invalid UTF-8 in stored string".into())
 }
 
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    fn bytes(&mut self, n: usize) -> Result<&'a [u8]> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| EvoptError::Storage("truncated tuple".into()))?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    /// One field.
-    fn value(&mut self) -> Result<Value> {
-        Ok(match self.u8()? {
-            0 => Value::Null,
-            1 => Value::Bool(self.u8()? != 0),
-            2 => Value::Int(i64::from_le_bytes(self.array::<8>()?)),
-            3 => Value::Float(f64::from_bits(u64::from_le_bytes(self.array::<8>()?))),
-            4 => Value::Str(self.str()?.to_owned()),
-            t => return Err(bad_tag(t)),
-        })
-    }
-
-    /// One field checked as [`Reader::value`] checks it, but not built.
-    fn skip(&mut self) -> Result<()> {
-        match self.u8()? {
-            0 => {}
-            1 => {
-                self.u8()?;
-            }
-            2 | 3 => {
-                self.array::<8>()?;
-            }
-            4 => {
-                self.str()?;
-            }
-            t => return Err(bad_tag(t)),
-        }
-        Ok(())
-    }
-
-    /// A length-prefixed UTF-8 string, borrowed.
-    fn str(&mut self) -> Result<&'a str> {
-        let len = u32::from_le_bytes(self.array::<4>()?) as usize;
-        std::str::from_utf8(self.bytes(len)?)
-            .map_err(|_| EvoptError::Storage("invalid UTF-8 in stored string".into()))
-    }
-
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.bytes(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16> {
-        Ok(u16::from_le_bytes(self.array::<2>()?))
-    }
-
-    fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
-        let s = self.bytes(N)?;
-        let mut a = [0u8; N];
-        a.copy_from_slice(s);
-        Ok(a)
-    }
+#[cold]
+fn not_increasing(cols: &[usize]) -> EvoptError {
+    EvoptError::Execution(format!(
+        "projection {cols:?} is not strictly increasing within the stored row"
+    ))
 }
 
 #[cfg(test)]
@@ -381,6 +355,27 @@ mod tests {
             let cols = chosen(&mask);
             let want = Tuple::decode(&bytes).and_then(|t| t.project(&cols));
             prop_assert_eq!(Tuple::decode_projected(&bytes, &cols).ok(), want.ok());
+        }
+
+        /// Decoding into a row that already holds another row gives what a
+        /// fresh decode gives, on well-formed and on random bytes alike, and
+        /// never panics; `None` keeps every column.
+        #[test]
+        fn prop_decode_into_a_used_row_is_decode_then_project(
+            values in prop::collection::vec(arb_value(), 0..12),
+            noise in prop::collection::vec(any::<u8>(), 0..64),
+            old in prop::collection::vec(arb_value(), 0..12),
+            mask in prop::collection::vec(any::<bool>(), 0..14),
+            whole in any::<bool>(),
+        ) {
+            let cols = (!whole).then(|| chosen(&mask));
+            for bytes in [Tuple::new(values).encode(), noise] {
+                let want = Tuple::decode(&bytes)
+                    .and_then(|t| cols.as_deref().map_or(Ok(t.clone()), |c| t.project(c)));
+                let mut row = Tuple::new(old.clone());
+                let got = Tuple::decode_into(&bytes, cols.as_deref(), &mut row).map(|()| row);
+                prop_assert_eq!(got.ok(), want.ok());
+            }
         }
     }
 

@@ -33,11 +33,11 @@ pub(crate) trait RidScan: Executor {
 
 /// Full heap scan with an optional pushed-down filter; fills one batch of
 /// surviving rows per `next_batch()` call. Rows are decoded to the plan's
-/// `cols` only, which the filter and `schema` are stated over.
+/// `cols` only, which the filter and `schema` are stated over; the
+/// [`HeapScan`] tests the filter before it builds a row.
 pub struct SeqScanExec {
     schema: Schema,
     scan: HeapScan,
-    filter: Option<Expr>,
     batch_rows: usize,
 }
 
@@ -52,8 +52,7 @@ impl SeqScanExec {
         let info = env.catalog.table(table)?;
         Ok(SeqScanExec {
             schema,
-            scan: info.heap.scan_columns(cols),
-            filter,
+            scan: info.heap.scan_columns(cols, filter),
             batch_rows: env.batch_rows,
         })
     }
@@ -61,16 +60,7 @@ impl SeqScanExec {
 
 impl RidScan for SeqScanExec {
     fn next_match(&mut self) -> Result<Option<(Rid, Tuple)>> {
-        for item in self.scan.by_ref() {
-            let (rid, tuple) = item?;
-            if let Some(f) = &self.filter {
-                if !f.eval_predicate(&tuple)? {
-                    continue;
-                }
-            }
-            return Ok(Some((rid, tuple)));
-        }
-        Ok(None)
+        self.scan.next().transpose()
     }
 }
 

@@ -21,7 +21,7 @@
 
 use std::sync::Arc;
 
-use evopt_common::{lockorder, EvoptError, Result, Tuple};
+use evopt_common::{lockorder, EvoptError, Expr, Result, Tuple};
 use parking_lot::Mutex;
 
 use crate::buffer::{BufferPool, PageGuard};
@@ -181,10 +181,12 @@ impl HeapFile {
         let guard = self.pool.fetch(rid.page)?;
         let bytes = guard.read();
         let page = SlottedPageView::new(&bytes);
-        match page.get(rid.slot)? {
-            Some(record) => Ok(Some(decode(record, cols)?)),
-            None => Ok(None),
-        }
+        let Some(record) = page.get(rid.slot)? else {
+            return Ok(None);
+        };
+        let mut tuple = Tuple::default();
+        Tuple::decode_into(record, cols, &mut tuple)?;
+        Ok(Some(tuple))
     }
 
     /// Tombstone the tuple at `rid`. Returns whether it was live.
@@ -218,28 +220,21 @@ impl HeapFile {
 
     /// Full scan over live tuples, in chain order.
     pub fn scan(&self) -> HeapScan {
-        self.scan_columns(None)
+        self.scan_columns(None, None)
     }
 
     /// [`HeapFile::scan`] decoding only `cols` (strictly increasing) of
-    /// each tuple, or every column for `None`.
-    pub fn scan_columns(&self, cols: Option<Vec<usize>>) -> HeapScan {
+    /// each tuple, or every column for `None`, and yielding only the rows
+    /// that pass `filter`, which is stated over the decoded row.
+    pub fn scan_columns(&self, cols: Option<Vec<usize>>, filter: Option<Expr>) -> HeapScan {
         HeapScan {
             pool: Arc::clone(&self.pool),
             next_page: self.first_page,
             cols,
+            filter: filter.map(Box::new),
+            row: Tuple::default(),
             buffer: Vec::new(),
-            pos: 0,
-            failed: false,
         }
-    }
-}
-
-/// A stored record as a tuple of the columns `cols` names, or all of them.
-fn decode(record: &[u8], cols: Option<&[usize]>) -> Result<Tuple> {
-    match cols {
-        Some(cols) => Tuple::decode_projected(record, cols),
-        None => Tuple::decode(record),
     }
 }
 
@@ -255,10 +250,13 @@ impl Drop for HeapFile {
 
 /// Iterator over `(Rid, Tuple)` pairs of a heap file.
 ///
-/// Processes one page at a time: the page is decoded in full, the pin is
-/// released, then buffered tuples are moved out one by one — so a scan
-/// never holds more than one page pinned, and decodes each tuple once.
-/// Pages come through
+/// Processes one page at a time: each live record is decoded into one
+/// reused row and tested against the filter there; only a row that passes
+/// is moved into the page's buffer, and the pin is released before the
+/// buffered rows are moved out one by one. So a scan never holds more than
+/// one page pinned, decodes each tuple once, and allocates only for rows
+/// it yields. The first decode or filter error on a page is buffered after
+/// the rows before it, and ends the scan. Pages come through
 /// [`BufferPool::fetch_sequential`], so a scan larger than the pool
 /// recycles its own frames rather than flushing everyone else's.
 pub struct HeapScan {
@@ -266,32 +264,33 @@ pub struct HeapScan {
     next_page: PageId,
     /// The columns each tuple is decoded to; `None` keeps them all.
     cols: Option<Vec<usize>>,
-    buffer: Vec<(Rid, Tuple)>,
-    pos: usize,
-    failed: bool,
+    /// Boxed to keep the scan small: the Grace join holds one in its state.
+    filter: Option<Box<Expr>>,
+    /// The row each record is decoded into before the filter sees it.
+    row: Tuple,
+    /// The current page's items, last first: `pop` yields them in order.
+    buffer: Vec<Result<(Rid, Tuple)>>,
 }
 
 impl HeapScan {
-    fn refill(&mut self) -> Result<bool> {
-        while self.next_page != INVALID_PAGE_ID {
-            let guard: PageGuard = self.pool.fetch_sequential(self.next_page)?;
-            let page_id = guard.id();
-            let bytes = guard.read();
-            let page = SlottedPageView::new(&bytes);
-            self.buffer.clear();
-            for (slot, record) in page.records() {
-                self.buffer.push((
-                    Rid::new(page_id, slot),
-                    decode(record, self.cols.as_deref())?,
-                ));
+    /// Buffer the next page's passing rows, in slot order.
+    fn refill(&mut self) -> Result<()> {
+        let guard: PageGuard = self.pool.fetch_sequential(self.next_page)?;
+        let bytes = guard.read();
+        let page = SlottedPageView::new(&bytes);
+        self.next_page = page.next_page();
+        for (slot, record) in page.records() {
+            Tuple::decode_into(record, self.cols.as_deref(), &mut self.row)?;
+            if let Some(f) = &self.filter {
+                if !f.eval_predicate(&self.row)? {
+                    continue;
+                }
             }
-            self.pos = 0;
-            self.next_page = page.next_page();
-            if !self.buffer.is_empty() {
-                return Ok(true);
-            }
+            let fresh = Tuple::new(Vec::with_capacity(self.row.len()));
+            let row = std::mem::replace(&mut self.row, fresh);
+            self.buffer.push(Ok((Rid::new(guard.id(), slot), row)));
         }
-        Ok(false)
+        Ok(())
     }
 }
 
@@ -299,22 +298,21 @@ impl Iterator for HeapScan {
     type Item = Result<(Rid, Tuple)>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.failed {
-            return None;
-        }
-        if self.pos >= self.buffer.len() {
-            match self.refill() {
-                Ok(true) => {}
-                Ok(false) => return None,
-                Err(e) => {
-                    self.failed = true;
-                    return Some(Err(e));
+        loop {
+            if let Some(item) = self.buffer.pop() {
+                if item.is_err() {
+                    self.next_page = INVALID_PAGE_ID;
                 }
+                return Some(item);
             }
+            if self.next_page == INVALID_PAGE_ID {
+                return None;
+            }
+            if let Err(e) = self.refill() {
+                self.buffer.push(Err(e));
+            }
+            self.buffer.reverse();
         }
-        let (rid, tuple) = &mut self.buffer[self.pos];
-        self.pos += 1;
-        Some(Ok((*rid, std::mem::take(tuple))))
     }
 }
 
@@ -324,7 +322,8 @@ mod tests {
 
     use super::*;
     use crate::disk::{DiskBackend, DiskManager};
-    use evopt_common::Value;
+    use evopt_common::expr::{col, lit};
+    use evopt_common::{BinOp, Value};
 
     fn mkpool(frames: usize) -> Arc<BufferPool> {
         BufferPool::new(Arc::new(DiskManager::new()), frames)
@@ -387,7 +386,7 @@ mod tests {
         let heap = HeapFile::create(mkpool(8)).unwrap();
         let rids: Vec<Rid> = (0..300).map(|i| heap.insert(&row(i)).unwrap()).collect();
         let names: Vec<_> = heap
-            .scan_columns(Some(vec![1]))
+            .scan_columns(Some(vec![1]), None)
             .map(|r| r.unwrap())
             .collect();
         assert_eq!(names.len(), 300);
@@ -396,7 +395,7 @@ mod tests {
             (rids[7], Tuple::new(vec![Value::Str("name-7".into())]))
         );
         let none: Vec<_> = heap
-            .scan_columns(Some(vec![]))
+            .scan_columns(Some(vec![]), None)
             .map(|r| r.unwrap().1)
             .collect();
         assert!(none.iter().all(Tuple::is_empty));
@@ -404,7 +403,55 @@ mod tests {
             heap.get_columns(rids[9], Some(&[0])).unwrap(),
             Some(Tuple::new(vec![Value::Int(9)]))
         );
-        assert!(heap.scan_columns(Some(vec![2])).next().unwrap().is_err());
+        assert!(heap
+            .scan_columns(Some(vec![2]), None)
+            .next()
+            .unwrap()
+            .is_err());
+    }
+
+    #[test]
+    fn filtered_scan_yields_the_passing_rows_of_the_full_scan() {
+        let heap = HeapFile::create(mkpool(8)).unwrap();
+        for i in 0..600 {
+            heap.insert(&row(i)).unwrap();
+        }
+        // k % 7 = 3 over the narrowed row (k) and over the whole row.
+        let sevens = Expr::eq(Expr::binary(BinOp::Mod, col(0), lit(7i64)), lit(3i64));
+        for cols in [Some(vec![0]), None] {
+            let want: Vec<_> = heap
+                .scan_columns(cols.clone(), None)
+                .map(|r| r.unwrap())
+                .filter(|(_, t)| sevens.eval_predicate(t).unwrap())
+                .collect();
+            let got: Vec<_> = heap
+                .scan_columns(cols, Some(sevens.clone()))
+                .map(|r| r.unwrap())
+                .collect();
+            assert_eq!(got.len(), 86);
+            assert_eq!(got, want);
+        }
+    }
+
+    #[test]
+    fn a_corrupt_record_surfaces_at_its_own_place() {
+        let heap = HeapFile::create(mkpool(8)).unwrap();
+        let rids: Vec<Rid> = (0..300).map(|i| heap.insert(&row(i)).unwrap()).collect();
+        assert!(heap.page_count() > 1);
+        let bad = rids[5];
+        let mut record = row(5).encode();
+        record[2] = 99; // the first field's tag
+        let guard = heap.pool.fetch(bad.page).unwrap();
+        assert!(SlottedPage::new(&mut guard.write())
+            .replace(bad.slot, &record)
+            .unwrap());
+        drop(guard);
+        let mut scan = heap.scan();
+        for (i, rid) in rids.iter().enumerate().take(5) {
+            assert_eq!(scan.next().unwrap().unwrap(), (*rid, row(i as i64)));
+        }
+        assert_eq!(scan.next().unwrap().unwrap_err().kind(), "storage");
+        assert!(scan.next().is_none());
     }
 
     #[test]

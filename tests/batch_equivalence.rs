@@ -21,7 +21,7 @@ use evopt_common::Value;
 use evopt_exec::{run_collect, ExecEnv};
 use evopt_workload::tpch_lite::queries;
 use evopt_workload::{load_tpch_lite, load_wisconsin};
-use support::{count_ops, join_plans, normalized, run_at, sibling, sorted_scan, world};
+use support::{count_ops, join_plans, normalized, run_at, sibling, sorted_scan, try_run_at, world};
 
 /// 1 is the tuple-at-a-time baseline; 3 forces many ragged partial batches;
 /// 1024 is the default; 4096 puts whole results in one batch.
@@ -194,6 +194,43 @@ fn result_fitting_exactly_one_batch() {
     for bs in [49, 50, 51] {
         let got = run_at(&db, &p, bs);
         assert_eq!(normalized(&got), normalized(&want), "batch_rows={bs}");
+    }
+}
+
+/// A filter error surfaces at the row that raises it, at every batch size:
+/// `(k - 10) / (k - 10) = 1` divides by zero at `k = 10`, on the first of
+/// several heap pages. A LIMIT met before that row succeeds when batches
+/// are small enough not to reach it; one that needs the row fails.
+#[test]
+fn filter_errors_keep_their_place() {
+    let db = Database::with_defaults();
+    db.execute("CREATE TABLE poison (k INT, pad STRING)")
+        .unwrap();
+    let rows: Vec<String> = (0..1500).map(|k| format!("({k}, 'pad-{k}')")).collect();
+    db.execute(&format!("INSERT INTO poison VALUES {}", rows.join(", ")))
+        .unwrap();
+    db.execute("ANALYZE").unwrap();
+    let pages = db
+        .catalog()
+        .snapshot()
+        .table("poison")
+        .unwrap()
+        .heap
+        .page_count();
+    assert!(pages >= 3, "{pages} heap pages");
+    let plan = |limit: &str| {
+        let sql = format!("SELECT k FROM poison WHERE (k - 10) / (k - 10) = 1{limit}");
+        let (_, p) = db.plan_sql(&sql).unwrap();
+        assert_eq!(count_ops(&p, "SeqScan"), 1, "{sql}");
+        p
+    };
+    let got = try_run_at(&db, &plan(" LIMIT 3"), 1).unwrap();
+    assert_eq!(got.len(), 3);
+    for bs in [1].into_iter().chain(BATCH_SIZES) {
+        for limit in [" LIMIT 20", ""] {
+            let err = try_run_at(&db, &plan(limit), bs).unwrap_err();
+            assert_eq!(err.kind(), "execution", "LIMIT{limit} at batch_rows={bs}");
+        }
     }
 }
 

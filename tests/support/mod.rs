@@ -20,7 +20,7 @@ use std::sync::Arc;
 use evopt::{Database, DatabaseConfig, OptimizerConfig, Tuple};
 use evopt_catalog::{analyze_table, AnalyzeConfig, Catalog};
 use evopt_common::expr::col;
-use evopt_common::{Column, DataType, Expr, Schema, Value};
+use evopt_common::{Column, DataType, Expr, Result, Schema, Value};
 use evopt_core::cost::Cost;
 use evopt_core::physical::{PhysOp, PhysicalPlan};
 use evopt_exec::{run_collect, ExecEnv};
@@ -33,9 +33,14 @@ use evopt_workload::{load_tpch_lite, load_wisconsin};
 /// is the constant `DEFAULT_BATCH_ROWS`; the batch-size sweeps reach the
 /// executor through here.
 pub fn run_at(db: &Database, plan: &PhysicalPlan, batch_rows: usize) -> Vec<Tuple> {
+    try_run_at(db, plan, batch_rows).unwrap()
+}
+
+/// [`run_at`] for a plan that may fail: its error, not a panic.
+pub fn try_run_at(db: &Database, plan: &PhysicalPlan, batch_rows: usize) -> Result<Vec<Tuple>> {
     let buffer_pages = db.optimizer_config().cost_model.buffer_pages;
     let env = ExecEnv::new(db.catalog().snapshot(), buffer_pages).with_batch_rows(batch_rows);
-    run_collect(plan, &env).unwrap()
+    run_collect(plan, &env)
 }
 
 /// Order-insensitive fingerprint of a result set.
