@@ -31,7 +31,7 @@ pub fn run(ctx: &JoinContext) -> Result<SubPlan> {
     let level_started = std::time::Instant::now();
     for r in 0..n {
         for sp in ctx.base_subplans(r) {
-            ctx.admit(&mut table, sp);
+            ctx.admit(&mut table, sp.clone());
         }
     }
     ctx.trace_level(1, table.len(), level_started);

@@ -20,7 +20,7 @@ pub fn run(ctx: &JoinContext) -> Result<SubPlan> {
     let mut level_started = std::time::Instant::now();
     for r in 0..n {
         for sp in ctx.base_subplans(r) {
-            ctx.admit(&mut table, sp);
+            ctx.admit(&mut table, sp.clone());
         }
     }
     ctx.trace_level(1, table.len(), level_started);
@@ -46,7 +46,7 @@ pub fn run(ctx: &JoinContext) -> Result<SubPlan> {
                 }
                 for left in table.plans_for_cloned(left_mask) {
                     for right in ctx.base_subplans(r) {
-                        for cand in ctx.join_candidates(&left, &right, !connected)? {
+                        for cand in ctx.join_candidates(&left, right, !connected)? {
                             ctx.admit(&mut table, cand);
                         }
                     }
@@ -144,9 +144,8 @@ mod tests {
         let f = chain3();
         let mut with = f.ctx();
         with.required_order = Some(0);
-        let mut without = f.ctx();
+        let mut without = f.ctx_tracking(false);
         without.required_order = Some(0);
-        without.track_orders = false;
         let p_with = enumerate(&with, Strategy::SystemR).unwrap();
         let p_without = enumerate(&without, Strategy::SystemR).unwrap();
         assert!(

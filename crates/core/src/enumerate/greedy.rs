@@ -50,7 +50,7 @@ pub fn run(ctx: &JoinContext) -> Result<SubPlan> {
                 continue;
             }
             for base in ctx.base_subplans(r) {
-                for cand in ctx.join_candidates(&current, &base, !connected)? {
+                for cand in ctx.join_candidates(&current, base, !connected)? {
                     ctx.trace_consider(&cand);
                     let better = match &best {
                         None => true,

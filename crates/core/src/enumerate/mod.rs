@@ -6,7 +6,9 @@
 //!   graph's relations (a [`RelMask`]), carrying the map from *global*
 //!   column ordinals to its output positions and the order it produces;
 //! * [`JoinContext::base_subplans`] turns access-path choices into leaf
-//!   subplans;
+//!   subplans, built once per enumeration, each scan decoding only the
+//!   columns read above it ([`BaseRel::read`], its own filter or residual,
+//!   an index scan's key), so every plan above is built narrow;
 //! * [`JoinContext::join_candidates`] combines two subplans with every
 //!   applicable join method (NL, block-NL, index-NL, sort-merge, hash),
 //!   applying exactly the predicates that first become evaluable at that
@@ -25,15 +27,18 @@ pub mod greedy;
 pub mod quickpick;
 pub mod syntactic;
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use std::time::Instant;
 
-use evopt_common::{EvoptError, Expr, Result};
+use evopt_common::{EvoptError, Expr, Result, Schema};
 use evopt_obs::{PruneReason, TraceSink};
 use evopt_plan::join_graph::{JoinGraph, RelMask};
 
 use crate::access_path::{IndexMeta, PathChoice, PathKind};
 use crate::cost::{Cost, CostModel};
+use crate::optimizer::{mark, ColMap};
 use crate::physical::{PhysOp, PhysicalPlan};
 use crate::selectivity::EstimationContext;
 
@@ -99,8 +104,13 @@ pub struct BaseRel {
     pub paths: Vec<PathChoice>,
     /// Indexes (table-local column ordinals), for index nested loops.
     pub indexes: Vec<IndexMeta>,
-    /// Pre-built physical plan for opaque leaves.
-    pub opaque_plan: Option<PhysicalPlan>,
+    /// Which of the relation's columns are read above its scan: by the
+    /// query above the join, or by a predicate joining it to another
+    /// relation (table-local ordinals).
+    pub read: Vec<bool>,
+    /// Pre-built physical plan for opaque leaves, with where each of the
+    /// leaf's columns went in it.
+    pub opaque_plan: Option<(PhysicalPlan, ColMap)>,
 }
 
 /// Shared state for one enumeration run.
@@ -113,9 +123,16 @@ pub struct JoinContext<'a> {
     /// Global ordinal the final output should be ordered by, if any.
     pub required_order: Option<usize>,
     /// When false, produced orders are discarded (ablation for F3).
-    pub track_orders: bool,
+    track_orders: bool,
     /// Search-trace sink; `None` disables all recording.
     pub trace: Option<&'a TraceSink>,
+    /// Each relation's leaf subplans, one per access path.
+    leaves: Vec<Vec<SubPlan>>,
+    /// The last index nested loops output schema built: the outer's
+    /// schema, the inner relation, and the outer's columns followed by the
+    /// inner's whole row. Every access path of the inner joins the same
+    /// outer to it, so one schema serves them all.
+    last_inl_schema: RefCell<Option<(Schema, usize, Schema)>>,
 }
 
 /// A costed plan covering `mask`'s relations.
@@ -126,11 +143,15 @@ pub struct SubPlan {
     pub rows: f64,
     pub width: f64,
     pub cost: Cost,
-    /// Global ordinal → position in this plan's output (None if absent —
-    /// never happens today since leaves keep full schemas).
-    pub col_map: Vec<Option<usize>>,
+    /// Global ordinal → position in this plan's output (`None`: a column of
+    /// another relation, or one no scan below decodes because nothing above
+    /// reads it).
+    pub col_map: ColMap,
     /// Global ordinal whose ascending order the output satisfies.
     pub order: Option<usize>,
+    /// The relations in output order. Tie-breaks compare where whole rows
+    /// of them would put each column, whatever the scans decode.
+    pub rels: Arc<[usize]>,
 }
 
 impl SubPlan {
@@ -142,7 +163,99 @@ impl SubPlan {
     }
 }
 
+/// The scan `path` of `table` (columns `schema`), decoding the columns
+/// `read` marks, those its own filter or residual reads and, for an index
+/// scan, its key column (the re-key check). A scan that needs every column
+/// decodes whole rows (`cols: None`). Returns the scan and where each table
+/// column went.
+pub(crate) fn scan_path(
+    table: &str,
+    schema: &Schema,
+    path: PathChoice,
+    read: &[bool],
+    indexes: &[IndexMeta],
+    track_orders: bool,
+) -> Result<(PhysicalPlan, ColMap)> {
+    let (filter, key) = match &path.kind {
+        PathKind::SeqScan { filter } => (filter, None),
+        PathKind::IndexScan {
+            index, residual, ..
+        } => (residual, indexes.iter().find(|i| &i.name == index)),
+    };
+    let mut cols: Option<Vec<usize>> = None;
+    if read.contains(&false) {
+        let mut keep = read.to_vec();
+        filter.iter().for_each(|f| mark(&mut keep, f));
+        if let Some(k) = key.and_then(|i| keep.get_mut(i.column)) {
+            *k = true;
+        }
+        if keep.contains(&false) {
+            cols = Some((0..keep.len()).filter(|&c| keep[c]).collect());
+        }
+    }
+    let map = match &cols {
+        Some(c) => ColMap::keeping(c, read.len()),
+        None => ColMap::IDENTITY,
+    };
+    let cols = cols.map(Arc::from);
+    let op = match path.kind {
+        PathKind::SeqScan { filter } => PhysOp::SeqScan {
+            table: table.to_string(),
+            cols,
+            filter: filter.map(|f| map.remap(f)).transpose()?,
+        },
+        PathKind::IndexScan {
+            index,
+            range,
+            residual,
+            clustered,
+        } => PhysOp::IndexScan {
+            table: table.to_string(),
+            index,
+            range,
+            cols,
+            residual: residual.map(|r| map.remap(r)).transpose()?,
+            clustered,
+        },
+    };
+    let order = path.order.filter(|_| track_orders);
+    let plan = PhysicalPlan {
+        op,
+        schema: map.narrowed(schema),
+        est_rows: path.rows,
+        est_cost: path.cost,
+        output_order: order.and_then(|o| map.moved(o)),
+    };
+    Ok((plan, map))
+}
+
 impl<'a> JoinContext<'a> {
+    /// A context over `rels` with no required order and no trace; builds
+    /// every relation's leaves.
+    pub fn new(
+        graph: &'a JoinGraph<'a>,
+        est: EstimationContext<'a>,
+        model: &'a CostModel,
+        rels: Vec<BaseRel>,
+        track_orders: bool,
+    ) -> Result<Self> {
+        let mut ctx = JoinContext {
+            graph,
+            est,
+            model,
+            rels,
+            required_order: None,
+            track_orders,
+            trace: None,
+            leaves: Vec::new(),
+            last_inl_schema: RefCell::new(None),
+        };
+        ctx.leaves = (0..ctx.rels.len())
+            .map(|r| ctx.build_leaves(r))
+            .collect::<Result<_>>()?;
+        Ok(ctx)
+    }
+
     /// Total number of global columns.
     pub fn total_cols(&self) -> usize {
         self.graph.offsets.last().map_or(0, |&o| o)
@@ -154,72 +267,52 @@ impl<'a> JoinContext<'a> {
     }
 
     /// Leaf subplans for relation `r`, one per surviving access path.
-    pub fn base_subplans(&self, r: usize) -> Vec<SubPlan> {
+    pub fn base_subplans(&self, r: usize) -> &[SubPlan] {
+        &self.leaves[r]
+    }
+
+    fn build_leaves(&self, r: usize) -> Result<Vec<SubPlan>> {
         let rel = &self.rels[r];
         let offset = self.graph.offsets[r];
-        let schema = self.graph.schemas[r].clone();
-        let ncols = schema.len();
         let total = self.total_cols();
-        let mut col_map = vec![None; total];
-        for i in 0..ncols {
-            col_map[offset + i] = Some(i);
-        }
-        if let Some(plan) = &rel.opaque_plan {
-            return vec![SubPlan {
+        let leaf = |plan: PhysicalPlan, map: &ColMap, order: Option<usize>| {
+            let mut col_map = vec![None; total];
+            for c in 0..rel.read.len() {
+                col_map[offset + c] = map.moved(c);
+            }
+            SubPlan {
                 mask: Self::bit(r),
                 rows: plan.est_rows,
                 width: rel.width,
                 cost: plan.est_cost,
-                plan: plan.clone(),
-                col_map,
-                order: None,
-            }];
+                plan,
+                col_map: ColMap::new(col_map),
+                order,
+                rels: Arc::from([r]),
+            }
+        };
+        if let Some((plan, map)) = &rel.opaque_plan {
+            return Ok(vec![leaf(plan.clone(), map, None)]);
         }
         // A non-opaque leaf always names a table; if that invariant ever
         // breaks, return no paths and let the caller surface the error.
-        let Some(table) = rel.table.clone() else {
-            return Vec::new();
+        let Some(table) = &rel.table else {
+            return Ok(Vec::new());
         };
+        let schema = &self.graph.schemas[r];
         rel.paths
             .iter()
             .map(|p| {
-                let op = match &p.kind {
-                    PathKind::SeqScan { filter } => PhysOp::SeqScan {
-                        table: table.clone(),
-                        cols: None,
-                        filter: filter.clone(),
-                    },
-                    PathKind::IndexScan {
-                        index,
-                        range,
-                        residual,
-                        clustered,
-                    } => PhysOp::IndexScan {
-                        table: table.clone(),
-                        index: index.clone(),
-                        range: range.clone(),
-                        cols: None,
-                        residual: residual.clone(),
-                        clustered: *clustered,
-                    },
-                };
-                let local_order = p.order.filter(|_| self.track_orders);
-                let order = local_order.map(|c| c + offset);
-                SubPlan {
-                    mask: Self::bit(r),
-                    plan: PhysicalPlan {
-                        op,
-                        schema: schema.clone(),
-                        est_rows: p.rows,
-                        est_cost: p.cost,
-                        output_order: local_order,
-                    },
-                    rows: p.rows,
-                    width: rel.width,
-                    cost: p.cost,
-                    col_map: col_map.clone(),
-                    order,
-                }
+                let (plan, map) = scan_path(
+                    table,
+                    schema,
+                    p.clone(),
+                    &rel.read,
+                    &rel.indexes,
+                    self.track_orders,
+                )?;
+                let order = p.order.filter(|_| self.track_orders).map(|c| c + offset);
+                Ok(leaf(plan, &map, order))
             })
             .collect()
     }
@@ -227,33 +320,25 @@ impl<'a> JoinContext<'a> {
     /// The cheapest leaf subplan for `r` (by total cost).
     pub fn cheapest_base(&self, r: usize) -> Result<SubPlan> {
         self.base_subplans(r)
-            .into_iter()
+            .iter()
             .min_by(|a, b| {
                 self.model
                     .total(a.cost)
                     .total_cmp(&self.model.total(b.cost))
             })
+            .cloned()
             .ok_or_else(|| EvoptError::Internal(format!("relation {r} has no access path")))
     }
 
     /// The sequential-scan leaf for `r` (the baseline's only choice).
     pub fn seq_base(&self, r: usize) -> Result<SubPlan> {
         self.base_subplans(r)
-            .into_iter()
+            .iter()
             .find(|sp| {
                 matches!(sp.plan.op, PhysOp::SeqScan { .. }) || self.rels[r].opaque_plan.is_some()
             })
+            .cloned()
             .ok_or_else(|| EvoptError::Internal(format!("relation {r} has no seq-scan path")))
-    }
-
-    /// Remap a global-ordinal expression into `col_map`-local ordinals.
-    fn remap(&self, e: &Expr, col_map: &[Option<usize>]) -> Result<Expr> {
-        e.try_remap_columns(&|g| col_map.get(g).copied().flatten())
-            .map_err(|_| {
-                EvoptError::Plan(format!(
-                    "predicate {e} references a column outside the joined subset"
-                ))
-            })
     }
 
     /// All join methods applicable to `left ⋈ right`. Empty when the pair is
@@ -278,26 +363,24 @@ impl<'a> JoinContext<'a> {
         let mask = left.mask | right.mask;
         let left_cols = left.plan.schema.len();
         // Combined global→local map.
-        let mut col_map = vec![None; self.total_cols()];
-        for (g, pos) in left.col_map.iter().enumerate() {
-            col_map[g] = *pos;
-        }
-        for (g, pos) in right.col_map.iter().enumerate() {
-            if let Some(p) = pos {
-                col_map[g] = Some(left_cols + p);
-            }
-        }
+        let to = |g| {
+            left.col_map
+                .moved(g)
+                .or_else(|| Some(left_cols + right.col_map.moved(g)?))
+        };
+        let col_map = ColMap::new((0..self.total_cols()).map(to).collect());
         let schema = left.plan.schema.join(&right.plan.schema);
+        let rels: Arc<[usize]> = left.rels.iter().chain(right.rels.iter()).copied().collect();
 
         // Pick the first usable equi-join predicate as the physical key.
         let mut key: Option<(usize, usize)> = None; // (global left col, global right col)
         for p in &preds {
             if let Some((a, b)) = p.as_equi_join() {
-                if left.col_map[a].is_some() && right.col_map[b].is_some() {
+                if left.col_map.moved(a).is_some() && right.col_map.moved(b).is_some() {
                     key = Some((a, b));
                     break;
                 }
-                if left.col_map[b].is_some() && right.col_map[a].is_some() {
+                if left.col_map.moved(b).is_some() && right.col_map.moved(a).is_some() {
                     key = Some((b, a));
                     break;
                 }
@@ -307,10 +390,8 @@ impl<'a> JoinContext<'a> {
         let all_pred: Option<Expr> = if preds.is_empty() {
             None
         } else {
-            Some(self.remap(
-                &Expr::conjunction(preds.iter().map(|p| p.expr.clone()).collect()),
-                &col_map,
-            )?)
+            let all = Expr::conjunction(preds.iter().map(|p| p.expr.clone()).collect());
+            Some(col_map.remap(all)?)
         };
         // Residual = every predicate except the keyed equi-join.
         let residual: Option<Expr> = {
@@ -325,12 +406,12 @@ impl<'a> JoinContext<'a> {
             if rest.is_empty() {
                 None
             } else {
-                Some(self.remap(&Expr::conjunction(rest), &col_map)?)
+                Some(col_map.remap(Expr::conjunction(rest))?)
             }
         };
 
         let mut out = Vec::new();
-        let mk = |op: PhysOp, cost: Cost, order: Option<usize>| {
+        let mk_with = |op, cost, order: Option<usize>, schema: &Schema, col_map: &ColMap| {
             let order = order.filter(|_| self.track_orders);
             SubPlan {
                 mask,
@@ -339,15 +420,17 @@ impl<'a> JoinContext<'a> {
                     schema: schema.clone(),
                     est_rows: out_rows,
                     est_cost: cost,
-                    output_order: order.and_then(|g| col_map.get(g).copied().flatten()),
+                    output_order: order.and_then(|g| col_map.moved(g)),
                 },
                 rows: out_rows,
                 width: out_width,
                 cost,
                 col_map: col_map.clone(),
                 order,
+                rels: rels.clone(),
             }
         };
+        let mk = |op, cost, order| mk_with(op, cost, order, &schema, &col_map);
 
         // Block nested loops: always applicable. Does NOT preserve the
         // outer order (the executor loops inner-tuple-over-block).
@@ -384,20 +467,7 @@ impl<'a> JoinContext<'a> {
         }
 
         if let Some((ga, gb)) = key {
-            let missing_key =
-                |side: &str| EvoptError::Internal(format!("join key missing from {side} col_map"));
-            let lk = left
-                .col_map
-                .get(ga)
-                .copied()
-                .flatten()
-                .ok_or_else(|| missing_key("left"))?;
-            let rk = right
-                .col_map
-                .get(gb)
-                .copied()
-                .flatten()
-                .ok_or_else(|| missing_key("right"))?;
+            let (lk, rk) = (left.col_map.at(ga)?, right.col_map.at(gb)?);
 
             // Hash join (build right, probe left; probe order preserved).
             let hj_cost = left.cost
@@ -442,11 +512,42 @@ impl<'a> JoinContext<'a> {
             if right.mask.count_ones() == 1 {
                 let r_idx = right.mask.trailing_zeros() as usize;
                 let rel = &self.rels[r_idx];
-                if let Some(table) = &rel.table {
-                    let local_col = gb - self.graph.offsets[r_idx];
-                    for idx in rel.indexes.iter().filter(|i| i.column == local_col) {
-                        let probe_sel = self.est.join_eq_selectivity(ga, gb);
-                        let matches_per_probe = rel.rows_raw * probe_sel;
+                let local_col = gb - self.graph.offsets[r_idx];
+                let mut on_key = rel
+                    .indexes
+                    .iter()
+                    .filter(|i| i.column == local_col)
+                    .peekable();
+                if let (Some(table), Some(_)) = (&rel.table, on_key.peek()) {
+                    // The probe fetches inner rows whole: the output is the
+                    // outer's columns and every inner column.
+                    let inl_schema = self.inl_schema(&left.plan.schema, r_idx);
+                    let offset = self.graph.offsets[r_idx];
+                    let inner = offset..offset + self.graph.schemas[r_idx].len();
+                    let to = |g| {
+                        if inner.contains(&g) {
+                            Some(left_cols + g - offset)
+                        } else {
+                            left.col_map.moved(g)
+                        }
+                    };
+                    let inl_map = ColMap::new((0..self.total_cols()).map(to).collect());
+                    // Residual: non-key join predicates + the inner's local
+                    // predicates (the probe bypasses access paths).
+                    let mut resid = preds
+                        .iter()
+                        .filter(|p| p.as_equi_join() != Some((ga.min(gb), ga.max(gb))))
+                        .map(|p| p.expr.clone())
+                        .collect::<Vec<_>>();
+                    resid.extend(rel.local_preds_global.iter().cloned());
+                    let resid = if resid.is_empty() {
+                        None
+                    } else {
+                        Some(inl_map.remap(Expr::conjunction(resid))?)
+                    };
+                    let probe_sel = self.est.join_eq_selectivity(ga, gb);
+                    let matches_per_probe = rel.rows_raw * probe_sel;
+                    for idx in on_key {
                         let inl_cost = left.cost
                             + self.model.inl_join(
                                 left.rows,
@@ -456,30 +557,14 @@ impl<'a> JoinContext<'a> {
                                 rel.pages_raw,
                                 rel.rows_raw,
                             );
-                        // Residual: non-key join predicates + the inner's
-                        // local predicates (the probe bypasses access paths).
-                        let mut resid = preds
-                            .iter()
-                            .filter(|p| p.as_equi_join() != Some((ga.min(gb), ga.max(gb))))
-                            .map(|p| p.expr.clone())
-                            .collect::<Vec<_>>();
-                        resid.extend(rel.local_preds_global.iter().cloned());
-                        let resid = if resid.is_empty() {
-                            None
-                        } else {
-                            Some(self.remap(&Expr::conjunction(resid), &col_map)?)
+                        let op = PhysOp::IndexNestedLoopJoin {
+                            outer: Box::new(left.plan.clone()),
+                            inner_table: table.clone(),
+                            index: idx.name.clone(),
+                            outer_key: lk,
+                            residual: resid.clone(),
                         };
-                        out.push(mk(
-                            PhysOp::IndexNestedLoopJoin {
-                                outer: Box::new(left.plan.clone()),
-                                inner_table: table.clone(),
-                                index: idx.name.clone(),
-                                outer_key: lk,
-                                residual: resid,
-                            },
-                            inl_cost,
-                            left.order,
-                        ));
+                        out.push(mk_with(op, inl_cost, left.order, &inl_schema, &inl_map));
                     }
                 }
             }
@@ -487,11 +572,19 @@ impl<'a> JoinContext<'a> {
         Ok(out)
     }
 
-    /// Local ordinal of global column `g` in `sp`, or a structured error.
-    fn local_key(sp: &SubPlan, g: usize) -> Result<usize> {
-        sp.col_map.get(g).copied().flatten().ok_or_else(|| {
-            EvoptError::Internal(format!("sort key column {g} missing from col_map"))
-        })
+    /// The output schema of an index nested loops join of an outer with
+    /// schema `outer` to relation `r`: the outer's columns, then every one of
+    /// `r`'s.
+    fn inl_schema(&self, outer: &Schema, r: usize) -> Schema {
+        let mut last = self.last_inl_schema.borrow_mut();
+        match &*last {
+            Some((o, lr, s)) if *lr == r && o == outer => s.clone(),
+            _ => {
+                let s = outer.join(&self.graph.schemas[r]);
+                *last = Some((outer.clone(), r, s.clone()));
+                s
+            }
+        }
     }
 
     /// `(plan, extra sort cost)` for using `sp` as a merge-join input keyed
@@ -500,7 +593,7 @@ impl<'a> JoinContext<'a> {
         if self.track_orders && sp.order == Some(g) {
             return Ok((sp.plan.clone(), Cost::ZERO));
         }
-        let local = Self::local_key(sp, g)?;
+        let local = sp.col_map.at(g)?;
         let sort_cost = self.model.sort(sp.rows, sp.pages());
         let plan = PhysicalPlan {
             schema: sp.plan.schema.clone(),
@@ -517,7 +610,7 @@ impl<'a> JoinContext<'a> {
 
     /// Wrap `sp` in an explicit sort on global column `g`.
     pub fn enforce_order(&self, sp: &SubPlan, g: usize) -> Result<SubPlan> {
-        let local = Self::local_key(sp, g)?;
+        let local = sp.col_map.at(g)?;
         let sort_cost = self.model.sort(sp.rows, sp.pages());
         let plan = PhysicalPlan {
             schema: sp.plan.schema.clone(),
@@ -537,6 +630,7 @@ impl<'a> JoinContext<'a> {
             cost: sp.cost + sort_cost,
             col_map: sp.col_map.clone(),
             order: Some(g),
+            rels: sp.rels.clone(),
         })
     }
 
@@ -551,8 +645,7 @@ impl<'a> JoinContext<'a> {
         }
         let total = self.total_cols();
         let effective = |sp: &SubPlan| {
-            let identity = (0..total).all(|g| sp.col_map[g] == Some(g));
-            let restore = if identity {
+            let restore = if self.in_place(sp) == total {
                 Cost::ZERO
             } else {
                 self.model.per_tuple(sp.rows)
@@ -576,6 +669,22 @@ impl<'a> JoinContext<'a> {
         best.ok_or_else(|| EvoptError::Plan("enumeration produced no plan".into()))
     }
 
+    /// How many global columns a whole-row plan of `sp`'s relations, in
+    /// `sp`'s output order, would put at their own ordinal. All of them
+    /// means the syntactic order, which needs no column-restoring
+    /// projection.
+    pub fn in_place(&self, sp: &SubPlan) -> usize {
+        let (mut at, mut fixed) = (0, 0);
+        for &r in sp.rels.iter() {
+            let width = self.graph.schemas[r].len();
+            if at == self.graph.offsets[r] {
+                fixed += width;
+            }
+            at += width;
+        }
+        fixed
+    }
+
     /// Whether joining `left` to `right` is connected (has a predicate).
     pub fn is_connected(&self, left: RelMask, right: RelMask) -> bool {
         self.graph.connected(left, right)
@@ -595,7 +704,7 @@ impl<'a> JoinContext<'a> {
     pub fn admit(&self, table: &mut PlanTable, sp: SubPlan) -> bool {
         let (mask, method, order) = (sp.mask, sp.plan.op_name(), sp.order);
         self.trace_consider(&sp);
-        match table.admit(sp, self.model) {
+        match table.admit(sp, self) {
             Admission::New => {
                 if let (Some(t), Some(o)) = (self.trace, order) {
                     t.order_kept(mask, method, o);
@@ -679,25 +788,19 @@ impl PlanTable {
     }
 
     /// Insert if cheaper than the incumbent for the same (mask, order).
-    /// Exact cost ties go to the plan whose column map is closer to the
-    /// identity — mirror-image join trees often tie, and the identity-closer
-    /// one avoids the final column-restoring projection.
+    /// Exact cost ties go to the plan with more columns in place
+    /// ([`JoinContext::in_place`]) — mirror-image join trees often tie, and
+    /// the one closer to the syntactic order avoids the final
+    /// column-restoring projection.
     ///
     /// The returned [`Admission`] says which plan (if any) the dominance
     /// test killed, so callers can trace the search.
-    pub fn admit(&mut self, sp: SubPlan, model: &CostModel) -> Admission {
-        let fixed_points = |p: &SubPlan| {
-            p.col_map
-                .iter()
-                .enumerate()
-                .filter(|(g, m)| **m == Some(*g))
-                .count()
-        };
+    pub fn admit(&mut self, sp: SubPlan, ctx: &JoinContext) -> Admission {
         let key = (sp.mask, sp.order);
         match self.plans.get(&key) {
             Some(cur) => {
-                let (a, b) = (model.total(sp.cost), model.total(cur.cost));
-                if a < b || (a == b && fixed_points(&sp) > fixed_points(cur)) {
+                let (a, b) = (ctx.model.total(sp.cost), ctx.model.total(cur.cost));
+                if a < b || (a == b && ctx.in_place(&sp) > ctx.in_place(cur)) {
                     match self.plans.insert(key, sp) {
                         Some(old) => Admission::Replaced(Box::new(old)),
                         None => Admission::New,
@@ -796,15 +899,19 @@ pub(crate) mod fixtures {
 
     impl Fixture {
         pub fn ctx(&self) -> JoinContext<'_> {
-            JoinContext {
-                graph: &self.graph,
-                est: estimation(&self.columns),
-                model: &self.model,
-                rels: self.rels.clone(),
-                required_order: None,
-                track_orders: true,
-                trace: None,
-            }
+            self.ctx_tracking(true)
+        }
+
+        pub fn ctx_tracking(&self, track_orders: bool) -> JoinContext<'_> {
+            let est = estimation(&self.columns);
+            JoinContext::new(
+                &self.graph,
+                est,
+                &self.model,
+                self.rels.clone(),
+                track_orders,
+            )
+            .unwrap()
         }
     }
 
@@ -896,6 +1003,7 @@ pub(crate) mod fixtures {
                 local_preds_global: vec![],
                 paths,
                 indexes,
+                read: vec![true; 2],
                 opaque_plan: None,
             });
         }
@@ -984,9 +1092,9 @@ mod tests {
         assert!(!t.is_empty());
         let sp = &t[0];
         assert_eq!(sp.mask, 0b010);
-        assert_eq!(sp.col_map[2], Some(0));
-        assert_eq!(sp.col_map[3], Some(1));
-        assert_eq!(sp.col_map[0], None);
+        assert_eq!(sp.col_map.moved(2), Some(0));
+        assert_eq!(sp.col_map.moved(3), Some(1));
+        assert_eq!(sp.col_map.moved(0), None);
     }
 
     #[test]
@@ -1086,9 +1194,9 @@ mod tests {
         let cheap = ctx.cheapest_base(0).unwrap();
         let mut pricey = cheap.clone();
         pricey.cost = Cost::new(cheap.cost.io + 1000.0, cheap.cost.cpu);
-        table.admit(pricey.clone(), model);
-        table.admit(cheap.clone(), model);
-        table.admit(pricey, model);
+        table.admit(pricey.clone(), &ctx);
+        table.admit(cheap.clone(), &ctx);
+        table.admit(pricey, &ctx);
         let kept = table.plans_for(cheap.mask);
         assert_eq!(kept.len(), 1);
         assert_eq!(model.total(kept[0].cost), model.total(cheap.cost));

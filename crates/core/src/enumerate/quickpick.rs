@@ -32,7 +32,7 @@ pub fn run(ctx: &JoinContext, samples: usize, seed: u64) -> Result<SubPlan> {
             let mut best: Option<SubPlan> = None;
             for base in ctx.base_subplans(r) {
                 // Random orders may force cross products; always allowed.
-                for cand in ctx.join_candidates(&current, &base, true)? {
+                for cand in ctx.join_candidates(&current, base, true)? {
                     ctx.trace_consider(&cand);
                     let better = match &best {
                         None => true,

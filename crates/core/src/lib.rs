@@ -17,8 +17,9 @@
 //!    interesting orders (the default), bushy DP, two greedy heuristics,
 //!    random sampling (QuickPick), and the unoptimized syntactic baseline.
 //! 5. [`optimizer`] — the facade tying it together and handling the
-//!    non-join operators (aggregate, sort, limit, projection); its last
-//!    step narrows every scan to the columns the plan reads.
+//!    non-join operators (aggregate, sort, limit, projection). Plans are
+//!    built narrow: each node asks its child only for the columns it
+//!    reads, so every scan decodes only what the plan above it reads.
 //!
 //! The output is a [`physical::PhysicalPlan`] annotated with estimated rows
 //! and cost; `evopt-exec` interprets it, and the experiments compare the
@@ -31,7 +32,6 @@
 pub mod access_path;
 pub mod cost;
 pub mod enumerate;
-mod narrow;
 pub mod optimizer;
 pub mod physical;
 pub mod selectivity;

@@ -8,9 +8,15 @@
 //!    paths and statistics, run the configured enumeration [`Strategy`];
 //! 2. for everything else (aggregate, sort, limit, projection): recurse and
 //!    stack the physical operator, exploiting input orders where possible
-//!    (a sort is skipped when the child already delivers the order);
-//! 3. narrow every scan to the columns the chosen plan reads
-//!    (`crate::narrow`), which changes no choice and no estimate.
+//!    (a sort is skipped when the child already delivers the order).
+//!
+//! Plans are built narrow: every node hands its child the child's columns
+//! it reads (those its parent reads that it passes through, plus its own
+//! predicates, keys, group columns, aggregate arguments and projections),
+//! and a scan decodes only those, its own filter's, and an index scan's key
+//! column. Each node gets back where its child's columns went and remaps
+//! its own ordinals once, as it builds. Estimates still price whole rows,
+//! so no choice depends on what a scan decodes.
 
 use evopt_catalog::{Catalog, TableInfo};
 use evopt_common::{EvoptError, Expr, Result, Schema};
@@ -18,10 +24,9 @@ use evopt_obs::TraceSink;
 use evopt_plan::join_graph::JoinGraph;
 use evopt_plan::{LogicalPlan, SortKey};
 
-use crate::access_path::{self, IndexMeta, RelMeta};
+use crate::access_path::{self, IndexMeta, PathChoice, RelMeta};
 use crate::cost::CostModel;
-use crate::enumerate::{enumerate, BaseRel, JoinContext, Strategy, SubPlan};
-use crate::narrow;
+use crate::enumerate::{enumerate, scan_path, BaseRel, JoinContext, Strategy, SubPlan};
 use crate::physical::{PhysAgg, PhysOp, PhysicalPlan};
 use crate::selectivity::{ColumnInfo, EstimationContext};
 use crate::verify;
@@ -30,6 +35,88 @@ use crate::verify;
 const DEFAULT_WIDTH: f64 = 64.0;
 /// Fallback grouping-reduction ratio when group-column NDVs are unknown.
 const DEFAULT_GROUP_RATIO: f64 = 0.1;
+
+/// Where each logical column went in a plan as built: column `c` to
+/// `to[c]`, `None` if not produced (nothing above reads it or, in the
+/// enumerator, it belongs to a relation the plan does not cover); no `to`
+/// when every column stayed where it was. The optimizer's arms and the
+/// enumerator's subplans share it.
+#[derive(Debug, Clone)]
+pub struct ColMap(Option<Vec<Option<usize>>>);
+
+impl ColMap {
+    /// The map of a plan that keeps every column where it is.
+    pub const IDENTITY: ColMap = ColMap(None);
+
+    /// Column `c` went to `to[c]`.
+    pub fn new(to: Vec<Option<usize>>) -> Self {
+        ColMap(Some(to))
+    }
+
+    /// The map of a node that keeps the output columns `kept` (increasing)
+    /// of `width`.
+    pub fn keeping(kept: &[usize], width: usize) -> Self {
+        if kept.len() == width {
+            return ColMap::IDENTITY;
+        }
+        let mut to = vec![None; width];
+        for (new, &old) in kept.iter().enumerate() {
+            to[old] = Some(new);
+        }
+        ColMap::new(to)
+    }
+
+    /// Where column `c` went.
+    pub fn moved(&self, c: usize) -> Option<usize> {
+        match &self.0 {
+            Some(to) => to.get(c).copied().flatten(),
+            None => Some(c),
+        }
+    }
+
+    /// [`ColMap::moved`], for a column that is read.
+    pub fn at(&self, c: usize) -> Result<usize> {
+        self.moved(c)
+            .ok_or_else(|| EvoptError::Internal(format!("column #{c} is read but was not kept")))
+    }
+
+    /// `e` with its ordinals moved.
+    pub fn remap(&self, e: Expr) -> Result<Expr> {
+        match self.0 {
+            Some(_) => e.try_remap_columns(&|c| self.moved(c)),
+            None => Ok(e),
+        }
+    }
+
+    /// The columns of `schema` the map keeps, in order.
+    pub fn narrowed(&self, schema: &Schema) -> Schema {
+        match &self.0 {
+            Some(to) => {
+                let kept = schema.columns().iter().zip(to).filter(|(_, t)| t.is_some());
+                Schema::new(kept.map(|(c, _)| c.clone()).collect())
+            }
+            None => schema.clone(),
+        }
+    }
+}
+
+/// Mark column `c` as read.
+fn mark_column(read: &mut [bool], c: usize) {
+    if let Some(r) = read.get_mut(c) {
+        *r = true;
+    }
+}
+
+/// Mark every column `e` reads.
+pub(crate) fn mark(read: &mut [bool], e: &Expr) {
+    e.visit_columns(&mut |c| mark_column(read, c));
+}
+
+/// Whether `plan`, whose columns moved as `map` says, delivers logical
+/// column `c` ascending.
+fn delivers(plan: &PhysicalPlan, map: &ColMap, c: usize) -> bool {
+    plan.output_order.is_some() && plan.output_order == map.moved(c)
+}
 
 /// Optimizer configuration.
 #[derive(Debug, Clone, Copy)]
@@ -104,11 +191,11 @@ impl Optimizer {
         cfg!(debug_assertions) || self.config.verify
     }
 
-    /// Optimize a bound logical plan against `catalog`: the plan
-    /// [`Optimizer::choose`] picks, each scan narrowed to the columns the
-    /// plan reads.
+    /// Optimize a bound logical plan against `catalog`: the plan the cost
+    /// model chose, each scan decoding only the columns the plan reads.
     pub fn optimize(&self, plan: &LogicalPlan, catalog: &Catalog) -> Result<PhysicalPlan> {
-        let phys = narrow::narrow_scans(self.choose(plan, catalog)?, catalog)?;
+        let all = vec![true; plan.width()];
+        let (phys, _) = self.optimize_rec(plan, catalog, &all, None)?;
         if self.verifying() {
             verify::verify_physical(&phys, Some(catalog), verify::VerifyPhase::PostPhysical)
                 .into_result()?;
@@ -116,39 +203,36 @@ impl Optimizer {
         Ok(phys)
     }
 
-    /// The plan the cost model chose, with every scan still decoding whole
-    /// rows. Narrowing changes no choice and no estimate, so this is
-    /// [`Optimizer::optimize`]'s plan before its scans narrow.
-    pub fn choose(&self, plan: &LogicalPlan, catalog: &Catalog) -> Result<PhysicalPlan> {
-        self.optimize_rec(plan, catalog, None)
-    }
-
-    /// `required`: output-ordinal column the parent would like ascending.
+    /// `need`: which of `plan`'s output columns the parent reads.
+    /// `required`: output column the parent would like ascending. Returns
+    /// the plan and where each of `plan`'s output columns went in it.
     fn optimize_rec(
         &self,
         plan: &LogicalPlan,
         catalog: &Catalog,
+        need: &[bool],
         required: Option<usize>,
-    ) -> Result<PhysicalPlan> {
+    ) -> Result<(PhysicalPlan, ColMap)> {
+        let model = &self.config.cost_model;
         match plan {
             LogicalPlan::Scan { table, .. } => {
-                self.plan_single_table(catalog, table, &[], required)
+                self.plan_single_table(catalog, table, &[], need, required)
             }
             LogicalPlan::Filter { input, predicate } => match &**input {
                 LogicalPlan::Scan { table, .. } => {
-                    self.plan_single_table(catalog, table, &predicate.split_conjuncts(), required)
+                    let preds = predicate.split_conjuncts();
+                    self.plan_single_table(catalog, table, &preds, need, required)
                 }
-                LogicalPlan::Join { .. } => self.plan_joins(plan, catalog, required),
+                LogicalPlan::Join { .. } => self.plan_joins(plan, catalog, need, required),
                 _ => {
-                    let child = self.optimize_rec(input, catalog, required)?;
-                    Ok(filter_over(
-                        &self.config.cost_model,
-                        child,
-                        predicate.clone(),
-                    ))
+                    let mut read = need.to_vec();
+                    mark(&mut read, predicate);
+                    let (child, map) = self.optimize_rec(input, catalog, &read, required)?;
+                    let filter = filter_over(model, child, predicate, need.len(), &map)?;
+                    Ok((filter, map))
                 }
             },
-            LogicalPlan::Join { .. } => self.plan_joins(plan, catalog, required),
+            LogicalPlan::Join { .. } => self.plan_joins(plan, catalog, need, required),
             LogicalPlan::Project {
                 input,
                 exprs,
@@ -159,23 +243,40 @@ impl Optimizer {
                     Some(Expr::Column(j)) => Some(*j),
                     _ => None,
                 });
-                let child = self.optimize_rec(input, catalog, child_required)?;
-                let output_order = child.output_order.and_then(|j| {
+                // A column the parent does not read is dropped; a computed
+                // one stays, so an expression that fails still fails.
+                let kept: Vec<usize> = (0..exprs.len())
+                    .filter(|&i| need.get(i) == Some(&true) || !matches!(exprs[i], Expr::Column(_)))
+                    .collect();
+                let mut read = vec![false; input.width()];
+                kept.iter().for_each(|&i| mark(&mut read, &exprs[i]));
+                let (child, cmap) = self.optimize_rec(input, catalog, &read, child_required)?;
+                let output_order = child.output_order.and_then(|o| {
                     exprs
                         .iter()
-                        .position(|e| matches!(e, Expr::Column(c) if *c == j))
+                        .position(|e| matches!(e, Expr::Column(c) if cmap.moved(*c) == Some(o)))
                 });
-                let cost = child.est_cost + self.config.cost_model.per_tuple(child.est_rows);
-                Ok(PhysicalPlan {
-                    schema: schema.clone(),
+                let map = ColMap::keeping(&kept, exprs.len());
+                // Remapped only when the child moved a column: a `Result`
+                // per expression costs a `SELECT *` plan a tenth of its time.
+                let mut moved_exprs: Vec<Expr> = kept.iter().map(|&i| exprs[i].clone()).collect();
+                if cmap.0.is_some() {
+                    for e in &mut moved_exprs {
+                        *e = cmap.remap(e.clone())?;
+                    }
+                }
+                let cost = child.est_cost + model.per_tuple(child.est_rows);
+                let plan = PhysicalPlan {
+                    schema: map.narrowed(schema),
                     est_rows: child.est_rows,
                     est_cost: cost,
-                    output_order,
+                    output_order: output_order.and_then(|o| map.moved(o)),
                     op: PhysOp::Project {
                         input: Box::new(child),
-                        exprs: exprs.clone(),
+                        exprs: moved_exprs,
                     },
-                })
+                };
+                Ok((plan, map))
             }
             LogicalPlan::Aggregate {
                 input,
@@ -183,6 +284,13 @@ impl Optimizer {
                 aggs,
                 schema,
             } => {
+                // Reads its group columns and arguments; its output is
+                // never narrowed.
+                let mut read = vec![false; input.width()];
+                group_by.iter().for_each(|&g| mark_column(&mut read, g));
+                aggs.iter()
+                    .flat_map(|a| a.arg.iter())
+                    .for_each(|e| mark(&mut read, e));
                 // Two candidate shapes: an order-seeking child feeding a
                 // streaming sort-aggregate, vs an unconstrained child
                 // feeding a hash aggregate. The order hint is an option,
@@ -192,13 +300,12 @@ impl Optimizer {
                     [g] if self.config.track_interesting_orders => Some(*g),
                     _ => None,
                 };
-                let plain = self.optimize_rec(input, catalog, None)?;
-                let child = match hint {
+                let plain = self.optimize_rec(input, catalog, &read, None)?;
+                let (child, cmap) = match hint {
                     Some(g) => {
-                        let ordered = self.optimize_rec(input, catalog, hint)?;
-                        let m = &self.config.cost_model;
-                        if ordered.output_order == Some(g)
-                            && m.total(ordered.est_cost) <= m.total(plain.est_cost)
+                        let ordered = self.optimize_rec(input, catalog, &read, hint)?;
+                        if delivers(&ordered.0, &ordered.1, g)
+                            && model.total(ordered.0.est_cost) <= model.total(plain.0.est_cost)
                         {
                             ordered
                         } else {
@@ -212,44 +319,46 @@ impl Optimizer {
                 } else {
                     (child.est_rows * DEFAULT_GROUP_RATIO).max(1.0)
                 };
-                let cost = child.est_cost + self.config.cost_model.hash_aggregate(child.est_rows);
-                let phys_aggs: Vec<PhysAgg> = aggs
+                let cost = child.est_cost + model.hash_aggregate(child.est_rows);
+                let phys_aggs = aggs
                     .iter()
-                    .map(|a| PhysAgg {
-                        func: a.func,
-                        arg: a.arg.clone(),
+                    .map(|a| {
+                        let arg = a.arg.clone().map(|e| cmap.remap(e)).transpose()?;
+                        Ok(PhysAgg { func: a.func, arg })
                     })
-                    .collect();
+                    .collect::<Result<Vec<_>>>()?;
                 let streaming = self.config.track_interesting_orders
                     && group_by.len() == 1
-                    && child.output_order == Some(group_by[0]);
+                    && delivers(&child, &cmap, group_by[0]);
+                let group_by = group_by
+                    .iter()
+                    .map(|&g| cmap.at(g))
+                    .collect::<Result<Vec<_>>>()?;
+                let input = Box::new(child);
                 let (op, output_order) = if streaming {
-                    (
-                        PhysOp::SortAggregate {
-                            input: Box::new(child),
-                            group_by: group_by.clone(),
-                            aggs: phys_aggs,
-                        },
-                        // Output column 0 is the group column, still sorted.
-                        Some(0),
-                    )
+                    let op = PhysOp::SortAggregate {
+                        input,
+                        group_by,
+                        aggs: phys_aggs,
+                    };
+                    // Output column 0 is the group column, still sorted.
+                    (op, Some(0))
                 } else {
-                    (
-                        PhysOp::HashAggregate {
-                            input: Box::new(child),
-                            group_by: group_by.clone(),
-                            aggs: phys_aggs,
-                        },
-                        None,
-                    )
+                    let op = PhysOp::HashAggregate {
+                        input,
+                        group_by,
+                        aggs: phys_aggs,
+                    };
+                    (op, None)
                 };
-                Ok(PhysicalPlan {
+                let plan = PhysicalPlan {
                     schema: schema.clone(),
                     est_rows: rows,
                     est_cost: cost,
                     output_order,
                     op,
-                })
+                };
+                Ok((plan, ColMap::IDENTITY))
             }
             LogicalPlan::Sort { input, keys } => {
                 let hint = match keys.as_slice() {
@@ -259,36 +368,44 @@ impl Optimizer {
                     }, ..] => Some(*column),
                     _ => None,
                 };
-                let child = self.optimize_rec(input, catalog, hint)?;
+                let mut read = need.to_vec();
+                keys.iter().for_each(|k| mark_column(&mut read, k.column));
+                let (child, map) = self.optimize_rec(input, catalog, &read, hint)?;
                 // A single ascending key already satisfied → no sort node.
-                if let (1, Some(k), Some(have)) = (keys.len(), hint, child.output_order) {
-                    if k == have {
-                        return Ok(child);
+                if let (1, Some(k)) = (keys.len(), hint) {
+                    if delivers(&child, &map, k) {
+                        return Ok((child, map));
                     }
                 }
                 let rows = child.est_rows;
                 let pages = (rows * DEFAULT_WIDTH / 4084.0).ceil().max(1.0);
-                let cost = child.est_cost + self.config.cost_model.sort(rows, pages);
-                Ok(PhysicalPlan {
+                let cost = child.est_cost + model.sort(rows, pages);
+                let output_order = match keys.first() {
+                    Some(SortKey {
+                        column,
+                        ascending: true,
+                    }) => map.moved(*column),
+                    _ => None,
+                };
+                let keys = keys
+                    .iter()
+                    .map(|k| Ok((map.at(k.column)?, k.ascending)))
+                    .collect::<Result<_>>()?;
+                let plan = PhysicalPlan {
                     schema: child.schema.clone(),
                     est_rows: rows,
                     est_cost: cost,
-                    output_order: match keys.first() {
-                        Some(SortKey {
-                            column,
-                            ascending: true,
-                        }) => Some(*column),
-                        _ => None,
-                    },
+                    output_order,
                     op: PhysOp::Sort {
                         input: Box::new(child),
-                        keys: keys.iter().map(|k| (k.column, k.ascending)).collect(),
+                        keys,
                     },
-                })
+                };
+                Ok((plan, map))
             }
             LogicalPlan::Limit { input, limit } => {
-                let child = self.optimize_rec(input, catalog, required)?;
-                Ok(PhysicalPlan {
+                let (child, map) = self.optimize_rec(input, catalog, need, required)?;
+                let plan = PhysicalPlan {
                     schema: child.schema.clone(),
                     est_rows: child.est_rows.min(*limit as f64),
                     est_cost: child.est_cost,
@@ -297,7 +414,8 @@ impl Optimizer {
                         input: Box::new(child),
                         limit: *limit,
                     },
-                })
+                };
+                Ok((plan, map))
             }
         }
     }
@@ -308,67 +426,37 @@ impl Optimizer {
         catalog: &Catalog,
         table: &str,
         preds: &[Expr],
+        need: &[bool],
         required: Option<usize>,
-    ) -> Result<PhysicalPlan> {
+    ) -> Result<(PhysicalPlan, ColMap)> {
         let info = catalog.table(table)?;
         let (rel_meta, est) = table_meta(&info);
         let model = &self.config.cost_model;
-        let paths = access_path::access_paths(&rel_meta, preds, &est, model);
-        let schema = info.schema.clone();
-        let mut candidates: Vec<PhysicalPlan> = paths
-            .into_iter()
-            .map(|p| {
-                let op = match p.kind {
-                    access_path::PathKind::SeqScan { filter } => PhysOp::SeqScan {
-                        table: info.name.clone(),
-                        cols: None,
-                        filter,
-                    },
-                    access_path::PathKind::IndexScan {
-                        index,
-                        range,
-                        residual,
-                        clustered,
-                    } => PhysOp::IndexScan {
-                        table: info.name.clone(),
-                        index,
-                        range,
-                        cols: None,
-                        residual,
-                        clustered,
-                    },
-                };
-                PhysicalPlan {
-                    op,
-                    schema: schema.clone(),
-                    est_rows: p.rows,
-                    est_cost: p.cost,
-                    output_order: if self.config.track_interesting_orders {
-                        p.order
-                    } else {
-                        None
-                    },
-                }
-            })
-            .collect();
+        let track = self.config.track_interesting_orders;
         // With a required order, an ordered path competes against
         // cheapest-plus-sort; the Sort node itself is added by the caller,
         // so here we just bias the choice by charging the virtual sort.
-        let chosen = candidates
-            .drain(..)
+        let penalty = |p: &PathChoice| match required {
+            Some(k) if p.order.filter(|_| track) != Some(k) => {
+                let pages = (p.rows * DEFAULT_WIDTH / 4084.0).ceil().max(1.0);
+                model.total(model.sort(p.rows, pages))
+            }
+            _ => 0.0,
+        };
+        let chosen = access_path::access_paths(&rel_meta, preds, &est, model)
+            .into_iter()
             .min_by(|a, b| {
-                let penalty = |p: &PhysicalPlan| match required {
-                    Some(k) if p.output_order != Some(k) => {
-                        let pages = (p.est_rows * DEFAULT_WIDTH / 4084.0).ceil().max(1.0);
-                        model.total(model.sort(p.est_rows, pages))
-                    }
-                    _ => 0.0,
-                };
-                (model.total(a.est_cost) + penalty(a))
-                    .total_cmp(&(model.total(b.est_cost) + penalty(b)))
+                (model.total(a.cost) + penalty(a)).total_cmp(&(model.total(b.cost) + penalty(b)))
             })
             .ok_or_else(|| EvoptError::Internal("no access path produced".into()))?;
-        Ok(chosen)
+        scan_path(
+            &info.name,
+            &info.schema,
+            chosen,
+            need,
+            &rel_meta.indexes,
+            track,
+        )
     }
 
     /// Join subtree: extract the graph and enumerate.
@@ -376,11 +464,20 @@ impl Optimizer {
         &self,
         plan: &LogicalPlan,
         catalog: &Catalog,
+        need: &[bool],
         required: Option<usize>,
-    ) -> Result<PhysicalPlan> {
+    ) -> Result<(PhysicalPlan, ColMap)> {
         let graph = JoinGraph::extract(plan)
             .ok_or_else(|| EvoptError::Internal("plan_joins called on a non-join".into()))?;
         let model = self.config.cost_model;
+        // Read above each relation's scan: what the parent reads, and every
+        // column of a predicate joining two or more relations.
+        let mut read = need.to_vec();
+        graph
+            .predicates
+            .iter()
+            .filter(|p| p.relations.count_ones() > 1)
+            .for_each(|p| mark(&mut read, &p.expr));
 
         // Build per-relation info + the global estimation context, which
         // borrows its statistics from the base tables' catalog entries.
@@ -396,6 +493,7 @@ impl Optimizer {
         let mut global_cols: Vec<ColumnInfo> = Vec::new();
         for (r, (leaf, info)) in graph.relations.iter().zip(&infos).enumerate() {
             let offset = graph.offsets[r];
+            let rel_read = read[offset..offset + graph.schemas[r].len()].to_vec();
             let local_preds_global: Vec<Expr> = graph
                 .local_predicates(r)
                 .into_iter()
@@ -428,19 +526,21 @@ impl Optimizer {
                         local_preds_global,
                         paths,
                         indexes: rel_meta.indexes,
+                        read: rel_read,
                         opaque_plan: None,
                     });
                 }
                 None => {
                     // Opaque leaf: optimize recursively; local predicates
                     // (if any) become a physical filter on top.
-                    let mut inner = self.optimize_rec(leaf, catalog, None)?;
+                    let mut leaf_read = rel_read;
+                    local_preds.iter().for_each(|p| mark(&mut leaf_read, p));
+                    let (mut inner, map) = self.optimize_rec(leaf, catalog, &leaf_read, None)?;
                     if !local_preds.is_empty() {
                         let predicate = Expr::conjunction(local_preds.clone());
-                        inner = filter_over(&model, inner, predicate);
+                        inner = filter_over(&model, inner, &predicate, leaf_read.len(), &map)?;
                     }
-                    let ncols = graph.schemas[r].len();
-                    global_cols.extend((0..ncols).map(|_| ColumnInfo {
+                    global_cols.extend((0..leaf_read.len()).map(|_| ColumnInfo {
                         stats: None,
                         table_rows: inner.est_rows as u64,
                     }));
@@ -453,22 +553,19 @@ impl Optimizer {
                         local_preds_global: vec![],
                         paths: vec![],
                         indexes: vec![],
-                        opaque_plan: Some(inner),
+                        read: leaf_read,
+                        opaque_plan: Some((inner, map)),
                     });
                 }
             }
         }
-        let ctx = JoinContext {
-            graph: &graph,
-            est: EstimationContext::new(global_cols),
-            model: &self.config.cost_model,
-            rels,
-            required_order: required,
-            track_orders: self.config.track_interesting_orders,
-            trace: self.trace.as_ref(),
-        };
+        let est = EstimationContext::new(global_cols);
+        let track = self.config.track_interesting_orders;
+        let mut ctx = JoinContext::new(&graph, est, &model, rels, track)?;
+        ctx.required_order = required;
+        ctx.trace = self.trace.as_ref();
         let sub = enumerate(&ctx, self.config.strategy)?;
-        let mut phys = finalize(&ctx, sub, plan.schema())?;
+        let (mut phys, map) = finalize(&ctx, sub, need)?;
         // A conjunct that names no relation (a folded constant) is in no
         // join's or relation's predicate set: it filters the whole join.
         let constant: Vec<Expr> = graph
@@ -478,29 +575,38 @@ impl Optimizer {
             .map(|p| p.expr.clone())
             .collect();
         if !constant.is_empty() {
-            phys = filter_over(&model, phys, Expr::conjunction(constant));
+            let predicate = Expr::conjunction(constant);
+            phys = filter_over(&model, phys, &predicate, need.len(), &map)?;
         }
         if self.verifying() {
             verify::verify_physical(&phys, Some(catalog), verify::VerifyPhase::PostEnumeration)
                 .into_result()?;
         }
-        Ok(phys)
+        Ok((phys, map))
     }
 }
 
-/// `predicate` as a filter over `input`, estimated without statistics.
-fn filter_over(model: &CostModel, input: PhysicalPlan, predicate: Expr) -> PhysicalPlan {
-    let sel = EstimationContext::unknown(input.schema.len()).selectivity(&predicate);
-    PhysicalPlan {
+/// `predicate`, over the `width` columns of the logical input, as a filter
+/// over `input`, whose columns moved as `map` says; estimated without
+/// statistics.
+fn filter_over(
+    model: &CostModel,
+    input: PhysicalPlan,
+    predicate: &Expr,
+    width: usize,
+    map: &ColMap,
+) -> Result<PhysicalPlan> {
+    let sel = EstimationContext::unknown(width).selectivity(predicate);
+    Ok(PhysicalPlan {
         schema: input.schema.clone(),
         est_rows: (input.est_rows * sel).max(1e-6),
         est_cost: input.est_cost + model.per_tuple(input.est_rows),
         output_order: input.output_order,
         op: PhysOp::Filter {
+            predicate: map.remap(predicate.clone())?,
             input: Box::new(input),
-            predicate,
         },
-    }
+    })
 }
 
 /// Convert a catalog table into the access-path inputs: its statistics
@@ -544,31 +650,36 @@ fn table_meta(info: &TableInfo) -> (RelMeta, EstimationContext<'_>) {
 }
 
 /// Restore syntactic column order on top of an enumerated subplan so the
-/// join node's output matches the logical schema.
-fn finalize(ctx: &JoinContext, sub: SubPlan, logical_schema: Schema) -> Result<PhysicalPlan> {
+/// join node's output matches the logical schema (the relations' columns
+/// in syntactic order), keeping the columns the parent reads (`need`).
+/// Returns the plan and where each logical column went.
+fn finalize(ctx: &JoinContext, sub: SubPlan, need: &[bool]) -> Result<(PhysicalPlan, ColMap)> {
     let total = ctx.total_cols();
-    let identity = (0..total).all(|g| sub.col_map.get(g).copied().flatten() == Some(g));
-    if identity {
-        return Ok(sub.plan);
+    if ctx.in_place(&sub) == total {
+        return Ok((sub.plan, sub.col_map));
     }
-    let mut exprs: Vec<Expr> = Vec::with_capacity(total);
-    for g in 0..total {
-        let local = sub.col_map.get(g).copied().flatten().ok_or_else(|| {
-            EvoptError::Internal(format!("finalize: output column {g} missing from col_map"))
-        })?;
-        exprs.push(Expr::Column(local));
-    }
-    let output_order = sub.order;
-    Ok(PhysicalPlan {
-        schema: logical_schema,
+    let kept: Vec<usize> = (0..total).filter(|&g| need[g]).collect();
+    let exprs = kept
+        .iter()
+        .map(|&g| Ok(Expr::Column(sub.col_map.at(g)?)))
+        .collect::<Result<_>>()?;
+    let map = ColMap::keeping(&kept, total);
+    let columns = ctx.graph.schemas.iter().flat_map(|s| s.columns());
+    let kept_columns = columns
+        .zip(need)
+        .filter(|(_, &n)| n)
+        .map(|(c, _)| c.clone());
+    let plan = PhysicalPlan {
+        schema: Schema::new(kept_columns.collect()),
         est_rows: sub.rows,
         est_cost: sub.cost + ctx.model.per_tuple(sub.rows),
-        output_order,
+        output_order: sub.order.and_then(|g| map.moved(g)),
         op: PhysOp::Project {
             input: Box::new(sub.plan),
             exprs,
         },
-    })
+    };
+    Ok((plan, map))
 }
 
 #[cfg(test)]

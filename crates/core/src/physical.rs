@@ -10,6 +10,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::Bound;
+use std::sync::Arc;
 
 use evopt_common::{AggFunc, Expr, Schema, Value};
 
@@ -70,8 +71,9 @@ pub enum PhysOp {
         table: String,
         /// The table columns each row is decoded to, strictly increasing
         /// (the scan's output ordinals, which `filter` reads); `None` for
-        /// every column.
-        cols: Option<Vec<usize>>,
+        /// every column. Shared, so the enumerator's many clones of a leaf
+        /// do not copy it.
+        cols: Option<Arc<[usize]>>,
         filter: Option<Expr>,
     },
     /// B+-tree driven scan: fetch rids in `range`, then heap lookups, then
@@ -81,7 +83,7 @@ pub enum PhysOp {
         index: String,
         range: KeyRange,
         /// As for `SeqScan`; always includes the indexed column.
-        cols: Option<Vec<usize>>,
+        cols: Option<Arc<[usize]>>,
         residual: Option<Expr>,
         clustered: bool,
     },
@@ -445,7 +447,7 @@ pub fn scan_ordinal(cols: Option<&[usize]>, column: usize) -> Option<usize> {
 
 /// A narrowed scan's ` cols=[..]`; nothing for one that decodes every
 /// column, so its detail line and digest stay as they were.
-fn write_cols(out: &mut impl fmt::Write, cols: &Option<Vec<usize>>) -> fmt::Result {
+fn write_cols(out: &mut impl fmt::Write, cols: &Option<Arc<[usize]>>) -> fmt::Result {
     match cols {
         Some(cols) => write!(out, " cols={cols:?}"),
         None => Ok(()),

@@ -205,7 +205,7 @@ fn build_node(
         } => Box::new(SeqScanExec::new(
             env,
             table,
-            cols.clone(),
+            cols.as_deref().map(Vec::from),
             filter.clone(),
             plan.schema.clone(),
         )?),
@@ -221,7 +221,7 @@ fn build_node(
             table,
             index,
             range.clone(),
-            cols.clone(),
+            cols.as_deref().map(Vec::from),
             residual.clone(),
             plan.schema.clone(),
         )?),
@@ -451,7 +451,7 @@ pub fn run_collect_rids(plan: &PhysicalPlan, env: &ExecEnv) -> Result<Vec<(Rid, 
         } => drain(SeqScanExec::new(
             env,
             table,
-            cols.clone(),
+            cols.as_deref().map(Vec::from),
             filter.clone(),
             plan.schema.clone(),
         )?),
@@ -467,7 +467,7 @@ pub fn run_collect_rids(plan: &PhysicalPlan, env: &ExecEnv) -> Result<Vec<(Rid, 
             table,
             index,
             range.clone(),
-            cols.clone(),
+            cols.as_deref().map(Vec::from),
             residual.clone(),
             plan.schema.clone(),
         )?),

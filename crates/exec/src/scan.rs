@@ -347,7 +347,9 @@ mod tests {
         let narrow = |mut plan: PhysicalPlan, keep: Vec<usize>| {
             plan.schema = plan.schema.project(&keep).unwrap();
             match &mut plan.op {
-                PhysOp::SeqScan { cols, .. } | PhysOp::IndexScan { cols, .. } => *cols = Some(keep),
+                PhysOp::SeqScan { cols, .. } | PhysOp::IndexScan { cols, .. } => {
+                    *cols = Some(keep.into())
+                }
                 _ => unreachable!(),
             }
             plan

@@ -152,6 +152,19 @@ impl LogicalPlan {
         }
     }
 
+    /// Number of output columns: `schema().len()` without building it.
+    pub fn width(&self) -> usize {
+        match self {
+            LogicalPlan::Scan { schema, .. }
+            | LogicalPlan::Project { schema, .. }
+            | LogicalPlan::Aggregate { schema, .. } => schema.len(),
+            LogicalPlan::Filter { input, .. }
+            | LogicalPlan::Sort { input, .. }
+            | LogicalPlan::Limit { input, .. } => input.width(),
+            LogicalPlan::Join { left, right, .. } => left.width() + right.width(),
+        }
+    }
+
     /// Direct children, for generic traversals.
     pub fn children(&self) -> Vec<&LogicalPlan> {
         match self {

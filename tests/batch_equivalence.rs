@@ -16,7 +16,7 @@
 
 mod support;
 
-use evopt::Database;
+use evopt::{Database, Tuple};
 use evopt_common::Value;
 use evopt_exec::{run_collect, ExecEnv};
 use evopt_workload::tpch_lite::queries;
@@ -112,6 +112,9 @@ fn query_battery() -> Vec<&'static str> {
         queries::REVENUE_PER_NATION,
         queries::CUSTOMER_ORDERS,
         queries::SHIPPED_BIG_ORDERS,
+        // Cross products whose scans decode no column, or one on one side.
+        "SELECT COUNT(*) FROM nation n, region r",
+        "SELECT n.n_name FROM nation n, region r WHERE n.n_key < 2",
         // Mixed runtime variants in declared-FLOAT columns.
         "SELECT g, COUNT(*), COUNT(v), SUM(v), MIN(v), MAX(v), AVG(v) FROM mixed GROUP BY g",
         "SELECT m.g, m.k, w.unique1 FROM mixed m JOIN wisc w ON m.k = w.one_pct",
@@ -144,6 +147,19 @@ fn sql_battery_identical_across_batch_sizes() {
             "the engine's own run changed the result of {sql}"
         );
     }
+}
+
+/// A cross product whose scans decode no column still yields one row per
+/// pair of input rows.
+#[test]
+fn cross_products_decoding_no_column_keep_every_pair() {
+    let db = fixture();
+    let count = db.query("SELECT COUNT(*) FROM nation n, region r").unwrap();
+    assert_eq!(count, vec![Tuple::new(vec![Value::Int(125)])]);
+    let sql = "SELECT n.n_name FROM nation n, region r WHERE n.n_key < 2";
+    let names = normalized(&db.query(sql).unwrap());
+    assert_eq!(names.len(), 10);
+    assert_eq!(names.iter().filter(|n| n.contains("nation-0")).count(), 5);
 }
 
 #[test]

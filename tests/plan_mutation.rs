@@ -184,7 +184,7 @@ fn narrowed_scan(cat: &Catalog, table: &str, cols: Vec<usize>) -> PhysicalPlan {
     let mut p = scan(cat, table, 50.0);
     p.schema = p.schema.project(&cols).unwrap();
     if let PhysOp::SeqScan { cols: c, .. } = &mut p.op {
-        *c = Some(cols);
+        *c = Some(cols.into());
     }
     p
 }
@@ -214,7 +214,7 @@ fn narrowed_index_scan(cat: &Catalog) -> PhysicalPlan {
     let mut p = index_scan(cat);
     p.schema = p.schema.project(&[0]).unwrap();
     if let PhysOp::IndexScan { cols, .. } = &mut p.op {
-        *cols = Some(vec![0]);
+        *cols = Some(vec![0].into());
     }
     p
 }
@@ -494,7 +494,7 @@ fn mutations() -> Vec<Mutation> {
                 let mut p = narrowed_index_scan(cat);
                 p.schema = cat.table("u").unwrap().schema.project(&[1]).unwrap();
                 if let PhysOp::IndexScan { cols, .. } = &mut p.op {
-                    *cols = Some(vec![1]);
+                    *cols = Some(vec![1].into());
                 }
                 p
             },

@@ -317,7 +317,8 @@ pub fn seeded(verify: bool) -> Database {
 }
 
 /// The battery: one query per operator family plus multi-join pipelines —
-/// the same shapes the batch-equivalence suite pins.
+/// the same shapes the batch-equivalence suite pins — and two cross
+/// products whose relations contribute no column, or one from one side.
 pub fn battery() -> Vec<&'static str> {
     vec![
         "SELECT unique1, stringu1 FROM wisc",
@@ -335,5 +336,7 @@ pub fn battery() -> Vec<&'static str> {
         queries::REVENUE_PER_NATION,
         queries::CUSTOMER_ORDERS,
         queries::SHIPPED_BIG_ORDERS,
+        "SELECT COUNT(*) FROM nation n, region r",
+        "SELECT n.n_name FROM nation n, region r WHERE n.n_key < 2",
     ]
 }
