@@ -8,7 +8,7 @@
 
 use evopt_common::Result;
 
-use super::{JoinContext, PlanTable, SubPlan};
+use super::{Candidate, JoinContext, PlanTable, SubPlan};
 
 pub fn run(ctx: &JoinContext) -> Result<SubPlan> {
     let n = ctx.rels.len();
@@ -18,7 +18,7 @@ pub fn run(ctx: &JoinContext) -> Result<SubPlan> {
     let mut level_started = std::time::Instant::now();
     for r in 0..n {
         for sp in ctx.base_subplans(r) {
-            ctx.admit(&mut table, sp.clone());
+            ctx.admit(&mut table, Candidate::built(sp))?;
         }
     }
     ctx.trace_level(1, table.len(), level_started);
@@ -47,13 +47,13 @@ pub fn run(ctx: &JoinContext) -> Result<SubPlan> {
                     let other = mask ^ sub;
                     let connected = ctx.is_connected(sub, other);
                     if !has_connected || connected {
-                        for l in table.plans_for_cloned(sub) {
-                            for r in table.plans_for_cloned(other) {
-                                for cand in ctx.join_candidates(&l, &r, !connected)? {
-                                    ctx.admit(&mut table, cand);
+                        for l in table.plans_for(sub) {
+                            for r in table.plans_for(other) {
+                                for cand in ctx.join_candidates(&l, &r, !connected) {
+                                    ctx.admit(&mut table, cand)?;
                                 }
-                                for cand in ctx.join_candidates(&r, &l, !connected)? {
-                                    ctx.admit(&mut table, cand);
+                                for cand in ctx.join_candidates(&r, &l, !connected) {
+                                    ctx.admit(&mut table, cand)?;
                                 }
                             }
                         }
@@ -66,7 +66,7 @@ pub fn run(ctx: &JoinContext) -> Result<SubPlan> {
     }
 
     ctx.trace_memo(table.len());
-    ctx.pick_final(table.plans_for_cloned(all))
+    ctx.pick_final(table.into_plans(all))
 }
 
 #[cfg(test)]

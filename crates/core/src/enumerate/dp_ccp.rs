@@ -10,7 +10,7 @@
 //! pair is emitted exactly once, making enumeration cost proportional to
 //! the number of *valid* joins: O(n²) on chains, O(n·2ⁿ) on stars, equal
 //! to naive only on cliques. Same plan space, same optimum, far less work
-//! on sparse graphs — the ablation `benches/enumeration.rs` measures.
+//! on sparse graphs (experiment F1 times it beside naive bushy DP).
 //!
 //! On a disconnected predicate graph (cartesian products required) DPccp's
 //! preconditions fail; we fall back to naive bushy DP.
@@ -18,7 +18,7 @@
 use evopt_common::Result;
 use evopt_plan::join_graph::RelMask;
 
-use super::{dp_bushy, JoinContext, PlanTable, SubPlan};
+use super::{dp_bushy, Candidate, JoinContext, PlanTable, SubPlan};
 
 pub fn run(ctx: &JoinContext) -> Result<SubPlan> {
     let n = ctx.rels.len();
@@ -31,7 +31,7 @@ pub fn run(ctx: &JoinContext) -> Result<SubPlan> {
     let level_started = std::time::Instant::now();
     for r in 0..n {
         for sp in ctx.base_subplans(r) {
-            ctx.admit(&mut table, sp.clone());
+            ctx.admit(&mut table, Candidate::built(sp))?;
         }
     }
     ctx.trace_level(1, table.len(), level_started);
@@ -42,19 +42,19 @@ pub fn run(ctx: &JoinContext) -> Result<SubPlan> {
     // Sort by combined size so sub-plans exist before they're needed.
     pairs.sort_by_key(|(a, b)| (a | b).count_ones());
     for (s1, s2) in pairs {
-        for l in table.plans_for_cloned(s1) {
-            for r in table.plans_for_cloned(s2) {
-                for cand in ctx.join_candidates(&l, &r, false)? {
-                    ctx.admit(&mut table, cand);
+        for l in table.plans_for(s1) {
+            for r in table.plans_for(s2) {
+                for cand in ctx.join_candidates(&l, &r, false) {
+                    ctx.admit(&mut table, cand)?;
                 }
-                for cand in ctx.join_candidates(&r, &l, false)? {
-                    ctx.admit(&mut table, cand);
+                for cand in ctx.join_candidates(&r, &l, false) {
+                    ctx.admit(&mut table, cand)?;
                 }
             }
         }
     }
     ctx.trace_memo(table.len());
-    ctx.pick_final(table.plans_for_cloned(all))
+    ctx.pick_final(table.into_plans(all))
 }
 
 /// Bits strictly below `i`, plus `i` itself: the canonical "forbidden"

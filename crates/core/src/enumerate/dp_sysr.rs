@@ -10,7 +10,7 @@
 
 use evopt_common::Result;
 
-use super::{JoinContext, PlanTable, SubPlan};
+use super::{Candidate, JoinContext, PlanTable, SubPlan};
 
 pub fn run(ctx: &JoinContext) -> Result<SubPlan> {
     let n = ctx.rels.len();
@@ -20,7 +20,7 @@ pub fn run(ctx: &JoinContext) -> Result<SubPlan> {
     let mut level_started = std::time::Instant::now();
     for r in 0..n {
         for sp in ctx.base_subplans(r) {
-            ctx.admit(&mut table, sp.clone());
+            ctx.admit(&mut table, Candidate::built(sp))?;
         }
     }
     ctx.trace_level(1, table.len(), level_started);
@@ -44,10 +44,10 @@ pub fn run(ctx: &JoinContext) -> Result<SubPlan> {
                 if has_connected && !connected {
                     continue;
                 }
-                for left in table.plans_for_cloned(left_mask) {
+                for left in table.plans_for(left_mask) {
                     for right in ctx.base_subplans(r) {
-                        for cand in ctx.join_candidates(&left, right, !connected)? {
-                            ctx.admit(&mut table, cand);
+                        for cand in ctx.join_candidates(&left, right, !connected) {
+                            ctx.admit(&mut table, cand)?;
                         }
                     }
                 }
@@ -57,7 +57,7 @@ pub fn run(ctx: &JoinContext) -> Result<SubPlan> {
     }
 
     ctx.trace_memo(table.len());
-    ctx.pick_final(table.plans_for_cloned(all))
+    ctx.pick_final(table.into_plans(all))
 }
 
 #[cfg(test)]

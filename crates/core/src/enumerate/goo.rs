@@ -8,7 +8,7 @@
 use evopt_common::{EvoptError, Result};
 use evopt_obs::PruneReason;
 
-use super::{JoinContext, SubPlan};
+use super::{Candidate, JoinContext, SubPlan};
 
 pub fn run(ctx: &JoinContext) -> Result<SubPlan> {
     let n = ctx.rels.len();
@@ -19,14 +19,14 @@ pub fn run(ctx: &JoinContext) -> Result<SubPlan> {
     while forest.len() > 1 {
         let any_connected =
             pairs(forest.len()).any(|(i, j)| ctx.is_connected(forest[i].mask, forest[j].mask));
-        let mut best: Option<(usize, usize, SubPlan)> = None;
+        let mut best: Option<(usize, usize, Candidate)> = None;
         for (i, j) in pairs(forest.len()) {
             let connected = ctx.is_connected(forest[i].mask, forest[j].mask);
             if any_connected && !connected {
                 continue;
             }
             for (a, b) in [(i, j), (j, i)] {
-                for cand in ctx.join_candidates(&forest[a], &forest[b], !connected)? {
+                for cand in ctx.join_candidates(&forest[a], &forest[b], !connected) {
                     ctx.trace_consider(&cand);
                     let better = match &best {
                         None => true,
@@ -49,6 +49,7 @@ pub fn run(ctx: &JoinContext) -> Result<SubPlan> {
         let (i, j, merged) = best.ok_or_else(|| {
             EvoptError::Internal("goo: no join candidate (cross join should be a fallback)".into())
         })?;
+        let merged = merged.into_subplan(ctx)?;
         // Remove the higher index first to keep the lower index valid.
         let (hi, lo) = (i.max(j), i.min(j));
         forest.swap_remove(hi);

@@ -9,7 +9,7 @@
 use evopt_common::{EvoptError, Result};
 use evopt_obs::PruneReason;
 
-use super::{JoinContext, SubPlan};
+use super::{Candidate, JoinContext, SubPlan};
 
 pub fn run(ctx: &JoinContext) -> Result<SubPlan> {
     let n = ctx.rels.len();
@@ -43,14 +43,14 @@ pub fn run(ctx: &JoinContext) -> Result<SubPlan> {
         let any_connected = remaining
             .iter()
             .any(|&r| ctx.is_connected(current.mask, 1u64 << r));
-        let mut best: Option<SubPlan> = None;
+        let mut best: Option<Candidate> = None;
         for &r in &remaining {
             let connected = ctx.is_connected(current.mask, 1u64 << r);
             if any_connected && !connected {
                 continue;
             }
             for base in ctx.base_subplans(r) {
-                for cand in ctx.join_candidates(&current, base, !connected)? {
+                for cand in ctx.join_candidates(&current, base, !connected) {
                     ctx.trace_consider(&cand);
                     let better = match &best {
                         None => true,
@@ -70,11 +70,13 @@ pub fn run(ctx: &JoinContext) -> Result<SubPlan> {
                 }
             }
         }
-        current = best.ok_or_else(|| {
-            EvoptError::Internal(
-                "greedy: no join candidate (cross join should be a fallback)".into(),
-            )
-        })?;
+        current = best
+            .ok_or_else(|| {
+                EvoptError::Internal(
+                    "greedy: no join candidate (cross join should be a fallback)".into(),
+                )
+            })?
+            .into_subplan(ctx)?;
     }
 
     ctx.pick_final(vec![current])

@@ -9,10 +9,11 @@
 //!   subplans, built once per enumeration, each scan decoding only the
 //!   columns read above it ([`BaseRel::read`], its own filter or residual,
 //!   an index scan's key), so every plan above is built narrow;
-//! * [`JoinContext::join_candidates`] combines two subplans with every
-//!   applicable join method (NL, block-NL, index-NL, sort-merge, hash),
-//!   applying exactly the predicates that first become evaluable at that
-//!   join.
+//! * [`JoinContext::join_candidates`] prices the join of two subplans with
+//!   every applicable join method (NL, block-NL, index-NL, sort-merge,
+//!   hash), applying exactly the predicates that first become evaluable at
+//!   that join. A [`Candidate`] is a price, not a plan: only one the search
+//!   keeps is built ([`Candidate::into_subplan`]).
 //!
 //! The strategies ([`Strategy`]) then differ only in *which* combinations
 //! they explore: exhaustive left-deep DP with interesting orders (System R),
@@ -27,8 +28,8 @@ pub mod greedy;
 pub mod quickpick;
 pub mod syntactic;
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -128,11 +129,6 @@ pub struct JoinContext<'a> {
     pub trace: Option<&'a TraceSink>,
     /// Each relation's leaf subplans, one per access path.
     leaves: Vec<Vec<SubPlan>>,
-    /// The last index nested loops output schema built: the outer's
-    /// schema, the inner relation, and the outer's columns followed by the
-    /// inner's whole row. Every access path of the inner joins the same
-    /// outer to it, so one schema serves them all.
-    last_inl_schema: RefCell<Option<(Schema, usize, Schema)>>,
 }
 
 /// A costed plan covering `mask`'s relations.
@@ -160,6 +156,192 @@ impl SubPlan {
         ((self.rows * self.width) / USABLE_PAGE_BYTES)
             .ceil()
             .max(1.0)
+    }
+}
+
+/// How a [`Candidate`] produces its rows. A keyed method carries its
+/// equi-join key, (left, right) global ordinals.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Method {
+    /// An existing subplan (a leaf), admitted as it is.
+    Built,
+    BlockNestedLoop,
+    NestedLoop,
+    Hash {
+        key: (usize, usize),
+    },
+    SortMerge {
+        key: (usize, usize),
+    },
+    /// Index nested loops through the inner relation's `index`th index.
+    IndexNestedLoop {
+        key: (usize, usize),
+        index: usize,
+    },
+}
+
+/// A plan the search compares before it exists: a join of two subplans,
+/// priced by [`JoinContext::join_candidates`] with the formulas its built
+/// plan carries, or an existing subplan ([`Candidate::built`]). Only a
+/// candidate the search keeps is built.
+#[derive(Debug, Clone, Copy)]
+pub struct Candidate<'p> {
+    pub mask: RelMask,
+    pub method: Method,
+    pub cost: Cost,
+    pub rows: f64,
+    pub width: f64,
+    /// Global ordinal whose ascending order the output will satisfy.
+    pub order: Option<usize>,
+    left: &'p SubPlan,
+    /// The inner input; the subplan itself for [`Method::Built`].
+    right: &'p SubPlan,
+}
+
+impl<'p> Candidate<'p> {
+    /// `sp` as a candidate: built already, at its own price.
+    pub fn built(sp: &'p SubPlan) -> Self {
+        Candidate {
+            mask: sp.mask,
+            method: Method::Built,
+            cost: sp.cost,
+            rows: sp.rows,
+            width: sp.width,
+            order: sp.order,
+            left: sp,
+            right: sp,
+        }
+    }
+
+    /// The operator name the built plan's root will carry.
+    pub fn op_name(&self) -> &'static str {
+        match self.method {
+            Method::Built => self.left.plan.op_name(),
+            Method::BlockNestedLoop => "BlockNestedLoopJoin",
+            Method::NestedLoop => "NestedLoopJoin",
+            Method::Hash { .. } => "HashJoin",
+            Method::SortMerge { .. } => "SortMergeJoin",
+            Method::IndexNestedLoop { .. } => "IndexNestedLoopJoin",
+        }
+    }
+
+    /// The relations in output order.
+    fn rels(&self) -> impl Iterator<Item = &'p usize> {
+        let right: &'p [usize] = match self.method {
+            Method::Built => &[],
+            _ => &self.right.rels,
+        };
+        self.left.rels.iter().chain(right)
+    }
+
+    /// The plan this candidate priced, with the same cost, rows, width and
+    /// order.
+    pub fn into_subplan(self, ctx: &JoinContext) -> Result<SubPlan> {
+        let (left, right) = (self.left, self.right);
+        let key = match self.method {
+            Method::Built => return Ok(left.clone()),
+            Method::Hash { key }
+            | Method::SortMerge { key }
+            | Method::IndexNestedLoop { key, .. } => Some((key.0.min(key.1), key.0.max(key.1))),
+            _ => None,
+        };
+        let preds = ctx.graph.join_predicates(left.mask, right.mask);
+        // The conjunction of the join's predicates but its key, and
+        // `extra`, remapped through `map`.
+        let predicate = |map: &ColMap, extra: &[Expr]| {
+            let unkeyed = preds
+                .iter()
+                .filter(|p| key.is_none() || p.as_equi_join() != key);
+            let rest: Vec<Expr> = unkeyed
+                .map(|p| p.expr.clone())
+                .chain(extra.iter().cloned())
+                .collect();
+            (!rest.is_empty())
+                .then(|| map.remap(Expr::conjunction(rest)))
+                .transpose()
+        };
+        let left_cols = left.plan.schema.len();
+        let (op, schema, col_map) = if let Method::IndexNestedLoop { key, index } = self.method {
+            // The probe fetches inner rows whole: the output is the outer's
+            // columns and every inner column.
+            let r = right.mask.trailing_zeros() as usize;
+            let (rel, offset) = (&ctx.rels[r], ctx.graph.offsets[r]);
+            let inner = offset..offset + ctx.graph.schemas[r].len();
+            let to = |g| match inner.contains(&g) {
+                true => Some(left_cols + g - offset),
+                false => left.col_map.moved(g),
+            };
+            let col_map = ColMap::new((0..ctx.total_cols()).map(to).collect());
+            let no_table = || EvoptError::Internal(format!("relation {r} has no table"));
+            let op = PhysOp::IndexNestedLoopJoin {
+                outer: Box::new(left.plan.clone()),
+                inner_table: rel.table.clone().ok_or_else(no_table)?,
+                index: rel.indexes[index].name.clone(),
+                outer_key: left.col_map.at(key.0)?,
+                // The probe bypasses access paths: the inner's local
+                // predicates join the residual.
+                residual: predicate(&col_map, &rel.local_preds_global)?,
+            };
+            (op, left.plan.schema.join(&ctx.graph.schemas[r]), col_map)
+        } else {
+            let to = |g| {
+                left.col_map
+                    .moved(g)
+                    .or_else(|| Some(left_cols + right.col_map.moved(g)?))
+            };
+            let col_map = ColMap::new((0..ctx.total_cols()).map(to).collect());
+            let (l, r) = match self.method {
+                Method::SortMerge { key: (ga, gb) } => {
+                    (ctx.sorted_input(left, ga)?, ctx.sorted_input(right, gb)?)
+                }
+                _ => (left.plan.clone(), right.plan.clone()),
+            };
+            let (l, r, predicate) = (Box::new(l), Box::new(r), predicate(&col_map, &[])?);
+            let op = match self.method {
+                Method::Hash { key: (ga, gb) } => PhysOp::HashJoin {
+                    left: l,
+                    right: r,
+                    left_key: left.col_map.at(ga)?,
+                    right_key: right.col_map.at(gb)?,
+                    residual: predicate,
+                },
+                Method::SortMerge { key: (ga, gb) } => PhysOp::SortMergeJoin {
+                    left: l,
+                    right: r,
+                    left_key: left.col_map.at(ga)?,
+                    right_key: right.col_map.at(gb)?,
+                    residual: predicate,
+                },
+                Method::NestedLoop => PhysOp::NestedLoopJoin {
+                    left: l,
+                    right: r,
+                    predicate,
+                },
+                _ => PhysOp::BlockNestedLoopJoin {
+                    left: l,
+                    right: r,
+                    predicate,
+                    block_pages: ctx.model.buffer_pages,
+                },
+            };
+            (op, left.plan.schema.join(&right.plan.schema), col_map)
+        };
+        Ok(SubPlan {
+            mask: self.mask,
+            plan: PhysicalPlan {
+                op,
+                schema,
+                est_rows: self.rows,
+                est_cost: self.cost,
+                output_order: self.order.and_then(|g| col_map.moved(g)),
+            },
+            rows: self.rows,
+            width: self.width,
+            cost: self.cost,
+            col_map,
+            order: self.order,
+            rels: self.rels().copied().collect(),
+        })
     }
 }
 
@@ -248,7 +430,6 @@ impl<'a> JoinContext<'a> {
             track_orders,
             trace: None,
             leaves: Vec::new(),
-            last_inl_schema: RefCell::new(None),
         };
         ctx.leaves = (0..ctx.rels.len())
             .map(|r| ctx.build_leaves(r))
@@ -341,271 +522,125 @@ impl<'a> JoinContext<'a> {
             .ok_or_else(|| EvoptError::Internal(format!("relation {r} has no seq-scan path")))
     }
 
-    /// All join methods applicable to `left ⋈ right`. Empty when the pair is
-    /// unconnected and `allow_cross` is false.
-    pub fn join_candidates(
+    /// Every applicable join method for `left ⋈ right`, priced, in the
+    /// order the search admits them. Empty when the pair is unconnected and
+    /// `allow_cross` is false.
+    pub fn join_candidates<'p>(
         &self,
-        left: &SubPlan,
-        right: &SubPlan,
+        left: &'p SubPlan,
+        right: &'p SubPlan,
         allow_cross: bool,
-    ) -> Result<Vec<SubPlan>> {
+    ) -> Vec<Candidate<'p>> {
         debug_assert_eq!(left.mask & right.mask, 0, "overlapping subplans");
         let preds = self.graph.join_predicates(left.mask, right.mask);
         if preds.is_empty() && !allow_cross {
-            return Ok(vec![]);
+            return vec![];
         }
         let sel: f64 = preds
             .iter()
             .map(|p| self.est.selectivity(&p.expr))
             .product();
-        let out_rows = (left.rows * right.rows * sel).max(1e-6);
-        let out_width = left.width + right.width;
-        let mask = left.mask | right.mask;
-        let left_cols = left.plan.schema.len();
-        // Combined global→local map.
-        let to = |g| {
-            left.col_map
-                .moved(g)
-                .or_else(|| Some(left_cols + right.col_map.moved(g)?))
-        };
-        let col_map = ColMap::new((0..self.total_cols()).map(to).collect());
-        let schema = left.plan.schema.join(&right.plan.schema);
-        let rels: Arc<[usize]> = left.rels.iter().chain(right.rels.iter()).copied().collect();
+        let rows = (left.rows * right.rows * sel).max(1e-6);
 
         // Pick the first usable equi-join predicate as the physical key.
-        let mut key: Option<(usize, usize)> = None; // (global left col, global right col)
-        for p in &preds {
-            if let Some((a, b)) = p.as_equi_join() {
-                if left.col_map.moved(a).is_some() && right.col_map.moved(b).is_some() {
-                    key = Some((a, b));
-                    break;
-                }
-                if left.col_map.moved(b).is_some() && right.col_map.moved(a).is_some() {
-                    key = Some((b, a));
-                    break;
-                }
-            }
-        }
-
-        let all_pred: Option<Expr> = if preds.is_empty() {
-            None
-        } else {
-            let all = Expr::conjunction(preds.iter().map(|p| p.expr.clone()).collect());
-            Some(col_map.remap(all)?)
+        let keyed = |&(a, b): &(usize, usize)| {
+            left.col_map.moved(a).is_some() && right.col_map.moved(b).is_some()
         };
-        // Residual = every predicate except the keyed equi-join.
-        let residual: Option<Expr> = {
-            let rest: Vec<Expr> = preds
-                .iter()
-                .filter(|p| match (key, p.as_equi_join()) {
-                    (Some((a, b)), Some((x, y))) => !(x == a.min(b) && y == a.max(b)),
-                    _ => true,
-                })
-                .map(|p| p.expr.clone())
-                .collect();
-            if rest.is_empty() {
-                None
-            } else {
-                Some(col_map.remap(Expr::conjunction(rest))?)
-            }
+        let equi = preds.iter().filter_map(|p| p.as_equi_join());
+        let key = equi.flat_map(|(a, b)| [(a, b), (b, a)]).find(keyed);
+        let priced = |method, cost, order: Option<usize>| Candidate {
+            mask: left.mask | right.mask,
+            method,
+            cost,
+            rows,
+            width: left.width + right.width,
+            order: order.filter(|_| self.track_orders),
+            left,
+            right,
         };
-
-        let mut out = Vec::new();
-        let mk_with = |op, cost, order: Option<usize>, schema: &Schema, col_map: &ColMap| {
-            let order = order.filter(|_| self.track_orders);
-            SubPlan {
-                mask,
-                plan: PhysicalPlan {
-                    op,
-                    schema: schema.clone(),
-                    est_rows: out_rows,
-                    est_cost: cost,
-                    output_order: order.and_then(|g| col_map.moved(g)),
-                },
-                rows: out_rows,
-                width: out_width,
-                cost,
-                col_map: col_map.clone(),
-                order,
-                rels: rels.clone(),
-            }
-        };
-        let mk = |op, cost, order| mk_with(op, cost, order, &schema, &col_map);
 
         // Block nested loops: always applicable. Does NOT preserve the
         // outer order (the executor loops inner-tuple-over-block).
-        let bnl_cost = left.cost
-            + right.cost
-            + self
-                .model
-                .bnl_join(left.rows, left.pages(), right.rows, right.pages());
-        out.push(mk(
-            PhysOp::BlockNestedLoopJoin {
-                left: Box::new(left.plan.clone()),
-                right: Box::new(right.plan.clone()),
-                predicate: all_pred.clone(),
-                block_pages: self.model.buffer_pages,
-            },
-            bnl_cost,
+        let bnl = self
+            .model
+            .bnl_join(left.rows, left.pages(), right.rows, right.pages());
+        let mut out = vec![priced(
+            Method::BlockNestedLoop,
+            left.cost + right.cost + bnl,
             None,
-        ));
+        )];
 
         // Tuple nested loops: right side re-run per outer row; only offered
         // when the right side is a single relation (re-running a deep tree
         // is never competitive and bloats the search).
-        if right.mask.count_ones() == 1 {
-            let nl_cost = left.cost + self.model.nl_join(left.rows, right.cost, right.rows);
-            out.push(mk(
-                PhysOp::NestedLoopJoin {
-                    left: Box::new(left.plan.clone()),
-                    right: Box::new(right.plan.clone()),
-                    predicate: all_pred.clone(),
-                },
-                nl_cost,
-                left.order,
-            ));
+        let single = right.mask.count_ones() == 1;
+        if single {
+            let nl = self.model.nl_join(left.rows, right.cost, right.rows);
+            out.push(priced(Method::NestedLoop, left.cost + nl, left.order));
         }
 
-        if let Some((ga, gb)) = key {
-            let (lk, rk) = (left.col_map.at(ga)?, right.col_map.at(gb)?);
-
-            // Hash join (build right, probe left; probe order preserved).
-            let hj_cost = left.cost
-                + right.cost
-                + self
-                    .model
-                    .hash_join(left.rows, left.pages(), right.rows, right.pages());
-            out.push(mk(
-                PhysOp::HashJoin {
-                    left: Box::new(left.plan.clone()),
-                    right: Box::new(right.plan.clone()),
-                    left_key: lk,
-                    right_key: rk,
-                    residual: residual.clone(),
-                },
-                hj_cost,
-                left.order,
-            ));
-
-            // Sort-merge join: sort whichever inputs aren't already ordered.
-            let (lplan, lsort) = self.sorted_input(left, ga)?;
-            let (rplan, rsort) = self.sorted_input(right, gb)?;
-            let smj_cost = left.cost
-                + right.cost
-                + lsort
-                + rsort
-                + self.model.merge_join(left.rows, right.rows);
-            out.push(mk(
-                PhysOp::SortMergeJoin {
-                    left: Box::new(lplan),
-                    right: Box::new(rplan),
-                    left_key: lk,
-                    right_key: rk,
-                    residual: residual.clone(),
-                },
-                smj_cost,
-                Some(ga),
-            ));
-
-            // Index nested loops: right must be one base relation with an
-            // index on the join column.
-            if right.mask.count_ones() == 1 {
-                let r_idx = right.mask.trailing_zeros() as usize;
-                let rel = &self.rels[r_idx];
-                let local_col = gb - self.graph.offsets[r_idx];
-                let mut on_key = rel
-                    .indexes
-                    .iter()
-                    .filter(|i| i.column == local_col)
-                    .peekable();
-                if let (Some(table), Some(_)) = (&rel.table, on_key.peek()) {
-                    // The probe fetches inner rows whole: the output is the
-                    // outer's columns and every inner column.
-                    let inl_schema = self.inl_schema(&left.plan.schema, r_idx);
-                    let offset = self.graph.offsets[r_idx];
-                    let inner = offset..offset + self.graph.schemas[r_idx].len();
-                    let to = |g| {
-                        if inner.contains(&g) {
-                            Some(left_cols + g - offset)
-                        } else {
-                            left.col_map.moved(g)
-                        }
-                    };
-                    let inl_map = ColMap::new((0..self.total_cols()).map(to).collect());
-                    // Residual: non-key join predicates + the inner's local
-                    // predicates (the probe bypasses access paths).
-                    let mut resid = preds
-                        .iter()
-                        .filter(|p| p.as_equi_join() != Some((ga.min(gb), ga.max(gb))))
-                        .map(|p| p.expr.clone())
-                        .collect::<Vec<_>>();
-                    resid.extend(rel.local_preds_global.iter().cloned());
-                    let resid = if resid.is_empty() {
-                        None
-                    } else {
-                        Some(inl_map.remap(Expr::conjunction(resid))?)
-                    };
-                    let probe_sel = self.est.join_eq_selectivity(ga, gb);
-                    let matches_per_probe = rel.rows_raw * probe_sel;
-                    for idx in on_key {
-                        let inl_cost = left.cost
-                            + self.model.inl_join(
-                                left.rows,
-                                idx.height,
-                                matches_per_probe,
-                                idx.clustered,
-                                rel.pages_raw,
-                                rel.rows_raw,
-                            );
-                        let op = PhysOp::IndexNestedLoopJoin {
-                            outer: Box::new(left.plan.clone()),
-                            inner_table: table.clone(),
-                            index: idx.name.clone(),
-                            outer_key: lk,
-                            residual: resid.clone(),
-                        };
-                        out.push(mk_with(op, inl_cost, left.order, &inl_schema, &inl_map));
-                    }
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// The output schema of an index nested loops join of an outer with
-    /// schema `outer` to relation `r`: the outer's columns, then every one of
-    /// `r`'s.
-    fn inl_schema(&self, outer: &Schema, r: usize) -> Schema {
-        let mut last = self.last_inl_schema.borrow_mut();
-        match &*last {
-            Some((o, lr, s)) if *lr == r && o == outer => s.clone(),
-            _ => {
-                let s = outer.join(&self.graph.schemas[r]);
-                *last = Some((outer.clone(), r, s.clone()));
-                s
-            }
-        }
-    }
-
-    /// `(plan, extra sort cost)` for using `sp` as a merge-join input keyed
-    /// on global column `g`.
-    fn sorted_input(&self, sp: &SubPlan, g: usize) -> Result<(PhysicalPlan, Cost)> {
-        if self.track_orders && sp.order == Some(g) {
-            return Ok((sp.plan.clone(), Cost::ZERO));
-        }
-        let local = sp.col_map.at(g)?;
-        let sort_cost = self.model.sort(sp.rows, sp.pages());
-        let plan = PhysicalPlan {
-            schema: sp.plan.schema.clone(),
-            est_rows: sp.rows,
-            est_cost: sp.cost + sort_cost,
-            output_order: Some(local),
-            op: PhysOp::Sort {
-                input: Box::new(sp.plan.clone()),
-                keys: vec![(local, true)],
-            },
+        let Some(key @ (ga, gb)) = key else {
+            return out;
         };
-        Ok((plan, sort_cost))
+        // Hash join (build right, probe left; probe order preserved).
+        let hj = self
+            .model
+            .hash_join(left.rows, left.pages(), right.rows, right.pages());
+        out.push(priced(
+            Method::Hash { key },
+            left.cost + right.cost + hj,
+            left.order,
+        ));
+
+        // Sort-merge join: sort whichever inputs aren't already ordered.
+        let smj_cost = left.cost
+            + right.cost
+            + self.merge_sort(left, ga)
+            + self.merge_sort(right, gb)
+            + self.model.merge_join(left.rows, right.rows);
+        out.push(priced(Method::SortMerge { key }, smj_cost, Some(ga)));
+
+        // Index nested loops: right must be one base relation with an
+        // index on the join column.
+        let r = right.mask.trailing_zeros() as usize;
+        let rel = &self.rels[r];
+        if !single || rel.table.is_none() {
+            return out;
+        }
+        let local_col = gb - self.graph.offsets[r];
+        let matches_per_probe = rel.rows_raw * self.est.join_eq_selectivity(ga, gb);
+        for (index, idx) in rel.indexes.iter().enumerate() {
+            if idx.column == local_col {
+                let inl = self.model.inl_join(
+                    left.rows,
+                    idx.height,
+                    matches_per_probe,
+                    idx.clustered,
+                    rel.pages_raw,
+                    rel.rows_raw,
+                );
+                let method = Method::IndexNestedLoop { key, index };
+                out.push(priced(method, left.cost + inl, left.order));
+            }
+        }
+        out
+    }
+
+    /// The sort a merge join keyed on global column `g` adds to `sp`: none
+    /// when `sp` is already in that order.
+    fn merge_sort(&self, sp: &SubPlan, g: usize) -> Cost {
+        match self.track_orders && sp.order == Some(g) {
+            true => Cost::ZERO,
+            false => self.model.sort(sp.rows, sp.pages()),
+        }
+    }
+
+    /// `sp`'s plan as a merge-join input keyed on global column `g`.
+    fn sorted_input(&self, sp: &SubPlan, g: usize) -> Result<PhysicalPlan> {
+        match self.track_orders && sp.order == Some(g) {
+            true => Ok(sp.plan.clone()),
+            false => Ok(self.enforce_order(sp, g)?.plan),
+        }
     }
 
     /// Wrap `sp` in an explicit sort on global column `g`.
@@ -645,7 +680,7 @@ impl<'a> JoinContext<'a> {
         }
         let total = self.total_cols();
         let effective = |sp: &SubPlan| {
-            let restore = if self.in_place(sp) == total {
+            let restore = if self.in_place(sp.rels.iter()) == total {
                 Cost::ZERO
             } else {
                 self.model.per_tuple(sp.rows)
@@ -669,13 +704,12 @@ impl<'a> JoinContext<'a> {
         best.ok_or_else(|| EvoptError::Plan("enumeration produced no plan".into()))
     }
 
-    /// How many global columns a whole-row plan of `sp`'s relations, in
-    /// `sp`'s output order, would put at their own ordinal. All of them
-    /// means the syntactic order, which needs no column-restoring
-    /// projection.
-    pub fn in_place(&self, sp: &SubPlan) -> usize {
+    /// How many global columns a whole-row plan of relations `rels`, in
+    /// that order, would put at their own ordinal. All of them means the
+    /// syntactic order, which needs no column-restoring projection.
+    pub fn in_place<'r>(&self, rels: impl Iterator<Item = &'r usize>) -> usize {
         let (mut at, mut fixed) = (0, 0);
-        for &r in sp.rels.iter() {
+        for &r in rels {
             let width = self.graph.schemas[r].len();
             if at == self.graph.offsets[r] {
                 fixed += width;
@@ -698,53 +732,42 @@ impl<'a> JoinContext<'a> {
     // the search exactly once: rejected on arrival (dominated), or evicted
     // later by a cheaper arrival (superseded).
 
-    /// Admit `sp` into `table`, recording the trace events for the
-    /// candidate and for whichever plan the dominance test kills.
-    /// Returns whether `sp` entered the table.
-    pub fn admit(&self, table: &mut PlanTable, sp: SubPlan) -> bool {
-        let (mask, method, order) = (sp.mask, sp.plan.op_name(), sp.order);
-        self.trace_consider(&sp);
-        match table.admit(sp, self) {
-            Admission::New => {
-                if let (Some(t), Some(o)) = (self.trace, order) {
-                    t.order_kept(mask, method, o);
-                }
-                true
+    /// Admit `cand` into `table` if it beats the incumbent for its (mask,
+    /// order), recording the trace events for the candidate and for
+    /// whichever plan the dominance test kills. Only a candidate that
+    /// enters the table is built.
+    pub fn admit(&self, table: &mut PlanTable, cand: Candidate) -> Result<()> {
+        self.trace_consider(&cand);
+        if !table.beaten_by(&cand, self) {
+            self.trace_prune(&cand, PruneReason::Dominated);
+            return Ok(());
+        }
+        let (mask, method, order) = (cand.mask, cand.op_name(), cand.order);
+        let old = table
+            .plans
+            .insert((mask, order), Rc::new(cand.into_subplan(self)?));
+        if let Some(t) = self.trace {
+            if let Some(old) = old {
+                t.prune(old.mask, old.plan.op_name(), PruneReason::Superseded);
             }
-            Admission::Replaced(old) => {
-                if let Some(t) = self.trace {
-                    t.prune(old.mask, old.plan.op_name(), PruneReason::Superseded);
-                    if let Some(o) = order {
-                        t.order_kept(mask, method, o);
-                    }
-                }
-                true
+            if let Some(o) = order {
+                t.order_kept(mask, method, o);
             }
-            Admission::Dominated(sp) => {
-                self.trace_prune(&sp, PruneReason::Dominated);
-                false
-            }
+        }
+        Ok(())
+    }
+
+    /// Record a candidate being priced.
+    pub fn trace_consider(&self, c: &Candidate) {
+        if let Some(t) = self.trace {
+            t.consider(c.mask, c.op_name(), c.cost.io, c.cost.cpu, c.rows, c.order);
         }
     }
 
-    /// Record a candidate being generated and costed.
-    pub fn trace_consider(&self, sp: &SubPlan) {
+    /// Record a candidate leaving the search unbuilt.
+    pub fn trace_prune(&self, c: &Candidate, reason: PruneReason) {
         if let Some(t) = self.trace {
-            t.consider(
-                sp.mask,
-                sp.plan.op_name(),
-                sp.cost.io,
-                sp.cost.cpu,
-                sp.rows,
-                sp.order,
-            );
-        }
-    }
-
-    /// Record a plan leaving the search.
-    pub fn trace_prune(&self, sp: &SubPlan, reason: PruneReason) {
-        if let Some(t) = self.trace {
-            t.prune(sp.mask, sp.plan.op_name(), reason);
+            t.prune(c.mask, c.op_name(), reason);
         }
     }
 
@@ -763,23 +786,14 @@ impl<'a> JoinContext<'a> {
     }
 }
 
-/// Outcome of one [`PlanTable::admit`] call.
-pub enum Admission {
-    /// Inserted; no incumbent existed for its (mask, order) class.
-    New,
-    /// Inserted; the returned incumbent was evicted.
-    Replaced(Box<SubPlan>),
-    /// Rejected; the incumbent dominates. The candidate comes back so the
-    /// caller can trace (or reuse) it.
-    Dominated(Box<SubPlan>),
-}
-
 /// Dominance table keyed by `(mask, order)`; admits a plan only if it beats
 /// the incumbent. BTreeMap (not HashMap) so iteration — and therefore tie
 /// resolution between equal-cost plans — is deterministic run to run.
+/// Plans are shared, so the search holds the inputs it joins while it
+/// admits their joins into the table.
 #[derive(Default)]
 pub struct PlanTable {
-    plans: BTreeMap<(RelMask, Option<usize>), SubPlan>,
+    plans: BTreeMap<(RelMask, Option<usize>), Rc<SubPlan>>,
 }
 
 impl PlanTable {
@@ -787,48 +801,29 @@ impl PlanTable {
         PlanTable::default()
     }
 
-    /// Insert if cheaper than the incumbent for the same (mask, order).
-    /// Exact cost ties go to the plan with more columns in place
-    /// ([`JoinContext::in_place`]) — mirror-image join trees often tie, and
-    /// the one closer to the syntactic order avoids the final
+    /// Whether `cand` would replace the incumbent for its (mask, order), or
+    /// there is none: it is cheaper, or ties exactly with more columns in
+    /// place ([`JoinContext::in_place`]) — mirror-image join trees often
+    /// tie, and the one closer to the syntactic order avoids the final
     /// column-restoring projection.
-    ///
-    /// The returned [`Admission`] says which plan (if any) the dominance
-    /// test killed, so callers can trace the search.
-    pub fn admit(&mut self, sp: SubPlan, ctx: &JoinContext) -> Admission {
-        let key = (sp.mask, sp.order);
-        match self.plans.get(&key) {
-            Some(cur) => {
-                let (a, b) = (ctx.model.total(sp.cost), ctx.model.total(cur.cost));
-                if a < b || (a == b && ctx.in_place(&sp) > ctx.in_place(cur)) {
-                    match self.plans.insert(key, sp) {
-                        Some(old) => Admission::Replaced(Box::new(old)),
-                        None => Admission::New,
-                    }
-                } else {
-                    Admission::Dominated(Box::new(sp))
-                }
-            }
-            None => {
-                self.plans.insert(key, sp);
-                Admission::New
-            }
-        }
+    fn beaten_by(&self, cand: &Candidate, ctx: &JoinContext) -> bool {
+        let Some(cur) = self.plans.get(&(cand.mask, cand.order)) else {
+            return true;
+        };
+        let (a, b) = (ctx.model.total(cand.cost), ctx.model.total(cur.cost));
+        a < b || (a == b && ctx.in_place(cand.rels()) > ctx.in_place(cur.rels.iter()))
     }
 
     /// All retained plans for `mask`.
-    pub fn plans_for(&self, mask: RelMask) -> Vec<&SubPlan> {
-        self.plans
-            .iter()
-            .filter(|((m, _), _)| *m == mask)
-            .map(|(_, p)| p)
-            .collect()
+    pub fn plans_for(&self, mask: RelMask) -> Vec<Rc<SubPlan>> {
+        let entries = self.plans.range((mask, None)..=(mask, Some(usize::MAX)));
+        entries.map(|(_, p)| Rc::clone(p)).collect()
     }
 
-    /// All retained plans for `mask`, cloned (for mutation-during-iteration
-    /// call sites).
-    pub fn plans_for_cloned(&self, mask: RelMask) -> Vec<SubPlan> {
-        self.plans_for(mask).into_iter().cloned().collect()
+    /// The retained plans for `mask`, out of the table.
+    pub fn into_plans(self, mask: RelMask) -> Vec<SubPlan> {
+        let entries = self.plans.into_iter().filter(|((m, _), _)| *m == mask);
+        entries.map(|(_, p)| Rc::unwrap_or_clone(p)).collect()
     }
 
     pub fn len(&self) -> usize {
@@ -1103,8 +1098,8 @@ mod tests {
         let ctx = f.ctx();
         let t = ctx.cheapest_base(0).unwrap();
         let u = ctx.cheapest_base(1).unwrap();
-        let cands = ctx.join_candidates(&t, &u, false).unwrap();
-        let names: Vec<_> = cands.iter().map(|c| c.plan.op_name()).collect();
+        let cands = ctx.join_candidates(&t, &u, false);
+        let names: Vec<_> = cands.iter().map(|c| c.op_name()).collect();
         assert!(names.contains(&"BlockNestedLoopJoin"));
         assert!(names.contains(&"NestedLoopJoin"));
         assert!(names.contains(&"HashJoin"));
@@ -1130,22 +1125,18 @@ mod tests {
         // is NOT on the join column, so still no INL).
         let u = ctx.cheapest_base(1).unwrap();
         let v = ctx.cheapest_base(2).unwrap();
-        let cands = ctx.join_candidates(&u, &v, false).unwrap();
-        assert!(!cands
-            .iter()
-            .any(|c| c.plan.op_name() == "IndexNestedLoopJoin"));
+        let cands = ctx.join_candidates(&u, &v, false);
+        assert!(!cands.iter().any(|c| c.op_name() == "IndexNestedLoopJoin"));
         // Star fixture: f.c0 = d3.c0 and d3 has an index on c0 → INL exists.
         let s = star4();
         let sctx = s.ctx();
         let fact = sctx.cheapest_base(0).unwrap();
         let d3 = sctx.cheapest_base(3).unwrap();
-        let cands = sctx.join_candidates(&fact, &d3, false).unwrap();
+        let cands = sctx.join_candidates(&fact, &d3, false);
         assert!(
-            cands
-                .iter()
-                .any(|c| c.plan.op_name() == "IndexNestedLoopJoin"),
+            cands.iter().any(|c| c.op_name() == "IndexNestedLoopJoin"),
             "methods: {:?}",
-            cands.iter().map(|c| c.plan.op_name()).collect::<Vec<_>>()
+            cands.iter().map(|c| c.op_name()).collect::<Vec<_>>()
         );
     }
 
@@ -1155,8 +1146,8 @@ mod tests {
         let ctx = f.ctx();
         let t = ctx.cheapest_base(0).unwrap();
         let v = ctx.cheapest_base(2).unwrap();
-        assert!(ctx.join_candidates(&t, &v, false).unwrap().is_empty());
-        let crossed = ctx.join_candidates(&t, &v, true).unwrap();
+        assert!(ctx.join_candidates(&t, &v, false).is_empty());
+        let crossed = ctx.join_candidates(&t, &v, true);
         assert!(!crossed.is_empty());
         // Cross product cardinality.
         assert!((crossed[0].rows - 1_000.0 * 100_000.0).abs() < 1.0);
@@ -1168,10 +1159,12 @@ mod tests {
         let ctx = f.ctx();
         let t = ctx.cheapest_base(0).unwrap();
         let u = ctx.cheapest_base(1).unwrap();
-        let cands = ctx.join_candidates(&t, &u, false).unwrap();
+        let cands = ctx.join_candidates(&t, &u, false);
         let smj = cands
-            .iter()
-            .find(|c| c.plan.op_name() == "SortMergeJoin")
+            .into_iter()
+            .find(|c| matches!(c.method, Method::SortMerge { .. }))
+            .unwrap()
+            .into_subplan(&ctx)
             .unwrap();
         // Key is t.c0 (global 0).
         assert_eq!(smj.order, Some(0));
@@ -1186,6 +1179,51 @@ mod tests {
     }
 
     #[test]
+    fn a_built_candidate_carries_its_price() {
+        // Every method, on leaves and on a join of joins: the built plan
+        // has the cost, rows, width, order and root operator it was priced
+        // with, and an output order where the column map puts it.
+        for f in [chain3(), star4()] {
+            let ctx = f.ctx();
+            let n = ctx.rels.len();
+            let leaves: Vec<&SubPlan> = (0..n).flat_map(|r| ctx.base_subplans(r)).collect();
+            let mut joined = Vec::new();
+            let mut methods = std::collections::BTreeSet::new();
+            for (a, b) in leaves
+                .iter()
+                .flat_map(|a| leaves.iter().map(move |b| (a, b)))
+            {
+                if a.mask & b.mask != 0 {
+                    continue;
+                }
+                for c in ctx.join_candidates(a, b, true) {
+                    let sp = c.into_subplan(&ctx).unwrap();
+                    assert_eq!((sp.mask, sp.order, sp.rels.len()), (c.mask, c.order, 2));
+                    assert_eq!((sp.cost, sp.rows, sp.width), (c.cost, c.rows, c.width));
+                    assert_eq!((sp.plan.est_cost, sp.plan.est_rows), (c.cost, c.rows));
+                    assert_eq!(sp.plan.op_name(), c.op_name());
+                    assert_eq!(
+                        sp.plan.output_order,
+                        c.order.and_then(|g| sp.col_map.moved(g))
+                    );
+                    methods.insert(c.op_name());
+                    joined.push(sp);
+                }
+            }
+            let (x, y) = (
+                &joined[0],
+                joined.iter().find(|j| j.mask & joined[0].mask == 0),
+            );
+            for c in y.map_or(vec![], |y| ctx.join_candidates(x, y, true)) {
+                let sp = c.into_subplan(&ctx).unwrap();
+                assert_eq!((sp.cost, sp.rows, sp.order), (c.cost, c.rows, c.order));
+                assert_eq!(sp.plan.op_name(), c.op_name());
+            }
+            assert!(methods.len() >= 4, "{methods:?}");
+        }
+    }
+
+    #[test]
     fn plan_table_dominance() {
         let f = chain3();
         let ctx = f.ctx();
@@ -1194,9 +1232,9 @@ mod tests {
         let cheap = ctx.cheapest_base(0).unwrap();
         let mut pricey = cheap.clone();
         pricey.cost = Cost::new(cheap.cost.io + 1000.0, cheap.cost.cpu);
-        table.admit(pricey.clone(), &ctx);
-        table.admit(cheap.clone(), &ctx);
-        table.admit(pricey, &ctx);
+        for sp in [&pricey, &cheap, &pricey] {
+            ctx.admit(&mut table, Candidate::built(sp)).unwrap();
+        }
         let kept = table.plans_for(cheap.mask);
         assert_eq!(kept.len(), 1);
         assert_eq!(model.total(kept[0].cost), model.total(cheap.cost));

@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use super::{JoinContext, SubPlan};
+use super::{Candidate, JoinContext, SubPlan};
 
 pub fn run(ctx: &JoinContext, samples: usize, seed: u64) -> Result<SubPlan> {
     if samples == 0 {
@@ -28,11 +28,10 @@ pub fn run(ctx: &JoinContext, samples: usize, seed: u64) -> Result<SubPlan> {
         order.shuffle(&mut rng);
         let mut current = ctx.cheapest_base(order[0])?;
         for &r in &order[1..] {
-            let connected = ctx.is_connected(current.mask, 1u64 << r);
-            let mut best: Option<SubPlan> = None;
+            let mut best: Option<Candidate> = None;
             for base in ctx.base_subplans(r) {
                 // Random orders may force cross products; always allowed.
-                for cand in ctx.join_candidates(&current, base, true)? {
+                for cand in ctx.join_candidates(&current, base, true) {
                     ctx.trace_consider(&cand);
                     let better = match &best {
                         None => true,
@@ -48,12 +47,13 @@ pub fn run(ctx: &JoinContext, samples: usize, seed: u64) -> Result<SubPlan> {
                     }
                 }
             }
-            let _ = connected;
-            current = best.ok_or_else(|| {
-                EvoptError::Internal(
-                    "quickpick: no join candidate (cross join should be a fallback)".into(),
-                )
-            })?;
+            current = best
+                .ok_or_else(|| {
+                    EvoptError::Internal(
+                        "quickpick: no join candidate (cross join should be a fallback)".into(),
+                    )
+                })?
+                .into_subplan(ctx)?;
         }
         finals.push(current);
     }

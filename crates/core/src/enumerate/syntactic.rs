@@ -8,26 +8,25 @@
 use evopt_common::{EvoptError, Result};
 use evopt_obs::PruneReason;
 
-use super::{JoinContext, SubPlan};
-use crate::physical::PhysOp;
+use super::{Candidate, JoinContext, Method, SubPlan};
 
 pub fn run(ctx: &JoinContext) -> Result<SubPlan> {
     let n = ctx.rels.len();
     let mut current = ctx.seq_base(0)?;
     for r in 1..n {
         let right = ctx.seq_base(r)?;
-        let cands = ctx.join_candidates(&current, &right, true)?;
-        let mut chosen: Option<SubPlan> = None;
-        for c in cands {
+        let mut chosen: Option<Candidate> = None;
+        for c in ctx.join_candidates(&current, &right, true) {
             ctx.trace_consider(&c);
-            if chosen.is_none() && matches!(c.plan.op, PhysOp::BlockNestedLoopJoin { .. }) {
+            if chosen.is_none() && c.method == Method::BlockNestedLoop {
                 chosen = Some(c);
             } else {
                 ctx.trace_prune(&c, PruneReason::NotChosen);
             }
         }
-        current =
-            chosen.ok_or_else(|| EvoptError::Internal("BNL candidate always generated".into()))?;
+        current = chosen
+            .ok_or_else(|| EvoptError::Internal("BNL candidate always generated".into()))?
+            .into_subplan(ctx)?;
     }
     ctx.pick_final(vec![current])
 }

@@ -655,7 +655,7 @@ fn table_meta(info: &TableInfo) -> (RelMeta, EstimationContext<'_>) {
 /// Returns the plan and where each logical column went.
 fn finalize(ctx: &JoinContext, sub: SubPlan, need: &[bool]) -> Result<(PhysicalPlan, ColMap)> {
     let total = ctx.total_cols();
-    if ctx.in_place(&sub) == total {
+    if ctx.in_place(sub.rels.iter()) == total {
         return Ok((sub.plan, sub.col_map));
     }
     let kept: Vec<usize> = (0..total).filter(|&g| need[g]).collect();

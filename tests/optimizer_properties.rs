@@ -127,6 +127,40 @@ fn rewrites_run_once_in_the_binder() {
     }
 }
 
+/// The verify battery and the `analytic` workload's 11 statement shapes:
+/// the statements whose plans and search counts are recorded under
+/// `tests/support/`.
+fn recorded_queries() -> Vec<String> {
+    let mut analytic: Vec<String> = vec![REVENUE_PER_NATION.into(), CUSTOMER_ORDERS.into()];
+    for (status, balance) in [("open", 4500), ("shipped", 5000), ("done", 5500)] {
+        analytic.push(format!(
+            "SELECT o.o_key, c.c_name FROM orders o JOIN customer c \
+             ON o.o_customer = c.c_key WHERE o.o_status = '{status}' AND c.c_balance > {balance}"
+        ));
+    }
+    for k in [0, 1] {
+        analytic.push(format!(
+            "SELECT ten_pct, COUNT(*), SUM(unique2) FROM wisc WHERE odd = {k} GROUP BY ten_pct"
+        ));
+    }
+    for k in [7, 42] {
+        analytic.push(format!(
+            "SELECT a.unique1, b.unique1 FROM wisc a \
+             JOIN wisc b ON a.unique1 = b.unique2 WHERE a.one_pct = {k}"
+        ));
+    }
+    for k in [3, 8] {
+        analytic.push(format!(
+            "SELECT * FROM wisc WHERE ten_pct = {k} ORDER BY stringu1 LIMIT 10"
+        ));
+    }
+    battery()
+        .into_iter()
+        .map(String::from)
+        .chain(analytic)
+        .collect()
+}
+
 /// The full-row plans narrowing is checked against: for every statement
 /// of [`narrowing_scans_changes_no_plan_choice`] under every strategy, the
 /// scan order, the join methods, and each node's operator and estimates in
@@ -157,30 +191,6 @@ fn plan_record(out: &mut String, strategy: Strategy, sql: &str, plan: &PhysicalP
 #[test]
 fn narrowing_scans_changes_no_plan_choice() {
     let db = seeded(false);
-    // The `analytic` workload's 11 statement shapes.
-    let mut analytic: Vec<String> = vec![REVENUE_PER_NATION.into(), CUSTOMER_ORDERS.into()];
-    for (status, balance) in [("open", 4500), ("shipped", 5000), ("done", 5500)] {
-        analytic.push(format!(
-            "SELECT o.o_key, c.c_name FROM orders o JOIN customer c \
-             ON o.o_customer = c.c_key WHERE o.o_status = '{status}' AND c.c_balance > {balance}"
-        ));
-    }
-    for k in [0, 1] {
-        analytic.push(format!(
-            "SELECT ten_pct, COUNT(*), SUM(unique2) FROM wisc WHERE odd = {k} GROUP BY ten_pct"
-        ));
-    }
-    for k in [7, 42] {
-        analytic.push(format!(
-            "SELECT a.unique1, b.unique1 FROM wisc a \
-             JOIN wisc b ON a.unique1 = b.unique2 WHERE a.one_pct = {k}"
-        ));
-    }
-    for k in [3, 8] {
-        analytic.push(format!(
-            "SELECT * FROM wisc WHERE ten_pct = {k} ORDER BY stringu1 LIMIT 10"
-        ));
-    }
     let whole_rows = [
         "SELECT * FROM wisc WHERE ten_pct = 3 ORDER BY stringu1 LIMIT 10",
         "SELECT * FROM wisc WHERE unique1 = 5",
@@ -191,11 +201,7 @@ fn narrowing_scans_changes_no_plan_choice() {
         "DELETE FROM wisc WHERE unique1 = -1",
         "UPDATE empty_t SET x = 1 WHERE y = 'q'",
     ];
-    let queries: Vec<String> = battery()
-        .into_iter()
-        .map(String::from)
-        .chain(analytic)
-        .collect();
+    let queries = recorded_queries();
     let (mut record, mut narrowed) = (String::new(), 0);
     for strategy in STRATEGIES {
         db.set_strategy(strategy);
@@ -222,6 +228,40 @@ fn narrowing_scans_changes_no_plan_choice() {
         narrowed > queries.len(),
         "too few plans narrowed: {narrowed}"
     );
+}
+
+/// The search counts every candidate's pricing is checked against: for
+/// every statement of [`recorded_queries`] under every strategy, the
+/// candidates the enumerator considered, the ones it pruned, and the
+/// dominance table's final size, as the optimizer counted them when it
+/// built every candidate before comparing costs. Recorded from that
+/// optimizer, not from the code it checks.
+const SEARCH_COUNTS: &str = include_str!("support/search_counts.txt");
+
+/// Pricing a join before building it changes no search count: every
+/// candidate is still priced, traced and counted, and the dominance table
+/// ends as large, under every strategy, as in [`SEARCH_COUNTS`].
+#[test]
+fn pricing_before_building_counts_every_candidate() {
+    let db = seeded(false);
+    let queries = recorded_queries();
+    let mut record = String::new();
+    for strategy in STRATEGIES {
+        db.set_strategy(strategy);
+        for sql in &queries {
+            let t = db.query_traced(sql).unwrap().trace;
+            let (name, memo) = (strategy.name(), t.memo_entries);
+            let _ = writeln!(
+                record,
+                "{name}\t{sql}\t{} {} {memo}",
+                t.considered, t.pruned
+            );
+        }
+    }
+    for (i, (w, g)) in SEARCH_COUNTS.lines().zip(record.lines()).enumerate() {
+        assert_eq!(g, w, "line {} of support/search_counts.txt", i + 1);
+    }
+    assert_eq!(record.len(), SEARCH_COUNTS.len(), "record length");
 }
 
 /// Planning is deterministic: same catalog, same query, same plan.
