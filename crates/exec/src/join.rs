@@ -470,29 +470,28 @@ impl Executor for SortMergeJoinExec {
 // Hash join (in-memory or Grace)
 // ---------------------------------------------------------------------------
 
-/// Build rows plus their typed key index: the one structure both hash-join
+/// Build rows plus their key index: the one structure both hash-join
 /// states probe. The [`JoinKeyMap`] owns the NULL-never-matches rule.
 struct BuildSide {
     rows: Vec<Tuple>,
-    key: usize,
     keys: JoinKeyMap,
 }
 
 impl BuildSide {
     fn new(rows: Vec<Tuple>, key: usize) -> Result<BuildSide> {
         let keys = JoinKeyMap::build(&rows, key)?;
-        Ok(BuildSide { rows, key, keys })
+        Ok(BuildSide { rows, keys })
     }
 
     /// Push `lt` joined with every build row its key `probe` matches.
     fn probe(
-        &mut self,
+        &self,
         lt: &Tuple,
         probe: &Value,
         residual: &Option<Expr>,
         out: &mut BatchBuilder,
     ) -> Result<()> {
-        for &ri in self.keys.lookup(probe, &self.rows, self.key)? {
+        for &ri in self.keys.lookup(probe) {
             let combined = lt.join(&self.rows[ri as usize]);
             if passes(residual, &combined)? {
                 out.push(combined);

@@ -1,131 +1,86 @@
-//! The hash join's typed build-side index.
+//! The hash operators' key tables: the hash join's build-side index, and
+//! the hash both it and the hash aggregate's group map use.
 //!
-//! Key columns are hashed as native `i64` / `f64`-bits / `String` keys
-//! instead of `Value` enums. NULL keys are excluded at build and probe (SQL:
-//! NULL never joins), and a representation mismatch at probe time degrades —
-//! lazily, exactly once — to a `Value`-keyed map whose `Eq`/`Hash` are
-//! `Value`'s own, so the matches are the ones row-at-a-time key comparison
-//! finds (the nested-loop and sort-merge joins are the differential
-//! reference).
+//! Build rows are indexed by their key `Value`, hashed and compared with
+//! `Value`'s own `Hash`/`Eq`: `Int(7)` meets `Float(7.0)`, `Int(0)` does not
+//! meet `Float(-0.0)` (the total order tells them apart), and a string never
+//! meets a number. NULL keys are skipped at build and a NULL probe matches
+//! nothing (SQL: NULL never joins), so the matches are the ones row-at-a-time
+//! key comparison finds (the nested-loop and sort-merge joins are the
+//! differential reference).
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
-use evopt_common::{EvoptError, Result, Tuple, Value};
+use evopt_common::{Result, Tuple, Value};
 
 const NO_MATCHES: &[u32] = &[];
 
-/// Build-side key index: maps a key to the build-row indices carrying it. The representation is chosen from the
-/// build keys' runtime variants; NULL keys are never inserted.
-pub enum JoinKeyMap {
-    /// All build keys are `Int`.
-    Int(HashMap<i64, Vec<u32>>),
-    /// All build keys are `Float`, keyed by `to_bits` (the total order —
-    /// and therefore SQL equality on non-null floats — distinguishes
-    /// values iff their bits differ).
-    Float(HashMap<u64, Vec<u32>>),
-    /// All build keys are `Str`.
-    Str(HashMap<String, Vec<u32>>),
-    /// Mixed variants: `Value`-keyed, `Value`'s own `Eq`/`Hash`.
-    Val(HashMap<Value, Vec<u32>>),
+/// A hash table keyed on `Value`s, as the hash operators keep them.
+pub(crate) type KeyMap<K, V> = HashMap<K, V, BuildHasherDefault<KeyHasher>>;
+
+/// The hash of the operators' key tables: one multiply per word written,
+/// then murmur3's finaliser, so the table's low bits depend on every bit
+/// written (an `Int` key hashes as its `f64` bits, whose low bits are zero
+/// for small integers). Unkeyed, like the Grace partitioning hash.
+#[derive(Default)]
+pub(crate) struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.write_u64(u64::from(i));
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.write_u64(i as u64);
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.0 = (self.0.rotate_left(5) ^ i).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        let mut h = self.0;
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        h ^ (h >> 33)
+    }
 }
+
+/// Build-side key index: maps a key to the build-row indices carrying it.
+/// NULL keys are never inserted.
+pub struct JoinKeyMap(KeyMap<Value, Vec<u32>>);
 
 impl JoinKeyMap {
     /// Index `rows` by the key column. Rows with NULL keys are skipped —
     /// they can never match a probe.
     pub fn build(rows: &[Tuple], key: usize) -> Result<JoinKeyMap> {
-        // One scan to pick the representation.
-        let mut variant: Option<u8> = None; // 0=Int 1=Float 3=Str
-        let mut mixed = false;
-        for t in rows {
-            let tag = match t.value(key)? {
-                Value::Null => continue,
-                Value::Int(_) => 0,
-                Value::Float(_) => 1,
-                Value::Str(_) => 3,
-                Value::Bool(_) => 4,
-            };
-            match variant {
-                None => variant = Some(tag),
-                Some(v) if v == tag => {}
-                Some(_) => {
-                    mixed = true;
-                    break;
-                }
-            }
-        }
-        if mixed || variant == Some(4) {
-            return Self::build_val(rows, key);
-        }
-        match variant {
-            None | Some(0) => {
-                let mut map: HashMap<i64, Vec<u32>> = HashMap::new();
-                for (i, t) in rows.iter().enumerate() {
-                    if let Value::Int(k) = t.value(key)? {
-                        map.entry(*k).or_default().push(i as u32);
-                    }
-                }
-                Ok(JoinKeyMap::Int(map))
-            }
-            Some(1) => {
-                let mut map: HashMap<u64, Vec<u32>> = HashMap::new();
-                for (i, t) in rows.iter().enumerate() {
-                    if let Value::Float(k) = t.value(key)? {
-                        map.entry(k.to_bits()).or_default().push(i as u32);
-                    }
-                }
-                Ok(JoinKeyMap::Float(map))
-            }
-            _ => {
-                let mut map: HashMap<String, Vec<u32>> = HashMap::new();
-                for (i, t) in rows.iter().enumerate() {
-                    if let Value::Str(k) = t.value(key)? {
-                        map.entry(k.clone()).or_default().push(i as u32);
-                    }
-                }
-                Ok(JoinKeyMap::Str(map))
-            }
-        }
-    }
-
-    fn build_val(rows: &[Tuple], key: usize) -> Result<JoinKeyMap> {
-        let mut map: HashMap<Value, Vec<u32>> = HashMap::new();
+        let mut map: KeyMap<Value, Vec<u32>> = KeyMap::default();
         for (i, t) in rows.iter().enumerate() {
             let k = t.value(key)?;
-            if k.is_null() {
-                continue;
+            if !k.is_null() {
+                map.entry(k.clone()).or_default().push(i as u32);
             }
-            map.entry(k.clone()).or_default().push(i as u32);
         }
-        Ok(JoinKeyMap::Val(map))
+        Ok(JoinKeyMap(map))
     }
 
-    /// Build-row indices matching a probe key. NULL probes match
-    /// nothing. A probe whose variant the typed map cannot answer exactly
-    /// (an `Int` probe against a `Float`-keyed map is fine — bit-keys
-    /// reproduce `total_cmp` equality — but a `Float` probe against an
-    /// `Int`-keyed map is not representable) degrades the map, once, to
-    /// the `Value`-keyed form.
-    pub fn lookup(&mut self, probe: &Value, rows: &[Tuple], key: usize) -> Result<&[u32]> {
-        if let (JoinKeyMap::Int(_), Value::Float(_)) = (&*self, probe) {
-            *self = match Self::build_val(rows, key)? {
-                m @ JoinKeyMap::Val(_) => m,
-                _ => return Err(EvoptError::Internal("join key map degrade".into())),
-            };
+    /// Build-row indices matching a probe key. NULL probes match nothing.
+    pub fn lookup(&self, probe: &Value) -> &[u32] {
+        if probe.is_null() {
+            return NO_MATCHES;
         }
-        let hit = match (&*self, probe) {
-            (_, Value::Null) => None,
-            (JoinKeyMap::Int(map), Value::Int(k)) => map.get(k),
-            (JoinKeyMap::Float(map), Value::Float(k)) => map.get(&k.to_bits()),
-            // Int probe vs Float build keys: SQL equality is
-            // `(i as f64).total_cmp(k) == Equal`, i.e. identical bits.
-            (JoinKeyMap::Float(map), Value::Int(k)) => map.get(&(*k as f64).to_bits()),
-            (JoinKeyMap::Str(map), Value::Str(k)) => map.get(k),
-            (JoinKeyMap::Val(map), v) => map.get(v),
-            // Every other pairing is cross-class (say a Bool or Str probe
-            // against Int keys) and can never compare Equal.
-            _ => None,
-        };
-        Ok(hit.map_or(NO_MATCHES, Vec::as_slice))
+        self.0.get(probe).map_or(NO_MATCHES, Vec::as_slice)
     }
 }
 
@@ -140,58 +95,65 @@ mod tests {
     }
 
     #[test]
-    fn join_key_map_picks_typed_representation() {
+    fn join_key_map_indexes_int_keys() {
         let rows = vec![
             t(vec![Value::Int(1)]),
             t(vec![Value::Null]),
             t(vec![Value::Int(1)]),
             t(vec![Value::Int(2)]),
         ];
-        let mut map = JoinKeyMap::build(&rows, 0).unwrap();
-        assert!(matches!(map, JoinKeyMap::Int(_)));
-        assert_eq!(map.lookup(&Value::Int(1), &rows, 0).unwrap(), &[0, 2]);
-        assert_eq!(map.lookup(&Value::Int(2), &rows, 0).unwrap(), &[3]);
-        assert!(map.lookup(&Value::Int(9), &rows, 0).unwrap().is_empty());
+        let map = JoinKeyMap::build(&rows, 0).unwrap();
+        assert_eq!(map.lookup(&Value::Int(1)), &[0, 2]);
+        assert_eq!(map.lookup(&Value::Int(2)), &[3]);
+        assert!(map.lookup(&Value::Int(9)).is_empty());
         // NULL probes never match.
-        assert!(map.lookup(&Value::Null, &rows, 0).unwrap().is_empty());
+        assert!(map.lookup(&Value::Null).is_empty());
         // Cross-class probes never match.
-        assert!(map
-            .lookup(&Value::Str("1".into()), &rows, 0)
-            .unwrap()
-            .is_empty());
+        assert!(map.lookup(&Value::Str("1".into())).is_empty());
     }
 
     #[test]
-    fn join_key_map_float_probe_degrades_exactly() {
+    fn join_key_map_float_probe_against_int_keys() {
         let rows = vec![t(vec![Value::Int(7)]), t(vec![Value::Int(8)])];
-        let mut map = JoinKeyMap::build(&rows, 0).unwrap();
+        let map = JoinKeyMap::build(&rows, 0).unwrap();
         // A Float probe against Int keys must match numerically (SQL:
-        // 7 = 7.0), which the degraded Value map provides.
-        assert_eq!(map.lookup(&Value::Float(7.0), &rows, 0).unwrap(), &[0]);
-        assert!(matches!(map, JoinKeyMap::Val(_)));
-        assert!(map.lookup(&Value::Float(7.5), &rows, 0).unwrap().is_empty());
-        assert_eq!(map.lookup(&Value::Int(8), &rows, 0).unwrap(), &[1]);
+        // 7 = 7.0).
+        assert_eq!(map.lookup(&Value::Float(7.0)), &[0]);
+        assert!(map.lookup(&Value::Float(7.5)).is_empty());
+        assert_eq!(map.lookup(&Value::Int(8)), &[1]);
     }
 
     #[test]
     fn join_key_map_int_probe_against_float_keys() {
         let rows = vec![t(vec![Value::Float(7.0)]), t(vec![Value::Float(-0.0)])];
-        let mut map = JoinKeyMap::build(&rows, 0).unwrap();
-        assert!(matches!(map, JoinKeyMap::Float(_)));
-        assert_eq!(map.lookup(&Value::Int(7), &rows, 0).unwrap(), &[0]);
+        let map = JoinKeyMap::build(&rows, 0).unwrap();
+        assert_eq!(map.lookup(&Value::Int(7)), &[0]);
         // Int 0 is +0.0; it must NOT match -0.0 (total_cmp distinguishes),
         // exactly like `Value` equality.
-        assert!(map.lookup(&Value::Int(0), &rows, 0).unwrap().is_empty());
-        assert_eq!(map.lookup(&Value::Float(-0.0), &rows, 0).unwrap(), &[1]);
+        assert!(map.lookup(&Value::Int(0)).is_empty());
+        assert_eq!(map.lookup(&Value::Float(-0.0)), &[1]);
     }
 
     #[test]
-    fn join_key_map_mixed_keys_use_value_map() {
+    fn key_hasher_spreads_int_keys_over_the_low_bits() {
+        // `Int(i)` hashes as the `f64` bits of `i`, whose low bits are all
+        // zero; a table indexes its buckets by the hash's low bits.
+        let low_bits: std::collections::HashSet<u64> = (0..256)
+            .map(|i| {
+                let mut h = KeyHasher::default();
+                std::hash::Hash::hash(&Value::Int(i), &mut h);
+                h.finish() & 0xff
+            })
+            .collect();
+        assert!(low_bits.len() > 128, "{} distinct", low_bits.len());
+    }
+
+    #[test]
+    fn join_key_map_mixed_keys() {
         let rows = vec![t(vec![Value::Int(1)]), t(vec![Value::Float(2.5)])];
-        let mut map = JoinKeyMap::build(&rows, 0).unwrap();
-        assert!(matches!(map, JoinKeyMap::Val(_)));
-        assert_eq!(map.lookup(&Value::Int(1), &rows, 0).unwrap(), &[0]);
-        assert_eq!(map.lookup(&Value::Float(1.0), &rows, 0).unwrap(), &[0]);
-        assert_eq!(map.lookup(&Value::Float(2.5), &rows, 0).unwrap(), &[1]);
+        let map = JoinKeyMap::build(&rows, 0).unwrap();
+        assert_eq!(map.lookup(&Value::Int(1)), &[0]);
+        assert_eq!(map.lookup(&Value::Float(1.0)), &[0]);
+        assert_eq!(map.lookup(&Value::Float(2.5)), &[1]);
     }
 }

@@ -16,11 +16,12 @@
 //! A predicate is decided in one place, `Expr::eval_predicate`, called row
 //! by row from the four operators a predicate can sit in: the sequential
 //! scan's pushed filter, the index scan's residual, the joins' residual and
-//! [`simple::FilterExec`]. Operators read `&Value` straight from the rows;
-//! typed *state* is kept where it has an end-to-end record —
-//! [`agg::HashAggregateExec`]'s accumulators and group keys, and the hash
-//! join's key index — each checked against a row-wise sibling operator by
-//! the differential suites.
+//! [`simple::FilterExec`]. Operators read `&Value` straight from the rows,
+//! and the hash operators key on them: the hash join indexes its build rows
+//! by the key `Value`, [`agg::HashAggregateExec`] maps the group columns'
+//! `Value`s to a group, and both aggregates share one accumulator. Each hash
+//! operator is checked against a sibling that does not hash (nested loops,
+//! sort then stream) by the differential suites.
 //!
 //! All page access still goes through the shared buffer pool, so the
 //! **measured physical I/O of a plan is real** — block nested loops

@@ -10,18 +10,22 @@
 //! LIMITs that cut a batch mid-way.
 //!
 //! The `*_typed_vs_row` tests are the cross-family differentials: the two
-//! operators with typed state (hash aggregation, the hash join's key index)
-//! against their row-at-a-time siblings (see `support::sibling`), at every
-//! batch size.
+//! hash operators (hash aggregation, the hash join's key index) against
+//! their row-at-a-time siblings (see `support::sibling`), at every batch
+//! size.
 
 mod support;
 
 use evopt::{Database, Tuple};
-use evopt_common::Value;
+use evopt_common::expr::col;
+use evopt_common::{AggFunc, Column, DataType, Schema, Value};
+use evopt_core::physical::{PhysAgg, PhysOp};
 use evopt_exec::{run_collect, ExecEnv};
 use evopt_workload::tpch_lite::queries;
 use evopt_workload::{load_tpch_lite, load_wisconsin};
-use support::{count_ops, join_plans, normalized, run_at, sibling, sorted_scan, try_run_at, world};
+use support::{
+    count_ops, join_plans, normalized, plan, run_at, scan, sibling, sorted_scan, try_run_at, world,
+};
 
 /// 1 is the tuple-at-a-time baseline; 3 forces many ragged partial batches;
 /// 1024 is the default; 4096 puts whole results in one batch.
@@ -45,10 +49,10 @@ fn fixture() -> Database {
 /// variant), `FLOAT` literals and NULLs in every column. `g` is `Int` or
 /// NULL for the first 100 rows, then `Float` and `Int` alternate, so the
 /// first `Float` group value follows `Int` ones inside one batch (at 1024
-/// rows) and across batches (at 1, 3 and 64): the hash aggregate's `Int`
-/// group keys must move to the generic map without splitting or merging a
-/// group. `k` joins `wisc.one_pct`; its `Float` values are whole (they
-/// match) or end in `.5` (they never do). Fractions are multiples of 0.25,
+/// rows) and across batches (at 1, 3 and 64): a whole `Float` and the
+/// equal `Int` must land in one group, and no group may split or merge.
+/// `k` joins `wisc.one_pct`; its `Float` values are whole (they match) or
+/// end in `.5` (they never do). Fractions are multiples of 0.25,
 /// so `SUM`/`AVG` are exact in any order.
 fn load_mixed(db: &Database) {
     db.execute("CREATE TABLE mixed (g FLOAT, v FLOAT, k FLOAT)")
@@ -164,10 +168,10 @@ fn cross_products_decoding_no_column_keep_every_pair() {
 
 #[test]
 fn sql_battery_identical_typed_vs_row() {
-    // The typed operators (join key maps, typed accumulators) must be
-    // invisible in results: every battery query's chosen plan, and the same
-    // plan with each typed operator swapped for its row-at-a-time sibling,
-    // return identical rows at several batch sizes.
+    // The hash operators (the join's key index, the aggregate's group map)
+    // must be invisible in results: every battery query's chosen plan, and
+    // the same plan with each hash operator swapped for its row-at-a-time
+    // sibling, return identical rows at several batch sizes.
     let db = fixture();
     let (mut hash_joins, mut hash_aggregates) = (0, 0);
     for sql in query_battery() {
@@ -181,12 +185,12 @@ fn sql_battery_identical_typed_vs_row() {
             assert_eq!(
                 normalized(&got),
                 normalized(&want),
-                "the typed operators changed the result of {sql} at batch_rows={bs}"
+                "the hash operators changed the result of {sql} at batch_rows={bs}"
             );
             if sql.contains("ORDER BY unique1") {
                 assert_eq!(
                     got, want,
-                    "the typed operators changed row order of {sql} at batch_rows={bs}"
+                    "the hash operators changed row order of {sql} at batch_rows={bs}"
                 );
             }
         }
@@ -246,6 +250,55 @@ fn filter_errors_keep_their_place() {
         for limit in [" LIMIT 20", ""] {
             let err = try_run_at(&db, &plan(limit), bs).unwrap_err();
             assert_eq!(err.kind(), "execution", "LIMIT{limit} at batch_rows={bs}");
+        }
+    }
+}
+
+/// A SUM that overflows `i64`, and a SUM over strings, fail with the same
+/// error through `HashAggregate` and through `Sort → SortAggregate`,
+/// grouped and ungrouped, at every batch size.
+#[test]
+fn sum_errors_match_through_both_aggregates() {
+    // `l.a` alternates two values near `i64::MAX / 2`: any two of them
+    // overflow. `l.tag` is a string.
+    let env = world(
+        16,
+        |i| Value::Int(i64::MAX / 2 + i % 2),
+        20,
+        |_| Value::Null,
+        0,
+    );
+    let l = scan(&env, "l");
+    let sum_of = |arg: usize, group_by: Vec<usize>| {
+        let mut schema: Vec<Column> = group_by
+            .iter()
+            .map(|&g| l.schema.columns()[g].clone())
+            .collect();
+        schema.push(Column::new("sum", DataType::Int));
+        plan(
+            PhysOp::HashAggregate {
+                input: Box::new(l.clone()),
+                group_by,
+                aggs: vec![PhysAgg {
+                    func: AggFunc::Sum,
+                    arg: Some(col(arg)),
+                }],
+            },
+            Schema::new(schema),
+        )
+    };
+    for (arg, want) in [(0, "integer overflow in +"), (1, "cannot apply + to")] {
+        for group_by in [vec![], vec![0]] {
+            let hash = sum_of(arg, group_by.clone());
+            let sort = sibling(&hash);
+            assert_eq!(count_ops(&sort, "SortAggregate"), 1);
+            for bs in [1, 64, 1024] {
+                let env = env.clone().with_batch_rows(bs);
+                let by_hash = run_collect(&hash, &env).unwrap_err().to_string();
+                let by_sort = run_collect(&sort, &env).unwrap_err().to_string();
+                assert!(by_hash.contains(want), "{by_hash}");
+                assert_eq!(by_hash, by_sort, "SUM(col {arg}) GROUP BY {group_by:?}");
+            }
         }
     }
 }
@@ -337,7 +390,7 @@ fn grace_hash_join_identical_across_batch_sizes() {
 
 #[test]
 fn grace_hash_join_identical_typed_vs_row() {
-    // The Grace path builds a typed key index per partition; the
+    // The Grace path builds a key index per partition; the
     // in-memory/spill decision and the per-partition results must agree
     // with the sort-merge join's row-at-a-time key comparison.
     let env = join_world(800, 1200, 60, 3);

@@ -14,10 +14,10 @@
 //! * **Predicates reject NULL** (`WHERE x = x` drops NULL rows), while
 //!   `IS NULL` / `IS NOT NULL` observe nullness directly.
 //!
-//! Every check runs the two typed operators (hash aggregation, the hash
+//! Every check runs the two hash operators (hash aggregation, the hash
 //! join's key index) and their row-at-a-time siblings (see
 //! `support::sibling`) at batch sizes 1, 64 and 1024 and asserts identical
-//! results — the typed code must reproduce the row operators' NULL behaviour
+//! results — hashing must reproduce the row operators' NULL behaviour
 //! exactly.
 
 mod support;
@@ -32,11 +32,13 @@ use evopt_core::physical::PhysOp;
 use evopt_exec::{run_collect, ExecEnv};
 use evopt_obs::EngineMetrics;
 use evopt_storage::{BufferPool, DiskManager};
-use support::{join_plans, normalized, plan, run_at, scan, sibling, world};
+use support::{
+    count_ops, join_plans, normalized, plan, run_at, scan, sibling, world, world_with_key_types,
+};
 
 const BATCH_SIZES: [usize; 3] = [1, 64, 1024];
 
-/// Run `sql` as planned and with every typed operator swapped for its
+/// Run `sql` as planned and with every hash operator swapped for its
 /// row-at-a-time sibling, at each batch size; assert all six runs agree and
 /// return one representative result.
 fn query_all_modes(db: &Database, sql: &str) -> Vec<Tuple> {
@@ -94,7 +96,9 @@ fn null_fixture() -> Database {
 #[test]
 fn null_group_keys_form_one_group() {
     let db = null_fixture();
-    let rows = query_all_modes(&db, "SELECT k, COUNT(*), SUM(v) FROM t GROUP BY k");
+    let sql = "SELECT k, COUNT(*), SUM(v) FROM t GROUP BY k";
+    assert_eq!(count_ops(&db.plan_sql(sql).unwrap().1, "HashAggregate"), 1);
+    let rows = query_all_modes(&db, sql);
     // Groups: k in 0..7 plus exactly ONE group for all 67 NULL keys.
     assert_eq!(rows.len(), 8);
     let null_groups: Vec<&Tuple> = rows
@@ -103,6 +107,35 @@ fn null_group_keys_form_one_group() {
         .collect();
     assert_eq!(null_groups.len(), 1, "all NULL keys must share one group");
     assert_eq!(*null_groups[0].value(1).unwrap(), Value::Int(67));
+
+    // An INT and a STRING group column, each NULL on some rows: a NULL in
+    // either column is one value of that column's key, so `(NULL, 's1')`
+    // and `(NULL, NULL)` are groups of their own.
+    let sql = "SELECT k, s, COUNT(*), COUNT(v), MIN(v), MAX(s) FROM t GROUP BY k, s";
+    assert_eq!(count_ops(&db.plan_sql(sql).unwrap().1, "HashAggregate"), 1);
+    let rows = query_all_modes(&db, sql);
+    let mut keys: Vec<(Option<i64>, Option<i64>)> = (0..200)
+        .map(|i| {
+            (
+                (i % 3 != 0).then_some(i % 7),
+                (i % 5 != 0).then_some(i % 11),
+            )
+        })
+        .collect();
+    keys.sort();
+    keys.dedup();
+    assert_eq!(rows.len(), keys.len());
+    let all_null: Vec<&Tuple> = rows
+        .iter()
+        .filter(|t| t.value(0).unwrap().is_null() && t.value(1).unwrap().is_null())
+        .collect();
+    assert_eq!(all_null.len(), 1, "one (NULL, NULL) group");
+    // Both NULL on every 15th row.
+    assert_eq!(*all_null[0].value(2).unwrap(), Value::Int(14));
+    assert!(
+        all_null[0].value(5).unwrap().is_null(),
+        "MAX over NULLs only"
+    );
 }
 
 #[test]
@@ -293,25 +326,91 @@ fn assert_families_match_nested_loop(env: &ExecEnv) {
 
 #[test]
 fn mixed_null_join_identical_typed_vs_row() {
-    // The non-null subset must join the same in every family — the typed
-    // key index against row-at-a-time key comparison — at every batch size.
+    // The non-null subset must join the same in every family — the hash
+    // join's key index against row-at-a-time key comparison — at every
+    // batch size.
     assert_families_match_nested_loop(&mixed_null_world(16, 170, 170));
+}
+
+/// An `INT` key column against a `FLOAT` one, NULLs on both sides. The
+/// pairs that test numeric key equality: `0` meets `0.0` but not `-0.0`,
+/// `7` meets `7.0`, and `2^53 + 1` (no `f64` holds it) meets `2^53`, the
+/// float it rounds to. No two `INT` keys equal the same `FLOAT`, so the
+/// matches do not depend on which side is hashed. 150 rows on the left,
+/// 1 000 on the right.
+fn int_float_world(pool_pages: usize, int_left: bool) -> ExecEnv {
+    const TWO_53: i64 = 1 << 53;
+    let int_key = |i: i64| match i % 6 {
+        0 => Value::Null,
+        1 => Value::Int(0),
+        2 => Value::Int(7),
+        3 => Value::Int(TWO_53 + 1),
+        4 => Value::Int(3),
+        _ => Value::Int(-4),
+    };
+    let float_key = |i: i64| match i % 7 {
+        0 => Value::Null,
+        1 => Value::Float(-0.0),
+        2 => Value::Float(0.0),
+        3 => Value::Float(7.0),
+        4 => Value::Float(TWO_53 as f64),
+        5 => Value::Float(7.5),
+        _ => Value::Float(-4.25),
+    };
+    let (int, float) = (DataType::Int, DataType::Float);
+    if int_left {
+        world_with_key_types(pool_pages, (int, int_key, 150), (float, float_key, 1000))
+    } else {
+        world_with_key_types(pool_pages, (float, float_key, 150), (int, int_key, 1000))
+    }
 }
 
 #[test]
 fn every_join_family_matches_nested_loop_in_memory_and_under_grace_spill() {
     // A build side of 1 000 rows: held in memory under a 64-page budget,
     // Grace-partitioned under a 3-page one. Same rows either way, from
-    // every family.
-    for (pool_pages, spills) in [(64, false), (3, true)] {
-        let counters = Arc::new(EngineMetrics::default());
-        let env = mixed_null_world(pool_pages, 150, 1000).with_metrics(Arc::clone(&counters));
-        assert_families_match_nested_loop(&env);
+    // every family. The keys: INT against INT, and INT against FLOAT both
+    // ways round (the hash join builds on the right, so once its build keys
+    // are INT and its probes FLOAT).
+    let worlds: [fn(usize) -> ExecEnv; 3] = [
+        |pages| mixed_null_world(pages, 150, 1000),
+        |pages| int_float_world(pages, true),
+        |pages| int_float_world(pages, false),
+    ];
+    for world in worlds {
+        for (pool_pages, spills) in [(64, false), (3, true)] {
+            let counters = Arc::new(EngineMetrics::default());
+            let env = world(pool_pages).with_metrics(Arc::clone(&counters));
+            assert_families_match_nested_loop(&env);
+            assert_eq!(
+                counters.snapshot().exec_spills > 0,
+                spills,
+                "a {pool_pages}-page budget should {}spill the hash join's build side",
+                if spills { "" } else { "not " }
+            );
+        }
+    }
+    // The INT and FLOAT keys that met, read off the nested-loop join.
+    for int_left in [true, false] {
+        let env = int_float_world(64, int_left);
+        let (int_col, float_col) = if int_left { (0, 2) } else { (2, 0) };
+        let rows = run_collect(&join_plans(&env)[0].1, &env).unwrap();
+        let mut met: Vec<String> = rows
+            .iter()
+            .map(|t| {
+                let int = t.value(int_col).unwrap();
+                format!("{int:?} = {:?}", t.value(float_col).unwrap())
+            })
+            .collect();
+        met.sort();
+        met.dedup();
         assert_eq!(
-            counters.snapshot().exec_spills > 0,
-            spills,
-            "a {pool_pages}-page budget should {}spill the hash join's build side",
-            if spills { "" } else { "not " }
+            met,
+            [
+                "Int(0) = Float(0.0)",
+                "Int(7) = Float(7.0)",
+                "Int(9007199254740993) = Float(9007199254740992.0)",
+            ]
         );
     }
 }

@@ -5,12 +5,14 @@
 //! `verify_differential.rs` and `optimizer_properties.rs` share a query
 //! battery and the database it runs on.
 //!
-//! The two operators that keep typed state (`HashAggregate`'s accumulators
-//! and group keys, `HashJoin`'s key index) each have a sibling that does the
-//! same job with `Value` state through code the typed one does not share.
-//! "Typed vs row" in the suites' test names means exactly that pair. A `Filter` evaluates its
-//! predicate like a scan does; folding it into the scan checks its batch
-//! plumbing.
+//! The two hash operators each have a sibling that does the same job
+//! without hashing: `HashAggregate` groups through a map keyed on the group
+//! columns' `Value`s where `Sort → SortAggregate` compares neighbouring
+//! rows (both feed the same accumulators), and `HashJoin` looks its keys up
+//! in a `Value`-keyed index where `NestedLoopJoin` evaluates the equality
+//! predicate. "Typed vs row" in the suites' test names means exactly that
+//! pair. A `Filter` evaluates its predicate like a scan does; folding it
+//! into the scan checks its batch plumbing.
 
 // Each suite uses its own subset.
 #![allow(dead_code)]
@@ -60,13 +62,26 @@ pub fn world(
     right_key: impl Fn(i64) -> Value,
     n_right: i64,
 ) -> ExecEnv {
+    world_with_key_types(
+        pool_pages,
+        (DataType::Int, left_key, n_left),
+        (DataType::Int, right_key, n_right),
+    )
+}
+
+/// [`world`] with the key columns `a` and `b` declared as the given types.
+pub fn world_with_key_types(
+    pool_pages: usize,
+    (left_type, left_key, n_left): (DataType, impl Fn(i64) -> Value, i64),
+    (right_type, right_key, n_right): (DataType, impl Fn(i64) -> Value, i64),
+) -> ExecEnv {
     let pool = BufferPool::new(Arc::new(DiskManager::new()), pool_pages);
     let cat = Arc::new(Catalog::new(pool));
     let l = cat
         .create_table(
             "l",
             Schema::new(vec![
-                Column::new("a", DataType::Int),
+                Column::new("a", left_type),
                 Column::new("tag", DataType::Str),
             ]),
         )
@@ -80,7 +95,7 @@ pub fn world(
         .create_table(
             "r",
             Schema::new(vec![
-                Column::new("b", DataType::Int),
+                Column::new("b", right_type),
                 Column::new("payload", DataType::Int),
             ]),
         )
@@ -204,13 +219,13 @@ pub fn join_plans(env: &ExecEnv) -> Vec<(&'static str, PhysicalPlan)> {
     ]
 }
 
-/// `p` with every typed operator replaced by its row-at-a-time sibling, and
+/// `p` with every hash operator replaced by its row-at-a-time sibling, and
 /// a `Filter` folded into the scan under it:
 ///
 /// * a `Filter` over a `SeqScan` becomes the scan's pushed filter
 ///   (`Expr::eval_predicate` per row, as in the `Filter`);
-/// * `HashAggregate` becomes `Sort → SortAggregate` (the `Value`
-///   accumulator);
+/// * `HashAggregate` becomes `Sort → SortAggregate` (groups found by
+///   comparing neighbouring rows, not by hashing);
 /// * `HashJoin` becomes `NestedLoopJoin` on `left.key = right.key AND
 ///   residual` (the predicate evaluator's three-valued equality), which
 ///   also emits matches in the hash join's order — probe rows in order,
