@@ -2,7 +2,7 @@
 //!
 //! Estimation errors at the leaves compound multiplicatively through a join
 //! tree (the independence assumption multiplies them), and a misled
-//! optimizer picks a different — worse — join order. We inject a controlled
+//! optimizer picks a different — worse — plan. We inject a controlled
 //! error `ε` into the row count of the chain's largest relation (the
 //! optimizer believes `rows × ε`), re-plan, execute, and report the
 //! measured-I/O regret against the truthfully-planned query.
@@ -52,7 +52,8 @@ pub struct Row {
     pub epsilon: f64,
     pub io_distorted: u64,
     pub io_truth: u64,
-    pub order_changed: bool,
+    /// The distorted plan's digest differs from the truth's.
+    pub plan_changed: bool,
 }
 
 impl Row {
@@ -76,7 +77,7 @@ impl Report {
                 "io truth",
                 "io distorted",
                 "regret",
-                "order changed",
+                "plan changed",
             ],
         );
         for r in &self.rows {
@@ -86,7 +87,7 @@ impl Report {
                 r.io_truth.to_string(),
                 r.io_distorted.to_string(),
                 format!("{:.2}", r.regret()),
-                if r.order_changed { "yes" } else { "no" }.into(),
+                if r.plan_changed { "yes" } else { "no" }.into(),
             ]);
         }
         t.render()
@@ -146,7 +147,7 @@ pub fn run(p: &Params) -> Report {
                 epsilon: eps,
                 io_distorted: io,
                 io_truth,
-                order_changed: plan.scan_order() != truth_plan.scan_order(),
+                plan_changed: plan.digest() != truth_plan.digest(),
             });
         }
     }
@@ -163,7 +164,7 @@ mod tests {
         for r in &report.rows {
             // ε = 1 is the truth: identical plan, identical I/O.
             if (r.epsilon - 1.0).abs() < 1e-9 {
-                assert!(!r.order_changed, "truth run changed the plan");
+                assert!(!r.plan_changed, "truth run changed the plan");
                 assert!((r.regret() - 1.0).abs() < 0.05, "regret {}", r.regret());
             }
             // Lies can't make the true execution cheaper (beyond cache noise).
@@ -175,12 +176,12 @@ mod tests {
                 r.regret()
             );
         }
-        // The strongest underestimate flips the join order somewhere.
+        // The strongest underestimate changes the plan somewhere.
         assert!(
             report
                 .rows
                 .iter()
-                .any(|r| r.epsilon < 0.01 && r.order_changed),
+                .any(|r| r.epsilon < 0.01 && r.plan_changed),
             "extreme underestimate never changed the plan"
         );
     }

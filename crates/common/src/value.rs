@@ -251,8 +251,9 @@ impl PartialOrd for Value {
 
 impl Ord for Value {
     /// Total order: class rank first, then within-class comparison. Ints and
-    /// floats compare numerically in one class; NaN sorts above all other
-    /// floats (total_cmp semantics) so sorting never panics.
+    /// floats compare numerically in one class, exactly (`2^53 + 1` is above
+    /// the float `2^53`); NaN sorts above all other floats (total_cmp
+    /// semantics) so sorting never panics.
     fn cmp(&self, other: &Self) -> Ordering {
         let (ra, rb) = (self.class_rank(), other.class_rank());
         if ra != rb {
@@ -263,8 +264,8 @@ impl Ord for Value {
             (Value::Bool(a), Value::Bool(b)) => a.cmp(b),
             (Value::Int(a), Value::Int(b)) => a.cmp(b),
             (Value::Float(a), Value::Float(b)) => a.total_cmp(b),
-            (Value::Int(a), Value::Float(b)) => (*a as f64).total_cmp(b),
-            (Value::Float(a), Value::Int(b)) => a.total_cmp(&(*b as f64)),
+            (Value::Int(a), Value::Float(b)) => int_float_cmp(*a, *b),
+            (Value::Float(a), Value::Int(b)) => int_float_cmp(*b, *a).reverse(),
             (Value::Str(a), Value::Str(b)) => a.cmp(b),
             // Unreachable while class_rank stays in sync with the variant
             // list; Equal keeps Ord total (and sorting panic-free) even if
@@ -274,11 +275,24 @@ impl Ord for Value {
     }
 }
 
+/// `a` against `b` exactly, where `a as f64` would round past 2^53. An
+/// `Int` sits where `total_cmp` puts the float it converts to among NaN,
+/// the infinities and the zeros: above `-0.0`, equal to `0.0` alone.
+fn int_float_cmp(a: i64, b: f64) -> Ordering {
+    if !b.is_finite() || b == 0.0 {
+        return (a as f64).total_cmp(&b);
+    }
+    // `b`'s integral part converts exactly (or saturates, far past any
+    // `i64`); its fraction, signed like `b`, breaks the tie.
+    let whole = i128::from(a).cmp(&(b.trunc() as i128));
+    whole.then_with(|| 0.0f64.total_cmp(&b.fract()))
+}
+
 impl Hash for Value {
-    /// Hash consistent with `Eq`: the total order compares numerics via
-    /// `f64::total_cmp`, under which two floats are equal **iff** their bit
-    /// patterns are identical — so hashing `to_bits` of the numeric value is
-    /// exactly consistent (and `Int(7)` hashes like `Float(7.0)`).
+    /// Hash consistent with `Eq`: two floats are equal **iff** their bits
+    /// are (`f64::total_cmp`), and an `Int` equals only the float holding it
+    /// exactly — so hashing `to_bits` of the numeric value is consistent
+    /// (`Int(7)` hashes like `Float(7.0)`, and `Int(2^53 + 1)` too).
     fn hash<H: Hasher>(&self, state: &mut H) {
         self.class_rank().hash(state);
         match self {
@@ -360,6 +374,50 @@ mod tests {
         assert_eq!(Value::Int(2), Value::Float(2.0));
         assert!(Value::Int(2) < Value::Float(2.5));
         assert!(Value::Float(1.9) < Value::Int(2));
+    }
+
+    #[test]
+    fn int_float_compare_exactly_past_2_pow_53() {
+        let two_53 = 1i64 << 53;
+        let f = Value::Float(two_53 as f64);
+        assert_eq!(Value::Int(two_53), f);
+        assert!(Value::Int(two_53 + 1) > f);
+        assert!(Value::Int(two_53 - 1) < f);
+        assert!(f < Value::Int(two_53 + 1));
+        assert_eq!(hash_of(&Value::Int(two_53)), hash_of(&f));
+        // The ends of the `i64` range against the floats just past them.
+        assert!(Value::Int(i64::MAX) < Value::Float(i64::MAX as f64)); // 2^63
+        assert_eq!(Value::Int(i64::MIN), Value::Float(i64::MIN as f64));
+        assert!(Value::Int(i64::MIN) > Value::Float(-9.3e18));
+        // Fractions either side of an integer, negative ones included.
+        assert!(Value::Int(-2) > Value::Float(-2.5));
+        assert!(Value::Int(-3) < Value::Float(-2.5));
+        assert!(Value::Int(0) > Value::Float(-0.5));
+        assert!(Value::Int(2) < Value::Float(2.5));
+    }
+
+    #[test]
+    fn int_float_keep_the_special_floats_where_they_were() {
+        // The zeros, infinities and NaNs order against an `Int` as they
+        // order against the float it converts to.
+        for i in [i64::MIN, -1, 0, 1, i64::MAX] {
+            for f in [
+                0.0,
+                -0.0,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                f64::NAN,
+                -f64::NAN,
+            ] {
+                let want = (i as f64).total_cmp(&f);
+                assert_eq!(Value::Int(i).cmp(&Value::Float(f)), want, "{i} vs {f}");
+                assert_eq!(
+                    Value::Float(f).cmp(&Value::Int(i)),
+                    want.reverse(),
+                    "{f} vs {i}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! | BNL(L, R) | `write P(R) + ⌈P(L)/(B−2)⌉·P(R)` | `|L|·|R|` |
 //! | INL(L, r) | `|L| · (h + match-pages)` | `|L| · matches` |
 //! | SMJ | sort passes | merge `|L|+|R|` |
-//! | HJ | 0, or `2(P(L)+P(R))` Grace | build+probe |
+//! | HJ(probe L, build R) | 0, or `2(P(L)+P(R))` Grace | `2·|R| + |L|` |
 //! | Sort(N pages) | `2·N·passes` | `|R|·log|R|` |
 //!
 //! All charges are for work **above** producing the inputs; enumeration sums
@@ -65,8 +65,12 @@ pub struct CostModel {
     pub w_io: f64,
     /// Weight of one tuple touch.
     pub w_cpu: f64,
-    /// Buffer pages the executor may assume (drives BNL block size, sort
-    /// fan-in, and the in-memory hash-join threshold).
+    /// Pages each memory-hungry operator may hold: the BNL block, the
+    /// sort's runs and fan-in, and the in-memory hash-join threshold. The
+    /// executor is handed the same number (`ExecEnv::buffer_pages`), so
+    /// what is priced as fitting is run in memory. An engine session's
+    /// grant is a quarter of its buffer pool, never below the default 64
+    /// (`DatabaseConfig::session`).
     pub buffer_pages: usize,
 }
 
@@ -190,7 +194,9 @@ impl CostModel {
         Cost::new(0.0, left_rows + right_rows)
     }
 
-    /// Hash join, building on the right input.
+    /// Hash join, building on the right input. A build row is charged
+    /// twice a probe row (it is hashed, copied and inserted, where a probe
+    /// is hashed and looked up), so the smaller input builds.
     pub fn hash_join(
         &self,
         left_rows: f64,
@@ -204,7 +210,7 @@ impl CostModel {
             // Grace: partition both sides to disk and read back.
             2.0 * (left_pages + right_pages)
         };
-        Cost::new(io, right_rows + left_rows)
+        Cost::new(io, 2.0 * right_rows + left_rows)
     }
 
     /// Hash aggregation.
@@ -300,6 +306,15 @@ mod tests {
         assert_eq!(inmem.io, 0.0);
         let grace = m().hash_join(100_000.0, 1000.0, 100_000.0, 1000.0);
         assert_eq!(grace.io, 4000.0);
+    }
+
+    #[test]
+    fn hash_join_is_cheaper_building_on_the_smaller_input() {
+        // WiscSelfJoin's shape: 1 000 filtered rows against 100 000.
+        let small_build = m().hash_join(100_000.0, 40.0, 1_000.0, 1.0);
+        let large_build = m().hash_join(1_000.0, 1.0, 100_000.0, 40.0);
+        assert!(m().total(small_build) < m().total(large_build));
+        assert_eq!(small_build.cpu, 102_000.0);
     }
 
     #[test]

@@ -63,7 +63,8 @@ pub fn run(ctx: &JoinContext) -> Result<SubPlan> {
 #[cfg(test)]
 mod tests {
     use crate::enumerate::fixtures::{build, chain3, star4, RelSpec};
-    use crate::enumerate::{enumerate, Strategy};
+    use crate::enumerate::{enumerate, JoinContext, Strategy, SubPlan};
+    use crate::physical::PhysOp;
 
     #[test]
     fn covers_all_relations() {
@@ -75,14 +76,58 @@ mod tests {
         assert_eq!(order.len(), 3);
     }
 
+    /// Every left-deep plan of `ctx`'s relations: each order, each access
+    /// path of each relation, each join method of each step.
+    fn every_left_deep_plan(ctx: &JoinContext) -> Vec<SubPlan> {
+        fn extend(ctx: &JoinContext, left: SubPlan, out: &mut Vec<SubPlan>) {
+            let rest = ctx.graph.all_mask() & !left.mask;
+            if rest == 0 {
+                return out.push(left);
+            }
+            for r in (0..ctx.rels.len()).filter(|r| rest & (1u64 << r) != 0) {
+                for right in ctx.base_subplans(r) {
+                    let cross = !ctx.is_connected(left.mask, right.mask);
+                    for cand in ctx.join_candidates(&left, right, cross) {
+                        extend(ctx, cand.into_subplan(ctx).unwrap(), out);
+                    }
+                }
+            }
+        }
+        let mut out = Vec::new();
+        for r in 0..ctx.rels.len() {
+            for leaf in ctx.base_subplans(r) {
+                extend(ctx, leaf.clone(), &mut out);
+            }
+        }
+        out
+    }
+
     #[test]
-    fn chain_joins_small_relations_first() {
-        // t(1k) — u(10k) — v(100k): the optimal left-deep order starts from
-        // the small end, never from v.
+    fn chain_builds_every_hash_join_on_its_smaller_input() {
+        // t(1k) — u(10k) — v(100k). A build row costs more than a probe
+        // row, so the cheapest left-deep plan probes with the large side
+        // and builds on the small one, whichever end it starts from; and
+        // it is the cheapest of every left-deep plan there is.
         let f = chain3();
-        let plan = enumerate(&f.ctx(), Strategy::SystemR).unwrap();
-        let order = plan.plan.scan_order();
-        assert_ne!(order[0], "v", "plan:\n{}", plan.plan);
+        let ctx = f.ctx();
+        let plan = enumerate(&ctx, Strategy::SystemR).unwrap();
+        let mut hash_joins = 0;
+        for (_, node) in plan.plan.pre_order() {
+            if let PhysOp::HashJoin { left, right, .. } = &node.op {
+                hash_joins += 1;
+                assert!(right.est_rows <= left.est_rows, "plan:\n{}", plan.plan);
+            }
+        }
+        assert!(hash_joins > 0, "plan:\n{}", plan.plan);
+        let total = |sp: &SubPlan| ctx.model.total(sp.cost);
+        let every = every_left_deep_plan(&ctx);
+        let least = every.iter().map(total).fold(f64::INFINITY, f64::min);
+        let got = total(&plan);
+        assert!(
+            (got - least).abs() <= 1e-9 * least,
+            "{got} against {least}:\n{}",
+            plan.plan
+        );
     }
 
     #[test]

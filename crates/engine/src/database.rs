@@ -418,6 +418,7 @@ impl Database {
 pub(crate) mod tests {
     use super::*;
     use evopt_common::Value;
+    use evopt_core::CostModel;
 
     /// `dept` (3 rows) and `emp` (300 rows, indexed on `id`), ANALYZEd:
     /// the engine unit tests' shared world.
@@ -547,6 +548,27 @@ pub(crate) mod tests {
         // recover over a non-durable config is a typed error.
         let disk: Arc<dyn DiskBackend> = Arc::new(DiskManager::new());
         assert!(Database::recover(disk, DatabaseConfig::default()).is_err());
+    }
+
+    #[test]
+    fn operators_are_granted_a_quarter_of_the_pool_and_never_under_64_pages() {
+        for (pool, grant) in [(6, 64), (256, 64), (8_192, 2_048)] {
+            let db = Arc::new(Database::new(DatabaseConfig {
+                buffer_pages: pool,
+                ..Default::default()
+            }));
+            let session = db.session();
+            for model in [db.optimizer_config(), session.optimizer_config()].map(|c| c.cost_model) {
+                assert_eq!(model.buffer_pages, grant, "{pool}-page pool");
+            }
+            // A session still sets its own.
+            session.set_cost_model(CostModel {
+                buffer_pages: 16,
+                ..db.optimizer_config().cost_model
+            });
+            assert_eq!(session.optimizer_config().cost_model.buffer_pages, 16);
+            assert_eq!(db.optimizer_config().cost_model.buffer_pages, grant);
+        }
     }
 
     #[test]

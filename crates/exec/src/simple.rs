@@ -49,18 +49,22 @@ impl Executor for FilterExec {
 }
 
 /// Expression projection: maps the expression list over a whole batch per
-/// call.
+/// call. The list `#0..#n` over an `n`-column input (a `SELECT *`) copies
+/// nothing: the batch passes through under this operator's schema.
 pub struct ProjectExec {
     input: Box<dyn Executor>,
-    exprs: Vec<Expr>,
+    /// `None` for the identity list.
+    exprs: Option<Vec<Expr>>,
     schema: Schema,
 }
 
 impl ProjectExec {
     pub fn new(input: Box<dyn Executor>, exprs: Vec<Expr>, schema: Schema) -> Self {
+        let identity = exprs.len() == input.schema().len()
+            && (exprs.iter().enumerate()).all(|(i, e)| matches!(e, Expr::Column(c) if *c == i));
         ProjectExec {
             input,
-            exprs,
+            exprs: (!identity).then_some(exprs),
             schema,
         }
     }
@@ -72,20 +76,21 @@ impl Executor for ProjectExec {
     }
 
     fn next_batch(&mut self) -> Result<Option<Batch>> {
-        match self.input.next_batch()? {
-            None => Ok(None),
-            Some(batch) => {
-                let mut out = Batch::with_capacity(self.schema.clone(), batch.len());
-                for t in batch.iter() {
-                    let mut values = Vec::with_capacity(self.exprs.len());
-                    for e in &self.exprs {
-                        values.push(e.eval(t)?);
-                    }
-                    out.push(Tuple::new(values));
-                }
-                Ok(Some(out))
+        let Some(batch) = self.input.next_batch()? else {
+            return Ok(None);
+        };
+        let Some(exprs) = &self.exprs else {
+            return Ok(Some(Batch::new(self.schema.clone(), batch.into_rows())));
+        };
+        let mut out = Batch::with_capacity(self.schema.clone(), batch.len());
+        for t in batch.iter() {
+            let mut values = Vec::with_capacity(exprs.len());
+            for e in exprs {
+                values.push(e.eval(t)?);
             }
+            out.push(Tuple::new(values));
         }
+        Ok(Some(out))
     }
 }
 
@@ -131,10 +136,10 @@ impl Executor for LimitExec {
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-    use crate::executor::run_collect;
+    use crate::executor::{build_executor, run_collect};
     use crate::scan::test_support::{seq_plan, setup};
     use evopt_common::expr::{col, lit};
-    use evopt_common::{BinOp, Expr, Value};
+    use evopt_common::{BinOp, Column, DataType, Expr, Schema, Tuple, Value};
     use evopt_core::cost::Cost;
     use evopt_core::physical::{PhysOp, PhysicalPlan};
 
@@ -176,6 +181,44 @@ mod tests {
         assert_eq!(rows.len(), 3);
         assert_eq!(rows[0].value(0).unwrap(), &Value::Int(180));
         assert_eq!(rows[2].value(0).unwrap(), &Value::Int(184));
+    }
+
+    #[test]
+    fn identity_projection_passes_the_batch_through_under_its_schema() {
+        let env = setup(50, 16);
+        let scan = seq_plan(&env, "nums", None);
+        let project = |exprs: Vec<Expr>| PhysicalPlan {
+            schema: Schema::new(
+                (0..exprs.len())
+                    .map(|i| Column::new(format!("p{i}"), DataType::Int))
+                    .collect(),
+            ),
+            est_rows: 0.0,
+            est_cost: Cost::ZERO,
+            output_order: None,
+            op: PhysOp::Project {
+                input: Box::new(scan.clone()),
+                exprs,
+            },
+        };
+        let whole = run_collect(&scan, &env).unwrap();
+        for exprs in [
+            vec![col(0), col(1), col(2)],
+            vec![col(1), col(0), col(2)],
+            vec![col(0), col(1)],
+        ] {
+            let plan = project(exprs.clone());
+            let mut exec = build_executor(&plan, &env).unwrap();
+            let mut rows = Vec::new();
+            while let Some(batch) = exec.next_batch().unwrap() {
+                assert_eq!(batch.schema(), &plan.schema);
+                rows.extend(batch.into_rows());
+            }
+            let want: Vec<Tuple> = (whole.iter())
+                .map(|t| Tuple::new(exprs.iter().map(|e| e.eval(t).unwrap()).collect()))
+                .collect();
+            assert_eq!(rows, want, "{exprs:?}");
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 
 mod support;
 
-use evopt::{Database, Tuple};
+use evopt::{Database, DatabaseConfig, Tuple};
 use evopt_common::expr::col;
 use evopt_common::{AggFunc, Column, DataType, Schema, Value};
 use evopt_core::physical::{PhysAgg, PhysOp};
@@ -386,6 +386,59 @@ fn grace_hash_join_identical_across_batch_sizes() {
             "Grace hash join differs at batch_rows={bs}"
         );
     }
+}
+
+/// Operators are granted a quarter of the pool, never under 64 pages. A
+/// hash join building on 10 000 whole Wisconsin rows, and a sort of as
+/// many, hold more than 64 pages' worth and less than 2 048: they run in
+/// memory on an 8 192-page pool and spill on a 256-page one, with the same
+/// answers on both and at every batch size.
+#[test]
+fn operators_spill_only_past_the_grant_a_quarter_of_the_pool() {
+    let sqls = [
+        (
+            "HashJoin",
+            "SELECT * FROM wa a JOIN wb b ON a.unique1 = b.unique2",
+        ),
+        ("Sort", "SELECT * FROM wa ORDER BY stringu1"),
+    ];
+    let mut answers = Vec::new();
+    for (pool, spills) in [(8_192, false), (256, true)] {
+        let db = Database::new(DatabaseConfig {
+            buffer_pages: pool,
+            ..DatabaseConfig::default()
+        });
+        load_wisconsin(&db, "wa", 10_000, 3).unwrap();
+        load_wisconsin(&db, "wb", 10_000, 4).unwrap();
+        db.execute("ANALYZE").unwrap();
+        for (op, sql) in sqls {
+            // The sort's rows in their order; the join's as a multiset.
+            let answer = |rows: &[Tuple]| match op {
+                "Sort" => rows.iter().map(|t| format!("{t:?}")).collect(),
+                _ => normalized(rows),
+            };
+            let (_, plan) = db.plan_sql(sql).unwrap();
+            assert_eq!(count_ops(&plan, op), 1, "{sql}\n{plan}");
+            let before = db.metrics_snapshot().exec_spills;
+            let rows = db.execute(sql).unwrap().rows();
+            let spilled = db.metrics_snapshot().exec_spills - before;
+            assert_eq!(
+                spilled > 0,
+                spills,
+                "{pool}-page pool, {op}: {spilled} spills"
+            );
+            assert_eq!(rows.len(), 10_000, "{sql}");
+            for bs in BATCH_SIZES {
+                assert_eq!(
+                    answer(&run_at(&db, &plan, bs)),
+                    answer(&rows),
+                    "{pool}-page pool, {op}, batch_rows={bs}"
+                );
+            }
+            answers.push(answer(&rows));
+        }
+    }
+    assert!(answers[..2] == answers[2..], "the pools disagree");
 }
 
 #[test]

@@ -334,18 +334,19 @@ fn mixed_null_join_identical_typed_vs_row() {
 
 /// An `INT` key column against a `FLOAT` one, NULLs on both sides. The
 /// pairs that test numeric key equality: `0` meets `0.0` but not `-0.0`,
-/// `7` meets `7.0`, and `2^53 + 1` (no `f64` holds it) meets `2^53`, the
-/// float it rounds to. No two `INT` keys equal the same `FLOAT`, so the
-/// matches do not depend on which side is hashed. 150 rows on the left,
-/// 1 000 on the right.
+/// `7` meets `7.0`, and `2^53` meets the float `2^53`, which `2^53 + 1`
+/// (no `f64` holds it, and `as f64` rounds it to `2^53`) does not. No two
+/// `INT` keys equal the same `FLOAT`, so the matches do not depend on
+/// which side is hashed. 150 rows on the left, 1 000 on the right.
 fn int_float_world(pool_pages: usize, int_left: bool) -> ExecEnv {
     const TWO_53: i64 = 1 << 53;
-    let int_key = |i: i64| match i % 6 {
+    let int_key = |i: i64| match i % 7 {
         0 => Value::Null,
         1 => Value::Int(0),
         2 => Value::Int(7),
         3 => Value::Int(TWO_53 + 1),
         4 => Value::Int(3),
+        5 => Value::Int(TWO_53),
         _ => Value::Int(-4),
     };
     let float_key = |i: i64| match i % 7 {
@@ -409,7 +410,7 @@ fn every_join_family_matches_nested_loop_in_memory_and_under_grace_spill() {
             [
                 "Int(0) = Float(0.0)",
                 "Int(7) = Float(7.0)",
-                "Int(9007199254740993) = Float(9007199254740992.0)",
+                "Int(9007199254740992) = Float(9007199254740992.0)",
             ]
         );
     }
