@@ -6,6 +6,8 @@
 //! logic is implemented throughout: comparisons with NULL yield NULL, and
 //! `AND`/`OR` use Kleene semantics.
 
+use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -447,95 +449,109 @@ impl Expr {
         }
     }
 
-    /// Evaluate against a tuple. Comparisons and logic follow SQL
-    /// three-valued semantics, with "unknown" represented as `Value::Null`.
+    /// Evaluate against a tuple. A boolean node (comparison, AND/OR/NOT,
+    /// IS [NOT] NULL, IN, BETWEEN, LIKE) is decided by
+    /// [`truth`](Expr::truth) and returned as `Bool`, or `Null` for
+    /// unknown; only arithmetic and negation compute here.
     pub fn eval(&self, tuple: &Tuple) -> Result<Value> {
         match self {
             Expr::Column(i) => tuple.value(*i).cloned(),
             Expr::Literal(v) => Ok(v.clone()),
-            Expr::Binary { op, left, right } => match op {
-                BinOp::And => {
-                    // Kleene AND with short-circuit: FALSE AND x = FALSE.
-                    let l = left.eval(tuple)?;
-                    if l == Value::Bool(false) {
-                        return Ok(Value::Bool(false));
-                    }
-                    let r = right.eval(tuple)?;
-                    match (to_tristate(&l)?, to_tristate(&r)?) {
-                        (Some(false), _) | (_, Some(false)) => Ok(Value::Bool(false)),
-                        (Some(true), Some(true)) => Ok(Value::Bool(true)),
-                        _ => Ok(Value::Null),
-                    }
-                }
-                BinOp::Or => {
-                    let l = left.eval(tuple)?;
-                    if l == Value::Bool(true) {
-                        return Ok(Value::Bool(true));
-                    }
-                    let r = right.eval(tuple)?;
-                    match (to_tristate(&l)?, to_tristate(&r)?) {
-                        (Some(true), _) | (_, Some(true)) => Ok(Value::Bool(true)),
-                        (Some(false), Some(false)) => Ok(Value::Bool(false)),
-                        _ => Ok(Value::Null),
-                    }
-                }
-                _ => {
-                    let l = left.eval(tuple)?;
-                    let r = right.eval(tuple)?;
-                    eval_binary_scalar(*op, &l, &r)
-                }
-            },
-            Expr::Unary { op, input } => {
-                let v = input.eval(tuple)?;
-                match op {
-                    UnOp::Not => match to_tristate(&v)? {
-                        Some(b) => Ok(Value::Bool(!b)),
-                        None => Ok(Value::Null),
-                    },
-                    UnOp::Neg => v.neg(),
-                    UnOp::IsNull => Ok(Value::Bool(v.is_null())),
-                    UnOp::IsNotNull => Ok(Value::Bool(!v.is_null())),
-                }
+            Expr::Binary { op, left, right } if !op.is_comparison() && !op.is_logical() => {
+                eval_arithmetic(*op, &*left.operand(tuple)?, &*right.operand(tuple)?)
             }
+            Expr::Unary {
+                op: UnOp::Neg,
+                input,
+            } => input.operand(tuple)?.neg(),
+            _ => Ok(self.truth(tuple)?.map_or(Value::Null, Value::Bool)),
+        }
+    }
+
+    /// The three-valued test: `Some(true)`, `Some(false)` or unknown
+    /// (`None`). The one place the comparisons, AND/OR/NOT (Kleene, with
+    /// `FALSE AND x` and `TRUE OR x` short-circuiting `x`), IS [NOT] NULL,
+    /// IN, BETWEEN and LIKE are decided. Operands are borrowed from the row
+    /// or the literal, so deciding a node builds no `Value` unless an
+    /// operand is computed. Any other node is read as a boolean: `BOOL`,
+    /// NULL (unknown), or an error.
+    pub fn truth(&self, tuple: &Tuple) -> Result<Option<bool>> {
+        match self {
+            Expr::Binary {
+                op: BinOp::And,
+                left,
+                right,
+            } => {
+                let l = left.truth(tuple)?;
+                if l == Some(false) {
+                    return Ok(l);
+                }
+                Ok(match (l, right.truth(tuple)?) {
+                    (_, Some(false)) => Some(false),
+                    (Some(true), Some(true)) => Some(true),
+                    _ => None,
+                })
+            }
+            Expr::Binary {
+                op: BinOp::Or,
+                left,
+                right,
+            } => {
+                let l = left.truth(tuple)?;
+                if l == Some(true) {
+                    return Ok(l);
+                }
+                Ok(match (l, right.truth(tuple)?) {
+                    (_, Some(true)) => Some(true),
+                    (Some(false), Some(false)) => Some(false),
+                    _ => None,
+                })
+            }
+            Expr::Binary { op, left, right } if op.is_comparison() => {
+                let (l, r) = (left.operand(tuple)?, right.operand(tuple)?);
+                Ok(l.sql_cmp(&r).map(|ord| match op {
+                    BinOp::Eq => ord.is_eq(),
+                    BinOp::NotEq => ord.is_ne(),
+                    BinOp::Lt => ord.is_lt(),
+                    BinOp::LtEq => ord.is_le(),
+                    BinOp::Gt => ord.is_gt(),
+                    _ => ord.is_ge(), // GtEq
+                }))
+            }
+            Expr::Unary { op, input } if *op != UnOp::Neg => match op {
+                UnOp::Not => Ok(input.truth(tuple)?.map(|b| !b)),
+                UnOp::IsNull => Ok(Some(input.operand(tuple)?.is_null())),
+                _ => Ok(Some(!input.operand(tuple)?.is_null())), // IS NOT NULL
+            },
             Expr::Like {
                 input,
                 pattern,
                 negated,
-            } => {
-                let v = input.eval(tuple)?;
-                match v {
-                    Value::Null => Ok(Value::Null),
-                    Value::Str(s) => {
-                        let m = like_match(&s, pattern);
-                        Ok(Value::Bool(m != *negated))
-                    }
-                    other => Err(EvoptError::Execution(format!(
-                        "LIKE applied to non-string {other:?}"
-                    ))),
-                }
-            }
+            } => match &*input.operand(tuple)? {
+                Value::Null => Ok(None),
+                Value::Str(s) => Ok(Some(like_match(s, pattern) != *negated)),
+                other => Err(EvoptError::Execution(format!(
+                    "LIKE applied to non-string {other:?}"
+                ))),
+            },
             Expr::InList {
                 input,
                 list,
                 negated,
             } => {
-                let v = input.eval(tuple)?;
+                let v = input.operand(tuple)?;
                 if v.is_null() {
-                    return Ok(Value::Null);
+                    return Ok(None);
                 }
                 let mut saw_null = false;
                 for item in list {
                     match v.sql_eq(item) {
-                        Some(true) => return Ok(Value::Bool(!*negated)),
+                        Some(true) => return Ok(Some(!*negated)),
                         Some(false) => {}
                         None => saw_null = true,
                     }
                 }
-                if saw_null {
-                    Ok(Value::Null)
-                } else {
-                    Ok(Value::Bool(*negated))
-                }
+                Ok((!saw_null).then_some(*negated))
             }
             Expr::Between {
                 input,
@@ -543,32 +559,40 @@ impl Expr {
                 high,
                 negated,
             } => {
-                let v = input.eval(tuple)?;
-                let lo = low.eval(tuple)?;
-                let hi = high.eval(tuple)?;
-                let ge = v.sql_cmp(&lo).map(|o| o != std::cmp::Ordering::Less);
-                let le = v.sql_cmp(&hi).map(|o| o != std::cmp::Ordering::Greater);
+                let v = input.operand(tuple)?;
+                let (lo, hi) = (low.operand(tuple)?, high.operand(tuple)?);
+                let ge = v.sql_cmp(&lo).map(Ordering::is_ge);
+                let le = v.sql_cmp(&hi).map(Ordering::is_le);
                 let within = match (ge, le) {
                     (Some(false), _) | (_, Some(false)) => Some(false),
                     (Some(true), Some(true)) => Some(true),
                     _ => None,
                 };
-                Ok(match within {
-                    Some(b) => Value::Bool(b != *negated),
-                    None => Value::Null,
-                })
+                Ok(within.map(|b| b != *negated))
             }
+            _ => match &*self.operand(tuple)? {
+                Value::Null => Ok(None),
+                Value::Bool(b) => Ok(Some(*b)),
+                other => Err(EvoptError::Execution(format!(
+                    "expected a boolean, got {other:?}"
+                ))),
+            },
         }
     }
 
-    /// Evaluate as a filter predicate: NULL (unknown) rejects the row.
+    /// Evaluate as a filter predicate: only TRUE keeps the row; FALSE and
+    /// unknown reject it.
     pub fn eval_predicate(&self, tuple: &Tuple) -> Result<bool> {
-        match self.eval(tuple)? {
-            Value::Bool(b) => Ok(b),
-            Value::Null => Ok(false),
-            other => Err(EvoptError::Execution(format!(
-                "predicate evaluated to non-boolean {other:?}"
-            ))),
+        Ok(self.truth(tuple)? == Some(true))
+    }
+
+    /// This expression's value on `tuple`, borrowed when it is a column or
+    /// a literal and built only when it has to be computed.
+    fn operand<'a>(&'a self, tuple: &'a Tuple) -> Result<Cow<'a, Value>> {
+        match self {
+            Expr::Column(i) => tuple.value(*i).map(Cow::Borrowed),
+            Expr::Literal(v) => Ok(Cow::Borrowed(v)),
+            _ => self.eval(tuple).map(Cow::Owned),
         }
     }
 
@@ -654,29 +678,8 @@ impl Expr {
     }
 }
 
-/// Evaluate a non-logical binary operator on two scalar values.
-fn eval_binary_scalar(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
-    if op.is_comparison() {
-        return Ok(match l.sql_cmp(r) {
-            None => Value::Null,
-            Some(ord) => {
-                let b = match op {
-                    BinOp::Eq => ord == std::cmp::Ordering::Equal,
-                    BinOp::NotEq => ord != std::cmp::Ordering::Equal,
-                    BinOp::Lt => ord == std::cmp::Ordering::Less,
-                    BinOp::LtEq => ord != std::cmp::Ordering::Greater,
-                    BinOp::Gt => ord == std::cmp::Ordering::Greater,
-                    BinOp::GtEq => ord != std::cmp::Ordering::Less,
-                    _ => {
-                        return Err(EvoptError::Internal(format!(
-                            "{op:?} is not a comparison operator"
-                        )))
-                    }
-                };
-                Value::Bool(b)
-            }
-        });
-    }
+/// Evaluate an arithmetic operator on two scalar values.
+fn eval_arithmetic(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
     match op {
         BinOp::Add => l.add(r),
         BinOp::Sub => l.sub(r),
@@ -684,48 +687,42 @@ fn eval_binary_scalar(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
         BinOp::Div => l.div(r),
         BinOp::Mod => l.rem(r),
         _ => Err(EvoptError::Internal(format!(
-            "eval_binary_scalar got logical op {op:?}"
-        ))),
-    }
-}
-
-fn to_tristate(v: &Value) -> Result<Option<bool>> {
-    match v {
-        Value::Null => Ok(None),
-        Value::Bool(b) => Ok(Some(*b)),
-        other => Err(EvoptError::Execution(format!(
-            "boolean operator applied to non-boolean {other:?}"
+            "{op:?} is not an arithmetic operator"
         ))),
     }
 }
 
 /// SQL `LIKE` matcher: `%` matches any run (incl. empty), `_` any single
-/// character. Iterative two-pointer algorithm with backtracking to the last
-/// `%` — linear in practice, no recursion.
+/// character. Iterative two-pointer walk over both strings in place, with
+/// backtracking to the last `%`: linear in practice, no recursion and no
+/// allocation. `si` and `pi` are byte offsets, always on character
+/// boundaries.
 pub fn like_match(s: &str, pattern: &str) -> bool {
-    let s: Vec<char> = s.chars().collect();
-    let p: Vec<char> = pattern.chars().collect();
     let (mut si, mut pi) = (0usize, 0usize);
-    let mut star: Option<(usize, usize)> = None; // (pattern idx after %, matched s idx)
-    while si < s.len() {
-        if pi < p.len() && (p[pi] == '_' || p[pi] == s[si]) {
-            si += 1;
-            pi += 1;
-        } else if pi < p.len() && p[pi] == '%' {
-            star = Some((pi + 1, si));
-            pi += 1;
-        } else if let Some((sp, ss)) = star {
-            pi = sp;
-            si = ss + 1;
-            star = Some((sp, si));
-        } else {
-            return false;
+    let mut star: Option<(usize, usize)> = None; // (pattern offset after %, matched s offset)
+    while let Some(c) = s[si..].chars().next() {
+        match pattern[pi..].chars().next() {
+            Some('%') => {
+                pi += 1;
+                star = Some((pi, si));
+            }
+            Some(p) if p == '_' || p == c => {
+                si += c.len_utf8();
+                pi += p.len_utf8();
+            }
+            _ => match star {
+                Some((sp, ss)) => {
+                    // The `%` swallows one more character and the rest of
+                    // the pattern is tried again after it.
+                    pi = sp;
+                    si = ss + s[ss..].chars().next().map_or(1, char::len_utf8);
+                    star = Some((sp, si));
+                }
+                None => return false,
+            },
         }
     }
-    while pi < p.len() && p[pi] == '%' {
-        pi += 1;
-    }
-    pi == p.len()
+    pattern[pi..].bytes().all(|b| b == b'%')
 }
 
 impl fmt::Display for Expr {
@@ -864,6 +861,33 @@ mod tests {
             negated: true,
         };
         assert_eq!(e.eval(&t).unwrap(), Value::Bool(true));
+    }
+
+    #[test]
+    fn like_walks_characters_in_place() {
+        // `_` is one character, however many bytes it takes.
+        assert!(like_match("héllo", "h_llo"));
+        assert!(like_match("日本", "__"));
+        assert!(!like_match("日本", "_"));
+        assert!(!like_match("日本", "___"));
+        assert!(like_match("a€b", "a_b"));
+        assert!(like_match("naïve", "%ï%"));
+        assert!(like_match("日本語", "%_語"));
+        // A run of `%` is one `%`.
+        assert!(like_match("abc", "a%%%c"));
+        assert!(like_match("abc", "%%"));
+        assert!(like_match("", "%%%"));
+        assert!(!like_match("abc", "a%%%d"));
+        // The empty pattern matches only the empty string.
+        assert!(like_match("", ""));
+        assert!(!like_match("a", ""));
+        // A trailing `%` matches any rest, the empty one included.
+        assert!(like_match("abc", "abc%"));
+        assert!(like_match("abcdef", "abc%"));
+        assert!(!like_match("ab", "abc%"));
+        // A `%` in the subject does not stop a pattern `%` being a wildcard.
+        assert!(like_match("%xb", "%b"));
+        assert!(like_match("a%%b", "a%b"));
     }
 
     #[test]
@@ -1045,6 +1069,312 @@ mod tests {
                 let once = e.fold_constants();
                 let twice = once.fold_constants();
                 prop_assert_eq!(once, twice);
+            }
+        }
+    }
+
+    mod truth_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// The reference: every node evaluated to a `Value` under Kleene
+        /// logic, NULL standing for unknown, with no borrowed operands and
+        /// no three-valued test.
+        fn kleene(e: &Expr, t: &Tuple) -> Result<Value> {
+            let tri = |v: Value| match v {
+                Value::Null => Ok(None),
+                Value::Bool(b) => Ok(Some(b)),
+                other => Err(EvoptError::Execution(format!("non-boolean {other:?}"))),
+            };
+            let three = |b: Option<bool>| b.map_or(Value::Null, Value::Bool);
+            let within = |v: &Value, lo: &Value, hi: &Value| {
+                let ge = v.sql_cmp(lo).map(|o| o != Ordering::Less);
+                let le = v.sql_cmp(hi).map(|o| o != Ordering::Greater);
+                match (ge, le) {
+                    (Some(false), _) | (_, Some(false)) => Some(false),
+                    (Some(true), Some(true)) => Some(true),
+                    _ => None,
+                }
+            };
+            Ok(match e {
+                Expr::Column(i) => t.value(*i)?.clone(),
+                Expr::Literal(v) => v.clone(),
+                Expr::Binary { op, left, right } if op.is_logical() => {
+                    let decisive = *op == BinOp::Or; // FALSE decides AND, TRUE decides OR
+                    let l = kleene(left, t)?;
+                    if l == Value::Bool(decisive) {
+                        return Ok(l);
+                    }
+                    let r = kleene(right, t)?;
+                    match (tri(l)?, tri(r)?) {
+                        (l, r) if l == Some(decisive) || r == Some(decisive) => {
+                            Value::Bool(decisive)
+                        }
+                        (Some(_), Some(_)) => Value::Bool(!decisive),
+                        _ => Value::Null,
+                    }
+                }
+                Expr::Binary { op, left, right } => {
+                    let (l, r) = (kleene(left, t)?, kleene(right, t)?);
+                    match op {
+                        BinOp::Add => l.add(&r)?,
+                        BinOp::Sub => l.sub(&r)?,
+                        BinOp::Mul => l.mul(&r)?,
+                        BinOp::Div => l.div(&r)?,
+                        BinOp::Mod => l.rem(&r)?,
+                        BinOp::Eq => three(l.sql_eq(&r)),
+                        BinOp::NotEq => three(l.sql_eq(&r).map(|b| !b)),
+                        BinOp::Lt => three(l.sql_cmp(&r).map(|o| o == Ordering::Less)),
+                        BinOp::LtEq => three(l.sql_cmp(&r).map(|o| o != Ordering::Greater)),
+                        BinOp::Gt => three(l.sql_cmp(&r).map(|o| o == Ordering::Greater)),
+                        BinOp::GtEq => three(l.sql_cmp(&r).map(|o| o != Ordering::Less)),
+                        BinOp::And | BinOp::Or => unreachable!("logical operators are above"),
+                    }
+                }
+                Expr::Unary { op, input } => {
+                    let v = kleene(input, t)?;
+                    match op {
+                        UnOp::Not => three(tri(v)?.map(|b| !b)),
+                        UnOp::Neg => v.neg()?,
+                        UnOp::IsNull => Value::Bool(v.is_null()),
+                        UnOp::IsNotNull => Value::Bool(!v.is_null()),
+                    }
+                }
+                Expr::Like {
+                    input,
+                    pattern,
+                    negated,
+                } => match kleene(input, t)? {
+                    Value::Null => Value::Null,
+                    Value::Str(s) => Value::Bool(like_match(&s, pattern) != *negated),
+                    other => return Err(EvoptError::Execution(format!("LIKE on {other:?}"))),
+                },
+                Expr::InList {
+                    input,
+                    list,
+                    negated,
+                } => {
+                    let v = kleene(input, t)?;
+                    let hits: Vec<_> = list.iter().map(|item| v.sql_eq(item)).collect();
+                    match () {
+                        _ if v.is_null() => Value::Null,
+                        _ if hits.contains(&Some(true)) => Value::Bool(!*negated),
+                        _ if hits.contains(&None) => Value::Null,
+                        _ => Value::Bool(*negated),
+                    }
+                }
+                Expr::Between {
+                    input,
+                    low,
+                    high,
+                    negated,
+                } => {
+                    let (v, lo, hi) = (kleene(input, t)?, kleene(low, t)?, kleene(high, t)?);
+                    three(within(&v, &lo, &hi).map(|b| b != *negated))
+                }
+            })
+        }
+
+        /// NULL two times in five, else a value `some` draws.
+        fn nullable(some: BoxedStrategy<Value>) -> BoxedStrategy<Value> {
+            prop_oneof![
+                Just(Value::Null),
+                Just(Value::Null),
+                some.clone(),
+                some.clone(),
+                some
+            ]
+        }
+
+        /// Small numbers, the `INT` extremes (for overflow) and NaN; every
+        /// third one a `FLOAT`.
+        fn number() -> BoxedStrategy<Value> {
+            prop_oneof![
+                (-3i64..4).prop_map(Value::Int),
+                (-3i64..4).prop_map(Value::Int),
+                prop_oneof![Just(Value::Int(i64::MAX)), Just(Value::Int(i64::MIN))],
+                (-3i64..4).prop_map(|i| Value::Float(i as f64 / 2.0)),
+                prop_oneof![Just(Value::Float(f64::NAN)), Just(Value::Float(0.5))],
+            ]
+        }
+
+        /// Short strings, multi-byte ones and one holding `%` among them.
+        fn string() -> BoxedStrategy<Value> {
+            let strings = ["", "a", "ab", "ba", "é", "%a", "日本"];
+            (0..strings.len()).prop_map(move |i| Value::Str(strings[i].into()))
+        }
+
+        fn boolean() -> BoxedStrategy<Value> {
+            any::<bool>().prop_map(Value::Bool)
+        }
+
+        /// `(i INT, x FLOAT or INT, s STRING, b BOOL, any)`, NULL-heavy.
+        fn row() -> BoxedStrategy<Tuple> {
+            let any_value = prop_oneof![number(), string(), boolean()];
+            (
+                nullable(number()),
+                nullable(number()),
+                nullable(string()),
+                nullable(boolean()),
+                nullable(any_value),
+            )
+                .prop_map(|(i, x, s, b, v)| Tuple::new(vec![i, x, s, b, v]))
+        }
+
+        fn op(ops: &'static [BinOp]) -> BoxedStrategy<BinOp> {
+            (0..ops.len()).prop_map(move |i| ops[i])
+        }
+
+        const ARITHMETIC: &[BinOp] = &[BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div, BinOp::Mod];
+        const COMPARISONS: &[BinOp] = &[
+            BinOp::Eq,
+            BinOp::NotEq,
+            BinOp::Lt,
+            BinOp::LtEq,
+            BinOp::Gt,
+            BinOp::GtEq,
+        ];
+
+        fn unary(op: UnOp, input: Expr) -> Expr {
+            Expr::Unary {
+                op,
+                input: Box::new(input),
+            }
+        }
+
+        fn compare(op: BinOp, left: Expr, right: Expr) -> Expr {
+            Expr::binary(op, left, right)
+        }
+
+        /// Numeric columns (and the any-typed one), literals, arithmetic
+        /// and negation.
+        fn numeric() -> BoxedStrategy<Expr> {
+            let leaf = prop_oneof![
+                prop_oneof![
+                    Just(col(0)),
+                    Just(col(1)),
+                    Just(col(0)),
+                    Just(col(1)),
+                    Just(col(4))
+                ],
+                nullable(number()).prop_map(Expr::Literal),
+            ];
+            leaf.prop_recursive(2, 8, 2, |inner| {
+                prop_oneof![
+                    inner.clone(),
+                    inner.clone(),
+                    (op(ARITHMETIC), inner.clone(), inner.clone())
+                        .prop_map(|(op, l, r)| Expr::binary(op, l, r)),
+                    inner.prop_map(|e| unary(UnOp::Neg, e)),
+                ]
+            })
+        }
+
+        fn text() -> BoxedStrategy<Expr> {
+            prop_oneof![Just(col(2)), nullable(string()).prop_map(Expr::Literal)]
+        }
+
+        /// Any operand: mostly well typed, sometimes a string or boolean
+        /// where a number belongs, or a column past the row's end.
+        fn scalar() -> BoxedStrategy<Expr> {
+            prop_oneof![
+                numeric(),
+                numeric(),
+                numeric(),
+                text(),
+                text(),
+                Just(col(3)),
+                Just(col(5))
+            ]
+        }
+
+        /// Boolean trees over every node the three-valued test decides, with
+        /// comparisons of truth values and, now and then, a non-boolean
+        /// operand of AND, OR or NOT.
+        fn predicate() -> BoxedStrategy<Expr> {
+            let patterns = ["a%", "%a", "_", "%", "", "_b%", "%é", "%%"];
+            let null_test = prop_oneof![Just(UnOp::IsNull), Just(UnOp::IsNotNull)];
+            let atom = prop_oneof![
+                (op(COMPARISONS), numeric(), numeric()).prop_map(|(op, l, r)| compare(op, l, r)),
+                (op(COMPARISONS), numeric(), numeric()).prop_map(|(op, l, r)| compare(op, l, r)),
+                (op(COMPARISONS), text(), text()).prop_map(|(op, l, r)| compare(op, l, r)),
+                (op(COMPARISONS), scalar(), scalar()).prop_map(|(op, l, r)| compare(op, l, r)),
+                (null_test.clone(), scalar()).prop_map(|(op, e)| unary(op, e)),
+                (
+                    prop_oneof![text(), text(), scalar()],
+                    0..patterns.len(),
+                    any::<bool>()
+                )
+                    .prop_map(move |(e, p, negated)| Expr::Like {
+                        input: Box::new(e),
+                        pattern: patterns[p].into(),
+                        negated,
+                    }),
+                (
+                    numeric(),
+                    prop::collection::vec(nullable(number()), 0..4),
+                    any::<bool>()
+                )
+                    .prop_map(|(e, list, negated)| Expr::InList {
+                        input: Box::new(e),
+                        list,
+                        negated
+                    }),
+                (numeric(), numeric(), numeric(), any::<bool>()).prop_map(
+                    |(e, lo, hi, negated)| {
+                        Expr::Between {
+                            input: Box::new(e),
+                            low: Box::new(lo),
+                            high: Box::new(hi),
+                            negated,
+                        }
+                    }
+                ),
+                prop_oneof![
+                    Just(col(3)),
+                    Just(col(3)),
+                    nullable(boolean()).prop_map(Expr::Literal),
+                    scalar()
+                ],
+            ];
+            atom.prop_recursive(3, 32, 2, move |inner| {
+                let logic = op(&[BinOp::And, BinOp::Or]);
+                prop_oneof![
+                    inner.clone(),
+                    (logic.clone(), inner.clone(), inner.clone())
+                        .prop_map(|(op, l, r)| Expr::binary(op, l, r)),
+                    (logic, inner.clone(), inner.clone())
+                        .prop_map(|(op, l, r)| Expr::binary(op, l, r)),
+                    inner.clone().prop_map(Expr::not),
+                    (op(COMPARISONS), inner.clone(), inner.clone())
+                        .prop_map(|(op, l, r)| compare(op, l, r)),
+                    (null_test.clone(), inner).prop_map(|(op, e)| unary(op, e)),
+                ]
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(1024))]
+
+            /// `eval` and `eval_predicate` agree with the reference on every
+            /// row: the same value or the same error kind.
+            #[test]
+            fn prop_truth_agrees_with_the_kleene_reference(
+                e in predicate(),
+                rows in prop::collection::vec(row(), 8),
+            ) {
+                for t in rows {
+                    let want = kleene(&e, &t);
+                    let want_pass = want.clone().and_then(|v| match v {
+                        Value::Bool(b) => Ok(b),
+                        Value::Null => Ok(false),
+                        other => Err(EvoptError::Execution(format!("non-boolean {other:?}"))),
+                    });
+                    let got = e.eval(&t).map_err(|err| err.kind());
+                    prop_assert_eq!(got, want.map_err(|err| err.kind()), "eval of {} on {}", e, t);
+                    let got = e.eval_predicate(&t).map_err(|err| err.kind());
+                    prop_assert_eq!(got, want_pass.map_err(|err| err.kind()), "predicate {} on {}", e, t);
+                }
             }
         }
     }

@@ -130,52 +130,73 @@ impl Tuple {
     }
 
     /// Deserialise the fields at `cols` (strictly increasing), or all of
-    /// them for `None`, into `out`, reusing its allocation; on error `out`
-    /// holds some prefix. Each field is walked once, and only a kept one
-    /// is stored: a skipped one allocates nothing but is still checked
+    /// them for `None`, into `out`, reusing its allocations: each kept field
+    /// overwrites its slot in place, and a kept string is copied into the
+    /// `String` already in that slot, so decoding row after row into one
+    /// `Tuple` allocates only when a string outgrows its buffer. On error
+    /// `out` holds some prefix. Each field is walked once, and only a kept
+    /// one is stored: a skipped one allocates nothing but is still checked
     /// (truncation, tag, UTF-8), so a projection never hides a corrupt row.
     pub fn decode_into(bytes: &[u8], cols: Option<&[usize]>, out: &mut Tuple) -> Result<()> {
         let values = &mut out.values;
-        values.clear();
-        let (count, mut rest) = bytes.split_first_chunk().ok_or_else(truncated)?;
-        let count = u16::from_le_bytes(*count) as usize;
-        values.reserve(cols.map_or(count, <[usize]>::len));
-        for i in 0..count {
-            // The next wanted column is the one after those kept so far.
-            let keep = cols.is_none_or(|c| c.get(values.len()) == Some(&i));
-            let (&tag, tail) = rest.split_first().ok_or_else(truncated)?;
-            let (value, tail) = match tag {
-                0 => (Value::Null, tail),
-                1 => {
-                    let (b, tail) = tail.split_first().ok_or_else(truncated)?;
-                    (Value::Bool(*b != 0), tail)
+        let mut kept = 0;
+        let walked = (|| {
+            let (count, mut rest) = bytes.split_first_chunk().ok_or_else(truncated)?;
+            let count = u16::from_le_bytes(*count) as usize;
+            let wanted = cols.map_or(count, <[usize]>::len);
+            values.reserve(wanted.saturating_sub(values.len()));
+            for i in 0..count {
+                // The next wanted column is the one after those kept so far.
+                let keep = cols.is_none_or(|c| c.get(kept) == Some(&i));
+                let (&tag, tail) = rest.split_first().ok_or_else(truncated)?;
+                let (value, tail) = match tag {
+                    0 => (Value::Null, tail),
+                    1 => {
+                        let (b, tail) = tail.split_first().ok_or_else(truncated)?;
+                        (Value::Bool(*b != 0), tail)
+                    }
+                    2 => {
+                        let (b, tail) = tail.split_first_chunk().ok_or_else(truncated)?;
+                        (Value::Int(i64::from_le_bytes(*b)), tail)
+                    }
+                    3 => {
+                        let (b, tail) = tail.split_first_chunk().ok_or_else(truncated)?;
+                        (Value::Float(f64::from_bits(u64::from_le_bytes(*b))), tail)
+                    }
+                    4 => {
+                        let (len, tail) = tail.split_first_chunk().ok_or_else(truncated)?;
+                        let len = u32::from_le_bytes(*len) as usize;
+                        let (s, tail) = tail.split_at_checked(len).ok_or_else(truncated)?;
+                        let s = std::str::from_utf8(s).map_err(|_| bad_utf8())?;
+                        // A kept string takes over the buffer of the string
+                        // in its slot; a skipped one is checked, not copied.
+                        let mut buf = match values.get_mut(kept) {
+                            Some(Value::Str(old)) if keep => std::mem::take(old),
+                            _ => String::new(),
+                        };
+                        if keep {
+                            buf.clear();
+                            buf.push_str(s);
+                        }
+                        (Value::Str(buf), tail)
+                    }
+                    t => return Err(bad_tag(t)),
+                };
+                if keep {
+                    match values.get_mut(kept) {
+                        Some(slot) => *slot = value,
+                        None => values.push(value),
+                    }
+                    kept += 1;
                 }
-                2 => {
-                    let (b, tail) = tail.split_first_chunk().ok_or_else(truncated)?;
-                    (Value::Int(i64::from_le_bytes(*b)), tail)
-                }
-                3 => {
-                    let (b, tail) = tail.split_first_chunk().ok_or_else(truncated)?;
-                    (Value::Float(f64::from_bits(u64::from_le_bytes(*b))), tail)
-                }
-                4 => {
-                    let (len, tail) = tail.split_first_chunk().ok_or_else(truncated)?;
-                    let len = u32::from_le_bytes(*len) as usize;
-                    let (s, tail) = tail.split_at_checked(len).ok_or_else(truncated)?;
-                    let s = std::str::from_utf8(s).map_err(|_| bad_utf8())?;
-                    // A skipped string is checked, not copied.
-                    let s = if keep { s.to_owned() } else { String::new() };
-                    (Value::Str(s), tail)
-                }
-                t => return Err(bad_tag(t)),
-            };
-            if keep {
-                values.push(value);
+                rest = tail;
             }
-            rest = tail;
-        }
+            Ok(())
+        })();
+        values.truncate(kept);
+        walked?;
         match cols {
-            Some(cols) if values.len() != cols.len() => Err(not_increasing(cols)),
+            Some(cols) if kept != cols.len() => Err(not_increasing(cols)),
             _ => Ok(()),
         }
     }
@@ -356,25 +377,59 @@ mod tests {
             let want = Tuple::decode(&bytes).and_then(|t| t.project(&cols));
             prop_assert_eq!(Tuple::decode_projected(&bytes, &cols).ok(), want.ok());
         }
+    }
 
-        /// Decoding into a row that already holds another row gives what a
-        /// fresh decode gives, on well-formed and on random bytes alike, and
-        /// never panics; `None` keeps every column.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Decoding into a row that already holds another row, as a scan
+        /// reuses its row, gives what a fresh decode gives, on well-formed,
+        /// damaged, truncated and random bytes alike, and never panics;
+        /// `None` keeps every column. With `like_old` the new row has the
+        /// old one's types and every string another length, so each kept
+        /// string lands on a string buffer. A truncated row leaves a prefix
+        /// of the fields it keeps behind.
         #[test]
         fn prop_decode_into_a_used_row_is_decode_then_project(
             values in prop::collection::vec(arb_value(), 0..12),
             noise in prop::collection::vec(any::<u8>(), 0..64),
             old in prop::collection::vec(arb_value(), 0..12),
+            like_old in any::<bool>(),
             mask in prop::collection::vec(any::<bool>(), 0..14),
             whole in any::<bool>(),
+            damage in (any::<usize>(), any::<u8>(), any::<usize>()),
         ) {
+            let values = if like_old {
+                old.iter()
+                    .map(|v| match v {
+                        Value::Str(s) => Value::Str(s.chars().rev().chain(['x']).collect()),
+                        v => v.clone(),
+                    })
+                    .collect()
+            } else {
+                values
+            };
             let cols = (!whole).then(|| chosen(&mask));
-            for bytes in [Tuple::new(values).encode(), noise] {
-                let want = Tuple::decode(&bytes)
-                    .and_then(|t| cols.as_deref().map_or(Ok(t.clone()), |c| t.project(c)));
+            let project = |t: Tuple| match cols.as_deref() {
+                Some(c) => t.project(c),
+                None => Ok(t),
+            };
+            let good = Tuple::new(values).encode();
+            let (at, byte, cut) = damage;
+            let mut damaged = good.clone();
+            damaged[at % good.len()] = byte;
+            let truncated = good[..cut % good.len()].to_vec();
+            for bytes in [&good, &damaged, &truncated, &noise] {
+                let want = Tuple::decode(bytes).and_then(project);
                 let mut row = Tuple::new(old.clone());
-                let got = Tuple::decode_into(&bytes, cols.as_deref(), &mut row).map(|()| row);
+                let got = Tuple::decode_into(bytes, cols.as_deref(), &mut row).map(|()| row);
                 prop_assert_eq!(got.ok(), want.ok());
+            }
+            let mut row = Tuple::new(old.clone());
+            if Tuple::decode_into(&truncated, cols.as_deref(), &mut row).is_err() {
+                if let Ok(full) = Tuple::decode(&good).and_then(project) {
+                    prop_assert!(full.values().starts_with(row.values()));
+                }
             }
         }
     }

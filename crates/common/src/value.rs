@@ -165,7 +165,11 @@ impl Value {
         }
         match (self, other) {
             (Value::Int(_), Value::Int(0)) => Err(EvoptError::Execution("division by zero".into())),
-            (Value::Int(a), Value::Int(b)) => Ok(Value::Int(a / b)),
+            // `i64::MIN / -1` overflows: an error, not a panic.
+            (Value::Int(a), Value::Int(b)) => a
+                .checked_div(*b)
+                .map(Value::Int)
+                .ok_or_else(|| EvoptError::Execution("integer overflow in /".into())),
             _ => {
                 let (a, b) = require_numeric(self, other, "/")?;
                 if b == 0.0 {
@@ -184,7 +188,10 @@ impl Value {
         }
         match (self, other) {
             (Value::Int(_), Value::Int(0)) => Err(EvoptError::Execution("modulo by zero".into())),
-            (Value::Int(a), Value::Int(b)) => Ok(Value::Int(a % b)),
+            (Value::Int(a), Value::Int(b)) => a
+                .checked_rem(*b)
+                .map(Value::Int)
+                .ok_or_else(|| EvoptError::Execution("integer overflow in %".into())),
             _ => Err(EvoptError::Execution(format!(
                 "cannot apply % to {self:?} and {other:?}"
             ))),
@@ -474,6 +481,10 @@ mod tests {
         let e = Value::Int(i64::MAX).add(&Value::Int(1)).unwrap_err();
         assert_eq!(e.kind(), "execution");
         let e = Value::Int(i64::MIN).neg().unwrap_err();
+        assert_eq!(e.kind(), "execution");
+        let e = Value::Int(i64::MIN).div(&Value::Int(-1)).unwrap_err();
+        assert_eq!(e.kind(), "execution");
+        let e = Value::Int(i64::MIN).rem(&Value::Int(-1)).unwrap_err();
         assert_eq!(e.kind(), "execution");
     }
 

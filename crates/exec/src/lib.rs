@@ -16,7 +16,11 @@
 //! A predicate is decided in one place, `Expr::eval_predicate`, called row
 //! by row from the four operators a predicate can sit in: the sequential
 //! scan's pushed filter, the index scan's residual, the joins' residual and
-//! [`simple::FilterExec`]. Operators read `&Value` straight from the rows,
+//! [`simple::FilterExec`]. It asks `Expr::truth`, the three-valued test,
+//! which compares operands borrowed from the row and the plan's literals:
+//! a row the predicate rejects builds no `Value` and allocates nothing
+//! (and the scan decodes each record into one reused row, string buffers
+//! and all). Operators read `&Value` straight from the rows,
 //! and the hash operators key on them: the hash join indexes its build rows
 //! by the key `Value`, [`agg::HashAggregateExec`] maps the group columns'
 //! `Value`s to a group, and both aggregates share one accumulator. Each hash

@@ -9,7 +9,8 @@ use evopt_common::{Batch, Expr, Result, Schema, Tuple};
 use crate::executor::Executor;
 
 /// Keeps the rows on which the predicate is `TRUE`, through the same
-/// `Expr::eval_predicate` a scan's pushed filter and a join's residual use.
+/// `Expr::eval_predicate` (the three-valued `Expr::truth`, on borrowed
+/// operands) a scan's pushed filter and a join's residual use.
 /// The optimizer leaves a predicate here only above an aggregate (`HAVING`
 /// on an aggregate value) or an opaque join leaf; every other conjunct is
 /// evaluated at the access path or as a join residual.

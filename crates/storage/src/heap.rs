@@ -255,8 +255,11 @@ impl Drop for HeapFile {
 /// is moved into the page's buffer, and the pin is released before the
 /// buffered rows are moved out one by one. So a scan never holds more than
 /// one page pinned, decodes each tuple once, and allocates only for rows
-/// it yields. The first decode or filter error on a page is buffered after
-/// the rows before it, and ends the scan. Pages come through
+/// it yields: a rejected row's strings stay in the reused row for the next
+/// record to overwrite, and the filter reads them in place
+/// (`tests/scan_allocations.rs` counts). The first decode or filter error
+/// on a page is buffered after the rows before it, and ends the scan.
+/// Pages come through
 /// [`BufferPool::fetch_sequential`], so a scan larger than the pool
 /// recycles its own frames rather than flushing everyone else's.
 pub struct HeapScan {

@@ -28,7 +28,7 @@ use evopt::{Database, Tuple};
 use evopt_catalog::Catalog;
 use evopt_common::expr::{col, lit};
 use evopt_common::{BinOp, Column, DataType, Expr, Schema, UnOp, Value};
-use evopt_core::physical::PhysOp;
+use evopt_core::physical::{KeyRange, PhysOp, PhysicalPlan};
 use evopt_exec::{run_collect, ExecEnv};
 use evopt_obs::EngineMetrics;
 use evopt_storage::{BufferPool, DiskManager};
@@ -559,4 +559,338 @@ fn filter_matches_the_predicate_pushed_into_the_scan() {
         kept_some > 20,
         "most predicates should split the fixture ({kept_some} did)"
     );
+}
+
+// ---------------------------------------------------------------------------
+// Plan level: the truth table, in every place a predicate runs
+// ---------------------------------------------------------------------------
+
+/// `tt(k INT, i INT, x FLOAT, s STRING)`, `k` indexed, one row per tuple
+/// of `rows` with `k` its position.
+fn truth_world(rows: &[[Value; 3]]) -> ExecEnv {
+    let pool = BufferPool::new(Arc::new(DiskManager::new()), 32);
+    let cat = Arc::new(Catalog::new(pool));
+    let tt = cat
+        .create_table(
+            "tt",
+            Schema::new(vec![
+                Column::new("k", DataType::Int),
+                Column::new("i", DataType::Int),
+                Column::new("x", DataType::Float),
+                Column::new("s", DataType::Str),
+            ]),
+        )
+        .unwrap();
+    for (k, row) in rows.iter().enumerate() {
+        let values = [Value::Int(k as i64)]
+            .into_iter()
+            .chain(row.iter().cloned());
+        tt.heap.insert(&Tuple::new(values.collect())).unwrap();
+    }
+    cat.create_index("tt_k", "tt", "k", true, false).unwrap();
+    ExecEnv::new(cat, 32)
+}
+
+/// `predicate` in each of the four places a predicate runs: the
+/// sequential scan's pushed filter, the index scan's residual, a hash
+/// join's residual (`tt` against its own keys) and a `Filter` above an
+/// aggregate (`HAVING` over `GROUP BY k, i, x, s`).
+fn predicate_places(env: &ExecEnv, predicate: &Expr) -> Vec<(&'static str, PhysicalPlan)> {
+    let table = scan(env, "tt");
+    let schema = table.schema.clone();
+    let seq = plan(
+        PhysOp::SeqScan {
+            table: "tt".into(),
+            cols: None,
+            filter: Some(predicate.clone()),
+        },
+        schema.clone(),
+    );
+    let index = plan(
+        PhysOp::IndexScan {
+            table: "tt".into(),
+            index: "tt_k".into(),
+            range: KeyRange::all(),
+            cols: None,
+            residual: Some(predicate.clone()),
+            clustered: false,
+        },
+        schema.clone(),
+    );
+    let keys = plan(
+        PhysOp::SeqScan {
+            table: "tt".into(),
+            cols: Some(vec![0].into()),
+            filter: None,
+        },
+        schema.project(&[0]).unwrap(),
+    );
+    let join = plan(
+        PhysOp::HashJoin {
+            left: Box::new(table.clone()),
+            right: Box::new(keys.clone()),
+            left_key: 0,
+            right_key: 0,
+            residual: Some(predicate.clone()),
+        },
+        schema.join(&keys.schema),
+    );
+    let grouped = plan(
+        PhysOp::HashAggregate {
+            input: Box::new(table),
+            group_by: vec![0, 1, 2, 3],
+            aggs: vec![],
+        },
+        schema.clone(),
+    );
+    let having = plan(
+        PhysOp::Filter {
+            input: Box::new(grouped),
+            predicate: predicate.clone(),
+        },
+        schema,
+    );
+    vec![
+        ("SeqScan filter", seq),
+        ("IndexScan residual", index),
+        ("HashJoin residual", join),
+        ("HAVING Filter", having),
+    ]
+}
+
+/// The keys of the rows on which `predicate` is TRUE, the same from every
+/// place at every batch size; or the error kind, the same from each.
+fn truth_in_every_place(env: &ExecEnv, predicate: &Expr) -> Result<Vec<i64>, &'static str> {
+    let mut answers = Vec::new();
+    for (place, p) in predicate_places(env, predicate) {
+        for bs in BATCH_SIZES {
+            let got = run_collect(&p, &env.clone().with_batch_rows(bs)).map(|rows| {
+                let mut keys: Vec<i64> = rows
+                    .iter()
+                    .map(|t| t.value(0).unwrap().as_i64().unwrap())
+                    .collect();
+                keys.sort();
+                keys
+            });
+            answers.push((place, bs, got.map_err(|e| e.kind())));
+        }
+    }
+    let (_, _, first) = answers[0].clone();
+    for (place, bs, got) in &answers {
+        assert_eq!(got, &first, "{predicate}: {place} at batch_rows={bs}");
+    }
+    first
+}
+
+/// `(i, x, s)` per key: INT against FLOAT both ways, equal strings of
+/// different rows, and a NULL in each column.
+fn truth_rows() -> Vec<[Value; 3]> {
+    let s = |v: &str| Value::Str(v.into());
+    vec![
+        [Value::Int(1), Value::Float(1.0), s("a")],
+        [Value::Int(2), Value::Float(1.5), s("ab")],
+        [Value::Int(3), Value::Float(3.5), s("b")],
+        [Value::Null, Value::Float(2.0), Value::Null],
+        [Value::Int(2), Value::Null, s("ab")],
+    ]
+}
+
+#[test]
+fn every_comparison_over_every_operand_type_in_every_place() {
+    let env = truth_world(&truth_rows());
+    let (i, x, s) = (|| col(1), || col(2), || col(3));
+    // Per operator, the keys kept by: `i OP 2`, `x OP 1.5`, `s OP 'ab'`,
+    // `i OP x` (INT against FLOAT) and `x OP i` (FLOAT against INT).
+    #[rustfmt::skip]
+    let table: [(BinOp, [&[i64]; 5]); 6] = [
+        (BinOp::Eq,    [&[1, 4],    &[1],       &[1, 4],    &[0],    &[0]]),
+        (BinOp::NotEq, [&[0, 2],    &[0, 2, 3], &[0, 2],    &[1, 2], &[1, 2]]),
+        (BinOp::Lt,    [&[0],       &[0],       &[0],       &[2],    &[1]]),
+        (BinOp::LtEq,  [&[0, 1, 4], &[0, 1],    &[0, 1, 4], &[0, 2], &[0, 1]]),
+        (BinOp::Gt,    [&[2],       &[2, 3],    &[2],       &[1],    &[2]]),
+        (BinOp::GtEq,  [&[1, 2, 4], &[1, 2, 3], &[1, 2, 4], &[0, 1], &[0, 2]]),
+    ];
+    for (op, want) in table {
+        let cases = [
+            Expr::binary(op, i(), lit(2i64)),
+            Expr::binary(op, x(), lit(1.5)),
+            Expr::binary(op, s(), lit("ab")),
+            Expr::binary(op, i(), x()),
+            Expr::binary(op, x(), i()),
+        ];
+        for (predicate, want) in cases.iter().zip(want) {
+            assert_eq!(
+                truth_in_every_place(&env, predicate),
+                Ok(want.to_vec()),
+                "{predicate}"
+            );
+        }
+        // A NULL operand, on either side or both: unknown on every row.
+        for predicate in [
+            Expr::binary(op, i(), lit(Value::Null)),
+            Expr::binary(op, lit(Value::Null), s()),
+            Expr::binary(op, lit(Value::Null), lit(Value::Null)),
+        ] {
+            assert_eq!(
+                truth_in_every_place(&env, &predicate),
+                Ok(vec![]),
+                "{predicate}"
+            );
+        }
+    }
+}
+
+#[test]
+fn logic_null_tests_in_between_and_like_in_every_place() {
+    let env = truth_world(&truth_rows());
+    let (i, x, s) = (|| col(1), || col(2), || col(3));
+    let cmp = Expr::binary;
+    let unary = |op, input: Expr| Expr::Unary {
+        op,
+        input: Box::new(input),
+    };
+    let in_list = |input: Expr, list: Vec<Value>, negated| Expr::InList {
+        input: Box::new(input),
+        list,
+        negated,
+    };
+    let between = |input: Expr, low: Value, high: Value, negated| Expr::Between {
+        input: Box::new(input),
+        low: Box::new(lit(low)),
+        high: Box::new(lit(high)),
+        negated,
+    };
+    let like = |pattern: &str, negated| Expr::Like {
+        input: Box::new(s()),
+        pattern: pattern.into(),
+        negated,
+    };
+    let i_is_2_and_x_over_1 = Expr::and(
+        cmp(BinOp::Eq, i(), lit(2i64)),
+        cmp(BinOp::Gt, x(), lit(1.0)),
+    );
+    let i_is_2_or_x_over_3 = Expr::or(
+        cmp(BinOp::Eq, i(), lit(2i64)),
+        cmp(BinOp::Gt, x(), lit(3.0)),
+    );
+    let null = Value::Null;
+    let cases: Vec<(Expr, &[i64])> = vec![
+        // Kleene AND / OR / NOT: a NULL operand leaves the row unknown
+        // unless the other operand decides it.
+        (i_is_2_and_x_over_1.clone(), &[1]),
+        (Expr::not(i_is_2_and_x_over_1), &[0, 2]),
+        (i_is_2_or_x_over_3.clone(), &[1, 2, 4]),
+        (Expr::not(i_is_2_or_x_over_3), &[0]),
+        // Unknown on the left, deciding on the right.
+        (
+            Expr::not(Expr::and(
+                cmp(BinOp::Gt, i(), lit(0i64)),
+                cmp(BinOp::Gt, x(), lit(3.0)),
+            )),
+            &[0, 1, 3],
+        ),
+        (
+            Expr::or(
+                cmp(BinOp::Gt, i(), lit(5i64)),
+                cmp(BinOp::Gt, x(), lit(1.0)),
+            ),
+            &[1, 2, 3],
+        ),
+        (
+            Expr::not(Expr::and(lit(null.clone()), lit(false))),
+            &[0, 1, 2, 3, 4],
+        ),
+        (Expr::and(lit(null.clone()), lit(true)), &[]),
+        (Expr::or(lit(null.clone()), lit(true)), &[0, 1, 2, 3, 4]),
+        (Expr::not(lit(null.clone())), &[]),
+        // IS [NOT] NULL observes nullness directly.
+        (unary(UnOp::IsNull, i()), &[3]),
+        (unary(UnOp::IsNotNull, i()), &[0, 1, 2, 4]),
+        (unary(UnOp::IsNull, s()), &[3]),
+        (unary(UnOp::IsNotNull, x()), &[0, 1, 2, 3]),
+        (
+            Expr::or(unary(UnOp::IsNull, i()), unary(UnOp::IsNull, x())),
+            &[3, 4],
+        ),
+        (unary(UnOp::IsNull, cmp(BinOp::Lt, i(), x())), &[3, 4]),
+        // IN with a NULL element: no match is unknown, not FALSE.
+        (in_list(i(), vec![Value::Int(1), null.clone()], false), &[0]),
+        (in_list(i(), vec![Value::Int(1), null.clone()], true), &[]),
+        (
+            in_list(i(), vec![Value::Int(1), Value::Int(3)], true),
+            &[1, 4],
+        ),
+        (
+            in_list(x(), vec![Value::Float(1.5), Value::Int(2)], false),
+            &[1, 3],
+        ),
+        // BETWEEN with a NULL bound: the other bound alone can decide FALSE.
+        (
+            between(i(), Value::Int(2), Value::Int(3), false),
+            &[1, 2, 4],
+        ),
+        (between(i(), null.clone(), Value::Int(2), false), &[]),
+        (between(i(), null.clone(), Value::Int(2), true), &[2]),
+        (between(x(), Value::Int(2), null.clone(), true), &[0, 1]),
+        // LIKE on NULL is unknown, negated or not.
+        (like("a%", false), &[0, 1, 4]),
+        (like("a%", true), &[2]),
+        (like("_", false), &[0, 2]),
+        (like("%", true), &[]),
+    ];
+    for (predicate, want) in cases {
+        assert_eq!(
+            truth_in_every_place(&env, &predicate),
+            Ok(want.to_vec()),
+            "{predicate}"
+        );
+    }
+}
+
+#[test]
+fn errors_keep_their_kind_and_short_circuits_return_without_one() {
+    let env = truth_world(&[
+        [
+            Value::Int(i64::MAX),
+            Value::Float(1.0),
+            Value::Str("a".into()),
+        ],
+        [Value::Int(1), Value::Float(2.0), Value::Str("b".into())],
+    ]);
+    let i = || col(1);
+    // `i + 1 > 0` overflows on the first row.
+    let overflow = Expr::binary(
+        BinOp::Gt,
+        Expr::binary(BinOp::Add, i(), lit(1i64)),
+        lit(0i64),
+    );
+    assert_eq!(truth_in_every_place(&env, &overflow), Err("execution"));
+    // An INT where AND wants a boolean, on either side.
+    for predicate in [Expr::and(i(), lit(true)), Expr::and(lit(true), i())] {
+        assert_eq!(
+            truth_in_every_place(&env, &predicate),
+            Err("execution"),
+            "{predicate}"
+        );
+    }
+    // FALSE AND <error> and TRUE OR <error> never reach the error, whether
+    // the deciding side is a literal or a comparison on the row.
+    let none_kept = [lit(false), Expr::binary(BinOp::Lt, col(0), lit(0i64))];
+    for decided in none_kept {
+        let predicate = Expr::and(decided, overflow.clone());
+        assert_eq!(
+            truth_in_every_place(&env, &predicate),
+            Ok(vec![]),
+            "{predicate}"
+        );
+    }
+    let all_kept = [lit(true), Expr::binary(BinOp::GtEq, col(0), lit(0i64))];
+    for decided in all_kept {
+        let predicate = Expr::or(decided, overflow.clone());
+        assert_eq!(
+            truth_in_every_place(&env, &predicate),
+            Ok(vec![0, 1]),
+            "{predicate}"
+        );
+    }
 }
