@@ -71,8 +71,15 @@ pub fn run(ctx: &JoinContext) -> Result<SubPlan> {
 
 #[cfg(test)]
 mod tests {
-    use crate::enumerate::fixtures::{build, chain3, RelSpec};
+    use crate::enumerate::fixtures::{
+        assert_optimal, build, chain3, for_each_oracle_case, RelSpec,
+    };
     use crate::enumerate::{enumerate, Strategy};
+
+    #[test]
+    fn matches_the_exhaustive_oracle() {
+        for_each_oracle_case(|ctx, case| assert_optimal(ctx, Strategy::BushyDp, case));
+    }
 
     #[test]
     fn matches_or_beats_left_deep() {

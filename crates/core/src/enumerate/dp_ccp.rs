@@ -149,8 +149,15 @@ fn enumerate_cmp_rec(
 
 #[cfg(test)]
 mod tests {
-    use crate::enumerate::fixtures::{build, chain3, star4, RelSpec};
+    use crate::enumerate::fixtures::{
+        assert_optimal, build, chain3, for_each_oracle_case, star4, RelSpec,
+    };
     use crate::enumerate::{enumerate, Strategy};
+
+    #[test]
+    fn matches_the_exhaustive_oracle() {
+        for_each_oracle_case(|ctx, case| assert_optimal(ctx, Strategy::DpCcp, case));
+    }
 
     #[test]
     fn matches_naive_bushy_dp_exactly() {

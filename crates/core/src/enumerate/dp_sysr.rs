@@ -62,8 +62,10 @@ pub fn run(ctx: &JoinContext) -> Result<SubPlan> {
 
 #[cfg(test)]
 mod tests {
-    use crate::enumerate::fixtures::{build, chain3, star4, RelSpec};
-    use crate::enumerate::{enumerate, JoinContext, Strategy, SubPlan};
+    use crate::enumerate::fixtures::{
+        assert_optimal, build, chain3, for_each_oracle_case, star4, RelSpec,
+    };
+    use crate::enumerate::{enumerate, Strategy};
     use crate::physical::PhysOp;
 
     #[test]
@@ -74,32 +76,6 @@ mod tests {
         assert_eq!(plan.mask, ctx.graph.all_mask());
         let order = plan.plan.scan_order();
         assert_eq!(order.len(), 3);
-    }
-
-    /// Every left-deep plan of `ctx`'s relations: each order, each access
-    /// path of each relation, each join method of each step.
-    fn every_left_deep_plan(ctx: &JoinContext) -> Vec<SubPlan> {
-        fn extend(ctx: &JoinContext, left: SubPlan, out: &mut Vec<SubPlan>) {
-            let rest = ctx.graph.all_mask() & !left.mask;
-            if rest == 0 {
-                return out.push(left);
-            }
-            for r in (0..ctx.rels.len()).filter(|r| rest & (1u64 << r) != 0) {
-                for right in ctx.base_subplans(r) {
-                    let cross = !ctx.is_connected(left.mask, right.mask);
-                    for cand in ctx.join_candidates(&left, right, cross) {
-                        extend(ctx, cand.into_subplan(ctx).unwrap(), out);
-                    }
-                }
-            }
-        }
-        let mut out = Vec::new();
-        for r in 0..ctx.rels.len() {
-            for leaf in ctx.base_subplans(r) {
-                extend(ctx, leaf.clone(), &mut out);
-            }
-        }
-        out
     }
 
     #[test]
@@ -119,15 +95,12 @@ mod tests {
             }
         }
         assert!(hash_joins > 0, "plan:\n{}", plan.plan);
-        let total = |sp: &SubPlan| ctx.model.total(sp.cost);
-        let every = every_left_deep_plan(&ctx);
-        let least = every.iter().map(total).fold(f64::INFINITY, f64::min);
-        let got = total(&plan);
-        assert!(
-            (got - least).abs() <= 1e-9 * least,
-            "{got} against {least}:\n{}",
-            plan.plan
-        );
+        assert_optimal(&ctx, Strategy::SystemR, "chain3");
+    }
+
+    #[test]
+    fn matches_the_exhaustive_oracle() {
+        for_each_oracle_case(|ctx, case| assert_optimal(ctx, Strategy::SystemR, case));
     }
 
     #[test]

@@ -36,15 +36,13 @@ use std::time::Instant;
 use evopt_common::{EvoptError, Expr, Result, Schema};
 use evopt_obs::{PruneReason, TraceSink};
 use evopt_plan::join_graph::{JoinGraph, RelMask};
+use evopt_storage::USABLE_PAGE_BYTES;
 
 use crate::access_path::{IndexMeta, PathChoice, PathKind};
 use crate::cost::{Cost, CostModel};
 use crate::optimizer::{mark, ColMap};
 use crate::physical::{PhysOp, PhysicalPlan};
 use crate::selectivity::EstimationContext;
-
-/// Usable bytes per page when estimating materialised sizes.
-const USABLE_PAGE_BYTES: f64 = 4084.0;
 
 /// Which enumeration algorithm to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -145,15 +143,12 @@ pub struct SubPlan {
     pub col_map: ColMap,
     /// Global ordinal whose ascending order the output satisfies.
     pub order: Option<usize>,
-    /// The relations in output order. Tie-breaks compare where whole rows
-    /// of them would put each column, whatever the scans decode.
-    pub rels: Arc<[usize]>,
 }
 
 impl SubPlan {
     /// Estimated materialised size in pages.
     pub fn pages(&self) -> f64 {
-        ((self.rows * self.width) / USABLE_PAGE_BYTES)
+        ((self.rows * self.width) / USABLE_PAGE_BYTES as f64)
             .ceil()
             .max(1.0)
     }
@@ -223,15 +218,6 @@ impl<'p> Candidate<'p> {
             Method::SortMerge { .. } => "SortMergeJoin",
             Method::IndexNestedLoop { .. } => "IndexNestedLoopJoin",
         }
-    }
-
-    /// The relations in output order.
-    fn rels(&self) -> impl Iterator<Item = &'p usize> {
-        let right: &'p [usize] = match self.method {
-            Method::Built => &[],
-            _ => &self.right.rels,
-        };
-        self.left.rels.iter().chain(right)
     }
 
     /// The plan this candidate priced, with the same cost, rows, width and
@@ -340,7 +326,6 @@ impl<'p> Candidate<'p> {
             cost: self.cost,
             col_map,
             order: self.order,
-            rels: self.rels().copied().collect(),
         })
     }
 }
@@ -469,7 +454,6 @@ impl<'a> JoinContext<'a> {
                 plan,
                 col_map: ColMap::new(col_map),
                 order,
-                rels: Arc::from([r]),
             }
         };
         if let Some((plan, map)) = &rel.opaque_plan {
@@ -665,58 +649,27 @@ impl<'a> JoinContext<'a> {
             cost: sp.cost + sort_cost,
             col_map: sp.col_map.clone(),
             order: Some(g),
-            rels: sp.rels.clone(),
         })
     }
 
-    /// From complete candidates, pick the best given the required order:
-    /// an already-ordered plan competes against cheapest-plus-sort. The
-    /// comparison also charges the column-order-restoring projection that
-    /// `finalize` will add for non-identity outputs, so the enumeration
-    /// objective matches the cost of the plan actually returned.
+    /// From complete candidates, the one of least total cost once each has
+    /// the required order: an already-ordered plan competes against
+    /// cheapest-plus-sort. The plan returned is the plan priced: its
+    /// columns stay in the order its joins built them, and whatever sits
+    /// above remaps through its column map.
     pub fn pick_final(&self, candidates: Vec<SubPlan>) -> Result<SubPlan> {
-        if candidates.is_empty() {
-            return Err(EvoptError::Plan("enumeration produced no plan".into()));
-        }
-        let total = self.total_cols();
-        let effective = |sp: &SubPlan| {
-            let restore = if self.in_place(sp.rels.iter()) == total {
-                Cost::ZERO
-            } else {
-                self.model.per_tuple(sp.rows)
-            };
-            self.model.total(sp.cost + restore)
-        };
+        let total = |p: &SubPlan| self.model.total(p.cost);
         let mut best: Option<SubPlan> = None;
         for sp in candidates {
             let sp = match self.required_order {
                 Some(g) if sp.order != Some(g) => self.enforce_order(&sp, g)?,
                 _ => sp,
             };
-            let replace = match &best {
-                None => true,
-                Some(b) => effective(&sp) < effective(b),
-            };
-            if replace {
+            if best.as_ref().is_none_or(|b| total(&sp) < total(b)) {
                 best = Some(sp);
             }
         }
         best.ok_or_else(|| EvoptError::Plan("enumeration produced no plan".into()))
-    }
-
-    /// How many global columns a whole-row plan of relations `rels`, in
-    /// that order, would put at their own ordinal. All of them means the
-    /// syntactic order, which needs no column-restoring projection.
-    pub fn in_place<'r>(&self, rels: impl Iterator<Item = &'r usize>) -> usize {
-        let (mut at, mut fixed) = (0, 0);
-        for &r in rels {
-            let width = self.graph.schemas[r].len();
-            if at == self.graph.offsets[r] {
-                fixed += width;
-            }
-            at += width;
-        }
-        fixed
     }
 
     /// Whether joining `left` to `right` is connected (has a predicate).
@@ -786,9 +739,10 @@ impl<'a> JoinContext<'a> {
     }
 }
 
-/// Dominance table keyed by `(mask, order)`; admits a plan only if it beats
-/// the incumbent. BTreeMap (not HashMap) so iteration — and therefore tie
-/// resolution between equal-cost plans — is deterministic run to run.
+/// Dominance table keyed by `(mask, order)`; admits a plan only if it is
+/// strictly cheaper than the incumbent, so of two plans that tie exactly
+/// the first admitted stays. BTreeMap (not HashMap) so iteration — and
+/// therefore which plan is admitted first — is deterministic run to run.
 /// Plans are shared, so the search holds the inputs it joins while it
 /// admits their joins into the table.
 #[derive(Default)]
@@ -801,17 +755,13 @@ impl PlanTable {
         PlanTable::default()
     }
 
-    /// Whether `cand` would replace the incumbent for its (mask, order), or
-    /// there is none: it is cheaper, or ties exactly with more columns in
-    /// place ([`JoinContext::in_place`]) — mirror-image join trees often
-    /// tie, and the one closer to the syntactic order avoids the final
-    /// column-restoring projection.
+    /// Whether `cand` is strictly cheaper than the incumbent for its (mask,
+    /// order), or there is none.
     fn beaten_by(&self, cand: &Candidate, ctx: &JoinContext) -> bool {
         let Some(cur) = self.plans.get(&(cand.mask, cand.order)) else {
             return true;
         };
-        let (a, b) = (ctx.model.total(cand.cost), ctx.model.total(cur.cost));
-        a < b || (a == b && ctx.in_place(cand.rels()) > ctx.in_place(cur.rels.iter()))
+        ctx.model.total(cand.cost) < ctx.model.total(cur.cost)
     }
 
     /// All retained plans for `mask`.
@@ -865,6 +815,8 @@ pub(crate) mod fixtures {
     use evopt_common::expr::col;
     use evopt_common::{Column, DataType, Schema, Value};
     use evopt_plan::LogicalPlan;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
 
     /// Specification of one synthetic relation.
     pub struct RelSpec {
@@ -1071,6 +1023,169 @@ pub(crate) mod fixtures {
             &[(0, 1, 1, 0), (0, 0, 2, 0), (0, 0, 3, 0)],
         )
     }
+
+    /// The shape of a random fixture's join graph.
+    #[derive(Debug, Clone, Copy)]
+    pub enum Shape {
+        Chain,
+        Star,
+        Cycle,
+        Clique,
+    }
+
+    /// `n` relations of 10 to 100 000 rows, each column with an NDV drawn
+    /// log-uniformly up to the rows (so some joins multiply rows and some
+    /// shrink them) and each relation indexed on `c0` or not at random,
+    /// joined as `shape` says on random columns.
+    pub fn random(shape: Shape, n: usize, seed: u64) -> Fixture {
+        const NAMES: [&str; 4] = ["r0", "r1", "r2", "r3"];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let specs: Vec<RelSpec> = NAMES[..n]
+            .iter()
+            .map(|&name| {
+                let rows = 10f64.powf(rng.random_range(1.0..5.0)).round();
+                let mut ndv = || rows.powf(rng.random_range(0.0..1.0)).round() as u64;
+                RelSpec {
+                    name,
+                    rows,
+                    ndv: [ndv(), ndv()],
+                    indexed: rng.random_bool(0.5),
+                }
+            })
+            .collect();
+        let pairs: Vec<(usize, usize)> = match shape {
+            Shape::Chain => (1..n).map(|i| (i - 1, i)).collect(),
+            Shape::Star => (1..n).map(|i| (0, i)).collect(),
+            Shape::Cycle => (1..n).map(|i| (i - 1, i)).chain([(n - 1, 0)]).collect(),
+            Shape::Clique => (0..n)
+                .flat_map(|a| (a + 1..n).map(move |b| (a, b)))
+                .collect(),
+        };
+        let edges: Vec<_> = pairs
+            .into_iter()
+            .map(|(a, b)| (a, rng.random_range(0..2), b, rng.random_range(0..2)))
+            .collect();
+        build(&specs, &edges)
+    }
+
+    /// Runs `check` on the oracle's cases: chain, star, cycle and clique
+    /// graphs of 3 and 4 relations, four seeds each, each with no required
+    /// order and with a random one.
+    pub fn for_each_oracle_case(check: impl Fn(&JoinContext, &str)) {
+        for shape in [Shape::Chain, Shape::Star, Shape::Cycle, Shape::Clique] {
+            for (n, seed) in [3, 4].into_iter().flat_map(|n| (0..4).map(move |s| (n, s))) {
+                let f = random(shape, n, seed);
+                let order = StdRng::seed_from_u64(seed).random_range(0..2 * n);
+                for required_order in [None, Some(order)] {
+                    let mut ctx = f.ctx();
+                    ctx.required_order = required_order;
+                    check(
+                        &ctx,
+                        &format!("{shape:?} n={n} seed={seed} order={required_order:?}"),
+                    );
+                }
+            }
+        }
+    }
+
+    /// The ordered `(outer, inner)` splits a DP strategy joins a relation
+    /// set from: its plan space.
+    #[derive(Debug, Clone, Copy)]
+    pub enum Space {
+        /// System R: a plan of all but one relation joined to that one as
+        /// its inner, by a predicate when any such split has one.
+        LeftDeep,
+        /// BushyDp: any two halves, by a predicate when any split has one.
+        Bushy,
+        /// DPccp on a connected graph: any two halves a predicate joins.
+        Connected,
+    }
+
+    impl Space {
+        /// The space `strategy` searches on `ctx`'s graph.
+        pub fn of(strategy: Strategy, ctx: &JoinContext) -> Space {
+            match strategy {
+                Strategy::SystemR => Space::LeftDeep,
+                Strategy::DpCcp if ctx.graph.subgraph_connected(ctx.graph.all_mask()) => {
+                    Space::Connected
+                }
+                _ => Space::Bushy,
+            }
+        }
+
+        fn splits(self, ctx: &JoinContext, mask: RelMask) -> Vec<(RelMask, RelMask)> {
+            let halves = (1..mask).filter(|s| s & mask == *s).map(|s| (s, mask ^ s));
+            let splits: Vec<_> = match self {
+                Space::LeftDeep => halves
+                    .filter(|(_, inner)| inner.count_ones() == 1)
+                    .collect(),
+                _ => halves.collect(),
+            };
+            let joined = |&(a, b): &(RelMask, RelMask)| ctx.is_connected(a, b);
+            let forced = !matches!(self, Space::Connected) && !splits.iter().any(joined);
+            splits.into_iter().filter(|s| forced || joined(s)).collect()
+        }
+    }
+
+    /// The least total cost over every complete plan in `space`, each with
+    /// a sort on top when it misses `ctx.required_order`: every split, every
+    /// plan of each side, every join method, none pruned. Plans are built
+    /// with [`JoinContext::join_candidates`] and [`Candidate::into_subplan`]
+    /// only, never through a [`PlanTable`].
+    pub fn least_cost(ctx: &JoinContext, space: Space) -> f64 {
+        let all = ctx.graph.all_mask();
+        let mut masks: Vec<RelMask> = (1..=all).collect();
+        masks.sort_by_key(|m| m.count_ones());
+        let mut plans: BTreeMap<RelMask, Vec<SubPlan>> = BTreeMap::new();
+        let mut least = f64::INFINITY;
+        for mask in masks {
+            if mask.count_ones() == 1 {
+                let leaves = ctx.base_subplans(mask.trailing_zeros() as usize).to_vec();
+                plans.insert(mask, leaves);
+                continue;
+            }
+            let mut built = Vec::new();
+            for (outer, inner) in space.splits(ctx, mask) {
+                let cross = !ctx.is_connected(outer, inner);
+                for l in &plans[&outer] {
+                    for r in &plans[&inner] {
+                        for cand in ctx.join_candidates(l, r, cross) {
+                            // A sort only adds cost: a complete plan that
+                            // costs no less than the least needs no building.
+                            if mask != all {
+                                built.push(cand.into_subplan(ctx).unwrap());
+                            } else if ctx.model.total(cand.cost) < least {
+                                let sp = cand.into_subplan(ctx).unwrap();
+                                let sp = match ctx.required_order {
+                                    Some(g) if sp.order != Some(g) => {
+                                        ctx.enforce_order(&sp, g).unwrap()
+                                    }
+                                    _ => sp,
+                                };
+                                least = least.min(ctx.model.total(sp.cost));
+                            }
+                        }
+                    }
+                }
+            }
+            plans.insert(mask, built);
+        }
+        least
+    }
+
+    /// Asserts that `strategy` picks a plan costing [`least_cost`] over
+    /// its own space: the principle of optimality, checked exhaustively.
+    pub fn assert_optimal(ctx: &JoinContext, strategy: Strategy, case: &str) {
+        let pick = enumerate(ctx, strategy).unwrap();
+        let got = ctx.model.total(pick.cost);
+        let least = least_cost(ctx, Space::of(strategy, ctx));
+        assert!(
+            (got - least).abs() <= 1e-9 * least,
+            "{} on {case}: {got} against {least}:\n{}",
+            strategy.name(),
+            pick.plan
+        );
+    }
 }
 
 #[cfg(test)]
@@ -1198,7 +1313,7 @@ mod tests {
                 }
                 for c in ctx.join_candidates(a, b, true) {
                     let sp = c.into_subplan(&ctx).unwrap();
-                    assert_eq!((sp.mask, sp.order, sp.rels.len()), (c.mask, c.order, 2));
+                    assert_eq!((sp.mask, sp.order), (c.mask, c.order));
                     assert_eq!((sp.cost, sp.rows, sp.width), (c.cost, c.rows, c.width));
                     assert_eq!((sp.plan.est_cost, sp.plan.est_rows), (c.cost, c.rows));
                     assert_eq!(sp.plan.op_name(), c.op_name());

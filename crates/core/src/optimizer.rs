@@ -23,10 +23,11 @@ use evopt_common::{EvoptError, Expr, Result, Schema};
 use evopt_obs::TraceSink;
 use evopt_plan::join_graph::JoinGraph;
 use evopt_plan::{LogicalPlan, SortKey};
+use evopt_storage::USABLE_PAGE_BYTES;
 
 use crate::access_path::{self, IndexMeta, PathChoice, RelMeta};
 use crate::cost::CostModel;
-use crate::enumerate::{enumerate, scan_path, BaseRel, JoinContext, Strategy, SubPlan};
+use crate::enumerate::{enumerate, scan_path, BaseRel, JoinContext, Strategy};
 use crate::physical::{PhysAgg, PhysOp, PhysicalPlan};
 use crate::selectivity::{ColumnInfo, EstimationContext};
 use crate::verify;
@@ -35,6 +36,13 @@ use crate::verify;
 const DEFAULT_WIDTH: f64 = 64.0;
 /// Fallback grouping-reduction ratio when group-column NDVs are unknown.
 const DEFAULT_GROUP_RATIO: f64 = 0.1;
+
+/// Pages `rows` rows of [`DEFAULT_WIDTH`] bytes fill.
+fn default_pages(rows: f64) -> f64 {
+    (rows * DEFAULT_WIDTH / USABLE_PAGE_BYTES as f64)
+        .ceil()
+        .max(1.0)
+}
 
 /// Where each logical column went in a plan as built: column `c` to
 /// `to[c]`, `None` if not produced (nothing above reads it or, in the
@@ -192,10 +200,28 @@ impl Optimizer {
     }
 
     /// Optimize a bound logical plan against `catalog`: the plan the cost
-    /// model chose, each scan decoding only the columns the plan reads.
+    /// model chose, each scan decoding only the columns the plan reads, its
+    /// output in the logical plan's column order. A join's plan keeps the
+    /// column order it was built in and every arm above remaps through its
+    /// map, so only a root whose map moved a column (a bare join) gets a
+    /// `Project` that puts them back.
     pub fn optimize(&self, plan: &LogicalPlan, catalog: &Catalog) -> Result<PhysicalPlan> {
-        let all = vec![true; plan.width()];
-        let (phys, _) = self.optimize_rec(plan, catalog, &all, None)?;
+        let width = plan.width();
+        let (mut phys, map) = self.optimize_rec(plan, catalog, &vec![true; width], None)?;
+        if (0..width).any(|c| map.moved(c) != Some(c)) {
+            let exprs = (0..width).map(|c| Ok(Expr::Column(map.at(c)?)));
+            let order = phys.output_order;
+            phys = PhysicalPlan {
+                schema: plan.schema(),
+                est_rows: phys.est_rows,
+                est_cost: phys.est_cost + self.config.cost_model.per_tuple(phys.est_rows),
+                output_order: order.and_then(|o| (0..width).find(|&c| map.moved(c) == Some(o))),
+                op: PhysOp::Project {
+                    exprs: exprs.collect::<Result<_>>()?,
+                    input: Box::new(phys),
+                },
+            };
+        }
         if self.verifying() {
             verify::verify_physical(&phys, Some(catalog), verify::VerifyPhase::PostPhysical)
                 .into_result()?;
@@ -378,8 +404,7 @@ impl Optimizer {
                     }
                 }
                 let rows = child.est_rows;
-                let pages = (rows * DEFAULT_WIDTH / 4084.0).ceil().max(1.0);
-                let cost = child.est_cost + model.sort(rows, pages);
+                let cost = child.est_cost + model.sort(rows, default_pages(rows));
                 let output_order = match keys.first() {
                     Some(SortKey {
                         column,
@@ -438,8 +463,7 @@ impl Optimizer {
         // so here we just bias the choice by charging the virtual sort.
         let penalty = |p: &PathChoice| match required {
             Some(k) if p.order.filter(|_| track) != Some(k) => {
-                let pages = (p.rows * DEFAULT_WIDTH / 4084.0).ceil().max(1.0);
-                model.total(model.sort(p.rows, pages))
+                model.total(model.sort(p.rows, default_pages(p.rows)))
             }
             _ => 0.0,
         };
@@ -547,7 +571,7 @@ impl Optimizer {
                     rels.push(BaseRel {
                         table: None,
                         rows_raw: inner.est_rows,
-                        pages_raw: (inner.est_rows * DEFAULT_WIDTH / 4084.0).ceil().max(1.0),
+                        pages_raw: default_pages(inner.est_rows),
                         width: DEFAULT_WIDTH,
                         local_sel: 1.0,
                         local_preds_global: vec![],
@@ -565,7 +589,7 @@ impl Optimizer {
         ctx.required_order = required;
         ctx.trace = self.trace.as_ref();
         let sub = enumerate(&ctx, self.config.strategy)?;
-        let (mut phys, map) = finalize(&ctx, sub, need)?;
+        let (mut phys, map) = (sub.plan, sub.col_map);
         // A conjunct that names no relation (a folded constant) is in no
         // join's or relation's predicate set: it filters the whole join.
         let constant: Vec<Expr> = graph
@@ -647,39 +671,6 @@ fn table_meta(info: &TableInfo) -> (RelMeta, EstimationContext<'_>) {
         },
         EstimationContext::new(columns),
     )
-}
-
-/// Restore syntactic column order on top of an enumerated subplan so the
-/// join node's output matches the logical schema (the relations' columns
-/// in syntactic order), keeping the columns the parent reads (`need`).
-/// Returns the plan and where each logical column went.
-fn finalize(ctx: &JoinContext, sub: SubPlan, need: &[bool]) -> Result<(PhysicalPlan, ColMap)> {
-    let total = ctx.total_cols();
-    if ctx.in_place(sub.rels.iter()) == total {
-        return Ok((sub.plan, sub.col_map));
-    }
-    let kept: Vec<usize> = (0..total).filter(|&g| need[g]).collect();
-    let exprs = kept
-        .iter()
-        .map(|&g| Ok(Expr::Column(sub.col_map.at(g)?)))
-        .collect::<Result<_>>()?;
-    let map = ColMap::keeping(&kept, total);
-    let columns = ctx.graph.schemas.iter().flat_map(|s| s.columns());
-    let kept_columns = columns
-        .zip(need)
-        .filter(|(_, &n)| n)
-        .map(|(c, _)| c.clone());
-    let plan = PhysicalPlan {
-        schema: Schema::new(kept_columns.collect()),
-        est_rows: sub.rows,
-        est_cost: sub.cost + ctx.model.per_tuple(sub.rows),
-        output_order: sub.order.and_then(|g| map.moved(g)),
-        op: PhysOp::Project {
-            input: Box::new(sub.plan),
-            exprs,
-        },
-    };
-    Ok((plan, map))
 }
 
 #[cfg(test)]
@@ -778,6 +769,19 @@ mod tests {
         assert_eq!(phys.op_name(), "SeqScan", "plan:\n{phys}");
     }
 
+    const STRATEGIES: [Strategy; 7] = [
+        Strategy::SystemR,
+        Strategy::BushyDp,
+        Strategy::DpCcp,
+        Strategy::Greedy,
+        Strategy::Goo,
+        Strategy::QuickPick {
+            samples: 8,
+            seed: 1,
+        },
+        Strategy::Syntactic,
+    ];
+
     #[test]
     fn join_produces_covering_plan_with_restored_order() {
         let cat = setup();
@@ -788,19 +792,28 @@ mod tests {
             right: Box::new(scan(&cat, "customers")),
             predicate: Some(Expr::eq(col(1), col(3))),
         };
-        let phys = Optimizer::default_system_r().optimize(&join, &cat).unwrap();
-        // Output schema must match the logical join schema (6 cols,
-        // syntactic order), regardless of the join order chosen.
-        assert_eq!(phys.schema.len(), 6);
-        assert_eq!(phys.schema.resolve(Some("orders"), "id").unwrap(), 0);
-        assert_eq!(phys.schema.resolve(Some("customers"), "id").unwrap(), 3);
-        // ~10k output rows (every order matches one customer).
-        assert!(
-            (phys.est_rows - 10_000.0).abs() / 10_000.0 < 0.2,
-            "est {}",
-            phys.est_rows
-        );
-        assert!(!phys.join_methods().is_empty());
+        for strategy in STRATEGIES {
+            let phys = Optimizer::new(OptimizerConfig {
+                strategy,
+                ..Default::default()
+            })
+            .optimize(&join, &cat)
+            .unwrap();
+            // Output schema must match the logical join schema (6 cols,
+            // syntactic order), regardless of the join order chosen.
+            let name = strategy.name();
+            assert_eq!(phys.schema.len(), 6, "{name}");
+            assert_eq!(phys.schema.resolve(Some("orders"), "id").unwrap(), 0);
+            assert_eq!(phys.schema.resolve(Some("customers"), "id").unwrap(), 3);
+            assert_eq!(phys.schema, join.schema(), "{name}:\n{phys}");
+            // ~10k output rows (every order matches one customer).
+            assert!(
+                (phys.est_rows - 10_000.0).abs() / 10_000.0 < 0.2,
+                "{name}: est {}",
+                phys.est_rows
+            );
+            assert!(!phys.join_methods().is_empty(), "{name}");
+        }
     }
 
     #[test]
@@ -962,18 +975,7 @@ mod tests {
         };
         let model = CostModel::default();
         let mut costs = Vec::new();
-        for strategy in [
-            Strategy::SystemR,
-            Strategy::BushyDp,
-            Strategy::DpCcp,
-            Strategy::Greedy,
-            Strategy::Goo,
-            Strategy::QuickPick {
-                samples: 8,
-                seed: 1,
-            },
-            Strategy::Syntactic,
-        ] {
+        for strategy in STRATEGIES {
             let phys = Optimizer::new(OptimizerConfig {
                 strategy,
                 ..Default::default()

@@ -25,13 +25,10 @@ use std::sync::Arc;
 use evopt_catalog::TableInfo;
 use evopt_common::{Batch, EvoptError, Expr, Result, Schema, Tuple, Value};
 use evopt_storage::heap::HeapScan;
-use evopt_storage::HeapFile;
+use evopt_storage::{HeapFile, USABLE_PAGE_BYTES};
 
 use crate::executor::{invariant, BatchBuilder, BatchCursor, ExecEnv, Executor};
 use crate::join_key::JoinKeyMap;
-
-/// Usable bytes per page for blocking decisions.
-const USABLE_PAGE_BYTES: usize = 4084;
 
 fn passes(residual: &Option<Expr>, t: &Tuple) -> Result<bool> {
     match residual {

@@ -20,11 +20,9 @@ use std::sync::Arc;
 
 use evopt_common::{Batch, Result, Schema, Tuple, Value};
 use evopt_storage::heap::HeapScan;
-use evopt_storage::HeapFile;
+use evopt_storage::{HeapFile, USABLE_PAGE_BYTES};
 
 use crate::executor::{invariant, BatchCursor, ExecEnv, Executor};
-
-const USABLE_PAGE_BYTES: usize = 4084;
 
 /// Sort keys: (column ordinal, ascending).
 type Keys = Vec<(usize, bool)>;

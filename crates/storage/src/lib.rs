@@ -53,7 +53,7 @@ pub use checksum::crc32;
 pub use disk::{DiskBackend, DiskManager, IoSnapshot};
 pub use fault::{CrashingBackend, FaultConfig, FaultInjector, FaultReport};
 pub use heap::HeapFile;
-pub use page::{PageId, Rid, INVALID_PAGE_ID, PAGE_SIZE, USABLE_PAGE_SIZE};
+pub use page::{PageId, Rid, INVALID_PAGE_ID, PAGE_SIZE, USABLE_PAGE_BYTES, USABLE_PAGE_SIZE};
 pub use wal::{
     CatalogImage, ColumnImage, IndexImage, Lsn, RecoveryInfo, TableImage, Wal, WalStats,
 };

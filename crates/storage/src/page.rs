@@ -27,6 +27,10 @@ use evopt_common::{EvoptError, Result};
 /// gives ~60 Wisconsin-style tuples per page.
 pub const PAGE_SIZE: usize = 4096;
 
+/// Bytes of a page the cost model and the operators' memory grants count
+/// as holding rows: the page less its slotted-page header (4 084).
+pub const USABLE_PAGE_BYTES: usize = PAGE_SIZE - HEADER_SIZE;
+
 /// Byte offset of the 8-byte page LSN trailer (little-endian u64 in the
 /// last eight bytes of the page).
 pub const PAGE_LSN_OFFSET: usize = PAGE_SIZE - 8;

@@ -166,8 +166,10 @@ fn recorded_queries() -> Vec<String> {
 /// scan order, the join methods, and each node's operator and estimates in
 /// pre-order, as the optimizer chose them when every scan decoded whole
 /// rows. It was recorded from the full-row optimizer, not from the code it
-/// checks; a change that means to move plans (pricing narrow rows) records
-/// it again and says so.
+/// checks, and recorded again, outside the test, when the column-restoring
+/// projection over joins went (37 plans lost it and one exact tie flipped,
+/// every answer unchanged; EXPERIMENTS.md S19). A change that means to
+/// move plans (pricing narrow rows) records it again and says so.
 const FULL_ROW_PLANS: &str = include_str!("support/full_row_plans.txt");
 
 /// One plan's entry in [`FULL_ROW_PLANS`].
@@ -181,11 +183,33 @@ fn plan_record(out: &mut String, strategy: Strategy, sql: &str, plan: &PhysicalP
     }
 }
 
+/// A join's plan leaves the enumerator in the column order it was built
+/// in, and the node above remaps through its column map: no `Project`
+/// sits directly on a `Project`, and none between an aggregate and the
+/// join it reads.
+fn assert_no_restoring_project(plan: &PhysicalPlan, at: &str) {
+    for (_, node) in plan.pre_order() {
+        let [child] = node.children()[..] else {
+            continue;
+        };
+        if child.op_name() != "Project" {
+            continue;
+        }
+        let (above, below) = (node.op_name(), child.children()[0].op_name());
+        assert!(above != "Project", "a Project on a Project, {at}\n{plan}");
+        assert!(
+            !(above.ends_with("Aggregate") && below.ends_with("Join")),
+            "a Project between an aggregate and a join, {at}\n{plan}"
+        );
+    }
+}
+
 /// Building scans narrow changes no plan choice: over the verify battery
 /// and the `analytic` workload's 11 statement shapes, under every strategy,
 /// every plan scans the same tables in the same order with the same join
 /// methods, node for node with the same estimates, as the recorded
-/// full-row enumeration ([`FULL_ROW_PLANS`]). A scan that reads every
+/// full-row enumeration ([`FULL_ROW_PLANS`]), and carries no restoring
+/// `Project` ([`assert_no_restoring_project`]). A scan that reads every
 /// column decodes whole rows: `SELECT *` and the row-finders of UPDATE and
 /// DELETE show no `cols=`.
 #[test]
@@ -208,6 +232,7 @@ fn narrowing_scans_changes_no_plan_choice() {
         for sql in &queries {
             let (_, plan) = db.plan_sql(sql).unwrap();
             plan_record(&mut record, strategy, sql, &plan);
+            assert_no_restoring_project(&plan, &format!("{}: {sql}", strategy.name()));
             narrowed += usize::from(plan.to_string().contains("cols="));
         }
         for sql in whole_rows {
