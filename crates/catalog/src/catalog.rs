@@ -20,16 +20,17 @@
 //! catalog-level (schemas, index lists, statistics), while row visibility
 //! is read-committed at page granularity (see DESIGN.md §11.2).
 //!
-//! The log records a version as its [`CatalogImage`] (schemas and storage
-//! roots): [`Catalog::image`] writes it, [`Catalog::from_image`] reads it.
+//! The log records a version as one catalog record whose bytes are the
+//! catalog's own (schemas and storage roots, no statistics):
+//! [`Catalog::encode`] writes them and [`Catalog::decode`] reads them back
+//! at recovery. The log frames, orders and keeps the last committed record
+//! but never reads it.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use evopt_common::{lockorder, Column, EvoptError, Result, Schema};
-use evopt_storage::{
-    BTreeIndex, BufferPool, CatalogImage, ColumnImage, HeapFile, IndexImage, TableImage,
-};
+use evopt_common::{lockorder, Column, DataType, EvoptError, Result, Schema};
+use evopt_storage::{BTreeIndex, BufferPool, HeapFile};
 use parking_lot::Mutex;
 
 use crate::stats::TableStats;
@@ -115,71 +116,109 @@ impl Catalog {
         }
     }
 
-    /// The catalog `image` describes, as its first version, with every heap
-    /// and B+-tree opened at its root and no lock held (crash recovery). No
-    /// statistics. A duplicate name or a missing column is a typed error.
-    pub fn from_image(pool: Arc<BufferPool>, image: &CatalogImage) -> Result<Catalog> {
+    /// The catalog `bytes` (an [`Catalog::encode`]d version) describe, as
+    /// its first version, with every heap and B+-tree opened at its root
+    /// and no lock held (crash recovery). No statistics. Bytes that do not
+    /// parse are `Corruption`; a duplicate name or a missing column is a
+    /// `Catalog` error.
+    pub fn decode(pool: Arc<BufferPool>, bytes: &[u8]) -> Result<Catalog> {
+        let mut r = Reader(bytes);
         let (mut namespace, mut index_names) = (Namespace::new(), HashSet::new());
-        for t in &image.tables {
-            let name = t.name.to_ascii_lowercase();
-            let columns = t.columns.iter().map(|c| Column {
-                nullable: c.nullable,
-                ..Column::new(&c.name, c.dtype)
-            });
+        for _ in 0..r.u32()? {
+            let table = r.name()?;
+            let name = table.to_ascii_lowercase();
+            let ncols = r.u32()? as usize;
+            let mut columns = Vec::with_capacity(ncols.min(r.0.len()));
+            for _ in 0..ncols {
+                let column = r.name()?;
+                let dtype = match r.u8()? {
+                    0 => DataType::Bool,
+                    1 => DataType::Int,
+                    2 => DataType::Float,
+                    3 => DataType::Str,
+                    tag => return Err(malformed(&format!("unknown type tag {tag}"))),
+                };
+                let nullable = r.u8()? != 0;
+                columns.push(Column {
+                    nullable,
+                    ..Column::new(column, dtype)
+                });
+            }
             let mut info = TableInfo {
-                schema: Schema::new(columns.collect()).with_qualifier(&name),
-                heap: Arc::new(HeapFile::open(Arc::clone(&pool), t.first_page)?),
+                schema: Schema::new(columns).with_qualifier(&name),
+                heap: Arc::new(HeapFile::open(Arc::clone(&pool), r.u64()?)?),
                 name: name.clone(),
                 indexes: Vec::new(),
                 stats: None,
             };
-            for i in &t.indexes {
-                info.schema.column(i.column as usize).ok_or_else(|| {
-                    EvoptError::Catalog(format!("index '{}' keys on no column of '{name}'", i.name))
+            for _ in 0..r.u32()? {
+                let index = r.name()?;
+                let column = r.u32()? as usize;
+                let (unique, clustered) = (r.u8()? != 0, r.u8()? != 0);
+                let meta_page = r.u64()?;
+                info.schema.column(column).ok_or_else(|| {
+                    EvoptError::Catalog(format!("index '{index}' keys on no column of '{name}'"))
                 })?;
-                if !index_names.insert(i.name.to_ascii_lowercase()) {
-                    return Err(exists("index", &i.name));
+                if !index_names.insert(index.to_ascii_lowercase()) {
+                    return Err(exists("index", index));
                 }
                 info.indexes.push(Arc::new(IndexInfo {
-                    name: i.name.to_ascii_lowercase(),
+                    name: index.to_ascii_lowercase(),
                     table: name.clone(),
-                    column: i.column as usize,
-                    clustered: i.clustered,
-                    unique: i.unique,
-                    btree: Arc::new(BTreeIndex::open(Arc::clone(&pool), i.meta_page)?),
+                    column,
+                    clustered,
+                    unique,
+                    btree: Arc::new(BTreeIndex::open(Arc::clone(&pool), meta_page)?),
                 }));
             }
             if namespace.insert(name, Arc::new(info)).is_some() {
-                return Err(exists("table", &t.name));
+                return Err(exists("table", table));
             }
+        }
+        if !r.0.is_empty() {
+            return Err(malformed(&format!("{} bytes past its end", r.0.len())));
         }
         Ok(Catalog::live(pool, namespace))
     }
 
-    /// This catalog's version as the log's image: tables sorted by name,
-    /// each table's indexes in creation order, no statistics.
-    pub fn image(&self) -> CatalogImage {
-        let column = |c: &Column| ColumnImage {
-            name: c.name.clone(),
-            dtype: c.dtype,
-            nullable: c.nullable,
-        };
-        let index = |i: &Arc<IndexInfo>| IndexImage {
-            name: i.name.clone(),
-            column: i.column as u32,
-            unique: i.unique,
-            clustered: i.clustered,
-            meta_page: i.btree.meta_page(),
-        };
-        let table = |t: &Arc<TableInfo>| TableImage {
-            name: t.name.clone(),
-            columns: t.schema.columns().iter().map(column).collect(),
-            first_page: t.heap.first_page(),
-            indexes: t.indexes.iter().map(index).collect(),
-        };
-        CatalogImage {
-            tables: self.tables().iter().map(table).collect(),
+    /// This version as the log's catalog record: tables sorted by name,
+    /// each table's indexes in creation order, no statistics. Every count
+    /// and length is a little-endian `u32`, a page id a `u64`, a flag a
+    /// byte; a string is its length, then its UTF-8 bytes.
+    pub fn encode(&self) -> Vec<u8> {
+        fn put_u32(out: &mut Vec<u8>, n: usize) {
+            out.extend_from_slice(&(n as u32).to_le_bytes());
         }
+        fn put_str(out: &mut Vec<u8>, s: &str) {
+            put_u32(out, s.len());
+            out.extend_from_slice(s.as_bytes());
+        }
+        let tables = self.tables();
+        let mut out = Vec::new();
+        put_u32(&mut out, tables.len());
+        for t in &tables {
+            put_str(&mut out, &t.name);
+            put_u32(&mut out, t.schema.columns().len());
+            for c in t.schema.columns().iter() {
+                put_str(&mut out, &c.name);
+                out.push(match c.dtype {
+                    DataType::Bool => 0,
+                    DataType::Int => 1,
+                    DataType::Float => 2,
+                    DataType::Str => 3,
+                });
+                out.push(u8::from(c.nullable));
+            }
+            out.extend_from_slice(&t.heap.first_page().to_le_bytes());
+            put_u32(&mut out, t.indexes.len());
+            for i in &t.indexes {
+                put_str(&mut out, &i.name);
+                put_u32(&mut out, i.column);
+                out.extend_from_slice(&[u8::from(i.unique), u8::from(i.clustered)]);
+                out.extend_from_slice(&i.btree.meta_page().to_le_bytes());
+            }
+        }
+        out
     }
 
     fn pinned(pool: &Arc<BufferPool>, namespace: Arc<Namespace>) -> Arc<Catalog> {
@@ -330,6 +369,50 @@ impl Catalog {
 /// A name the namespace already holds.
 fn exists(what: &str, name: &str) -> EvoptError {
     EvoptError::Catalog(format!("{what} '{name}' already exists"))
+}
+
+/// Catalog bytes that do not parse.
+fn malformed(what: &str) -> EvoptError {
+    EvoptError::Corruption(format!("catalog record: {what}"))
+}
+
+/// Reads a catalog record front to back, little-endian; running out of
+/// bytes is corruption.
+struct Reader<'a>(&'a [u8]);
+
+impl<'a> Reader<'a> {
+    fn take<const N: usize>(&mut self) -> Result<[u8; N]> {
+        let (head, rest) = self
+            .0
+            .split_first_chunk()
+            .ok_or_else(|| malformed("truncated"))?;
+        self.0 = rest;
+        Ok(*head)
+    }
+
+    fn u8(&mut self) -> Result<u8> {
+        let [b] = self.take()?;
+        Ok(b)
+    }
+
+    fn u32(&mut self) -> Result<u32> {
+        Ok(u32::from_le_bytes(self.take()?))
+    }
+
+    fn u64(&mut self) -> Result<u64> {
+        Ok(u64::from_le_bytes(self.take()?))
+    }
+
+    /// A `u32` length, then that many bytes of UTF-8.
+    fn name(&mut self) -> Result<&'a str> {
+        let len = self.u32()? as usize;
+        let (bytes, rest) = self
+            .0
+            .split_at_checked(len)
+            .ok_or_else(|| malformed("truncated"))?;
+        self.0 = rest;
+        std::str::from_utf8(bytes).map_err(|_| malformed("a name is not UTF-8"))
+    }
 }
 
 /// A mutation in progress: the version it read, and the live slot its
@@ -653,21 +736,21 @@ mod tests {
     }
 
     #[test]
-    fn image_round_trips_through_from_image() {
+    fn encode_round_trips_through_decode() {
         let pool = BufferPool::new(Arc::new(DiskManager::new()), 64);
         let cat = populated(&pool);
-        let image = cat.image();
-        let names: Vec<_> = image.tables.iter().map(|t| t.name.as_str()).collect();
-        assert_eq!(names, ["alpha", "zeta"], "sorted, the dropped table gone");
-        let indexes: Vec<_> = image.tables[1].indexes.iter().map(|i| &i.name).collect();
+        let bytes = cat.encode();
+        let back = Catalog::decode(Arc::clone(&pool), &bytes).unwrap();
+        assert_eq!(back.encode(), bytes);
+        let names: Vec<_> = back.tables().iter().map(|t| t.name.clone()).collect();
+        assert_eq!(names, ["alpha", "zeta"], "the dropped table gone");
+        let zeta = back.table("zeta").unwrap();
+        let indexes: Vec<_> = zeta.indexes().iter().map(|i| i.name.as_str()).collect();
         assert_eq!(indexes, ["zeta_name", "zeta_id"], "in creation order");
-
-        let back = Catalog::from_image(Arc::clone(&pool), &image).unwrap();
-        assert_eq!(back.image(), image);
         // The recovered catalog reads the same storage, with no statistics,
         // and resolves qualified columns like a created one.
         let t = back.table("ALPHA").unwrap();
-        assert!(t.stats().is_none(), "statistics are not in the image");
+        assert!(t.stats().is_none(), "statistics are not logged");
         assert_eq!(t.heap.scan().count(), 50);
         assert_eq!(t.schema.resolve(Some("alpha"), "name").unwrap(), 1);
         let id = &t.indexes()[1];
@@ -683,23 +766,196 @@ mod tests {
             .unwrap();
     }
 
-    #[test]
-    fn hostile_images_are_typed_catalog_errors() {
-        let pool = BufferPool::new(Arc::new(DiskManager::new()), 64);
-        let image = populated(&pool).image();
-        let mut bad_column = image.clone();
-        bad_column.tables[0].indexes[0].column = 9;
-        let mut duplicate_table = image.clone();
-        duplicate_table.tables[1].name = "ALPHA".into();
-        let mut duplicate_index = image.clone();
-        duplicate_index.tables[1].indexes[1].name = "Alpha_Id".into();
-        for (what, hostile) in [
-            ("out-of-range column ordinal", bad_column),
-            ("duplicate table", duplicate_table),
-            ("duplicate index name across two tables", duplicate_index),
+    /// Three tables with every column type, nullable and non-null columns,
+    /// a multi-byte name, a table with no column, and indexes unique and
+    /// clustered both ways: the catalog [`FIXED_RECORD`] encodes.
+    fn fixed(pool: &Arc<BufferPool>) -> Catalog {
+        // Storage roots past page 255 pin both bytes' order in each u64.
+        for _ in 0..300 {
+            pool.new_page().unwrap();
+        }
+        let cat = Catalog::new(Arc::clone(pool));
+        let orders = Schema::new(vec![
+            Column::new("id", DataType::Int).not_null(),
+            Column::new("paid", DataType::Bool),
+            Column::new("total", DataType::Float).not_null(),
+            Column::new("note", DataType::Str),
+        ]);
+        let t = cat.create_table("Orders", orders).unwrap();
+        for i in 0..40 {
+            let note = match i % 3 {
+                0 => Value::Null,
+                _ => Value::Str(format!("n{i}")),
+            };
+            let total = Value::Float(i as f64 / 4.0);
+            let row = vec![Value::Int(i), Value::Bool(i % 2 == 0), total, note];
+            t.heap.insert(&Tuple::new(row)).unwrap();
+        }
+        let flag = Schema::new(vec![Column::new("k", DataType::Bool).not_null()]);
+        cat.create_table("α-table", flag).unwrap();
+        cat.create_table("empty", Schema::new(vec![])).unwrap();
+        for (name, table, column, unique, clustered) in [
+            ("orders_id", "orders", "id", true, true),
+            ("orders_note", "orders", "note", false, false),
+            ("orders_total", "orders", "total", true, false),
+            ("i1", "α-table", "k", false, true),
         ] {
-            let err = Catalog::from_image(Arc::clone(&pool), &hostile).err();
-            assert_eq!(err.map(|e| e.kind()), Some("catalog"), "{what}");
+            cat.create_index(name, table, column, unique, clustered)
+                .unwrap();
+        }
+        cat
+    }
+
+    /// What the log's catalog record held for [`fixed`] before the catalog
+    /// wrote it: `u32` counts and lengths, `u8` type tags (Bool 0, Int 1,
+    /// Float 2, Str 3) and flags, `u64` page ids, all little-endian.
+    #[rustfmt::skip]
+    const FIXED_RECORD: &[u8] = &[
+        3, 0, 0, 0, // three tables, sorted by name
+        5, 0, 0, 0, b'e', b'm', b'p', b't', b'y',
+        0, 0, 0, 0, // no column
+        46, 1, 0, 0, 0, 0, 0, 0, // heap at page 302
+        0, 0, 0, 0, // no index
+        6, 0, 0, 0, b'o', b'r', b'd', b'e', b'r', b's',
+        4, 0, 0, 0, // four columns: name, type, nullable
+        2, 0, 0, 0, b'i', b'd', 1, 0,
+        4, 0, 0, 0, b'p', b'a', b'i', b'd', 0, 1,
+        5, 0, 0, 0, b't', b'o', b't', b'a', b'l', 2, 0,
+        4, 0, 0, 0, b'n', b'o', b't', b'e', 3, 1,
+        44, 1, 0, 0, 0, 0, 0, 0, // heap at page 300
+        3, 0, 0, 0, // three indexes: name, column, unique, clustered, meta
+        9, 0, 0, 0, b'o', b'r', b'd', b'e', b'r', b's', b'_', b'i', b'd',
+        0, 0, 0, 0, 1, 1, 48, 1, 0, 0, 0, 0, 0, 0,
+        11, 0, 0, 0, b'o', b'r', b'd', b'e', b'r', b's', b'_', b'n', b'o', b't', b'e',
+        3, 0, 0, 0, 0, 0, 50, 1, 0, 0, 0, 0, 0, 0,
+        12, 0, 0, 0, b'o', b'r', b'd', b'e', b'r', b's', b'_', b't', b'o', b't', b'a', b'l',
+        2, 0, 0, 0, 1, 0, 52, 1, 0, 0, 0, 0, 0, 0,
+        8, 0, 0, 0, 206, 177, b'-', b't', b'a', b'b', b'l', b'e', // "α-table"
+        1, 0, 0, 0,
+        1, 0, 0, 0, b'k', 0, 0,
+        45, 1, 0, 0, 0, 0, 0, 0, // heap at page 301
+        1, 0, 0, 0,
+        2, 0, 0, 0, b'i', b'1', 0, 0, 0, 0, 0, 1, 54, 1, 0, 0, 0, 0, 0, 0,
+    ];
+
+    /// The catalog record's bytes did not move when the catalog took over
+    /// writing them: a log written before still recovers.
+    #[test]
+    fn encode_writes_the_bytes_the_log_always_held() {
+        let pool = BufferPool::new(Arc::new(DiskManager::new()), 64);
+        let cat = fixed(&pool);
+        assert_eq!(cat.encode(), FIXED_RECORD);
+        let back = Catalog::decode(Arc::clone(&pool), FIXED_RECORD).unwrap();
+        let (tables, decoded) = (cat.tables(), back.tables());
+        assert_eq!(decoded.len(), 3);
+        for (t, d) in tables.iter().zip(&decoded) {
+            assert_eq!((&d.name, &d.schema), (&t.name, &t.schema));
+            assert_eq!(d.heap.first_page(), t.heap.first_page());
+            assert_eq!(d.heap.scan().count(), t.heap.scan().count());
+            assert_eq!(d.indexes().len(), t.indexes().len());
+            for (i, j) in t.indexes().iter().zip(d.indexes()) {
+                let shape = |i: &IndexInfo| {
+                    let root = i.btree.meta_page();
+                    (
+                        i.name.clone(),
+                        i.table.clone(),
+                        i.column,
+                        i.unique,
+                        i.clustered,
+                        root,
+                    )
+                };
+                assert_eq!(shape(j), shape(i));
+                assert_eq!(
+                    j.btree.entry_count().unwrap(),
+                    i.btree.entry_count().unwrap()
+                );
+            }
+        }
+        let orders = back.table("orders").unwrap();
+        assert_eq!(orders.heap.scan().count(), 40);
+        let by_id = orders.indexes()[0].btree.search_eq(&Value::Int(7)).unwrap();
+        let row = orders.heap.get(by_id[0]).unwrap().unwrap();
+        assert_eq!(row.value(2).unwrap(), &Value::Float(1.75));
+    }
+
+    /// `bytes` with the first occurrence of `from` replaced by `to`.
+    fn patched(bytes: &[u8], from: &[u8], to: &[u8]) -> Vec<u8> {
+        let at = (0..bytes.len()).find(|&i| bytes[i..].starts_with(from));
+        let at = at.unwrap_or_else(|| panic!("{from:?} does not occur"));
+        [&bytes[..at], to, &bytes[at + from.len()..]].concat()
+    }
+
+    /// `s` behind its `u32` length, as the record spells a name.
+    fn spelled(s: &[u8]) -> Vec<u8> {
+        [&(s.len() as u32).to_le_bytes()[..], s].concat()
+    }
+
+    #[test]
+    fn hostile_bytes_are_typed_errors() {
+        let pool = BufferPool::new(Arc::new(DiskManager::new()), 64);
+        let cat = Catalog::new(Arc::clone(&pool));
+        for name in ["alpha", "gamma"] {
+            cat.create_table(name, two_col_schema()).unwrap();
+            cat.create_index(&format!("{name}_id"), name, "id", true, true)
+                .unwrap();
+        }
+        let good = cat.encode();
+        assert!(Catalog::decode(Arc::clone(&pool), &good).is_ok());
+        let index = spelled(b"alpha_id");
+        let ordinal = [&index[..], &[0, 0, 0, 0]].concat();
+        let columns = [&spelled(b"gamma")[..], &[2, 0, 0, 0]].concat();
+        let semantic = [
+            (
+                "out-of-range column ordinal",
+                patched(&good, &ordinal, &[&index[..], &[9, 0, 0, 0]].concat()),
+            ),
+            (
+                "duplicate table",
+                patched(&good, &spelled(b"gamma"), &spelled(b"ALPHA")),
+            ),
+            (
+                "duplicate index name across two tables",
+                patched(&good, &spelled(b"gamma_id"), &spelled(b"Alpha_Id")),
+            ),
+        ];
+        let malformed = [
+            ("an empty record", Vec::new()),
+            ("trailing bytes", [&good[..], &[0]].concat()),
+            (
+                "an unknown type tag",
+                patched(
+                    &good,
+                    &[&spelled(b"name")[..], &[3]].concat(),
+                    &[&spelled(b"name")[..], &[4]].concat(),
+                ),
+            ),
+            (
+                "a name that is not UTF-8",
+                patched(&good, &spelled(b"alpha"), &spelled(b"alph\xFF")),
+            ),
+            (
+                "a column count no record could hold",
+                patched(
+                    &good,
+                    &columns,
+                    &[&spelled(b"gamma")[..], &[0xFF; 4]].concat(),
+                ),
+            ),
+        ];
+        let cuts = (0..good.len()).map(|n| (format!("cut to {n} bytes"), good[..n].to_vec()));
+        let cases = semantic
+            .into_iter()
+            .map(|(what, bytes)| (what.to_string(), bytes, "catalog"))
+            .chain(
+                malformed
+                    .into_iter()
+                    .map(|(w, b)| (w.to_string(), b, "corruption")),
+            )
+            .chain(cuts.map(|(what, bytes)| (what, bytes, "corruption")));
+        for (what, bytes, kind) in cases {
+            let err = Catalog::decode(Arc::clone(&pool), &bytes).err();
+            assert_eq!(err.map(|e| e.kind()), Some(kind), "{what}");
         }
     }
 

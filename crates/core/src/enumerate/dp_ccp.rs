@@ -9,8 +9,14 @@
 //! predicate graph so that each connected-subgraph/connected-complement
 //! pair is emitted exactly once, making enumeration cost proportional to
 //! the number of *valid* joins: O(n²) on chains, O(n·2ⁿ) on stars, equal
-//! to naive only on cliques. Same plan space, same optimum, far less work
-//! on sparse graphs (experiment F1 times it beside naive bushy DP).
+//! to naive only on cliques, so far less work on sparse graphs (experiment
+//! F1 times it beside naive bushy DP).
+//!
+//! The plan space is smaller than naive bushy DP's, not the same: DPccp
+//! never joins a half that is itself a cross product, while `dp_bushy`
+//! defers cross products and may still use one inside a connected set (on
+//! a chain a–b–c–d, `((a × d) ⋈ b) ⋈ c`). Its optimum is therefore never
+//! cheaper than naive bushy DP's and sometimes dearer.
 //!
 //! On a disconnected predicate graph (cartesian products required) DPccp's
 //! preconditions fail; we fall back to naive bushy DP.
@@ -150,13 +156,33 @@ fn enumerate_cmp_rec(
 #[cfg(test)]
 mod tests {
     use crate::enumerate::fixtures::{
-        assert_optimal, build, chain3, for_each_oracle_case, star4, RelSpec,
+        assert_optimal, build, chain3, for_each_oracle_case, random, star4, RelSpec, Shape,
     };
-    use crate::enumerate::{enumerate, Strategy};
+    use crate::enumerate::{enumerate, JoinContext, Strategy};
 
     #[test]
     fn matches_the_exhaustive_oracle() {
         for_each_oracle_case(|ctx, case| assert_optimal(ctx, Strategy::DpCcp, case));
+    }
+
+    /// BushyDp's deferred cross products reach plans DPccp never builds
+    /// (on a chain a–b–c–d, `((a × d) ⋈ b) ⋈ c`), so BushyDp's optimum is
+    /// never dearer than DPccp's and sometimes cheaper.
+    #[test]
+    fn bushy_dp_never_costs_more_and_sometimes_less() {
+        let total =
+            |ctx: &JoinContext, strategy| ctx.model.total(enumerate(ctx, strategy).unwrap().cost);
+        for_each_oracle_case(|ctx, case| {
+            let (bushy, ccp) = (total(ctx, Strategy::BushyDp), total(ctx, Strategy::DpCcp));
+            assert!(
+                bushy <= ccp * (1.0 + 1e-9),
+                "{case}: BushyDp {bushy} against DPccp {ccp}"
+            );
+        });
+        let star = random(Shape::Star, 4, 24);
+        let ctx = star.ctx();
+        let (bushy, ccp) = (total(&ctx, Strategy::BushyDp), total(&ctx, Strategy::DpCcp));
+        assert_eq!((bushy.round(), ccp.round()), (54_467.0, 137_860.0));
     }
 
     #[test]

@@ -54,8 +54,10 @@ pub enum Strategy {
     /// enumeration, O(3ⁿ)).
     BushyDp,
     /// Bushy DP via connected-subgraph/complement-pair enumeration
-    /// (DPccp): identical plan space and optimum, enumeration effort
-    /// proportional to the number of *connected* pairs.
+    /// (DPccp): bushy trees with no cross product, enumeration effort
+    /// proportional to the number of *connected* pairs. A smaller space
+    /// than `BushyDp`'s, whose deferred cross products may sit inside a
+    /// connected set: its optimum is never cheaper, sometimes dearer.
     DpCcp,
     /// Left-deep greedy: repeatedly join in the neighbour producing the
     /// smallest intermediate result.

@@ -141,7 +141,7 @@ impl Database {
     /// held, so no other DDL published after it; statistics are not logged.
     fn log_catalog(&self) -> Result<QueryResult> {
         if let Some(wal) = &self.wal {
-            wal.log_ddl(&self.catalog.image())?;
+            wal.log_ddl(&self.catalog.encode())?;
         }
         Ok(QueryResult::Ok)
     }

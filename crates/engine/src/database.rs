@@ -86,8 +86,11 @@ impl Database {
 
     /// Reopen a database over a disk that already holds a WAL: run crash
     /// recovery (scan, truncate the torn tail, replay the committed
-    /// prefix), publish the last committed catalog image as the first
-    /// catalog version, and return what recovery found. Requires
+    /// prefix), decode the last committed catalog record as the first
+    /// catalog version (an empty catalog when the log holds none), and
+    /// return what recovery found. A catalog record that does not decode
+    /// is a typed error: `Corruption` for malformed bytes, `Catalog` for a
+    /// duplicate name or a missing column. Requires
     /// `config.durability == Wal`.
     ///
     /// Statistics are not durable — run `ANALYZE` after recovery before
@@ -105,7 +108,10 @@ impl Database {
         let (disk, injector) = Self::wire_faults(base, &config);
         let (wal, info) = Self::bootstrap(&injector, || Wal::open(Arc::clone(&disk)))?;
         let pool = BufferPool::new(Arc::clone(&disk), config.buffer_pages);
-        let catalog = Arc::new(Catalog::from_image(Arc::clone(&pool), &info.catalog)?);
+        let catalog = Arc::new(match &info.catalog {
+            Some(bytes) => Catalog::decode(Arc::clone(&pool), bytes)?,
+            None => Catalog::new(Arc::clone(&pool)),
+        });
         let db = Self::assemble(disk, injector, pool, catalog, Some(wal), config)?;
         Ok((db, info))
     }
@@ -212,16 +218,16 @@ impl Database {
     }
 
     /// Take a fuzzy checkpoint: flush all committed pages, write a
-    /// checkpoint record with the full catalog image, and switch the log
+    /// checkpoint record with the whole catalog, and switch the log
     /// to a fresh chain — bounding the work the next recovery must do.
     /// A no-op when durability is off.
     pub fn checkpoint(&self) -> Result<()> {
         match &self.wal {
             Some(wal) => {
-                // Hold the commit lock so the catalog image and the set of
+                // Hold the commit lock so the catalog version and the set of
                 // committed pages are a consistent cut of the log.
                 let (_c, _guard) = self.lock_commit(&self.defaults);
-                wal.checkpoint(&self.pool, &self.catalog.image())
+                wal.checkpoint(&self.pool, &self.catalog.encode())
             }
             None => Ok(()),
         }
@@ -483,12 +489,12 @@ pub(crate) mod tests {
         db.execute("CREATE INDEX t_id ON t (id)").unwrap();
         db.execute("DELETE FROM t WHERE id = 2").unwrap();
         let expect = db.query("SELECT id, name FROM t ORDER BY id").unwrap();
-        let image = db.catalog().image();
+        let catalog = db.catalog().encode();
         // Crash: drop the database (pool and all) without ever flushing.
         drop(db);
         let (db2, info) = Database::recover(disk, cfg).unwrap();
         assert!(info.replayed_records > 0);
-        assert_eq!(db2.catalog().image(), image);
+        assert_eq!(db2.catalog().encode(), catalog);
         assert_eq!(
             db2.query("SELECT id, name FROM t ORDER BY id").unwrap(),
             expect
@@ -534,6 +540,47 @@ pub(crate) mod tests {
             .unwrap();
         assert_eq!(n, 3);
         assert_eq!(db2.metrics_snapshot().recoveries, 1);
+    }
+
+    /// A catalog record that passes its CRC but that the catalog cannot
+    /// decode fails recovery with a typed error, never a panic: malformed
+    /// bytes are corruption and a duplicate name a catalog error. The log
+    /// hands the record over whole rather than end its scan there as if it
+    /// were a torn tail, dropping the commits after it.
+    #[test]
+    fn an_undecodable_catalog_record_fails_recovery_typed() {
+        let cfg = DatabaseConfig {
+            durability: Durability::Wal,
+            ..Default::default()
+        };
+        // One table `t` with one column `id`: the column's type tag follows
+        // the table count, the table's name, the column count and the
+        // column's name.
+        let tag_at = 4 + (4 + 1) + 4 + (4 + 2);
+        for (what, kind) in [
+            ("truncated", "corruption"),
+            ("an unknown type tag", "corruption"),
+            ("the table twice", "catalog"),
+        ] {
+            let disk: Arc<dyn DiskBackend> = Arc::new(DiskManager::new());
+            let db = Database::create_on(Arc::clone(&disk), cfg).unwrap();
+            db.execute("CREATE TABLE t (id INT)").unwrap();
+            let mut bad = db.catalog().encode();
+            assert_eq!(bad[tag_at], 1, "Int's tag");
+            match what {
+                "truncated" => drop(bad.pop()),
+                "an unknown type tag" => bad[tag_at] = 9,
+                _ => bad = [&[2, 0, 0, 0], &bad[4..], &bad[4..]].concat(),
+            }
+            let wal = db.wal().unwrap();
+            wal.log_ddl(&bad).unwrap();
+            let lsn = wal.commit_grouped(db.pool()).unwrap().unwrap();
+            wal.sync_through(lsn).unwrap();
+            db.execute("INSERT INTO t VALUES (1)").unwrap();
+            drop(db);
+            let err = Database::recover(disk, cfg).err().map(|e| e.kind());
+            assert_eq!(err, Some(kind), "{what}");
+        }
     }
 
     #[test]

@@ -195,7 +195,7 @@ impl HeapFile {
         let was_live = {
             let mut bytes = guard.write();
             let mut page = SlottedPage::new(&mut bytes);
-            let was_live = page.get(rid.slot)?.is_some();
+            let was_live = page.view().get(rid.slot)?.is_some();
             if was_live {
                 page.delete(rid.slot)?;
             }

@@ -29,10 +29,12 @@
 //! * [`wal::Wal`] — a redo-only write-ahead log (the bytes each commit
 //!   changed per page, a full image on a page's first change after a
 //!   checkpoint; CRC-32 per record, torn-tail truncation) with fuzzy
-//!   checkpoints and
-//!   idempotent crash recovery; it enforces log-before-data through the
-//!   pool's [`buffer::FlushGate`]. [`fault::CrashingBackend`] models
-//!   process death for the crash-point torture suite.
+//!   checkpoints and idempotent crash recovery; it enforces
+//!   log-before-data through the pool's [`buffer::FlushGate`]. A catalog
+//!   version is logged as opaque bytes the catalog crate writes and reads:
+//!   this crate frames them and hands the last committed ones back, and
+//!   knows nothing of tables or SQL types. [`fault::CrashingBackend`]
+//!   models process death for the crash-point torture suite.
 
 // Library code must not panic on fault paths: unwrap/expect are banned
 // outside tests (each test module opts back in locally).
@@ -54,6 +56,4 @@ pub use disk::{DiskBackend, DiskManager, IoSnapshot};
 pub use fault::{CrashingBackend, FaultConfig, FaultInjector, FaultReport};
 pub use heap::HeapFile;
 pub use page::{PageId, Rid, INVALID_PAGE_ID, PAGE_SIZE, USABLE_PAGE_BYTES, USABLE_PAGE_SIZE};
-pub use wal::{
-    CatalogImage, ColumnImage, IndexImage, Lsn, RecoveryInfo, TableImage, Wal, WalStats,
-};
+pub use wal::{Lsn, RecoveryInfo, Wal, WalStats};

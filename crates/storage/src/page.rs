@@ -180,7 +180,8 @@ const HEADER_SIZE: usize = 12;
 const SLOT_SIZE: usize = 4;
 const DEAD_SLOT: u16 = u16::MAX;
 
-/// Mutable slotted-page view over raw page bytes.
+/// Mutable slotted-page view over raw page bytes: the writers. Reads go
+/// through [`SlottedPage::view`].
 ///
 /// The view is a thin wrapper — all state lives in the page bytes, so a view
 /// can be re-created freely from buffer-pool frames.
@@ -204,16 +205,13 @@ impl<'a> SlottedPage<'a> {
         p
     }
 
-    fn u16_at(&self, off: usize) -> u16 {
-        u16::from_le_bytes([self.data[off], self.data[off + 1]])
+    /// This page, read through the one reader.
+    pub fn view(&self) -> SlottedPageView<'_> {
+        SlottedPageView::new(self.data)
     }
 
     fn set_u16_at(&mut self, off: usize, v: u16) {
         self.data[off..off + 2].copy_from_slice(&v.to_le_bytes());
-    }
-
-    pub fn slot_count(&self) -> u16 {
-        self.u16_at(0)
     }
 
     fn set_slot_count(&mut self, v: u16) {
@@ -221,27 +219,15 @@ impl<'a> SlottedPage<'a> {
     }
 
     fn free_ptr(&self) -> u16 {
-        self.u16_at(2)
+        self.view().u16_at(2)
     }
 
     fn set_free_ptr(&mut self, v: u16) {
         self.set_u16_at(2, v);
     }
 
-    /// Next page in the heap-file chain.
-    pub fn next_page(&self) -> PageId {
-        let mut bytes = [0u8; 8];
-        bytes.copy_from_slice(&self.data[4..12]);
-        u64::from_le_bytes(bytes)
-    }
-
     pub fn set_next_page(&mut self, id: PageId) {
         self.data[4..12].copy_from_slice(&id.to_le_bytes());
-    }
-
-    fn slot(&self, idx: u16) -> (u16, u16) {
-        let off = HEADER_SIZE + idx as usize * SLOT_SIZE;
-        (self.u16_at(off), self.u16_at(off + 2))
     }
 
     fn set_slot(&mut self, idx: u16, offset: u16, len: u16) {
@@ -252,7 +238,7 @@ impl<'a> SlottedPage<'a> {
 
     /// Bytes available for a new record (including its slot entry).
     pub fn free_space(&self) -> usize {
-        let used_by_slots = HEADER_SIZE + self.slot_count() as usize * SLOT_SIZE;
+        let used_by_slots = HEADER_SIZE + self.view().slot_count() as usize * SLOT_SIZE;
         (self.free_ptr() as usize).saturating_sub(used_by_slots)
     }
 
@@ -272,7 +258,7 @@ impl<'a> SlottedPage<'a> {
         if !self.fits(record.len()) {
             return Err(EvoptError::Storage("page full".into()));
         }
-        let slot = self.slot_count();
+        let slot = self.view().slot_count();
         let new_free = self.free_ptr() as usize - record.len();
         self.data[new_free..new_free + record.len()].copy_from_slice(record);
         self.set_free_ptr(new_free as u16);
@@ -281,24 +267,9 @@ impl<'a> SlottedPage<'a> {
         Ok(slot)
     }
 
-    /// Read the record in `slot`; `None` if the slot was deleted.
-    pub fn get(&self, slot: u16) -> Result<Option<&[u8]>> {
-        if slot >= self.slot_count() {
-            return Err(EvoptError::Storage(format!(
-                "slot {slot} out of range (page has {})",
-                self.slot_count()
-            )));
-        }
-        let (off, len) = self.slot(slot);
-        if off == DEAD_SLOT {
-            return Ok(None);
-        }
-        Ok(Some(&self.data[off as usize..off as usize + len as usize]))
-    }
-
     /// Mark the record in `slot` deleted. Its bytes are not reclaimed.
     pub fn delete(&mut self, slot: u16) -> Result<()> {
-        if slot >= self.slot_count() {
+        if slot >= self.view().slot_count() {
             return Err(EvoptError::Storage(format!("slot {slot} out of range")));
         }
         self.set_slot(slot, DEAD_SLOT, 0);
@@ -311,10 +282,11 @@ impl<'a> SlottedPage<'a> {
     /// reclaimed). Returns `false`, leaving the page untouched, when
     /// neither fits; a dead or out-of-range slot is an error.
     pub fn replace(&mut self, slot: u16, record: &[u8]) -> Result<bool> {
-        if self.get(slot)?.is_none() {
+        let view = self.view();
+        if view.get(slot)?.is_none() {
             return Err(EvoptError::Storage(format!("slot {slot} is dead")));
         }
-        let (off, len) = self.slot(slot);
+        let (off, len) = view.slot(slot);
         let at = if record.len() <= len as usize {
             off as usize
         } else if record.len() <= self.free_space() {
@@ -328,36 +300,16 @@ impl<'a> SlottedPage<'a> {
         self.set_slot(slot, at as u16, record.len() as u16);
         Ok(true)
     }
-
-    /// Iterate live (slot, record) pairs.
-    pub fn records(&self) -> impl Iterator<Item = (u16, &[u8])> + '_ {
-        (0..self.slot_count()).filter_map(move |s| {
-            let (off, len) = self.slot(s);
-            if off == DEAD_SLOT {
-                None
-            } else {
-                Some((s, &self.data[off as usize..off as usize + len as usize]))
-            }
-        })
-    }
-
-    /// Number of live records.
-    pub fn live_count(&self) -> usize {
-        (0..self.slot_count())
-            .filter(|&s| self.slot(s).0 != DEAD_SLOT)
-            .count()
-    }
 }
 
-/// Read-only view over slotted-page bytes.
+/// Read-only view over slotted-page bytes: the one reader, over a page
+/// read through [`crate::buffer::PageGuard::read`] or one being written
+/// ([`SlottedPage::view`]).
 ///
 /// [`SlottedPage`] requires `&mut PageData`, which forces callers through
 /// [`crate::buffer::PageGuard::write`] — and *that* marks the page dirty.
-/// Read paths (scans, point lookups) going through the mutable view
-/// therefore dirtied every page they touched, turning clean evictions into
-/// physical write-backs. This view borrows the bytes immutably so read
-/// paths compose with [`crate::buffer::PageGuard::read`] and leave the
-/// dirty bit alone.
+/// This view borrows the bytes immutably so read paths (scans, point
+/// lookups) leave the dirty bit alone.
 pub struct SlottedPageView<'a> {
     data: &'a PageData,
 }
@@ -442,9 +394,9 @@ mod tests {
         let s1 = p.insert(b"world!").unwrap();
         assert_eq!(s0, 0);
         assert_eq!(s1, 1);
-        assert_eq!(p.get(0).unwrap(), Some(&b"hello"[..]));
-        assert_eq!(p.get(1).unwrap(), Some(&b"world!"[..]));
-        assert_eq!(p.live_count(), 2);
+        assert_eq!(p.view().get(0).unwrap(), Some(&b"hello"[..]));
+        assert_eq!(p.view().get(1).unwrap(), Some(&b"world!"[..]));
+        assert_eq!(p.view().live_count(), 2);
     }
 
     #[test]
@@ -455,11 +407,11 @@ mod tests {
         p.insert(b"b").unwrap();
         p.insert(b"c").unwrap();
         p.delete(1).unwrap();
-        assert_eq!(p.get(0).unwrap(), Some(&b"a"[..]));
-        assert_eq!(p.get(1).unwrap(), None);
-        assert_eq!(p.get(2).unwrap(), Some(&b"c"[..]));
-        assert_eq!(p.live_count(), 2);
-        let collected: Vec<_> = p.records().map(|(s, _)| s).collect();
+        assert_eq!(p.view().get(0).unwrap(), Some(&b"a"[..]));
+        assert_eq!(p.view().get(1).unwrap(), None);
+        assert_eq!(p.view().get(2).unwrap(), Some(&b"c"[..]));
+        assert_eq!(p.view().live_count(), 2);
+        let collected: Vec<_> = p.view().records().map(|(s, _)| s).collect();
         assert_eq!(collected, vec![0, 2]);
     }
 
@@ -467,7 +419,7 @@ mod tests {
     fn out_of_range_slot_errors() {
         let mut data = fresh();
         let mut p = SlottedPage::init(&mut data);
-        assert!(p.get(0).is_err());
+        assert!(p.view().get(0).is_err());
         assert!(p.delete(0).is_err());
     }
 
@@ -479,13 +431,13 @@ mod tests {
         p.insert(b"second").unwrap();
         let free = p.free_space();
         assert!(p.replace(0, b"1st").unwrap());
-        assert_eq!(p.get(0).unwrap(), Some(&b"1st"[..]));
+        assert_eq!(p.view().get(0).unwrap(), Some(&b"1st"[..]));
         assert_eq!(p.free_space(), free, "a shorter record stays where it was");
         assert!(p.replace(0, b"the first record").unwrap());
-        assert_eq!(p.get(0).unwrap(), Some(&b"the first record"[..]));
+        assert_eq!(p.view().get(0).unwrap(), Some(&b"the first record"[..]));
         assert_eq!(p.free_space(), free - 16, "a longer one takes free space");
-        assert_eq!(p.get(1).unwrap(), Some(&b"second"[..]));
-        assert_eq!(p.slot_count(), 2);
+        assert_eq!(p.view().get(1).unwrap(), Some(&b"second"[..]));
+        assert_eq!(p.view().slot_count(), 2);
     }
 
     #[test]
@@ -502,7 +454,7 @@ mod tests {
         assert_eq!(&before[..], &p.data[..]);
         // Shrinking still works on a full page.
         assert!(p.replace(3, b"small").unwrap());
-        assert_eq!(p.get(3).unwrap(), Some(&b"small"[..]));
+        assert_eq!(p.view().get(3).unwrap(), Some(&b"small"[..]));
     }
 
     #[test]
@@ -513,7 +465,7 @@ mod tests {
         p.delete(0).unwrap();
         assert!(p.replace(0, b"b").is_err());
         assert!(p.replace(1, b"b").is_err());
-        assert_eq!(p.get(0).unwrap(), None);
+        assert_eq!(p.view().get(0).unwrap(), None);
     }
 
     #[test]
@@ -608,8 +560,8 @@ mod tests {
         assert!(n >= 35, "expected dozens of records, got {n}");
         assert!(p.insert(&rec).is_err());
         // Everything is still readable after filling.
-        for s in 0..p.slot_count() {
-            assert_eq!(p.get(s).unwrap(), Some(&rec[..]));
+        for s in 0..p.view().slot_count() {
+            assert_eq!(p.view().get(s).unwrap(), Some(&rec[..]));
         }
     }
 
@@ -629,16 +581,16 @@ mod tests {
         assert_eq!(page_lsn(&data), u64::MAX);
         // And the trailer write did not disturb the last record.
         let p = SlottedPage::new(&mut data);
-        assert_eq!(p.get(0).unwrap(), Some(&rec[..]));
+        assert_eq!(p.view().get(0).unwrap(), Some(&rec[..]));
     }
 
     #[test]
     fn next_page_chain_roundtrips() {
         let mut data = fresh();
         let mut p = SlottedPage::init(&mut data);
-        assert_eq!(p.next_page(), INVALID_PAGE_ID);
+        assert_eq!(p.view().next_page(), INVALID_PAGE_ID);
         p.set_next_page(42);
-        assert_eq!(p.next_page(), 42);
+        assert_eq!(p.view().next_page(), 42);
     }
 
     #[test]
@@ -649,8 +601,8 @@ mod tests {
             p.insert(b"persist").unwrap();
         }
         let p = SlottedPage::new(&mut data);
-        assert_eq!(p.get(0).unwrap(), Some(&b"persist"[..]));
-        assert_eq!(p.slot_count(), 1);
+        assert_eq!(p.view().get(0).unwrap(), Some(&b"persist"[..]));
+        assert_eq!(p.view().slot_count(), 1);
     }
 
     proptest! {
@@ -671,7 +623,7 @@ mod tests {
                 }
             }
             for (s, r) in &stored {
-                prop_assert_eq!(p.get(*s).unwrap(), Some(&r[..]));
+                prop_assert_eq!(p.view().get(*s).unwrap(), Some(&r[..]));
             }
         }
 
@@ -707,9 +659,9 @@ mod tests {
                     model.push(Some(bytes));
                 }
             }
-            prop_assert_eq!(p.live_count(), model.iter().flatten().count());
+            prop_assert_eq!(p.view().live_count(), model.iter().flatten().count());
             for (i, m) in model.iter().enumerate() {
-                prop_assert_eq!(p.get(i as u16).unwrap(), m.as_deref());
+                prop_assert_eq!(p.view().get(i as u16).unwrap(), m.as_deref());
             }
         }
     }

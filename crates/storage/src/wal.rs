@@ -34,13 +34,15 @@
 //! ```
 //!
 //! Three kinds of record exist: a page record (redo), a commit, and a
-//! *catalog image*. A page record's body is `u64 page | u64 base_lsn |
+//! *catalog record*. A page record's body is `u64 page | u64 base_lsn |
 //! ranges`, each range `u16 offset | u16 len | bytes`: the bytes a commit
 //! changed on the page as of `base_lsn`, or a *full image*, the one range
 //! `[0, PAGE_SIZE)`. Every DDL statement logs the whole catalog version it
-//! published as one catalog record, and a checkpoint logs the same image
-//! under its own kind, which is also a commit point. Replay keeps the last
-//! committed image it passes.
+//! published as one catalog record, and a checkpoint logs the same under
+//! its own kind, which is also a commit point. A catalog record's body is
+//! opaque here: the catalog writes the bytes and reads them back, and the
+//! log only frames them. Recovery hands back the last committed one it
+//! passes.
 //!
 //! `payload_len == 0` marks the clean end of the log (fresh pages are
 //! zeroed). A record whose CRC mismatches, whose LSN does not increase, or
@@ -79,13 +81,13 @@
 //! through that LSN and releases the pages it covers. The sync
 //! early-returns when a sibling session's sync already covered the LSN —
 //! adjacent commits share one physical sync, which is the group-commit
-//! win. [`Wal::commit`] composes the two for the single-caller case.
+//! win.
 //!
 //! # Checkpoints
 //!
 //! [`Wal::checkpoint`] bounds recovery work: flush all committed dirty
-//! pages, seal the current chain, write a checkpoint record (carrying a
-//! full catalog image) at the head of a fresh chain, atomically switch the
+//! pages, seal the current chain, write a checkpoint record (carrying the
+//! catalog's bytes) at the head of a fresh chain, atomically switch the
 //! master page to it, then release the old chain. A crash at any point
 //! leaves the master naming either the old or the new chain — both scans
 //! converge, because replay is idempotent.
@@ -94,7 +96,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use evopt_common::{lockorder, DataType, EvoptError, Result};
+use evopt_common::{lockorder, EvoptError, Result};
 use parking_lot::{Mutex, RwLock};
 
 use crate::buffer::{BufferPool, FlushGate};
@@ -129,44 +131,6 @@ const KIND_COMMIT: u8 = 2;
 const KIND_CATALOG: u8 = 3;
 const KIND_CHECKPOINT: u8 = 6;
 
-/// One column of a logged table schema.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ColumnImage {
-    pub name: String,
-    pub dtype: DataType,
-    pub nullable: bool,
-}
-
-/// One secondary index of a logged table.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IndexImage {
-    pub name: String,
-    /// Column ordinal in the owning table's schema.
-    pub column: u32,
-    pub unique: bool,
-    pub clustered: bool,
-    /// The B+-tree's meta page — its stable identity on disk.
-    pub meta_page: PageId,
-}
-
-/// One logged table: schema plus the storage roots recovery reopens.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TableImage {
-    pub name: String,
-    pub columns: Vec<ColumnImage>,
-    /// First page of the heap-file chain.
-    pub first_page: PageId,
-    pub indexes: Vec<IndexImage>,
-}
-
-/// Everything recovery needs to rebuild the in-memory catalog: the logical
-/// schema plus storage roots. Statistics are *not* carried — they are
-/// advisory, and a recovered database re-ANALYZEs.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct CatalogImage {
-    pub tables: Vec<TableImage>,
-}
-
 /// A parsed log record.
 #[derive(Debug, Clone)]
 enum WalRecord {
@@ -176,11 +140,12 @@ enum WalRecord {
     Page(Lsn, PageId, Lsn, Vec<u8>),
     /// Everything logged since the previous commit record is durable.
     Commit { lsn: Lsn },
-    /// The full catalog a DDL statement published, or a checkpoint's
-    /// (`checkpoint`: also a commit point).
+    /// The catalog version a DDL statement published, or a checkpoint's
+    /// (`checkpoint`: also a commit point), as the bytes the catalog
+    /// encoded it to.
     Catalog {
         lsn: Lsn,
-        catalog: CatalogImage,
+        catalog: Vec<u8>,
         checkpoint: bool,
     },
 }
@@ -210,8 +175,9 @@ impl WalRecord {
 /// What [`Wal::open`] found and did.
 #[derive(Debug, Clone, Default)]
 pub struct RecoveryInfo {
-    /// The catalog as of the last committed record.
-    pub catalog: CatalogImage,
+    /// The catalog's bytes as of the last committed catalog record, `None`
+    /// when no committed record carries one.
+    pub catalog: Option<Vec<u8>>,
     /// Records scanned with a valid CRC (committed or not).
     pub scanned_records: u64,
     /// Page records actually written back (LSN test passed).
@@ -443,9 +409,10 @@ impl Wal {
         records.truncate(committed_len);
 
         // Replay committed page records; the catalog is the last committed
-        // image. One page and one read-back buffer serve every record.
+        // catalog record. One page and one read-back buffer serve every
+        // record.
         let mut wal = Wal::new(disk, scan_start, tail, last_lsn, checkpoint_lsn);
-        let mut catalog = CatalogImage::default();
+        let mut catalog = None;
         let mut replayed = 0u64;
         let (mut buf, mut back) = (Box::new([0u8; PAGE_SIZE]), Box::new([0u8; PAGE_SIZE]));
         for (record, _) in records {
@@ -455,7 +422,7 @@ impl Wal {
                     replayed += u64::from(wal.replay_page(at, &ranges, &mut buf, &mut back)?);
                 }
                 WalRecord::Commit { .. } => {}
-                WalRecord::Catalog { catalog: c, .. } => catalog = c,
+                WalRecord::Catalog { catalog: c, .. } => catalog = Some(c),
             }
         }
         wal.replayed_records.store(replayed, Ordering::Relaxed);
@@ -512,16 +479,6 @@ impl Wal {
         Ok(true)
     }
 
-    /// Capture every page the last statement dirtied, append redo records
-    /// plus a commit record, and make the log durable. No-op when nothing
-    /// was dirtied or logged since the previous commit.
-    pub fn commit(&self, pool: &BufferPool) -> Result<()> {
-        match self.commit_grouped(pool)? {
-            Some(lsn) => self.sync_through(lsn),
-            None => Ok(()),
-        }
-    }
-
     /// First half of group commit: append the statement's page records plus
     /// a commit record to the in-memory log tail and return the commit
     /// record's LSN — **without** making it durable. The pages turn from
@@ -550,7 +507,7 @@ impl Wal {
         dirty.sort_unstable_by_key(|&(id, _)| id);
         if dirty.is_empty() && state.pending == 0 {
             // Nothing new — but a sibling's grouped commit may still await
-            // its sync; report its LSN so `commit` callers stay durable.
+            // its sync; report its LSN so the caller syncs it too.
             let last = state.last_commit_lsn;
             if last > self.synced_lsn.load(Ordering::SeqCst) {
                 return Ok(Some(last));
@@ -663,11 +620,11 @@ impl Wal {
         Ok(lsn)
     }
 
-    /// Log the catalog version a DDL statement published (call before
-    /// [`Wal::commit`] for the statement). Recovery keeps the last
-    /// committed image, so this one record is the whole of the DDL's
-    /// logical redo.
-    pub fn log_ddl(&self, catalog: &CatalogImage) -> Result<()> {
+    /// Log the catalog version a DDL statement published, as the bytes
+    /// the catalog encoded it to (call before [`Wal::commit_grouped`] for
+    /// the statement). Recovery hands back the last committed one, so this
+    /// one record is the whole of the DDL's logical redo.
+    pub fn log_ddl(&self, catalog: &[u8]) -> Result<()> {
         let _rs = lockorder::acquire(lockorder::WAL_STATE);
         let mut state = self.state.lock();
         state.usable()?;
@@ -677,17 +634,10 @@ impl Wal {
     }
 
     /// Append `catalog` as one record of `kind`; returns its LSN.
-    fn append_catalog(
-        &self,
-        state: &mut WalState,
-        kind: u8,
-        catalog: &CatalogImage,
-    ) -> Result<Lsn> {
+    fn append_catalog(&self, state: &mut WalState, kind: u8, catalog: &[u8]) -> Result<Lsn> {
         let lsn = state.next_lsn;
         state.next_lsn += 1;
-        let mut payload = vec![kind];
-        payload.extend_from_slice(&lsn.to_le_bytes());
-        put_catalog_image(&mut payload, catalog);
+        let payload = [&[kind][..], &lsn.to_le_bytes(), catalog].concat();
         self.append_record(state, &payload)?;
         Ok(lsn)
     }
@@ -697,7 +647,7 @@ impl Wal {
     /// `catalog`, switch the master to it, and release the old chain.
     ///
     /// Must run between statements (no uncommitted changes pending).
-    pub fn checkpoint(&self, pool: &BufferPool, catalog: &CatalogImage) -> Result<()> {
+    pub fn checkpoint(&self, pool: &BufferPool, catalog: &[u8]) -> Result<()> {
         let _rs = lockorder::acquire(lockorder::WAL_STATE);
         let mut state = self.state.lock();
         state.usable()?;
@@ -984,171 +934,28 @@ fn write_page_verified(
     })
 }
 
-// ---- record body (de)serialisation --------------------------------------
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_index_image(out: &mut Vec<u8>, idx: &IndexImage) {
-    put_str(out, &idx.name);
-    out.extend_from_slice(&idx.column.to_le_bytes());
-    out.push(idx.unique as u8);
-    out.push(idx.clustered as u8);
-    out.extend_from_slice(&idx.meta_page.to_le_bytes());
-}
-
-fn put_table_image(out: &mut Vec<u8>, t: &TableImage) {
-    put_str(out, &t.name);
-    out.extend_from_slice(&(t.columns.len() as u32).to_le_bytes());
-    for c in &t.columns {
-        put_str(out, &c.name);
-        out.push(match c.dtype {
-            DataType::Bool => 0,
-            DataType::Int => 1,
-            DataType::Float => 2,
-            DataType::Str => 3,
-        });
-        out.push(c.nullable as u8);
-    }
-    out.extend_from_slice(&t.first_page.to_le_bytes());
-    out.extend_from_slice(&(t.indexes.len() as u32).to_le_bytes());
-    for idx in &t.indexes {
-        put_index_image(out, idx);
-    }
-}
-
-fn put_catalog_image(out: &mut Vec<u8>, c: &CatalogImage) {
-    out.extend_from_slice(&(c.tables.len() as u32).to_le_bytes());
-    for t in &c.tables {
-        put_table_image(out, t);
-    }
-}
-
-/// Bounds-checked little-endian reader over a record body.
-struct BodyReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> BodyReader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        BodyReader { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        if end > self.buf.len() {
-            return None;
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Some(s)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|s| s[0])
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        self.take(4)
-            .map(|s| u32::from_le_bytes([s[0], s[1], s[2], s[3]]))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        self.take(8).map(le_u64)
-    }
-
-    fn string(&mut self) -> Option<String> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).ok()
-    }
-
-    fn done(&self) -> bool {
-        self.pos == self.buf.len()
-    }
-}
-
-fn get_index_image(r: &mut BodyReader<'_>) -> Option<IndexImage> {
-    Some(IndexImage {
-        name: r.string()?,
-        column: r.u32()?,
-        unique: r.u8()? != 0,
-        clustered: r.u8()? != 0,
-        meta_page: r.u64()?,
-    })
-}
-
-fn get_table_image(r: &mut BodyReader<'_>) -> Option<TableImage> {
-    let name = r.string()?;
-    let ncols = r.u32()? as usize;
-    let mut columns = Vec::with_capacity(ncols.min(1024));
-    for _ in 0..ncols {
-        let cname = r.string()?;
-        let dtype = match r.u8()? {
-            0 => DataType::Bool,
-            1 => DataType::Int,
-            2 => DataType::Float,
-            3 => DataType::Str,
-            _ => return None,
-        };
-        let nullable = r.u8()? != 0;
-        columns.push(ColumnImage {
-            name: cname,
-            dtype,
-            nullable,
-        });
-    }
-    let first_page = r.u64()?;
-    let nidx = r.u32()? as usize;
-    let mut indexes = Vec::with_capacity(nidx.min(1024));
-    for _ in 0..nidx {
-        indexes.push(get_index_image(r)?);
-    }
-    Some(TableImage {
-        name,
-        columns,
-        first_page,
-        indexes,
-    })
-}
-
-fn get_catalog_image(r: &mut BodyReader<'_>) -> Option<CatalogImage> {
-    let n = r.u32()? as usize;
-    let mut tables = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        tables.push(get_table_image(r)?);
-    }
-    Some(CatalogImage { tables })
-}
-
-/// Parse a CRC-validated payload. `None` means the bytes are not a record
-/// (treated as a torn tail by the scan).
+/// Parse a CRC-validated payload, `u8 kind | u64 lsn | body`. `None`
+/// means the bytes are not a record (treated as a torn tail by the scan).
+/// A catalog record's body belongs to the catalog: it passes through
+/// unread.
 fn parse_record(payload: &[u8]) -> Option<WalRecord> {
-    let mut r = BodyReader::new(payload);
-    let kind = r.u8()?;
-    let lsn = r.u64()?;
-    let rec = match kind {
+    let (&kind, rest) = payload.split_first()?;
+    let (lsn, body) = (le_u64(rest.get(..8)?), &rest[8..]);
+    match kind {
         KIND_PAGE => {
-            let (page, base_lsn) = (r.u64()?, r.u64()?);
-            let ranges = r.take(payload.len() - r.pos)?;
-            page::for_each_range(ranges, |_, _| ()).then_some(())?;
-            WalRecord::Page(lsn, page, base_lsn, ranges.to_vec())
+            let (page, base_lsn) = (le_u64(body.get(..8)?), le_u64(body.get(8..16)?));
+            let ranges = &body[16..];
+            page::for_each_range(ranges, |_, _| ())
+                .then(|| WalRecord::Page(lsn, page, base_lsn, ranges.to_vec()))
         }
-        KIND_COMMIT => WalRecord::Commit { lsn },
-        KIND_CATALOG | KIND_CHECKPOINT => WalRecord::Catalog {
+        KIND_COMMIT => body.is_empty().then_some(WalRecord::Commit { lsn }),
+        KIND_CATALOG | KIND_CHECKPOINT => Some(WalRecord::Catalog {
             lsn,
-            catalog: get_catalog_image(&mut r)?,
+            catalog: body.to_vec(),
             checkpoint: kind == KIND_CHECKPOINT,
-        },
-        _ => return None,
-    };
-    if !r.done() {
-        return None;
+        }),
+        _ => None,
     }
-    Some(rec)
 }
 
 #[cfg(test)]
@@ -1177,19 +984,25 @@ mod tests {
         g.id()
     }
 
-    /// A one-table catalog image, its single column typed `dtype`.
-    fn one_table(name: &str, dtype: DataType, first_page: PageId) -> TableImage {
-        TableImage {
-            name: name.into(),
-            columns: vec![ColumnImage {
-                name: "c".into(),
-                dtype,
-                nullable: true,
-            }],
-            first_page,
-            indexes: vec![],
+    /// Capture every page the last statement dirtied, append redo records
+    /// plus a commit record, and make the log durable: a grouped commit
+    /// synced at once.
+    fn commit(wal: &Wal, pool: &BufferPool) {
+        if let Some(lsn) = wal.commit_grouped(pool).unwrap() {
+            wal.sync_through(lsn).unwrap();
         }
     }
+
+    /// The bytes a catalog of one table `t` (one nullable `Int` column `c`,
+    /// its heap at page 1, no index) encodes to.
+    const ONE_TABLE: &[u8] = &[
+        1, 0, 0, 0, // one table
+        1, 0, 0, 0, b't', // named t
+        1, 0, 0, 0, // one column
+        1, 0, 0, 0, b'c', 1, 1, // named c, Int, nullable
+        1, 0, 0, 0, 0, 0, 0, 0, // heap at page 1
+        0, 0, 0, 0, // no index
+    ];
 
     #[test]
     fn create_then_open_empty_log() {
@@ -1199,7 +1012,7 @@ mod tests {
         assert_eq!(info.scanned_records, 0);
         assert_eq!(info.replayed_records, 0);
         assert!(!info.torn_tail);
-        assert!(info.catalog.tables.is_empty());
+        assert_eq!(info.catalog, None);
         assert_eq!(wal2.stats().recoveries, 1);
     }
 
@@ -1208,7 +1021,7 @@ mod tests {
         let (disk, pool, wal) = setup(8);
         let a = fill_page(&pool, 0x11);
         let b = fill_page(&pool, 0x22);
-        wal.commit(&pool).unwrap();
+        commit(&wal, &pool);
         // Simulate the crash: the pool's dirty frames are simply lost (we
         // never flushed). The disk holds only the log.
         drop(pool);
@@ -1226,7 +1039,7 @@ mod tests {
     fn replay_is_idempotent_across_reopens() {
         let (disk, pool, wal) = setup(8);
         fill_page(&pool, 0x33);
-        wal.commit(&pool).unwrap();
+        commit(&wal, &pool);
         drop(pool);
         let (_w, info1) = Wal::open(Arc::clone(&disk) as Arc<dyn DiskBackend>).unwrap();
         assert_eq!(info1.replayed_records, 1);
@@ -1240,12 +1053,9 @@ mod tests {
     fn uncommitted_tail_is_discarded_not_replayed() {
         let (disk, pool, wal) = setup(8);
         let a = fill_page(&pool, 0x44);
-        wal.commit(&pool).unwrap();
+        commit(&wal, &pool);
         // A logged-but-uncommitted statement: DDL record with no commit.
-        let ghost = CatalogImage {
-            tables: vec![one_table("ghost", DataType::Int, 3)],
-        };
-        wal.log_ddl(&ghost).unwrap();
+        wal.log_ddl(b"ghost").unwrap();
         // Flush the tail so the aborted record is actually on disk.
         {
             let mut state = wal.state.lock();
@@ -1254,7 +1064,7 @@ mod tests {
         drop(pool);
         let (_w, info) = Wal::open(Arc::clone(&disk) as Arc<dyn DiskBackend>).unwrap();
         assert_eq!(info.discarded_records, 1, "aborted DDL must be discarded");
-        assert!(info.catalog.tables.is_empty(), "aborted DDL's image kept");
+        assert_eq!(info.catalog, None, "aborted DDL's catalog kept");
         assert_eq!(info.replayed_records, 1);
         let mut buf = [0u8; PAGE_SIZE];
         disk.read_page(a, &mut buf).unwrap();
@@ -1269,7 +1079,7 @@ mod tests {
     fn torn_tail_is_detected_and_truncated() {
         let (disk, pool, wal) = setup(8);
         fill_page(&pool, 0x55);
-        wal.commit(&pool).unwrap();
+        commit(&wal, &pool);
         let committed_scan = {
             let (_w, info) = Wal::open(Arc::clone(&disk) as Arc<dyn DiskBackend>).unwrap();
             info.scanned_records
@@ -1301,34 +1111,18 @@ mod tests {
         assert!(!info2.torn_tail);
     }
 
+    /// The log frames a catalog record's bytes and never reads them: any
+    /// payload, empty or not a catalog at all, comes back as it went in.
     #[test]
     fn last_committed_catalog_record_wins() {
         let (disk, pool, wal) = setup(8);
-        let mut users = one_table("users", DataType::Int, 7);
-        users.columns.push(ColumnImage {
-            name: "email".into(),
-            dtype: DataType::Str,
-            nullable: false,
-        });
-        let v1 = CatalogImage {
-            tables: vec![users.clone()],
-        };
-        wal.log_ddl(&v1).unwrap();
-        wal.commit(&pool).unwrap();
-        users.indexes.push(IndexImage {
-            name: "users_id".into(),
-            column: 0,
-            unique: true,
-            clustered: false,
-            meta_page: 9,
-        });
-        let v2 = CatalogImage {
-            tables: vec![one_table("tmp", DataType::Float, 11), users],
-        };
+        wal.log_ddl(ONE_TABLE).unwrap();
+        commit(&wal, &pool);
+        let v2: Vec<u8> = (0..=255).collect();
         wal.log_ddl(&v2).unwrap();
-        wal.commit(&pool).unwrap();
-        // A third image reaches the disk, but its statement never commits.
-        wal.log_ddl(&CatalogImage::default()).unwrap();
+        commit(&wal, &pool);
+        // A third record reaches the disk, but its statement never commits.
+        wal.log_ddl(&[]).unwrap();
         {
             let mut state = wal.state.lock();
             wal.flush_tail_and_sync(&mut state).unwrap();
@@ -1336,34 +1130,42 @@ mod tests {
         drop(pool);
 
         let (_w, info) = Wal::open(Arc::clone(&disk) as Arc<dyn DiskBackend>).unwrap();
-        assert_eq!(info.catalog, v2, "the last committed image, whole");
-        assert_eq!(info.discarded_records, 1, "the uncommitted image");
-        // Truncated in place: the discarded image stays gone.
-        let (_w, info) = Wal::open(Arc::clone(&disk) as Arc<dyn DiskBackend>).unwrap();
-        assert_eq!(info.catalog, v2);
+        assert_eq!(
+            info.catalog,
+            Some(v2.clone()),
+            "the last committed one, whole"
+        );
+        assert_eq!(info.discarded_records, 1, "the uncommitted record");
+        // Truncated in place: the discarded record stays gone.
+        let (wal, info) = Wal::open(Arc::clone(&disk) as Arc<dyn DiskBackend>).unwrap();
+        assert_eq!(info.catalog, Some(v2));
         assert_eq!(info.discarded_records, 0);
+        // An empty payload is a payload too.
+        let pool = BufferPool::new(Arc::clone(&disk) as Arc<dyn DiskBackend>, 8);
+        wal.log_ddl(&[]).unwrap();
+        commit(&wal, &pool);
+        drop((pool, wal));
+        let (_w, info) = Wal::open(Arc::clone(&disk) as Arc<dyn DiskBackend>).unwrap();
+        assert_eq!(info.catalog, Some(Vec::new()));
     }
 
     #[test]
     fn checkpoint_bounds_recovery_and_survives_reopen() {
         let (disk, pool, wal) = setup(8);
-        let catalog = CatalogImage {
-            tables: vec![one_table("t", DataType::Int, 5)],
-        };
         // A few committed pages, then a checkpoint.
         for fill in 1..=4u8 {
             fill_page(&pool, fill);
-            wal.commit(&pool).unwrap();
+            commit(&wal, &pool);
         }
         let pages_before = disk.page_count();
-        wal.checkpoint(&pool, &catalog).unwrap();
+        wal.checkpoint(&pool, ONE_TABLE).unwrap();
         assert!(
             disk.page_count() >= pages_before,
             "ids are never reused, count only grows"
         );
         // More work after the checkpoint.
         let e = fill_page(&pool, 0xEE);
-        wal.commit(&pool).unwrap();
+        commit(&wal, &pool);
         drop(pool);
 
         let (_w, info) = Wal::open(Arc::clone(&disk) as Arc<dyn DiskBackend>).unwrap();
@@ -1374,7 +1176,7 @@ mod tests {
             "checkpoint must bound the scan, saw {}",
             info.scanned_records
         );
-        assert_eq!(info.catalog.tables[0].name, "t");
+        assert_eq!(info.catalog.as_deref(), Some(ONE_TABLE));
         let mut buf = [0u8; PAGE_SIZE];
         disk.read_page(e, &mut buf).unwrap();
         assert_eq!(buf[50], 0xEE, "post-checkpoint commit replayed");
@@ -1384,8 +1186,8 @@ mod tests {
     fn commit_is_a_noop_without_changes() {
         let (_disk, pool, wal) = setup(4);
         let before = wal.stats();
-        wal.commit(&pool).unwrap();
-        wal.commit(&pool).unwrap();
+        commit(&wal, &pool);
+        commit(&wal, &pool);
         let after = wal.stats();
         assert_eq!(before.records_written, after.records_written);
         assert_eq!(after.commits, 0);
@@ -1401,7 +1203,7 @@ mod tests {
         disk.read_page(a, &mut buf).unwrap();
         assert!(buf.iter().all(|&x| x == 0), "uncommitted page leaked");
         assert_eq!(wal.unlogged_pages(), 1);
-        wal.commit(&pool).unwrap();
+        commit(&wal, &pool);
         assert_eq!(wal.unlogged_pages(), 0);
         pool.flush_all().unwrap();
         disk.read_page(a, &mut buf).unwrap();
@@ -1464,7 +1266,7 @@ mod tests {
         let l1 = wal.commit_grouped(&pool).unwrap().unwrap();
         assert!(wal.synced_lsn() < l1);
         // A no-new-work commit must still sync the outstanding tail.
-        wal.commit(&pool).unwrap();
+        commit(&wal, &pool);
         assert_eq!(wal.unsynced_pages(), 0);
         assert!(wal.synced_lsn() >= l1);
     }
@@ -1475,7 +1277,7 @@ mod tests {
         fill_page(&pool, 0x91);
         wal.commit_grouped(&pool).unwrap().unwrap();
         assert_eq!(wal.unsynced_pages(), 1);
-        wal.checkpoint(&pool, &CatalogImage::default()).unwrap();
+        wal.checkpoint(&pool, &[]).unwrap();
         assert_eq!(wal.unsynced_pages(), 0);
     }
 
@@ -1503,7 +1305,7 @@ mod tests {
             "a page with an unlogged change reached disk"
         );
 
-        wal.commit(&pool).unwrap();
+        commit(&wal, &pool);
         let second = *pool.fetch(p).unwrap().read();
         assert_eq!(second[230], 0x42);
         // Crash: the dirty frame is lost, only the log survives.
@@ -1556,22 +1358,19 @@ mod tests {
     #[test]
     fn log_pages_of_a_fixed_script_are_unchanged() {
         let (disk, pool, wal) = setup(16);
-        let catalog = CatalogImage {
-            tables: vec![one_table("t", DataType::Int, 1)],
-        };
         for round in 0..3u8 {
             for i in 0..3 {
                 fill_page(&pool, round * 16 + i);
             }
-            wal.commit(&pool).unwrap();
-            wal.log_ddl(&catalog).unwrap();
-            wal.commit(&pool).unwrap();
+            commit(&wal, &pool);
+            wal.log_ddl(ONE_TABLE).unwrap();
+            commit(&wal, &pool);
         }
-        wal.checkpoint(&pool, &catalog).unwrap();
+        wal.checkpoint(&pool, ONE_TABLE).unwrap();
         let edited = fill_page(&pool, 0xAB);
-        wal.commit(&pool).unwrap();
+        commit(&wal, &pool);
         pool.fetch(edited).unwrap().write()[100..140].fill(0xCD);
-        wal.commit(&pool).unwrap();
+        commit(&wal, &pool);
         let mut pages = Vec::new();
         let mut buf = [0u8; PAGE_SIZE];
         for id in 0..disk.page_count() {
@@ -1591,7 +1390,7 @@ mod tests {
         // payload, so every commit exercises the chain-growing path.
         let (disk, pool, wal) = setup(16);
         let ids: Vec<PageId> = (0..10u8).map(|i| fill_page(&pool, i + 1)).collect();
-        wal.commit(&pool).unwrap();
+        commit(&wal, &pool);
         drop(pool);
         let (_w, info) = Wal::open(Arc::clone(&disk) as Arc<dyn DiskBackend>).unwrap();
         assert_eq!(info.replayed_records, 10);
@@ -1606,7 +1405,7 @@ mod tests {
     fn replay_skips_pages_with_newer_lsn() {
         let (disk, pool, wal) = setup(8);
         let a = fill_page(&pool, 0x10);
-        wal.commit(&pool).unwrap();
+        commit(&wal, &pool);
         // Hand-advance the on-disk page to a far-future LSN with different
         // bytes: replay must leave it alone.
         let mut buf = [0u8; PAGE_SIZE];
@@ -1637,7 +1436,7 @@ mod tests {
     /// Commit, returning `(records, bytes)` the commit logged.
     fn logged(wal: &Wal, pool: &BufferPool) -> (u64, u64) {
         let before = wal.stats();
-        wal.commit(pool).unwrap();
+        commit(wal, pool);
         let after = wal.stats();
         (
             after.records_written - before.records_written,
@@ -1660,7 +1459,7 @@ mod tests {
             "a one-row insert logged {bytes} bytes"
         );
 
-        wal.checkpoint(&pool, &CatalogImage::default()).unwrap();
+        wal.checkpoint(&pool, &[]).unwrap();
         heap.insert(&row(2)).unwrap();
         let after_checkpoint = logged(&wal, &pool);
         assert_eq!(
@@ -1715,8 +1514,8 @@ mod tests {
             .unwrap();
         let heap = crate::heap::HeapFile::create(Arc::clone(&pool)).unwrap();
         heap.insert(&row(0)).unwrap();
-        wal.commit(&pool).unwrap();
-        wal.checkpoint(&pool, &CatalogImage::default()).unwrap();
+        commit(&wal, &pool);
+        wal.checkpoint(&pool, &[]).unwrap();
         let page = heap.first_page();
 
         // A full image (first touch after the checkpoint), flushed clean;
@@ -1754,13 +1553,13 @@ mod tests {
     fn a_delta_over_a_page_at_another_lsn_is_corruption() {
         let (disk, pool, wal) = setup(8);
         let a = fill_page(&pool, 0x21);
-        wal.commit(&pool).unwrap();
+        commit(&wal, &pool);
         pool.flush_all().unwrap();
         let mut on_disk = [0u8; PAGE_SIZE];
         disk.read_page(a, &mut on_disk).unwrap();
         let base = page_lsn(&on_disk);
         pool.fetch(a).unwrap().write()[300] = 0x22;
-        wal.commit(&pool).unwrap();
+        commit(&wal, &pool);
         let lsn = page_lsn(&pool.fetch(a).unwrap().read());
         assert!(lsn > base + 1, "room for an LSN between");
         // The page on disk claims an LSN no record left it at.
@@ -1776,41 +1575,5 @@ mod tests {
         let mut after = [0u8; PAGE_SIZE];
         disk.read_page(a, &mut after).unwrap();
         assert_eq!(after, on_disk);
-    }
-
-    #[test]
-    fn catalog_image_roundtrips_through_bytes() {
-        let img = CatalogImage {
-            tables: vec![
-                TableImage {
-                    name: "α-table".into(),
-                    columns: vec![ColumnImage {
-                        name: "k".into(),
-                        dtype: DataType::Bool,
-                        nullable: false,
-                    }],
-                    first_page: 3,
-                    indexes: vec![IndexImage {
-                        name: "i1".into(),
-                        column: 0,
-                        unique: false,
-                        clustered: true,
-                        meta_page: 12,
-                    }],
-                },
-                TableImage {
-                    name: "empty".into(),
-                    columns: vec![],
-                    first_page: 99,
-                    indexes: vec![],
-                },
-            ],
-        };
-        let mut bytes = Vec::new();
-        put_catalog_image(&mut bytes, &img);
-        let mut r = BodyReader::new(&bytes);
-        let back = get_catalog_image(&mut r).unwrap();
-        assert!(r.done());
-        assert_eq!(back, img);
     }
 }
