@@ -10,7 +10,9 @@
 //! * `render` on the report producing the paper-style text table.
 //!
 //! `cargo run -p evopt-bench --release --bin report -- all` regenerates
-//! everything.
+//! everything here. Access-path crossover, join-method choice, enumeration
+//! quality and cost calibration are one check on counted work, the root
+//! package's `tests/plan_regret.rs`.
 
 // The experiment harness reports broken setup by panicking, exactly like
 // a test: the run must abort loudly, there is no caller to hand an error
@@ -19,13 +21,9 @@
 
 pub mod c1;
 pub mod f1;
-pub mod f2;
 pub mod f3;
 pub mod f4;
 pub mod f5;
 pub mod t1;
-pub mod t2;
 pub mod t3;
-pub mod t4;
-pub mod t5;
 pub mod util;

@@ -6,9 +6,9 @@
 //! (O(n³) pair evaluations), still heuristic.
 
 use evopt_common::{EvoptError, Result};
-use evopt_obs::PruneReason;
 
-use super::{Candidate, JoinContext, SubPlan};
+use super::greedy::keep_least;
+use super::{JoinContext, SubPlan};
 
 pub fn run(ctx: &JoinContext) -> Result<SubPlan> {
     let n = ctx.rels.len();
@@ -19,34 +19,18 @@ pub fn run(ctx: &JoinContext) -> Result<SubPlan> {
     while forest.len() > 1 {
         let any_connected =
             pairs(forest.len()).any(|(i, j)| ctx.is_connected(forest[i].mask, forest[j].mask));
-        let mut best: Option<(usize, usize, Candidate)> = None;
-        for (i, j) in pairs(forest.len()) {
-            let connected = ctx.is_connected(forest[i].mask, forest[j].mask);
-            if any_connected && !connected {
-                continue;
-            }
-            for (a, b) in [(i, j), (j, i)] {
-                for cand in ctx.join_candidates(&forest[a], &forest[b], !connected) {
-                    ctx.trace_consider(&cand);
-                    let better = match &best {
-                        None => true,
-                        Some((_, _, cur)) => {
-                            (cand.rows, ctx.model.total(cand.cost))
-                                < (cur.rows, ctx.model.total(cur.cost))
-                        }
-                    };
-                    if better {
-                        if let Some((_, _, prev)) = best.take() {
-                            ctx.trace_prune(&prev, PruneReason::NotChosen);
-                        }
-                        best = Some((i, j, cand));
-                    } else {
-                        ctx.trace_prune(&cand, PruneReason::NotChosen);
-                    }
-                }
-            }
-        }
-        let (i, j, merged) = best.ok_or_else(|| {
+        let trees = &forest;
+        let candidates = pairs(trees.len())
+            .map(|(i, j)| (i, j, ctx.is_connected(trees[i].mask, trees[j].mask)))
+            .filter(|&(_, _, connected)| connected || !any_connected)
+            .flat_map(|(i, j, connected)| {
+                [(i, j), (j, i)].into_iter().flat_map(move |(a, b)| {
+                    let joins = ctx.join_candidates(&trees[a], &trees[b], !connected);
+                    joins.into_iter().map(move |cand| ((i, j), cand))
+                })
+            });
+        let best = keep_least(ctx, candidates, |c| (c.rows, ctx.model.total(c.cost)));
+        let ((i, j), merged) = best.ok_or_else(|| {
             EvoptError::Internal("goo: no join candidate (cross join should be a fallback)".into())
         })?;
         let merged = merged.into_subplan(ctx)?;

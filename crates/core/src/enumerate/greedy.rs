@@ -3,8 +3,8 @@
 //! Start from the smallest filtered relation; at every step join in the
 //! connected neighbour whose join yields the fewest rows (cost as the
 //! tiebreak). Polynomial — O(n²) join evaluations — and good on chains, but
-//! blind to globally-better orders; experiment F2 quantifies the regret
-//! against DP.
+//! blind to globally-better orders; the plan-regret test holds it to
+//! never beating DP.
 
 use evopt_common::{EvoptError, Result};
 use evopt_obs::PruneReason;
@@ -43,34 +43,19 @@ pub fn run(ctx: &JoinContext) -> Result<SubPlan> {
         let any_connected = remaining
             .iter()
             .any(|&r| ctx.is_connected(current.mask, 1u64 << r));
-        let mut best: Option<Candidate> = None;
-        for &r in &remaining {
-            let connected = ctx.is_connected(current.mask, 1u64 << r);
-            if any_connected && !connected {
-                continue;
-            }
-            for base in ctx.base_subplans(r) {
-                for cand in ctx.join_candidates(&current, base, !connected) {
-                    ctx.trace_consider(&cand);
-                    let better = match &best {
-                        None => true,
-                        Some(b) => {
-                            (cand.rows, ctx.model.total(cand.cost))
-                                < (b.rows, ctx.model.total(b.cost))
-                        }
-                    };
-                    if better {
-                        if let Some(prev) = best.take() {
-                            ctx.trace_prune(&prev, PruneReason::NotChosen);
-                        }
-                        best = Some(cand);
-                    } else {
-                        ctx.trace_prune(&cand, PruneReason::NotChosen);
-                    }
-                }
-            }
-        }
+        let joined = &current;
+        let candidates = remaining
+            .iter()
+            .map(|&r| (r, ctx.is_connected(joined.mask, 1u64 << r)))
+            .filter(|&(_, connected)| connected || !any_connected)
+            .flat_map(|(r, connected)| {
+                let bases = ctx.base_subplans(r).iter();
+                bases.flat_map(move |base| ctx.join_candidates(joined, base, !connected))
+            })
+            .map(|cand| ((), cand));
+        let best = keep_least(ctx, candidates, |c| (c.rows, ctx.model.total(c.cost)));
         current = best
+            .map(|((), cand)| cand)
             .ok_or_else(|| {
                 EvoptError::Internal(
                     "greedy: no join candidate (cross join should be a fallback)".into(),
@@ -80,6 +65,29 @@ pub fn run(ctx: &JoinContext) -> Result<SubPlan> {
     }
 
     ctx.pick_final(vec![current])
+}
+
+/// The candidate a heuristic keeps of those it considers: the first whose
+/// `key` is least. Each is traced as considered and, once it loses a
+/// comparison, as pruned (not chosen). Greedy, GOO and QuickPick choose
+/// through this; the tag carries what a caller needs beside the winner.
+pub(super) fn keep_least<'p, T, K: PartialOrd>(
+    ctx: &JoinContext,
+    candidates: impl IntoIterator<Item = (T, Candidate<'p>)>,
+    key: impl Fn(&Candidate<'p>) -> K,
+) -> Option<(T, Candidate<'p>)> {
+    let mut best: Option<(T, Candidate<'p>)> = None;
+    for (tag, cand) in candidates {
+        ctx.trace_consider(&cand);
+        if best.as_ref().is_none_or(|(_, b)| key(&cand) < key(b)) {
+            if let Some((_, prev)) = best.replace((tag, cand)) {
+                ctx.trace_prune(&prev, PruneReason::NotChosen);
+            }
+        } else {
+            ctx.trace_prune(&cand, PruneReason::NotChosen);
+        }
+    }
+    best
 }
 
 #[cfg(test)]

@@ -53,11 +53,9 @@ pub enum Strategy {
     /// Dynamic programming over all bushy trees (naive partition
     /// enumeration, O(3ⁿ)).
     BushyDp,
-    /// Bushy DP via connected-subgraph/complement-pair enumeration
-    /// (DPccp): bushy trees with no cross product, enumeration effort
-    /// proportional to the number of *connected* pairs. A smaller space
-    /// than `BushyDp`'s, whose deferred cross products may sit inside a
-    /// connected set: its optimum is never cheaper, sometimes dearer.
+    /// Bushy DP over connected-subgraph/complement pairs (DPccp): no cross
+    /// product, so a smaller space than `BushyDp`'s and an optimum never
+    /// cheaper; effort proportional to the number of *connected* pairs.
     DpCcp,
     /// Left-deep greedy: repeatedly join in the neighbour producing the
     /// smallest intermediate result.

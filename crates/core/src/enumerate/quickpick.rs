@@ -3,15 +3,15 @@
 //! Draw `samples` random left-deep orders (seeded, reproducible), build each
 //! with the cheapest method per step, keep the best. A baseline between
 //! "no optimization" and exhaustive search: quality improves with samples,
-//! never reaches DP reliably on hard graphs — exactly the F2 story.
+//! never reaches DP reliably on hard graphs.
 
 use evopt_common::{EvoptError, Result};
-use evopt_obs::PruneReason;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use super::{Candidate, JoinContext, SubPlan};
+use super::greedy::keep_least;
+use super::{JoinContext, SubPlan};
 
 pub fn run(ctx: &JoinContext, samples: usize, seed: u64) -> Result<SubPlan> {
     if samples == 0 {
@@ -28,26 +28,15 @@ pub fn run(ctx: &JoinContext, samples: usize, seed: u64) -> Result<SubPlan> {
         order.shuffle(&mut rng);
         let mut current = ctx.cheapest_base(order[0])?;
         for &r in &order[1..] {
-            let mut best: Option<Candidate> = None;
-            for base in ctx.base_subplans(r) {
-                // Random orders may force cross products; always allowed.
-                for cand in ctx.join_candidates(&current, base, true) {
-                    ctx.trace_consider(&cand);
-                    let better = match &best {
-                        None => true,
-                        Some(b) => ctx.model.total(cand.cost) < ctx.model.total(b.cost),
-                    };
-                    if better {
-                        if let Some(prev) = best.take() {
-                            ctx.trace_prune(&prev, PruneReason::NotChosen);
-                        }
-                        best = Some(cand);
-                    } else {
-                        ctx.trace_prune(&cand, PruneReason::NotChosen);
-                    }
-                }
-            }
+            // Random orders may force cross products; always allowed.
+            let joined = &current;
+            let joins = ctx.base_subplans(r).iter();
+            let joins = joins.flat_map(|base| ctx.join_candidates(joined, base, true));
+            let best = keep_least(ctx, joins.map(|cand| ((), cand)), |c| {
+                ctx.model.total(c.cost)
+            });
             current = best
+                .map(|((), cand)| cand)
                 .ok_or_else(|| {
                     EvoptError::Internal(
                         "quickpick: no join candidate (cross join should be a fallback)".into(),

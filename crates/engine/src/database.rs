@@ -242,11 +242,14 @@ impl Database {
     }
 
     /// The catalog version a read statement pins: one `Arc` clone, its
-    /// latency in the `snapshot_acquire_us` histogram.
-    pub(crate) fn read_snapshot(&self) -> Arc<Catalog> {
-        self.metrics
-            .snapshot_acquire_us
-            .time(|| self.catalog.snapshot())
+    /// latency in the `snapshot_acquire_us` histogram of the instance and
+    /// of the issuing session.
+    pub(crate) fn read_snapshot(&self, session: &SessionState) -> Arc<Catalog> {
+        let started = Instant::now();
+        let snapshot = self.catalog.snapshot();
+        let us = started.elapsed().as_micros() as u64;
+        self.record(session, |m| m.snapshot_acquire_us.observe(us));
+        snapshot
     }
 
     /// Acquire the commit lock through the timed wrapper: rank witness,

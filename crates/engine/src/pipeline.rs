@@ -11,7 +11,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use evopt_catalog::Catalog;
-use evopt_common::{lockorder, EvoptError, Result, Tuple, DEFAULT_BATCH_ROWS};
+use evopt_common::{lockorder, EvoptError, Result, Tuple};
 use evopt_core::physical::PhysicalPlan;
 use evopt_core::Optimizer;
 use evopt_exec::{
@@ -151,17 +151,6 @@ impl<'a> Flight<'a> {
         span
     }
 
-    fn exec_env(&self, catalog: &Arc<Catalog>) -> ExecEnv {
-        // Spelled out, not `ExecEnv::new(..).with_metrics(..)`: `new` builds a
-        // registry of its own, which every statement would make and drop.
-        ExecEnv {
-            catalog: Arc::clone(catalog),
-            buffer_pages: self.cfg.optimizer.cost_model.buffer_pages,
-            batch_rows: DEFAULT_BATCH_ROWS,
-            metrics: Arc::clone(&self.db.metrics),
-        }
-    }
-
     fn stages(&mut self, input: Input<'a>, mode: Mode) -> Result<QueryResult> {
         let parsed = match input {
             Input::Sql(sql) => Parsed::Stmt(self.parse_stage(sql)?),
@@ -218,7 +207,7 @@ impl<'a> Flight<'a> {
             let lock_wait_us = us_since(lock_started);
             let catalog = match writes {
                 true => Arc::clone(&db.catalog),
-                false => db.read_snapshot(),
+                false => db.read_snapshot(self.session),
             };
             let (logical, action) = self.bind_stage(&catalog, parsed)?;
             let physical = match (&logical, &action) {
@@ -326,11 +315,9 @@ impl<'a> Flight<'a> {
         Ok(physical)
     }
 
-    /// Do what the statement says: drain the plan (the only place the
-    /// executor's `run_collect*` entry points are called), apply the
-    /// change, or answer from engine state. Attached here: the governor,
-    /// the execute phase with its pool and disk deltas, and a SELECT's
-    /// query counters and query-log entry.
+    /// Do what the statement says ([`Flight::run_action`]) and account for
+    /// it: the executor's counts, the execute phase with its pool and disk
+    /// deltas, and a SELECT's query counters and query-log entry.
     fn execute_stage(
         &mut self,
         catalog: &Arc<Catalog>,
@@ -339,66 +326,24 @@ impl<'a> Flight<'a> {
         mode: Mode,
     ) -> Result<QueryResult> {
         let db = self.db;
-        let planned = || {
-            plan.ok_or_else(|| EvoptError::Internal("statement reached execute unplanned".into()))
-        };
         let is_query = matches!(action, Action::Query(_));
         let pool_before = db.pool.stats();
         let io_before = db.disk.snapshot();
         let started = Instant::now();
-        let result = match action {
-            Action::Query(_) => {
-                let (plan, env) = (planned()?, self.exec_env(catalog));
-                // Instrumented and governed runs take the measured drain; a
-                // governed one hands it its limits.
-                let measured = match mode {
-                    Mode::Instrumented => Some(None),
-                    Mode::Governed(governor, token) => Some(Some((governor, token))),
-                    _ => None,
-                };
-                let rows = match measured {
-                    Some(governed) => {
-                        let (rows, metrics) = run_collect_measured(plan, &env, governed);
-                        self.out.metrics = Some(metrics);
-                        if matches!(
-                            &rows,
-                            Err(EvoptError::Canceled(_) | EvoptError::ResourceExhausted(_))
-                        ) {
-                            self.record(|m| m.governor_kills.inc());
-                        }
-                        rows?
-                    }
-                    None => run_collect(plan, &env)?,
-                };
-                QueryResult::Rows {
-                    schema: plan.schema.clone(),
-                    rows,
-                    metrics: None,
-                }
-            }
-            // Find every row first, change them after: the scan never
-            // meets a row this statement wrote (Halloween protection),
-            // whichever access path the optimizer chose.
-            Action::Modify { info, sets } => {
-                let found = run_collect_rids(planned()?, &self.exec_env(catalog))?;
-                QueryResult::Affected(apply::modify(&info, &found, sets.as_deref())?)
-            }
-            Action::Insert { info, rows } => QueryResult::Affected(apply::insert(&info, &rows)?),
-            Action::CreateTable { name, schema } => db.create_table(&name, schema)?,
-            Action::CreateIndex {
-                name,
-                table,
-                column,
-                unique,
-                clustered,
-            } => db.create_index(&name, &table, &column, unique, clustered)?,
-            Action::Analyze(table) => db.analyze(table.as_deref(), &self.cfg.analyze)?,
-            Action::DropTable(name) => db.drop_table(&name)?,
-            Action::ShowQueryLog => {
-                let _r = lockorder::acquire(lockorder::OBS);
-                render::query_log(&db.query_log)
-            }
-        };
+        let env = ExecEnv::new(
+            Arc::clone(catalog),
+            self.cfg.optimizer.cost_model.buffer_pages,
+        );
+        let result = self.run_action(&env, action, plan, mode);
+        // Counted whether or not the statement failed: an operator that
+        // spilled before an error did spill.
+        let counts = &env.counts;
+        self.record(|m| {
+            m.exec_batches.add(counts.batches.get());
+            m.exec_rows.add(counts.rows.get());
+            m.exec_spills.add(counts.spills.get());
+        });
+        let result = result?;
         let execute_us = us_since(started);
         let pool = db.pool.stats().since(&pool_before);
         let io = db.disk.snapshot().since(&io_before);
@@ -420,7 +365,10 @@ impl<'a> Flight<'a> {
                 .counter("pages_read", io.reads)
                 .counter("pages_written", io.writes),
         );
-        self.record(|m| {
+        // Pool and disk deltas count in a session's own registry alone: the
+        // instance's snapshot reads the pool and the disk themselves.
+        if !Arc::ptr_eq(&db.metrics, &self.session.metrics) {
+            let m = &self.session.metrics;
             m.pool_hits.add(pool.hits);
             m.pool_misses.add(pool.misses);
             m.pool_evictions.add(pool.evictions);
@@ -428,7 +376,7 @@ impl<'a> Flight<'a> {
             m.pool_corruptions.add(pool.corruptions);
             m.disk_reads.add(io.reads);
             m.disk_writes.add(io.writes);
-        });
+        }
         if let (true, Some(sql), Some(plan)) = (is_query, self.counted, plan) {
             let span = Some(self.stamped_span());
             let slow = {
@@ -456,6 +404,76 @@ impl<'a> Flight<'a> {
             });
         }
         Ok(result)
+    }
+
+    /// The statement's own work, run on `env`: drain the plan (the only
+    /// place the executor's `run_collect*` entry points are called, the
+    /// governor attached to a governed one), apply the change, or answer
+    /// from engine state.
+    fn run_action(
+        &mut self,
+        env: &ExecEnv,
+        action: Action,
+        plan: Option<&PhysicalPlan>,
+        mode: Mode,
+    ) -> Result<QueryResult> {
+        let db = self.db;
+        let planned = || {
+            plan.ok_or_else(|| EvoptError::Internal("statement reached execute unplanned".into()))
+        };
+        Ok(match action {
+            Action::Query(_) => {
+                let plan = planned()?;
+                // Instrumented and governed runs take the measured drain; a
+                // governed one hands it its limits.
+                let measured = match mode {
+                    Mode::Instrumented => Some(None),
+                    Mode::Governed(governor, token) => Some(Some((governor, token))),
+                    _ => None,
+                };
+                let rows = match measured {
+                    Some(governed) => {
+                        let (rows, metrics) = run_collect_measured(plan, env, governed);
+                        self.out.metrics = Some(metrics);
+                        if matches!(
+                            &rows,
+                            Err(EvoptError::Canceled(_) | EvoptError::ResourceExhausted(_))
+                        ) {
+                            self.record(|m| m.governor_kills.inc());
+                        }
+                        rows?
+                    }
+                    None => run_collect(plan, env)?,
+                };
+                QueryResult::Rows {
+                    schema: plan.schema.clone(),
+                    rows,
+                    metrics: None,
+                }
+            }
+            // Find every row first, change them after: the scan never
+            // meets a row this statement wrote (Halloween protection),
+            // whichever access path the optimizer chose.
+            Action::Modify { info, sets } => {
+                let found = run_collect_rids(planned()?, env)?;
+                QueryResult::Affected(apply::modify(&info, &found, sets.as_deref())?)
+            }
+            Action::Insert { info, rows } => QueryResult::Affected(apply::insert(&info, &rows)?),
+            Action::CreateTable { name, schema } => db.create_table(&name, schema)?,
+            Action::CreateIndex {
+                name,
+                table,
+                column,
+                unique,
+                clustered,
+            } => db.create_index(&name, &table, &column, unique, clustered)?,
+            Action::Analyze(table) => db.analyze(table.as_deref(), &self.cfg.analyze)?,
+            Action::DropTable(name) => db.drop_table(&name)?,
+            Action::ShowQueryLog => {
+                let _r = lockorder::acquire(lockorder::OBS);
+                render::query_log(&db.query_log)
+            }
+        })
     }
 
     /// Make the staged append durable, off the commit lock. Concurrent

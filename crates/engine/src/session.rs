@@ -65,7 +65,7 @@ impl SessionState {
         self.config().optimizer
     }
 
-    /// Swap the join-enumeration strategy (T1/F1/F2 sweeps).
+    /// Swap the join-enumeration strategy (T1/F1 sweeps, plan regret).
     pub fn set_strategy(&self, strategy: Strategy) {
         self.update(|c| c.optimizer.strategy = strategy);
     }

@@ -6,6 +6,7 @@ use std::time::Instant;
 use evopt_catalog::Catalog;
 use evopt_common::{Batch, Result, Schema, Tuple, DEFAULT_BATCH_ROWS};
 use evopt_core::physical::{PhysOp, PhysicalPlan};
+use evopt_obs::Counter;
 use evopt_storage::Rid;
 
 use crate::governor::{CancellationToken, GovernorConfig, QueryGovernor};
@@ -21,11 +22,19 @@ pub struct ExecEnv {
     pub buffer_pages: usize,
     /// Target rows per [`Batch`] produced by every operator. Always ≥ 1.
     pub batch_rows: usize,
-    /// Engine metrics registry: root drains count batches/rows into it and
-    /// spilling operators count spill events. [`ExecEnv::new`] makes a
-    /// private one; whoever reads the counts (the engine, a test) supplies
-    /// the registry it reads.
-    pub metrics: Arc<evopt_obs::EngineMetrics>,
+    /// What this environment's drains did, counted as they run. The
+    /// engine makes one environment per statement and adds its counts to
+    /// the registries of the instance and the issuing session.
+    pub counts: Arc<ExecCounts>,
+}
+
+/// The executor's own counts: the batches and rows root drains returned,
+/// and the operators that spilled.
+#[derive(Debug, Default)]
+pub struct ExecCounts {
+    pub batches: Counter,
+    pub rows: Counter,
+    pub spills: Counter,
 }
 
 impl ExecEnv {
@@ -34,7 +43,7 @@ impl ExecEnv {
             catalog,
             buffer_pages,
             batch_rows: DEFAULT_BATCH_ROWS,
-            metrics: Arc::default(),
+            counts: Arc::default(),
         }
     }
 
@@ -45,21 +54,15 @@ impl ExecEnv {
         self
     }
 
-    /// Count into `metrics` instead of the private registry.
-    pub fn with_metrics(mut self, metrics: Arc<evopt_obs::EngineMetrics>) -> Self {
-        self.metrics = metrics;
-        self
-    }
-
     /// Record root-drain output volume.
     pub(crate) fn record_output(&self, batches: u64, rows: u64) {
-        self.metrics.exec_batches.add(batches);
-        self.metrics.exec_rows.add(rows);
+        self.counts.batches.add(batches);
+        self.counts.rows.add(rows);
     }
 
     /// Record one operator spilling to disk.
     pub(crate) fn record_spill(&self) {
-        self.metrics.exec_spills.inc();
+        self.counts.spills.inc();
     }
 }
 

@@ -32,7 +32,7 @@
 //! materialises and re-reads its inner, external sort spills runs, the
 //! Grace hash join partitions to temporary heaps. That is the point: the
 //! experiments compare these measured page counts against the optimizer's
-//! predictions (T5, F4).
+//! predictions (the plan-regret test, F4).
 //!
 //! Entry points: [`build_executor`] to instantiate a plan, [`run_collect`]
 //! to drain it into a vector, [`run_collect_measured`] to drain it with
@@ -55,8 +55,8 @@ pub mod simple;
 pub mod sort;
 
 pub use executor::{
-    build_executor, run_collect, run_collect_measured, run_collect_rids, BatchCursor, ExecEnv,
-    Executor,
+    build_executor, run_collect, run_collect_measured, run_collect_rids, BatchCursor, ExecCounts,
+    ExecEnv, Executor,
 };
 pub use governor::{CancellationToken, GovernorConfig, QueryGovernor};
 pub use metrics::{MetricsRegistry, OperatorMetrics, QueryMetrics};

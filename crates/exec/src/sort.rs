@@ -9,13 +9,12 @@
 //! `batch_rows` tuples per `next_batch()` call.
 //!
 //! Runs are freed as soon as nothing reads them: an intermediate pass
-//! drops its input runs, and the final merge's runs live in its
-//! [`MergeState`] (a [`HeapScan`] does not keep its heap alive), so they
+//! drops its input runs, and the final merge's runs live beside its
+//! [`Merge`] (a [`HeapScan`] does not keep its heap alive), so they
 //! go when the operator does — finished, failed or killed. A spill that
 //! fits the pool therefore never reaches the disk.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use evopt_common::{Batch, Result, Schema, Tuple, Value};
@@ -54,40 +53,80 @@ pub struct SortExec {
     schema: Schema,
     /// In-memory result when the input fit in the buffer.
     memory: Option<std::vec::IntoIter<Tuple>>,
-    /// Final merge state otherwise.
-    merge: Option<MergeState>,
+    /// Final merge otherwise, and the runs it reads: dropping them frees
+    /// their pages.
+    merge: Option<(Vec<HeapFile>, Merge)>,
 }
 
-struct MergeState {
-    /// The runs `scans` read; dropping them frees their pages.
-    _runs: Vec<HeapFile>,
+/// A k-way merge of sorted runs, for an intermediate pass and the final
+/// one alike. Each run's next row waits in `heads`; `order` is a binary
+/// min-heap of run indices compared through the sort's keys, borrowed at
+/// each call, with ties going to the earlier run, so the merge keeps the
+/// input order of equal rows as the in-memory sort does.
+struct Merge {
     scans: Vec<HeapScan>,
-    heap: BinaryHeap<HeapEntry>,
-    keys: Keys,
+    heads: Vec<Option<Tuple>>,
+    order: Vec<usize>,
 }
 
-/// Min-heap entry (reversed comparison).
-struct HeapEntry {
-    tuple: Tuple,
-    run: usize,
-    keys: Keys,
-}
+impl Merge {
+    fn new(runs: &[HeapFile], keys: &Keys) -> Result<Merge> {
+        let mut scans: Vec<HeapScan> = runs.iter().map(|r| r.scan()).collect();
+        let heads = scans
+            .iter_mut()
+            .map(|scan| Ok(scan.next().transpose()?.map(|(_, t)| t)))
+            .collect::<Result<Vec<_>>>()?;
+        let mut merge = Merge {
+            scans,
+            order: (0..heads.len()).filter(|&r| heads[r].is_some()).collect(),
+            heads,
+        };
+        for at in (0..merge.order.len() / 2).rev() {
+            merge.sift_down(at, keys);
+        }
+        Ok(merge)
+    }
 
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        compare(&self.tuple, &other.tuple, &self.keys) == Ordering::Equal
+    /// Whether run `a`'s head comes before run `b`'s.
+    fn before(&self, a: usize, b: usize, keys: &Keys) -> bool {
+        match (&self.heads[a], &self.heads[b]) {
+            (Some(x), Some(y)) => compare(x, y, keys).then(a.cmp(&b)).is_lt(),
+            _ => false,
+        }
     }
-}
-impl Eq for HeapEntry {}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+
+    fn sift_down(&mut self, mut at: usize, keys: &Keys) {
+        loop {
+            let (left, right) = (2 * at + 1, 2 * at + 2);
+            let mut least = at;
+            for child in [left, right] {
+                if child < self.order.len()
+                    && self.before(self.order[child], self.order[least], keys)
+                {
+                    least = child;
+                }
+            }
+            if least == at {
+                return;
+            }
+            self.order.swap(at, least);
+            at = least;
+        }
     }
-}
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse: BinaryHeap is a max-heap, we want the smallest first.
-        compare(&other.tuple, &self.tuple, &self.keys)
+
+    /// The least head of all runs, its place taken by the next row of its
+    /// run.
+    fn next(&mut self, keys: &Keys) -> Result<Option<Tuple>> {
+        let Some(&run) = self.order.first() else {
+            return Ok(None);
+        };
+        let next = self.scans[run].next().transpose()?.map(|(_, t)| t);
+        let row = std::mem::replace(&mut self.heads[run], next);
+        if self.heads[run].is_none() {
+            self.order.swap_remove(0);
+        }
+        self.sift_down(0, keys);
+        Ok(row)
     }
 }
 
@@ -150,56 +189,18 @@ impl SortExec {
         while runs.len() > fan_in {
             let mut next_runs = Vec::new();
             for chunk in runs.chunks(fan_in) {
-                next_runs.push(self.merge_runs(chunk)?);
+                let mut merge = Merge::new(chunk, &self.keys)?;
+                let out = HeapFile::scratch(Arc::clone(self.env.catalog.pool()))?;
+                while let Some(t) = merge.next(&self.keys)? {
+                    out.insert(&t)?;
+                }
+                next_runs.push(out);
             }
             runs = next_runs;
         }
-        // Final streaming merge.
-        let mut scans: Vec<HeapScan> = runs.iter().map(|r| r.scan()).collect();
-        let mut heap = BinaryHeap::new();
-        for (i, scan) in scans.iter_mut().enumerate() {
-            if let Some(item) = scan.next().transpose()? {
-                heap.push(HeapEntry {
-                    tuple: item.1,
-                    run: i,
-                    keys: self.keys.clone(),
-                });
-            }
-        }
-        self.merge = Some(MergeState {
-            _runs: runs,
-            scans,
-            heap,
-            keys: self.keys.clone(),
-        });
+        let merge = Merge::new(&runs, &self.keys)?;
+        self.merge = Some((runs, merge));
         Ok(())
-    }
-
-    /// Merge a chunk of sorted runs into one new run on disk.
-    fn merge_runs(&self, runs: &[HeapFile]) -> Result<HeapFile> {
-        let out = HeapFile::scratch(Arc::clone(self.env.catalog.pool()))?;
-        let mut scans: Vec<HeapScan> = runs.iter().map(|r| r.scan()).collect();
-        let mut heap = BinaryHeap::new();
-        for (i, scan) in scans.iter_mut().enumerate() {
-            if let Some(item) = scan.next().transpose()? {
-                heap.push(HeapEntry {
-                    tuple: item.1,
-                    run: i,
-                    keys: self.keys.clone(),
-                });
-            }
-        }
-        while let Some(entry) = heap.pop() {
-            out.insert(&entry.tuple)?;
-            if let Some(item) = scans[entry.run].next().transpose()? {
-                heap.push(HeapEntry {
-                    tuple: item.1,
-                    run: entry.run,
-                    keys: self.keys.clone(),
-                });
-            }
-        }
-        Ok(out)
     }
 }
 
@@ -220,18 +221,13 @@ impl Executor for SortExec {
             }
             return Ok(Some(Batch::new(self.schema.clone(), rows)));
         }
-        let state = invariant(self.merge.as_mut(), "merge state prepared")?;
+        let (_, merge) = invariant(self.merge.as_mut(), "merge prepared")?;
         let mut batch = Batch::with_capacity(self.schema.clone(), batch_rows);
         while batch.len() < batch_rows {
-            let Some(entry) = state.heap.pop() else { break };
-            if let Some(item) = state.scans[entry.run].next().transpose()? {
-                state.heap.push(HeapEntry {
-                    tuple: item.1,
-                    run: entry.run,
-                    keys: state.keys.clone(),
-                });
-            }
-            batch.push(entry.tuple);
+            let Some(t) = merge.next(&self.keys)? else {
+                break;
+            };
+            batch.push(t);
         }
         Ok(if batch.is_empty() { None } else { Some(batch) })
     }

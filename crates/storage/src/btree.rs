@@ -4,7 +4,7 @@
 //! duplicate keys, point lookups and ordered range scans. Nodes live in
 //! buffer-pool pages, so **index probes cost real page fetches** — the
 //! `height + leaf pages` term in the optimizer's index-scan cost formula is
-//! measurable against this structure (experiment T2).
+//! measurable against this structure (the plan-regret access-path sweep).
 //!
 //! A node is searched and edited where it lies in its page:
 //!

@@ -7,7 +7,7 @@
 //!
 //! Every `read_page`/`write_page` is a "physical" I/O and is counted. The
 //! counters are the measured side of the cost-model validation experiments
-//! (T5, F4): the optimizer *predicts* page fetches, the disk *counts* them.
+//! (plan regret, F4): the optimizer *predicts* page fetches, the disk *counts* them.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

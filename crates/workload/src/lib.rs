@@ -6,12 +6,12 @@
 //!   sampler (implemented here so no extra crate dependency is needed).
 //! * [`wisconsin`] — Wisconsin-benchmark-style relations: uniformly random
 //!   unique keys plus percentage-selectivity columns, the classic substrate
-//!   for access-path experiments (T1, T2).
+//!   for access-path experiments (T1, plan regret).
 //! * [`tpch_lite`] — a scaled-down TPC-H-like star schema (region → nation
 //!   → customer → orders → lineitem) for realistic multi-join queries.
 //! * [`topology`] — parametric join graphs (chain / star / cycle / clique)
 //!   with geometric size progressions, for enumeration experiments
-//!   (F1, F2).
+//!   (F1, plan regret).
 //!
 //! Everything is deterministic given a seed.
 

@@ -1,4 +1,4 @@
-//! Cost-model validation in miniature (the T5 experiment as an example):
+//! Cost-model validation in miniature (the plan-regret test's calibration):
 //! plan a set of queries with several strategies, then compare each plan's
 //! *estimated* cost against the *measured* physical page I/O of actually
 //! running it on the simulated disk.

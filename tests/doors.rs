@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use evopt::engine::Mode;
-use evopt::{CancellationToken, Database, GovernorConfig, QueryResult, Tuple};
+use evopt::{CancellationToken, Database, GovernorConfig, MetricsSnapshot, QueryResult, Tuple};
 use evopt_workload::load_wisconsin;
 
 const BATTERY: [&str; 5] = [
@@ -162,6 +162,21 @@ fn every_door_runs_the_same_pipeline() {
             let counted = u64::from(through_session);
             assert_eq!(mine_after.statements - mine.statements, counted, "{door}");
             assert_eq!(mine_after.queries - mine.queries, counted, "{door}");
+            // The executor's work and the snapshot wait count where the
+            // statement's other numbers do: in the instance's registry,
+            // and in a session's own when it came through one.
+            let moved = |a: &MetricsSnapshot, b: &MetricsSnapshot| {
+                let waits = b.snapshot_acquire_us.count - a.snapshot_acquire_us.count;
+                (
+                    b.exec_rows - a.exec_rows,
+                    b.exec_batches > a.exec_batches,
+                    waits,
+                )
+            };
+            let returned = rows.len() as u64;
+            assert_eq!(moved(&before, &after), (returned, true, 1), "{door}: {sql}");
+            let mine_moved = (returned * counted, through_session, counted);
+            assert_eq!(moved(&mine, &mine_after), mine_moved, "{door}: {sql}");
         }
 
         // `EXPLAIN ANALYZE` executes too: one statement, one query, and the
@@ -195,6 +210,28 @@ fn every_door_runs_the_same_pipeline() {
         assert_eq!(after.queries, before.queries, "{sql}");
         assert_eq!(db.query_log().entries()[0], log_head, "{sql}");
     }
+}
+
+#[test]
+fn a_sessions_spill_counts_in_its_own_registry() {
+    // 6 000 wide rows sorted are more than the 64 pages operators get on
+    // the default pool: the sort spills.
+    let db = Arc::new(Database::with_defaults());
+    load_wisconsin(&db, "wisc", 6000, 11).unwrap();
+    let session = db.session();
+    let sql = "SELECT * FROM wisc ORDER BY stringu1";
+    let (before, mine) = (db.metrics_snapshot(), session.metrics_snapshot());
+    session.query(sql).unwrap();
+    let (after, mine_after) = (db.metrics_snapshot(), session.metrics_snapshot());
+    assert_eq!(after.exec_spills - before.exec_spills, 1);
+    assert_eq!(mine_after.exec_spills - mine.exec_spills, 1);
+    // The same statement through the database is not the session's.
+    db.query(sql).unwrap();
+    assert_eq!(
+        session.metrics_snapshot().exec_spills,
+        mine_after.exec_spills
+    );
+    assert_eq!(db.metrics_snapshot().exec_spills - after.exec_spills, 1);
 }
 
 #[test]

@@ -293,7 +293,7 @@ fn spills_are_freed_statement_after_statement() {
     }
     // The sort and the Grace join count a spill each run; a block nested
     // loop's materialised inner is not one.
-    assert_eq!(env.metrics.exec_spills.get(), 2 * 31);
+    assert_eq!(env.counts.spills.get(), 2 * 31);
 }
 
 #[test]

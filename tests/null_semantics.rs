@@ -30,7 +30,6 @@ use evopt_common::expr::{col, lit};
 use evopt_common::{BinOp, Column, DataType, Expr, Schema, UnOp, Value};
 use evopt_core::physical::{KeyRange, PhysOp, PhysicalPlan};
 use evopt_exec::{run_collect, ExecEnv};
-use evopt_obs::EngineMetrics;
 use evopt_storage::{BufferPool, DiskManager};
 use support::{
     count_ops, join_plans, normalized, plan, run_at, scan, sibling, world, world_with_key_types,
@@ -380,11 +379,10 @@ fn every_join_family_matches_nested_loop_in_memory_and_under_grace_spill() {
     ];
     for world in worlds {
         for (pool_pages, spills) in [(64, false), (3, true)] {
-            let counters = Arc::new(EngineMetrics::default());
-            let env = world(pool_pages).with_metrics(Arc::clone(&counters));
+            let env = world(pool_pages);
             assert_families_match_nested_loop(&env);
             assert_eq!(
-                counters.snapshot().exec_spills > 0,
+                env.counts.spills.get() > 0,
                 spills,
                 "a {pool_pages}-page budget should {}spill the hash join's build side",
                 if spills { "" } else { "not " }

@@ -2,8 +2,8 @@
 //! join fixture, the sibling-operator rewrite both suites use as their
 //! differential reference, and [`run_at`], through which they sweep batch
 //! sizes. `governor.rs` borrows the fixture to force spilling plans.
-//! `verify_differential.rs` and `optimizer_properties.rs` share a query
-//! battery and the database it runs on.
+//! `verify_differential.rs`, `optimizer_properties.rs` and `plan_regret.rs`
+//! share a query battery and the database it runs on.
 //!
 //! The two hash operators each have a sibling that does the same job
 //! without hashing: `HashAggregate` groups through a map keyed on the group
@@ -314,13 +314,18 @@ pub fn count_ops(p: &PhysicalPlan, op: &str) -> usize {
 /// TPC-H-lite at SF 0.1, analyzed: the world [`battery`] runs in. `verify`
 /// is [`OptimizerConfig::verify`], the plan verifier's one switch.
 pub fn seeded(verify: bool) -> Database {
-    let db = Database::new(DatabaseConfig {
+    seeded_with(DatabaseConfig {
         optimizer: OptimizerConfig {
             verify,
             ..OptimizerConfig::default()
         },
         ..DatabaseConfig::default()
-    });
+    })
+}
+
+/// [`seeded`]'s world on a database built from `config`.
+pub fn seeded_with(config: DatabaseConfig) -> Database {
+    let db = Database::new(config);
     load_wisconsin(&db, "wisc", 1200, 11).unwrap();
     db.execute("CREATE UNIQUE INDEX wisc_u1 ON wisc (unique1)")
         .unwrap();
