@@ -4,8 +4,8 @@
 //! exact NDV (hash set — exact, not sketched, at our laptop scale), min/max,
 //! the most-common-value list, and a histogram for numeric columns.
 //!
-//! Experiment T3 runs this with varying [`AnalyzeConfig`]s (bucket counts,
-//! histogram kinds) against skewed data to quantify estimation error.
+//! `tests/estimates.rs` runs this with varying [`AnalyzeConfig`]s (bucket
+//! counts, histogram kinds) against skewed data to bound estimation error.
 
 use std::collections::HashMap;
 use std::sync::Arc;

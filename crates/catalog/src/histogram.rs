@@ -10,7 +10,7 @@
 //!
 //! Both support equality and range selectivity with intra-bucket uniformity
 //! (continuous-value assumption) — the estimation error *within* a bucket is
-//! exactly what experiment T3 quantifies.
+//! exactly what `tests/estimates.rs` bounds.
 
 use evopt_common::Value;
 

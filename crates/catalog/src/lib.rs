@@ -12,8 +12,8 @@
 //!   statistics and publishes them through the catalog.
 //!
 //! The statistics subsystem is half of the paper's story: cost-based
-//! optimization is only as good as its cardinality estimates, and experiment
-//! T3 measures exactly how estimate quality (q-error) depends on the
+//! optimization is only as good as its cardinality estimates, and
+//! `tests/estimates.rs` checks how estimate quality (q-error) depends on the
 //! statistics kept here (no histogram vs. equi-width vs. equi-depth, under
 //! uniform vs. skewed data).
 

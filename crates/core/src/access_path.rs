@@ -11,8 +11,8 @@
 //!
 //! Candidates are pruned by dominance: the cheapest path survives, plus the
 //! cheapest path *per produced sort order* — an ordered-but-costlier path
-//! can still win later if it saves a sort (interesting orders, experiment
-//! F3).
+//! can still win later if it saves a sort (interesting orders, the `ordered`
+//! class of `tests/plan_regret.rs`).
 
 use std::ops::Bound;
 

@@ -287,7 +287,7 @@ mod tests {
         };
         let small = small_pool.bnl_join(10_000.0, 100.0, 10_000.0, 100.0);
         let big = big_pool.bnl_join(10_000.0, 100.0, 10_000.0, 100.0);
-        assert!(small.io > big.io, "F4 shape: more buffers, less I/O");
+        assert!(small.io > big.io, "more buffers, less I/O");
         // With everything resident: materialise (100) + one pass (100).
         assert_eq!(big.io, 200.0);
     }

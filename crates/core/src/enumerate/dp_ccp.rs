@@ -9,8 +9,7 @@
 //! predicate graph so that each connected-subgraph/connected-complement
 //! pair is emitted exactly once, making enumeration cost proportional to
 //! the number of *valid* joins: O(n²) on chains, O(n·2ⁿ) on stars, equal
-//! to naive only on cliques, so far less work on sparse graphs (experiment
-//! F1 times it beside naive bushy DP).
+//! to naive only on cliques, so far less work on sparse graphs.
 //!
 //! The plan space is smaller than naive bushy DP's, not the same: DPccp
 //! never joins a half that is itself a cross product, while `dp_bushy`

@@ -121,7 +121,7 @@ pub struct JoinContext<'a> {
     pub rels: Vec<BaseRel>,
     /// Global ordinal the final output should be ordered by, if any.
     pub required_order: Option<usize>,
-    /// When false, produced orders are discarded (ablation for F3).
+    /// When false, produced orders are discarded (an ablation, `tests/plan_regret.rs`).
     track_orders: bool,
     /// Search-trace sink; `None` disables all recording.
     pub trace: Option<&'a TraceSink>,

@@ -3,7 +3,8 @@
 //!
 //! This is what "no optimizer" meant in the foundational era: evaluate the
 //! FROM clause left to right, scan every relation sequentially, nested-loop
-//! every join. Every T1 speedup factor is measured against this plan.
+//! every join. The `baseline` class of `tests/plan_regret.rs` measures
+//! System R's plan against this one.
 
 use evopt_common::{EvoptError, Result};
 use evopt_obs::PruneReason;
@@ -50,7 +51,7 @@ mod tests {
 
     #[test]
     fn optimizer_beats_baseline_substantially() {
-        // The headline T1 claim in miniature.
+        // The syntactic baseline's claim in miniature.
         for f in [chain3(), star4()] {
             let ctx = f.ctx();
             let base = enumerate(&ctx, Strategy::Syntactic).unwrap();

@@ -131,7 +131,7 @@ fn delivers(plan: &PhysicalPlan, map: &ColMap, c: usize) -> bool {
 pub struct OptimizerConfig {
     pub strategy: Strategy,
     pub cost_model: CostModel,
-    /// Track interesting orders during enumeration (ablation for F3).
+    /// Track interesting orders during enumeration (off: an ablation, `tests/plan_regret.rs`).
     pub track_interesting_orders: bool,
     /// Run the static plan verifier ([`crate::verify`]) after every phase
     /// (post-enumeration, post-physical); the engine's binder reads the

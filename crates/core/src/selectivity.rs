@@ -11,8 +11,8 @@
 //!    range) when no statistics exist.
 //!
 //! Conjuncts combine under the independence assumption (`s₁·s₂`), the known
-//! weakness that experiment F5 quantifies: errors compound multiplicatively
-//! up a join tree.
+//! weakness whose cost `tests/estimates.rs` checks: errors compound
+//! multiplicatively up a join tree.
 
 use evopt_catalog::ColumnStats;
 use evopt_common::{BinOp, Expr, UnOp, Value};

@@ -76,8 +76,7 @@ pub struct SessionConfig {
 impl DatabaseConfig {
     /// The per-session slice of this configuration. Its cost model's
     /// `buffer_pages`, the operator grant the optimizer prices with and the
-    /// executor runs with, is a quarter of the pool and never under 64
-    /// ([`crate::Session::set_cost_model`] still sets it per session).
+    /// executor runs with, is a quarter of the pool and never under 64.
     pub fn session(&self) -> SessionConfig {
         let mut optimizer = self.optimizer;
         optimizer.cost_model.buffer_pages = (self.buffer_pages / 4).max(64);

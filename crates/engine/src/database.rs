@@ -427,7 +427,6 @@ impl Database {
 pub(crate) mod tests {
     use super::*;
     use evopt_common::Value;
-    use evopt_core::CostModel;
 
     /// `dept` (3 rows) and `emp` (300 rows, indexed on `id`), ANALYZEd:
     /// the engine unit tests' shared world.
@@ -611,13 +610,6 @@ pub(crate) mod tests {
             for model in [db.optimizer_config(), session.optimizer_config()].map(|c| c.cost_model) {
                 assert_eq!(model.buffer_pages, grant, "{pool}-page pool");
             }
-            // A session still sets its own.
-            session.set_cost_model(CostModel {
-                buffer_pages: 16,
-                ..db.optimizer_config().cost_model
-            });
-            assert_eq!(session.optimizer_config().cost_model.buffer_pages, 16);
-            assert_eq!(db.optimizer_config().cost_model.buffer_pages, grant);
         }
     }
 

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use evopt_catalog::AnalyzeConfig;
 use evopt_common::{lockorder, Result, Tuple};
-use evopt_core::{CostModel, OptimizerConfig, Strategy};
+use evopt_core::{OptimizerConfig, Strategy};
 use evopt_exec::{CancellationToken, GovernorConfig, QueryMetrics};
 use evopt_obs::{EngineMetrics, MetricsSnapshot};
 // Non-poisoning mutex (the vendored stand-in recovers poisoned state via
@@ -65,22 +65,19 @@ impl SessionState {
         self.config().optimizer
     }
 
-    /// Swap the join-enumeration strategy (T1/F1 sweeps, plan regret).
+    /// Swap the join-enumeration strategy (`tests/plan_regret.rs` plans
+    /// under each).
     pub fn set_strategy(&self, strategy: Strategy) {
         self.update(|c| c.optimizer.strategy = strategy);
     }
 
-    /// Swap the cost model (ablations, F4 buffer sweeps).
-    pub fn set_cost_model(&self, model: CostModel) {
-        self.update(|c| c.optimizer.cost_model = model);
-    }
-
-    /// Toggle interesting-order tracking (F3 ablation).
+    /// Toggle interesting-order tracking (the ablation of
+    /// `tests/plan_regret.rs`'s `ordered` class).
     pub fn set_track_orders(&self, on: bool) {
         self.update(|c| c.optimizer.track_interesting_orders = on);
     }
 
-    /// Swap the ANALYZE configuration (T3 sweeps).
+    /// Swap the ANALYZE configuration (`tests/estimates.rs` sweeps it).
     pub fn set_analyze_config(&self, cfg: AnalyzeConfig) {
         self.update(|c| c.analyze = cfg);
     }

@@ -32,7 +32,7 @@
 //! materialises and re-reads its inner, external sort spills runs, the
 //! Grace hash join partitions to temporary heaps. That is the point: the
 //! experiments compare these measured page counts against the optimizer's
-//! predictions (the plan-regret test, F4).
+//! predictions (`tests/plan_regret.rs`).
 //!
 //! Entry points: [`build_executor`] to instantiate a plan, [`run_collect`]
 //! to drain it into a vector, [`run_collect_measured`] to drain it with

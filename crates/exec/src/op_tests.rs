@@ -768,7 +768,7 @@ fn merge_join_all_duplicates_cross_within_group() {
 
 #[test]
 fn bnl_io_grows_as_pool_block_shrinks() {
-    // The F4/BNL shape measured for real: same join, two block sizes.
+    // The model's BNL shape measured for real: same join, two block sizes.
     let measure = |block_pages: usize| -> u64 {
         let env = join_world(3000, 3000, 100, 8); // tiny pool: reads are physical
         let hj = plan(

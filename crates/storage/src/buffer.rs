@@ -4,8 +4,9 @@
 //! fetching an uncached page costs one physical read, and may evict an
 //! unpinned frame (plus one physical write if it was dirty). The optimizer's
 //! cost model reasons about exactly this: e.g. block-nested-loop join cost
-//! depends on how many outer pages fit in the pool at once (experiment F4
-//! sweeps the pool size and compares measured vs. predicted I/O).
+//! depends on how many outer pages fit in the pool at once
+//! (`tests/plan_regret.rs` compares measured and predicted I/O on two
+//! pool sizes).
 //!
 //! **Replacement.** Two segments, in the 2Q / LRU-K line (Johnson &
 //! Shasha, VLDB 1994; O'Neil et al., SIGMOD 1993). A page that enters a
@@ -1174,7 +1175,7 @@ mod tests {
 
     #[test]
     fn smaller_pool_does_more_io_on_cyclic_scan() {
-        // The F4 effect in miniature: scanning N pages cyclically with a
+        // The pool-size effect in miniature: scanning N pages cyclically with a
         // pool smaller than N misses every time; a big pool misses once.
         let run = |frames: usize| -> u64 {
             let disk = Arc::new(DiskManager::new());

@@ -7,7 +7,8 @@
 //!
 //! Every `read_page`/`write_page` is a "physical" I/O and is counted. The
 //! counters are the measured side of the cost-model validation experiments
-//! (plan regret, F4): the optimizer *predicts* page fetches, the disk *counts* them.
+//! (`tests/plan_regret.rs`): the optimizer *predicts* page fetches, the disk
+//! *counts* them.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -139,7 +140,7 @@ pub struct DiskManager {
     syncs: AtomicU64,
     /// Simulated per-op latency in microseconds (0 = instant). The sleep
     /// happens *outside* the page-store lock, so concurrent I/Os overlap —
-    /// which is what the multi-session scaling bench (C1) measures.
+    /// which is what `tests/session_scaling.rs` checks.
     latency_micros: AtomicU64,
 }
 

@@ -15,7 +15,7 @@
 //! * [`buffer::BufferPool`] — a pin-counted frame cache over the disk with
 //!   scan-resistant two-segment replacement (probation and protected).
 //!   Cache hits cost no physical I/O, so measured I/O depends on pool size —
-//!   exactly the effect experiment F4 studies.
+//!   exactly the effect `tests/plan_regret.rs` checks across its two pools.
 //! * [`heap::HeapFile`] — unordered tuple storage, the base for every table.
 //! * [`btree::BTreeIndex`] — a paged B+-tree mapping single-column keys to
 //!   [`page::Rid`]s, supporting duplicates, equality and range scans; its

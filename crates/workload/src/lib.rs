@@ -6,12 +6,12 @@
 //!   sampler (implemented here so no extra crate dependency is needed).
 //! * [`wisconsin`] — Wisconsin-benchmark-style relations: uniformly random
 //!   unique keys plus percentage-selectivity columns, the classic substrate
-//!   for access-path experiments (T1, plan regret).
+//!   for access-path experiments (`tests/plan_regret.rs`).
 //! * [`tpch_lite`] — a scaled-down TPC-H-like star schema (region → nation
 //!   → customer → orders → lineitem) for realistic multi-join queries.
 //! * [`topology`] — parametric join graphs (chain / star / cycle / clique)
 //!   with geometric size progressions, for enumeration experiments
-//!   (F1, plan regret).
+//!   (`tests/plan_regret.rs`, `tests/optimizer_properties.rs`).
 //!
 //! Everything is deterministic given a seed.
 

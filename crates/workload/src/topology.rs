@@ -147,7 +147,8 @@ impl JoinWorkload {
 
     /// Same query with an explicit FROM-clause order — the syntactic
     /// baseline evaluates left to right, so a bad order here is exactly the
-    /// "unoptimized" disaster the T1 experiment measures.
+    /// "unoptimized" disaster the `baseline` class of `tests/plan_regret.rs`
+    /// measures.
     pub fn count_query_with_from_order(&self, order: &[usize]) -> String {
         assert_eq!(order.len(), self.n, "order must cover every relation");
         let tables: Vec<String> = order.iter().map(|&i| self.table(i)).collect();

@@ -4,6 +4,7 @@
 mod support;
 
 use std::fmt::Write as _;
+use std::time::{Duration, Instant};
 
 use evopt::core::physical::PhysicalPlan;
 use evopt::plan::rewrite_all;
@@ -287,6 +288,46 @@ fn pricing_before_building_counts_every_candidate() {
         assert_eq!(g, w, "line {} of support/search_counts.txt", i + 1);
     }
     assert_eq!(record.len(), SEARCH_COUNTS.len(), "record length");
+}
+
+/// Left-deep DP's search grows with the relation count and is never
+/// smaller than Greedy's, and both DPs stay practical on a six-way
+/// clique: candidates considered, from the search trace, on chain and
+/// clique joins of 3 to 6 relations (experiment F1).
+#[test]
+fn dp_search_grows_with_relation_count_and_stays_practical() {
+    for topology in [Topology::Chain, Topology::Clique] {
+        let mut fewer = 0;
+        for n in 3..=6 {
+            let db = Database::with_defaults();
+            let mut w = JoinWorkload::new(topology, n, 30, 2);
+            w.growth = 1.2;
+            w.load(&db, false).unwrap();
+            let sql = w.count_query();
+            let considered = |strategy| {
+                db.set_strategy(strategy);
+                db.query_traced(&sql).unwrap().trace.considered
+            };
+            let dp = considered(Strategy::SystemR);
+            let at = format!("{} n={n}", topology.name());
+            println!("{at}: System R considered {dp}");
+            assert!(dp > fewer, "{at}: System R considered {dp}, !> {fewer}");
+            fewer = dp;
+            if topology == Topology::Clique && n == 6 {
+                let greedy = considered(Strategy::Greedy);
+                println!("{at}: Greedy considered {greedy}");
+                assert!(dp >= greedy, "{at}: System R {dp} < Greedy {greedy}");
+                for strategy in [Strategy::SystemR, Strategy::BushyDp] {
+                    db.set_strategy(strategy);
+                    let started = Instant::now();
+                    db.plan_sql(&sql).unwrap();
+                    let (took, name) = (started.elapsed(), strategy.name());
+                    println!("{at}: {name} planned in {took:?}");
+                    assert!(took < Duration::from_secs(2), "{at}: {name} took {took:?}");
+                }
+            }
+        }
+    }
 }
 
 /// Planning is deterministic: same catalog, same query, same plan.

@@ -7,13 +7,15 @@
 //! [`sibling`] (its hash operators swapped for their row-at-a-time twins).
 //! The crossover and grid classes add the plans forced by hand: a
 //! sequential scan and an index scan, and every join family of
-//! [`join_plans`]. The alternatives, deduplicated by digest, each run from
-//! a cold pool and are charged the model's own objective over what was
+//! [`join_plans`]; the ordered class adds System R's plan planned without
+//! interesting orders. The alternatives, deduplicated by digest, each run
+//! from a cold pool and are charged the model's own objective over what was
 //! counted: `CostModel::total` of the pages read and written and of the
-//! rows every operator produced. Regret is the work of the plan the engine
-//! runs (System R's, the default) over the least work of any alternative —
-//! plans judged by running every alternative, as Leis et al. do ("How Good
-//! Are Query Optimizers, Really?", VLDB 2015).
+//! rows every operator produced and every block nested loop compared.
+//! Regret is the work of the plan the engine runs (System R's, the default)
+//! over the least work of any alternative — plans judged by running every
+//! alternative, as Leis et al. do ("How Good Are Query Optimizers,
+//! Really?", VLDB 2015).
 //!
 //! Everything runs twice: on a pool that holds the data and on a small
 //! one. Per class and pool the test prints regret p50 and p95, the
@@ -21,9 +23,10 @@
 //! plans (the alternatives the model priced) and the worst statement. It
 //! holds each p95 and each Spearman to the value it read when it was
 //! written ([`BOUNDS`]), and asserts the claims of the access-path,
-//! join-method, enumeration and calibration experiments it replaced
-//! (EXPERIMENTS.md S21). Counted work is exact on seeded data, so the table
-//! is the same in debug and in release and on every run:
+//! join-method, enumeration, calibration, syntactic-baseline,
+//! interesting-order and buffer-pool experiments it replaced
+//! (EXPERIMENTS.md S21, S22). Counted work is exact on seeded data, so the
+//! table is the same in debug and in release and on every run:
 //!
 //! ```text
 //! cargo test --release --test plan_regret -- --nocapture
@@ -39,12 +42,13 @@ use evopt::common::{BinOp, Expr};
 use evopt::core::cost::Cost;
 use evopt::core::physical::{KeyRange, PhysOp, PhysicalPlan};
 use evopt::exec::ExecEnv;
+use evopt::workload::tpch_lite::queries;
 use evopt::workload::Topology::{Chain, Clique, Cycle, Star};
-use evopt::workload::{load_wisconsin, JoinWorkload};
+use evopt::workload::{load_tpch_lite, load_wisconsin, JoinWorkload};
 use evopt::{Database, DatabaseConfig, Strategy, Tuple, Value};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use support::{battery, join_plans, plan, seeded_with, sibling};
+use support::{battery, join_plans, percentile, plan, seeded_with, sibling, spearman};
 
 /// The pool that holds every class's data, and the small one.
 const POOLS: [(&str, usize); 2] = [("fits", 1024), ("small", 16)];
@@ -88,15 +92,22 @@ const SIBLING_CAP: f64 = 50_000.0;
 /// written, per pool in [`POOLS`] order: regret p95 at most, Spearman at
 /// least. A change that moves one past its bound makes the optimizer pick
 /// worse, or its model predict worse, than it did.
-type Bounds = [(&'static str, [f64; 2], [f64; 2]); 6];
+type Bounds = [(&'static str, [f64; 2], [f64; 2]); 8];
 const BOUNDS: Bounds = [
     ("crossover-unclustered", [1.0, 1.0], [1.0, 1.0]),
     ("crossover-clustered", [1.0, 1.0], [1.0, 1.0]),
-    ("join-grid", [1.0, 1.0], [0.671, 0.872]),
-    ("battery", [1.0, 1.0], [0.916, 0.916]),
-    ("joins", [1.026, 1.026], [0.823, 0.823]),
-    ("all", [1.025, 1.025], [0.875, 0.876]),
+    ("join-grid", [1.0, 1.0], [0.975, 0.975]),
+    ("battery", [1.0, 1.0], [0.983, 0.983]),
+    ("joins", [1.026, 1.026], [0.977, 0.977]),
+    ("baseline", [1.121, 1.121], [0.98, 0.98]),
+    ("ordered", [1.0, 1.0], [0.895, 0.946]),
+    ("all", [1.025, 1.025], [0.986, 0.986]),
 ];
+
+/// The Spearman between the model's I/O estimate and the pages counted,
+/// over the strategies' plans of the crossover and grid classes on both
+/// pools, at least.
+const PAGES_RHO: f64 = 0.93;
 
 /// One alternative of a statement, under one of its names.
 struct Alt {
@@ -104,10 +115,14 @@ struct Alt {
     /// plan's operator.
     name: String,
     digest: String,
-    /// The model's price, when a strategy made the plan.
+    /// The model's price, when the optimizer made the plan, and its I/O
+    /// part.
     est: Option<f64>,
+    est_io: Option<f64>,
     /// `None` for a plan not run: past its cap ([`PLAN_CAP`]).
     work: Option<f64>,
+    /// The pages it read and wrote, when it ran.
+    pages: Option<f64>,
     /// The first alternative with this digest: the one that counts.
     first: bool,
 }
@@ -146,12 +161,24 @@ impl Stmt {
         work.unwrap_or_else(|| panic!("{} {}: {name} did not run", self.class, self.label))
     }
 
+    fn pages(&self, name: &str) -> f64 {
+        let pages = self.alt(name).pages;
+        pages.unwrap_or_else(|| panic!("{} {}: {name} did not run", self.class, self.label))
+    }
+
     fn est(&self, strategy: &str) -> f64 {
         self.alt(strategy).est.unwrap()
     }
 
     fn forced(&self) -> &[Alt] {
         &self.alts[2 * STRATEGIES.len()..]
+    }
+
+    /// What the report prints beside the chosen plan: the forced plans,
+    /// and the syntactic plan of a baseline template.
+    fn beside(&self) -> impl Iterator<Item = &Alt> {
+        let syntactic = (self.class == "baseline").then(|| self.alt("syntactic"));
+        self.forced().iter().chain(syntactic)
     }
 }
 
@@ -163,21 +190,22 @@ fn config(buffer_pages: usize) -> DatabaseConfig {
 }
 
 /// Plan `sql` under every strategy, pair each plan with its sibling, add
-/// `forced`, and run each distinct plan from a cold pool.
+/// `forced` (with the model's price when the optimizer made it), and run
+/// each distinct plan from a cold pool.
 fn measure(
     db: &Database,
     class: &'static str,
     label: String,
     sql: &str,
-    forced: Vec<(String, PhysicalPlan)>,
+    forced: Vec<(String, PhysicalPlan, Option<Cost>)>,
 ) -> Stmt {
     let model = db.optimizer_config().cost_model;
     let mut plans = Vec::new();
     for strategy in STRATEGIES {
         db.set_strategy(strategy);
         let (_, physical) = db.plan_sql(sql).unwrap();
-        let est = model.total(physical.est_cost);
-        plans.push((strategy.name().to_string(), physical, Some(est)));
+        let est = Some(physical.est_cost);
+        plans.push((strategy.name().to_string(), physical, est));
     }
     db.set_strategy(Strategy::SystemR);
     let siblings: Vec<_> = plans
@@ -185,7 +213,7 @@ fn measure(
         .map(|(name, p, _)| (format!("sibling({name})"), sibling(p), None))
         .collect();
     plans.extend(siblings);
-    plans.extend(forced.into_iter().map(|(name, p)| (name, p, None)));
+    plans.extend(forced);
 
     let mut seen = HashSet::new();
     let mut answer = None;
@@ -194,24 +222,41 @@ fn measure(
         let digest = physical.digest_hex();
         let first = seen.insert(digest.clone());
         let cap = est.map_or(SIBLING_CAP, |_| PLAN_CAP);
-        let work = match first {
-            false => alts.iter().find(|a| a.digest == digest).unwrap().work,
-            true if !alts.is_empty() && effort(&physical) > cap => None,
+        let (work, pages) = match first {
+            false => {
+                let earlier = alts.iter().find(|a| a.digest == digest).unwrap();
+                (earlier.work, earlier.pages)
+            }
+            true if !alts.is_empty() && effort(&physical) > cap => (None, None),
             true => {
                 db.pool().evict_all().unwrap();
                 let (rows, metrics) = db.run_plan_instrumented(&physical).unwrap();
                 let n = *answer.get_or_insert(rows.len());
                 assert_eq!(rows.len(), n, "{name} answers {label} with other rows");
-                let produced: u64 = metrics.operators.iter().map(|o| o.actual_rows).sum();
-                let pages = metrics.disk_reads + metrics.disk_writes;
-                Some(model.total(Cost::new(pages as f64, produced as f64)))
+                let ops = &metrics.operators;
+                let produced: u64 = ops.iter().map(|o| o.actual_rows).sum();
+                // The row pairs each block nested loop compares: its
+                // children follow it in pre-order, the outer first.
+                let bnl = ops.iter().enumerate();
+                let bnl = bnl.filter(|(_, o)| o.op == "BlockNestedLoopJoin");
+                let compared: u64 = bnl
+                    .map(|(i, _)| {
+                        let (outer, inner) = (&ops[i + 1], &ops[i + 1 + ops[i + 1].subtree_size]);
+                        outer.actual_rows * inner.actual_rows
+                    })
+                    .sum();
+                let pages = (metrics.disk_reads + metrics.disk_writes) as f64;
+                let rows = (produced + compared) as f64;
+                (Some(model.total(Cost::new(pages, rows))), Some(pages))
             }
         };
         alts.push(Alt {
             name,
             digest,
-            est,
+            est: est.map(|c| model.total(c)),
+            est_io: est.map(|c| c.io),
             work,
+            pages,
             first,
         });
     }
@@ -285,7 +330,8 @@ fn crossover(pages: usize) -> Vec<Stmt> {
                 clustered,
             };
             let forced = [("SeqScan", seq), ("IndexScan", index)];
-            let forced = forced.map(|(name, op)| (name.into(), selected(plan(op, schema.clone()))));
+            let forced =
+                forced.map(|(name, op)| (name.into(), selected(plan(op, schema.clone())), None));
             let sql = format!("SELECT * FROM wisc WHERE {column} < {cutoff}");
             let label = format!("sel={sel}");
             stmts.push(measure(&db, class, label, &sql, forced.into()));
@@ -322,7 +368,7 @@ fn grid(pages: usize) -> Vec<Stmt> {
         db.execute("ANALYZE").unwrap();
         let env = ExecEnv::new(db.catalog().snapshot(), pages);
         let forced = join_plans(&env).into_iter().skip(1);
-        let forced = forced.map(|(name, p)| (name.to_string(), selected(p)));
+        let forced = forced.map(|(name, p)| (name.to_string(), selected(p), None));
         let sql = "SELECT * FROM l JOIN r ON l.a = r.b";
         let label = format!("{outer}x{inner}");
         stmts.push(measure(&db, "join-grid", label, sql, forced.collect()));
@@ -356,32 +402,118 @@ fn joins(pages: usize) -> Vec<Stmt> {
     stmts
 }
 
-/// Nearest-rank percentile.
-fn percentile(values: &[f64], p: f64) -> f64 {
-    let mut v = values.to_vec();
-    v.sort_by(f64::total_cmp);
-    v[((p / 100.0) * (v.len() as f64 - 1.0)).round() as usize]
+/// T1's templates: a star and a chain of four relations written with a bad
+/// FROM order (two unconnected relations first, so the syntactic plan
+/// crosses them), Wisconsin selections and joins, and TPC-H-lite joins.
+fn baseline(pages: usize) -> Vec<Stmt> {
+    let db = Database::new(config(pages));
+    load_tpch_lite(&db, 0.2, 42).unwrap();
+    load_wisconsin(&db, "wisc_a", 2_000, 42).unwrap();
+    load_wisconsin(&db, "wisc_b", 2_000, 43).unwrap();
+    db.execute("CREATE INDEX wisc_a_u1 ON wisc_a (unique1)")
+        .unwrap();
+    db.execute("CREATE INDEX wisc_b_u1 ON wisc_b (unique1)")
+        .unwrap();
+    let mut star = JoinWorkload::new(Star, 4, 40, 42);
+    let mut chain = JoinWorkload::new(Chain, 4, 40, 42);
+    for w in [&mut star, &mut chain] {
+        w.growth = 2.5;
+        w.load(&db, true).unwrap();
+    }
+    db.execute("ANALYZE").unwrap();
+    let templates = [
+        (
+            "star-bad-from",
+            star.count_query_with_from_order(&[1, 2, 0, 3]),
+        ),
+        (
+            "chain-bad-from",
+            chain.count_query_with_from_order(&[0, 2, 1, 3]),
+        ),
+        (
+            "wisc-1%-sel",
+            "SELECT COUNT(*) FROM wisc_a WHERE one_pct = 7".into(),
+        ),
+        (
+            "wisc-point",
+            "SELECT stringu1 FROM wisc_a WHERE unique1 = 1000".into(),
+        ),
+        (
+            "wisc-join-uu",
+            "SELECT COUNT(*) FROM wisc_a a JOIN wisc_b b ON a.unique1 = b.unique1 \
+             WHERE a.one_pct = 3"
+                .into(),
+        ),
+        (
+            "wisc-join-sel",
+            "SELECT COUNT(*) FROM wisc_a a JOIN wisc_b b ON a.unique1 = b.unique1 \
+             WHERE b.unique2 < 200"
+                .into(),
+        ),
+        ("tpch-cust-orders", queries::CUSTOMER_ORDERS.into()),
+        ("tpch-shipped-big", queries::SHIPPED_BIG_ORDERS.into()),
+        (
+            "tpch-3way",
+            "SELECT COUNT(*) FROM lineitem l JOIN orders o ON l.l_order = o.o_key \
+             JOIN customer c ON o.o_customer = c.c_key WHERE c.c_balance > 8000"
+                .into(),
+        ),
+        ("tpch-5way-revenue", queries::REVENUE_PER_NATION.into()),
+    ];
+    let stmts = templates.map(|(label, sql)| measure(&db, "baseline", label.into(), &sql, vec![]));
+    stmts.into()
 }
 
-/// Spearman's rank correlation, ties given their mean rank.
-fn spearman(pairs: &[(f64, f64)]) -> f64 {
-    fn ranks(v: Vec<f64>) -> Vec<f64> {
-        let below = |x: f64| v.iter().filter(|&&y| y < x).count() as f64;
-        let ties = |x: f64| v.iter().filter(|&&y| y == x).count() as f64;
-        v.iter()
-            .map(|&x| below(x) + (ties(x) - 1.0) / 2.0)
-            .collect()
+/// T1's join templates: every one the syntactic plan's order can hurt.
+fn is_join(label: &str) -> bool {
+    ["join", "way", "bad-from"]
+        .iter()
+        .any(|k| label.contains(k))
+}
+
+/// F3's statements, whose order a sort or a merge join can use, and one
+/// join whose order the join enumeration must carry: `wa` clustered on
+/// `unique2` and indexed on `unique1`, `wb` indexed on `unique1`. Beside
+/// the strategies' plans, System R's plan planned with interesting orders
+/// off, with its price.
+fn ordered(pages: usize) -> Vec<Stmt> {
+    let db = Database::new(config(pages));
+    load_wisconsin(&db, "wa", 4_000, 13).unwrap();
+    load_wisconsin(&db, "wb", 4_000, 14).unwrap();
+    for ddl in [
+        "CREATE CLUSTERED INDEX wa_u2 ON wa (unique2)",
+        "CREATE INDEX wa_u1 ON wa (unique1)",
+        "CREATE INDEX wb_u1 ON wb (unique1)",
+        "ANALYZE",
+    ] {
+        db.execute(ddl).unwrap();
     }
-    let a = ranks(pairs.iter().map(|p| p.0).collect());
-    let b = ranks(pairs.iter().map(|p| p.1).collect());
-    let mean = (a.len() as f64 - 1.0) / 2.0;
-    let (mut cov, mut va, mut vb) = (0.0, 0.0, 0.0);
-    for (x, y) in a.iter().zip(&b) {
-        cov += (x - mean) * (y - mean);
-        va += (x - mean) * (x - mean);
-        vb += (y - mean) * (y - mean);
-    }
-    cov / (va * vb).sqrt()
+    let statements = [
+        (
+            "order-by-indexed",
+            "SELECT unique2, stringu1 FROM wa WHERE unique2 < 800 ORDER BY unique2",
+        ),
+        (
+            "order-by-join-key",
+            "SELECT a.unique1 FROM wa a JOIN wb b ON a.unique1 = b.unique1 \
+             WHERE b.unique2 < 400 ORDER BY a.unique1",
+        ),
+        ("full-order-by", "SELECT unique2 FROM wa ORDER BY unique2"),
+        // `wa` lies in `unique2` order, and the join keeps its probe's.
+        (
+            "order-by-clustered-join",
+            "SELECT a.unique2 FROM wa a JOIN wb b ON a.unique2 = b.unique1 ORDER BY a.unique2",
+        ),
+    ];
+    let stmts = statements.map(|(label, sql)| {
+        db.set_track_orders(false);
+        let (_, untracked) = db.plan_sql(sql).unwrap();
+        db.set_track_orders(true);
+        let est = Some(untracked.est_cost);
+        let forced = vec![("untracked".to_string(), untracked, est)];
+        measure(&db, "ordered", label.into(), sql, forced)
+    });
+    stmts.into()
 }
 
 /// (estimated cost, measured work) of every distinct plan a strategy made
@@ -391,11 +523,14 @@ fn priced(stmts: &[&Stmt]) -> Vec<(f64, f64)> {
     ran.filter_map(|a| Some((a.est?, a.work?))).collect()
 }
 
-/// Regret p50, p95 and max and the Spearman, to three places: what the
-/// table prints and the bounds hold.
+/// `v` to three places: what the tables print and the bounds hold.
+fn round(v: f64) -> f64 {
+    (v * 1000.0).round() / 1000.0
+}
+
+/// Regret p50, p95 and max and the Spearman, to three places.
 fn stats(stmts: &[&Stmt]) -> [f64; 4] {
     let regrets: Vec<f64> = stmts.iter().map(|s| s.regret()).collect();
-    let round = |v: f64| (v * 1000.0).round() / 1000.0;
     [
         round(percentile(&regrets, 50.0)),
         round(percentile(&regrets, 95.0)),
@@ -410,7 +545,8 @@ fn of_class<'a>(stmts: &'a [Stmt], class: &str) -> Vec<&'a Stmt> {
 }
 
 /// The per-class table, the worst statement of each class beside its
-/// least-work plan, and every statement of the classes with forced plans.
+/// least-work plan, and every statement with forced plans or of the
+/// baseline beside them, with the model's prices.
 fn report(pool: &str, pages: usize, stmts: &[Stmt]) -> String {
     let mut out = format!(
         "## plan regret in counted work, {pool} pool ({pages} pages)\n\
@@ -446,17 +582,22 @@ fn report(pool: &str, pages: usize, stmts: &[Stmt]) -> String {
         ));
     }
     out.push_str(&format!(
-        "{worst}\n| statement | chosen | regret | forced plans |\n|---|---|---|---|\n"
+        "{worst}\n| statement | chosen: work / est | regret | beside it: work / pages (est) |\n\
+         |---|---|---|---|\n"
     ));
-    for s in stmts.iter().filter(|s| !s.forced().is_empty()) {
-        let forced = s.forced().iter().map(|a| match a.work {
-            Some(work) => format!("{} {work:.2}", a.name),
-            None => format!("{} skipped", a.name),
+    for s in stmts.iter().filter(|s| s.beside().next().is_some()) {
+        let forced = s.beside().map(|a| {
+            let est = a.est.map_or(String::new(), |e| format!(" ({e:.2})"));
+            match (a.work, a.pages) {
+                (Some(work), Some(pages)) => format!("{} {work:.2} / {pages}{est}", a.name),
+                _ => format!("{} skipped{est}", a.name),
+            }
         });
         let forced = forced.collect::<Vec<_>>().join(", ");
-        let (name, chosen, regret) = (&s.label, s.alts[0].work.unwrap(), s.regret());
+        let (name, chosen, regret) = (&s.label, &s.alts[0], s.regret());
+        let (work, est) = (chosen.work.unwrap(), chosen.est.unwrap());
         let row = format!(
-            "| {} {name} | {chosen:.2} | {regret:.3} | {forced} |\n",
+            "| {} {name} | {work:.2} / {est:.2} | {regret:.3} | {forced} |\n",
             s.class
         );
         out.push_str(&row);
@@ -538,6 +679,86 @@ fn enumeration_claims(pool: &str, stmts: &[Stmt]) {
     assert!(worst_baseline >= 5.0, "{pool}: baseline {worst_baseline}x");
 }
 
+/// The syntactic baseline's claims, on counted work: wherever the
+/// syntactic plan ran, the plan the engine runs does at most 1.2 times its
+/// work plus 4; both bad FROM orders run theirs; on every join template the
+/// model prices the syntactic plan above System R's, and on one the
+/// syntactic plan does five times System R's work or more.
+fn baseline_claims(pool: &str, stmts: &[Stmt]) {
+    let mut widest: f64 = 0.0;
+    for s in of_class(stmts, "baseline") {
+        let (sysr, label) = (s.work("system-r"), &s.label);
+        let syntactic = s.alt("syntactic").work;
+        if label.contains("bad-from") {
+            assert!(syntactic.is_some(), "{pool}: {label}: syntactic skipped");
+        }
+        if let Some(base) = syntactic {
+            assert!(
+                sysr <= 1.2 * base + 4.0,
+                "{pool}: {label}: {sysr} vs {base}"
+            );
+        }
+        if is_join(label) {
+            let (base, opt) = (s.est("syntactic"), s.est("system-r"));
+            assert!(base > opt, "{pool}: {label}: estimate {base} !> {opt}");
+            widest = widest.max(syntactic.unwrap_or(0.0) / sysr);
+        }
+    }
+    assert!(widest >= 5.0, "{pool}: syntactic at most {widest}x");
+}
+
+/// The interesting-order claims, on the model's own cost: tracking orders
+/// never prices System R's plan above the plan made without it, and saves
+/// more than 5 % on a single-table statement and on a join.
+fn ordered_claims(pool: &str, stmts: &[Stmt]) {
+    let mut saved = [false; 2];
+    for s in of_class(stmts, "ordered") {
+        let (with, without) = (s.est("system-r"), s.est("untracked"));
+        let label = &s.label;
+        assert!(
+            with <= without * 1.001,
+            "{pool}: {label}: {with} > {without}"
+        );
+        saved[label.contains("join") as usize] |= with < without * 0.95;
+    }
+    assert_eq!(
+        saved, [true; 2],
+        "{pool}: orders saved on [a table, a join]"
+    );
+}
+
+/// The buffer-pool claims, across the pools: the grid's forced block
+/// nested loop moves more pages on the small pool at both points, and the
+/// model's I/O estimate ranks the strategies' plans of the crossover and
+/// grid classes on both pools as the pages they moved do.
+fn buffer_claims(pools: &[Vec<Stmt>]) {
+    let [fits, small] = pools else {
+        panic!("two pools")
+    };
+    for (outer, inner) in GRID {
+        let label = format!("{outer}x{inner}");
+        let pages = |stmts| stmt(stmts, "join-grid", &label).pages("BlockNestedLoopJoin");
+        let (few, many) = (pages(small), pages(fits));
+        assert!(
+            few > many,
+            "{label}: BNL {few} pages on 16 !> {many} on 1 024"
+        );
+    }
+    let swept = pools.iter().flatten();
+    let swept = swept.filter(|s| s.class.starts_with("crossover") || s.class == "join-grid");
+    let priced = swept.flat_map(|s| s.ran());
+    let pairs: Vec<_> = priced.filter_map(|a| Some((a.est_io?, a.pages?))).collect();
+    let rho = round(spearman(&pairs));
+    println!(
+        "I/O estimate against pages moved, {} plans: Spearman {rho:.3}",
+        pairs.len()
+    );
+    assert!(
+        rho >= PAGES_RHO,
+        "I/O estimate against pages: Spearman {rho}"
+    );
+}
+
 fn stmt<'a>(stmts: &'a [Stmt], class: &str, label: &str) -> &'a Stmt {
     let found = stmts.iter().find(|s| s.class == class && s.label == label);
     found.unwrap_or_else(|| panic!("no {class} statement {label}"))
@@ -545,11 +766,14 @@ fn stmt<'a>(stmts: &'a [Stmt], class: &str, label: &str) -> &'a Stmt {
 
 #[test]
 fn the_optimizer_picks_within_its_regret_bounds_in_counted_work() {
+    let mut pools = Vec::new();
     for (at, (pool, pages)) in POOLS.into_iter().enumerate() {
         let mut stmts = crossover(pages);
         stmts.extend(grid(pages));
         stmts.extend(battery_class(pages));
         stmts.extend(joins(pages));
+        stmts.extend(baseline(pages));
+        stmts.extend(ordered(pages));
         println!("{}", report(pool, pages, &stmts));
 
         for (class, p95_bound, rho_bound) in BOUNDS {
@@ -563,5 +787,9 @@ fn the_optimizer_picks_within_its_regret_bounds_in_counted_work() {
         access_path_claims(pool, &stmts);
         join_method_claims(pool, &stmts);
         enumeration_claims(pool, &stmts);
+        baseline_claims(pool, &stmts);
+        ordered_claims(pool, &stmts);
+        pools.push(stmts);
     }
+    buffer_claims(&pools);
 }

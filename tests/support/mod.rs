@@ -3,7 +3,8 @@
 //! differential reference, and [`run_at`], through which they sweep batch
 //! sizes. `governor.rs` borrows the fixture to force spilling plans.
 //! `verify_differential.rs`, `optimizer_properties.rs` and `plan_regret.rs`
-//! share a query battery and the database it runs on.
+//! share a query battery and the database it runs on. `plan_regret.rs` and
+//! `estimates.rs` share the statistics at the end.
 //!
 //! The two hash operators each have a sibling that does the same job
 //! without hashing: `HashAggregate` groups through a map keyed on the group
@@ -359,4 +360,42 @@ pub fn battery() -> Vec<&'static str> {
         "SELECT COUNT(*) FROM nation n, region r",
         "SELECT n.n_name FROM nation n, region r WHERE n.n_key < 2",
     ]
+}
+
+/// q-error of an estimate against the truth: at least 1, capped at 1e9.
+pub fn q_error(estimate: f64, truth: f64) -> f64 {
+    let (e, t) = (estimate.max(1e-9), truth.max(1e-9));
+    (e / t).max(t / e).min(1e9)
+}
+
+pub fn median(values: &[f64]) -> f64 {
+    percentile(values, 50.0)
+}
+
+/// Nearest-rank percentile.
+pub fn percentile(values: &[f64], p: f64) -> f64 {
+    let mut v = values.to_vec();
+    v.sort_by(f64::total_cmp);
+    v[((p / 100.0) * (v.len() as f64 - 1.0)).round() as usize]
+}
+
+/// Spearman's rank correlation, ties given their mean rank.
+pub fn spearman(pairs: &[(f64, f64)]) -> f64 {
+    fn ranks(v: Vec<f64>) -> Vec<f64> {
+        let below = |x: f64| v.iter().filter(|&&y| y < x).count() as f64;
+        let ties = |x: f64| v.iter().filter(|&&y| y == x).count() as f64;
+        v.iter()
+            .map(|&x| below(x) + (ties(x) - 1.0) / 2.0)
+            .collect()
+    }
+    let a = ranks(pairs.iter().map(|p| p.0).collect());
+    let b = ranks(pairs.iter().map(|p| p.1).collect());
+    let mean = (a.len() as f64 - 1.0) / 2.0;
+    let (mut cov, mut va, mut vb) = (0.0, 0.0, 0.0);
+    for (x, y) in a.iter().zip(&b) {
+        cov += (x - mean) * (y - mean);
+        va += (x - mean) * (x - mean);
+        vb += (y - mean) * (y - mean);
+    }
+    cov / (va * vb).sqrt()
 }
