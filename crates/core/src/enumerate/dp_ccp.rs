@@ -1,65 +1,38 @@
-//! DPccp: bushy dynamic programming over **connected subgraph /
-//! complement pairs** (Moerkotte & Neumann, "Analysis of Two Existing and
-//! One New Dynamic Programming Algorithm", VLDB 2006 — a later-era
-//! refinement included here as the natural "future work" of the 1977
-//! enumeration story).
-//!
-//! Naive bushy DP (`dp_bushy`) enumerates *every* partition of every
-//! subset — O(3ⁿ) — and discards the disconnected ones. DPccp walks the
-//! predicate graph so that each connected-subgraph/connected-complement
-//! pair is emitted exactly once, making enumeration cost proportional to
-//! the number of *valid* joins: O(n²) on chains, O(n·2ⁿ) on stars, equal
-//! to naive only on cliques, so far less work on sparse graphs.
-//!
-//! The plan space is smaller than naive bushy DP's, not the same: DPccp
-//! never joins a half that is itself a cross product, while `dp_bushy`
-//! defers cross products and may still use one inside a connected set (on
-//! a chain a–b–c–d, `((a × d) ⋈ b) ⋈ c`). Its optimum is therefore never
-//! cheaper than naive bushy DP's and sometimes dearer.
-//!
-//! On a disconnected predicate graph (cartesian products required) DPccp's
-//! preconditions fail; we fall back to naive bushy DP.
+//! DPccp's plan space: each **connected subgraph / connected complement
+//! pair** of the predicate graph, emitted exactly once (Moerkotte &
+//! Neumann, VLDB 2006 — a later-era refinement included here as the natural
+//! "future work" of the 1977 enumeration story). BushyDp's space lists
+//! every partition of every set, O(3ⁿ), and the driver drops the
+//! unconnected ones; this listing is proportional to the *valid* joins:
+//! O(n²) on chains, O(n·2ⁿ) on stars, as many only on cliques. On a
+//! disconnected graph, where cross products are required, DPccp searches
+//! BushyDp's space instead.
 
-use evopt_common::Result;
+use std::collections::BTreeMap;
+
 use evopt_plan::join_graph::RelMask;
 
-use super::{dp_bushy, Candidate, JoinContext, PlanTable, SubPlan};
+use super::dp::{subsets, Space, Split};
+use super::JoinContext;
 
-pub fn run(ctx: &JoinContext) -> Result<SubPlan> {
-    let n = ctx.rels.len();
-    let all = ctx.graph.all_mask();
-    if n > 1 && !ctx.graph.subgraph_connected(all) {
-        // Cross products needed: DPccp doesn't apply, use naive bushy.
-        return dp_bushy::run(ctx);
+/// DPccp's space on `ctx`'s graph: each csg–cmp pair, both ways round, in
+/// the order it is emitted.
+pub fn space(ctx: &JoinContext) -> Space {
+    if !ctx.graph.subgraph_connected(ctx.graph.all_mask()) {
+        return Space::Bushy;
     }
-    let mut table = PlanTable::new();
-    let level_started = std::time::Instant::now();
-    for r in 0..n {
-        for sp in ctx.base_subplans(r) {
-            ctx.admit(&mut table, Candidate::built(sp))?;
-        }
-    }
-    ctx.trace_level(1, table.len(), level_started);
+    let mut pairs = BTreeMap::new();
+    enumerate_csg(ctx, &mut |csg| enumerate_cmp(ctx, csg, &mut pairs));
+    Space::Connected(pairs)
+}
 
-    // Emit all csg-cmp pairs; for each, join best plans both ways.
-    let mut pairs: Vec<(RelMask, RelMask)> = Vec::new();
-    enumerate_csg(ctx, &mut pairs);
-    // Sort by combined size so sub-plans exist before they're needed.
-    pairs.sort_by_key(|(a, b)| (a | b).count_ones());
-    for (s1, s2) in pairs {
-        for l in table.plans_for(s1) {
-            for r in table.plans_for(s2) {
-                for cand in ctx.join_candidates(&l, &r, false) {
-                    ctx.admit(&mut table, cand)?;
-                }
-                for cand in ctx.join_candidates(&r, &l, false) {
-                    ctx.admit(&mut table, cand)?;
-                }
-            }
-        }
+/// Visits each connected subgraph once: from each start node, highest
+/// first, grown only into nodes above it.
+fn enumerate_csg(ctx: &JoinContext, visit: &mut impl FnMut(RelMask)) {
+    for i in (0..ctx.rels.len()).rev() {
+        visit(1u64 << i);
+        grow(ctx, 1u64 << i, b_set(i), visit);
     }
-    ctx.trace_memo(table.len());
-    ctx.pick_final(table.into_plans(all))
 }
 
 /// Bits strictly below `i`, plus `i` itself: the canonical "forbidden"
@@ -68,87 +41,37 @@ fn b_set(i: usize) -> RelMask {
     (1u64 << i) | ((1u64 << i) - 1)
 }
 
-fn lowest(mask: RelMask) -> usize {
-    mask.trailing_zeros() as usize
-}
-
-/// Iterate all non-empty subsets of `mask`.
-fn subsets(mask: RelMask) -> Vec<RelMask> {
-    let mut out = Vec::new();
-    let mut s = mask;
-    while s != 0 {
-        out.push(s);
-        s = (s - 1) & mask;
-    }
-    out
-}
-
-fn enumerate_csg(ctx: &JoinContext, pairs: &mut Vec<(RelMask, RelMask)>) {
-    let n = ctx.rels.len();
-    for i in (0..n).rev() {
-        let s = 1u64 << i;
-        enumerate_cmp(ctx, s, pairs);
-        enumerate_csg_rec(ctx, s, b_set(i), pairs);
-    }
-}
-
-fn enumerate_csg_rec(
-    ctx: &JoinContext,
-    s: RelMask,
-    x: RelMask,
-    pairs: &mut Vec<(RelMask, RelMask)>,
-) {
+/// Visits every connected growth of `s` that avoids `x`: first `s` plus
+/// each set of its neighbours, then the growths of each of those.
+fn grow(ctx: &JoinContext, s: RelMask, x: RelMask, visit: &mut impl FnMut(RelMask)) {
     let neighbours = ctx.graph.neighbours(s) & !x;
     if neighbours == 0 {
         return;
     }
     for sub in subsets(neighbours) {
-        let grown = s | sub;
-        enumerate_cmp(ctx, grown, pairs);
+        visit(s | sub);
     }
     for sub in subsets(neighbours) {
-        enumerate_csg_rec(ctx, s | sub, x | neighbours, pairs);
+        grow(ctx, s | sub, x | neighbours, visit);
     }
 }
 
-fn enumerate_cmp(ctx: &JoinContext, s1: RelMask, pairs: &mut Vec<(RelMask, RelMask)>) {
-    let x = b_set(lowest(s1)) | s1;
+/// Emits each connected complement of the connected set `s1` joined to it.
+/// A complement grows from a neighbour of `s1`, so each one is connected to
+/// `s1`.
+fn enumerate_cmp(ctx: &JoinContext, s1: RelMask, pairs: &mut BTreeMap<RelMask, Vec<Split>>) {
+    let x = b_set(s1.trailing_zeros() as usize) | s1;
     let neighbours = ctx.graph.neighbours(s1) & !x;
-    if neighbours == 0 {
-        return;
-    }
+    let mut emit = |s2: RelMask| {
+        let splits = pairs.entry(s1 | s2).or_default();
+        splits.extend([(s1, s2), (s2, s1)]);
+    };
     // Descending start nodes, same once-only discipline as csg.
-    let mut starts: Vec<usize> = (0..64).filter(|&i| neighbours & (1u64 << i) != 0).collect();
-    starts.reverse();
-    for i in starts {
-        let s2 = 1u64 << i;
-        pairs.push((s1, s2));
-        // Grow s2 avoiding x, s1, and neighbours below i (handled by their
+    for i in (0..64).rev().filter(|&i| neighbours & (1u64 << i) != 0) {
+        emit(1u64 << i);
+        // Grow it avoiding x, s1, and neighbours below i (handled by their
         // own start).
-        let forbidden = x | (b_set(i) & neighbours);
-        enumerate_cmp_rec(ctx, s1, s2, forbidden, pairs);
-    }
-}
-
-fn enumerate_cmp_rec(
-    ctx: &JoinContext,
-    s1: RelMask,
-    s2: RelMask,
-    x: RelMask,
-    pairs: &mut Vec<(RelMask, RelMask)>,
-) {
-    let neighbours = ctx.graph.neighbours(s2) & !x;
-    if neighbours == 0 {
-        return;
-    }
-    for sub in subsets(neighbours) {
-        let grown = s2 | sub;
-        if ctx.graph.subgraph_connected(grown) && ctx.graph.connected(s1, grown) {
-            pairs.push((s1, grown));
-        }
-    }
-    for sub in subsets(neighbours) {
-        enumerate_cmp_rec(ctx, s1, s2 | sub, x | neighbours, pairs);
+        grow(ctx, 1u64 << i, x | (b_set(i) & neighbours), &mut emit);
     }
 }
 

@@ -18,10 +18,10 @@ pub fn run(ctx: &JoinContext) -> Result<SubPlan> {
 
     while forest.len() > 1 {
         let any_connected =
-            pairs(forest.len()).any(|(i, j)| ctx.is_connected(forest[i].mask, forest[j].mask));
+            pairs(forest.len()).any(|(i, j)| ctx.graph.connected(forest[i].mask, forest[j].mask));
         let trees = &forest;
         let candidates = pairs(trees.len())
-            .map(|(i, j)| (i, j, ctx.is_connected(trees[i].mask, trees[j].mask)))
+            .map(|(i, j)| (i, j, ctx.graph.connected(trees[i].mask, trees[j].mask)))
             .filter(|&(_, _, connected)| connected || !any_connected)
             .flat_map(|(i, j, connected)| {
                 [(i, j), (j, i)].into_iter().flat_map(move |(a, b)| {

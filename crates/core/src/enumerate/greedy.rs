@@ -42,11 +42,11 @@ pub fn run(ctx: &JoinContext) -> Result<SubPlan> {
             .collect();
         let any_connected = remaining
             .iter()
-            .any(|&r| ctx.is_connected(current.mask, 1u64 << r));
+            .any(|&r| ctx.graph.connected(current.mask, 1u64 << r));
         let joined = &current;
         let candidates = remaining
             .iter()
-            .map(|&r| (r, ctx.is_connected(joined.mask, 1u64 << r)))
+            .map(|&r| (r, ctx.graph.connected(joined.mask, 1u64 << r)))
             .filter(|&(_, connected)| connected || !any_connected)
             .flat_map(|(r, connected)| {
                 let bases = ctx.base_subplans(r).iter();

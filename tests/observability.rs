@@ -161,7 +161,7 @@ fn dp_considers_strictly_more_plans_than_greedy() {
     let greedy = db.query_traced(FIVE_WAY_SQL).unwrap();
     assert!(
         dp.trace.considered > greedy.trace.considered,
-        "dp_sysr considered {}, greedy {}",
+        "System R considered {}, greedy {}",
         dp.trace.considered,
         greedy.trace.considered
     );

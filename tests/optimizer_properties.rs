@@ -384,3 +384,29 @@ fn results_stable_across_runs_and_strategies() {
     db.set_strategy(Strategy::Syntactic);
     assert_eq!(db.query(&sql).unwrap(), first);
 }
+
+/// Every strategy plans a join whose relations are connected only by a
+/// predicate over three of them: DPccp's pairs of two single relations are
+/// unconnected there, and the one cross-product rule lets them join, as it
+/// does for every DP.
+#[test]
+fn a_predicate_over_three_relations_plans_under_every_strategy() {
+    let db = Database::with_defaults();
+    for t in ["a", "b", "c"] {
+        db.execute(&format!("CREATE TABLE {t} (x INT)")).unwrap();
+        db.execute(&format!("INSERT INTO {t} VALUES (1), (2), (3)"))
+            .unwrap();
+    }
+    db.execute("ANALYZE").unwrap();
+    let sql = "SELECT a.x, b.x, c.x FROM a, b, c WHERE a.x + b.x = c.x";
+    let mut answers = Vec::new();
+    for strategy in STRATEGIES {
+        db.set_strategy(strategy);
+        let rows = db
+            .query(sql)
+            .unwrap_or_else(|e| panic!("{}: {e}", strategy.name()));
+        answers.push(normalized(&rows));
+    }
+    assert_eq!(answers[0].len(), 3, "{:?}", answers[0]);
+    assert!(answers.iter().all(|a| *a == answers[0]), "{answers:?}");
+}
